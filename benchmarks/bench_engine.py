@@ -24,7 +24,7 @@ parent-streamed parallel path.
 
 **tfidf** — kernel #2.  The same workload scored with TF/IDF cosine,
 sharded at 4 workers, twice: once through the sparse CSR kernel
-(:mod:`repro.engine.sparse`) and once with kernels disabled, which
+(:mod:`repro.engine.columns`) and once with kernels disabled, which
 forces the generic chunk scorer — the slowest worker-side mode, and
 exactly what every TF/IDF request paid before the sparse kernel.
 Identical correspondences required; the sparse kernel must win by
@@ -230,8 +230,8 @@ def run_tfidf_benchmark(workload=None):
 
     timings = {}
 
-    original_build_kernel = vectorized.build_kernel
-    vectorized.build_kernel = lambda *args, **kwargs: None
+    original_request_kernel = vectorized.request_kernel
+    vectorized.request_kernel = lambda request: None
     try:
         start = time.perf_counter()
         generic = _engine_run(domain, range_, blocking, workers=WORKERS,
@@ -240,7 +240,7 @@ def run_tfidf_benchmark(workload=None):
                               threshold=TFIDF_THRESHOLD)
         timings[TFIDF_GENERIC_LABEL] = time.perf_counter() - start
     finally:
-        vectorized.build_kernel = original_build_kernel
+        vectorized.request_kernel = original_request_kernel
 
     start = time.perf_counter()
     sparse = _engine_run(domain, range_, blocking, workers=WORKERS,
@@ -294,14 +294,14 @@ def run_multiattr_benchmark(workload=None):
 
     timings = {}
 
-    original_build_multi = vectorized.build_multi_kernel
-    vectorized.build_multi_kernel = lambda request: None
+    original_request_kernel = vectorized.request_kernel
+    vectorized.request_kernel = lambda request: None
     try:
         start = time.perf_counter()
         scalar = _multiattr_run(domain, range_, blocking, workers=1)
         timings[MULTIATTR_SCALAR_LABEL] = time.perf_counter() - start
     finally:
-        vectorized.build_multi_kernel = original_build_multi
+        vectorized.request_kernel = original_request_kernel
 
     start = time.perf_counter()
     composed_serial = _multiattr_run(domain, range_, blocking, workers=1)

@@ -227,13 +227,7 @@ def parse_module(path: str, source: str,
 
 
 def all_checkers() -> List[Checker]:
-    """One fresh instance of every registered checker, in code order.
-
-    ``LockDisciplineChecker`` (LCK001) is *not* registered any more:
-    the interprocedural LCK002 subsumes its same-class syntactic rule
-    and adds call-graph propagation; the class stays importable for
-    tooling and tests.
-    """
+    """One fresh instance of every registered checker, in code order."""
     from repro.analysis.api import ApiErrorChecker
     from repro.analysis.cfg import ConfigContractChecker
     from repro.analysis.det import DeterminismChecker

@@ -10,7 +10,7 @@ those rules need, **once per run**:
   class/instance attributes, attribute types), functions (call sites,
   lock spans, RPC send/branch/read sites, CLI flag registrations);
 * a :class:`ProjectGraph` over all summaries — module table, symbol
-  table (``repro.engine.sparse.TfIdfKernel`` → class summary), name
+  table (``repro.engine.columns.TfIdfColumn`` → class summary), name
   resolution through imports, and an approximate call graph
   (:meth:`ProjectGraph.callees`).
 

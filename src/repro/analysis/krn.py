@@ -1,13 +1,13 @@
-"""KRN — structural surface of kernels in the ``build_kernel`` registry.
+"""KRN — structural surface of kernels in the ``build_column`` registry.
 
-``vectorized.build_kernel`` is the kernel registry: every class it
-(transitively) instantiates is handed to ``build_multi_kernel``, the
-per-spec threshold prefilter and ``IndexedScorer``, which assume the
-vectorized-kernel surface — ``score_rows(domain_rows, range_rows)``,
-``score_bound_rows`` (the prefilter's admissible bound) and the
-``orientation_symmetric`` flag the deterministic merge relies on.  A
-kernel missing one of these degrades silently (getattr fallbacks) or
-crashes at serve time; this family fails lint instead:
+``columns.build_column`` is the kernel registry: every column class it
+(transitively) instantiates is bound into a kernel and handed to
+``MultiSpecKernel``, the threshold prefilters, ``IndexedScorer`` and
+the serve index, which assume the kernel surface —
+``score_rows(domain_rows, range_rows)``, ``score_bound_rows`` (the
+prefilters' admissible bound) and the ``orientation_symmetric`` flag
+the deterministic merge relies on.  A column missing one of these
+crashes at match or serve time; this family fails lint instead:
 
 =======  ============================================================
 KRN001   a class reachable from the registry entry point lacks a
@@ -38,7 +38,7 @@ from repro.analysis.graph import (
 class KernelContract:
     """One registry entry point and the surface its kernels owe."""
 
-    entry_point: str = "repro.engine.vectorized.build_kernel"
+    entry_point: str = "repro.engine.columns.build_column"
     required_methods: Tuple[str, ...] = ("score_rows",
                                          "score_bound_rows")
     required_attrs: Tuple[str, ...] = ("orientation_symmetric",)

@@ -5,16 +5,14 @@ marker (plus a cheap runtime assert) that a method must only run with
 the named instance lock held.  This checker closes the static half of
 the contract: within a class, a call ``self.method(...)`` to an
 annotated method is flagged unless the caller provably holds the lock
-— i.e. the call sits inside ``with self.<lock>:`` or the calling
-method itself carries ``@requires_lock`` for the same lock.
+— i.e. the call sits inside ``with self.<lock>:``, the calling method
+itself carries ``@requires_lock`` for the same lock, or every path
+into the caller does.
 
 Rules:
 
 =======  ============================================================
-LCK001   (legacy, unregistered) call to a ``@requires_lock`` method
-         from a context where the named lock is not syntactically
-         held — subsumed by LCK002
-LCK002   interprocedural version: held-lock context is propagated
+LCK002   held-lock context is propagated
          through the intra-class call graph (private helpers inherit
          the *intersection* of their call sites' held sets;
          ``__init__`` is construction-exempt; ``.acquire()`` /
@@ -39,13 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    ModuleContext,
-    ProjectChecker,
-    tail_name,
-)
+from repro.analysis.core import Finding, ProjectChecker, tail_name
 from repro.analysis.graph import (
     ClassSummary,
     FileSummary,
@@ -69,86 +61,6 @@ def _required_lock(node: ast.AST) -> Optional[str]:
                 and isinstance(decorator.args[0].value, str):
             return decorator.args[0].value
     return None
-
-
-def _is_self_attribute(node: ast.expr, attribute: str) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == attribute \
-        and isinstance(node.value, ast.Name) and node.value.id == "self"
-
-
-class LockDisciplineChecker(Checker):
-    """LCK001 over classes that annotate methods with ``requires_lock``."""
-
-    CODE = "LCK"
-    SCOPES = ("repro/serve/", "repro/engine/")
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(context, node)
-
-    def _check_class(self, context: ModuleContext,
-                     class_node: ast.ClassDef) -> Iterator[Finding]:
-        annotated: Dict[str, str] = {}
-        methods: List[ast.AST] = []
-        for statement in class_node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(statement)
-                lock = _required_lock(statement)
-                if lock is not None:
-                    annotated[statement.name] = lock
-        if not annotated:
-            return
-        for method in methods:
-            caller_lock = _required_lock(method)
-            yield from self._check_method(context, method, annotated,
-                                          caller_lock)
-
-    def _check_method(self, context: ModuleContext, method: ast.AST,
-                      annotated: Dict[str, str],
-                      caller_lock: Optional[str]) -> Iterator[Finding]:
-        parents: Dict[int, ast.AST] = {}
-        for parent in ast.walk(method):
-            for child in ast.iter_child_nodes(parent):
-                parents[id(child)] = parent
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
-            target = node.func
-            if not isinstance(target, ast.Attribute) \
-                    or not isinstance(target.value, ast.Name) \
-                    or target.value.id != "self":
-                continue
-            lock = annotated.get(target.attr)
-            if lock is None:
-                continue
-            if caller_lock == lock:
-                continue
-            if self._held_via_with(node, parents, lock):
-                continue
-            yield Finding(
-                context.path, node.lineno, "LCK001",
-                f"self.{target.attr}() requires self.{lock} held "
-                f"(@requires_lock); wrap the call in 'with self.{lock}:' "
-                "or annotate the caller")
-
-    def _held_via_with(self, node: ast.AST, parents: Dict[int, ast.AST],
-                       lock: str) -> bool:
-        current: Optional[ast.AST] = parents.get(id(node))
-        while current is not None:
-            if isinstance(current, (ast.With, ast.AsyncWith)):
-                for item in current.items:
-                    expr: ast.expr = item.context_expr
-                    if isinstance(expr, ast.Call):
-                        expr = expr.func
-                    if _is_self_attribute(expr, lock):
-                        return True
-                    if isinstance(expr, ast.Attribute) \
-                            and expr.attr in ("acquire", "acquire_lock") \
-                            and _is_self_attribute(expr.value, lock):
-                        return True
-            current = parents.get(id(current))
-        return False
 
 
 class InterproceduralLockChecker(ProjectChecker):

@@ -7,8 +7,8 @@ serves three audiences at once:
 * readers: the contract is on the ``def`` line instead of buried in a
   docstring ("caller holds _lock");
 * the static checker (:mod:`repro.analysis.lck`): annotated methods
-  called via ``self.`` without an enclosing ``with self.<lock>:`` are
-  flagged as LCK001 findings;
+  called via ``self.`` on a path that provably holds nothing are
+  flagged as LCK002 findings;
 * the runtime: when the instance actually has the named attribute and
   it exposes ``_is_owned`` (an ``RLock``), the wrapper asserts
   ownership.  Plain ``Lock`` objects and absent attributes degrade to

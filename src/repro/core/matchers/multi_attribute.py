@@ -52,9 +52,9 @@ class MultiAttributeMatcher(Matcher):
 
     Execution rides the same engine fast paths as the single-attribute
     matcher: when at least one attribute pair's similarity has a
-    vectorized kernel, the engine composes per-spec kernels and a
+    packed column, the engine composes the per-spec columns and a
     column-wise combiner (:func:`repro.engine.vectorized.
-    build_multi_kernel`) — bit-identical results, and eligible for
+    request_kernel`) — bit-identical results, and eligible for
     sharded/balanced execution like any other indexed request.
     """
 

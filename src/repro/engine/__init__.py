@@ -2,11 +2,11 @@
 
 Replaces the matchers' one-pair-at-a-time scoring loops with a batch
 execution model: candidate pairs are streamed in fixed-size chunks,
-scored through the similarity layer's vectorized ``score_batch``
-kernels with per-attribute memoization, and — when ``workers > 1`` —
-fanned out across a process pool whose partial results merge into a
-single mapping deterministically.  ``workers=1`` is a zero-overhead
-serial fallback producing byte-identical mappings.
+scored through one column layer (below), and — when ``workers > 1`` —
+fanned out across a process pool (:mod:`repro.engine.pool`) whose
+partial results merge into a single mapping deterministically.
+``workers=1`` is a zero-overhead serial fallback producing
+byte-identical mappings.
 
 Typical use::
 
@@ -29,13 +29,18 @@ triples — same results, no parent-side generation bottleneck.
 shard lists so one dominant block cannot leave a worker with a long
 tail.
 
-Two vectorized kernels back the hot paths (bit-identical to scalar
-scoring, numpy optional): packed q-gram bitmaps
-(:mod:`repro.engine.vectorized`) and sparse CSR TF/IDF
-(:mod:`repro.engine.sparse`).  Multi-attribute requests compose
-per-spec kernels with a vectorized combiner
-(:func:`repro.engine.vectorized.build_multi_kernel`), so both matcher
-families ride the same fast paths.  ``EngineConfig(auto=True)`` (CLI
+One scoring core backs every path (:mod:`repro.engine.columns`,
+numpy optional): a *column* packs one attribute's reference side —
+q-gram bitmaps, sparse CSR TF/IDF, or the memoized ``score_batch``
+fallback, chosen by :func:`~repro.engine.columns.build_column` — and
+``bind(query_values)`` turns it into a kernel that scores row pairs
+bit-identically to the scalar similarity.  The engine builds and binds
+per request (:func:`repro.engine.vectorized.request_kernel`;
+multi-attribute requests compose their bound columns with a
+vectorized combiner), the serve tier's index keeps the same column
+objects across requests and binds per micro-batch, and the numpy-free
+:class:`ChunkScorer` is the reference path both are checked against.
+``EngineConfig(auto=True)`` (CLI
 ``--auto``) replaces the hand-set performance knobs with a
 self-tuning mode: chunk size adapts to observed scoring throughput,
 sharding engages whenever the blocking strategy supports it, shard

@@ -1,0 +1,678 @@
+"""The scoring core: packed reference columns, bound per query batch.
+
+Everything that scores row pairs — the batch engine's indexed and
+sharded paths, the composed multi-attribute kernel, the serve tier's
+:class:`~repro.serve.index.IncrementalIndex` — instantiates this one
+layer::
+
+    build_column(sim, reference_values)   # pack the reference side once
+        .bind(query_values)               # attach a query side: a kernel
+        .score_rows(query_rows, reference_rows)
+    survivors(kernel, rows_a, rows_b, threshold)   # the one filter
+
+A *column* packs one attribute's reference-side values.  ``bind``
+returns the same column with a query side attached — a *kernel*
+exposing ``score_rows`` / ``score_bound_rows`` /
+``orientation_symmetric`` (the surface KRN001 pins) plus the two
+missing-value masks.  The batch engine binds a request's domain values
+once (self-matching passes the reference list itself, which aliases
+the packed side instead of packing twice); the serve index keeps its
+columns across requests and binds every micro-batch.
+
+Three columns exist, chosen by :func:`build_column`:
+
+* :class:`NGramColumn` — q-gram sets as bit rows of a packed
+  ``uint64`` matrix; a chunk scores with a gather, a bitwise AND and
+  ``np.bitwise_count``;
+* :class:`TfIdfColumn` — prepared TF/IDF vectors as CSR arrays, chunks
+  scored as sparse dot products (ragged gather, keyed ``searchsorted``,
+  ``bincount`` segment sums);
+* :class:`ScalarColumn` — the fallback for every other similarity:
+  value lookup plus the memoized ``score_batch``
+  (:class:`ValuePairMemo`) the numpy-free
+  :class:`~repro.engine.scorer.ChunkScorer` also uses.
+
+Bit-exactness.  The kernels evaluate the *same* arithmetic expressions
+as the scalar ``_score`` implementations in the same order, so column,
+batched and per-pair scoring agree to the last bit.  The query side is
+packed over the *reference* vocabulary, which is exact as well:
+q-grams absent from it can never overlap a reference row, so they
+count toward the row's gram-set *size* but set no bit; TF/IDF query
+entries for unseen tokens contribute exact ``+0.0`` terms to the dot
+product (all weights are non-negative, so skipping them cannot flip a
+``-0.0``) while the expansion tie-break still compares the *logical*
+vector sizes and full lexicographic text order.
+
+numpy is optional: callers check :func:`numpy_available` before
+building columns and fall back to the Python path without it.
+"""
+
+from __future__ import annotations
+
+import copy
+from bisect import bisect_left
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.sim.base import SimilarityFunction
+from repro.sim.ngram import NGramSimilarity
+from repro.sim.tfidf import TfIdfCosineSimilarity
+
+_np: Any
+try:  # numpy is an optional accelerator, never a hard dependency
+    import numpy
+    _np = numpy
+except ImportError:  # pragma: no cover - image always has numpy
+    _np = None
+
+ValuePair = Tuple[str, str]
+#: ``(JSON meta, named arrays)`` — a column's on-disk form
+ColumnState = Tuple[Dict[str, Any], Dict[str, Any]]
+
+#: refuse to pack one side of a column into more than this many bytes;
+#: :func:`build_column` then falls back to the scalar column
+MAX_INDEX_BYTES = 512 * 1024 * 1024
+
+#: bytes per packed TF/IDF entry: insertion-order indices (8) + data
+#: (8) plus the lookup copy's keys (8) + data (8)
+_BYTES_PER_ENTRY = 32
+
+
+def numpy_available() -> bool:
+    """True when columns can be built at all."""
+    return _np is not None
+
+
+def missing_mask(values: Sequence[object]) -> Any:
+    """Boolean row array marking ``None`` attribute values."""
+    return _np.fromiter((value is None for value in values),
+                        dtype=_np.bool_, count=len(values))
+
+
+class ValuePairMemo:
+    """The bounded value-pair memo around one similarity's ``score_batch``.
+
+    Maps coerced ``(value_a, value_b)`` string pairs to scores; only
+    unseen pairs reach ``score_batch``.  Blocking strategies that emit
+    duplicate candidates and sources with repeated attribute values
+    both collapse onto memo hits.  The memo is cleared when it would
+    outgrow ``limit`` entries, which bounds worker and server memory on
+    very large runs; scoring is deterministic, so the memo can only
+    change speed, never results.
+    """
+
+    def __init__(self, sim: SimilarityFunction,
+                 limit: int = 1 << 20) -> None:
+        self.sim = sim
+        self.limit = limit
+        self._scores: Dict[ValuePair, float] = {}
+
+    def scores(self, keys: Iterable[ValuePair]) -> Dict[ValuePair, float]:
+        """Scores of the *distinct* ``keys`` as a call-local dict.
+
+        The returned dict holds every requested key, so a memo reset
+        triggered by this very call can never orphan a pair the caller
+        is still serving.
+        """
+        memo = self._scores
+        found: Dict[ValuePair, float] = {}
+        work: List[ValuePair] = []
+        for key in keys:
+            score = memo.get(key)
+            if score is None:
+                work.append(key)
+            else:
+                found[key] = score
+        if work:
+            fresh = dict(zip(work, self.sim.score_batch(work)))
+            if len(memo) + len(fresh) > self.limit:
+                memo.clear()
+            if len(fresh) <= self.limit:
+                memo.update(fresh)
+            found.update(fresh)
+        return found
+
+
+class _Column:
+    """Shared column mechanics: the reference side, ``bind``, the masks.
+
+    Subclasses pack one side's values in ``_pack`` and score bound rows
+    in ``score_rows`` / ``score_bound_rows``; both are only meaningful
+    on the kernel ``bind`` returns.  Rows are aligned with the value
+    lists handed to the constructor and to ``bind``.
+    """
+
+    #: False for the memoized ``score_batch`` fallback
+    vectorized = True
+    #: whether ``score_rows`` is independent of pair orientation — the
+    #: block-vectorized sharded mode may expand a self-matching pair
+    #: either way round
+    orientation_symmetric = True
+
+    #: clear the similarity's per-string cache once query traffic has
+    #: grown it beyond this many entries past the reference size
+    QUERY_CACHE_SLACK = 65536
+
+    def __init__(self, sim: SimilarityFunction,
+                 reference_values: Sequence[object]) -> None:
+        self.sim = sim
+        self._reference_values = reference_values
+        self.range: Any = None
+        self.range_missing = missing_mask(reference_values)
+        self.domain: Any = None
+        self.domain_missing: Any = None
+
+    def _pack(self, values: Sequence[object]) -> Any:
+        raise NotImplementedError
+
+    def _query_cache(self) -> Optional[Dict[str, Any]]:
+        """The similarity's per-string cache that binds may grow."""
+        return None
+
+    def bind(self, query_values: Sequence[object]) -> "_Column":
+        """This column with ``query_values`` attached as the domain side.
+
+        Binding the very list the column was built from (self-matching)
+        aliases the packed reference side.
+        """
+        kernel = copy.copy(self)
+        if query_values is self._reference_values:
+            kernel.domain = self.range
+            kernel.domain_missing = self.range_missing
+            return kernel
+        kernel.domain = self._pack(query_values)
+        kernel.domain_missing = missing_mask(query_values)
+        cache = self._query_cache()
+        if cache is not None and len(cache) > \
+                len(self._reference_values) + self.QUERY_CACHE_SLACK:
+            # unbounded distinct-query traffic must not leak through
+            # the similarity's per-string cache
+            cache.clear()
+        return kernel
+
+    def missing_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Boolean array: pairs with a ``None`` value on either side."""
+        return self.domain_missing[domain_rows] | self.range_missing[range_rows]
+
+    def export(self) -> ColumnState:
+        raise NotImplementedError
+
+
+class NGramColumn(_Column):
+    """Packed-bitmap q-gram column.
+
+    A missing attribute value becomes an all-zero row, which scores 0.0
+    against everything and is therefore dropped by the ``score > 0``
+    filter — the same outcome as the scalar path's missing-value skip.
+    """
+
+    sim: NGramSimilarity
+
+    def __init__(self, sim: NGramSimilarity,
+                 reference_values: Sequence[object],
+                 restored: Optional[ColumnState] = None) -> None:
+        super().__init__(sim, reference_values)
+        self.method = sim.method
+        if restored is not None:
+            meta, arrays = restored
+            self._vocabulary = {gram: position for position, gram
+                                in enumerate(meta["vocabulary"])}
+            self._width = max(1, (len(self._vocabulary) + 63) // 64)
+            self.range = (arrays["range_bits"], arrays["range_sizes"])
+            return
+        vocabulary: Dict[str, int] = {}
+        for value in reference_values:
+            for gram in self._grams(value):
+                if gram not in vocabulary:
+                    vocabulary[gram] = len(vocabulary)
+        self._vocabulary = vocabulary
+        self._width = max(1, (len(vocabulary) + 63) // 64)
+        self.range = self._pack(reference_values)
+
+    def _grams(self, value: object) -> FrozenSet[str]:
+        if value is None:
+            return frozenset()
+        return self.sim.grams(str(value))
+
+    def _query_cache(self) -> Optional[Dict[str, Any]]:
+        return self.sim._gram_cache
+
+    def _pack(self, values: Sequence[object]) -> Tuple[Any, Any]:
+        """Pack gram sets over the *reference* vocabulary.
+
+        Grams outside the vocabulary (possible only on the query side)
+        set no bit but still count toward the row size, so overlap
+        stays exact while dice/jaccard denominators see the full set
+        size.  The bit scatter is one ``bitwise_or.at`` over all
+        (row, gram) entries: this packs every serve micro-batch, so a
+        per-gram Python loop would eat the batching gain.
+        """
+        width = self._width
+        if len(values) * width * 8 > MAX_INDEX_BYTES:
+            raise MemoryError("packed gram index exceeds budget")
+        bits = _np.zeros((len(values), width), dtype=_np.uint64)
+        sizes = _np.zeros(len(values), dtype=_np.int64)
+        rows: List[int] = []
+        positions: List[int] = []
+        lookup = self._vocabulary.get
+        for row, value in enumerate(values):
+            grams = self._grams(value)
+            sizes[row] = len(grams)
+            for gram in grams:
+                position = lookup(gram)
+                if position is not None:
+                    rows.append(row)
+                    positions.append(position)
+        if rows:
+            position_array = _np.asarray(positions, dtype=_np.int64)
+            cells = _np.asarray(rows, dtype=_np.int64) * width \
+                + (position_array >> 6)
+            masks = _np.left_shift(
+                _np.uint64(1), (position_array & 63).astype(_np.uint64))
+            _np.bitwise_or.at(bits.reshape(-1), cells, masks)
+        return bits, sizes
+
+    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Score aligned row-index arrays; returns a float64 array.
+
+        Evaluates the scalar ``_score`` expressions elementwise:
+        overlap 0 (including missing values) scores 0.0 exactly.
+        """
+        domain_bits, domain_sizes = self.domain
+        range_bits, range_sizes = self.range
+        overlap = _np.bitwise_count(
+            domain_bits[domain_rows] & range_bits[range_rows]
+        ).sum(axis=1, dtype=_np.int64)
+        size_a = domain_sizes[domain_rows]
+        size_b = range_sizes[range_rows]
+        if self.method == "dice":
+            scores = 2.0 * overlap / _np.maximum(size_a + size_b, 1)
+        elif self.method == "jaccard":
+            scores = overlap / _np.maximum(size_a + size_b - overlap, 1)
+        else:  # overlap coefficient
+            scores = overlap / _np.maximum(_np.minimum(size_a, size_b), 1)
+        scores[overlap == 0] = 0.0
+        return scores
+
+    def score_bound_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Per-pair score upper bounds from gram counts alone.
+
+        The overlap can never exceed the smaller gram-set size, and
+        each scalar expression is monotone in the exactly-represented
+        integer overlap under IEEE correctly-rounded division, so
+        ``score_rows(...) <= score_bound_rows(...)`` holds *exactly*,
+        float by float — a pair whose bound misses the threshold can
+        be dropped with bit-identical surviving results.  O(pairs)
+        size gathers; the packed bitmaps are never touched.
+        """
+        size_a = self.domain[1][domain_rows]
+        size_b = self.range[1][range_rows]
+        cap = _np.minimum(size_a, size_b)
+        if self.method == "dice":
+            # same denominator as score_rows, numerator capped
+            return 2.0 * cap / _np.maximum(size_a + size_b, 1)
+        if self.method == "jaccard":
+            # overlap=cap minimizes the denominator to max(a, b)
+            return cap / _np.maximum(_np.maximum(size_a, size_b), 1)
+        # overlap coefficient: 1.0 whenever overlap is possible at
+        # all, 0.0 for an empty side (which scores exactly 0.0)
+        return cap / _np.maximum(cap, 1)
+
+    def export(self) -> ColumnState:
+        meta = {"kind": "ngram",
+                "vocabulary": list(self._vocabulary),
+                "reference_size": len(self._reference_values)}
+        return meta, {"range_bits": self.range[0],
+                      "range_sizes": self.range[1]}
+
+
+class _Side:
+    """One side's packed TF/IDF vectors.
+
+    Two representations of the same rows: insertion-order CSR arrays
+    (``indptr``/``indices``/``data``) for expansion — entry order
+    within a row is the vector dict's insertion order, which the
+    summation replays — and a ``(row, token)``-keyed, globally sorted
+    copy (``keys``/``sorted_data``) for O(log nnz) partner lookups via
+    ``searchsorted``.  Only tokens of the reference vocabulary are
+    packed; ``logical`` keeps each row's full vector size for the
+    scalar tie-break, and ``rank`` its text's position in the
+    cross-side lexicographic order.
+    """
+
+    ARRAYS = ("indptr", "indices", "data", "keys", "sorted_data",
+              "lengths", "rank")
+    __slots__ = ARRAYS + ("logical",)
+
+    def __init__(self, vectors: List[Dict[str, float]],
+                 vocabulary: Dict[str, int], vocab_size: int,
+                 ranks: List[int]) -> None:
+        if sum(len(vector) for vector in vectors) * _BYTES_PER_ENTRY \
+                > MAX_INDEX_BYTES:
+            raise MemoryError("packed TF/IDF index exceeds budget")
+        indices: List[int] = []
+        data: List[float] = []
+        indptr = [0]
+        lookup = vocabulary.get
+        for vector in vectors:
+            for token, weight in vector.items():
+                position = lookup(token)
+                if position is not None:
+                    indices.append(position)
+                    data.append(weight)
+            indptr.append(len(indices))
+        self.indptr = _np.asarray(indptr, dtype=_np.int64)
+        self.indices = _np.asarray(indices, dtype=_np.int64)
+        self.data = _np.asarray(data, dtype=_np.float64)
+        self.lengths = _np.diff(self.indptr)
+        rows = _np.repeat(_np.arange(len(vectors), dtype=_np.int64),
+                          self.lengths)
+        keys = rows * vocab_size + self.indices
+        order = _np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.sorted_data = self.data[order]
+        self.rank = _np.asarray(ranks, dtype=_np.int64)
+        self.logical = _np.asarray([len(vector) for vector in vectors],
+                                   dtype=_np.int64)
+
+
+class TfIdfColumn(_Column):
+    """Sparse CSR TF/IDF column.
+
+    The scalar ``TfIdfCosineSimilarity._score`` iterates the smaller
+    vector's ``(token, weight)`` items *in insertion order* and
+    accumulates ``weight * other.get(token, 0.0)`` left to right.  The
+    kernel replays precisely that computation: row weights are the very
+    dicts :meth:`TfIdfCosineSimilarity.value_vector` produces, the
+    smaller row (tie: the lexicographically smaller text) is expanded,
+    partner weights come from the other side's sorted keys, and
+    ``np.bincount`` accumulates the products sequentially in input
+    order.  A missing (or token-free) value becomes an empty row that
+    scores 0.0 against everything.
+    """
+
+    sim: TfIdfCosineSimilarity
+
+    def __init__(self, sim: TfIdfCosineSimilarity,
+                 reference_values: Sequence[object],
+                 restored: Optional[ColumnState] = None) -> None:
+        super().__init__(sim, reference_values)
+        if restored is not None:
+            meta, arrays = restored
+            self._vocabulary = {token: position for position, token
+                                in enumerate(meta["vocabulary"])}
+            self._vocab_size = max(1, len(self._vocabulary))
+            self._sorted_texts = list(meta["sorted_texts"])
+            side = object.__new__(_Side)
+            for name in _Side.ARRAYS:
+                setattr(side, name, arrays[name])
+            side.logical = side.lengths
+            self.range = side
+            return
+        vocabulary: Dict[str, int] = {}
+        for value in reference_values:
+            for token in sim.value_vector(value):
+                if token not in vocabulary:
+                    vocabulary[token] = len(vocabulary)
+        self._vocabulary = vocabulary
+        self._vocab_size = max(1, len(vocabulary))
+        self._sorted_texts = sorted({self._text(value)
+                                     for value in reference_values})
+        self.range = self._pack(reference_values)
+
+    @staticmethod
+    def _text(value: object) -> str:
+        return "" if value is None else str(value)
+
+    def _query_cache(self) -> Optional[Dict[str, Any]]:
+        return self.sim._vector_cache
+
+    def _rank(self, text: str) -> int:
+        """Rank of a text in the cross-side lexicographic order.
+
+        Reference texts sit at even ranks; a query text absent from
+        the reference slots between its neighbours at an odd rank, so
+        rank comparison agrees with text comparison for every
+        (query, reference) pair — including the equal-text tie, where
+        the shared even rank makes the kernel's ``<=`` expand the
+        query side exactly like the scalar tie-break.
+        """
+        position = bisect_left(self._sorted_texts, text)
+        if position < len(self._sorted_texts) \
+                and self._sorted_texts[position] == text:
+            return 2 * position
+        return 2 * position - 1
+
+    def _pack(self, values: Sequence[object]) -> _Side:
+        return _Side([self.sim.value_vector(value) for value in values],
+                     self._vocabulary, self._vocab_size,
+                     [self._rank(self._text(value)) for value in values])
+
+    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Score aligned row-index arrays; returns a float64 array.
+
+        Per pair, the smaller row (tie: smaller text rank) is expanded
+        and dotted against the other side, products summed in the
+        expanded row's insertion order, result clamped to ``[0, 1]``
+        exactly as :meth:`SimilarityFunction.similarity` clamps.
+        """
+        rows_a = _np.asarray(domain_rows, dtype=_np.int64)
+        rows_b = _np.asarray(range_rows, dtype=_np.int64)
+        length_a = self.domain.logical[rows_a]
+        length_b = self.range.logical[rows_b]
+        expand_domain = (length_a < length_b) | (
+            (length_a == length_b)
+            & (self.domain.rank[rows_a] <= self.range.rank[rows_b]))
+        scores = _np.zeros(len(rows_a), dtype=_np.float64)
+        subset = _np.nonzero(expand_domain)[0]
+        if len(subset):
+            scores[subset] = self._dot(self.domain, rows_a[subset],
+                                       self.range, rows_b[subset])
+        subset = _np.nonzero(~expand_domain)[0]
+        if len(subset):
+            scores[subset] = self._dot(self.range, rows_b[subset],
+                                       self.domain, rows_a[subset])
+        _np.clip(scores, 0.0, 1.0, out=scores)
+        return scores
+
+    def score_bound_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Per-pair score upper bounds from packed vector lengths alone.
+
+        The final clamp caps every cosine at 1.0, and a pair with an
+        empty packed row on either side scores exactly 0.0 (no token
+        can match), so the cap tightens to 0.0 there.  A nontrivial
+        sparse bound would cost a gather per vector entry, not worth it
+        when the clamp already gives an exact cap.
+        """
+        empty = (self.domain.lengths[domain_rows] == 0) \
+            | (self.range.lengths[range_rows] == 0)
+        return _np.where(empty, 0.0, 1.0)
+
+    def _dot(self, expand: _Side, expand_rows: Any,
+             lookup: _Side, lookup_rows: Any) -> Any:
+        """Dot each expanded row against its partner row on the other side.
+
+        The ragged expansion enumerates every ``(pair, token, weight)``
+        entry of the expanded rows in stored (insertion) order; partner
+        weights come from one vectorized ``searchsorted`` over the
+        lookup side's ``(row, token)`` keys; ``bincount`` then sums each
+        pair's products sequentially in input order — the scalar loop.
+        """
+        lengths = expand.lengths[expand_rows]
+        total = int(lengths.sum())
+        count = len(expand_rows)
+        if total == 0 or len(lookup.keys) == 0:
+            return _np.zeros(count, dtype=_np.float64)
+        pair_ids = _np.repeat(_np.arange(count, dtype=_np.int64), lengths)
+        ends = _np.cumsum(lengths)
+        flat = (_np.arange(total, dtype=_np.int64)
+                - _np.repeat(ends - lengths, lengths)
+                + _np.repeat(expand.indptr[expand_rows], lengths))
+        tokens = expand.indices[flat]
+        weights = expand.data[flat]
+        queries = _np.repeat(lookup_rows, lengths) * self._vocab_size + tokens
+        positions = _np.searchsorted(lookup.keys, queries)
+        in_range = positions < len(lookup.keys)
+        safe = _np.where(in_range, positions, 0)
+        matched = in_range & (lookup.keys[safe] == queries)
+        partners = _np.where(matched, lookup.sorted_data[safe], 0.0)
+        return _np.bincount(pair_ids, weights=weights * partners,
+                            minlength=count)
+
+    def export(self) -> ColumnState:
+        meta = {"kind": "tfidf",
+                "vocabulary": list(self._vocabulary),
+                "reference_size": len(self._reference_values),
+                "sorted_texts": self._sorted_texts}
+        return meta, {name: getattr(self.range, name)
+                      for name in _Side.ARRAYS}
+
+
+class ScalarColumn(_Column):
+    """Fallback column: memoized ``score_batch`` over coerced texts.
+
+    Scores the candidate rows' distinct value pairs through the
+    similarity's ``score_batch`` — exactly the evaluation (and the
+    bounded :class:`ValuePairMemo`) the generic
+    :class:`~repro.engine.scorer.ChunkScorer` performs, so scores are
+    bit-identical to the scalar path.  The memo lives on the column and
+    so persists across binds.  Missing values score 0.0 like the packed
+    columns.
+
+    Not orientation-symmetric in general (the wrapped similarity may
+    not be), so a composed kernel containing a scalar column keeps the
+    sharded self-matching path on the orientation-faithful pair stream
+    instead of the block-vectorized expansion.
+    """
+
+    vectorized = False
+    orientation_symmetric = False
+
+    def __init__(self, sim: SimilarityFunction,
+                 reference_values: Sequence[object]) -> None:
+        super().__init__(sim, reference_values)
+        self.memo = ValuePairMemo(sim)
+        self.range = self._pack(reference_values)
+
+    def _pack(self, values: Sequence[object]) -> List[Optional[str]]:
+        return [None if value is None else str(value) for value in values]
+
+    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        texts_a = self.domain
+        texts_b = self.range
+        keys: List[Optional[ValuePair]] = []
+        wanted: Dict[ValuePair, None] = {}
+        for row_a, row_b in zip(_np.asarray(domain_rows).tolist(),
+                                _np.asarray(range_rows).tolist()):
+            value_a = texts_a[row_a]
+            value_b = texts_b[row_b]
+            if value_a is None or value_b is None:
+                keys.append(None)
+                continue
+            key = (value_a, value_b)
+            keys.append(key)
+            wanted[key] = None
+        found = self.memo.scores(wanted)
+        out = _np.zeros(len(keys), dtype=_np.float64)
+        for index, key in enumerate(keys):
+            if key is not None:
+                out[index] = found[key]
+        return out
+
+    def score_bound_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """The ``[0, 1]`` score contract: the only cap a generic
+        similarity offers without being evaluated."""
+        return _np.ones(len(domain_rows), dtype=_np.float64)
+
+    def export(self) -> ColumnState:
+        return {"kind": "scalar"}, {}
+
+
+def build_column(sim: SimilarityFunction,
+                 reference_values: Sequence[object]) -> _Column:
+    """The column registry: pack ``reference_values`` for ``sim``.
+
+    Exact :class:`NGramSimilarity` scoring gets the packed bit column
+    (``np.bitwise_count`` needs numpy >= 2.0), exact
+    :class:`TfIdfCosineSimilarity` scoring the sparse CSR column.
+    Everything else — including subclasses that override ``_score`` or
+    ``vector`` and thereby silently change the math, such as SoftTFIDF
+    — and any reference over the :data:`MAX_INDEX_BYTES` budget gets the
+    :class:`ScalarColumn` fallback.  Requires numpy.
+    """
+    try:
+        if isinstance(sim, NGramSimilarity) \
+                and type(sim)._score is NGramSimilarity._score \
+                and hasattr(_np, "bitwise_count"):
+            return NGramColumn(sim, reference_values)
+        if isinstance(sim, TfIdfCosineSimilarity) \
+                and type(sim)._score is TfIdfCosineSimilarity._score \
+                and type(sim).vector is TfIdfCosineSimilarity.vector:
+            return TfIdfColumn(sim, reference_values)
+    except MemoryError:
+        pass
+    return ScalarColumn(sim, reference_values)
+
+
+def survivors(kernel: Any, rows_a: Any, rows_b: Any, threshold: float,
+              missing_zero: bool = False) -> Tuple[Any, Any, Any]:
+    """Score row arrays and keep what the engine's one filter keeps.
+
+    A pair survives when ``score >= threshold and score > 0``.  Under
+    the single-attribute ``missing='zero'`` policy, pairs with a
+    missing value (which every column scores exactly 0.0) additionally
+    surface at threshold 0 instead of being dropped with the ordinary
+    zero scores.  Returns the surviving ``(rows_a, rows_b, scores)``.
+    """
+    scores = kernel.score_rows(rows_a, rows_b)
+    mask = (scores >= threshold) & (scores > 0.0)
+    if missing_zero and threshold <= 0.0 and len(rows_a):
+        mask |= kernel.missing_rows(rows_a, rows_b)
+    return rows_a[mask], rows_b[mask], scores[mask]
+
+
+# ----------------------------------------------------------------------
+# column export / import: the on-disk memmap layout
+# ----------------------------------------------------------------------
+#
+# A column's packed reference side is a handful of flat numpy arrays
+# plus a little JSON-serializable metadata (vocabulary order, sizes).
+# Restoring re-assembles the column around the arrays *as given* —
+# including ``np.memmap`` views of the snapshot files — so a cold shard
+# worker skips the entire packing pass and starts scoring straight off
+# the page cache.
+
+def export_column(column: Optional[_Column]) -> ColumnState:
+    """Split a column into ``(JSON meta, named arrays)``."""
+    if column is None:
+        return {"kind": "none"}, {}
+    return column.export()
+
+
+def import_column(sim: Any, meta: Dict[str, Any], arrays: Dict[str, Any],
+                  reference_values: Sequence[object]) -> Optional[_Column]:
+    """Re-assemble a column from :func:`export_column` output.
+
+    ``arrays`` may hold plain ndarrays or read-only ``np.memmap``
+    views — scoring only ever reads the reference side.  Scalar columns
+    carry no arrays; they rebuild from ``reference_values``, which is
+    O(n) string coercion.
+    """
+    kind = meta["kind"]
+    if kind == "none":
+        return None
+    if kind == "scalar":
+        return ScalarColumn(sim, reference_values)
+    if kind == "ngram":
+        return NGramColumn(sim, reference_values, (meta, arrays))
+    if kind == "tfidf":
+        return TfIdfColumn(sim, reference_values, (meta, arrays))
+    raise ValueError(f"unknown packed column kind {kind!r}")

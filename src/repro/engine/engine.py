@@ -6,39 +6,33 @@ Execution model (replacing the matchers' one-pair-at-a-time loops):
    strategy or the cross product, with self-matching dedup applied on
    the fly (reflexive pairs skipped, unordered duplicates dropped);
 2. the stream is cut into fixed-size chunks (:mod:`repro.engine.chunks`);
-3. each chunk is scored by a :class:`~repro.engine.scorer.ChunkScorer`
-   — inline for ``workers=1``, or across a ``concurrent.futures``
-   process pool otherwise — evaluating similarity functions through
-   their batched ``score_batch`` kernels with per-attribute memoization;
+3. each chunk is scored — by a request kernel over packed columns
+   (:func:`repro.engine.vectorized.request_kernel`) where one exists,
+   by the generic :class:`~repro.engine.scorer.ChunkScorer` otherwise —
+   inline for ``workers=1``, or across the engine's one process pool
+   (:func:`repro.engine.pool.run_ordered`);
 4. surviving triples are merged into one :class:`Mapping` in chunk
    submission order, so serial and parallel execution produce
    *identical* mappings.
 
 Workers are forked after ``prepare`` has run, so corpus-level indexes
-(gram caches, TF/IDF document frequencies) are built once and shared
-copy-on-write.  On platforms without ``fork`` the scorer is pickled to
-each worker; if that fails the engine degrades to serial execution
-rather than erroring.
+(gram caches, TF/IDF document frequencies) and packed columns are
+built once and shared copy-on-write.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
-import pickle
 import time
-import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.blocking.pair_generator import dedup_self_pairs
 from repro.core.mapping import Mapping, MappingKind
-from repro.engine import scorer as scorer_module
 from repro.engine import vectorized
 from repro.engine.chunks import AdaptiveChunker, iter_chunks
+from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.scorer import ChunkScorer
 from repro.engine.vectorized import IndexedScorer
@@ -138,9 +132,9 @@ class EngineConfig:
     auto: bool = False
     #: record per-stage timings (prepare / chunk scoring / shard
     #: durations) into ``engine.last_profile`` (CLI ``--profile``).
-    #: Reuses the same timed task variants the ``auto`` chunker
-    #: already runs, so the scored payloads — and therefore the
-    #: results — are identical with profiling on or off.
+    #: Every task is timed anyway (:mod:`repro.engine.pool`), so the
+    #: scored payloads — and therefore the results — are identical
+    #: with profiling on or off.
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -239,29 +233,27 @@ class BatchMatchEngine:
                                  self.config.chunk_size)
         indexed = self._try_indexed(request)
         if indexed is not None:
+            # the parent converts id-pair chunks to row arrays and
+            # workers return only surviving rows, so IPC is ~8 bytes
+            # per candidate pair plus the (sparse) survivors
             self._profile_path("indexed")
-            self._run_indexed(indexed, chunks, result, is_self)
-            return result
-        scorer = ChunkScorer(request)
-        if self.config.workers > 1:
-            executed = self._execute_parallel(scorer, chunks, result, is_self)
-            if executed:
-                self._profile_path("parallel")
-                return result
-            # fell back (pool unavailable); continue serially below with
-            # whatever chunks the parallel path did not consume.
-        self._profile_path("serial")
+            target = indexed.score_rows
+            work = ((len(chunk), indexed.convert(chunk)) for chunk in chunks)
+        else:
+            self._profile_path(
+                "parallel" if self.config.workers > 1 else "serial")
+            target = ChunkScorer(request).score_chunk
+            work = ((len(chunk), (chunk,)) for chunk in chunks)
         adaptive = chunks if isinstance(chunks, AdaptiveChunker) else None
-        timed = adaptive is not None or profiling
-        for chunk in chunks:
-            start = time.perf_counter() if timed else 0.0
-            triples = scorer.score_chunk(chunk)
-            if timed:
-                seconds = time.perf_counter() - start
-                if adaptive:
-                    adaptive.observe(len(chunk), seconds)
-                self._profile_chunk(len(chunk), seconds)
-            self._merge(result, triples, is_self)
+        for items, seconds, output in run_ordered(
+                target, work, workers=self.config.workers,
+                inflight=self.config.inflight):
+            if adaptive:
+                adaptive.observe(items, seconds)
+            self._profile_chunk(items, seconds)
+            if indexed is not None:
+                output = indexed.triples(*output)
+            self._merge(result, output, is_self)
         return result
 
     # -- profiling -----------------------------------------------------
@@ -298,47 +290,23 @@ class BatchMatchEngine:
     def _try_indexed(self, request: MatchRequest) -> Optional[IndexedScorer]:
         """Build the vectorized fast path when the request is eligible.
 
-        Single-attribute requests whose similarity has a bit-exact
-        vector kernel — the q-gram bit kernel or the sparse TF/IDF
-        kernel — score through packed numpy arrays.  Multi-attribute
-        requests compose per-spec kernels (with scalar-fallback
-        columns for kernel-less similarities) and a vectorized
-        combiner (:func:`repro.engine.vectorized.build_multi_kernel`)
-        when at least one spec has a real kernel.  Everything else
-        uses the generic chunk scorer.
+        Requests with at least one packed column
+        (:func:`repro.engine.vectorized.request_kernel`) score through
+        numpy arrays; everything else uses the generic chunk scorer.
         Explicit candidate lists skip the kernel: they are typically
         tiny relative to the sources, and packing full source matrices
         to score a handful of pairs would cost more than it saves.
         """
         if request.candidates is not None:
             return None
-        if request.combiner is not None or len(request.specs) != 1:
-            kernel = vectorized.build_multi_kernel(request)
-            if kernel is None:
-                return None
-            return IndexedScorer(kernel, request.domain.ids(),
-                                 request.range.ids(), request.threshold)
-        spec = request.specs[0]
-        kernel = vectorized.build_kernel(
-            spec.similarity, request.domain, request.range,
-            spec.attribute, spec.range_attribute)
+        kernel = vectorized.request_kernel(request)
         if kernel is None:
             return None
-        missing_zero = request.missing == "zero"
-        domain_missing = range_missing = None
-        if missing_zero:
-            domain_values, range_values = vectorized.source_values(
-                request.domain, request.range,
-                spec.attribute, spec.range_attribute)
-            domain_missing = vectorized.missing_mask(domain_values)
-            range_missing = (domain_missing
-                             if range_values is domain_values
-                             else vectorized.missing_mask(range_values))
-        return IndexedScorer(kernel, request.domain.ids(),
-                             request.range.ids(), request.threshold,
-                             missing_zero=missing_zero,
-                             domain_missing=domain_missing,
-                             range_missing=range_missing)
+        return IndexedScorer(
+            kernel, request.domain.ids(), request.range.ids(),
+            request.threshold,
+            missing_zero=(request.combiner is None
+                          and request.missing == "zero"))
 
     def _prepare(self, request: MatchRequest) -> None:
         """Build corpus-level indexes before any pair is scored.
@@ -416,121 +384,6 @@ class BatchMatchEngine:
         else:
             for id_a, id_b, score in triples:
                 add(id_a, id_b, score)
-
-    def _run_indexed(self, indexed: IndexedScorer,
-                     chunks: Iterator[List[Pair]], result: Mapping,
-                     is_self: bool) -> None:
-        """Drive the vectorized path, serially or across the pool.
-
-        The parent converts id-pair chunks to row arrays; workers (when
-        ``workers > 1``) inherit the packed matrices through fork and
-        return only surviving rows, so IPC is ~8 bytes per candidate
-        pair plus the (sparse) survivors.
-        """
-        workers = self.config.workers
-        adaptive = chunks if isinstance(chunks, AdaptiveChunker) else None
-        timed = adaptive is not None or self.config.profile
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            task = (vectorized._score_rows_task_timed if timed
-                    else vectorized._score_rows_task)
-            vectorized._install_indexed(indexed)
-            pending: deque = deque()
-
-            def drain() -> None:
-                future, items = pending.popleft()
-                payload = future.result()
-                if timed:
-                    seconds, survivors = payload
-                    if adaptive:
-                        adaptive.observe(items, seconds)
-                    self._profile_chunk(items, seconds)
-                else:
-                    survivors = payload
-                self._merge(result, indexed.triples(*survivors), is_self)
-
-            try:
-                with ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=context) as pool:
-                    for chunk in chunks:
-                        rows = indexed.convert(chunk)
-                        pending.append((pool.submit(task, rows), len(chunk)))
-                        if len(pending) >= self.config.inflight:
-                            drain()
-                    while pending:
-                        drain()
-            finally:
-                vectorized._install_indexed(None)
-            return
-        for chunk in chunks:
-            start = time.perf_counter() if timed else 0.0
-            rows_a, rows_b = indexed.convert(chunk)
-            survivors = indexed.score_rows(rows_a, rows_b)
-            if timed:
-                seconds = time.perf_counter() - start
-                if adaptive:
-                    adaptive.observe(len(chunk), seconds)
-                self._profile_chunk(len(chunk), seconds)
-            self._merge(result, indexed.triples(*survivors), is_self)
-
-    # -- parallel path -------------------------------------------------
-
-    def _execute_parallel(self, scorer: ChunkScorer,
-                          chunks: Iterator[List[Pair]], result: Mapping,
-                          is_self: bool) -> bool:
-        """Score chunks on a process pool; returns False to fall back.
-
-        Chunks are merged strictly in submission order, so the result
-        is identical to serial execution regardless of which worker
-        finishes first.
-        """
-        start_methods = multiprocessing.get_all_start_methods()
-        if "fork" in start_methods:
-            context = multiprocessing.get_context("fork")
-            initializer, initargs = None, ()
-        else:  # pragma: no cover - exercised only on spawn-only platforms
-            context = multiprocessing.get_context()
-            try:
-                pickle.dumps(scorer)
-            except Exception:
-                warnings.warn(
-                    "match request is not picklable and fork is "
-                    "unavailable; falling back to serial execution",
-                    RuntimeWarning, stacklevel=3)
-                return False
-            initializer, initargs = scorer_module._install_scorer, (scorer,)
-        adaptive = chunks if isinstance(chunks, AdaptiveChunker) else None
-        timed = adaptive is not None or self.config.profile
-        task = (scorer_module._score_chunk_task_timed if timed
-                else scorer_module._score_chunk_task)
-        scorer_module._install_scorer(scorer)
-        pending: deque = deque()
-
-        def drain() -> None:
-            future, items = pending.popleft()
-            payload = future.result()
-            if timed:
-                seconds, triples = payload
-                if adaptive:
-                    adaptive.observe(items, seconds)
-                self._profile_chunk(items, seconds)
-            else:
-                triples = payload
-            self._merge(result, triples, is_self)
-
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=self.config.workers, mp_context=context,
-                    initializer=initializer, initargs=initargs) as pool:
-                for chunk in chunks:
-                    pending.append((pool.submit(task, chunk), len(chunk)))
-                    if len(pending) >= self.config.inflight:
-                        drain()
-                while pending:
-                    drain()
-        finally:
-            scorer_module._install_scorer(None)
-        return True
 
 
 # ----------------------------------------------------------------------

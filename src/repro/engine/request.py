@@ -59,14 +59,12 @@ class MatchRequest:
     cross product of the two sources.
 
     The request also decides kernel eligibility: requests without an
-    explicit candidate list can take a vectorized fast path — a
-    single-attribute request through one kernel
-    (:func:`repro.engine.vectorized.build_kernel`: q-gram bit kernel
-    or sparse TF/IDF kernel), a multi-attribute request through the
-    composed multi-spec kernel
-    (:func:`repro.engine.vectorized.build_multi_kernel`: one aligned
-    column per spec plus a vectorized combiner) when at least one spec
-    has a real kernel.  The sharded path additionally requires a
+    explicit candidate list can take a vectorized fast path
+    (:func:`repro.engine.vectorized.request_kernel`: one column per
+    spec — q-gram bitmaps, sparse TF/IDF or the scalar fallback — plus,
+    for multi-attribute requests, a vectorized combiner) when at least
+    one spec has a packed column.  The sharded path additionally
+    requires a
     ``blocking`` object with an authoritative ``shards`` protocol.
     """
 

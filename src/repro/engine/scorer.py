@@ -1,4 +1,4 @@
-"""Chunk scoring: the engine's per-worker execution kernel.
+"""Chunk scoring: the numpy-free reference path.
 
 A :class:`ChunkScorer` turns a chunk of candidate ``(domain id,
 range id)`` pairs into surviving ``(domain id, range id, score)``
@@ -6,36 +6,86 @@ triples.  It is deliberately self-contained — sources, similarity
 functions, threshold and combiner are all captured at construction —
 so the *same* object drives both serial execution (one scorer in the
 parent process) and parallel execution (one inherited copy per forked
-worker, reached through the module-level ``_ACTIVE_SCORER`` slot).
+worker, see :mod:`repro.engine.pool`).
 
 Scoring is deterministic and cache-transparent: repeated value pairs
-are resolved from a per-attribute memo, and every path evaluates the
-similarity function through :meth:`SimilarityFunction.score_batch`,
-which is bit-identical to per-pair ``similarity`` calls.  Worker-local
-caches therefore cannot change results, only speed.
+are resolved from a per-attribute
+:class:`~repro.engine.columns.ValuePairMemo`, and every path evaluates
+the similarity function through
+:meth:`SimilarityFunction.score_batch`, which is bit-identical to
+per-pair ``similarity`` calls.  Worker-local memos therefore cannot
+change results, only speed.  The packed columns
+(:mod:`repro.engine.columns`) are checked against this path bit for
+bit, and the serve index scores its unpacked buffer rows through the
+very same :func:`score_pairs` loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.request import MatchRequest
+from repro.core.operators.functions import CombinationFunction
+from repro.engine.columns import ValuePair, ValuePairMemo
+from repro.engine.request import AttributeSpec, MatchRequest
 
 Pair = Tuple[str, str]
 Triple = Tuple[str, str, float]
 
 
-class ChunkScorer:
-    """Score chunks of candidate pairs for one match request.
+def score_pairs(pairs: Iterable[Tuple[Hashable, Hashable]],
+                get_a: Callable, get_b: Callable,
+                specs: Sequence[AttributeSpec],
+                memos: Sequence[ValuePairMemo],
+                combiner: Optional[CombinationFunction],
+                missing: str, threshold: float) -> list:
+    """The correspondences of ``pairs`` surviving ``threshold``.
 
-    Per attribute, a memo maps coerced ``(value_a, value_b)`` string
-    pairs to scores; only distinct unseen value pairs reach the
-    similarity function's ``score_batch``.  Blocking strategies that
-    emit duplicate candidate pairs (token blocking, canopies) and
-    sources with repeated attribute values both collapse onto cache
-    hits.  The memo is cleared when it outgrows ``cache_limit`` to
-    bound worker memory on very large runs.
+    ``get_a`` / ``get_b`` resolve each side's key to its instance (or
+    ``None``, which drops the pair).  Per spec, only the chunk's
+    distinct value pairs reach ``memos``; a missing value becomes a
+    ``None`` slot.  With a ``combiner`` the slots are combined under its
+    own missing-value policy; without one (single attribute) a missing
+    value produces no correspondence under ``missing='skip'``, while
+    ``'zero'`` scores the pair 0.0 — which only a threshold-0 run can
+    observe (the ``score > 0`` filter drops it everywhere else).
     """
+    records: List[Tuple[Hashable, Hashable, List[Optional[ValuePair]]]] = []
+    wanted: List[dict] = [{} for _ in specs]
+    for id_a, id_b in pairs:
+        instance_a = get_a(id_a)
+        instance_b = get_b(id_b)
+        if instance_a is None or instance_b is None:
+            continue
+        keys: List[Optional[ValuePair]] = []
+        for index, spec in enumerate(specs):
+            value_a = instance_a.get(spec.attribute)
+            value_b = instance_b.get(spec.range_attribute)
+            if value_a is None or value_b is None:
+                keys.append(None)
+            else:
+                key = (str(value_a), str(value_b))
+                keys.append(key)
+                wanted[index][key] = None
+        records.append((id_a, id_b, keys))
+    found = [memo.scores(keys) for memo, keys in zip(memos, wanted)]
+    surface_missing = (combiner is None and missing == "zero"
+                       and threshold <= 0.0)
+    out = []
+    append = out.append
+    for id_a, id_b, keys in records:
+        values = [None if key is None else found[index][key]
+                  for index, key in enumerate(keys)]
+        score = values[0] if combiner is None else combiner.combine(values)
+        if score is None:
+            if surface_missing:
+                append((id_a, id_b, 0.0))
+        elif score >= threshold and score > 0.0:
+            append((id_a, id_b, score))
+    return out
+
+
+class ChunkScorer:
+    """Score chunks of candidate pairs for one match request."""
 
     def __init__(self, request: MatchRequest, *,
                  cache_limit: int = 1 << 20) -> None:
@@ -45,172 +95,11 @@ class ChunkScorer:
         self.threshold = request.threshold
         self.combiner = request.combiner
         self.missing = request.missing
-        self.cache_limit = cache_limit
-        self._caches: List[dict] = [{} for _ in self.specs]
+        self.memos = [ValuePairMemo(spec.similarity, cache_limit)
+                      for spec in self.specs]
 
     def score_chunk(self, pairs: Sequence[Pair]) -> List[Triple]:
         """Return the correspondences of ``pairs`` surviving the threshold."""
-        if self.combiner is None:
-            return self._score_single(pairs)
-        return self._score_multi(pairs)
-
-    # -- single attribute ----------------------------------------------
-
-    def _score_single(self, pairs: Sequence[Pair]) -> List[Triple]:
-        spec = self.specs[0]
-        attribute = spec.attribute
-        range_attribute = spec.range_attribute
-        get_a = self.domain.get
-        get_b = self.range.get
-        cache = self._caches[0]
-        missing_zero = self.missing == "zero"
-        records: List[Tuple[str, str, Optional[Pair]]] = []
-        pending: dict = {}
-        for id_a, id_b in pairs:
-            instance_a = get_a(id_a)
-            instance_b = get_b(id_b)
-            if instance_a is None or instance_b is None:
-                continue
-            value_a = instance_a.get(attribute)
-            value_b = instance_b.get(range_attribute)
-            if value_a is None or value_b is None:
-                # Missing-value policy: "skip" produces no
-                # correspondence; "zero" scores the pair 0.0, which
-                # only a threshold-0 run can observe (the score > 0
-                # filter drops it everywhere else).
-                if missing_zero:
-                    records.append((id_a, id_b, None))
-                continue
-            key = (str(value_a), str(value_b))
-            records.append((id_a, id_b, key))
-            if key not in cache and key not in pending:
-                pending[key] = None
-        fresh = self._score_pending(0, list(pending))
-        threshold = self.threshold
-        out: List[Triple] = []
-        append = out.append
-        for id_a, id_b, key in records:
-            if key is None:
-                if threshold <= 0.0:
-                    append((id_a, id_b, 0.0))
-                continue
-            score = fresh.get(key)
-            if score is None:
-                score = cache[key]
-            if score >= threshold and score > 0.0:
-                append((id_a, id_b, score))
-        self._merge_cache(0, fresh)
-        return out
-
-    # -- multiple attributes -------------------------------------------
-
-    def _score_multi(self, pairs: Sequence[Pair]) -> List[Triple]:
-        specs = self.specs
-        caches = self._caches
-        get_a = self.domain.get
-        get_b = self.range.get
-        records: List[Tuple[str, str, List[Optional[Pair]]]] = []
-        pending: List[dict] = [{} for _ in specs]
-        for id_a, id_b in pairs:
-            instance_a = get_a(id_a)
-            instance_b = get_b(id_b)
-            if instance_a is None or instance_b is None:
-                continue
-            keys: List[Optional[Pair]] = []
-            for index, spec in enumerate(specs):
-                value_a = instance_a.get(spec.attribute)
-                value_b = instance_b.get(spec.range_attribute)
-                if value_a is None or value_b is None:
-                    keys.append(None)
-                else:
-                    key = (str(value_a), str(value_b))
-                    keys.append(key)
-                    if key not in caches[index] and key not in pending[index]:
-                        pending[index][key] = None
-            records.append((id_a, id_b, keys))
-        fresh = [self._score_pending(index, list(pending[index]))
-                 for index in range(len(specs))]
-        combine = self.combiner.combine
-        threshold = self.threshold
-        out: List[Triple] = []
-        append = out.append
-        for id_a, id_b, keys in records:
-            values: List[Optional[float]] = []
-            for index, key in enumerate(keys):
-                if key is None:
-                    values.append(None)
-                    continue
-                score = fresh[index].get(key)
-                if score is None:
-                    score = caches[index][key]
-                values.append(score)
-            score = combine(values)
-            if score is not None and score >= threshold and score > 0.0:
-                append((id_a, id_b, score))
-        for index, chunk_fresh in enumerate(fresh):
-            self._merge_cache(index, chunk_fresh)
-        return out
-
-    def _score_pending(self, index: int, work: List[Pair]) -> dict:
-        """Score the chunk's unseen value pairs as a chunk-local dict.
-
-        The shared memo is not touched here: cache maintenance happens
-        in :meth:`_merge_cache` *after* the chunk's records have been
-        served, so a cache reset can never invalidate keys the
-        in-flight records still reference.
-        """
-        if not work:
-            return {}
-        scores = self.specs[index].similarity.score_batch(work)
-        return dict(zip(work, scores))
-
-    def _merge_cache(self, index: int, fresh: dict) -> None:
-        """Fold a chunk's fresh scores into the bounded memo."""
-        if not fresh:
-            return
-        cache = self._caches[index]
-        if len(cache) + len(fresh) > self.cache_limit:
-            cache.clear()
-        if len(fresh) <= self.cache_limit:
-            cache.update(fresh)
-
-
-# ----------------------------------------------------------------------
-# Worker-side plumbing.
-#
-# Parallel execution installs the scorer here *before* the pool forks
-# (children inherit it through copy-on-write memory) or via the pool
-# initializer when only spawn is available (the scorer is pickled once
-# per worker).  Tasks then only ship chunks of id pairs in and
-# surviving triples out, which keeps IPC payloads tiny.
-# ----------------------------------------------------------------------
-
-_ACTIVE_SCORER: Optional[ChunkScorer] = None
-
-
-def _install_scorer(scorer: Optional[ChunkScorer]) -> None:
-    global _ACTIVE_SCORER
-    _ACTIVE_SCORER = scorer
-
-
-def _score_chunk_task(pairs: Sequence[Pair]) -> List[Triple]:
-    scorer = _ACTIVE_SCORER
-    if scorer is None:  # pragma: no cover - defensive; engine installs first
-        raise RuntimeError("no scorer installed in worker process")
-    return scorer.score_chunk(pairs)
-
-
-def _score_chunk_task_timed(pairs: Sequence[Pair]):
-    """Like :func:`_score_chunk_task` but reporting worker-side seconds.
-
-    Used by the engine's autotuner (``EngineConfig(auto=True)``): the
-    chunk-size feedback loop wants pure scoring cost, excluding the
-    queueing and IPC latency a parent-side measurement would fold in.
-    """
-    import time
-    scorer = _ACTIVE_SCORER
-    if scorer is None:  # pragma: no cover - defensive; engine installs first
-        raise RuntimeError("no scorer installed in worker process")
-    start = time.perf_counter()
-    triples = scorer.score_chunk(pairs)
-    return time.perf_counter() - start, triples
+        return score_pairs(pairs, self.domain.get, self.range.get,
+                           self.specs, self.memos, self.combiner,
+                           self.missing, self.threshold)

@@ -13,9 +13,10 @@ per-pair ever crosses a process boundary.
 
 Two worker-side scoring modes:
 
-* **block-vectorized** — when the request is eligible for the
-  q-gram bit kernel *and* the shard exposes an :class:`IdBlock`
-  structure, pairs are expanded directly as packed row arrays
+* **block-vectorized** — when the request has a kernel
+  (:func:`repro.engine.vectorized.request_kernel`) *and* the shard
+  exposes an :class:`IdBlock` structure, pairs are expanded directly
+  as row arrays
   (``np.repeat``/``np.tile``) and scored in bulk — no Python tuple is
   ever created per pair.  Duplicate pairs across blocks/shards are
   scored redundantly instead of deduplicated: scoring is
@@ -27,8 +28,9 @@ Two worker-side scoring modes:
 
 Shard-payload contract (the other side of :meth:`PairGenerator.
 shards`): the :class:`ShardRunner` — shard list, request, scoring
-state — is installed in the parent *before* the pool forks, so
-workers inherit everything copy-on-write; each task carries one int
+state — is built in the parent *before* the pool forks
+(:func:`repro.engine.pool.run_ordered`), so workers inherit
+everything copy-on-write; each task carries one int
 **shard index in** and returns only the **survivors out** — ``("rows",
 (rows_a, rows_b, scores))`` arrays from the vectorized modes or
 ``("triples", [...])`` from the generic scorer.
@@ -57,9 +59,6 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking.pair_generator import (
@@ -72,6 +71,7 @@ from repro.blocking.pair_generator import (
     partition_spans,
 )
 from repro.engine.chunks import iter_chunks
+from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.scorer import ChunkScorer
 from repro.engine.vectorized import IndexedScorer
@@ -96,10 +96,10 @@ ROWS_PER_CALL = 1 << 20
 class ShardRunner:
     """Executes one shard end-to-end; lives in the parent, runs anywhere.
 
-    Built (and installed in the module slot) before the pool forks, so
-    workers inherit the shard list, sources, similarity state and
-    packed kernel matrices copy-on-write and tasks only carry a shard
-    index.  Exactly one of ``indexed`` / ``scorer`` is set.
+    Built before the pool forks, so workers inherit the shard list,
+    sources, similarity state and packed columns copy-on-write and
+    tasks only carry a shard index.  Exactly one of ``indexed`` /
+    ``scorer`` is set.
     """
 
     def __init__(self, shards: Sequence[PairShard], request: MatchRequest,
@@ -126,14 +126,17 @@ class ShardRunner:
         orientation-faithful pair stream instead.
         """
         shard = self.shards[shard_index]
-        if self.indexed is not None:
+        indexed = self.indexed
+        if indexed is not None:
             blocks = shard.blocks()
-            symmetric = getattr(self.indexed.kernel,
-                                "orientation_symmetric", False)
-            if blocks is not None and _np is not None \
-                    and (symmetric or not self.is_self):
-                return "rows", self._run_blocks(blocks)
-            return "rows", self._run_pairs_indexed(shard)
+            if blocks is not None and (
+                    indexed.kernel.orientation_symmetric
+                    or not self.is_self):
+                return "rows", self._score_slices(
+                    self._expand_blocks(blocks))
+            return "rows", self._score_slices(
+                indexed.convert(chunk) for chunk in iter_chunks(
+                    self._shard_pairs(shard), self.chunk_size))
         return "triples", self._run_pairs_scorer(shard)
 
     # -- block-vectorized mode -----------------------------------------
@@ -185,20 +188,17 @@ class ShardRunner:
                     yield (_np.repeat(left, width),
                            _np.tile(rows_r, len(left)))
 
-    def _run_blocks(self, blocks: Iterator[IdBlock]):
-        indexed = self.indexed
-        out_a, out_b, out_s = [], [], []
-        for rows_a, rows_b in self._expand_blocks(blocks):
-            kept_a, kept_b, kept_s = indexed.score_rows(rows_a, rows_b)
-            if len(kept_a):
-                out_a.append(kept_a)
-                out_b.append(kept_b)
-                out_s.append(kept_s)
-        if not out_a:
+    def _score_slices(self, slices):
+        """Survivors of every ``(rows_a, rows_b)`` slice, concatenated."""
+        kept = []
+        for rows_a, rows_b in slices:
+            survivors = self.indexed.score_rows(rows_a, rows_b)
+            if len(survivors[0]):
+                kept.append(survivors)
+        if not kept:
             empty_rows = _np.asarray([], dtype=_np.int32)
             return empty_rows, empty_rows, _np.asarray([], dtype=_np.float64)
-        return (_np.concatenate(out_a), _np.concatenate(out_b),
-                _np.concatenate(out_s))
+        return tuple(_np.concatenate(parts) for parts in zip(*kept))
 
     # -- streamed modes -------------------------------------------------
 
@@ -216,22 +216,6 @@ class ShardRunner:
             yield from pairs
             return
         yield from dedup_self_pairs(pairs)
-
-    def _run_pairs_indexed(self, shard: PairShard):
-        indexed = self.indexed
-        out_a, out_b, out_s = [], [], []
-        for chunk in iter_chunks(self._shard_pairs(shard), self.chunk_size):
-            rows_a, rows_b = indexed.convert(chunk)
-            kept_a, kept_b, kept_s = indexed.score_rows(rows_a, rows_b)
-            if len(kept_a):
-                out_a.append(kept_a)
-                out_b.append(kept_b)
-                out_s.append(kept_s)
-        if not out_a:
-            empty_rows = _np.asarray([], dtype=_np.int32)
-            return empty_rows, empty_rows, _np.asarray([], dtype=_np.float64)
-        return (_np.concatenate(out_a), _np.concatenate(out_b),
-                _np.concatenate(out_s))
 
     def _run_pairs_scorer(self, shard: PairShard) -> List[Triple]:
         scorer = self.scorer
@@ -504,37 +488,6 @@ def adapt_n_shards(current: int, durations: Sequence[float],
 
 
 # ----------------------------------------------------------------------
-# worker-side plumbing (same pattern as scorer.py / vectorized.py)
-# ----------------------------------------------------------------------
-
-_ACTIVE_RUNNER: Optional[ShardRunner] = None
-
-
-def _install_runner(runner: Optional[ShardRunner]) -> None:
-    global _ACTIVE_RUNNER
-    _ACTIVE_RUNNER = runner
-
-
-def _run_shard_task(shard_index: int):
-    runner = _ACTIVE_RUNNER
-    if runner is None:  # pragma: no cover - defensive; engine installs first
-        raise RuntimeError("no shard runner installed in worker process")
-    return runner.run(shard_index)
-
-
-def _run_shard_task_timed(shard_index: int):
-    """Like :func:`_run_shard_task`, returning ``(seconds, payload)``.
-
-    Times the worker-side execution only (the same pattern as the
-    adaptive chunker's ``_score_rows_task_timed``), feeding the online
-    ``n_shards`` adapter without the parent-side queueing noise.
-    """
-    start = time.perf_counter()
-    payload = _run_shard_task(shard_index)
-    return time.perf_counter() - start, payload
-
-
-# ----------------------------------------------------------------------
 # parent-side orchestration
 # ----------------------------------------------------------------------
 
@@ -624,9 +577,9 @@ def execute_sharded(engine: "BatchMatchEngine", request: MatchRequest,
     (or inherits a stale one — see :func:`_shards_authoritative`), or
     a multi-worker run on a platform without ``fork`` (the streamed
     path still parallelizes there by pickling the scorer).  Once
-    sharding starts it always completes — with a forked process pool
-    when ``workers > 1``, inline otherwise (same results, no
-    processes).
+    sharding starts it always completes — on a forked pool with every
+    shard queued up front when ``workers > 1``, inline otherwise (same
+    results, no processes).
     """
     config = engine.config
     if config.workers > 1 and \
@@ -639,49 +592,18 @@ def execute_sharded(engine: "BatchMatchEngine", request: MatchRequest,
     if not shards:
         return True  # no candidates at all: the empty mapping is correct
     indexed = runner.indexed
-    adaptive = config.auto and config.n_shards is None
-    timed = adaptive or config.profile
     durations: List[float] = []
-
-    def merge_payload(payload) -> None:
-        kind, data = payload
+    work = ((None, (index,)) for index in range(len(shards)))
+    for _, seconds, (kind, data) in run_ordered(
+            runner.run, work, workers=min(config.workers, len(shards)),
+            inflight=len(shards)):
+        durations.append(seconds)
         triples = indexed.triples(*data) if kind == "rows" else data
         engine._merge(result, triples, request.is_self)
-
-    def record_durations() -> None:
-        if adaptive:
-            adapted = adapt_n_shards(len(shards), durations, config.workers)
-            if adapted is not None:
-                engine._adapted_n_shards = adapted
-        if engine.last_profile is not None:
-            engine.last_profile["shard_seconds"] = list(durations)
-
-    workers = min(config.workers, len(shards))
-    if workers == 1:
-        for index in range(len(shards)):
-            start = time.perf_counter()
-            payload = runner.run(index)
-            durations.append(time.perf_counter() - start)
-            merge_payload(payload)
-        record_durations()
-        return True
-
-    context = multiprocessing.get_context("fork")
-    task = _run_shard_task_timed if timed else _run_shard_task
-    _install_runner(runner)
-    pending: deque = deque()
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            for index in range(len(shards)):
-                pending.append(pool.submit(task, index))
-            while pending:
-                payload = pending.popleft().result()
-                if timed:
-                    seconds, payload = payload
-                    durations.append(seconds)
-                merge_payload(payload)
-    finally:
-        _install_runner(None)
-    record_durations()
+    if config.auto and config.n_shards is None:
+        adapted = adapt_n_shards(len(shards), durations, config.workers)
+        if adapted is not None:
+            engine._adapted_n_shards = adapted
+    if engine.last_profile is not None:
+        engine.last_profile["shard_seconds"] = durations
     return True

@@ -1,54 +1,41 @@
-"""Vectorized similarity kernels over prepared source indexes.
+"""Request-level kernels over the column layer.
 
-The generic engine path scores value pairs through Python loops —
-cheap per call, but the interpreter overhead dominates at millions of
-pairs.  For similarity functions whose math reduces to array algebra
-we can do radically better.  :func:`build_kernel` is the kernel
-registry: given a similarity function and two sources it returns the
-matching fast-path kernel, or ``None`` for the generic batch path.
-Two kernels exist today:
+:mod:`repro.engine.columns` scores one attribute; this module turns a
+whole request into one ``score_rows(domain_rows, range_rows)`` kernel
+and bridges id-pair chunks onto it::
 
-* **q-gram bit kernel** (:class:`NGramBitKernel`, here) — every
-  source value's q-gram set becomes a bit row of one packed ``uint64``
-  matrix per source; a whole chunk scores with three array operations
-  (gather, bitwise AND, ``np.bitwise_count``);
-* **sparse TF/IDF kernel** (:class:`~repro.engine.sparse.TfIdfKernel`,
-  :mod:`repro.engine.sparse`) — prepared TF/IDF vectors packed as CSR
-  arrays over the shared vocabulary, chunks scored as sparse dot
-  products.
+    build_columns(specs, reference values)      one column per spec
+      -> bind_columns(columns, query values)    bind each; compose
+        -> kernel.score_rows(rows_a, rows_b)
+          -> survivors(...)                     the one filter
 
-A third, *composed* kernel serves multi-attribute requests:
-:func:`build_multi_kernel` builds one column per attribute spec — a
-real kernel where one exists, a :class:`ScalarColumn` fallback
-otherwise — over the shared ``source.ids()`` row order, evaluates all
-columns on the same candidate row arrays, masks missing values as
-``None`` slots, and applies the request's
-:class:`~repro.core.operators.functions.CombinationFunction`
-column-wise (vectorized for the exact avg/min/max/weighted classes,
-including their ``-0`` missing-as-zero policies; per-row for custom
-combiners) — bit-identical to
-:meth:`~repro.engine.scorer.ChunkScorer._score_multi`.
+A single-attribute request's kernel *is* its bound column.  A
+multi-attribute request composes the bound columns
+(:class:`MultiSpecKernel`): all columns share the ``source.ids()`` row
+order and are evaluated on the same candidate row arrays, missing
+values are masked as ``None`` slots, and the request's
+:class:`~repro.core.operators.functions.CombinationFunction` is
+applied column-wise (vectorized for the exact avg/min/max/weighted
+classes, including their ``-0`` missing-as-zero policies; per-row for
+custom combiners) — bit-identical to the numpy-free
+:func:`repro.engine.scorer.score_pairs` loop.  Specs without a packed
+column ride along as :class:`~repro.engine.columns.ScalarColumn`
+fallbacks, so one slow similarity no longer forces the whole request
+off the fast path.
 
-All kernels expose ``score_rows(domain_rows, range_rows) -> float64
-scores`` over row indices aligned with ``source.ids()`` order, which
-is the whole kernel contract: :class:`IndexedScorer` (and the sharded
-block-vectorized mode) is kernel-agnostic.  Candidate pairs cross
-process boundaries as int index arrays (~8 bytes/pair) instead of
-string tuples, so the parallel path's IPC cost collapses as well; on
-the sharded path the payload contract is *shard indices in, surviving
-``(rows_a, rows_b, scores)`` arrays out* (see
-:mod:`repro.engine.shards`).
+The batch engine (:func:`request_kernel`, once per request), the
+sharded runner and the serve index (:func:`bind_columns`, once per
+micro-batch over its persistent columns) all go through these
+functions.  :class:`IndexedScorer` is kernel-agnostic: candidate pairs
+cross process boundaries as int index arrays (~8 bytes/pair) instead
+of string tuples, and on the sharded path the payload contract is
+*shard indices in, surviving ``(rows_a, rows_b, scores)`` arrays out*
+(see :mod:`repro.engine.shards`).
 
-Bit-exactness: the kernels evaluate the *same* arithmetic expressions
-as the scalar ``_score`` implementations in the same order, so
-vectorized, batched and per-pair scoring agree to the last bit — the
-engine's equivalence guarantee holds across all execution paths.
-
-numpy is optional: :func:`build_kernel` returns ``None`` when numpy
-(for the bit kernel, ``np.bitwise_count``/numpy >= 2.0) is
-unavailable, when the similarity function is not recognized, or when
-the packed index would exceed the memory budget; callers fall back to
-the Python path.
+numpy is optional: :func:`build_columns` returns ``None`` without it,
+when no spec has a packed column, and :func:`request_kernel` also when
+a side would exceed the memory budget; callers fall back to the Python
+path.
 """
 
 from __future__ import annotations
@@ -67,254 +54,23 @@ from repro.core.operators.functions import (
     MinFunction,
     WeightedFunction,
 )
+from repro.engine.columns import build_column, numpy_available, survivors
+from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
-from repro.sim.base import SimilarityFunction
-from repro.sim.ngram import NGramSimilarity
 
-#: refuse to build packed matrices larger than this (bytes, both sides)
-MAX_INDEX_BYTES = 512 * 1024 * 1024
-
-
-def numpy_available() -> bool:
-    """True when the bit-kernel's numpy primitives exist."""
-    return _np is not None and hasattr(_np, "bitwise_count")
-
-
-class NGramBitKernel:
-    """Packed-bitmap q-gram scorer for one (domain, range) attribute pair.
-
-    Rows are aligned with ``source.ids()`` order; a missing attribute
-    value becomes an all-zero row, which scores 0.0 against everything
-    and is therefore dropped by the engine's ``score > 0`` filter —
-    the same outcome as the scalar path's missing-value skip.
-    """
-
-    #: dice/jaccard/overlap are symmetric in their operands, so the
-    #: block-vectorized sharded mode may expand a self-matching pair
-    #: in either orientation
-    orientation_symmetric = True
-
-    def __init__(self, sim: NGramSimilarity,
-                 domain_values: Sequence[object],
-                 range_values: Sequence[object]) -> None:
-        self.method = sim.method
-        vocabulary: dict = {}
-        domain_grams = [self._grams(sim, value) for value in domain_values]
-        range_grams = [self._grams(sim, value) for value in range_values]
-        for grams in domain_grams:
-            for gram in grams:
-                if gram not in vocabulary:
-                    vocabulary[gram] = len(vocabulary)
-        for grams in range_grams:
-            for gram in grams:
-                if gram not in vocabulary:
-                    vocabulary[gram] = len(vocabulary)
-        width = max(1, (len(vocabulary) + 63) // 64)
-        rows = len(domain_grams) + len(range_grams)
-        if rows * width * 8 > MAX_INDEX_BYTES:
-            raise MemoryError("packed gram index exceeds budget")
-        self.domain_bits, self.domain_sizes = self._pack(
-            domain_grams, vocabulary, width)
-        self.range_bits, self.range_sizes = self._pack(
-            range_grams, vocabulary, width)
-
-    @staticmethod
-    def _grams(sim: NGramSimilarity, value: object) -> frozenset:
-        if value is None:
-            return frozenset()
-        return sim.grams(str(value))
-
-    @staticmethod
-    def _pack(gram_sets: List[frozenset], vocabulary: dict, width: int):
-        bits = _np.zeros((len(gram_sets), width), dtype=_np.uint64)
-        sizes = _np.zeros(len(gram_sets), dtype=_np.int64)
-        for row, grams in enumerate(gram_sets):
-            sizes[row] = len(grams)
-            for gram in grams:
-                position = vocabulary[gram]
-                bits[row, position >> 6] |= _np.uint64(1 << (position & 63))
-        return bits, sizes
-
-    def score_rows(self, domain_rows, range_rows):
-        """Score aligned row-index arrays; returns a float64 array.
-
-        Evaluates the scalar ``_score`` expressions elementwise:
-        overlap 0 (including missing values) scores 0.0 exactly.
-        """
-        overlap = _np.bitwise_count(
-            self.domain_bits[domain_rows] & self.range_bits[range_rows]
-        ).sum(axis=1, dtype=_np.int64)
-        size_a = self.domain_sizes[domain_rows]
-        size_b = self.range_sizes[range_rows]
-        if self.method == "dice":
-            denominator = size_a + size_b
-        elif self.method == "jaccard":
-            denominator = size_a + size_b - overlap
-        else:  # overlap coefficient
-            denominator = _np.minimum(size_a, size_b)
-        safe = _np.maximum(denominator, 1)
-        if self.method == "dice":
-            scores = 2.0 * overlap / safe
-        else:
-            scores = overlap / safe
-        scores[overlap == 0] = 0.0
-        return scores
-
-    def score_bound_rows(self, domain_rows, range_rows):
-        """Per-pair score upper bounds from gram counts alone.
-
-        The overlap can never exceed the smaller gram-set size (the
-        length bucket both sides share), and each scalar expression is
-        monotone in the exactly-represented integer overlap under
-        IEEE correctly-rounded division, so
-        ``score_rows(...) <= score_bound_rows(...)`` holds *exactly*,
-        float by float — a pair whose bound misses the threshold can
-        be dropped with bit-identical surviving results.  O(pairs)
-        size gathers; the packed bitmaps are never touched.
-        """
-        size_a = self.domain_sizes[domain_rows]
-        size_b = self.range_sizes[range_rows]
-        cap = _np.minimum(size_a, size_b)
-        if self.method == "dice":
-            # same denominator as score_rows, numerator capped
-            return 2.0 * cap / _np.maximum(size_a + size_b, 1)
-        if self.method == "jaccard":
-            # overlap=cap minimizes the denominator to max(a, b)
-            return cap / _np.maximum(_np.maximum(size_a, size_b), 1)
-        # overlap coefficient: 1.0 whenever overlap is possible at
-        # all, 0.0 for an empty side (which scores exactly 0.0)
-        return cap / _np.maximum(cap, 1)
-
-
-def build_kernel(sim: SimilarityFunction,
-                 domain: LogicalSource, range_: LogicalSource,
-                 attribute: str,
-                 range_attribute: str):
-    """Build a vectorized kernel for ``sim`` over two sources, or ``None``.
-
-    This is the engine's kernel registry: exact
-    :class:`NGramSimilarity` scoring gets the packed bit kernel, exact
-    :class:`~repro.sim.tfidf.TfIdfCosineSimilarity` scoring gets the
-    sparse CSR kernel (:mod:`repro.engine.sparse`), and everything
-    else — including subclasses that override ``_score`` and thereby
-    silently change the math, such as SoftTFIDF — returns ``None``
-    and falls back to the generic batch path.
-    """
-    if numpy_available() and isinstance(sim, NGramSimilarity) \
-            and type(sim)._score is NGramSimilarity._score:
-        domain_values = [instance.get(attribute) for instance in domain]
-        if range_ is domain and range_attribute == attribute:
-            range_values = domain_values
-        else:
-            range_values = [instance.get(range_attribute)
-                            for instance in range_]
-        try:
-            return NGramBitKernel(sim, domain_values, range_values)
-        except MemoryError:
-            return None
-    from repro.engine import sparse
-    return sparse.build_tfidf_kernel(sim, domain, range_,
-                                     attribute, range_attribute)
-
-
-# ----------------------------------------------------------------------
-# multi-attribute composed kernel
-# ----------------------------------------------------------------------
 
 def source_values(domain: LogicalSource, range_: LogicalSource,
                   attribute: str, range_attribute: str):
     """Attribute values of both sides in ``source.ids()`` row order.
 
-    Self-matching on the same attribute shares one list, mirroring the
-    aliasing the kernel builders use.
+    Self-matching on the same attribute shares one list, which is what
+    lets ``bind`` alias the packed reference side.
     """
     domain_values = [instance.get(attribute) for instance in domain]
     if range_ is domain and range_attribute == attribute:
         return domain_values, domain_values
     return domain_values, [instance.get(range_attribute)
                            for instance in range_]
-
-
-def missing_mask(values: Sequence[object]):
-    """Boolean row array marking ``None`` attribute values."""
-    return _np.fromiter((value is None for value in values),
-                        dtype=_np.bool_, count=len(values))
-
-
-class ScalarColumn:
-    """Generic ``score_rows`` column for one spec without a vector kernel.
-
-    Looks the candidate rows' values up in ``source.ids()``-aligned
-    text lists and scores the distinct unseen value pairs through the
-    similarity function's ``score_batch`` — exactly the evaluation
-    (and the bounded per-attribute memo) the generic
-    :class:`~repro.engine.scorer.ChunkScorer` performs, so scores are
-    bit-identical to the scalar multi-attribute path.  Missing values
-    score 0.0 like the real kernels; the composed kernel masks them
-    out before the combiner ever sees the column.
-
-    Not orientation-symmetric in general (the wrapped similarity may
-    not be), so a composed kernel containing a scalar column keeps the
-    sharded self-matching path on the orientation-faithful pair
-    stream instead of the block-vectorized expansion.
-    """
-
-    orientation_symmetric = False
-
-    def __init__(self, sim: SimilarityFunction,
-                 domain_values: Sequence[object],
-                 range_values: Sequence[object], *,
-                 cache_limit: int = 1 << 20,
-                 cache: Optional[dict] = None) -> None:
-        self.sim = sim
-        self.domain_texts = [None if value is None else str(value)
-                             for value in domain_values]
-        if range_values is domain_values:
-            self.range_texts = self.domain_texts
-        else:
-            self.range_texts = [None if value is None else str(value)
-                                for value in range_values]
-        self.cache_limit = cache_limit
-        # ``cache`` lets a long-lived caller (the serving subsystem's
-        # per-batch rebinding) share one memo across instances
-        self._cache: dict = {} if cache is None else cache
-
-    def score_rows(self, domain_rows, range_rows):
-        texts_a = self.domain_texts
-        texts_b = self.range_texts
-        cache = self._cache
-        keys: List[Optional[tuple]] = []
-        pending: dict = {}
-        for row_a, row_b in zip(_np.asarray(domain_rows).tolist(),
-                                _np.asarray(range_rows).tolist()):
-            value_a = texts_a[row_a]
-            value_b = texts_b[row_b]
-            if value_a is None or value_b is None:
-                keys.append(None)
-                continue
-            key = (value_a, value_b)
-            keys.append(key)
-            if key not in cache and key not in pending:
-                pending[key] = None
-        if pending:
-            work = list(pending)
-            fresh = dict(zip(work, self.sim.score_batch(work)))
-        else:
-            fresh = {}
-        out = _np.zeros(len(keys), dtype=_np.float64)
-        for index, key in enumerate(keys):
-            if key is None:
-                continue
-            score = fresh.get(key)
-            if score is None:
-                score = cache[key]
-            out[index] = score
-        if fresh:
-            if len(cache) + len(fresh) > self.cache_limit:
-                cache.clear()
-            if len(fresh) <= self.cache_limit:
-                cache.update(fresh)
-        return out
 
 
 def _combine_columns(combiner: CombinationFunction, columns, present):
@@ -393,23 +149,23 @@ def _combine_columns(combiner: CombinationFunction, columns, present):
 class MultiSpecKernel:
     """Composed kernel for multi-attribute requests.
 
-    One ``score_rows`` column per attribute spec — a real vectorized
-    kernel where one exists, a :class:`ScalarColumn` otherwise — all
-    aligned on the same ``source.ids()`` row order and evaluated on
-    the same candidate row arrays.  Missing values are masked into
-    ``None`` slots and the :class:`CombinationFunction` is applied
-    column-wise (:func:`_combine_columns`), so the combined scores are
-    bit-identical to :meth:`ChunkScorer._score_multi`; pairs the
-    combiner drops surface as 0.0 and fall to the engine's
-    ``score > 0`` filter.
+    One bound column per attribute spec — a packed column where one
+    exists, a :class:`~repro.engine.columns.ScalarColumn` otherwise —
+    all aligned on the same row order and evaluated on the same
+    candidate row arrays.  Missing values (the columns' own masks) are
+    masked into ``None`` slots and the :class:`CombinationFunction` is
+    applied column-wise (:func:`_combine_columns`), so the combined
+    scores are bit-identical to the scalar multi-attribute loop; pairs
+    the combiner drops surface as 0.0 and fall to the ``score > 0``
+    filter.
 
     When a positive ``threshold`` is supplied and the combiner is one
     of the exact built-in classes, ``score_rows`` evaluates columns
     *progressively*: after each column, rows whose best achievable
     combined score (a per-combiner upper bound assuming every
-    unevaluated column contributes its cheap per-pair cap — the q-gram
-    gram-count bound where a column offers ``score_bound_rows``, the
-    ``[0, 1]`` score contract otherwise) falls below the threshold by
+    unevaluated column contributes its ``score_bound_rows`` cap — the
+    q-gram gram-count bound, the TF/IDF emptiness cap, the ``[0, 1]``
+    score contract for scalar columns) falls below the threshold by
     the safety slack are dropped from the remaining columns'
     evaluation.  Dropped rows return 0.0 — below the positive
     threshold, exactly where their true combined score already was —
@@ -425,12 +181,9 @@ class MultiSpecKernel:
     #: combine + threshold mask), never drop a surviving one.
     PREFILTER_SLACK = 1e-9
 
-    def __init__(self, columns, domain_missing, range_missing,
-                 combiner: CombinationFunction, *,
+    def __init__(self, columns, combiner: CombinationFunction, *,
                  threshold: Optional[float] = None) -> None:
         self.columns = list(columns)
-        self.domain_missing = list(domain_missing)
-        self.range_missing = list(range_missing)
         self.combiner = combiner
         #: rows dropped by the progressive prefilter, cumulative
         self.prefiltered = 0
@@ -444,10 +197,9 @@ class MultiSpecKernel:
                            and threshold > 0.0 and eligible
                            and len(self.columns) > 1 else None)
         # self-matching block expansion may flip pair orientation; only
-        # safe when every column is (all real kernels are, by contract)
+        # safe when every column is (all packed columns are)
         self.orientation_symmetric = all(
-            getattr(column, "orientation_symmetric", False)
-            for column in self.columns)
+            column.orientation_symmetric for column in self.columns)
 
     def score_rows(self, domain_rows, range_rows):
         """Combined float64 scores; dropped (``None``) combos are 0.0."""
@@ -455,32 +207,21 @@ class MultiSpecKernel:
             return self._score_rows_prefiltered(domain_rows, range_rows)
         scores = [column.score_rows(domain_rows, range_rows)
                   for column in self.columns]
-        present = [
-            ~(domain_miss[domain_rows] | range_miss[range_rows])
-            for domain_miss, range_miss in zip(self.domain_missing,
-                                               self.range_missing)
-        ]
+        present = [~column.missing_rows(domain_rows, range_rows)
+                   for column in self.columns]
         return _combine_columns(self.combiner, scores, present)
 
     def _column_caps(self, domain_rows, range_rows):
         """Per-row score caps per column, for the unevaluated tail.
 
-        Columns exposing ``score_bound_rows`` (the q-gram bit kernel's
-        gram-count/length bound, the sparse kernel's emptiness cap)
-        give real per-pair bounds; the rest fall back to the engine's
-        ``[0, 1]`` score contract.  Every cap is an exact float upper
-        bound on the column's ``score_rows`` output.
+        Every column's ``score_bound_rows`` is an exact float upper
+        bound on its ``score_rows`` output (the q-gram gram-count/
+        length bound, the TF/IDF emptiness cap, 1.0 for scalar
+        columns).
         """
-        count = len(domain_rows)
-        caps = []
-        for column in self.columns:
-            bound_rows = getattr(column, "score_bound_rows", None)
-            if bound_rows is None:
-                caps.append(_np.ones(count, dtype=_np.float64))
-            else:
-                caps.append(_np.minimum(
-                    bound_rows(domain_rows, range_rows), 1.0))
-        return caps
+        return [_np.minimum(column.score_bound_rows(domain_rows, range_rows),
+                            1.0)
+                for column in self.columns]
 
     def _score_rows_prefiltered(self, domain_rows, range_rows):
         """Progressive column evaluation under the threshold prefilter.
@@ -556,8 +297,7 @@ class MultiSpecKernel:
                 rows_a = domain_rows[alive]
                 rows_b = range_rows[alive]
                 col_scores[alive] = column.score_rows(rows_a, rows_b)
-                col_present[alive] = ~(self.domain_missing[j][rows_a]
-                                       | self.range_missing[j][rows_b])
+                col_present[alive] = ~column.missing_rows(rows_a, rows_b)
             full_scores.append(col_scores)
             full_present.append(col_present)
             if not len(alive) or j == n - 1:
@@ -624,79 +364,87 @@ class MultiSpecKernel:
         return out
 
 
-def build_multi_kernel(request) -> Optional[MultiSpecKernel]:
-    """Build the composed kernel for a multi-attribute request, or ``None``.
+def build_columns(specs: Sequence[AttributeSpec],
+                  reference_values: Sequence[Sequence[object]]):
+    """One column per attribute spec over the reference side, or ``None``.
 
-    Eligible when numpy is available and at least one spec has a real
-    vectorized kernel (otherwise the generic chunk scorer — with its
-    own per-attribute memo — is just as good and skips the packing
-    cost).  Specs without a kernel become :class:`ScalarColumn`
-    fallbacks, so one slow similarity no longer forces the whole
-    request off the fast path.  The request's threshold feeds the
-    per-spec progressive prefilter (see :class:`MultiSpecKernel`) —
-    rows no combiner could lift over it skip the remaining columns'
-    work, with bit-identical surviving output.
+    ``None`` without numpy, and when no spec gets a packed column: an
+    all-fallback composition would just be the generic scorer (which
+    keeps the very same memo) with extra packing cost.
     """
-    if _np is None or request.combiner is None:
+    if not numpy_available():
         return None
-    kernels = [build_kernel(spec.similarity, request.domain, request.range,
+    built = [build_column(spec.similarity, values)
+             for spec, values in zip(specs, reference_values)]
+    if not any(column.vectorized for column in built):
+        return None
+    return built
+
+
+def bind_columns(built, query_values: Sequence[Sequence[object]],
+                 combiner: Optional[CombinationFunction],
+                 threshold: Optional[float]):
+    """Bind every column to its query values: the request's kernel.
+
+    Without a ``combiner`` (single attribute) that is the bound column
+    itself; with one, the bound columns compose into a
+    :class:`MultiSpecKernel` whose progressive prefilter is driven by
+    ``threshold`` (``None`` disables it).
+    """
+    kernels = [column.bind(values)
+               for column, values in zip(built, query_values)]
+    if combiner is None:
+        return kernels[0]
+    return MultiSpecKernel(kernels, combiner, threshold=threshold)
+
+
+def request_kernel(request):
+    """The kernel scoring ``request``'s row pairs, or ``None``.
+
+    Columns pack the range side and bind the domain side, both in
+    ``source.ids()`` row order.  ``None`` sends the request down the
+    generic :class:`~repro.engine.scorer.ChunkScorer` path.
+    """
+    values = [source_values(request.domain, request.range,
                             spec.attribute, spec.range_attribute)
-               for spec in request.specs]
-    if not any(kernel is not None for kernel in kernels):
-        # bail before the fallback columns and masks are built: an
-        # all-fallback composition would just be the generic scorer
-        # with extra packing cost
+              for spec in request.specs]
+    built = build_columns(request.specs,
+                          [range_values for _, range_values in values])
+    if built is None:
         return None
-    columns = []
-    domain_missing = []
-    range_missing = []
-    for spec, kernel in zip(request.specs, kernels):
-        domain_values, range_values = source_values(
-            request.domain, request.range,
-            spec.attribute, spec.range_attribute)
-        if kernel is None:
-            kernel = ScalarColumn(spec.similarity, domain_values,
-                                  range_values)
-        columns.append(kernel)
-        domain_missing.append(missing_mask(domain_values))
-        range_missing.append(missing_mask(range_values)
-                             if range_values is not domain_values
-                             else domain_missing[-1])
-    return MultiSpecKernel(columns, domain_missing, range_missing,
-                           request.combiner, threshold=request.threshold)
+    try:
+        return bind_columns(
+            built, [domain_values for domain_values, _ in values],
+            request.combiner, request.threshold)
+    except MemoryError:  # the domain side alone exceeds the budget
+        return None
 
 
 class IndexedScorer:
-    """Bridges id-pair chunks onto a vectorized kernel.
+    """Bridges id-pair chunks onto a kernel.
 
     Kernel-agnostic: anything exposing ``score_rows(domain_rows,
-    range_rows)`` over ``source.ids()``-aligned row indices works (the
-    q-gram bit kernel and the sparse TF/IDF kernel today).  The parent
-    converts each chunk of ``(domain id, range id)`` string pairs into
-    int row arrays (:meth:`convert`); scoring (:meth:`score_rows`)
-    runs wherever the scorer lives — inline, or inside forked workers
-    that inherited the packed arrays — and returns only surviving
-    rows; :meth:`triples` maps survivors back to id strings in the
-    parent.
+    range_rows)`` over ``source.ids()``-aligned row indices works.  The
+    parent converts each chunk of ``(domain id, range id)`` string
+    pairs into int row arrays (:meth:`convert`); scoring
+    (:meth:`score_rows`) runs wherever the scorer lives — inline, or
+    inside forked workers that inherited the packed arrays — and
+    returns only surviving rows; :meth:`triples` maps survivors back to
+    id strings in the parent.
     """
 
     def __init__(self, kernel, domain_ids: List[str],
                  range_ids: List[str], threshold: float, *,
-                 missing_zero: bool = False,
-                 domain_missing=None, range_missing=None) -> None:
+                 missing_zero: bool = False) -> None:
         self.kernel = kernel
         self.threshold = threshold
         self.domain_ids = domain_ids
         self.range_ids = range_ids
         self._domain_rows = {id: row for row, id in enumerate(domain_ids)}
         self._range_rows = {id: row for row, id in enumerate(range_ids)}
-        # single-attribute missing="zero" policy: pairs with a missing
-        # value (which every kernel scores exactly 0.0) survive the
-        # filter at threshold 0 instead of being dropped with the
-        # ordinary zero scores
+        #: the single-attribute missing="zero" policy (see
+        #: :func:`repro.engine.columns.survivors`)
         self.missing_zero = missing_zero
-        self.domain_missing = domain_missing
-        self.range_missing = range_missing
 
     def convert(self, chunk):
         """Map a chunk of id pairs to row arrays (unknown ids dropped)."""
@@ -718,13 +466,8 @@ class IndexedScorer:
 
     def score_rows(self, rows_a, rows_b):
         """Score row arrays; return only rows surviving the threshold."""
-        scores = self.kernel.score_rows(rows_a, rows_b)
-        mask = (scores >= self.threshold) & (scores > 0.0)
-        if self.missing_zero and self.threshold <= 0.0 and len(rows_a):
-            missing = (self.domain_missing[rows_a]
-                       | self.range_missing[rows_b])
-            mask = mask | missing
-        return rows_a[mask], rows_b[mask], scores[mask]
+        return survivors(self.kernel, rows_a, rows_b, self.threshold,
+                         self.missing_zero)
 
     def triples(self, rows_a, rows_b, scores):
         """Materialize surviving rows as (domain id, range id, score)."""
@@ -735,35 +478,3 @@ class IndexedScorer:
             for row_a, row_b, score in zip(
                 rows_a.tolist(), rows_b.tolist(), scores.tolist())
         ]
-
-
-# Worker-side slot for the parallel indexed path (see scorer.py for the
-# same pattern on the generic path).
-_ACTIVE_INDEXED: Optional[IndexedScorer] = None
-
-
-def _install_indexed(scorer: Optional[IndexedScorer]) -> None:
-    global _ACTIVE_INDEXED
-    _ACTIVE_INDEXED = scorer
-
-
-def _score_rows_task(rows):
-    scorer = _ACTIVE_INDEXED
-    if scorer is None:  # pragma: no cover - defensive; engine installs first
-        raise RuntimeError("no indexed scorer installed in worker process")
-    return scorer.score_rows(*rows)
-
-
-def _score_rows_task_timed(rows):
-    """Like :func:`_score_rows_task` but reporting worker-side seconds.
-
-    The autotuner's chunk-size feedback needs the scoring cost alone,
-    not queueing or IPC latency the parent would otherwise fold in.
-    """
-    import time
-    scorer = _ACTIVE_INDEXED
-    if scorer is None:  # pragma: no cover - defensive; engine installs first
-        raise RuntimeError("no indexed scorer installed in worker process")
-    start = time.perf_counter()
-    survivors = scorer.score_rows(*rows)
-    return time.perf_counter() - start, survivors

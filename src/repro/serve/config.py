@@ -4,9 +4,7 @@ PR 5 grew its knobs organically: :class:`MatchService` took nine
 keyword arguments, :class:`IncrementalIndex` another four, and the
 CLI duplicated both lists.  :class:`ServeConfig` is the single place
 those knobs live now — the service, the cluster router and ``repro
-serve`` all build from one validated instance, and the old scattered
-keyword arguments survive only as a deprecated compatibility layer
-(:meth:`MatchService.__init__` converts them into a config and warns).
+serve`` all build from one validated instance.
 """
 
 from __future__ import annotations

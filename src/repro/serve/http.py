@@ -33,10 +33,8 @@ Every failure returns the v1 error envelope
 from :func:`repro.serve.errors.error_code_for`, so the typed
 exception hierarchy (:class:`~repro.serve.errors.InvalidRequest`,
 :class:`~repro.serve.errors.ShardUnavailable`, ...) maps onto the
-wire the same way everywhere.  The unversioned pre-v1 paths
-(``/match``, ``/stats``, ...) answer ``301 Moved Permanently`` with a
-``Location`` header pointing at their ``/v1/`` successor for one
-release.
+wire the same way everywhere; unknown paths get a ``not_found``
+envelope.
 """
 
 from __future__ import annotations
@@ -54,9 +52,6 @@ from repro.serve.errors import InvalidRequest, error_code_for
 from repro.serve.service import MatchService
 
 API_PREFIX = "/v1"
-
-#: pre-v1 paths that 301 to their versioned successor for one release
-_LEGACY_PATHS = {"/match", "/ingest", "/delete", "/stats", "/healthz"}
 
 #: endpoints that may label metrics (bounds label cardinality)
 _KNOWN_PATHS = {f"{API_PREFIX}/{name}" for name in
@@ -193,21 +188,18 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _redirect_legacy(self, path: str) -> None:
-        target = API_PREFIX + path
-        body = json.dumps({"error": {
-            "code": "moved_permanently",
-            "message": f"unversioned paths moved; use {target}"}}) \
-            .encode("utf-8")
-        self.send_response(301)
-        self.send_header("Location", target)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # int() alone would accept "-1" (rfile.read(-1) then blocks a
+        # keep-alive connection until the peer closes) and map a
+        # non-numeric value to 409 through ValueError
+        if not header.isascii() or not header.isdigit():
+            # the body's extent is unknowable; drop the connection
+            # rather than parse its bytes as the next request
+            self.close_connection = True
+            raise InvalidRequest(
+                f"invalid Content-Length header {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise InvalidRequest("empty request body")
@@ -228,9 +220,6 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._begin_request()
-        if self.path in _LEGACY_PATHS:
-            self._redirect_legacy(self.path)
-            return
         with self._observed_request():
             try:
                 if self.path == f"{API_PREFIX}/healthz":
@@ -248,9 +237,6 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._begin_request()
-        if self.path in _LEGACY_PATHS:
-            self._redirect_legacy(self.path)
-            return
         with self._observed_request():
             try:
                 if self.path == f"{API_PREFIX}/match":

@@ -1,34 +1,30 @@
 """Incremental indexed reference store for the match service.
 
-The offline engine packs both sources into vectorized kernels *per
-request* — fine for batch jobs, wasteful for a standing service whose
-reference barely changes between queries.  :class:`IncrementalIndex`
-keeps the reference side of that packing **persistent**:
+The offline engine builds its columns (:mod:`repro.engine.columns`)
+*per request* — fine for batch jobs, wasteful for a standing service
+whose reference barely changes between queries.
+:class:`IncrementalIndex` keeps the very same column objects
+**persistent**:
 
-* each attribute spec owns a *packed column* — q-gram bitmaps
-  (:class:`~repro.engine.vectorized.NGramBitKernel` math), CSR TF/IDF
-  (:class:`~repro.engine.sparse.TfIdfKernel` math) or a memoized
-  scalar fallback — whose reference side is built once and whose
-  query side is bound per micro-batch in O(batch);
+* each attribute spec owns a column — q-gram bitmaps, CSR TF/IDF or
+  the memoized scalar fallback, chosen by
+  :func:`~repro.engine.columns.build_column` — whose reference side is
+  packed once and whose query side is bound per micro-batch in
+  O(batch) (:func:`~repro.engine.vectorized.bind_columns`);
 * mutations (``add`` / ``update`` / ``delete``) cost O(record): new
-  records land in an append buffer scored through the scalar batch
-  path, deletions become tombstones filtered at query time;
+  records land in an append buffer scored through the engine's scalar
+  loop (:func:`~repro.engine.scorer.score_pairs`), deletions become
+  tombstones filtered at query time;
 * when the buffer + tombstones outgrow a threshold the index
   *compacts*: live records become the new packed base, corpus
   statistics (TF/IDF document frequencies) are re-prepared, and the
   buffer drains.
 
-Bit-exactness.  Base rows score through the very kernel expressions
-the engine uses; buffer rows score through ``score_batch``, which is
-bit-identical to the kernels by the engine's equivalence contract.
-Query-side packing is exact as well: q-grams absent from the
-reference vocabulary can never overlap a reference row, so they are
-counted in the row's gram-set *size* but not its bits; TF/IDF query
-entries for unseen tokens contribute exact ``+0.0`` terms to the dot
-product (all weights are non-negative, so skipping them cannot flip a
-``-0.0``) while the expansion tie-break still compares the *logical*
-vector sizes and full lexicographic text order.  A frozen index
-therefore answers exactly like the offline engine on the same pairs.
+Bit-exactness.  Base rows score through the very columns the engine
+uses; buffer rows score through ``score_batch``, which is
+bit-identical to the columns by the engine's equivalence contract.  A
+frozen index therefore answers exactly like the offline engine on the
+same pairs.
 
 Corpus statistics are deliberately *frozen between compactions*: a
 standing service must score deterministically regardless of which
@@ -70,14 +66,19 @@ except ImportError:  # pragma: no cover - image always has numpy
     _np = None
 
 from repro.concurrency import requires_lock
-from repro.engine import sparse, vectorized
+from repro.engine import scorer
+from repro.engine.columns import (
+    ValuePairMemo,
+    export_column,
+    import_column,
+    survivors,
+)
 from repro.engine.request import AttributeSpec
+from repro.engine.vectorized import bind_columns, build_columns
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource
-from repro.sim.base import SimilarityFunction
 from repro.sim.ngram import NGramSimilarity
 from repro.sim.registry import get_similarity
-from repro.sim.tfidf import TfIdfCosineSimilarity
 from repro.sim.tokenize import word_tokens
 
 Triple = Tuple[int, str, float]
@@ -93,346 +94,6 @@ def resolve_specs(attribute: str, similarity: object,
     sim = (get_similarity(similarity)
            if isinstance(similarity, str) else similarity)
     return [AttributeSpec(attribute, attribute, sim)]
-
-
-# ----------------------------------------------------------------------
-# packed columns: persistent reference side, per-batch query binding
-# ----------------------------------------------------------------------
-
-class _BoundNGramKernel(vectorized.NGramBitKernel):
-    """An :class:`NGramBitKernel` assembled from pre-packed halves.
-
-    Inherits ``score_rows`` unchanged — the scoring math is literally
-    the engine kernel's.
-    """
-
-    def __init__(self, method, domain_bits, domain_sizes,
-                 range_bits, range_sizes) -> None:
-        self.method = method
-        self.domain_bits = domain_bits
-        self.domain_sizes = domain_sizes
-        self.range_bits = range_bits
-        self.range_sizes = range_sizes
-
-
-class _NGramColumn:
-    """Persistent reference side of the packed q-gram bit kernel."""
-
-    vectorized = True
-    orientation_symmetric = True
-
-    #: clear the similarity's per-string gram cache once query traffic
-    #: has grown it beyond this many entries past the reference size
-    QUERY_CACHE_SLACK = 65536
-
-    def __init__(self, sim: NGramSimilarity,
-                 reference_values: Sequence[object]) -> None:
-        self.sim = sim
-        self._reference_size = len(reference_values)
-        vocabulary: Dict[str, int] = {}
-        gram_sets = [self._grams(value) for value in reference_values]
-        for grams in gram_sets:
-            for gram in grams:
-                if gram not in vocabulary:
-                    vocabulary[gram] = len(vocabulary)
-        self._vocabulary = vocabulary
-        self._width = max(1, (len(vocabulary) + 63) // 64)
-        self.range_bits, self.range_sizes = self._pack(gram_sets)
-
-    def _grams(self, value: object):
-        if value is None:
-            return frozenset()
-        return self.sim.grams(str(value))
-
-    def _pack(self, gram_sets):
-        """Pack gram sets over the *reference* vocabulary.
-
-        Grams outside the vocabulary (possible only on the query side)
-        set no bit but still count toward the row size — they can
-        never overlap a reference row, so overlap stays exact while
-        dice/jaccard denominators see the full set size.  The bit
-        scatter itself is vectorized (one ``bitwise_or.at`` over all
-        (row, gram) entries): this packs every query micro-batch, so
-        a per-gram Python loop would eat the batching gain.
-        """
-        vocabulary = self._vocabulary
-        width = self._width
-        bits = _np.zeros((len(gram_sets), width), dtype=_np.uint64)
-        sizes = _np.zeros(len(gram_sets), dtype=_np.int64)
-        rows: List[int] = []
-        positions: List[int] = []
-        lookup = vocabulary.get
-        for row, grams in enumerate(gram_sets):
-            sizes[row] = len(grams)
-            for gram in grams:
-                position = lookup(gram)
-                if position is not None:
-                    rows.append(row)
-                    positions.append(position)
-        if rows:
-            row_array = _np.asarray(rows, dtype=_np.int64)
-            position_array = _np.asarray(positions, dtype=_np.int64)
-            flat = bits.reshape(-1)
-            cells = row_array * width + (position_array >> 6)
-            masks = _np.left_shift(
-                _np.uint64(1),
-                (position_array & 63).astype(_np.uint64))
-            _np.bitwise_or.at(flat, cells, masks)
-        return bits, sizes
-
-    def bind(self, query_values: Sequence[object]):
-        """Return an engine-kernel scorer for ``query_values`` rows."""
-        query_bits, query_sizes = self._pack(
-            [self._grams(value) for value in query_values])
-        cache = self.sim._gram_cache
-        if len(cache) > self._reference_size + self.QUERY_CACHE_SLACK:
-            # unbounded distinct-query traffic must not leak through
-            # the similarity's per-string gram cache
-            cache.clear()
-        return _BoundNGramKernel(self.sim.method, query_bits, query_sizes,
-                                 self.range_bits, self.range_sizes)
-
-
-class _BoundTfIdfKernel(sparse.TfIdfKernel):
-    """A :class:`TfIdfKernel` assembled from pre-packed halves.
-
-    ``_dot`` is inherited — the summation is the engine kernel's.
-    ``score_rows`` is re-stated here because the expansion-side
-    decision must use the query rows' *logical* vector sizes (unseen
-    tokens are dropped from the packed arrays but the scalar
-    tie-break counts them).
-    """
-
-    def __init__(self, domain_side, domain_logical_lengths,
-                 range_side, vocab_size) -> None:
-        self.domain = domain_side
-        self.range = range_side
-        self._domain_logical = domain_logical_lengths
-        self._vocab_size = vocab_size
-
-    def score_rows(self, domain_rows, range_rows):
-        rows_a = _np.asarray(domain_rows, dtype=_np.int64)
-        rows_b = _np.asarray(range_rows, dtype=_np.int64)
-        length_a = self._domain_logical[rows_a]
-        length_b = self.range.lengths[rows_b]
-        expand_domain = (length_a < length_b) | (
-            (length_a == length_b)
-            & (self.domain.rank[rows_a] <= self.range.rank[rows_b]))
-        scores = _np.zeros(len(rows_a), dtype=_np.float64)
-        subset = _np.nonzero(expand_domain)[0]
-        if len(subset):
-            scores[subset] = self._dot(self.domain, rows_a[subset],
-                                       self.range, rows_b[subset])
-        subset = _np.nonzero(~expand_domain)[0]
-        if len(subset):
-            scores[subset] = self._dot(self.range, rows_b[subset],
-                                       self.domain, rows_a[subset])
-        _np.clip(scores, 0.0, 1.0, out=scores)
-        return scores
-
-
-class _TfIdfColumn:
-    """Persistent reference side of the sparse CSR TF/IDF kernel."""
-
-    vectorized = True
-    orientation_symmetric = True
-
-    #: clear the similarity's per-text vector cache once query traffic
-    #: has grown it beyond this many entries past the reference size
-    QUERY_CACHE_SLACK = 65536
-
-    def __init__(self, sim: TfIdfCosineSimilarity,
-                 reference_values: Sequence[object]) -> None:
-        self.sim = sim
-        vectors = [sim.value_vector(value) for value in reference_values]
-        vocabulary: Dict[str, int] = {}
-        for vector in vectors:
-            for token in vector:
-                if token not in vocabulary:
-                    vocabulary[token] = len(vocabulary)
-        self._vocabulary = vocabulary
-        self._vocab_size = max(1, len(vocabulary))
-        self._reference_size = len(reference_values)
-        texts = ["" if value is None else str(value)
-                 for value in reference_values]
-        self._sorted_texts = sorted(set(texts))
-        ranks = [2 * bisect_left(self._sorted_texts, text) for text in texts]
-        self._side = sparse._Side(vectors, vocabulary, self._vocab_size,
-                                  ranks)
-
-    def _rank(self, text: str) -> int:
-        """Rank of a query text in the cross-side lexicographic order.
-
-        Reference texts sit at even ranks; a query text absent from
-        the reference slots between its neighbours at an odd rank, so
-        rank comparison agrees with text comparison for every
-        (query, reference) pair — including the equal-text tie, where
-        the shared even rank makes the kernel's ``<=`` expand the
-        query side exactly like the scalar tie-break.
-        """
-        position = bisect_left(self._sorted_texts, text)
-        if position < len(self._sorted_texts) \
-                and self._sorted_texts[position] == text:
-            return 2 * position
-        return 2 * position - 1
-
-    def bind(self, query_values: Sequence[object]):
-        sim = self.sim
-        vectors = [sim.value_vector(value) for value in query_values]
-        vocabulary = self._vocabulary
-        packed = [{token: weight for token, weight in vector.items()
-                   if token in vocabulary}
-                  for vector in vectors]
-        texts = ["" if value is None else str(value)
-                 for value in query_values]
-        side = sparse._Side(packed, vocabulary, self._vocab_size,
-                            [self._rank(text) for text in texts])
-        logical = _np.asarray([len(vector) for vector in vectors],
-                              dtype=_np.int64)
-        cache = sim._vector_cache
-        if len(cache) > self._reference_size + self.QUERY_CACHE_SLACK:
-            cache.clear()
-        return _BoundTfIdfKernel(side, logical, self._side,
-                                 self._vocab_size)
-
-
-class _ScalarColumn:
-    """Fallback column: memoized ``score_batch`` over reference texts.
-
-    The memo persists across binds (and is shared with the composed
-    multi-attribute route), so repeated query values keep their
-    engine-grade caching.
-    """
-
-    vectorized = False
-    orientation_symmetric = False
-
-    def __init__(self, sim: SimilarityFunction,
-                 reference_values: Sequence[object], *,
-                 cache_limit: int = 1 << 20) -> None:
-        self.sim = sim
-        self.range_texts = [None if value is None else str(value)
-                            for value in reference_values]
-        self.cache_limit = cache_limit
-        self.cache: dict = {}
-
-    def bind(self, query_values: Sequence[object]):
-        # range_texts are already strings, so the constructor's
-        # coercion pass is identity work; the shared ``cache`` keeps
-        # the memo warm across binds
-        return vectorized.ScalarColumn(self.sim, query_values,
-                                       self.range_texts,
-                                       cache_limit=self.cache_limit,
-                                       cache=self.cache)
-
-
-def _build_column(sim: SimilarityFunction, values: Sequence[object]):
-    """Column registry: mirrors :func:`repro.engine.vectorized.build_kernel`."""
-    if vectorized.numpy_available() and isinstance(sim, NGramSimilarity) \
-            and type(sim)._score is NGramSimilarity._score:
-        try:
-            return _NGramColumn(sim, values)
-        except MemoryError:  # pragma: no cover - budget-sized references
-            return _ScalarColumn(sim, values)
-    if sparse.numpy_available() and isinstance(sim, TfIdfCosineSimilarity) \
-            and type(sim)._score is TfIdfCosineSimilarity._score \
-            and type(sim).vector is TfIdfCosineSimilarity.vector:
-        try:
-            return _TfIdfColumn(sim, values)
-        except MemoryError:  # pragma: no cover - budget-sized references
-            return _ScalarColumn(sim, values)
-    return _ScalarColumn(sim, values)
-
-
-# ----------------------------------------------------------------------
-# packed-column export / import: the on-disk memmap layout
-# ----------------------------------------------------------------------
-#
-# A column's packed reference side is a handful of flat numpy arrays
-# plus a little JSON-serializable metadata (vocabulary order, sizes).
-# ``export_column`` splits a built column into exactly that; restoring
-# re-assembles the column objects around the arrays *as given* —
-# including ``np.memmap`` views of the snapshot files — so a cold
-# shard worker skips the entire packing pass (vocabulary construction,
-# gram extraction, bit scatter, CSR packing) and starts scoring
-# straight off the page cache.
-
-def export_column(column) -> Tuple[dict, Dict[str, object]]:
-    """Split a packed column into ``(JSON meta, named arrays)``."""
-    if column is None:
-        return {"kind": "none"}, {}
-    if isinstance(column, _NGramColumn):
-        vocabulary = [None] * len(column._vocabulary)
-        for token, position in column._vocabulary.items():
-            vocabulary[position] = token
-        meta = {"kind": "ngram",
-                "vocabulary": vocabulary,
-                "reference_size": column._reference_size}
-        return meta, {"range_bits": column.range_bits,
-                      "range_sizes": column.range_sizes}
-    if isinstance(column, _TfIdfColumn):
-        vocabulary = [None] * len(column._vocabulary)
-        for token, position in column._vocabulary.items():
-            vocabulary[position] = token
-        side = column._side
-        meta = {"kind": "tfidf",
-                "vocabulary": vocabulary,
-                "reference_size": column._reference_size,
-                "sorted_texts": column._sorted_texts}
-        return meta, {"indptr": side.indptr, "indices": side.indices,
-                      "data": side.data, "keys": side.keys,
-                      "sorted_data": side.sorted_data,
-                      "lengths": side.lengths, "rank": side.rank}
-    if isinstance(column, _ScalarColumn):
-        return {"kind": "scalar"}, {}
-    raise TypeError(f"unknown column type {type(column)!r}")
-
-
-def import_column(sim: SimilarityFunction, meta: dict,
-                  arrays: Dict[str, object],
-                  reference_values: Sequence[object]):
-    """Re-assemble a packed column from :func:`export_column` output.
-
-    ``arrays`` may hold plain ndarrays or read-only ``np.memmap``
-    views — scoring only ever reads the reference side, so mapped
-    snapshot files work unchanged.  Scalar (and ``None``) columns
-    carry no arrays; they rebuild from ``reference_values``, which is
-    O(n) string coercion.
-    """
-    kind = meta["kind"]
-    if kind == "none":
-        return None
-    if kind == "scalar":
-        return _ScalarColumn(sim, reference_values)
-    if kind == "ngram":
-        column = _NGramColumn.__new__(_NGramColumn)
-        column.sim = sim
-        column._reference_size = meta["reference_size"]
-        column._vocabulary = {token: position for position, token
-                              in enumerate(meta["vocabulary"])}
-        column._width = max(1, (len(column._vocabulary) + 63) // 64)
-        column.range_bits = arrays["range_bits"]
-        column.range_sizes = arrays["range_sizes"]
-        return column
-    if kind == "tfidf":
-        column = _TfIdfColumn.__new__(_TfIdfColumn)
-        column.sim = sim
-        column._vocabulary = {token: position for position, token
-                              in enumerate(meta["vocabulary"])}
-        column._vocab_size = max(1, len(column._vocabulary))
-        column._reference_size = meta["reference_size"]
-        column._sorted_texts = list(meta["sorted_texts"])
-        side = object.__new__(sparse._Side)
-        side.indptr = arrays["indptr"]
-        side.indices = arrays["indices"]
-        side.data = arrays["data"]
-        side.keys = arrays["keys"]
-        side.sorted_data = arrays["sorted_data"]
-        side.lengths = arrays["lengths"]
-        side.rank = arrays["rank"]
-        column._side = side
-        return column
-    raise ValueError(f"unknown packed column kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +161,8 @@ class IncrementalIndex:
 
         self._buffer: Dict[str, ObjectInstance] = {}
         self._tombstones: set = set()
-        self._scalar_caches: List[dict] = [{} for _ in self.specs]
+        #: buffer-row memos; they outlive compactions like the specs do
+        self._memos = [ValuePairMemo(spec.similarity) for spec in self.specs]
         self._compaction_listeners: List[Callable[[], None]] = []
         self.version = 0
         self.compactions = 0
@@ -539,31 +201,21 @@ class IncrementalIndex:
             [instance.get(spec.range_attribute) for instance in base]
             for spec in self.specs
         ]
+        #: one column per spec, or ``None`` when nothing vectorizes
+        #: (every pair then takes the scalar route)
+        self._columns = None
         if restored is not None:
             # snapshot restore: re-assemble packed columns around the
             # exported (possibly memmapped) arrays instead of repacking
-            self._columns = [
+            columns = [
                 import_column(spec.similarity, meta, arrays, values)
                 for spec, (meta, arrays), values
                 in zip(self.specs, restored, self._base_values)
             ]
-        else:
-            use_kernels = self.build_kernels and _np is not None
-            self._columns = [
-                _build_column(spec.similarity, values) if use_kernels else None
-                for spec, values in zip(self.specs, self._base_values)
-            ]
-            if use_kernels and not any(
-                    column is not None and column.vectorized
-                    for column in self._columns):
-                # all-scalar compositions gain nothing over the plain
-                # scalar route; skip the per-batch binding machinery
-                self._columns = [None for _ in self.specs]
-        if _np is not None:
-            self._base_missing = [vectorized.missing_mask(values)
-                                  for values in self._base_values]
-        else:  # pragma: no cover - numpy always present in the image
-            self._base_missing = None
+            if columns[0] is not None:
+                self._columns = columns
+        elif self.build_kernels:
+            self._columns = build_columns(self.specs, self._base_values)
         self._token_index: Dict[str, List[int]] = {}
         self._posting_arrays: Dict[str, object] = {}
         first = self.specs[0].range_attribute
@@ -746,8 +398,8 @@ class IncrementalIndex:
             "version": self.version,
             "compactions": self.compactions,
             "vectorized_columns": sum(
-                1 for column in self._columns
-                if column is not None and column.vectorized),
+                1 for column in self._columns or ()
+                if column.vectorized),
             "pruning": self.pruning_counters(),
         }
 
@@ -780,10 +432,12 @@ class IncrementalIndex:
         """Packed-column states of the current base, one per spec.
 
         Each entry is ``(meta, arrays)`` as produced by
-        :func:`export_column`; the partition store writes the arrays as
-        raw files a restoring worker memory-maps straight back in.
+        :func:`~repro.engine.columns.export_column`; the partition
+        store writes the arrays as raw files a restoring worker
+        memory-maps straight back in.
         """
-        return [export_column(column) for column in self._columns]
+        return [export_column(column)
+                for column in self._columns or [None] * len(self.specs)]
 
     def base_instances(self) -> List[ObjectInstance]:
         """The packed base's records in slot order (excludes buffer)."""
@@ -1133,7 +787,7 @@ class IncrementalIndex:
         base_rows: List[int] = []
         base_ids: List[str] = []
         scalar_pairs: List[Tuple[int, str]] = []
-        kernelized = any(column is not None for column in self._columns)
+        kernelized = self._columns is not None
         for query, reference_id in pairs:
             row = self._base_rows.get(reference_id)
             if kernelized and row is not None \
@@ -1162,9 +816,10 @@ class IncrementalIndex:
         """One bound-kernel call; returns surviving row/score arrays.
 
         ``rows_a`` index into ``records``, ``rows_b`` into the packed
-        base.  Mirrors :meth:`IndexedScorer.score_rows` exactly: the
-        ``score >= threshold and score > 0`` filter plus the
-        single-attribute ``missing='zero'`` surfacing at threshold 0.
+        base.  Column -> bind -> kernel -> survivor filter, exactly the
+        batch engine's route (:func:`~repro.engine.columns.survivors`
+        carries the ``score >= threshold and score > 0`` filter and the
+        single-attribute ``missing='zero'`` surfacing at threshold 0).
 
         Unless ``pruning="never"``, pairs no kernel could lift over a
         positive ``threshold`` are dropped *before* scoring: the
@@ -1180,37 +835,20 @@ class IncrementalIndex:
             for spec in self.specs
         ]
         prefilter = threshold > 0.0 and self.pruning != "never"
-        if self.combiner is None:
-            kernel = self._columns[0].bind(query_values[0])
-            query_missing = vectorized.missing_mask(query_values[0])
-            bound_rows = (getattr(kernel, "score_bound_rows", None)
-                          if prefilter else None)
-            if bound_rows is not None and len(rows_a):
-                bounds = bound_rows(rows_a, rows_b)
-                keep = bounds >= threshold
-                dropped = len(keep) - int(_np.count_nonzero(keep))
-                if dropped:
-                    self._pruning_counters["prefilter_skipped"] += dropped
-                    rows_a = rows_a[keep]
-                    rows_b = rows_b[keep]
-        else:
-            columns = [column.bind(values) for column, values
-                       in zip(self._columns, query_values)]
-            query_masks = [vectorized.missing_mask(values)
-                           for values in query_values]
-            kernel = vectorized.MultiSpecKernel(
-                columns, query_masks, self._base_missing, self.combiner,
-                threshold=threshold if prefilter else None)
-            query_missing = None
-        scores = kernel.score_rows(rows_a, rows_b)
+        kernel = bind_columns(self._columns, query_values, self.combiner,
+                              threshold if prefilter else None)
+        if self.combiner is None and prefilter and len(rows_a):
+            keep = kernel.score_bound_rows(rows_a, rows_b) >= threshold
+            dropped = len(keep) - int(_np.count_nonzero(keep))
+            if dropped:
+                self._pruning_counters["prefilter_skipped"] += dropped
+                rows_a = rows_a[keep]
+                rows_b = rows_b[keep]
+        kept = survivors(kernel, rows_a, rows_b, threshold,
+                         self.combiner is None and self.missing == "zero")
         if self.combiner is not None:
             self._pruning_counters["prefilter_skipped"] += kernel.prefiltered
-        mask = (scores >= threshold) & (scores > 0.0)
-        if self.combiner is None and self.missing == "zero" \
-                and threshold <= 0.0 and len(rows_a):
-            mask = mask | (query_missing[rows_a]
-                           | self._base_missing[0][rows_b])
-        return rows_a[mask], rows_b[mask], scores[mask]
+        return kept
 
     def match_records(self, records: Sequence[ObjectInstance], *,
                       threshold: float,
@@ -1227,9 +865,7 @@ class IncrementalIndex:
         begun = time.perf_counter()
         attribute = self.specs[0].attribute
         results: List[List[Tuple[str, float]]] = [[] for _ in records]
-        kernelized = _np is not None and any(
-            column is not None for column in self._columns)
-        if not kernelized:
+        if self._columns is None:
             pairs: List[Tuple[int, str]] = []
             for position, record in enumerate(records):
                 value = record.get(attribute)
@@ -1295,108 +931,11 @@ class IncrementalIndex:
         return out
 
     def _score_scalar(self, records, pairs, threshold: float) -> List[Triple]:
-        if self.combiner is None:
-            return self._score_scalar_single(records, pairs, threshold)
-        return self._score_scalar_multi(records, pairs, threshold)
-
-    def _score_scalar_single(self, records, pairs,
-                             threshold: float) -> List[Triple]:
-        """Replicates :meth:`ChunkScorer._score_single` semantics."""
-        spec = self.specs[0]
-        cache = self._scalar_caches[0]
-        missing_zero = self.missing == "zero"
-        keyed: List[Tuple[int, str, Optional[Tuple[str, str]]]] = []
-        pending: dict = {}
-        for query, reference_id in pairs:
-            instance = self.get(reference_id)
-            if instance is None:
-                continue
-            value_a = records[query].get(spec.attribute)
-            value_b = instance.get(spec.range_attribute)
-            if value_a is None or value_b is None:
-                if missing_zero:
-                    keyed.append((query, reference_id, None))
-                continue
-            key = (str(value_a), str(value_b))
-            keyed.append((query, reference_id, key))
-            if key not in cache and key not in pending:
-                pending[key] = None
-        fresh = self._score_pending(0, list(pending))
-        out: List[Triple] = []
-        for query, reference_id, key in keyed:
-            if key is None:
-                if threshold <= 0.0:
-                    out.append((query, reference_id, 0.0))
-                continue
-            score = fresh.get(key)
-            if score is None:
-                score = cache[key]
-            if score >= threshold and score > 0.0:
-                out.append((query, reference_id, score))
-        self._merge_cache(0, fresh)
-        return out
-
-    def _score_scalar_multi(self, records, pairs,
-                            threshold: float) -> List[Triple]:
-        """Replicates :meth:`ChunkScorer._score_multi` semantics."""
-        specs = self.specs
-        caches = self._scalar_caches
-        keyed = []
-        pending: List[dict] = [{} for _ in specs]
-        for query, reference_id in pairs:
-            instance = self.get(reference_id)
-            if instance is None:
-                continue
-            keys: List[Optional[Tuple[str, str]]] = []
-            for index, spec in enumerate(specs):
-                value_a = records[query].get(spec.attribute)
-                value_b = instance.get(spec.range_attribute)
-                if value_a is None or value_b is None:
-                    keys.append(None)
-                else:
-                    key = (str(value_a), str(value_b))
-                    keys.append(key)
-                    if key not in caches[index] and key not in pending[index]:
-                        pending[index][key] = None
-            keyed.append((query, reference_id, keys))
-        fresh = [self._score_pending(index, list(pending[index]))
-                 for index in range(len(specs))]
-        combine = self.combiner.combine
-        out: List[Triple] = []
-        for query, reference_id, keys in keyed:
-            values: List[Optional[float]] = []
-            for index, key in enumerate(keys):
-                if key is None:
-                    values.append(None)
-                    continue
-                score = fresh[index].get(key)
-                if score is None:
-                    score = caches[index][key]
-                values.append(score)
-            score = combine(values)
-            if score is not None and score >= threshold and score > 0.0:
-                out.append((query, reference_id, score))
-        for index, chunk_fresh in enumerate(fresh):
-            self._merge_cache(index, chunk_fresh)
-        return out
-
-    #: bound on each spec's scalar memo (entries, mirroring ChunkScorer)
-    CACHE_LIMIT = 1 << 20
-
-    def _score_pending(self, index: int, work: List[Tuple[str, str]]) -> dict:
-        if not work:
-            return {}
-        scores = self.specs[index].similarity.score_batch(work)
-        return dict(zip(work, scores))
-
-    def _merge_cache(self, index: int, fresh: dict) -> None:
-        if not fresh:
-            return
-        cache = self._scalar_caches[index]
-        if len(cache) + len(fresh) > self.CACHE_LIMIT:
-            cache.clear()
-        if len(fresh) <= self.CACHE_LIMIT:
-            cache.update(fresh)
+        """Unpacked pairs (buffer rows, kernel-less indexes) through the
+        engine's scalar loop and this index's own memos."""
+        return scorer.score_pairs(pairs, records.__getitem__, self.get,
+                                  self.specs, self._memos, self.combiner,
+                                  self.missing, threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IncrementalIndex({self.name!r}, {len(self)} live, "

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -48,10 +47,6 @@ from repro.serve.index import IncrementalIndex, resolve_specs
 
 Result = List[Tuple[str, float]]
 
-#: sentinel distinguishing "not passed" from any real value in the
-#: deprecated keyword-argument compatibility layer
-_UNSET = object()
-
 
 class _PendingRequest:
     __slots__ = ("record", "event", "result", "error")
@@ -66,51 +61,21 @@ class _PendingRequest:
 class MatchService:
     """Match incoming records against a mutable, indexed reference.
 
-    Construct from a reference source (plus the single-attribute
-    ``attribute`` / ``similarity`` configuration the old
-    :class:`~repro.core.online.OnlineMatcher` used, or ``specs`` +
-    ``combiner`` for multi-attribute scoring), or inject a prebuilt
-    ``index``.  ``max_candidates=None`` disables candidate pruning —
+    Construct from a reference source plus a
+    :class:`~repro.serve.config.ServeConfig` (the single-attribute
+    ``attribute`` / ``similarity`` pair, or ``specs`` + ``combiner``
+    for multi-attribute scoring), or inject a prebuilt ``index``.
+    ``max_candidates=None`` disables candidate pruning —
     every query scores against the full reference, which is the
     configuration whose results are bit-identical to the offline
     engine's cross-product run on the same snapshot.
     """
 
-    def __init__(self, reference: Optional[LogicalSource] = None,
-                 attribute: object = _UNSET,
-                 similarity: object = _UNSET, *,
+    def __init__(self, reference: Optional[LogicalSource] = None, *,
                  config: Optional[ServeConfig] = None,
                  index: Optional[IncrementalIndex] = None,
-                 specs=_UNSET, combiner=_UNSET, missing=_UNSET,
-                 threshold=_UNSET,
-                 max_candidates=_UNSET,
-                 cache_size=_UNSET,
-                 repository: Optional[MappingRepository] = None,
-                 mapping_name=_UNSET,
-                 source_name=_UNSET,
-                 compact_ratio=_UNSET,
-                 compact_min=_UNSET) -> None:
-        legacy = {name: value for name, value in (
-            ("attribute", attribute), ("similarity", similarity),
-            ("specs", specs), ("combiner", combiner),
-            ("missing", missing), ("threshold", threshold),
-            ("max_candidates", max_candidates),
-            ("cache_size", cache_size), ("mapping_name", mapping_name),
-            ("source_name", source_name),
-            ("compact_ratio", compact_ratio),
-            ("compact_min", compact_min),
-        ) if value is not _UNSET}
-        if legacy:
-            if config is not None:
-                raise InvalidRequest(
-                    "pass config= or individual keyword arguments, "
-                    f"not both (got {sorted(legacy)})")
-            warnings.warn(
-                "MatchService's scattered keyword arguments are "
-                "deprecated; build a repro.serve.ServeConfig and pass "
-                "config= instead", DeprecationWarning, stacklevel=2)
-            config = ServeConfig(**legacy)
-        elif config is None:
+                 repository: Optional[MappingRepository] = None) -> None:
+        if config is None:
             config = ServeConfig()
         config = config.validate()
         if repository is not None and not config.mapping_name:

@@ -79,7 +79,7 @@ class TfIdfCosineSimilarity(SimilarityFunction):
         """Prepared vector of a raw attribute value (``None`` → empty).
 
         This is the packing contract of the engine's sparse TF/IDF
-        kernel (:mod:`repro.engine.sparse`): every source row is
+        column (:mod:`repro.engine.columns`): every source row is
         exactly ``value_vector(instance.get(attribute))``, so the
         packed CSR arrays hold bit-identical weights to the ones the
         scalar paths read from the vector cache.

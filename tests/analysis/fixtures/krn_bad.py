@@ -1,6 +1,6 @@
 """KRN fixture: registry kernels with holes in their surface.
 
-Linted under ``src/repro/engine/vectorized.py`` so the default
+Linted under ``src/repro/engine/columns.py`` so the default
 :class:`~repro.analysis.krn.KernelContract` applies.  ``NoBoundKernel``
 lacks ``score_bound_rows``; ``NoFlagKernel`` (reached *indirectly*
 through ``_build_indirect``, proving call-graph collection) never sets
@@ -40,7 +40,7 @@ def _build_indirect(sim):
     return NoFlagKernel()
 
 
-def build_kernel(sim, domain, range_, attribute):
+def build_column(sim, reference_values):
     if sim == "good":
         return GoodKernel()
     if sim == "nobound":

@@ -22,7 +22,7 @@ class CsrKernel:
         return [1.0]
 
 
-def build_kernel(sim, domain, range_, attribute):
+def build_column(sim, reference_values):
     if sim == "bit":
         return BitKernel()
     return CsrKernel()

@@ -2,7 +2,7 @@
 
 Linted under ``src/repro/serve/service.py``.  ``_helper`` is only ever
 called with ``_lock`` held, so its ``self._flush()`` is clean — the
-exact shape the syntactic LCK001 used to flag.  ``bad_public`` and the
+shape a purely syntactic rule would flag.  ``bad_public`` and the
 ``bad_helper_path`` chain hold nothing, so both ``self._flush()``
 calls there are findings.
 """

@@ -41,8 +41,7 @@ def test_copied_live_files_lint_clean(tmp_path):
           "src/repro/serve/cluster.py",
           "src/repro/serve/config.py",
           "src/repro/__main__.py",
-          "src/repro/engine/vectorized.py",
-          "src/repro/engine/sparse.py",
+          "src/repro/engine/columns.py",
           "docs/serving.md")
     report = _lint(tmp_path)
     assert report.findings == [], \
@@ -73,25 +72,27 @@ def test_deleting_a_docs_row_trips_cfg003(tmp_path):
 
 
 ANCHORS = {
-    # first docstring line disambiguates NGramBitKernel's methods from
-    # the other kernels implementing the same protocol
-    "score_rows": ("    def score_rows(self, domain_rows, range_rows):\n"
-                   '        """Score aligned row-index arrays'),
+    # the docstring's opening words disambiguate NGramColumn's methods
+    # from the other columns implementing the same protocol
+    "score_rows": (
+        "    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:\n"
+        '        """Score aligned row-index arrays; returns a float64 array.'
+        "\n\n        Evaluates"),
     "score_bound_rows": (
-        "    def score_bound_rows(self, domain_rows, range_rows):\n"
-        '        """Per-pair score upper bounds'),
+        "    def score_bound_rows(self, domain_rows: Any, range_rows: Any)"
+        " -> Any:\n"
+        '        """Per-pair score upper bounds from gram counts'),
 }
 
 
 @pytest.mark.parametrize("method", sorted(ANCHORS))
 def test_deleting_a_kernel_method_trips_krn001(tmp_path, method):
-    _copy(tmp_path, "src/repro/engine/vectorized.py",
-          "src/repro/engine/sparse.py")
+    _copy(tmp_path, "src/repro/engine/columns.py")
     anchor = ANCHORS[method]
-    _mutate(tmp_path, "src/repro/engine/vectorized.py", anchor,
+    _mutate(tmp_path, "src/repro/engine/columns.py", anchor,
             anchor.replace(f"def {method}(", f"def {method}_retired("))
     report = _lint(tmp_path)
     krn = [f for f in report.findings if f.code == "KRN001"]
-    assert any("NGramBitKernel" in f.message and method in f.message
+    assert any("NGramColumn" in f.message and method in f.message
                for f in krn), \
         [f.render() for f in report.findings]

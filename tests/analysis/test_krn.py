@@ -1,12 +1,12 @@
 """KRN001 — registered kernels must implement the scoring surface."""
 
-VECTORIZED = "src/repro/engine/vectorized.py"
+COLUMNS = "src/repro/engine/columns.py"
 
 
 def test_krn_bad_flags_each_hole_at_the_class(lint_tree, fixture_text,
                                               line_of):
     source = fixture_text("krn_bad.py")
-    report = lint_tree({VECTORIZED: source})
+    report = lint_tree({COLUMNS: source})
     assert {(f.line, f.code) for f in report.findings} == {
         (line_of(source, "class NoBoundKernel:"), "KRN001"),
         (line_of(source, "class NoFlagKernel:"), "KRN001"),
@@ -18,15 +18,15 @@ def test_krn_bad_flags_each_hole_at_the_class(lint_tree, fixture_text,
 
 def test_krn_reaches_kernels_through_helper_calls(lint_tree, fixture_text):
     # NoFlagKernel is only instantiated inside _build_indirect(); the
-    # checker must follow build_kernel -> _build_indirect to find it.
-    report = lint_tree({VECTORIZED: fixture_text("krn_bad.py")})
+    # checker must follow build_column -> _build_indirect to find it.
+    report = lint_tree({COLUMNS: fixture_text("krn_bad.py")})
     assert any("NoFlagKernel" in f.message for f in report.findings)
 
 
 def test_krn_good_is_clean(lint_tree, fixture_text):
     # Both styles of declaring the flag (class attribute and __init__
     # assignment) satisfy the contract.
-    report = lint_tree({VECTORIZED: fixture_text("krn_good.py")})
+    report = lint_tree({COLUMNS: fixture_text("krn_good.py")})
     assert report.findings == []
 
 
@@ -43,11 +43,11 @@ class DerivedKernel(_BaseKernel):
         return [1.0]
 
 
-def build_kernel(sim, domain, range_, attribute):
+def build_column(sim, reference_values):
     return DerivedKernel()
 '''
 
 
 def test_krn_counts_project_local_base_class_members(lint_tree):
-    report = lint_tree({VECTORIZED: INHERITED})
+    report = lint_tree({COLUMNS: INHERITED})
     assert report.findings == []

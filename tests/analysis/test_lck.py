@@ -1,31 +1,8 @@
-"""LCK checker: annotated methods must be statically lock-dominated."""
+"""LCK helpers: ``@requires_lock`` introspection."""
 
 import ast
 
-from repro.analysis.lck import LockDisciplineChecker, method_lock_requirements
-
-
-def test_lck_bad_fixture_flags_unlocked_call(load_fixture, line_of):
-    context, source = load_fixture("lck_bad.py", "repro/serve/lck_bad.py")
-    findings = list(LockDisciplineChecker().check(context))
-    assert [(finding.code, finding.line) for finding in findings] == [
-        ("LCK001", line_of(source, "self._evict()")),
-    ]
-    assert "_lock" in findings[0].message
-    assert "_evict" in findings[0].message
-
-
-def test_lck_good_fixture_is_clean(load_fixture):
-    context, _source = load_fixture("lck_good.py", "repro/serve/lck_good.py")
-    assert list(LockDisciplineChecker().check(context)) == []
-
-
-def test_lck_checker_scope(load_fixture):
-    checker = LockDisciplineChecker()
-    in_scope, _ = load_fixture("lck_bad.py", "repro/engine/lck_bad.py")
-    out_of_scope, _ = load_fixture("lck_bad.py", "repro/model/lck_bad.py")
-    assert checker.interested(in_scope)
-    assert not checker.interested(out_of_scope)
+from repro.analysis.lck import method_lock_requirements
 
 
 def test_method_lock_requirements_introspection(load_fixture):

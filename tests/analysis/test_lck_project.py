@@ -17,8 +17,8 @@ def test_lck002_flags_only_unlocked_paths(lint_tree, fixture_text,
 def test_lck002_private_helper_called_under_lock_is_clean(lint_tree,
                                                           fixture_text,
                                                           line_of):
-    # _helper is only ever called with _lock held; the syntactic LCK001
-    # rule used to flag its self._flush() — LCK002 must not.
+    # _helper is only ever called with _lock held; a purely syntactic
+    # rule would flag its self._flush() — LCK002 must not.
     source = fixture_text("lck2_bad.py")
     report = lint_tree({SERVICE: source})
     helper_call = line_of(source, "def _helper(self):") + 1

@@ -29,6 +29,7 @@ from repro.engine import (
     ChunkScorer,
     EngineConfig,
     MatchRequest,
+    columns,
     iter_chunks,
     vectorized,
 )
@@ -321,8 +322,8 @@ class TestSerialShardedEquivalence:
 
         installed = []
         monkeypatch.setattr(
-            shards_module, "_install_runner",
-            lambda runner: installed.append(runner))
+            shards_module.ShardRunner, "run",
+            lambda runner, index: installed.append(runner))
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         serial = AttributeMatcher("title", similarity="tfidf",
                                   threshold=0.4, blocking=CandidatesOnly(),
@@ -534,7 +535,7 @@ class TestWorkflowEngineInjection:
 # ----------------------------------------------------------------------
 
 class TestVectorizedKernel:
-    @pytest.mark.skipif(not vectorized.numpy_available(),
+    @pytest.mark.skipif(not columns.numpy_available(),
                         reason="numpy bit kernel unavailable")
     @pytest.mark.parametrize("make_sim", [
         TrigramSimilarity,
@@ -549,13 +550,13 @@ class TestVectorizedKernel:
                                 threshold=0.0, engine=engine)
         fast_rows = fast.match(dblp, acm).to_rows()
 
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity=make_sim(),
                                 threshold=0.0, engine=engine)
         assert slow.match(dblp, acm).to_rows() == fast_rows
 
-    @pytest.mark.skipif(not vectorized.numpy_available(),
+    @pytest.mark.skipif(not columns.numpy_available(),
                         reason="numpy bit kernel unavailable")
     def test_parallel_indexed_path_identical(self, dataset):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
@@ -572,9 +573,12 @@ class TestVectorizedKernel:
                 return min(1.0, super()._score(a, b) * 1.1)
 
         dblp = dataset.dblp.publications
-        kernel = vectorized.build_kernel(Tweaked(), dblp, dblp,
-                                         "title", "title")
-        assert kernel is None
+        request = MatchRequest(
+            domain=dblp, range=dblp,
+            specs=[AttributeSpec("title", "title", Tweaked())])
+        assert not columns.build_column(
+            Tweaked(), dblp.attribute_values("title")).vectorized
+        assert vectorized.request_kernel(request) is None
 
     def test_explicit_candidates_skip_kernel_build(self, dataset,
                                                    monkeypatch):
@@ -584,7 +588,7 @@ class TestVectorizedKernel:
         def exploding_build(*args, **kwargs):
             raise AssertionError("kernel built for an explicit list")
 
-        monkeypatch.setattr(vectorized, "build_kernel", exploding_build)
+        monkeypatch.setattr(vectorized, "request_kernel", exploding_build)
         matcher = AttributeMatcher("title", similarity="trigram",
                                    engine=SERIAL)
         candidates = [(dblp.ids()[0], acm.ids()[0])]
@@ -598,8 +602,8 @@ class TestVectorizedKernel:
         fast = AttributeMatcher("title", similarity="trigram",
                                 threshold=0.0, engine=engine)
         fast_rows = fast.match(domain, range_).to_rows()
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity="trigram",
                                 threshold=0.0, engine=engine)
         assert slow.match(domain, range_).to_rows() == fast_rows

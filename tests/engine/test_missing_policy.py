@@ -107,8 +107,8 @@ class TestZeroPolicy:
         fast = AttributeMatcher("title", similarity="trigram",
                                 threshold=0.0, missing="zero",
                                 engine=engine).match(domain, range_)
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity="trigram",
                                 threshold=0.0, missing="zero",
                                 engine=engine).match(domain, range_)

@@ -1,8 +1,8 @@
 """Equivalence suite for the multi-attribute composed kernel.
 
-The composed kernel (:func:`repro.engine.vectorized.build_multi_kernel`)
+The composed kernel (:func:`repro.engine.vectorized.request_kernel`)
 must be *bit-identical* to the scalar multi-attribute path
-(:meth:`ChunkScorer._score_multi`) in every execution mode: serial,
+(:func:`repro.engine.scorer.score_pairs`) in every execution mode: serial,
 parallel streamed, sharded, and sharded+balanced — across all
 combination functions (incl. the ``-0`` missing-as-zero policies),
 asymmetric per-spec similarities (which force a scalar-fallback
@@ -24,18 +24,15 @@ from repro.core.operators.functions import (
     MaxFunction,
 )
 from repro.engine import BatchMatchEngine, EngineConfig, vectorized
+from repro.engine.columns import ScalarColumn, numpy_available
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.vectorized import (
-    MultiSpecKernel,
-    ScalarColumn,
-    build_multi_kernel,
-)
+from repro.engine.vectorized import MultiSpecKernel, request_kernel
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.base import SimilarityFunction
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
-pytestmark = pytest.mark.skipif(not vectorized.numpy_available(),
+pytestmark = pytest.mark.skipif(not numpy_available(),
                                 reason="numpy kernels unavailable")
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
@@ -100,7 +97,7 @@ def _scalar_reference(pairs, combine, threshold, blocking, domain, range_,
                       monkeypatch):
     """The generic-path result: composed kernel disabled."""
     with monkeypatch.context() as patch:
-        patch.setattr(vectorized, "build_multi_kernel",
+        patch.setattr(vectorized, "request_kernel",
                       lambda request: None)
         matcher = MultiAttributeMatcher(pairs, combine=combine,
                                         threshold=threshold,
@@ -186,15 +183,15 @@ class TestComposedKernelEquivalence:
         fast = MultiAttributeMatcher(pairs, combine=combine,
                                      threshold=threshold, engine=SERIAL)
         fast_rows = fast.match(domain, range_).to_rows()
-        original = vectorized.build_multi_kernel
-        vectorized.build_multi_kernel = lambda request: None
+        original = vectorized.request_kernel
+        vectorized.request_kernel = lambda request: None
         try:
             slow = MultiAttributeMatcher(pairs, combine=combine,
                                          threshold=threshold,
                                          engine=SERIAL)
             slow_rows = slow.match(domain, range_).to_rows()
         finally:
-            vectorized.build_multi_kernel = original
+            vectorized.request_kernel = original
         assert fast_rows == slow_rows
 
 
@@ -215,7 +212,7 @@ class TestComposedKernelStructure:
             spec.similarity.prepare(
                 request.domain.attribute_values(spec.attribute)
                 + request.range.attribute_values(spec.range_attribute))
-        kernel = build_multi_kernel(request)
+        kernel = request_kernel(request)
         assert isinstance(kernel, MultiSpecKernel)
         # trigram + tfidf get real kernels, "year" needs the fallback
         assert sum(isinstance(column, ScalarColumn)
@@ -226,7 +223,7 @@ class TestComposedKernelStructure:
         pairs = [AttributePair("title", similarity=AsymmetricOverlap()),
                  AttributePair("venue", similarity=AsymmetricOverlap())]
         request = self._request(pairs)
-        assert build_multi_kernel(request) is None
+        assert request_kernel(request) is None
 
     def test_all_real_kernels_are_orientation_symmetric(self):
         pairs = [AttributePair("title", similarity="trigram"),
@@ -236,7 +233,7 @@ class TestComposedKernelStructure:
             spec.similarity.prepare(
                 request.domain.attribute_values(spec.attribute)
                 + request.range.attribute_values(spec.range_attribute))
-        kernel = build_multi_kernel(request)
+        kernel = request_kernel(request)
         assert isinstance(kernel, MultiSpecKernel)
         assert kernel.orientation_symmetric
 
@@ -273,8 +270,9 @@ class TestComposedKernelStructure:
         sim = TfIdfCosineSimilarity()
         sim.prepare(domain.attribute_values("title")
                     + range_.attribute_values("title"))
-        single = vectorized.build_kernel(sim, domain, range_,
-                                         "title", "title")
+        single = request_kernel(MatchRequest(
+            domain=domain, range=range_,
+            specs=[AttributeSpec("title", "title", sim)]))
         trigram = TrigramSimilarity()
         trigram.prepare(domain.attribute_values("title")
                         + range_.attribute_values("title"))
@@ -283,7 +281,7 @@ class TestComposedKernelStructure:
             specs=[AttributeSpec("title", "title", sim),
                    AttributeSpec("title", "title", trigram)],
             threshold=0.0, combiner=MaxFunction())
-        composed = build_multi_kernel(request)
+        composed = request_kernel(request)
         import numpy as np
         rows = np.arange(min(len(domain.ids()), len(range_.ids())),
                          dtype=np.int64)

@@ -1,6 +1,6 @@
 """Per-spec threshold prefilter: byte-identical survivors, every combiner.
 
-:func:`repro.engine.vectorized.build_multi_kernel` threads the
+:func:`repro.engine.vectorized.request_kernel` threads the
 request's threshold into :class:`MultiSpecKernel`, which drops a pair
 as soon as no remaining column could lift its combined score over the
 threshold (per-combiner score upper bounds).  The load-bearing
@@ -22,7 +22,7 @@ from repro.core.operators.functions import (
     get_combination,
 )
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.vectorized import MultiSpecKernel, build_multi_kernel
+from repro.engine.vectorized import MultiSpecKernel, request_kernel
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.edit import LevenshteinSimilarity
 from repro.sim.ngram import DiceNGram, TrigramSimilarity
@@ -72,8 +72,8 @@ def _assert_survivors_identical(combiner, missing, threshold):
     request = MatchRequest(domain, range_, specs=_specs(),
                            combiner=combiner, missing=missing,
                            threshold=threshold)
-    filtered = build_multi_kernel(request)
-    unfiltered = build_multi_kernel(request)
+    filtered = request_kernel(request)
+    unfiltered = request_kernel(request)
     unfiltered._prefilter = None  # force the unfiltered reference path
     rows_a, rows_b = _all_rows(domain, range_)
     scores_f = filtered.score_rows(rows_a, rows_b)
@@ -136,7 +136,7 @@ class TestFallbacks:
         domain, range_ = _sources()
         request = MatchRequest(domain, range_, specs=_specs(),
                                combiner=_combiner("avg"), threshold=0.0)
-        kernel = build_multi_kernel(request)
+        kernel = request_kernel(request)
         assert kernel._prefilter is None
 
     def test_mismatched_weight_count_disables_prefilter(self):
@@ -144,7 +144,7 @@ class TestFallbacks:
         combiner = get_combination("weighted", weights=[0.6, 0.4])
         request = MatchRequest(domain, range_, specs=_specs()[:2],
                                combiner=combiner, threshold=0.5)
-        kernel = build_multi_kernel(request)
+        kernel = request_kernel(request)
         assert isinstance(kernel, MultiSpecKernel)
         assert kernel._prefilter is not None
         # break the alignment: three columns, two weights — the bound
@@ -153,13 +153,13 @@ class TestFallbacks:
         # defines; the kernel must not guess)
         request3 = MatchRequest(domain, range_, specs=_specs(),
                                 combiner=combiner, threshold=0.5)
-        kernel3 = build_multi_kernel(request3)
+        kernel3 = request_kernel(request3)
         assert kernel3._prefilter is None
 
     def test_single_column_has_no_prefilter(self):
         domain, range_ = _sources()
         request = MatchRequest(domain, range_, specs=_specs()[:1],
                                combiner=_combiner("avg"), threshold=0.5)
-        kernel = build_multi_kernel(request)
+        kernel = request_kernel(request)
         if isinstance(kernel, MultiSpecKernel):
             assert kernel._prefilter is None

@@ -1,11 +1,11 @@
-"""Tests for the sparse TF/IDF kernel and skew-aware shard rebalancing.
+"""Tests for the sparse TF/IDF column and skew-aware shard rebalancing.
 
 Two load-bearing guarantees ride on this module:
 
-* **kernel selection** — ``build_kernel`` must route each similarity
-  function to the right fast path (bit kernel / sparse TF/IDF kernel /
-  generic batch loop), and in particular must *never* hand SoftTFIDF's
-  fuzzy math to the plain-cosine sparse kernel;
+* **column selection** — ``build_column`` must route each similarity
+  function to the right column (bit column / sparse TF/IDF column /
+  scalar fallback), and in particular must *never* hand SoftTFIDF's
+  fuzzy math to the plain-cosine sparse column;
 * **execution equivalence under skew** — serial, sharded and
   balanced-sharded execution must produce byte-identical mappings on
   skewed block-size distributions, where rebalancing splits oversized
@@ -26,21 +26,23 @@ from repro.blocking import (
     TokenBlocking,
 )
 from repro.blocking.pair_generator import BlockShard, IterableShard
-from repro.engine import BatchMatchEngine, EngineConfig, vectorized
+from repro.engine import BatchMatchEngine, EngineConfig, columns, vectorized
+from repro.engine.columns import (
+    NGramColumn,
+    ScalarColumn,
+    TfIdfColumn,
+    build_column,
+    numpy_available,
+)
+from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.shards import (
     CompositeShard,
     _explode_block,
     rebalance_shards,
 )
-from repro.engine.sparse import (
-    TfIdfKernel,
-    build_tfidf_kernel,
-    numpy_available,
-)
-from repro.engine.vectorized import NGramBitKernel
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.edit import LevenshteinSimilarity
-from repro.sim.ngram import JaccardNGram, TrigramSimilarity
+from repro.sim.ngram import JaccardNGram, NGramSimilarity, TrigramSimilarity
 from repro.sim.tfidf import SoftTfIdfSimilarity, TfIdfCosineSimilarity
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
@@ -104,18 +106,18 @@ class TweakedVector(TfIdfCosineSimilarity):
 
 
 class TestKernelSelection:
-    """``build_kernel`` is the registry; each similarity type must land
-    on exactly the kernel whose math it matches."""
+    """``build_column`` is the registry; each similarity type must land
+    on exactly the column whose math it matches."""
 
     @needs_numpy
     @pytest.mark.parametrize("make_sim, expected", [
-        (TrigramSimilarity, NGramBitKernel),
-        (lambda: JaccardNGram(2), NGramBitKernel),
-        (TfIdfCosineSimilarity, TfIdfKernel),
-        (SoftTfIdfSimilarity, type(None)),
-        (LevenshteinSimilarity, type(None)),
-        (TweakedTfIdf, type(None)),
-        (TweakedVector, type(None)),
+        (TrigramSimilarity, NGramColumn),
+        (lambda: JaccardNGram(2), NGramColumn),
+        (TfIdfCosineSimilarity, TfIdfColumn),
+        (SoftTfIdfSimilarity, ScalarColumn),
+        (LevenshteinSimilarity, ScalarColumn),
+        (TweakedTfIdf, ScalarColumn),
+        (TweakedVector, ScalarColumn),
     ], ids=["trigram", "jaccard-ngram", "tfidf", "softtfidf",
             "levenshtein", "tfidf-score-override",
             "tfidf-vector-override"])
@@ -124,19 +126,28 @@ class TestKernelSelection:
         sim = make_sim()
         sim.prepare(dblp.attribute_values("title")
                     + acm.attribute_values("title"))
-        kernel = vectorized.build_kernel(sim, dblp, acm, "title", "title")
-        assert type(kernel) is expected
+        column = build_column(sim, acm.attribute_values("title"))
+        assert type(column) is expected
+        assert column.vectorized is (expected is not ScalarColumn)
+        # and the request-level registry agrees: scalar-only requests
+        # get no kernel at all
+        request = MatchRequest(dblp, acm,
+                               specs=[AttributeSpec("title", "title", sim)])
+        kernel = vectorized.request_kernel(request)
+        assert type(kernel) is (expected if column.vectorized
+                                else type(None))
 
     @needs_numpy
     def test_soft_tfidf_never_routes_into_sparse_kernel(self, dataset):
         """Regression for the ``score_batch`` reassignment: SoftTFIDF
-        must be refused by the sparse kernel even though it *is* a
+        must be refused by the sparse column even though it *is* a
         TfIdfCosineSimilarity."""
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         sim = SoftTfIdfSimilarity()
         sim.prepare(dblp.attribute_values("title")
                     + acm.attribute_values("title"))
-        assert build_tfidf_kernel(sim, dblp, acm, "title", "title") is None
+        column = build_column(sim, acm.attribute_values("title"))
+        assert not isinstance(column, TfIdfColumn)
 
     def test_soft_tfidf_batch_matches_pairwise(self, dataset):
         """The explicit ``score_batch`` override must keep producing
@@ -165,13 +176,12 @@ class TestKernelSelection:
                                                      monkeypatch):
         """End-to-end: a SoftTFIDF match through the engine must score
         through the generic batch loop (same rows as pairwise), with
-        the sparse kernel forbidden outright."""
-        from repro.engine import sparse as sparse_module
+        the sparse column forbidden outright."""
 
-        def exploding_kernel(*args, **kwargs):
-            raise AssertionError("SoftTFIDF reached the sparse kernel")
+        def exploding_column(*args, **kwargs):
+            raise AssertionError("SoftTFIDF reached the sparse column")
 
-        monkeypatch.setattr(sparse_module, "TfIdfKernel", exploding_kernel)
+        monkeypatch.setattr(columns, "TfIdfColumn", exploding_column)
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         engine_rows = AttributeMatcher(
             "title", similarity=SoftTfIdfSimilarity(), threshold=0.3,
@@ -204,8 +214,8 @@ class TestSparseKernelBitExact:
         fast_rows = fast.match(dblp, acm).to_rows()
         assert fast_rows  # non-trivial scenario
 
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
                                 engine=SERIAL)
         assert slow.match(dblp, acm).to_rows() == fast_rows
@@ -216,8 +226,8 @@ class TestSparseKernelBitExact:
         fast = AttributeMatcher("title", similarity="tfidf", threshold=0.2,
                                 engine=SERIAL)
         fast_rows = fast.match(gs, gs).to_rows()
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.2,
                                 engine=SERIAL)
         assert slow.match(gs, gs).to_rows() == fast_rows
@@ -239,8 +249,8 @@ class TestSparseKernelBitExact:
         fast = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
                                 engine=SERIAL)
         fast_rows = fast.match(domain, range_).to_rows()
-        monkeypatch.setattr(vectorized, "build_kernel",
-                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
                                 engine=SERIAL)
         assert slow.match(domain, range_).to_rows() == fast_rows
@@ -254,8 +264,9 @@ class TestSparseKernelBitExact:
         gs = dataset.gs.publications
         sim = TfIdfCosineSimilarity()
         sim.prepare(gs.attribute_values("title"))
-        kernel = build_tfidf_kernel(sim, gs, gs, "title", "title")
-        assert kernel is not None
+        values = [instance.get("title") for instance in gs]
+        kernel = build_column(sim, values).bind(values)
+        assert isinstance(kernel, TfIdfColumn)
         n = min(len(gs), 40)
         rows_a, rows_b = [], []
         for i in range(n):
@@ -268,13 +279,139 @@ class TestSparseKernelBitExact:
 
     def test_memory_budget_refuses_oversized_index(self, dataset,
                                                    monkeypatch):
-        from repro.engine import sparse as sparse_module
-
-        monkeypatch.setattr(sparse_module, "MAX_INDEX_BYTES", 64)
+        monkeypatch.setattr(columns, "MAX_INDEX_BYTES", 64)
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         sim = TfIdfCosineSimilarity()
         sim.prepare(dblp.attribute_values("title"))
-        assert build_tfidf_kernel(sim, dblp, acm, "title", "title") is None
+        assert isinstance(build_column(sim, acm.attribute_values("title")),
+                          ScalarColumn)
+        request = MatchRequest(dblp, acm,
+                               specs=[AttributeSpec("title", "title", sim)])
+        assert vectorized.request_kernel(request) is None
+
+
+# ----------------------------------------------------------------------
+# column binding: aliasing and the reference-only vocabulary
+# ----------------------------------------------------------------------
+
+#: domain values carry grams/tokens the range never saw ("zebra",
+#: "qqq", "zzz"), ``None`` and empty values, and TF/IDF vectors that tie
+#: with a range vector on *logical* length while their packed length
+#: (reference vocabulary only) is shorter
+QUERY_ONLY_DOMAIN = [
+    "zebra crossing qqq", "alpha beta", None, "", "delta gamma",
+    "beta alpha", "alpha zzz", "alpha beta gamma zzz",
+    "gamma beta alpha delta", "epsilon alpha beta gamma",
+]
+QUERY_ONLY_RANGE = [
+    "alpha beta", "gamma delta", None, "", "beta alpha gamma",
+    "gamma beta alpha delta", "delta gamma beta alpha",
+    "alpha beta gamma epsilon",
+]
+
+
+@needs_numpy
+class TestColumnBinding:
+    @pytest.mark.parametrize("make_sim", [TrigramSimilarity,
+                                          TfIdfCosineSimilarity],
+                             ids=["ngram", "tfidf"])
+    def test_self_matching_bind_aliases_the_packed_side(self, make_sim):
+        source = _source("S", _skewed_titles(30))
+        sim = make_sim()
+        sim.prepare(source.attribute_values("title"))
+        values = [instance.get("title") for instance in source]
+        column = build_column(sim, values)
+        kernel = column.bind(values)
+        assert kernel.domain is column.range  # packed once, not twice
+        assert kernel.domain_missing is column.range_missing
+        assert column.bind(list(values)).domain is not column.range
+        # the engine's self-matching request takes exactly that route
+        request = MatchRequest(
+            source, source, specs=[AttributeSpec("title", "title", sim)])
+        kernel = vectorized.request_kernel(request)
+        assert kernel.domain is kernel.range
+
+    @pytest.mark.parametrize("make_sim", [
+        TrigramSimilarity,
+        lambda: JaccardNGram(2),
+        lambda: NGramSimilarity(3, method="overlap"),
+        TfIdfCosineSimilarity,
+    ], ids=["dice", "jaccard", "overlap", "tfidf"])
+    def test_query_only_vocabulary_scores_like_chunk_scorer(self, make_sim):
+        import numpy as np
+
+        from repro.engine import ChunkScorer
+
+        domain = _source("L", QUERY_ONLY_DOMAIN)
+        range_ = _source("R", QUERY_ONLY_RANGE)
+        sim = make_sim()
+        sim.prepare(domain.attribute_values("title")
+                    + range_.attribute_values("title"))
+        request = MatchRequest(
+            domain, range_, specs=[AttributeSpec("title", "title", sim)],
+            threshold=0.0, missing="zero")
+        kernel = vectorized.request_kernel(request)
+        assert kernel is not None and kernel.vectorized
+        pairs = [(a, b) for a in domain.ids() for b in range_.ids()]
+        # the scalar path drops plain zero scores; missing="zero"
+        # surfaces the None pairs at 0.0, every other absentee is 0.0 too
+        expected = {(a, b): score for a, b, score
+                    in ChunkScorer(request).score_chunk(pairs)}
+        rows_a = np.repeat(np.arange(len(domain)), len(range_))
+        rows_b = np.tile(np.arange(len(range_)), len(domain))
+        scores = kernel.score_rows(rows_a, rows_b).tolist()
+        assert scores == [expected.get(pair, 0.0) for pair in pairs]
+        assert sum(1 for score in scores if 0.0 < score < 1.0) >= 10
+        bounds = kernel.score_bound_rows(rows_a, rows_b).tolist()
+        assert all(score <= bound for score, bound in zip(scores, bounds))
+
+    def test_tfidf_tie_break_counts_query_only_tokens(self):
+        """'delta sigma alpha zzz' ties 'alpha delta kappa sigma' on
+        *logical* vector size (4 = 4), so the lexicographically smaller
+        range text is the one expanded; going by the packed size (3,
+        'zzz' is outside the range vocabulary) would expand the domain
+        row and sum the three shared products in another order — a
+        last-bit difference on this corpus."""
+        import numpy as np
+
+        domain = _source("L", ["beta sigma alpha zzz",
+                               "epsilon sigma alpha zzz",
+                               "alpha kappa epsilon zzz",
+                               "delta sigma alpha zzz"])
+        range_ = _source("R", ["gamma alpha beta", "alpha kappa epsilon",
+                               "alpha delta kappa sigma",
+                               "delta alpha epsilon",
+                               "kappa alpha epsilon gamma",
+                               "alpha delta kappa sigma"])
+        sim = TfIdfCosineSimilarity()
+        sim.prepare(domain.attribute_values("title")
+                    + range_.attribute_values("title"))
+        kernel = vectorized.request_kernel(MatchRequest(
+            domain, range_, specs=[AttributeSpec("title", "title", sim)]))
+        rows_a = np.repeat(np.arange(len(domain)), len(range_))
+        rows_b = np.tile(np.arange(len(range_)), len(domain))
+        expected = sim.score_batch(
+            [(a, b) for a in domain.attribute_values("title")
+             for b in range_.attribute_values("title")])
+        assert kernel.score_rows(rows_a, rows_b).tolist() == expected
+
+    @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
+    @pytest.mark.parametrize("engine", [SERIAL, SHARDED],
+                             ids=["serial", "sharded"])
+    def test_query_only_vocabulary_end_to_end(self, similarity, engine,
+                                              monkeypatch):
+        domain = _source("L", QUERY_ONLY_DOMAIN)
+        range_ = _source("R", QUERY_ONLY_RANGE)
+        fast = AttributeMatcher("title", similarity=similarity,
+                                threshold=0.0, missing="zero",
+                                engine=engine).match(domain, range_)
+        monkeypatch.setattr(vectorized, "request_kernel",
+                            lambda request: None)
+        slow = AttributeMatcher("title", similarity=similarity,
+                                threshold=0.0, missing="zero",
+                                engine=engine).match(domain, range_)
+        assert fast.to_rows() == slow.to_rows()
+        assert fast.to_rows()
 
 
 # ----------------------------------------------------------------------

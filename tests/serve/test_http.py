@@ -2,7 +2,7 @@
 
 All traffic goes through :class:`repro.serve.Client`; raw
 ``http.client`` connections are used only where the client would get
-in the way (legacy-redirect and envelope-shape assertions).
+in the way (malformed-request and envelope-shape assertions).
 """
 
 import http.client
@@ -122,23 +122,6 @@ class TestEndpoints:
             client.snapshot()
 
 
-class TestLegacyRedirects:
-    @pytest.mark.parametrize("method,path", [
-        ("GET", "/healthz"), ("GET", "/stats"),
-        ("POST", "/match"), ("POST", "/ingest"), ("POST", "/delete"),
-    ])
-    def test_unversioned_paths_moved_permanently(self, server, method, path):
-        status, headers, payload = _raw_request(server, method, path, {})
-        assert status == 301
-        assert headers["Location"] == f"/v1{path}"
-        assert payload["error"]["code"] == "moved_permanently"
-
-    def test_redirect_target_answers(self, server):
-        _, headers, _ = _raw_request(server, "GET", "/healthz")
-        status, _, payload = _raw_request(server, "GET", headers["Location"])
-        assert status == 200 and payload["records"] == 3
-
-
 class TestErrorEnvelope:
     def test_unknown_path(self, server):
         status, _, payload = _raw_request(server, "POST", "/v1/nope", {})
@@ -159,6 +142,29 @@ class TestErrorEnvelope:
         assert response.status == 400
         assert payload["error"]["code"] == "invalid_request"
         assert "invalid JSON" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_invalid_content_length(self, server, length):
+        """A non-numeric length used to surface as 409 (ValueError) and
+        a negative one blocked the handler thread in ``rfile.read(-1)``
+        until the client hung up; both are the client's fault."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request("POST", "/v1/match", body=b"{}",
+                               headers={"Content-Length": length})
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert "Content-Length" in payload["error"]["message"]
+
+    def test_unversioned_path_is_unknown(self, server):
+        status, _, payload = _raw_request(server, "GET", "/healthz")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
 
     def test_missing_records(self, server):
         status, _, payload = _raw_request(server, "POST", "/v1/match", {})

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.operators.functions import WeightedFunction
+from repro.engine import columns
 from repro.engine.request import AttributeSpec
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -183,6 +184,55 @@ class TestScoringEquivalence:
         scalar = sorted(scalar_index.score_pairs(records, pairs, threshold=0.0))
         assert kernel == scalar
         assert kernel  # non-trivial comparison
+
+    @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
+    def test_over_budget_reference_falls_back_to_scalar_column(
+            self, similarity, monkeypatch):
+        """The serve index honours the engine's one memory budget: a
+        reference too big to pack scores through the scalar column —
+        same answers, no packed arrays."""
+        records = _queries(["adaptive query processng for streams",
+                            "schema matching", "zebras"])
+        packed = IncrementalIndex(_source(), "title", similarity)
+        expected = packed.match_records(records, threshold=0.1)
+        pairs = _all_pairs(packed, records)
+        expected_pairs = sorted(
+            packed.score_pairs(records, pairs, threshold=0.0))
+        monkeypatch.setattr(columns, "MAX_INDEX_BYTES", 64)
+        capped = IncrementalIndex(_source(), "title", similarity)
+        assert packed.stats()["vectorized_columns"] == 1
+        assert capped.stats()["vectorized_columns"] == 0
+        assert capped.match_records(records, threshold=0.1) == expected
+        assert sorted(capped.score_pairs(records, pairs, threshold=0.0)) \
+            == expected_pairs
+        assert any(expected)
+
+    def test_over_budget_column_rides_in_the_composed_kernel(
+            self, monkeypatch):
+        """Only the venue column exceeds the budget: it becomes a scalar
+        column inside the same composed kernel, answers unchanged."""
+        def specs():
+            return [AttributeSpec("title", "title", TrigramSimilarity()),
+                    AttributeSpec("venue", "venue", TfIdfCosineSimilarity())]
+
+        records = [ObjectInstance("q0", {"title": "adaptive query processing",
+                                         "venue": "venue 1"}),
+                   ObjectInstance("q1", {"title": "schema matching",
+                                         "venue": None})]
+        packed = IncrementalIndex(_source(), specs=specs(),
+                                  combiner=WeightedFunction([2.0, 1.0]))
+        expected = packed.match_records(records, threshold=0.2)
+        title_bytes = packed._columns[0].range[0].nbytes
+        # enough for the title bitmaps and every micro-batch bind, not
+        # for the venue CSR arrays (32 bytes per entry)
+        monkeypatch.setattr(columns, "MAX_INDEX_BYTES", title_bytes)
+        capped = IncrementalIndex(_source(), specs=specs(),
+                                  combiner=WeightedFunction([2.0, 1.0]))
+        assert [type(column) for column in capped._columns] \
+            == [columns.NGramColumn, columns.ScalarColumn]
+        assert capped.stats()["vectorized_columns"] == 1
+        assert capped.match_records(records, threshold=0.2) == expected
+        assert any(expected)
 
     def test_mixed_base_and_buffer_rows(self):
         index = IncrementalIndex(_source(), "title", compact_min=1000)

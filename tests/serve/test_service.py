@@ -328,25 +328,6 @@ class TestRepositoryPersistence:
                      repository=MappingRepository(":memory:"))
 
 
-class TestLegacyKeywordArguments:
-    """The pre-config keyword surface still works, but warns."""
-
-    def test_legacy_kwargs_warn_and_behave_like_config(self):
-        reference = _reference()
-        with pytest.warns(DeprecationWarning):
-            legacy = MatchService(reference, "title", threshold=0.3)
-        config_style = _service(_reference(), threshold=0.3)
-        record = ObjectInstance("q", {"title": "adaptive stream schema"})
-        assert legacy.match_record(record) \
-            == config_style.match_record(record)
-        assert legacy.config.threshold == 0.3
-
-    def test_config_plus_legacy_kwargs_is_rejected(self):
-        with pytest.raises(ValueError):
-            MatchService(_reference(), "title",
-                         config=ServeConfig(attribute="title"))
-
-
 class TestValidation:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
