@@ -63,7 +63,6 @@ from repro.model import (
 from repro.engine import (
     BatchMatchEngine,
     EngineConfig,
-    autotune_workers,
     configure_default_engine,
     get_default_engine,
     set_default_engine,
@@ -107,7 +106,6 @@ __all__ = [
     "SimilarityFunction",
     "SourceMappingModel",
     "ThresholdSelection",
-    "autotune_workers",
     "compose",
     "configure_default_engine",
     "default_library",

@@ -36,36 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dataset scale preset (default: tiny)")
     parser.add_argument("--seed", type=int, default=7,
                         help="world generator seed (default: 7)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the batch match engine "
-                             "(default: serial, or CPU-derived with "
-                             "--auto)")
+                             "(default: 1 = serial)")
     parser.add_argument("--chunk-size", type=int, default=2048,
                         help="candidate pairs per engine chunk "
                              "(default: 2048)")
     parser.add_argument("--shard-blocking", action="store_true",
                         help="generate candidate pairs inside the workers "
                              "(sharded blocking) instead of streaming them "
-                             "from the parent; identical results, faster "
-                             "blocked multi-worker runs")
-    parser.add_argument("--n-shards", type=int, default=None,
-                        help="shard count for --shard-blocking runs "
-                             "(default: engine-derived, 4 per worker; "
-                             "adapted online under --auto)")
-    parser.add_argument("--balance-shards", action="store_true",
-                        help="with --shard-blocking: split oversized "
-                             "blocking shards and bin-pack them so skewed "
-                             "block-size distributions (one dominant key "
-                             "or stop-word token) cannot leave one worker "
-                             "with a long tail; identical results")
-    parser.add_argument("--auto", action="store_true",
-                        help="let the engine tune itself: adapt chunk "
-                             "size to observed scoring throughput, shard "
-                             "blocking work whenever the strategy "
-                             "supports it, and rebalance shards when "
-                             "their cost estimates are skewed — replaces "
-                             "hand-set --chunk-size/--shard-blocking/"
-                             "--balance-shards; identical results")
+                             "from the parent, rebalancing skewed shards "
+                             "from their cost estimates; identical "
+                             "results, faster blocked multi-worker runs")
     parser.add_argument("--profile", action="store_true",
                         help="record per-stage engine timings (prepare, "
                              "chunk scoring, shard durations) into "
@@ -379,21 +361,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "lint":
         return _command_lint(args)
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     if args.chunk_size < 1:
         print("--chunk-size must be >= 1", file=sys.stderr)
         return 2
     from repro.engine import configure_default_engine
-    if args.n_shards is not None and args.n_shards < 1:
-        print("--n-shards must be >= 1", file=sys.stderr)
-        return 2
     configure_default_engine(workers=args.workers, chunk_size=args.chunk_size,
                              shard_blocking=args.shard_blocking,
-                             n_shards=args.n_shards,
-                             balance_shards=args.balance_shards,
-                             auto=args.auto, profile=args.profile)
+                             profile=args.profile)
     if args.command == "stats":
         return _command_stats(args)
     if args.command == "experiments":

@@ -20,8 +20,9 @@ blocked parallel runs.
 Shards additionally expose a :meth:`PairShard.cost` estimate (raw
 pair count, pre-dedup) so the engine can rebalance skewed shard
 distributions — splitting oversized block groups and bin-packing the
-pieces — before any worker starts (``EngineConfig(balance_shards=
-True)``, :func:`repro.engine.shards.rebalance_shards`).
+pieces — before any worker starts
+(:func:`repro.engine.shards.autotune_plan` decides,
+:func:`repro.engine.shards.rebalance_shards` does it).
 """
 
 from __future__ import annotations

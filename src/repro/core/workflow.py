@@ -122,8 +122,8 @@ class MatcherStep:
     be a ``repro.engine.BatchMatchEngine`` or a bare
     ``repro.engine.EngineConfig`` (wrapped into an engine on use, so
     workflow definitions can ask for e.g. sharded four-worker execution
-    — or the self-tuning ``EngineConfig(workers=4, auto=True)`` —
-    without importing the engine class).  Matchers that don't expose an
+    — ``EngineConfig(workers=4, shard_blocking=True)`` — without
+    importing the engine class).  Matchers that don't expose an
     ``engine`` attribute run unchanged.
     """
 

@@ -25,9 +25,9 @@ moves into the workers (:mod:`repro.engine.shards`): the blocking
 strategy is partitioned into shards, each worker generates and scores
 its shard's pairs locally, and the parent only merges surviving
 triples — same results, no parent-side generation bottleneck.
-``balance_shards=True`` additionally splits and LPT-packs skewed
-shard lists so one dominant block cannot leave a worker with a long
-tail.
+The shard planner reads the shards' cost estimates and, when they are
+skewed, splits and LPT-packs them so one dominant block cannot leave a
+worker with a long tail.
 
 One scoring core backs every path (:mod:`repro.engine.columns`,
 numpy optional): a *column* packs one attribute's reference side —
@@ -40,20 +40,13 @@ multi-attribute requests compose their bound columns with a
 vectorized combiner), the serve tier's index keeps the same column
 objects across requests and binds per micro-batch, and the numpy-free
 :class:`ChunkScorer` is the reference path both are checked against.
-``EngineConfig(auto=True)`` (CLI
-``--auto``) replaces the hand-set performance knobs with a
-self-tuning mode: chunk size adapts to observed scoring throughput,
-sharding engages whenever the blocking strategy supports it, shard
-rebalancing flips on when cost estimates are skewed, and — with
-``workers`` unset — the pool size derives from the CPU count
-(:func:`autotune_workers`).  See ``docs/engine.md``.
+See ``docs/engine.md``.
 """
 
-from repro.engine.chunks import AdaptiveChunker, iter_chunks
+from repro.engine.chunks import iter_chunks
 from repro.engine.engine import (
     BatchMatchEngine,
     EngineConfig,
-    autotune_workers,
     configure_default_engine,
     get_default_engine,
     set_default_engine,
@@ -62,13 +55,11 @@ from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.scorer import ChunkScorer
 
 __all__ = [
-    "AdaptiveChunker",
     "AttributeSpec",
     "BatchMatchEngine",
     "ChunkScorer",
     "EngineConfig",
     "MatchRequest",
-    "autotune_workers",
     "configure_default_engine",
     "get_default_engine",
     "iter_chunks",

@@ -14,15 +14,6 @@ from typing import Iterable, Iterator, List, TypeVar
 
 T = TypeVar("T")
 
-#: adaptive chunk sizing bounds and target (seconds of scoring work
-#: per chunk).  The floor keeps batch-call amortization, the ceiling
-#: bounds memory and merge latency, and the target window is large
-#: enough to drown per-chunk dispatch overhead while keeping the
-#: pipeline responsive.
-ADAPTIVE_MIN_CHUNK = 256
-ADAPTIVE_MAX_CHUNK = 1 << 16
-ADAPTIVE_TARGET_SECONDS = 0.2
-
 
 def iter_chunks(iterable: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
     """Yield successive lists of up to ``chunk_size`` items.
@@ -40,54 +31,3 @@ def iter_chunks(iterable: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
         if not chunk:
             return
         yield chunk
-
-
-class AdaptiveChunker:
-    """Feedback-sized chunking for the engine's autotuner.
-
-    Drop-in replacement for :func:`iter_chunks` whose chunk size is a
-    *moving* knob: the scoring loop reports each chunk's observed cost
-    through :meth:`observe` and the next chunk grows or shrinks toward
-    :data:`ADAPTIVE_TARGET_SECONDS` of work.  Adjustment is
-    multiplicative with a factor-of-two deadband, so noisy timings
-    cannot make the size oscillate, and is clamped to
-    [:data:`ADAPTIVE_MIN_CHUNK`, :data:`ADAPTIVE_MAX_CHUNK`].
-
-    Chunk boundaries are a pure performance knob — scores depend only
-    on the value pair and the merge is keyed — so resizing mid-stream
-    never changes the result mapping.
-    """
-
-    def __init__(self, iterable: Iterable[T], initial: int = 2048, *,
-                 min_size: int = ADAPTIVE_MIN_CHUNK,
-                 max_size: int = ADAPTIVE_MAX_CHUNK,
-                 target_seconds: float = ADAPTIVE_TARGET_SECONDS) -> None:
-        if initial < 1:
-            raise ValueError(f"initial must be >= 1, got {initial!r}")
-        self._iterator = iter(iterable)
-        self.min_size = max(1, min_size)
-        self.max_size = max(self.min_size, max_size)
-        self.size = min(self.max_size, max(self.min_size, initial))
-        self.target_seconds = target_seconds
-        self.observed = 0
-
-    def __iter__(self) -> Iterator[List[T]]:
-        while True:
-            chunk = list(islice(self._iterator, self.size))
-            if not chunk:
-                return
-            yield chunk
-
-    def observe(self, items: int, seconds: float) -> None:
-        """Feed back one chunk's scoring cost; adjusts the next size."""
-        if items <= 0:
-            return
-        self.observed += 1
-        if seconds <= 0.0:
-            ideal = self.max_size
-        else:
-            ideal = items * self.target_seconds / seconds
-        if ideal >= 2 * self.size:
-            self.size = min(self.max_size, self.size * 2)
-        elif ideal <= self.size / 2:
-            self.size = max(self.min_size, self.size // 2)

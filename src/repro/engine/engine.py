@@ -22,8 +22,6 @@ built once and shared copy-on-write.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -31,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from repro.blocking.pair_generator import dedup_self_pairs
 from repro.core.mapping import Mapping, MappingKind
 from repro.engine import vectorized
-from repro.engine.chunks import AdaptiveChunker, iter_chunks
+from repro.engine.chunks import iter_chunks
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.scorer import ChunkScorer
@@ -41,56 +39,22 @@ from repro.obs.registry import percentile as obs_percentile
 Pair = Tuple[str, str]
 Triple = Tuple[str, str, float]
 
-#: the workers autotuner never goes beyond this: past ~8 workers the
-#: parent-side merge cursor and fork/IPC overhead eat the gains on the
-#: engine's typical workloads
-AUTO_MAX_WORKERS = 8
-
-
-def autotune_workers(cpu_count: Optional[int] = None) -> int:
-    """Derive a worker count from the machine's CPU count.
-
-    One core is left for the parent process (candidate streaming and
-    the merge cursor run there), the result is capped at
-    :data:`AUTO_MAX_WORKERS`, and single-core machines stay serial.
-    ``cpu_count`` defaults to ``os.cpu_count()``; pass it explicitly
-    to test the decision.
-    """
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    return max(1, min(AUTO_MAX_WORKERS, cpu_count - 1))
-
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Tuning knobs for batch execution.
 
-    ``workers=1`` is the serial fallback (no processes, no IPC); the
-    default ``workers=None`` means *unset* — it resolves to 1, or to
-    :func:`autotune_workers` when ``auto=True`` (an explicit
-    ``workers=`` always wins over the autotuner).  ``chunk_size``
-    trades scheduling overhead against pipelining; the default suits
-    pure-Python similarity kernels.  ``max_inflight`` bounds how many
-    chunks may be queued on the pool ahead of the merge cursor
-    (default ``2 * workers``), which caps memory while keeping every
-    worker busy.
+    ``workers=1`` is the serial fallback (no processes, no IPC).
+    ``chunk_size`` trades scheduling overhead against pipelining; the
+    default suits pure-Python similarity kernels.  Everything else
+    about a run's plan — shard count, skew rebalancing, how many
+    chunks queue ahead of the merge cursor — the engine derives from
+    ``workers`` and the shard cost estimates
+    (:func:`repro.engine.shards.autotune_plan`).
     """
 
-    workers: Optional[int] = None
+    workers: int = 1
     chunk_size: int = 2048
-    # repro: allow-cfg002 -- derived knob (2 * workers) for library
-    # embedders; deliberately not a CLI surface
-    max_inflight: Optional[int] = None
-    #: opt-in best-effort duplicate-pair filter for two-source matching
-    #: (entries, not bytes; 0 = off).  Useful when a custom candidate
-    #: stream emits the same pair many times: the filter (reset when
-    #: full, so memory stays bounded) saves their resolution and IPC
-    #: cost.  Rescoring a duplicate is idempotent, so this is purely a
-    #: performance knob; the built-in blocking strategies already
-    #: deduplicate, hence off by default.
-    # repro: allow-cfg002 -- opt-in library knob for custom candidate
-    # streams; the CLI's built-in blocking already deduplicates
-    dedup_limit: int = 0
     #: run candidate generation inside the workers (``repro.engine.
     #: shards``) instead of streaming every pair through the parent.
     #: Results are identical; on blocked workloads this removes the
@@ -99,37 +63,6 @@ class EngineConfig:
     #: objects without an authoritative ``shards`` protocol, and
     #: multi-worker runs on platforms without ``fork``.
     shard_blocking: bool = False
-    #: how many shards to cut the blocking work into (None = 4 per
-    #: worker, which over-partitions enough to absorb *moderately*
-    #: skewed blocks)
-    n_shards: Optional[int] = None
-    #: skew-aware rebalancing for ``shard_blocking`` runs: split
-    #: oversized block groups (one stop-word token, one dominant key)
-    #: and LPT-pack the pieces so no worker holds a long tail
-    #: (:func:`repro.engine.shards.rebalance_shards`).  Results are
-    #: identical; only the work distribution changes.  Off by default
-    #: because unskewed workloads pay a small cost-estimation pass for
-    #: nothing.
-    balance_shards: bool = False
-    #: self-tuning mode (CLI ``--auto``): the engine picks the knobs a
-    #: user would otherwise hand-set.  ``chunk_size`` becomes an
-    #: *initial guess* resized from observed per-chunk scoring
-    #: throughput (:class:`repro.engine.chunks.AdaptiveChunker`); the
-    #: sharded path is attempted whenever the blocking strategy can
-    #: shard (falling back to streaming exactly like
-    #: ``shard_blocking=True``); the rebalance bin count is derived
-    #: from worker count and shard cost estimates; and
-    #: ``balance_shards`` flips on automatically when the shard cost
-    #: distribution is skewed (:func:`repro.engine.shards.
-    #: autotune_plan`).  Sharded runs additionally feed measured
-    #: shard durations back into the next run's shard count
-    #: (:func:`repro.engine.shards.adapt_n_shards`) — slow shards
-    #: split finer, trivial shards merge coarser, per engine
-    #: instance.  Explicitly set knobs win: a non-``None``
-    #: ``n_shards`` is respected and ``balance_shards=True`` forces
-    #: balancing.  Results are identical either way — every knob the
-    #: autotuner moves is a pure performance knob.
-    auto: bool = False
     #: record per-stage timings (prepare / chunk scoring / shard
     #: durations) into ``engine.last_profile`` (CLI ``--profile``).
     #: Every task is timed anyway (:mod:`repro.engine.pool`), so the
@@ -138,59 +71,19 @@ class EngineConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers is None:
-            # unset: serial by default, CPU-derived under auto=True
-            object.__setattr__(
-                self, "workers",
-                autotune_workers() if self.auto else 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1, got {self.chunk_size!r}"
             )
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {self.max_inflight!r}"
-            )
-        if self.dedup_limit < 0:
-            raise ValueError(
-                f"dedup_limit must be >= 0, got {self.dedup_limit!r}"
-            )
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ValueError(
-                f"n_shards must be >= 1, got {self.n_shards!r}"
-            )
-
-    @property
-    def inflight(self) -> int:
-        if self.max_inflight is not None:
-            return self.max_inflight
-        return max(2, 2 * self.workers)
 
 
 class BatchMatchEngine:
     """Executes :class:`MatchRequest`\\ s serially or on a worker pool."""
 
-    def __init__(self, config: Optional[EngineConfig] = None, *,
-                 workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None) -> None:
-        if config is None:
-            config = EngineConfig()
-        overrides = {}
-        if workers is not None:
-            overrides["workers"] = workers
-        if chunk_size is not None:
-            overrides["chunk_size"] = chunk_size
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        self.config = config
-        #: online autotuner feedback: under ``auto=True`` with no
-        #: explicit ``n_shards``, each sharded run's measured shard
-        #: durations resize the next run's shard count
-        #: (:func:`repro.engine.shards.adapt_n_shards`); a pure
-        #: performance knob, results are identical for every count
-        self._adapted_n_shards: Optional[int] = None
+    def __init__(self, config: Optional[EngineConfig] = None) -> None:
+        self.config = config if config is not None else EngineConfig()
         #: per-stage timings of the last run (``config.profile`` only;
         #: see :meth:`profile_summary`)
         self.last_profile: Optional[dict] = None
@@ -217,7 +110,7 @@ class BatchMatchEngine:
                 time.perf_counter() - begun
         result = Mapping(request.domain.name, request.range.name,
                          kind=MappingKind.SAME, name=request.name)
-        if self.config.shard_blocking or self.config.auto:
+        if self.config.shard_blocking:
             from repro.engine import shards as shards_module
             if shards_module.execute_sharded(self, request, result):
                 self._profile_path("sharded")
@@ -225,12 +118,8 @@ class BatchMatchEngine:
             # not shardable (explicit candidates / foreign blocking
             # object): continue on the streamed paths below
         is_self = request.is_self
-        if self.config.auto:
-            chunks = AdaptiveChunker(self._pair_stream(request),
-                                     self.config.chunk_size)
-        else:
-            chunks = iter_chunks(self._pair_stream(request),
-                                 self.config.chunk_size)
+        chunks = iter_chunks(self._pair_stream(request),
+                             self.config.chunk_size)
         indexed = self._try_indexed(request)
         if indexed is not None:
             # the parent converts id-pair chunks to row arrays and
@@ -244,12 +133,11 @@ class BatchMatchEngine:
                 "parallel" if self.config.workers > 1 else "serial")
             target = ChunkScorer(request).score_chunk
             work = ((len(chunk), (chunk,)) for chunk in chunks)
-        adaptive = chunks if isinstance(chunks, AdaptiveChunker) else None
+        # two chunks queued per worker keep the pool busy while the
+        # merge cursor drains, and bound what sits in memory
         for items, seconds, output in run_ordered(
                 target, work, workers=self.config.workers,
-                inflight=self.config.inflight):
-            if adaptive:
-                adaptive.observe(items, seconds)
+                inflight=2 * self.config.workers):
             self._profile_chunk(items, seconds)
             if indexed is not None:
                 output = indexed.triples(*output)
@@ -320,34 +208,16 @@ class BatchMatchEngine:
                     spec.range_attribute)
             spec.similarity.prepare(corpus)
 
-    def _pair_stream(self, request: MatchRequest) -> Iterator[Pair]:
-        """Candidate pairs with duplicate suppression applied streamingly.
+    def _pair_stream(self, request: MatchRequest) -> Iterable[Pair]:
+        """Candidate pairs, with the exact unordered-pair dedup the
+        matchers always had applied to self-matching streams.
 
-        Self-matching uses the exact unordered-pair dedup the matchers
-        always had.  Two-source matching gets a *best-effort* filter
-        bounded by ``dedup_limit``: blocking strategies may emit the
-        same pair many times (once per shared token / canopy), and
-        every duplicate that slips through costs resolution and IPC
-        even though its score is memoized.  The filter resets when
-        full; duplicates it misses are rescored idempotently, so
-        results are unaffected.
+        Two-source streams pass through: the built-in blocking
+        strategies already deduplicate, and rescoring a duplicate from
+        a custom stream is idempotent at the merge.
         """
         pairs = self._raw_pairs(request)
-        if not request.is_self:
-            limit = self.config.dedup_limit
-            if limit == 0:
-                yield from pairs
-                return
-            seen: set = set()
-            for pair in pairs:
-                if pair in seen:
-                    continue
-                if len(seen) >= limit:
-                    seen.clear()
-                seen.add(pair)
-                yield pair
-            return
-        yield from dedup_self_pairs(pairs)
+        return dedup_self_pairs(pairs) if request.is_self else pairs
 
     def _raw_pairs(self, request: MatchRequest) -> Iterable[Pair]:
         if request.candidates is not None:
@@ -411,25 +281,11 @@ def set_default_engine(engine: Optional[BatchMatchEngine]) -> None:
     _default_engine = engine
 
 
-def configure_default_engine(*, workers: Optional[int] = None,
-                             chunk_size: int = 2048,
-                             shard_blocking: bool = False,
-                             n_shards: Optional[int] = None,
-                             balance_shards: bool = False,
-                             auto: bool = False,
-                             profile: bool = False) -> BatchMatchEngine:
+def configure_default_engine(**fields) -> BatchMatchEngine:
     """Build and install the process default engine; returns it.
 
-    ``workers=None`` leaves the pool size to :class:`EngineConfig`:
-    serial normally, CPU-derived under ``auto=True``.  ``n_shards``
-    pins the sharded-blocking partition count (``None`` = derived).
+    ``fields`` are :class:`EngineConfig` fields.
     """
-    engine = BatchMatchEngine(EngineConfig(workers=workers,
-                                           chunk_size=chunk_size,
-                                           shard_blocking=shard_blocking,
-                                           n_shards=n_shards,
-                                           balance_shards=balance_shards,
-                                           auto=auto,
-                                           profile=profile))
+    engine = BatchMatchEngine(EngineConfig(**fields))
     set_default_engine(engine)
     return engine

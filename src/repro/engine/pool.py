@@ -11,9 +11,8 @@ and results are drained strictly in submission order, which is what
 makes parallel execution merge identically to serial execution
 regardless of which worker finishes first.
 
-Every task is timed inside the worker, so the seconds the adaptive
-chunker, the shard-count adapter and ``EngineConfig(profile=True)``
-read exclude queueing and IPC latency.
+Every task is timed inside the worker, so the seconds
+``EngineConfig(profile=True)`` reads exclude queueing and IPC latency.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ def run_ordered(target: Callable[..., Any],
     ``workers == 1`` runs inline; otherwise at most ``inflight`` items
     are queued on a process pool ahead of the drain cursor, which caps
     memory while keeping every worker busy.  ``items`` is consumed
-    lazily, so an adaptive producer sees each result before it cuts the
-    next item.
+    lazily.
 
     On platforms without ``fork`` the target is pickled to each worker
     instead of inherited; if that fails the run degrades to inline

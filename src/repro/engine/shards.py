@@ -38,13 +38,13 @@ everything copy-on-write; each task carries one int
 Skewed block-size distributions (one stop-word token, one dominant
 blocking key) leave the naive shard list with a long tail: one shard
 holds most of the work and its worker finishes long after the rest.
-:func:`rebalance_shards` is the skew-aware fix — shards expose cost
-estimates (:meth:`PairShard.cost`), oversized block groups are *split*
-(down to row/column slices of a single giant block) and the pieces
-greedily bin-packed, largest first, onto the least-loaded of
-``n_shards`` bins (classic LPT), so no bin exceeds ~2x the mean load.
-Opt in with ``EngineConfig(balance_shards=True)`` / CLI
-``--balance-shards``.
+The planner (:func:`build_shard_runner`) therefore always reads the
+shards' cost estimates (:meth:`PairShard.cost`) and, when
+:func:`autotune_plan` finds them skewed, calls :func:`rebalance_shards`
+— oversized block groups are *split* (down to row/column slices of a
+single giant block) and the pieces greedily bin-packed, largest first,
+onto the least-loaded bin (classic LPT), so no bin exceeds ~2x the
+mean load.
 
 Correctness contract: for every blocking strategy the sharded result
 mapping equals the serial result mapping exactly, balanced or not.
@@ -405,15 +405,15 @@ def rebalance_shards(shards: Sequence[PairShard],
 
 
 # ----------------------------------------------------------------------
-# autotuning: cost-model-driven shard-plan decisions
+# the cost model: shard-plan decisions from cost estimates
 # ----------------------------------------------------------------------
 
-#: rebalance automatically when the costliest shard's estimate exceeds
-#: this multiple of the ideal per-worker share ``total / workers`` —
-#: beyond it the naive schedule's makespan is bound by that one shard
-#: (the dominant-key / stop-word-token signature), below it the naive
-#: list already spreads within noise of optimal and balancing would
-#: only pay the splitting pass for nothing
+#: rebalance when the costliest shard's estimate exceeds this multiple
+#: of the ideal per-worker share ``total / workers`` — beyond it the
+#: naive schedule's makespan is bound by that one shard (the
+#: dominant-key / stop-word-token signature), below it the naive list
+#: already spreads within noise of optimal and balancing would only
+#: pay the splitting pass for nothing
 AUTO_SKEW_FACTOR = 1.25
 #: preferred pair-cost per rebalanced bin; with worker-count clamps
 #: this sizes bins to amortize per-shard dispatch without recreating a
@@ -421,13 +421,12 @@ AUTO_SKEW_FACTOR = 1.25
 AUTO_TARGET_SHARD_COST = 1 << 18
 
 
-def autotune_plan(costs: Sequence[Optional[int]], workers: int,
-                  n_shards: Optional[int] = None):
+def autotune_plan(costs: Sequence[Optional[int]], workers: int):
     """Decide ``(balance, n_bins)`` from shard cost estimates.
 
-    The pure decision kernel behind ``EngineConfig(auto=True)``
-    (Peukert-style rule/cost-driven tuning instead of hand-set
-    flags).  Balancing turns on when the costliest shard exceeds
+    The pure decision kernel of the shard planner (Peukert-style
+    rule/cost-driven tuning instead of hand-set flags).  Balancing
+    turns on when the costliest shard exceeds
     :data:`AUTO_SKEW_FACTOR` times the ideal per-worker share
     ``total / workers`` — the quantity that actually bounds the naive
     schedule's makespan; a single oversized shard (``len(costs) ==
@@ -437,54 +436,18 @@ def autotune_plan(costs: Sequence[Optional[int]], workers: int,
     to between 4 and 16 bins per worker.  Shards with unknown cost
     are assumed average, exactly as :func:`rebalance_shards` treats
     them; all-unknown cost lists disable balancing (no evidence of
-    skew).  An explicit ``n_shards`` is honored as the bin count.
+    skew).
     """
     known = [cost for cost in costs if cost is not None]
     if not known:
-        return False, n_shards if n_shards is not None \
-            else max(4, workers * 4)
+        return False, 4 * workers
     assumed = max(1, sum(known) // len(known))
     filled = [assumed if cost is None else cost for cost in costs]
     total = sum(filled)
     balance = total > 0 and \
         max(filled) * workers >= AUTO_SKEW_FACTOR * total
-    if n_shards is not None:
-        bins = n_shards
-    else:
-        bins = -(-total // AUTO_TARGET_SHARD_COST)
-        bins = max(4 * workers, min(16 * workers, bins))
-    return balance, bins
-
-
-#: per-shard wall-clock the online adapter steers toward: long enough
-#: to amortize dispatch/IPC per task, short enough that one straggler
-#: shard cannot dominate the makespan
-SHARD_TARGET_SECONDS = 0.25
-
-
-def adapt_n_shards(current: int, durations: Sequence[float],
-                   workers: int) -> Optional[int]:
-    """Next run's shard count from this run's observed durations.
-
-    The online half of the autotuner: :func:`autotune_plan` sizes bins
-    from *estimated* pair costs, this adjusts the count from *measured*
-    wall-clock.  Shards running past :data:`SHARD_TARGET_SECONDS` on
-    average get split finer next time (better balance, bounded
-    stragglers), shards finishing far under it get merged coarser
-    (less dispatch overhead); the per-run factor is clamped to [0.5,
-    2.0] so one noisy measurement cannot whipsaw the count, and the
-    result stays within [workers, 16 * workers].  Returns ``None``
-    (no adjustment) without measurements.  ``n_shards`` is a pure
-    performance knob — the sharded result mapping is identical for
-    every count — so adapting it online never changes results.
-    """
-    if not durations or current < 1:
-        return None
-    mean = sum(durations) / len(durations)
-    if mean <= 0.0:
-        return None
-    factor = min(2.0, max(0.5, mean / SHARD_TARGET_SECONDS))
-    return max(workers, min(16 * workers, int(round(current * factor))))
+    bins = -(-total // AUTO_TARGET_SHARD_COST)
+    return balance, max(4 * workers, min(16 * workers, bins))
 
 
 # ----------------------------------------------------------------------
@@ -523,11 +486,13 @@ def _shards_authoritative(blocking) -> bool:
 def build_shard_runner(engine: "BatchMatchEngine", request: MatchRequest):
     """Resolve the shard list and runner the sharded path would execute.
 
-    The single source of truth for the sharded plan — shard count
-    default, skew rebalancing (hand-set via ``balance_shards`` or
-    cost-model-driven via ``auto``), kernel-vs-scorer choice — shared by
-    :func:`execute_sharded` and by benchmarks/diagnostics that need to
-    time individual shards without duplicating the engine's wiring.
+    The single source of truth for the sharded plan — four naive
+    shards per worker, rebalanced when the cost model
+    (:func:`autotune_plan`) reads their estimates as skewed, and the
+    kernel-vs-scorer choice — shared by :func:`execute_sharded` and by
+    benchmarks/diagnostics that need to time individual shards without
+    duplicating the engine's wiring.  The plan is a function of the
+    request and ``workers`` alone; nothing carries over between runs.
     Returns ``None`` when the request cannot shard (explicit candidate
     iterable, or a blocking object without an authoritative ``shards``
     protocol — see :func:`_shards_authoritative`); ``([], None)`` when
@@ -541,26 +506,16 @@ def build_shard_runner(engine: "BatchMatchEngine", request: MatchRequest):
     if not _shards_authoritative(blocking):
         return None
     spec = request.specs[0]
-    n_shards = config.n_shards
-    if n_shards is None and config.auto:
-        # online feedback: the previous auto run's measured durations
-        # resized the count (adapt_n_shards); explicit n_shards wins
-        n_shards = engine._adapted_n_shards
-    if n_shards is None:
-        n_shards = max(4, config.workers * 4)
     shards = blocking.shards(
-        request.domain, request.range, n_shards=n_shards,
+        request.domain, request.range, n_shards=4 * config.workers,
         domain_attribute=spec.attribute,
         range_attribute=spec.range_attribute)
     if not shards:
         return [], None
-    if config.balance_shards:
-        shards = rebalance_shards(shards, n_shards)
-    elif config.auto:
-        balance, bins = autotune_plan([shard.cost() for shard in shards],
-                                      config.workers, config.n_shards)
-        if balance:
-            shards = rebalance_shards(shards, bins)
+    balance, bins = autotune_plan([shard.cost() for shard in shards],
+                                  config.workers)
+    if balance:
+        shards = rebalance_shards(shards, bins)
     indexed = engine._try_indexed(request)
     scorer = None if indexed is not None else ChunkScorer(request)
     return shards, ShardRunner(shards, request, config.chunk_size, indexed,
@@ -600,10 +555,6 @@ def execute_sharded(engine: "BatchMatchEngine", request: MatchRequest,
         durations.append(seconds)
         triples = indexed.triples(*data) if kind == "rows" else data
         engine._merge(result, triples, request.is_self)
-    if config.auto and config.n_shards is None:
-        adapted = adapt_n_shards(len(shards), durations, config.workers)
-        if adapted is not None:
-            engine._adapted_n_shards = adapted
     if engine.last_profile is not None:
         engine.last_profile["shard_seconds"] = durations
     return True

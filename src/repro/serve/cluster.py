@@ -508,8 +508,15 @@ class ShardBackend:
 # shard transports
 # ----------------------------------------------------------------------
 
-def _shard_worker(sock: socket.socket, mode: str, kwargs: dict) -> None:
+def _shard_worker(sock: socket.socket, mode: str, kwargs: dict,
+                  router_channels: List[FrameChannel]) -> None:
     """Worker process entry: build/restore a backend, serve the loop."""
+    # The fork copied the router-side end of this worker's socket pair
+    # (and of every shard spawned before it).  While any copy stays
+    # open the loop below never sees EOF, so a router killed without a
+    # shutdown op would leave its workers running forever.
+    for router_channel in router_channels:
+        router_channel.close()
     # A terminal Ctrl-C signals the whole foreground process group;
     # shutdown is the router's job (explicit op or channel EOF), so the
     # worker must not die mid-frame with a KeyboardInterrupt traceback.
@@ -576,14 +583,17 @@ class ProcessShard:
     """Forked worker process behind a :class:`FrameChannel`."""
 
     def __init__(self, shard_id: int, mode: str, kwargs: dict,
-                 context) -> None:
+                 context, siblings: Sequence["ProcessShard"]) -> None:
         self.shard_id = shard_id
         parent, child = socket.socketpair()
+        self.channel = FrameChannel(parent)
         self.process = context.Process(
-            target=_shard_worker, args=(child, mode, kwargs), daemon=True)
+            target=_shard_worker,
+            args=(child, mode, kwargs,
+                  [self.channel] + [shard.channel for shard in siblings]),
+            daemon=True)
         self.process.start()
         child.close()
-        self.channel = FrameChannel(parent)
         status, result = self._receive_raw()
         if status == "error":
             raise result
@@ -754,9 +764,11 @@ class ClusterIndex:
                processes: bool) -> List[object]:
         if processes and _fork_available():
             context = multiprocessing.get_context("fork")
-            return [ProcessShard(plan[1]["shard_id"], plan[0], plan[1],
-                                 context)
-                    for plan in plans]
+            shards: List[object] = []
+            for mode, kwargs in plans:
+                shards.append(ProcessShard(kwargs["shard_id"], mode, kwargs,
+                                           context, siblings=shards))
+            return shards
         return [LocalShard(plan[1]["shard_id"], plan[0], plan[1])
                 for plan in plans]
 

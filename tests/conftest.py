@@ -37,3 +37,22 @@ def acm(dataset):
 @pytest.fixture(scope="session")
 def gs(dataset):
     return dataset.gs
+
+
+@pytest.fixture
+def force_rebalance(monkeypatch):
+    """Returns a callable that makes the shard planner rebalance every
+    plan from then on, skewed or not.
+
+    The cost model only rebalances skewed multi-worker plans; suites
+    pinning "a rebalanced plan scores like the serial engine" for every
+    blocking strategy, and for inline ``workers=1`` runs, call it
+    before executing.
+    """
+    from repro.engine import shards
+
+    def engage() -> None:
+        monkeypatch.setattr(shards, "autotune_plan",
+                            lambda costs, workers: (True, 6))
+
+    return engage

@@ -1,27 +1,26 @@
-"""Tests for the engine autotuner (``EngineConfig(auto=True)``).
+"""Tests for the shard planner's cost model.
 
-The autotuner replaces three hand-set knobs — ``chunk_size``,
-``n_shards``, ``balance_shards`` — with observed-throughput chunk
-sizing, cost-derived bin counts, and dispersion-driven rebalancing.
-Every decision it makes is a pure performance knob, so the load-bearing
-property is unchanged results; the decision logic itself is pinned
-through the pure :func:`repro.engine.shards.autotune_plan` kernel.
+The planner (:func:`repro.engine.shards.build_shard_runner`) always
+asks :func:`~repro.engine.shards.autotune_plan` whether the naive
+shard list is skewed enough to rebalance — there is no switch for it.
+Every decision it makes only moves work between shards, so the
+load-bearing property is unchanged results; the decision logic itself
+is pinned through the pure ``autotune_plan`` kernel, and the config
+surface through the field set of :class:`EngineConfig`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro import AttributeMatcher
 from repro.blocking import KeyBlocking, TokenBlocking
-from repro.engine import AdaptiveChunker, BatchMatchEngine, EngineConfig
-from repro.engine.chunks import ADAPTIVE_MAX_CHUNK, ADAPTIVE_MIN_CHUNK
-from repro.engine.engine import AUTO_MAX_WORKERS, autotune_workers
+from repro.engine import BatchMatchEngine, EngineConfig
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.shards import (
     AUTO_SKEW_FACTOR,
-    SHARD_TARGET_SECONDS,
-    adapt_n_shards,
     autotune_plan,
     build_shard_runner,
 )
@@ -29,21 +28,38 @@ from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.ngram import TrigramSimilarity
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
-AUTO = BatchMatchEngine(EngineConfig(workers=4, auto=True))
-AUTO_INLINE = BatchMatchEngine(EngineConfig(workers=1, auto=True))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4, shard_blocking=True))
+SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1,
+                                               shard_blocking=True))
 
 
-def _skewed_source(name: str, count: int):
+def _skewed_source(name: str, count: int, hot: bool = True):
+    """A source whose first-token key is dominated by one hot key
+    (``hot=False``: ten evenly sized keys)."""
     words = ["adaptive", "stream", "schema", "query", "index",
              "cache", "graph", "join", "view", "cube"]
     source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
     for i in range(count):
-        first = "popular" if i % 2 == 0 else words[i % len(words)]
+        first = ("popular" if hot and i % 2 == 0
+                 else words[i % len(words)])
         tail = " ".join(words[(i * 7 + j) % len(words)]
                         for j in range(1, 5))
         source.add_record(f"{name.lower()}{i}",
                           title=f"{first} {tail} {i % 97}q")
     return source
+
+
+def _request(domain, range_, blocking, threshold=0.7):
+    return MatchRequest(
+        domain=domain, range=range_,
+        specs=[AttributeSpec("title", "title", TrigramSimilarity())],
+        threshold=threshold, blocking=blocking)
+
+
+def _plan_costs(engine, request):
+    engine._prepare(request)
+    shards, _ = build_shard_runner(engine, request)
+    return [shard.cost() for shard in shards]
 
 
 class TestAutotunePlan:
@@ -79,10 +95,6 @@ class TestAutotunePlan:
                                    workers=4)
         assert not balance
 
-    def test_explicit_n_shards_is_honored(self):
-        _, bins = autotune_plan([1_000_000, 10], workers=4, n_shards=6)
-        assert bins == 6
-
     def test_bin_count_scales_with_total_cost(self):
         _, small = autotune_plan([1_000] * 8, workers=4)
         _, large = autotune_plan([10_000_000] * 8, workers=4)
@@ -97,95 +109,34 @@ class TestAutotunePlan:
         assert balance
 
 
-class TestWorkersAutotune:
-    """``EngineConfig(auto=True)`` derives the pool size from the CPU
-    count when ``workers`` is left unset; explicit values always win."""
+class TestConfigSurface:
+    def test_config_has_exactly_four_fields(self):
+        assert {f.name for f in dataclasses.fields(EngineConfig)} \
+            == {"workers", "chunk_size", "shard_blocking", "profile"}
 
-    @pytest.mark.parametrize("cpus,expected", [
-        (1, 1),          # single core: stay serial
-        (2, 1),          # leave one core for the parent
-        (4, 3),
-        (8, 7),
-        (9, 8),          # capped at AUTO_MAX_WORKERS
-        (64, AUTO_MAX_WORKERS),
-    ])
-    def test_decision(self, cpus, expected):
-        assert autotune_workers(cpus) == expected
+    def test_engine_takes_only_a_config(self):
+        with pytest.raises(TypeError):
+            BatchMatchEngine(workers=3)
+        with pytest.raises(TypeError):
+            BatchMatchEngine(EngineConfig(), chunk_size=17)
 
-    def test_defaults_to_machine_cpu_count(self):
-        import os
-        assert autotune_workers() \
-            == autotune_workers(os.cpu_count() or 1)
-
-    def test_auto_config_autotunes_workers(self):
-        assert EngineConfig(auto=True).workers == autotune_workers()
-
-    def test_unset_workers_without_auto_stay_serial(self):
-        assert EngineConfig().workers == 1
-
-    def test_explicit_workers_beat_the_autotuner(self):
-        assert EngineConfig(workers=2, auto=True).workers == 2
-        assert EngineConfig(workers=1, auto=True).workers == 1
-
-    def test_invalid_workers_still_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=0, auto=True)
-
-    def test_configure_default_engine_autotunes(self):
+    def test_configure_default_engine_builds_the_config(self):
         from repro.engine import (
             configure_default_engine,
+            get_default_engine,
             set_default_engine,
         )
         try:
-            engine = configure_default_engine(auto=True)
-            assert engine.config.workers == autotune_workers()
-            engine = configure_default_engine(workers=2, auto=True)
-            assert engine.config.workers == 2
-            engine = configure_default_engine()
-            assert engine.config.workers == 1
+            engine = configure_default_engine(workers=2,
+                                              shard_blocking=True)
+            assert engine.config == EngineConfig(workers=2,
+                                                 shard_blocking=True)
+            assert get_default_engine() is engine
+            assert configure_default_engine().config == EngineConfig()
+            with pytest.raises(TypeError):
+                configure_default_engine(balance_shards=True)
         finally:
             set_default_engine(None)
-
-
-class TestAdaptiveChunker:
-    def test_chunks_partition_the_stream(self):
-        chunker = AdaptiveChunker(range(1000), 128)
-        items = [item for chunk in chunker for item in chunk]
-        assert items == list(range(1000))
-
-    def test_fast_chunks_grow_toward_the_ceiling(self):
-        chunker = AdaptiveChunker(range(10**6), 512)
-        for chunk in chunker:
-            chunker.observe(len(chunk), 1e-6)
-            if chunker.size == ADAPTIVE_MAX_CHUNK:
-                break
-        assert chunker.size == ADAPTIVE_MAX_CHUNK
-
-    def test_slow_chunks_shrink_toward_the_floor(self):
-        chunker = AdaptiveChunker(range(10**6), 8192)
-        for chunk in chunker:
-            chunker.observe(len(chunk), 30.0)
-            if chunker.size == ADAPTIVE_MIN_CHUNK:
-                break
-        assert chunker.size == ADAPTIVE_MIN_CHUNK
-
-    def test_on_target_chunks_hold_steady(self):
-        chunker = AdaptiveChunker(range(10**5), 2048)
-        iterator = iter(chunker)
-        next(iterator)
-        chunker.observe(2048, chunker.target_seconds)
-        assert chunker.size == 2048
-
-    def test_rejects_bad_initial_size(self):
-        with pytest.raises(ValueError):
-            AdaptiveChunker([], 0)
-
-    def test_resuming_iteration_continues_the_stream(self):
-        # the engine resumes the same chunker after a parallel fallback
-        chunker = AdaptiveChunker(range(100), 30)
-        first = next(iter(chunker))
-        rest = [item for chunk in chunker for item in chunk]
-        assert first + rest == list(range(100))
 
 
 class TestAutoExecution:
@@ -197,172 +148,82 @@ class TestAutoExecution:
         serial = AttributeMatcher("title", similarity="trigram",
                                   threshold=0.4, blocking=blocking,
                                   engine=SERIAL)
-        auto = AttributeMatcher("title", similarity="trigram",
-                                threshold=0.4, blocking=blocking,
-                                engine=AUTO)
+        sharded = AttributeMatcher("title", similarity="trigram",
+                                   threshold=0.4, blocking=blocking,
+                                   engine=SHARDED)
         rows = serial.match(dblp, acm).to_rows()
-        assert rows == auto.match(dblp, acm).to_rows()
+        assert rows == sharded.match(dblp, acm).to_rows()
         assert rows
 
     def test_auto_inline_matches_serial_results(self, dataset):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         serial = AttributeMatcher("title", similarity="levenshtein",
                                   threshold=0.3, engine=SERIAL)
-        auto = AttributeMatcher("title", similarity="levenshtein",
-                                threshold=0.3, engine=AUTO_INLINE)
+        inline = AttributeMatcher("title", similarity="levenshtein",
+                                  threshold=0.3, engine=SHARDED_INLINE)
         assert serial.match(dblp, acm).to_rows() \
-            == auto.match(dblp, acm).to_rows()
+            == inline.match(dblp, acm).to_rows()
 
     def test_auto_rebalances_the_skewed_plan(self):
-        """On a dominant-key workload the auto plan must match the
-        hand-tuned balance_shards=True plan: same shard count, no
-        dominant shard left."""
+        """On a dominant-key workload ``shard_blocking=True`` alone
+        must yield a rebalanced plan: no bin beyond 2x the mean, and
+        the same mapping as the serial engine."""
         domain = _skewed_source("SKL", 700)
         range_ = _skewed_source("SKR", 660)
-        sim = TrigramSimilarity()
-        request = MatchRequest(
-            domain=domain, range=range_,
-            specs=[AttributeSpec("title", "title", sim)],
-            threshold=0.7, blocking=KeyBlocking())
-        hand = BatchMatchEngine(EngineConfig(workers=4,
-                                             shard_blocking=True,
-                                             balance_shards=True))
-        hand._prepare(request)
-        hand_shards, _ = build_shard_runner(hand, request)
-        auto_shards, _ = build_shard_runner(AUTO, request)
-        naive_shards, _ = build_shard_runner(
-            BatchMatchEngine(EngineConfig(workers=4, shard_blocking=True)),
-            request)
-        hand_max = max(shard.cost() for shard in hand_shards)
-        auto_max = max(shard.cost() for shard in auto_shards)
-        naive_max = max(shard.cost() for shard in naive_shards)
-        assert auto_max <= hand_max * 1.2
-        assert auto_max < naive_max
+        blocking = KeyBlocking()
+        naive = [shard.cost() for shard in blocking.shards(
+            domain, range_, n_shards=16,
+            domain_attribute="title", range_attribute="title")]
+        assert max(naive) > 2 * sum(naive) / 4  # twice a worker's share
+        planned = _plan_costs(SHARDED, _request(domain, range_, blocking))
+        assert sum(planned) == sum(naive)
+        assert max(planned) <= 2 * sum(planned) / len(planned)
+        assert SHARDED.execute(_request(domain, range_, blocking)).to_rows() \
+            == SERIAL.execute(_request(domain, range_, blocking)).to_rows()
 
-    def test_auto_leaves_flat_plans_naive(self, dataset):
-        """An unskewed token-blocked plan must not pay the splitting
-        pass: the auto shard list is the naive shard list."""
-        dblp, acm = dataset.dblp.publications, dataset.acm.publications
-        sim = TrigramSimilarity()
-        request = MatchRequest(
-            domain=dblp, range=acm,
-            specs=[AttributeSpec("title", "title", sim)],
-            threshold=0.4, blocking=TokenBlocking(max_df=0.5))
-        naive = BatchMatchEngine(EngineConfig(workers=4,
-                                              shard_blocking=True))
-        naive._prepare(request)
-        naive_shards, _ = build_shard_runner(naive, request)
-        auto_shards, _ = build_shard_runner(AUTO, request)
-        naive_costs = [shard.cost() for shard in naive_shards]
-        if max(naive_costs) * 4 < AUTO_SKEW_FACTOR * sum(naive_costs):
-            assert [shard.cost() for shard in auto_shards] == naive_costs
+    def test_auto_leaves_flat_plans_naive(self):
+        """An unskewed plan must not pay the splitting pass: the
+        planned shard list is the naive shard list."""
+        domain = _skewed_source("FLL", 700, hot=False)
+        range_ = _skewed_source("FLR", 660, hot=False)
+        blocking = KeyBlocking()
+        naive = [shard.cost() for shard in blocking.shards(
+            domain, range_, n_shards=16,
+            domain_attribute="title", range_attribute="title")]
+        assert max(naive) < sum(naive) / 4  # under a worker's share
+        assert _plan_costs(SHARDED, _request(domain, range_, blocking)) \
+            == naive
+        assert SHARDED.execute(_request(domain, range_, blocking)).to_rows() \
+            == SERIAL.execute(_request(domain, range_, blocking)).to_rows()
 
-    def test_explicit_balance_wins_over_auto(self):
-        """balance_shards=True + auto=True always balances, skew or
-        not — explicit knobs win."""
-        domain = _skewed_source("SKL", 100)
-        sim = TrigramSimilarity()
-        request = MatchRequest(
-            domain=domain, range=domain,
-            specs=[AttributeSpec("title", "title", sim)],
-            threshold=0.7, blocking=KeyBlocking())
-        both = BatchMatchEngine(EngineConfig(workers=2, auto=True,
-                                             balance_shards=True,
-                                             shard_blocking=True))
-        both._prepare(request)
-        plan = build_shard_runner(both, request)
-        assert plan is not None
-
-    def test_config_round_trip(self):
-        config = EngineConfig(workers=2, auto=True)
-        assert config.auto
-        assert not EngineConfig().auto
-
-    def test_configure_default_engine_accepts_auto(self):
-        from repro.engine import (
-            configure_default_engine,
-            get_default_engine,
-            set_default_engine,
-        )
-        try:
-            engine = configure_default_engine(workers=2, auto=True)
-            assert engine.config.auto
-            assert get_default_engine() is engine
-        finally:
-            set_default_engine(None)
-
-
-class TestAdaptNShards:
-    """Online n_shards adaptation from measured shard durations."""
-
-    def test_slow_shards_split_finer(self):
-        assert adapt_n_shards(8, [1.0, 1.2], workers=2) == 16
-
-    def test_fast_shards_merge_coarser(self):
-        assert adapt_n_shards(8, [0.001] * 8, workers=2) == 4
-
-    def test_on_target_unchanged(self):
-        assert adapt_n_shards(8, [SHARD_TARGET_SECONDS], workers=2) == 8
-
-    def test_clamped_to_worker_multiples(self):
-        assert adapt_n_shards(40, [10.0], workers=2) == 32  # 16x cap
-        assert adapt_n_shards(2, [0.0001], workers=2) == 2  # floor
-
-    def test_factor_clamped_per_run(self):
-        # a single pathological measurement moves the count at most 2x
-        assert adapt_n_shards(8, [3600.0], workers=1) == 16
-
-    def test_no_measurements_no_adjustment(self):
-        assert adapt_n_shards(8, [], workers=2) is None
-        assert adapt_n_shards(0, [1.0], workers=2) is None
-        assert adapt_n_shards(8, [0.0], workers=2) is None
-
-    def test_engine_feeds_back_and_results_identical(self):
+    def test_consecutive_runs_build_the_same_plan(self):
+        """Nothing carries over between runs: the plan is a function
+        of the request and ``workers`` alone."""
         domain = _skewed_source("ADP", 120)
-        sim = TrigramSimilarity()
+        engine = BatchMatchEngine(EngineConfig(workers=2,
+                                               shard_blocking=True))
 
-        def request():
-            return MatchRequest(
-                domain=domain, range=domain,
-                specs=[AttributeSpec("title", "title", sim)],
-                threshold=0.5, blocking=TokenBlocking())
+        def run():
+            rows = engine.execute(
+                _request(domain, domain, TokenBlocking(), 0.5)).to_rows()
+            return rows, _plan_costs(
+                engine, _request(domain, domain, TokenBlocking(), 0.5))
 
-        auto = BatchMatchEngine(EngineConfig(workers=1, auto=True))
-        assert auto._adapted_n_shards is None
-        first = auto.execute(request())
-        # tiny shards on a tiny corpus: the adapter recorded a count
-        adapted = auto._adapted_n_shards
-        assert adapted is not None and adapted >= 1
-        second = auto.execute(request())  # runs with the adapted count
-        reference = SERIAL.execute(request())
-        assert sorted(first.to_rows()) == sorted(reference.to_rows())
-        assert sorted(second.to_rows()) == sorted(reference.to_rows())
-
-    def test_explicit_n_shards_wins_over_adaptation(self):
-        domain = _skewed_source("ADX", 80)
-        sim = TrigramSimilarity()
-        request = MatchRequest(
-            domain=domain, range=domain,
-            specs=[AttributeSpec("title", "title", sim)],
-            threshold=0.5, blocking=TokenBlocking())
-        pinned = BatchMatchEngine(EngineConfig(workers=1, auto=True,
-                                               n_shards=3))
-        pinned._adapted_n_shards = 11  # must be ignored
-        pinned._prepare(request)
-        shards, _ = build_shard_runner(pinned, request)
-        assert len(shards) <= 3
+        first_rows, first_plan = run()
+        second_rows, second_plan = run()
+        assert first_plan == second_plan
+        assert first_rows == second_rows == SERIAL.execute(
+            _request(domain, domain, TokenBlocking(), 0.5)).to_rows()
 
 
-class TestCliAutoFlag:
-    def test_cli_wires_auto_into_default_engine(self, monkeypatch):
-        from repro import __main__ as cli
-        from repro.engine import get_default_engine, set_default_engine
+class TestCliRemovedFlags:
+    @pytest.mark.parametrize("flags", [["--auto"], ["--balance-shards"],
+                                       ["--n-shards", "3"]],
+                             ids=["auto", "balance-shards", "n-shards"])
+    def test_removed_flag_is_a_usage_error(self, flags, capsys):
+        from repro.__main__ import main
 
-        monkeypatch.setattr(cli, "_command_stats", lambda args: 0)
-        try:
-            assert cli.main(["--auto", "stats"]) == 0
-            assert get_default_engine().config.auto
-            assert cli.main(["stats"]) == 0
-            assert not get_default_engine().config.auto
-        finally:
-            set_default_engine(None)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, "stats"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err

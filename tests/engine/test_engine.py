@@ -43,8 +43,7 @@ SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
 SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
                                         shard_blocking=True))
 SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
-                                               shard_blocking=True,
-                                               n_shards=5))
+                                               shard_blocking=True))
 
 
 def _source(name: str, titles, years=None) -> LogicalSource:
@@ -410,24 +409,11 @@ class TestEngineConfig:
         assert config.chunk_size == 2048
 
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 0}, {"chunk_size": 0}, {"max_inflight": 0},
-        {"n_shards": 0},
+        {"workers": 0}, {"chunk_size": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
-
-    def test_engine_kwarg_overrides(self):
-        engine = BatchMatchEngine(workers=3, chunk_size=17)
-        assert engine.config.workers == 3
-        assert engine.config.chunk_size == 17
-
-    def test_kwarg_overrides_preserve_other_config_fields(self):
-        base = EngineConfig(dedup_limit=12345, max_inflight=7)
-        engine = BatchMatchEngine(base, workers=4)
-        assert engine.config.workers == 4
-        assert engine.config.dedup_limit == 12345
-        assert engine.config.max_inflight == 7
 
 
 class TestMatchRequest:

@@ -48,13 +48,8 @@ from repro.sim.tfidf import SoftTfIdfSimilarity, TfIdfCosineSimilarity
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
 SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
                                         shard_blocking=True))
-BALANCED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
-                                         shard_blocking=True,
-                                         balance_shards=True))
-BALANCED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
-                                                shard_blocking=True,
-                                                balance_shards=True,
-                                                n_shards=6))
+SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
+                                               shard_blocking=True))
 
 needs_numpy = pytest.mark.skipif(not numpy_available(),
                                  reason="numpy unavailable")
@@ -437,30 +432,43 @@ class TestBalancedShardingEquivalence:
 
     @pytest.mark.parametrize("blocking", SKEW_BLOCKINGS, ids=SKEW_IDS)
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
-    def test_two_source(self, skewed_sources, blocking, similarity):
+    def test_two_source(self, skewed_sources, blocking, similarity,
+                        force_rebalance):
         domain, range_ = skewed_sources
-        rows = [
-            AttributeMatcher("title", similarity=similarity, threshold=0.4,
-                             blocking=blocking, engine=engine)
-            .match(domain, range_).to_rows()
-            for engine in (SERIAL, SHARDED, BALANCED, BALANCED_INLINE)
-        ]
-        assert rows[0]  # the skewed scenario is non-trivial
-        assert rows[0] == rows[1] == rows[2] == rows[3]
+
+        def rows(engine):
+            return AttributeMatcher(
+                "title", similarity=similarity, threshold=0.4,
+                blocking=blocking, engine=engine
+            ).match(domain, range_).to_rows()
+
+        serial = rows(SERIAL)
+        assert serial  # the skewed scenario is non-trivial
+        assert rows(SHARDED) == serial
+        force_rebalance()
+        assert rows(SHARDED) == serial
+        assert rows(SHARDED_INLINE) == serial
 
     @pytest.mark.parametrize("blocking", SKEW_BLOCKINGS, ids=SKEW_IDS)
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
-    def test_self_matching(self, skewed_sources, blocking, similarity):
+    def test_self_matching(self, skewed_sources, blocking, similarity,
+                           force_rebalance):
         domain, _ = skewed_sources
-        rows = [
-            AttributeMatcher("title", similarity=similarity, threshold=0.5,
-                             blocking=blocking, engine=engine)
-            .match(domain, domain).to_rows()
-            for engine in (SERIAL, SHARDED, BALANCED, BALANCED_INLINE)
-        ]
-        assert rows[0] == rows[1] == rows[2] == rows[3]
 
-    def test_generic_scorer_path_with_balancing(self, skewed_sources):
+        def rows(engine):
+            return AttributeMatcher(
+                "title", similarity=similarity, threshold=0.5,
+                blocking=blocking, engine=engine
+            ).match(domain, domain).to_rows()
+
+        serial = rows(SERIAL)
+        assert rows(SHARDED) == serial
+        force_rebalance()
+        assert rows(SHARDED) == serial
+        assert rows(SHARDED_INLINE) == serial
+
+    def test_generic_scorer_path_with_balancing(self, skewed_sources,
+                                                force_rebalance):
         """softtfidf has no kernel *and* asymmetric scores: splitting a
         canonical triangle block must preserve serial orientation."""
         domain, _ = skewed_sources
@@ -468,10 +476,11 @@ class TestBalancedShardingEquivalence:
         serial_rows = AttributeMatcher(
             "title", similarity="softtfidf", threshold=0.5,
             blocking=blocking, engine=SERIAL).match(domain, domain).to_rows()
+        force_rebalance()
         balanced_rows = AttributeMatcher(
             "title", similarity="softtfidf", threshold=0.5,
             blocking=blocking,
-            engine=BALANCED_INLINE).match(domain, domain).to_rows()
+            engine=SHARDED_INLINE).match(domain, domain).to_rows()
         assert serial_rows == balanced_rows
 
 
@@ -613,24 +622,3 @@ class TestRebalanceShards:
         composite = CompositeShard([block, stream])
         assert composite.blocks() is None
         assert set(composite.pairs()) == {("a", "x"), ("b", "y")}
-
-
-class TestEngineBalanceConfig:
-    def test_config_default_off(self):
-        assert EngineConfig().balance_shards is False
-
-    def test_configure_default_engine_accepts_balance_flag(self):
-        from repro.engine import (
-            configure_default_engine,
-            get_default_engine,
-            set_default_engine,
-        )
-
-        try:
-            engine = configure_default_engine(workers=2,
-                                              shard_blocking=True,
-                                              balance_shards=True)
-            assert engine.config.balance_shards is True
-            assert get_default_engine() is engine
-        finally:
-            set_default_engine(None)

@@ -6,6 +6,11 @@ for tight bands, and EXPERIMENTS.md records the quantitative story at
 benchmark scale.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.eval.experiments import (
@@ -159,6 +164,28 @@ class TestTable9:
 
     def test_render_mentions_paper_reference(self, workbench):
         assert "Trigoni" in run_table9(workbench).render()
+
+    def test_result_does_not_follow_the_hash_seed(self):
+        """The merged mapping iterates in set-built order; candidate
+        orientation and tie order must not inherit it."""
+        script = (
+            "import json\n"
+            "from repro.datagen import build_dataset\n"
+            "from repro.eval.experiments import run_table9\n"
+            "print(json.dumps(run_table9("
+            "build_dataset('tiny', seed=7)).data))\n")
+
+        def data(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            return json.loads(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+
+        first = data("1")
+        assert first == data("2")
+        for candidate in first["candidates"]:
+            assert candidate["author_a"] < candidate["author_b"]
 
 
 class TestTable10:

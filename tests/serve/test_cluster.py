@@ -8,7 +8,13 @@ mutation interleavings (shards compact on their own schedules, so
 this exercises the compaction-independent ordering contract).
 """
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -180,6 +186,60 @@ class TestProcessShards:
             _assert_matches_equal(single, cluster, _queries(rng))
         finally:
             cluster.close()
+
+    def test_workers_exit_when_the_router_is_killed(self):
+        """A router that dies without sending ``shutdown`` (SIGKILL)
+        must not leave its workers behind: each sees EOF on its
+        channel once no inherited router-side socket keeps it open."""
+        router = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent("""
+                import sys, time
+                from repro.engine.request import AttributeSpec
+                from repro.model.source import (LogicalSource, ObjectType,
+                                                PhysicalSource)
+                from repro.serve import ClusterIndex
+                from repro.sim.ngram import TrigramSimilarity
+
+                source = LogicalSource(PhysicalSource("DBLP"),
+                                       ObjectType("Publication"))
+                for i in range(8):
+                    source.add_record(f"p{i}", title=f"stream schema {i}")
+                cluster = ClusterIndex.build(
+                    source, shards=2, processes=True,
+                    specs=[AttributeSpec("title", "title",
+                                         TrigramSimilarity())])
+                print(*(shard.process.pid for shard in cluster._shards),
+                      flush=True)
+                time.sleep(60)
+            """)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        workers = []
+        try:
+            workers = [int(pid) for pid in router.stdout.readline().split()]
+            assert len(workers) == 2
+            router.kill()
+            router.wait(timeout=5)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                    _alive(pid) for pid in workers):
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            router.kill()
+            router.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestSnapshotRestore:

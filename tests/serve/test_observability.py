@@ -144,6 +144,7 @@ class TestMetricsContent:
             assert 'repro_index_pruning_queries_total{shard="0"}' in text
             assert 'repro_wal_syncs_total{shard="0"}' in text
             assert "repro_service_cache_hits_total" in text
+            assert "repro_service_cache_misses_total" in text
             assert "repro_service_batch_size_bucket" in text
         finally:
             service.close()

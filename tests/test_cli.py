@@ -155,23 +155,6 @@ class TestServeKnobFlags:
 
 
 class TestEngineFlags:
-    def test_n_shards_flag_configures_default_engine(self, capsys):
-        from repro.engine import get_default_engine, set_default_engine
-
-        try:
-            assert main(["--scale", "tiny", "--workers", "2",
-                         "--shard-blocking", "--n-shards", "3",
-                         "experiments", "table2"]) == 0
-            engine = get_default_engine()
-            assert engine.config.n_shards == 3
-            assert "Table 2" in capsys.readouterr().out
-        finally:
-            set_default_engine(None)
-
-    def test_n_shards_flag_rejects_non_positive(self, capsys):
-        assert main(["--n-shards", "0", "stats"]) == 2
-        assert "--n-shards" in capsys.readouterr().err
-
     def test_shard_blocking_flag_configures_default_engine(self, capsys):
         from repro.engine import get_default_engine, set_default_engine
 
@@ -181,20 +164,6 @@ class TestEngineFlags:
             engine = get_default_engine()
             assert engine.config.workers == 2
             assert engine.config.shard_blocking is True
-            assert "Table 2" in capsys.readouterr().out
-        finally:
-            set_default_engine(None)
-
-    def test_balance_shards_flag_configures_default_engine(self, capsys):
-        from repro.engine import get_default_engine, set_default_engine
-
-        try:
-            assert main(["--scale", "tiny", "--workers", "2",
-                         "--shard-blocking", "--balance-shards",
-                         "experiments", "table2"]) == 0
-            engine = get_default_engine()
-            assert engine.config.shard_blocking is True
-            assert engine.config.balance_shards is True
             assert "Table 2" in capsys.readouterr().out
         finally:
             set_default_engine(None)
@@ -214,9 +183,5 @@ class TestEngineFlags:
                   "experiments", "table2"])
             sharded = capsys.readouterr().out
             assert trim(streamed) == trim(sharded)
-            main(["--scale", "tiny", "--workers", "2", "--shard-blocking",
-                  "--balance-shards", "experiments", "table2"])
-            balanced = capsys.readouterr().out
-            assert trim(streamed) == trim(balanced)
         finally:
             set_default_engine(None)
