@@ -1,4 +1,4 @@
-"""Ablation: compose path-aggregation function (DESIGN.md §6).
+"""Ablation: compose path-aggregation function (docs/benchmarks.md).
 
 Runs the Table 4 venue-matching pipeline with every ``g`` alternative.
 Paper's claim: the Relative family, by rewarding multi-path support,

@@ -1,4 +1,4 @@
-"""Ablation: merge combination function choice (DESIGN.md §6).
+"""Ablation: merge combination function choice (docs/benchmarks.md).
 
 Holds the Table 2 inputs fixed (title, author, year matchers between
 DBLP and ACM) and varies only the combination function + threshold.

@@ -4,7 +4,7 @@ Quantifies Table 4's selection sensitivity beyond the paper's three
 points: a full threshold sweep plus Best-1, Best-2 and Best-1+Delta
 variants.  The crossover (thresholds win precision early, Best-1 wins
 F overall because ACM covers all journal issues) is the behaviour
-DESIGN.md §6 calls out.
+the ablation gates on (docs/benchmarks.md).
 """
 
 from repro.core.matchers.neighborhood import neighborhood_match

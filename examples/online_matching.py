@@ -80,8 +80,8 @@ def main():
     print(f"reuse cache: {stats['cache']['hits']} hits / "
           f"{stats['cache']['misses']} misses "
           "(duplicate GS entries returned by several queries are free)")
-    print(f"kernel micro-batches: {stats['batches']} calls for "
-          f"{stats['batched_records']} records")
+    print(f"kernel calls: {stats['batches']} (one per request with cache "
+          f"misses) for {stats['batched_records']} records")
     print(f"repository: {repository.info('gs-vs-dblp')['correspondences']} "
           "correspondences materialized in 'gs-vs-dblp'")
 

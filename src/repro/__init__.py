@@ -3,8 +3,8 @@
 MOMA is a flexible framework for *mapping-based object matching*: match
 results are instance mappings combined with merge / compose operators,
 refined by selections, orchestrated as match workflows and re-used via
-a mapping repository.  See ``DESIGN.md`` for the system inventory and
-``EXPERIMENTS.md`` for the paper-vs-measured record.
+a mapping repository.  See ``docs/architecture.md`` for the system inventory
+and ``docs/benchmarks.md`` for the paper-table benchmarks.
 
 Quickstart::
 

@@ -1,7 +1,7 @@
 """RPC — FrameChannel op protocol between router and shard worker.
 
 ``ClusterIndex`` talks to shard workers by sending ``(op, payload)``
-frames (``shard.call("state", {})``, ``shard.send("match", payload)``)
+frames (``shard.call("state", {})``, ``self._scatter("match", {...})``)
 that ``ShardBackend.handle`` / ``_shard_worker`` dispatch with
 ``if op == "...":`` chains.  Nothing but convention keeps the two
 sides in sync; this family turns the convention into a checked
@@ -15,9 +15,9 @@ RPC002   a payload key written at a send site is never read inside
          (``payload["k"]``) is absent from every send site of that op
 =======  ============================================================
 
-Send sites are calls whose tail is ``call``/``send`` with a string-
-constant op and a dict payload — either a literal or a local name
-resolved to its last dict-literal assignment before the call.  Send
+Send sites are calls whose tail is ``call``/``send``/``_scatter`` with
+a string-constant op and a dict payload — either a literal or a local
+name resolved to its last dict-literal assignment before the call.  Send
 sites whose payload cannot be resolved statically disable RPC002 key
 analysis for that op (never the op-coverage rule).  Suppress with
 ``# repro: allow-protocol -- <reason>``.
@@ -49,8 +49,9 @@ class ProtocolSpec:
     op_name: str = "op"
     #: variable name handlers read payload keys from
     payload_name: str = "payload"
-    #: call tails that transmit ``(op, payload)`` frames
-    send_tails: Tuple[str, ...] = ("call", "send")
+    #: call tails that transmit ``(op, payload)`` frames (``_scatter``
+    #: is the router's one send-all/receive-all helper)
+    send_tails: Tuple[str, ...] = ("call", "send", "_scatter")
 
 
 @dataclass

@@ -52,7 +52,6 @@ __all__ = [
     "MultiAttributeMatcher",
     "NeighborhoodMatcher",
     "NotIdentity",
-    "OnlineMatcher",
     "Selection",
     "StrategyOutcome",
     "StrategySelector",
@@ -60,7 +59,6 @@ __all__ = [
     "TuningResult",
     "author_neighborhood_workflow",
     "duplicate_author_workflow",
-    "match_query_results",
     "publication_title_workflow",
     "venue_neighborhood_workflow",
     "compose",
@@ -94,8 +92,6 @@ _LAZY = {
         "repro.core.matchers.neighborhood", "neighborhood_match"),
     "MatchContext": ("repro.core.workflow", "MatchContext"),
     "MatchWorkflow": ("repro.core.workflow", "MatchWorkflow"),
-    "OnlineMatcher": ("repro.core.online", "OnlineMatcher"),
-    "match_query_results": ("repro.core.online", "match_query_results"),
     "StrategySelector": ("repro.core.strategy", "StrategySelector"),
     "StrategyOutcome": ("repro.core.strategy", "StrategyOutcome"),
     "publication_title_workflow": (

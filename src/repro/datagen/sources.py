@@ -8,8 +8,7 @@ that ties source ids back to true ids so the gold standard can be
 assembled exactly.
 
 Per-source characteristics follow §5.1 of the paper — see the module
-docstring of :mod:`repro.datagen` and DESIGN.md §3 for the
-substitution rationale.
+docstring of :mod:`repro.datagen` for the substitution rationale.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ def run_table1(source) -> ExperimentResult:
         )
     table.add_note(
         "paper counts are the authors' 2006 snapshot; ours come from the "
-        "synthetic world at the configured scale (see DESIGN.md §3)"
+        "synthetic world at the configured scale (see docs/architecture.md)"
     )
     return ExperimentResult("table1", "dataset statistics", table,
                             data=measured)

@@ -1,8 +1,8 @@
 """End-to-end observability: metrics, request tracing, structured logs.
 
 The serving tier spans a router, shard worker processes, WALs, a
-micro-batcher, caches and a WAND pruner; the engine adds chunked and
-sharded execution.  This package is the one place their runtime
+reuse cache and a WAND pruner; the engine adds chunked and sharded
+execution.  This package is the one place their runtime
 behaviour becomes *observable* — and nothing more: every instrument
 here records what happened without steering what happens.  Timings
 observe, never steer; enabling metrics or tracing changes no float,

@@ -9,7 +9,7 @@ Three instrument kinds, mirroring the Prometheus data model:
   *collector* at scrape time, so the existing counters stay the
   single source of truth and the hot paths gain no new writes;
 * :class:`Gauge` — a value that can go up and down (cache entries,
-  live records, largest micro-batch);
+  live records, largest kernel call);
 * :class:`Histogram` — fixed cumulative buckets plus sum and count,
   with :meth:`Histogram.percentile` interpolating p50/p99 estimates
   from the bucket boundaries (the classic ``histogram_quantile``
@@ -41,7 +41,7 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: default ladder for size-style histograms (micro-batch sizes)
+#: default ladder for size-style histograms (records per kernel call)
 DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
 )

@@ -60,10 +60,7 @@ def make_span(name: str, trace_id: str, span_id: str,
 class TraceContext:
     """All spans of one sampled request.
 
-    A context belongs to the request's driving thread (the
-    micro-batcher may score *other* requests' records under the
-    leader's trace — that is the documented attribution: spans
-    describe the work the traced request drove).  Span ids are
+    A context belongs to the request's driving thread.  Span ids are
     sequential per trace, so a trace is reproducible given the same
     request flow.
     """

@@ -18,11 +18,12 @@ scenarios)" (§2.1), as a long-lived service:
   single index; with a data dir every shard persists memmapped packed
   columns plus a mutation WAL, so snapshots are fsync-and-manifest
   writes and restarts are warm;
-* :class:`~repro.serve.service.MatchService` — micro-batches
-  concurrent match requests into single kernel calls, reuses results
-  through a mutation-aware cache and persists same-mappings through
-  the :class:`~repro.model.repository.MappingRepository`; configured
-  by one :class:`~repro.serve.config.ServeConfig`;
+* :class:`~repro.serve.service.MatchService` — one read path
+  (``match_batch``; ``match_record`` is its one-record form): answers
+  from a mutation-aware reuse cache, scores a request's cache misses
+  in one kernel call and persists same-mappings through the
+  :class:`~repro.model.repository.MappingRepository`; configured by
+  one :class:`~repro.serve.config.ServeConfig`;
 * :mod:`repro.serve.http` + :class:`~repro.serve.client.Client` — the
   versioned v1 JSON API (``/v1/match``, ``/v1/ingest``,
   ``/v1/delete``, ``/v1/stats``, ``/v1/snapshot``, ``/v1/healthz``)

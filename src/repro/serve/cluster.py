@@ -55,6 +55,7 @@ index already applies by freezing statistics between compactions.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import multiprocessing
 import os
@@ -71,7 +72,7 @@ from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.obs import trace as obs_trace
 from repro.serve import partition as partition_layout
 from repro.serve.errors import ShardUnavailable, SnapshotUnavailable
-from repro.serve.index import IncrementalIndex
+from repro.serve.index import IncrementalIndex, posting_tokens
 from repro.serve.wal import WriteAheadLog
 
 Result = List[Tuple[str, float]]
@@ -394,14 +395,13 @@ class ShardBackend:
         return response
 
     def metrics(self) -> dict:
-        """Cumulative per-shard timing counters (registry pull)."""
-        return {
-            "shard": self.shard_id,
-            "index": self.index.timing_counters(),
-            "pruning": self.index.pruning_counters(),
-            "wal": (self.wal.timing_counters()
-                    if self.wal is not None else None),
-        }
+        """Cumulative per-shard timing counters (registry pull): the
+        index's own entry, labelled, plus this shard's WAL."""
+        (entry,) = self.index.shard_metrics()
+        entry["shard"] = self.shard_id
+        if self.wal is not None:
+            entry["wal"] = self.wal.timing_counters()
+        return entry
 
     # -- persistence ---------------------------------------------------
 
@@ -651,8 +651,6 @@ class ClusterIndex:
     :meth:`close`.  Construct via :meth:`build` or :meth:`restore`.
     """
 
-    _tokens = staticmethod(IncrementalIndex._tokens)
-
     def __init__(self, shards: List[object], *,
                  specs: List[AttributeSpec], combiner, missing: str,
                  physical: PhysicalSource, object_type: ObjectType,
@@ -775,11 +773,11 @@ class ClusterIndex:
     # -- document frequencies ------------------------------------------
 
     def _df_add(self, value: object) -> None:
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             self._token_df[token] = self._token_df.get(token, 0) + 1
 
     def _df_remove(self, value: object) -> None:
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             count = self._token_df.get(token, 0) - 1
             if count > 0:
                 self._token_df[token] = count
@@ -788,7 +786,7 @@ class ClusterIndex:
 
     def _weight_map(self, value: object) -> Optional[dict]:
         weights = {}
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             df = self._token_df.get(token)
             if df:
                 weights[token] = 1.0 / df
@@ -903,9 +901,7 @@ class ClusterIndex:
         cluster — :class:`FrameChannel` transports are not
         thread-safe.
         """
-        for shard in self._shards:
-            shard.send("metrics", {})
-        return [shard.receive() for shard in self._shards]
+        return self._scatter("metrics", {})
 
     # -- matching ------------------------------------------------------
 
@@ -913,7 +909,7 @@ class ClusterIndex:
                       threshold: float,
                       max_candidates: Optional[int] = 50) \
             -> List[Result]:
-        """Scatter a micro-batch to every shard, gather + merge top-k.
+        """Scatter a query batch to every shard, gather + merge top-k.
 
         Pruned mode runs two scatter rounds: a ``candidates`` round
         collecting per-shard rankings, then — after the router merges
@@ -926,85 +922,80 @@ class ClusterIndex:
         """
         records = list(records)
         attribute = self.specs[0].attribute
-        results: List[Result] = []
-        trace = obs_trace.current_trace()
+        results: List[Result] = [[] for _ in records]
         if max_candidates is None:
-            with obs_trace.span("cluster.match"):
-                wire = trace.wire_context() if trace is not None else None
-                payload = {"records": records, "threshold": threshold,
-                           "trace": wire}
-                begun = time.perf_counter()
-                for shard in self._shards:
-                    shard.send("match", payload)
-                responses = self._gather("match", begun, trace)
+            for response in self._scatter(
+                    "match", {"records": records, "threshold": threshold},
+                    traced=True):
+                for matched, found in zip(results, response["results"]):
+                    matched.extend(found)
+        else:
+            weights = [self._weight_map(str(record.get(attribute)))
+                       if record.get(attribute) is not None else None
+                       for record in records]
+            responses = self._scatter(
+                "candidates", {"records": records,
+                               "max_candidates": max_candidates,
+                               "weights": weights}, traced=True)
+            shard_pairs: List[List[Tuple[int, str]]] = [
+                [] for _ in self._shards]
             for position in range(len(records)):
-                merged: Result = []
-                for response in responses:
-                    merged.extend(response["results"][position])
-                merged.sort(key=lambda item: (-item[1], item[0]))
-                results.append(merged)
-            return results
-        weights = [self._weight_map(str(record.get(attribute)))
-                   if record.get(attribute) is not None else None
-                   for record in records]
-        with obs_trace.span("cluster.candidates"):
-            wire = trace.wire_context() if trace is not None else None
-            payload = {"records": records,
-                       "max_candidates": max_candidates,
-                       "weights": weights, "trace": wire}
-            begun = time.perf_counter()
-            for shard in self._shards:
-                shard.send("candidates", payload)
-            responses = self._gather("candidates", begun, trace)
-        shard_pairs: List[List[Tuple[int, str]]] = [
-            [] for _ in self._shards]
-        for position in range(len(records)):
-            ranked: List[Tuple[float, int, str, int]] = []
-            for shard_id, response in enumerate(responses):
-                for id, gseq, weight in response["candidates"][position]:
-                    ranked.append((-weight, gseq, id, shard_id))
-            ranked.sort()
-            for _, _, id, shard_id in ranked[:max_candidates]:
-                shard_pairs[shard_id].append((position, id))
-        active = [shard_id for shard_id, pairs in enumerate(shard_pairs)
-                  if pairs]
-        results = [[] for _ in records]
-        with obs_trace.span("cluster.score"):
-            wire = trace.wire_context() if trace is not None else None
-            begun = time.perf_counter()
-            for shard_id in active:
-                self._shards[shard_id].send(
-                    "score", {"records": records,
-                              "pairs": shard_pairs[shard_id],
-                              "threshold": threshold, "trace": wire})
-            for response in self._gather("score", begun, trace,
-                                         shard_ids=active):
+                ranked: List[Tuple[float, int, str, int]] = []
+                for shard_id, response in enumerate(responses):
+                    for id, gseq, weight in \
+                            response["candidates"][position]:
+                        ranked.append((-weight, gseq, id, shard_id))
+                ranked.sort()
+                for _, _, id, shard_id in ranked[:max_candidates]:
+                    shard_pairs[shard_id].append((position, id))
+            for response in self._scatter(
+                    "score", {"records": records, "pairs": shard_pairs,
+                              "threshold": threshold},
+                    split="pairs", traced=True):
                 for position, reference_id, score in response["triples"]:
                     results[position].append((reference_id, score))
         for matched in results:
             matched.sort(key=lambda item: (-item[1], item[0]))
         return results
 
-    def _gather(self, round_name: str, begun: float,
-                trace: Optional[obs_trace.TraceContext],
-                shard_ids: Optional[Sequence[int]] = None) -> List[dict]:
-        """Collect one scatter round's responses in shard order.
+    def _scatter(self, op: str, payload: dict, *,
+                 split: Optional[str] = None,
+                 traced: bool = False) -> List:
+        """One scatter round: send ``(op, payload)`` to every shard,
+        *then* receive the responses in shard order.
 
-        Observes each shard's elapsed time since the scatter began and
-        folds shard-returned spans into the active trace; both are
-        pure observation — responses come back in the same
-        deterministic shard order as before.
+        ``split`` names a payload key holding one value per shard:
+        each shard gets its own entry under that key, and shards whose
+        entry is empty sit the round out.  ``traced`` marks a scoring
+        round: it runs inside a ``cluster.<op>`` span whose wire
+        context rides the payload, each shard's elapsed time since the
+        scatter began is observed, and shard-returned spans fold into
+        the active trace — pure observation; responses come back in
+        the same deterministic shard order either way.
         """
-        if shard_ids is None:
-            shard_ids = range(len(self._shards))
-        responses = []
-        for shard_id in shard_ids:
-            response = self._shards[shard_id].receive()
-            self._observe_round(round_name, shard_id,
-                                time.perf_counter() - begun)
+        shard_ids = [shard_id for shard_id in range(len(self._shards))
+                     if split is None or payload[split][shard_id]]
+        trace = obs_trace.current_trace() if traced else None
+        with obs_trace.span(f"cluster.{op}") if traced \
+                else contextlib.nullcontext():
             if trace is not None:
-                trace.add_span(response.get("span"))
-            responses.append(response)
+                payload = dict(payload, trace=trace.wire_context())
+            begun = time.perf_counter()
+            for shard_id in shard_ids:
+                message = payload
+                if split is not None:
+                    message = dict(payload,
+                                   **{split: payload[split][shard_id]})
+                self._shards[shard_id].send(op, message)
+            responses = []
+            for shard_id in shard_ids:
+                response = self._shards[shard_id].receive()
+                if traced:
+                    self._observe_round(op, shard_id,
+                                        time.perf_counter() - begun)
+                if trace is not None:
+                    trace.add_span(response.get("span"))
+                responses.append(response)
         return responses
 
     # -- maintenance ---------------------------------------------------
@@ -1014,29 +1005,21 @@ class ClusterIndex:
 
     def compact(self) -> None:
         """Force every shard to rebuild its packed base."""
-        for shard in self._shards:
-            shard.send("compact", {})
-        for shard in self._shards:
-            shard.receive()
+        self._scatter("compact", {})
         for listener in self._compaction_listeners:
             listener()
 
     def stats(self) -> dict:
         """Aggregated cluster stats plus per-shard index stats."""
-        shard_stats = []
-        for shard in self._shards:
-            shard.send("stats", {})
-        for shard in self._shards:
-            shard_stats.append(shard.receive())
+        shard_stats = self._scatter("stats", {})
+        # every numeric key the shards report sums; "tokens" is the
+        # router's own global count, set below
         totals = {key: sum(stats[key] for stats in shard_stats)
-                  for key in ("records", "base", "buffer", "tombstones",
-                              "version", "compactions",
-                              "vectorized_columns")}
+                  for key, value in shard_stats[0].items()
+                  if not isinstance(value, dict)}
         totals["pruning"] = {
             key: sum(stats["pruning"][key] for stats in shard_stats)
-            for key in ("queries", "pruned_queries", "postings_touched",
-                        "postings_skipped", "membership_probes",
-                        "prefilter_skipped")}
+            for key in shard_stats[0]["pruning"]}
         totals["tokens"] = len(self._token_df)
         totals["shards"] = len(self._shards)
         totals["shard_stats"] = shard_stats
@@ -1057,12 +1040,8 @@ class ClusterIndex:
         if self.data_dir is None:
             raise SnapshotUnavailable(
                 "cluster has no data dir; configure data_dir to snapshot")
-        entries = []
-        for shard in self._shards:
-            shard.send("checkpoint", {})
-        for shard in self._shards:
-            entries.append(shard.receive())
-        manifest = {"seq": self._seq, "shards": entries,
+        manifest = {"seq": self._seq,
+                    "shards": self._scatter("checkpoint", {}),
                     "source": self.name}
         partition_layout.write_manifest(self.data_dir, manifest)
         return manifest

@@ -36,6 +36,20 @@ class InvalidRequest(ServeError, ValueError):
     http_status: int = 400
 
 
+class NotFound(ServeError):
+    """The request names no endpoint (or one this service has off)."""
+
+    code: str = "not_found"
+    http_status: int = 404
+
+
+class PayloadTooLarge(ServeError):
+    """The declared request body exceeds the server's read limit."""
+
+    code: str = "payload_too_large"
+    http_status: int = 413
+
+
 class ConflictError(ServeError):
     """A mutation conflicts with live state (duplicate or missing id)."""
 

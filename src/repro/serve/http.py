@@ -1,7 +1,9 @@
 """Versioned JSON-over-HTTP front end for the match service.
 
-Stdlib only (``http.server``), threaded so concurrent clients exercise
-the service's micro-batcher.  All endpoints live under ``/v1/``:
+Stdlib only (``http.server``), one thread per connection;
+``/v1/match`` calls :meth:`~repro.serve.service.MatchService.
+match_batch`, which serializes concurrent requests' kernel calls on
+the service lock.  All endpoints live under ``/v1/``:
 
 ============  ======  ================================================
 path          method  body / response
@@ -29,12 +31,14 @@ Records travel as ``{"id": str, "attributes": {name: value}}``; a
 single record may be passed as ``{"record": {...}}``.
 
 Every failure returns the v1 error envelope
-``{"error": {"code": ..., "message": ...}}``; status and code come
-from :func:`repro.serve.errors.error_code_for`, so the typed
-exception hierarchy (:class:`~repro.serve.errors.InvalidRequest`,
+``{"error": {"code": ..., "message": ..., "request_id": ...}}``;
+status and code come from :func:`repro.serve.errors.error_code_for`,
+so the typed exception hierarchy
+(:class:`~repro.serve.errors.InvalidRequest`,
 :class:`~repro.serve.errors.ShardUnavailable`, ...) maps onto the
-wire the same way everywhere; unknown paths get a ``not_found``
-envelope.
+wire the same way everywhere; unknown paths raise
+:class:`~repro.serve.errors.NotFound`, bodies over
+:data:`MAX_BODY_BYTES` :class:`~repro.serve.errors.PayloadTooLarge`.
 """
 
 from __future__ import annotations
@@ -48,10 +52,15 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.model.entity import ObjectInstance
 from repro.obs import trace as obs_trace
-from repro.serve.errors import InvalidRequest, error_code_for
+from repro.serve.errors import (InvalidRequest, NotFound, PayloadTooLarge,
+                                error_code_for)
 from repro.serve.service import MatchService
 
 API_PREFIX = "/v1"
+
+#: largest request body the server reads (a ``/v1/match`` page of 16
+#: records is ~3 KB); a larger declared length is refused unread
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: endpoints that may label metrics (bounds label cardinality)
 _KNOWN_PATHS = {f"{API_PREFIX}/{name}" for name in
@@ -145,13 +154,15 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
                 ).observe(elapsed)
 
     def _respond(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._write(status, "application/json",
+                    json.dumps(payload).encode("utf-8"))
+
+    def _write(self, status: int, content_type: str, body: bytes) -> None:
+        """The one response writer: header flush, then the body."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
+        self.send_header("X-Request-Id", self.request_id)
         self.end_headers()
         self.wfile.write(body)
 
@@ -161,32 +172,18 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
         if isinstance(error, KeyError) and message.startswith("'"):
             # KeyError reprs its argument; unwrap for the envelope
             message = message.strip("'")
-        envelope = {"code": code, "message": message}
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            envelope["request_id"] = request_id
-        self._respond(status, {"error": envelope})
+        self._respond(status, {"error": {
+            "code": code, "message": message,
+            "request_id": self.request_id}})
 
     def _respond_metrics(self) -> None:
         """Serve the Prometheus text exposition (``/v1/metrics``)."""
         metrics = getattr(self.service, "metrics", None)
         if metrics is None:
-            self._respond(404, {"error": {
-                "code": "not_found",
-                "message": "metrics disabled; start the service with "
-                           "ServeConfig(metrics=True)",
-                "request_id": getattr(self, "request_id", None)}})
-            return
-        body = metrics.render().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type",
-                         "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
+            raise NotFound("metrics disabled; start the service with "
+                           "ServeConfig(metrics=True)")
+        self._write(200, "text/plain; version=0.0.4; charset=utf-8",
+                    metrics.render().encode("utf-8"))
 
     def _read_body(self) -> dict:
         header = self.headers.get("Content-Length") or "0"
@@ -200,6 +197,13 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
             raise InvalidRequest(
                 f"invalid Content-Length header {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # refused unread: the unconsumed body cannot be skipped
+            # cheaply, so the connection goes with it
+            self.close_connection = True
+            raise PayloadTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise InvalidRequest("empty request body")
@@ -210,11 +214,6 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             raise InvalidRequest("request body must be a JSON object")
         return body
-
-    def _not_found(self) -> None:
-        self._respond(404, {"error": {
-            "code": "not_found",
-            "message": f"unknown path {self.path!r}"}})
 
     # -- endpoints -----------------------------------------------------
 
@@ -231,7 +230,7 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
                 elif self.path == f"{API_PREFIX}/metrics":
                     self._respond_metrics()
                 else:
-                    self._not_found()
+                    raise NotFound(f"unknown path {self.path!r}")
             except Exception as error:  # envelope every failure
                 self._respond_error(error)
 
@@ -251,7 +250,7 @@ class MatchServiceHandler(BaseHTTPRequestHandler):
                 elif self.path == f"{API_PREFIX}/snapshot":
                     self._respond(200, self.service.snapshot())
                 else:
-                    self._not_found()
+                    raise NotFound(f"unknown path {self.path!r}")
             except Exception as error:
                 self._respond_error(error)
 

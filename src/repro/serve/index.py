@@ -9,7 +9,7 @@ whose reference barely changes between queries.
 * each attribute spec owns a column — q-gram bitmaps, CSR TF/IDF or
   the memoized scalar fallback, chosen by
   :func:`~repro.engine.columns.build_column` — whose reference side is
-  packed once and whose query side is bound per micro-batch in
+  packed once and whose query side is bound per query batch in
   O(batch) (:func:`~repro.engine.vectorized.bind_columns`);
 * mutations (``add`` / ``update`` / ``delete``) cost O(record): new
   records land in an append buffer scored through the engine's scalar
@@ -96,6 +96,22 @@ def resolve_specs(attribute: str, similarity: object,
     return [AttributeSpec(attribute, attribute, sim)]
 
 
+def posting_tokens(value: object) -> Tuple[str, ...]:
+    """Distinct word tokens of a value in *sorted* order — the keys of
+    the candidate postings, the router's document frequencies and the
+    service's cache invalidation.
+
+    Sorted, not set, order: candidate weights accumulate one float per
+    token, and the partitioned serving tier recomputes the same sums
+    inside shard worker processes whose string hash seeds differ from
+    the router's — set iteration order would make the accumulation
+    order (and thus the last bits of tied sums) process-dependent.
+    """
+    if value is None:
+        return ()
+    return tuple(sorted(set(word_tokens(str(value)))))
+
+
 # ----------------------------------------------------------------------
 # the incremental index
 # ----------------------------------------------------------------------
@@ -176,7 +192,6 @@ class IncrementalIndex:
         for instance in instances:
             base.add(instance)
         self._base = base
-        self._base_rows = {id: row for row, id in enumerate(base.ids())}
         # slot space: every record gets an integer slot; base rows own
         # slots [0, len(base)) aligned with the packed kernel rows,
         # buffer records append after.  The hot paths (candidate
@@ -251,33 +266,18 @@ class IncrementalIndex:
 
     # -- token index ---------------------------------------------------
 
-    @staticmethod
-    def _tokens(value: object):
-        """Distinct word tokens of a value in *sorted* order.
-
-        Sorted, not set, order: candidate weights accumulate one
-        float per token, and the partitioned serving tier recomputes
-        the same sums inside shard worker processes whose string hash
-        seeds differ from the router's — set iteration order would
-        make the accumulation order (and thus the last bits of tied
-        sums) process-dependent.
-        """
-        if value is None:
-            return ()
-        return tuple(sorted(set(word_tokens(str(value)))))
-
     def _index_tokens(self, slot: int, value: object) -> None:
         # posting lists stay sorted ascending by construction: slots
         # are handed out monotonically (rebuild enumerates the base in
         # slot order; add/update always append the next slot) and
         # ``list.remove`` preserves order — the pruned rescore's
         # binary-search membership probes depend on this invariant
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             self._token_index.setdefault(token, []).append(slot)
             self._posting_arrays.pop(token, None)
 
     def _unindex_tokens(self, slot: int, value: object) -> None:
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             posting = self._token_index.get(token)
             if posting is None:
                 continue
@@ -329,7 +329,7 @@ class IncrementalIndex:
         # compaction timing — the partitioned cluster's shards compact
         # on their own schedules and still have to order records
         # exactly like the single index (and a rebuilt one) would.
-        if instance.id in self._base_rows:
+        if instance.id in self._base:
             self._tombstones.add(instance.id)
         slot = len(self._slot_ids)
         self._slot_ids.append(instance.id)
@@ -350,7 +350,7 @@ class IncrementalIndex:
         self._unindex_tokens(slot, old.get(self.specs[0].range_attribute))
         if id in self._buffer:
             del self._buffer[id]
-        if id in self._base_rows:
+        if id in self._base:
             self._tombstones.add(id)
         self.version += 1
         self._maybe_compact()
@@ -426,6 +426,13 @@ class IncrementalIndex:
         """
         return dict(self._timing_counters)
 
+    def shard_metrics(self) -> List[dict]:
+        """The registry collector's pull, one entry per shard — here
+        one, with no shard label and no WAL; a cluster answers with the
+        same entry shape per shard."""
+        return [{"shard": None, "index": self.timing_counters(),
+                 "pruning": self.pruning_counters(), "wal": None}]
+
     # -- snapshot export / import --------------------------------------
 
     def export_columns(self) -> List[Tuple[dict, Dict[str, object]]]:
@@ -493,8 +500,8 @@ class IncrementalIndex:
         if max_candidates is None:
             return self.ids()
         slot_ids = self._slot_ids
-        return [slot_ids[slot]
-                for slot in self._candidate_slots(value, max_candidates)]
+        slots, _ = self._candidate_slots(value, max_candidates)
+        return [slot_ids[slot] for slot in slots]
 
     def _posting_weights(self, value: object, weights=None):
         """Live posting (token → slots) arrays and rarity weights.
@@ -507,7 +514,7 @@ class IncrementalIndex:
         posting anywhere, so they could never contribute.
         """
         postings = []
-        for token in self._tokens(value):
+        for token in posting_tokens(value):
             posting = self._token_index.get(token)
             if not posting:
                 continue
@@ -529,22 +536,19 @@ class IncrementalIndex:
                           weights=None) -> List[Tuple[int, float]]:
         """Ranked ``(slot, summed weight)`` candidates for ``value``.
 
-        Same ranking as :meth:`_candidate_slots` (which callers that
-        only need the slots keep using), but the weight sums travel
-        with the slots — the cluster router merges per-shard rankings
-        into a global top-k on exactly these ``(weight, insertion
-        order)`` keys.
+        :meth:`_candidate_slots` as a list of pairs — the cluster
+        router merges per-shard rankings into a global top-k on
+        exactly these ``(weight, insertion order)`` keys.
         """
         slots, scores = self._candidate_slots(value, max_candidates,
-                                              weights=weights,
-                                              return_scores=True)
+                                              weights=weights)
         return list(zip(
             slots if isinstance(slots, list) else slots.tolist(),
             scores if isinstance(scores, list) else scores.tolist()))
 
     def _candidate_slots(self, value: object, max_candidates: int, *,
-                         weights=None, return_scores: bool = False):
-        """Candidate slots ranked by summed token rarity.
+                         weights=None):
+        """Candidate ``(slots, summed token rarities)``, best first.
 
         One ``bincount`` over the concatenated posting arrays replaces
         the per-id dict accumulation — this runs once per query record
@@ -557,15 +561,20 @@ class IncrementalIndex:
         falls back here whenever its stop rule never fires.
         """
         if value is None:
-            return ([], []) if return_scores else []
+            return [], []
         postings = self._posting_weights(value, weights)
         if not postings:
-            return ([], []) if return_scores else []
+            return [], []
         counters = self._pruning_counters
         counters["queries"] += 1
+        if _np is not None and self._should_prune(postings, max_candidates):
+            pruned = self._pruned_slots(postings, max_candidates)
+            if pruned is not None:
+                counters["pruned_queries"] += 1
+                return pruned
+        counters["postings_touched"] += sum(
+            len(posting) for _, posting, _ in postings)
         if _np is None:
-            counters["postings_touched"] += sum(
-                len(posting) for _, posting, _ in postings)
             scores: Dict[int, float] = {}
             for _, posting, weight in postings:
                 for slot in posting:
@@ -573,50 +582,49 @@ class IncrementalIndex:
             ranked = sorted(scores.items(),
                             key=lambda item: (-item[1], item[0]))
             ranked = ranked[:max_candidates]
-            if return_scores:
-                return ([slot for slot, _ in ranked],
-                        [score for _, score in ranked])
-            return [slot for slot, _ in ranked]
-        if self._should_prune(postings, max_candidates):
-            pruned = self._pruned_slots(postings, max_candidates,
-                                        return_scores)
-            if pruned is not None:
-                counters["pruned_queries"] += 1
-                return pruned
-        counters["postings_touched"] += sum(
-            len(posting) for _, posting, _ in postings)
-        arrays = []
-        weight_arrays = []
-        for token, posting, weight in postings:
-            array = self._posting_arrays.get(token)
-            if array is None:
-                array = _np.asarray(posting, dtype=_np.int64)
-                self._posting_arrays[token] = array
-            arrays.append(array)
-            weight_arrays.append(
-                _np.full(len(array), weight, dtype=_np.float64))
-        slots = _np.concatenate(arrays)
-        totals = _np.bincount(slots, weights=_np.concatenate(weight_arrays),
-                              minlength=len(self._slot_ids))
+            return ([slot for slot, _ in ranked],
+                    [score for _, score in ranked])
+        arrays = [self._posting_array(token, posting)
+                  for token, posting, _ in postings]
+        totals = _np.bincount(
+            _np.concatenate(arrays),
+            weights=_np.concatenate(
+                [_np.full(len(array), weight, dtype=_np.float64)
+                 for array, (_, _, weight) in zip(arrays, postings)]),
+            minlength=len(self._slot_ids))
         candidates = _np.nonzero(totals)[0]
-        scores = totals[candidates]
+        return self._top_slots(candidates, totals[candidates],
+                               max_candidates)
+
+    def _posting_array(self, token: str, posting: List[int]):
+        """The token's posting as a cached int64 array."""
+        array = self._posting_arrays.get(token)
+        if array is None:
+            array = _np.asarray(posting, dtype=_np.int64)
+            self._posting_arrays[token] = array
+        return array
+
+    @staticmethod
+    def _top_slots(candidates, scores, max_candidates: int):
+        """The ``max_candidates`` best of aligned ``(candidates,
+        scores)`` arrays, ranked by (score desc, slot asc).
+
+        ``candidates`` must be ascending.  Partial selection first:
+        ranking every token-sharing record just to keep the top k
+        dominated the query cost on large references.  Boundary ties
+        resolve to the smallest slots, matching the full sort's
+        tie-break.
+        """
         if len(candidates) > max_candidates:
-            # partial selection first: ranking every token-sharing
-            # record just to keep the top k dominated the query cost
-            # on large references.  Boundary ties resolve to the
-            # smallest slots, matching the full sort's tie-break.
             top = _np.argpartition(-scores, max_candidates - 1)
             boundary = scores[top[:max_candidates]].min()
-            above = candidates[scores > boundary]
-            ties = _np.sort(candidates[scores == boundary])
-            candidates = _np.concatenate(
+            above = _np.nonzero(scores > boundary)[0]
+            ties = _np.nonzero(scores == boundary)[0]
+            keep = _np.concatenate(
                 [above, ties[:max_candidates - len(above)]])
-            scores = totals[candidates]
+            candidates, scores = candidates[keep], scores[keep]
         order = _np.lexsort((candidates, -scores))
-        selected = candidates[order[:max_candidates]]
-        if return_scores:
-            return selected, totals[selected]
-        return selected
+        return candidates[order], scores[order]
 
     #: auto-gate: prune only past this much total posting mass ...
     PRUNE_MIN_MASS = 512
@@ -654,8 +662,7 @@ class IncrementalIndex:
         rest = (mass - longest) / (len(postings) - 1)
         return longest >= self.PRUNE_SKEW_FACTOR * max(rest, 1.0)
 
-    def _pruned_slots(self, postings, max_candidates: int,
-                      return_scores: bool):
+    def _pruned_slots(self, postings, max_candidates: int):
         """Impact-ordered (max-score/WAND-style) top-k candidates.
 
         Phase 1 expands postings in descending weight order — rarest
@@ -667,10 +674,13 @@ class IncrementalIndex:
         seen slots exactly: per token in the original sorted-token
         order, membership-probing the posting and adding the token's
         weight or an exact ``+0.0`` — the very accumulation order (and
-        hence bit pattern) of the exhaustive ``bincount`` — and
-        replays the exhaustive selection verbatim.  Returns ``None``
-        when the stop rule never fires (every posting was expanded, so
-        the exhaustive path is at least as cheap).
+        hence bit pattern) of the exhaustive ``bincount`` — and runs
+        the exhaustive path's own selection (:meth:`_top_slots`) over
+        the seen superset: every unseen slot scores strictly below the
+        boundary, so neither the boundary nor the above/ties split can
+        differ from the full candidate set's.  Returns ``None`` when
+        the stop rule never fires (every posting was expanded, so the
+        exhaustive path is at least as cheap).
         """
         counters = self._pruning_counters
         slack = self.PRUNE_SLACK
@@ -689,10 +699,7 @@ class IncrementalIndex:
         prefix = 0
         for rank, position in enumerate(order):
             token, posting, weight = postings[position]
-            array = self._posting_arrays.get(token)
-            if array is None:
-                array = _np.asarray(posting, dtype=_np.int64)
-                self._posting_arrays[token] = array
+            array = self._posting_array(token, posting)
             partial = totals[array]
             fresh = array[partial == 0.0]
             if len(fresh):
@@ -716,27 +723,9 @@ class IncrementalIndex:
         counters["postings_skipped"] += sum(
             len(postings[order[j]][1]) for j in range(prefix, len(order)))
         candidates = _np.sort(_np.concatenate(seen_arrays))
-        scores = self._rescore_candidates(postings, candidates)
-        if len(candidates) > max_candidates:
-            # the exhaustive selection, verbatim, over the seen
-            # superset: every unseen slot scores strictly below the
-            # boundary, so neither the boundary nor the above/ties
-            # split can differ from the full candidate set's
-            top = _np.argpartition(-scores, max_candidates - 1)
-            boundary = scores[top[:max_candidates]].min()
-            above = candidates[scores > boundary]
-            ties = _np.sort(candidates[scores == boundary])
-            chosen = _np.concatenate(
-                [above, ties[:max_candidates - len(above)]])
-            chosen_scores = scores[_np.searchsorted(candidates, chosen)]
-        else:
-            chosen = candidates
-            chosen_scores = scores
-        final = _np.lexsort((chosen, -chosen_scores))
-        selected = chosen[final[:max_candidates]]
-        if return_scores:
-            return selected, scores[_np.searchsorted(candidates, selected)]
-        return selected
+        return self._top_slots(
+            candidates, self._rescore_candidates(postings, candidates),
+            max_candidates)
 
     def _rescore_candidates(self, postings, candidates):
         """Exact rarity scores for sorted ``candidates`` slots.
@@ -779,37 +768,59 @@ class IncrementalIndex:
         Returns surviving ``(record index, reference id, score)``
         triples under the engine's filter (``score >= threshold`` and
         ``score > 0``; single-attribute ``missing='zero'`` pairs
-        surface as 0.0 at threshold 0).  Base rows go through one
-        bound-kernel ``score_rows`` call; buffer rows go through the
-        scalar batch path — both bit-identical to the offline engine.
+        surface as 0.0 at threshold 0); ids that are not live drop
+        out.  See :meth:`_score_slots` for the route each pair takes.
         """
-        base_queries: List[int] = []
-        base_rows: List[int] = []
-        base_ids: List[str] = []
-        scalar_pairs: List[Tuple[int, str]] = []
-        kernelized = self._columns is not None
+        runs: List[Tuple[int, List[int]]] = []
         for query, reference_id in pairs:
-            row = self._base_rows.get(reference_id)
-            if kernelized and row is not None \
-                    and reference_id not in self._tombstones:
-                base_queries.append(query)
-                base_rows.append(row)
-                base_ids.append(reference_id)
+            slot = self._id_slots.get(reference_id)
+            if slot is None:
+                continue
+            if runs and runs[-1][0] == query:
+                runs[-1][1].append(slot)
             else:
-                scalar_pairs.append((query, reference_id))
+                runs.append((query, [slot]))
+        return self._score_slots(records, runs, threshold)
+
+    def _score_slots(self, records, runs, threshold: float) -> List[Triple]:
+        """The one scorer: ``runs`` pairs a record index with the slots
+        to score it against.
+
+        Slots of the packed base (``slot < len(base)``: a base record's
+        slot is its column row) go through one bound-kernel
+        ``score_rows`` call; buffer slots — and every slot of an index
+        without columns — go through the engine's scalar loop and this
+        index's own memos.  Both are bit-identical to the offline
+        engine.  Id strings are materialized only for survivors of
+        the kernel call.
+        """
+        slot_ids = self._slot_ids
         out: List[Triple] = []
-        if base_queries:
-            rows_a, rows_b, scores = self._score_kernel_rows(
-                records, _np.asarray(base_queries, dtype=_np.int64),
-                _np.asarray(base_rows, dtype=_np.int64), threshold)
-            lookup = {row: id for row, id in zip(base_rows, base_ids)}
-            out.extend(
-                (query, lookup[row], score)
-                for query, row, score in zip(rows_a.tolist(),
-                                             rows_b.tolist(),
-                                             scores.tolist()))
-        if scalar_pairs:
-            out.extend(self._score_scalar(records, scalar_pairs, threshold))
+        if not runs:
+            return out
+        if self._columns is None:
+            unpacked = [(query, slot_ids[slot])
+                        for query, slots in runs for slot in slots]
+        else:
+            queries = _np.repeat(
+                _np.asarray([query for query, _ in runs], dtype=_np.int64),
+                [len(slots) for _, slots in runs])
+            slots = _np.concatenate(
+                [_np.asarray(slots, dtype=_np.int64) for _, slots in runs])
+            packed = slots < len(self._base)
+            if packed.any():
+                rows_a, rows_b, scores = self._score_kernel_rows(
+                    records, queries[packed], slots[packed], threshold)
+                out.extend(zip(rows_a.tolist(),
+                               (slot_ids[row] for row in rows_b.tolist()),
+                               scores.tolist()))
+            unpacked = [(query, slot_ids[slot]) for query, slot
+                        in zip(queries[~packed].tolist(),
+                               slots[~packed].tolist())]
+        if unpacked:
+            out.extend(scorer.score_pairs(
+                unpacked, records.__getitem__, self.get, self.specs,
+                self._memos, self.combiner, self.missing, threshold))
         return out
 
     def _score_kernel_rows(self, records, rows_a, rows_b, threshold: float):
@@ -854,30 +865,35 @@ class IncrementalIndex:
                       threshold: float,
                       max_candidates: Optional[int] = 50) \
             -> List[List[Tuple[str, float]]]:
-        """Candidate generation + scoring for a query micro-batch.
+        """Candidate generation + scoring for one batch of queries.
 
         Returns one ``[(reference id, score), ...]`` list per record,
         each sorted by descending score (ties by id).  This is the
         service's hot path: candidate slots, kernel rows and the
-        threshold filter all stay in integer arrays; id strings are
+        threshold filter all stay in slot space; id strings are
         materialized only for surviving correspondences.
         """
         begun = time.perf_counter()
         attribute = self.specs[0].attribute
+        all_slots = None
+        if max_candidates is None:
+            # one shared live-slot list: identical for every record
+            all_slots = [self._id_slots[id] for id in self.ids()]
+            if _np is not None:
+                all_slots = _np.asarray(all_slots, dtype=_np.int64)
+        runs = []
+        for position, record in enumerate(records):
+            value = record.get(attribute)
+            if value is None:
+                continue
+            slots = all_slots
+            if slots is None:
+                slots, _ = self._candidate_slots(str(value), max_candidates)
+            if len(slots):
+                runs.append((position, slots))
         results: List[List[Tuple[str, float]]] = [[] for _ in records]
-        if self._columns is None:
-            pairs: List[Tuple[int, str]] = []
-            for position, record in enumerate(records):
-                value = record.get(attribute)
-                if value is None:
-                    continue
-                for id in self.candidate_ids(str(value), max_candidates):
-                    pairs.append((position, id))
-            triples = self.score_pairs(records, pairs, threshold=threshold)
-        else:
-            triples = self._match_records_kernel(records, threshold,
-                                                 max_candidates)
-        for position, reference_id, score in triples:
+        for position, reference_id, score in self._score_slots(
+                records, runs, threshold):
             results[position].append((reference_id, score))
         for result in results:
             result.sort(key=lambda item: (-item[1], item[0]))
@@ -885,57 +901,6 @@ class IncrementalIndex:
         self._timing_counters["match_seconds"] += \
             time.perf_counter() - begun
         return results
-
-    def _match_records_kernel(self, records, threshold: float,
-                              max_candidates: Optional[int]) -> List[Triple]:
-        attribute = self.specs[0].attribute
-        n_base = len(self._base)
-        query_arrays = []
-        slot_arrays = []
-        scalar_pairs: List[Tuple[int, str]] = []
-        slot_ids = self._slot_ids
-        all_slots = None
-        if max_candidates is None:
-            # one shared live-slot array: identical for every record
-            all_slots = _np.asarray(
-                [self._id_slots[id] for id in self.ids()],
-                dtype=_np.int64)
-        for position, record in enumerate(records):
-            value = record.get(attribute)
-            if value is None:
-                continue
-            if all_slots is not None:
-                slots = all_slots
-            else:
-                slots = self._candidate_slots(str(value), max_candidates)
-            if not len(slots):
-                continue
-            slots = _np.asarray(slots, dtype=_np.int64)
-            base_slots = slots[slots < n_base]
-            if len(base_slots):
-                slot_arrays.append(base_slots)
-                query_arrays.append(_np.full(len(base_slots), position,
-                                             dtype=_np.int64))
-            for slot in slots[slots >= n_base].tolist():
-                scalar_pairs.append((position, slot_ids[slot]))
-        out: List[Triple] = []
-        if slot_arrays:
-            rows_a, rows_b, scores = self._score_kernel_rows(
-                records, _np.concatenate(query_arrays),
-                _np.concatenate(slot_arrays), threshold)
-            out.extend(zip(rows_a.tolist(),
-                           (slot_ids[row] for row in rows_b.tolist()),
-                           scores.tolist()))
-        if scalar_pairs:
-            out.extend(self._score_scalar(records, scalar_pairs, threshold))
-        return out
-
-    def _score_scalar(self, records, pairs, threshold: float) -> List[Triple]:
-        """Unpacked pairs (buffer rows, kernel-less indexes) through the
-        engine's scalar loop and this index's own memos."""
-        return scorer.score_pairs(pairs, records.__getitem__, self.get,
-                                  self.specs, self._memos, self.combiner,
-                                  self.missing, threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IncrementalIndex({self.name!r}, {len(self)} live, "

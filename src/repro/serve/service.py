@@ -7,13 +7,12 @@ its whole architecture around *reusing* materialized mappings (§2.2).
 
 * queries — single records or batches — are matched against an
   :class:`~repro.serve.index.IncrementalIndex`, whose packed kernel
-  state scores each micro-batch in one vectorized call instead of the
-  old per-pair ``similarity()`` loop;
-* concurrent :meth:`match_record` callers (e.g. the HTTP threads in
-  :mod:`repro.serve.http`) are **micro-batched**: while one thread
-  drives a kernel call, arriving requests queue up and the next free
-  thread scores them all together — batch aggregation instead of
-  per-request scoring;
+  state scores a request's cache misses in one vectorized call
+  instead of a per-pair ``similarity()`` loop;
+* there is one read path: :meth:`MatchService.match_batch` (what
+  ``/v1/match`` calls) and :meth:`MatchService.match_record` (its
+  one-record form) run the same routine — cache lookup, one
+  ``_lock``-serialized index call for the misses, cache put, persist;
 * results are reused MOMA-style: a bounded LRU keyed by the query's
   attribute values answers repeats without rescoring, and when a
   :class:`~repro.model.repository.MappingRepository` is attached every
@@ -30,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.concurrency import requires_lock
 from repro.core.mapping import Mapping, MappingKind
@@ -43,19 +42,29 @@ from repro.obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.serve.cluster import ClusterIndex
 from repro.serve.config import ServeConfig
 from repro.serve.errors import InvalidRequest, SnapshotUnavailable
-from repro.serve.index import IncrementalIndex, resolve_specs
+from repro.serve.index import (IncrementalIndex, posting_tokens,
+                               resolve_specs)
 
 Result = List[Tuple[str, float]]
 
 
-class _PendingRequest:
-    __slots__ = ("record", "event", "result", "error")
-
-    def __init__(self, record: ObjectInstance) -> None:
-        self.record = record
-        self.event = threading.Event()  # repro: allow-unpicklable -- pending requests are in-process only and never cross a FrameChannel
-        self.result: Optional[Result] = None
-        self.error: Optional[BaseException] = None
+#: The service's cumulative counters: ``(attribute, metric name, help)``.
+#: :meth:`MatchService.stats` and the registry collector both iterate
+#: this table, so a counter has exactly one definition.
+SERVICE_COUNTERS = (
+    ("queries", "repro_service_queries_total",
+     "Match queries served (records)."),
+    ("hits", "repro_service_cache_hits_total",
+     "Queries answered from the reuse cache."),
+    ("misses", "repro_service_cache_misses_total",
+     "Queries that needed kernel scoring."),
+    ("batches", "repro_service_batches_total",
+     "Kernel calls (one per request with cache misses)."),
+    ("batched_records", "repro_service_batched_records_total",
+     "Records scored inside those kernel calls."),
+    ("persisted", "repro_service_persisted_total",
+     "Correspondences appended to the repository."),
+)
 
 
 class MatchService:
@@ -93,20 +102,15 @@ class MatchService:
 
         #: serializes index access (scoring and mutation)
         self._lock = threading.RLock()  # repro: allow-unpicklable -- the service is a process-local front end; shards get records, not the service
-        self._queue_lock = threading.Lock()  # repro: allow-unpicklable -- process-local, see _lock
-        self._queue: List[_PendingRequest] = []
+        #: guards the cache and the lookup counters (queries/hits/misses)
         self._cache_lock = threading.Lock()  # repro: allow-unpicklable -- process-local, see _lock
         self._cache: "OrderedDict[tuple, Result]" = OrderedDict()
         self._cache_size = config.cache_size
         self._cache_tokens: Dict[str, Set[tuple]] = {}
         self._key_tokens: Dict[tuple, frozenset] = {}
-        self.hits = 0
-        self.misses = 0
-        self.queries = 0
-        self.batches = 0
-        self.batched_records = 0
+        for attribute, _, _ in SERVICE_COUNTERS:
+            setattr(self, attribute, 0)
         self.max_batch = 0
-        self.persisted = 0
         #: observability (None = off; every hot-path hook no-ops)
         self.metrics: Optional[MetricsRegistry] = None
         self.tracer: Optional[obs_trace.Tracer] = None
@@ -175,11 +179,11 @@ class MatchService:
         self.logger = get_logger("repro.serve")
         self._batch_sizes = registry.histogram(
             "repro_service_batch_size",
-            "Micro-batch sizes (records per kernel call).",
+            "Records per kernel call (one request's cache misses).",
             buckets=DEFAULT_SIZE_BUCKETS)
         self._match_seconds = registry.histogram(
             "repro_service_match_seconds",
-            "Service-side scoring latency per micro-batch (seconds).")
+            "Service-side scoring latency per kernel call (seconds).")
         set_metrics = getattr(self.index, "set_metrics", None)
         if set_metrics is not None:
             set_metrics(registry)
@@ -189,76 +193,51 @@ class MatchService:
     def _collect_service_metrics(self) -> None:
         """Sync the service's own counters into the registry."""
         registry = self.metrics
-        for name, help, value in (
-            ("repro_service_queries_total",
-             "Match queries served (records).", self.queries),
-            ("repro_service_cache_hits_total",
-             "Queries answered from the reuse cache.", self.hits),
-            ("repro_service_cache_misses_total",
-             "Queries that needed kernel scoring.", self.misses),
-            ("repro_service_batches_total",
-             "Micro-batches driven through the kernel.", self.batches),
-            ("repro_service_batched_records_total",
-             "Records scored inside micro-batches.",
-             self.batched_records),
-            ("repro_service_persisted_total",
-             "Correspondences appended to the repository.",
-             self.persisted),
-        ):
-            registry.counter(name, help).set_total(value)
+        for attribute, name, help in SERVICE_COUNTERS:
+            registry.counter(name, help).set_total(getattr(self, attribute))
         registry.gauge("repro_service_cache_entries",
                        "Entries in the reuse cache.").set(len(self._cache))
         registry.gauge("repro_service_reference_records",
                        "Live reference records.").set(len(self.index))
         registry.gauge("repro_service_max_batch",
-                       "Largest micro-batch so far.").set(self.max_batch)
+                       "Largest kernel call so far.").set(self.max_batch)
 
     def _collect_index_metrics(self) -> None:
         """Pull pruning / timing / WAL counters from the backend.
 
+        Both backends answer ``shard_metrics()`` with the same entry
+        shape (``shard`` is ``None`` for the single in-heap index).
         Takes the service lock: cluster backends answer over
         FrameChannels, which are not thread-safe, so the pull must
         not overlap a scoring scatter.
         """
-        with self._lock:
-            shard_metrics = getattr(self.index, "shard_metrics", None)
-            if shard_metrics is None:
-                self._sync_backend_counters(
-                    self.index.pruning_counters(),
-                    self.index.timing_counters(), None, labels=None)
-                return
-            for entry in shard_metrics():
-                self._sync_backend_counters(
-                    entry["pruning"], entry["index"], entry["wal"],
-                    labels={"shard": entry["shard"]})
-
-    def _sync_backend_counters(self, pruning: dict, timings: dict,
-                               wal: Optional[dict],
-                               labels: Optional[dict]) -> None:
         registry = self.metrics
-        for key, value in sorted(pruning.items()):
+        with self._lock:
+            entries = self.index.shard_metrics()
+        for entry in entries:
+            labels = (None if entry["shard"] is None
+                      else {"shard": entry["shard"]})
+            for key, value in sorted(entry["pruning"].items()):
+                registry.counter(
+                    f"repro_index_pruning_{key}_total",
+                    "Candidate-pruning counter (see docs/serving.md).",
+                    labels=labels).set_total(value)
             registry.counter(
-                f"repro_index_pruning_{key}_total",
-                "Candidate-pruning counter (see docs/serving.md).",
-                labels=labels).set_total(value)
-        registry.counter(
-            "repro_index_match_calls_total",
-            "match_records invocations on the index.",
-            labels=labels).set_total(timings["match_calls"])
-        registry.counter(
-            "repro_index_match_seconds_total",
-            "Cumulative seconds inside index scoring calls.",
-            labels=labels).set_total(timings["match_seconds"])
-        if wal is None:
-            return
-        for key, value in sorted(wal.items()):
+                "repro_index_match_calls_total",
+                "match_records invocations on the index.",
+                labels=labels).set_total(entry["index"]["match_calls"])
             registry.counter(
-                f"repro_wal_{key}_total",
-                "Write-ahead-log durability counter.",
-                labels=labels).set_total(value)
+                "repro_index_match_seconds_total",
+                "Cumulative seconds inside index scoring calls.",
+                labels=labels).set_total(entry["index"]["match_seconds"])
+            for key, value in sorted((entry["wal"] or {}).items()):
+                registry.counter(
+                    f"repro_wal_{key}_total",
+                    "Write-ahead-log durability counter.",
+                    labels=labels).set_total(value)
 
     def _observe_batch(self, size: int, elapsed: float) -> None:
-        """Record one scored micro-batch (no-op with metrics off)."""
+        """Record one kernel call (no-op with metrics off)."""
         if self.metrics is not None:
             self._batch_sizes.observe(size)
             self._match_seconds.observe(elapsed)
@@ -319,7 +298,7 @@ class MatchService:
         if self._cache_size == 0:
             return
         if key not in self._cache:
-            tokens = frozenset(self.index._tokens(key[0]))
+            tokens = frozenset(posting_tokens(key[0]))
             self._key_tokens[key] = tokens
             for token in tokens:  # repro: allow-unordered -- reverse-index bookkeeping; per-token set inserts commute
                 self._cache_tokens.setdefault(token, set()).add(key)
@@ -356,7 +335,7 @@ class MatchService:
             return
         tokens: Set[str] = set()
         for value in values:
-            tokens.update(self.index._tokens(value))
+            tokens.update(posting_tokens(value))
         if not tokens:
             return
         with self._cache_lock:
@@ -412,84 +391,8 @@ class MatchService:
 
     def match_record(self, record: ObjectInstance) -> Result:
         """Match one record; ``[(reference id, similarity), ...]``
-        sorted by descending similarity.
-
-        Concurrent callers are micro-batched: requests arriving while
-        another thread drives the kernel are scored together in the
-        next call.
-        """
-        key = self._cache_key(record)
-        if key is None:
-            self.queries += 1
-            return []
-        with self._cache_lock:
-            cached = self._cache_get(key)
-        if cached is not None:
-            self.hits += 1
-            self.queries += 1
-            return list(cached)
-        request = _PendingRequest(record)
-        with self._queue_lock:
-            self._queue.append(request)
-        while not request.event.is_set():
-            if not self._lock.acquire(timeout=0.01):
-                request.event.wait(0.01)
-                continue
-            try:
-                if request.event.is_set():
-                    break
-                with self._queue_lock:
-                    batch, self._queue = self._queue, []
-                if batch:
-                    # _lock is held via the timed acquire() above; the
-                    # interprocedural lock analysis (LCK002) tracks the
-                    # acquire()/release() span, so no suppression needed
-                    self._run_batch(batch)
-            finally:
-                self._lock.release()
-        if request.error is not None:
-            raise request.error
-        return list(request.result)
-
-    @requires_lock("_lock")
-    def _run_batch(self, batch: List[_PendingRequest]) -> None:
-        """Score queued requests in one kernel call.
-
-        Every request's event is set no matter what fails — a batch
-        drained from the queue is never re-queued, so an unwoken
-        follower would spin in :meth:`match_record` forever.
-        """
-        try:
-            records = [request.record for request in batch]
-            begun = time.perf_counter()
-            with obs_trace.span("service.batch"):
-                results = self._score_records(records)
-            self._observe_batch(len(batch), time.perf_counter() - begun)
-            self.batches += 1
-            self.batched_records += len(batch)
-            self.max_batch = max(self.max_batch, len(batch))
-            triples = []
-            with self._cache_lock:
-                for request, result in zip(batch, results):
-                    key = self._cache_key(request.record)
-                    if key is not None:
-                        self._cache_put(key, result)
-                    self.misses += 1
-                    self.queries += 1
-                    for reference_id, score in result:
-                        triples.append(
-                            (request.record.id, reference_id, score))
-            self._persist(triples)
-            for request, result in zip(batch, results):
-                request.result = result
-        except BaseException as error:  # propagate to every waiter
-            for request in batch:
-                if request.result is None:
-                    request.error = error
-            raise
-        finally:
-            for request in batch:
-                request.event.set()
+        sorted by descending similarity (ties by id)."""
+        return list(self._match([record])[0])
 
     def match_batch(self, records: Iterable[ObjectInstance], *,
                     source_name: Optional[str] = None) -> Mapping:
@@ -501,54 +404,59 @@ class MatchService:
         records = list(records)
         domain = source_name if source_name else self.source_name
         mapping = Mapping(domain, self.index.name, kind=MappingKind.SAME)
-        misses: List[Tuple[int, ObjectInstance]] = []
-        results: List[Optional[Result]] = [None] * len(records)
-        for position, record in enumerate(records):
-            key = self._cache_key(record)
-            self.queries += 1
-            if key is None:
-                results[position] = []
-                continue
-            with self._cache_lock:
-                cached = self._cache_get(key)
-            if cached is not None:
-                self.hits += 1
-                results[position] = list(cached)
-            else:
-                self.misses += 1
-                misses.append((position, record))
-        if misses:
-            with self._lock:
-                begun = time.perf_counter()
-                with obs_trace.span("service.batch"):
-                    fresh = self._score_records(
-                        [record for _, record in misses])
-                self._observe_batch(len(misses),
-                                    time.perf_counter() - begun)
-                self.batches += 1
-                self.batched_records += len(misses)
-                self.max_batch = max(self.max_batch, len(misses))
-                triples = []
-                with self._cache_lock:
-                    for (position, record), result in zip(misses, fresh):
-                        results[position] = result
-                        key = self._cache_key(record)
-                        if key is not None:
-                            self._cache_put(key, result)
-                        for reference_id, score in result:
-                            triples.append((record.id, reference_id, score))
-                self._persist(triples)
-        for record, result in zip(records, results):
+        for record, result in zip(records, self._match(records)):
             for reference_id, score in result:
                 mapping.add(record.id, reference_id, score)
         return mapping
 
-    @requires_lock("_lock")
-    def _score_records(self, records: Sequence[ObjectInstance]) \
-            -> List[Result]:
-        """Score records in one index batch."""
-        return self.index.match_records(records, threshold=self.threshold,
-                                        max_candidates=self.max_candidates)
+    def _match(self, records: List[ObjectInstance]) -> List[Result]:
+        """The one read path; one result list per record.
+
+        Cache lookup, then — for the misses only, serialized with
+        mutations by ``_lock`` — one ``index.match_records`` call,
+        cache put, persist.  The lookup counters move under the
+        ``_cache_lock`` the lookup holds anyway, so concurrent
+        callers never lose an increment.  Returned lists may be the
+        cache's own: callers must not mutate them.
+        """
+        results: List[Result] = [[] for _ in records]
+        misses: List[Tuple[int, tuple]] = []
+        keys = [self._cache_key(record) for record in records]
+        with self._cache_lock:
+            self.queries += len(records)
+            for position, key in enumerate(keys):
+                if key is None:
+                    continue
+                cached = self._cache_get(key)
+                if cached is not None:
+                    self.hits += 1
+                    results[position] = cached
+                else:
+                    self.misses += 1
+                    misses.append((position, key))
+        if not misses:
+            return results
+        with self._lock:
+            begun = time.perf_counter()
+            with obs_trace.span("service.batch"):
+                fresh = self.index.match_records(
+                    [records[position] for position, _ in misses],
+                    threshold=self.threshold,
+                    max_candidates=self.max_candidates)
+            self._observe_batch(len(misses), time.perf_counter() - begun)
+            self.batches += 1
+            self.batched_records += len(misses)
+            self.max_batch = max(self.max_batch, len(misses))
+            triples = []
+            with self._cache_lock:
+                for (position, key), result in zip(misses, fresh):
+                    results[position] = result
+                    self._cache_put(key, result)
+                    for reference_id, score in result:
+                        triples.append(
+                            (records[position].id, reference_id, score))
+            self._persist(triples)
+        return results
 
     def _persist(self, triples: List[Tuple[str, str, float]]) -> None:
         if self.repository is None or not triples:
@@ -563,18 +471,14 @@ class MatchService:
                 "size": len(self._cache)}
 
     def stats(self) -> dict:
-        stats = {
-            "records": len(self.index),
-            "queries": self.queries,
-            "batches": self.batches,
-            "batched_records": self.batched_records,
-            "max_batch": self.max_batch,
-            "persisted": self.persisted,
-            "threshold": self.threshold,
-            "max_candidates": self.max_candidates,
-            "cache": self.cache_stats(),
-            "index": self.index.stats(),
-        }
+        stats = {attribute: getattr(self, attribute)
+                 for attribute, _, _ in SERVICE_COUNTERS}
+        # hits / misses live under "cache" on the wire
+        del stats["hits"], stats["misses"]
+        stats.update(
+            records=len(self.index), max_batch=self.max_batch,
+            threshold=self.threshold, max_candidates=self.max_candidates,
+            cache=self.cache_stats(), index=self.index.stats())
         if self.tracer is not None:
             stats["trace"] = self.tracer.summary()
         return stats

@@ -1,10 +1,16 @@
-"""Tests for online (query-time) matching."""
+"""Tests for online (query-time) matching — the paper's §2.1 use case,
+served by :class:`repro.serve.MatchService` (single-record calls)."""
 
 import pytest
 
-from repro.core.online import OnlineMatcher, match_query_results
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.serve import MatchService, ServeConfig, match_query_results
+
+
+def _matcher(reference, attribute="title", **config):
+    return MatchService(reference, config=ServeConfig(attribute=attribute,
+                                                      **config))
 
 
 @pytest.fixture
@@ -19,7 +25,7 @@ def reference():
 
 class TestOnlineMatcher:
     def test_exact_record_matches(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.8)
+        matcher = _matcher(reference, "title", threshold=0.8)
         record = ObjectInstance("q1", {
             "title": "Adaptive Query Processing for Streams"})
         results = matcher.match_record(record)
@@ -27,23 +33,23 @@ class TestOnlineMatcher:
         assert results[0][1] == pytest.approx(1.0)
 
     def test_noisy_record_matches(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
+        matcher = _matcher(reference, "title", threshold=0.6)
         record = ObjectInstance("q1", {
             "title": "adaptive query processng for streams"})
         results = matcher.match_record(record)
         assert results and results[0][0] == "p1"
 
     def test_threshold_filters(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.95)
+        matcher = _matcher(reference, "title", threshold=0.95)
         record = ObjectInstance("q1", {"title": "schema matchng"})
         assert matcher.match_record(record) == []
 
     def test_missing_attribute(self, reference):
-        matcher = OnlineMatcher(reference, "title")
+        matcher = _matcher(reference, "title")
         assert matcher.match_record(ObjectInstance("q1", {})) == []
 
     def test_cache_hits(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
+        matcher = _matcher(reference, "title", threshold=0.6)
         record = ObjectInstance("q1", {"title": "schema matching"})
         first = matcher.match_record(record)
         second = matcher.match_record(record)
@@ -51,21 +57,21 @@ class TestOnlineMatcher:
         assert matcher.cache_stats()["hits"] == 1
 
     def test_cache_eviction(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.5,
+        matcher = _matcher(reference, "title", threshold=0.5,
                                 cache_size=1)
         matcher.match_record(ObjectInstance("q1", {"title": "schema"}))
         matcher.match_record(ObjectInstance("q2", {"title": "cleaning"}))
         assert matcher.cache_stats()["size"] == 1
 
     def test_results_sorted_descending(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.1)
+        matcher = _matcher(reference, "title", threshold=0.1)
         record = ObjectInstance("q1", {"title": "adaptive data processing"})
         results = matcher.match_record(record)
         scores = [score for _, score in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_batch_mapping(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.8)
+        matcher = _matcher(reference, "title", threshold=0.8)
         batch = [
             ObjectInstance("q1", {"title": "Schema Matching with Cupid"}),
             ObjectInstance("q2", {"title": "Data Cleaning in Warehouses"}),
@@ -77,17 +83,16 @@ class TestOnlineMatcher:
 
     def test_validation(self, reference):
         with pytest.raises(ValueError):
-            OnlineMatcher(reference, threshold=1.5)
+            _matcher(reference, threshold=1.5)
         with pytest.raises(ValueError):
-            OnlineMatcher(reference, max_candidates=0)
+            _matcher(reference, max_candidates=0)
 
 
 class TestReferenceMutation:
-    """The wrapper fixes the old matcher's stale-cache defect: reference
-    changes invalidate exactly the affected cached results."""
+    """Reference changes invalidate exactly the affected cached results."""
 
     def test_add_invalidates_affected_cache_entry(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
+        matcher = _matcher(reference, "title", threshold=0.6)
         record = ObjectInstance("q1", {"title": "schema matching"})
         before = matcher.match_record(record)
         matcher.add(ObjectInstance("p9", {"title": "Schema Matching Redux"}))
@@ -97,14 +102,14 @@ class TestReferenceMutation:
         assert any(id == "p9" for id, _ in after)
 
     def test_delete_removes_reference_from_results(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
+        matcher = _matcher(reference, "title", threshold=0.6)
         record = ObjectInstance("q1", {"title": "schema matching"})
         assert matcher.match_record(record)[0][0] == "p2"
         assert matcher.delete("p2")
         assert matcher.match_record(record) == []
 
     def test_update_changes_results(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.8)
+        matcher = _matcher(reference, "title", threshold=0.8)
         matcher.update(ObjectInstance(
             "p3", {"title": "Adaptive Query Processing for Streams"}))
         record = ObjectInstance("q1", {
@@ -113,19 +118,12 @@ class TestReferenceMutation:
         assert matched == {"p1", "p3"}
 
     def test_unrelated_mutation_keeps_cache(self, reference):
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
+        matcher = _matcher(reference, "title", threshold=0.6)
         record = ObjectInstance("q1", {"title": "schema matching"})
         matcher.match_record(record)
         matcher.add(ObjectInstance("p9", {"title": "Zebra Migrations"}))
         matcher.match_record(record)
         assert matcher.cache_stats()["hits"] == 1
-
-    def test_wrapper_delegates_to_service(self, reference):
-        from repro.serve import MatchService
-
-        matcher = OnlineMatcher(reference, "title", threshold=0.6)
-        assert isinstance(matcher.service, MatchService)
-        assert matcher.similarity is matcher.service.index.specs[0].similarity
 
 
 class TestConvenienceWrapper:
@@ -142,7 +140,7 @@ class TestAgainstDataset:
         from repro.datagen.query import QueryClient
 
         client = QueryClient(dataset.gs.publications)
-        matcher = OnlineMatcher(dataset.dblp.publications, "title",
+        matcher = _matcher(dataset.dblp.publications, "title",
                                 threshold=0.8)
         gold = dataset.gold.publications("GS.Publication",
                                          "DBLP.Publication")

@@ -5,11 +5,14 @@ file or a typoed anchor breaks the build instead of the reader.
 Relative links must point at existing files; intra-repo anchors
 (``file.md#section``) must match a heading in the target; external
 ``http(s)`` links are recorded but not fetched (CI must not depend on
-the network).
+the network).  The ``*.md`` names that source and benchmark modules
+cite (docstrings, comments, help strings) must exist too, and the
+lazily exported package names must resolve — both drift silently.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -23,6 +26,11 @@ DOC_FILES = sorted(
     key=lambda path: path.name,
 )
 
+#: python files whose cited ``*.md`` names the build guarantees
+SOURCE_FILES = sorted(list((REPO_ROOT / "src").rglob("*.py"))
+                      + list((REPO_ROOT / "benchmarks").glob("*.py")))
+
+_MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
@@ -82,3 +90,28 @@ def test_links_stay_inside_the_repository(doc):
         resolved = (doc.parent / target.partition("#")[0]).resolve()
         assert resolved.is_relative_to(REPO_ROOT), \
             f"{target} escapes the repository"
+
+
+def test_markdown_names_cited_in_sources_exist():
+    """``See DESIGN.md`` in a docstring is a link too: the cited file
+    must exist at the repository root or under ``docs/``."""
+    missing = []
+    for source in SOURCE_FILES:
+        for name in sorted(set(_MD_NAME_RE.findall(
+                source.read_text(encoding="utf-8")))):
+            if not ((REPO_ROOT / name).is_file()
+                    or (REPO_ROOT / "docs" / name).is_file()):
+                missing.append(f"{source.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, "cited markdown files do not exist:\n" \
+        + "\n".join(missing)
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.serve"])
+def test_every_exported_name_resolves(package):
+    """``__all__`` and the lazy-import table are maintained by hand; a
+    name listed in one but gone from the other only fails when some
+    caller finally asks for it."""
+    module = importlib.import_module(package)
+    unresolved = [name for name in module.__all__
+                  if getattr(module, name, None) is None]
+    assert not unresolved, f"{package}.__all__ names nothing: {unresolved}"

@@ -14,6 +14,8 @@ import pytest
 from repro.serve.errors import (
     ConflictError,
     InvalidRequest,
+    NotFound,
+    PayloadTooLarge,
     ServeError,
     ShardUnavailable,
     SnapshotUnavailable,
@@ -35,6 +37,8 @@ def test_shard_unavailable_pickle_round_trip():
     ServeError("boom"),
     InvalidRequest("bad record"),
     ConflictError("duplicate id"),
+    NotFound("unknown path '/v1/nope'"),
+    PayloadTooLarge("request body of 68157440 bytes"),
     ShardUnavailable(7, "channel closed"),
     SnapshotUnavailable("no data dir"),
 ])

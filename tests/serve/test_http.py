@@ -15,7 +15,7 @@ from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.serve import (Client, ConflictError, InvalidRequest, MatchService,
                          ServeConfig, ServeError, SnapshotUnavailable)
-from repro.serve.http import build_server
+from repro.serve.http import MAX_BODY_BYTES, build_server
 
 
 @pytest.fixture
@@ -124,10 +124,42 @@ class TestEndpoints:
 
 class TestErrorEnvelope:
     def test_unknown_path(self, server):
-        status, _, payload = _raw_request(server, "POST", "/v1/nope", {})
+        status, headers, payload = _raw_request(server, "POST", "/v1/nope",
+                                                {})
         assert status == 404
         assert payload["error"]["code"] == "not_found"
         assert "unknown path" in payload["error"]["message"]
+        # the 404 is an envelope like any other: it names the request
+        assert payload["error"]["request_id"] == headers["X-Request-Id"]
+
+    def test_oversized_body_is_refused_unread(self, server):
+        """A declared length over MAX_BODY_BYTES answers 413 at once —
+        the server must not sit in ``rfile.read`` waiting for 65 MiB
+        that never come — and costs only that connection."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.putrequest("POST", "/v1/match")
+            connection.putheader("Content-Length",
+                                 str(MAX_BODY_BYTES + 1024 * 1024))
+            connection.endheaders()
+            connection.send(b"0123456789")
+            response = connection.getresponse()   # timeout=5 bounds this
+            payload = json.loads(response.read())
+            try:   # the server hung up instead of parsing the body bytes
+                hung_up = connection.sock.recv(1) == b""
+            except ConnectionResetError:
+                hung_up = True
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert payload["error"]["code"] == "payload_too_large"
+        assert hung_up
+        status, _, payload = _raw_request(
+            server, "POST", "/v1/match",
+            {"records": [{"id": "q", "attributes": {
+                "title": "schema matching with cupid"}}]})
+        assert status == 200 and payload["matches"]["q"][0][0] == "p2"
 
     def test_invalid_json(self, server):
         host, port = server.server_address[:2]
@@ -162,9 +194,10 @@ class TestErrorEnvelope:
         assert "Content-Length" in payload["error"]["message"]
 
     def test_unversioned_path_is_unknown(self, server):
-        status, _, payload = _raw_request(server, "GET", "/healthz")
+        status, headers, payload = _raw_request(server, "GET", "/healthz")
         assert status == 404
         assert payload["error"]["code"] == "not_found"
+        assert payload["error"]["request_id"] == headers["X-Request-Id"]
 
     def test_missing_records(self, server):
         status, _, payload = _raw_request(server, "POST", "/v1/match", {})

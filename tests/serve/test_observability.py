@@ -7,8 +7,8 @@ Three contracts from docs/observability.md are pinned here:
    service answers with observability off, for the single in-heap
    index and for the sharded cluster (threads and processes).
 2. **Trace propagation** — a trace begun at the boundary collects
-   spans from the micro-batcher, the cluster rounds and the shard
-   workers on the far side of the FrameChannel.
+   spans from the service's kernel call, the cluster rounds and the
+   shard workers on the far side of the FrameChannel.
 3. **Exposition** — ``/v1/metrics`` serves parseable Prometheus text
    covering the service, index, cluster and WAL counters, and every
    response carries a correlatable ``X-Request-Id``.
@@ -26,9 +26,10 @@ import pytest
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.obs import trace as obs_trace
-from repro.serve import MatchService, ServeConfig
+from repro.serve import IncrementalIndex, MatchService, ServeConfig
 from repro.serve.cluster import _fork_available
 from repro.serve.http import build_server
+from repro.serve.service import SERVICE_COUNTERS
 
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
          "graph", "join", "view", "cube", "match", "entity", "fusion"]
@@ -160,6 +161,37 @@ class TestMetricsContent:
                 == service.index.timing_counters()["match_calls"]
             assert summary["repro_index_pruning_queries_total"] \
                 == service.index.pruning_counters()["queries"]
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("topology", [
+        {}, {"shards": 2, "shard_processes": False}],
+        ids=["single-index", "two-shard-cluster"])
+    def test_every_stats_counter_equals_its_metrics_sample(self, topology):
+        """One counter, one definition: what /v1/stats reports is what
+        /v1/metrics samples, for every row of the service's counter
+        table and every pruning counter the backend reports."""
+        service = _service(True, **topology)
+        try:
+            _transcript(service)
+            service.match_batch(_queries(seed=9))   # repeats: cache hits
+            stats = service.stats()
+            summary = service.metrics.summary()
+            for attribute, metric, _ in SERVICE_COUNTERS:
+                reported = (stats["cache"] if attribute in stats["cache"]
+                            else stats)[attribute]
+                assert reported == summary[metric], metric
+                # no repository attached: nothing persists
+                assert (reported > 0) == (attribute != "persisted"), metric
+            pruning = stats["index"]["pruning"]
+            assert set(pruning) == set(
+                IncrementalIndex(_reference()).stats()["pruning"])
+            for key, reported in pruning.items():
+                prefix = f"repro_index_pruning_{key}_total"
+                samples = [value for name, value in summary.items()
+                           if name == prefix or name.startswith(prefix + "{")]
+                assert len(samples) == (topology.get("shards") or 1)
+                assert sum(samples) == reported, key
         finally:
             service.close()
 

@@ -1,5 +1,7 @@
-"""Tests for the standing match service: equivalence, reuse, batching."""
+"""Tests for the standing match service: equivalence, reuse, the one
+read path under concurrency, counters."""
 
+import sys
 import threading
 
 import pytest
@@ -11,6 +13,7 @@ from repro.model.entity import ObjectInstance
 from repro.model.repository import MappingRepository
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.serve import MatchService, ServeConfig
+from repro.serve.service import SERVICE_COUNTERS
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
@@ -190,19 +193,76 @@ class TestReuseCache:
         assert service.match_record(ObjectInstance("q", {})) == []
 
 
-class TestMicroBatching:
-    def test_concurrent_requests_are_batched(self):
+def _counters(service):
+    """Every counter of the table plus max_batch, by attribute."""
+    values = {attribute: getattr(service, attribute)
+              for attribute, _, _ in SERVICE_COUNTERS}
+    values["max_batch"] = service.max_batch
+    return values
+
+
+class TestOneReadPath:
+    """``match_record(r)`` is ``match_batch([r])``: same rows, same
+    cache behaviour, same counter movement."""
+
+    def test_match_record_is_a_one_record_batch(self):
+        by_record = _service(_reference(), threshold=0.2)
+        by_batch = _service(_reference(), threshold=0.2)
+        record = ObjectInstance("q", {"title": QUERY_TITLES[0]})
+        for _ in range(2):   # second round: both answer from the cache
+            rows = by_record.match_record(record)
+            mapping = by_batch.match_batch([record])
+            assert sorted((record.id, id, score) for id, score in rows) \
+                == sorted(tuple(row) for row in mapping.to_rows())
+            assert rows
+            assert _counters(by_record) == _counters(by_batch)
+        assert _counters(by_record) == {
+            "queries": 2, "hits": 1, "misses": 1, "batches": 1,
+            "batched_records": 1, "persisted": 0, "max_batch": 1}
+
+    def test_match_record_returns_a_private_list(self):
+        service = _service(_reference(), threshold=0.2)
+        record = ObjectInstance("q", {"title": QUERY_TITLES[0]})
+        first = service.match_record(record)
+        expected = list(first)
+        first.clear()   # a caller's edit must not reach the cache
+        assert service.match_record(record) == expected
+
+    def test_results_sorted_descending_ties_by_id(self):
+        service = _service(_reference(), threshold=0.05)
+        results = service.match_record(
+            ObjectInstance("q", {"title": "adaptive stream schema query"}))
+        assert len(results) > 2
+        assert results == sorted(results,
+                                 key=lambda item: (-item[1], item[0]))
+
+    def test_lru_evicts_the_oldest_entry(self):
+        service = _service(_reference(), threshold=0.2, cache_size=2)
+        first, second, third = (
+            ObjectInstance(f"q{i}", {"title": title})
+            for i, title in enumerate(QUERY_TITLES[:3]))
+        service.match_record(first)
+        service.match_record(second)
+        service.match_record(first)    # refresh: second is now oldest
+        service.match_record(third)    # evicts second
+        assert service.cache_stats()["size"] == 2
+        service.match_record(first)
+        assert service.hits == 2
+        service.match_record(second)
+        assert service.hits == 2 and service.misses == 4
+
+
+class TestConcurrency:
+    def test_concurrent_callers_get_serial_answers(self):
         service = _service(_reference(64), threshold=0.2, cache_size=0)
         records = [
             ObjectInstance(f"q{i}", {"title": QUERY_TITLES[i % len(QUERY_TITLES)]
                                      + f" tail {i}"})
             for i in range(32)
         ]
-        serial_expected = {
-            record.id: _service(_reference(64),
-                                threshold=0.2).match_record(record)
-            for record in records[:4]
-        }
+        serial = _service(_reference(64), threshold=0.2)
+        serial_expected = {record.id: serial.match_record(record)
+                           for record in records}
         results = {}
         errors = []
 
@@ -219,13 +279,41 @@ class TestMicroBatching:
         for thread in threads:
             thread.join()
         assert not errors
-        assert len(results) == len(records)
-        for id, expected in serial_expected.items():
-            assert results[id] == expected
+        assert results == serial_expected
         stats = service.stats()
+        # one kernel call per request's misses, never merged across
+        # requests
         assert stats["queries"] == len(records)
+        assert stats["batches"] == len(records)
         assert stats["batched_records"] == len(records)
-        assert 1 <= stats["batches"] <= len(records)
+        assert stats["max_batch"] == 1
+
+    def test_lookup_counters_survive_concurrent_callers(self):
+        """queries / hits / misses move under the cache lock: handler
+        threads bumping them unlocked used to lose increments, so
+        /v1/stats' cache.hits + cache.misses drifted from the lookups
+        made."""
+        service = _service(_reference(), threshold=0.2)
+        records = [ObjectInstance(f"q{i}", {"title": title})
+                   for i, title in enumerate(QUERY_TITLES)]
+
+        def worker(i):
+            for j in range(200):
+                service.match_batch([records[(i + j) % len(records)]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert service.queries == 1600
+        assert service.hits + service.misses == 1600
 
     def test_concurrent_queries_and_mutations(self):
         service = _service(_reference(48), threshold=0.2, compact_min=8)
@@ -261,12 +349,10 @@ class TestMicroBatching:
         # 48 seed + 20 adds - 8 deletes
         assert len(service.index) == 48 + 20 - 8
 
-
-class TestBatchFailurePropagation:
-    def test_followers_wake_on_persist_failure(self):
-        """A failing batch must raise in *every* waiter — a follower
-        whose request was drained from the queue but never signalled
-        would spin in match_record forever."""
+    def test_persist_failure_raises_in_every_caller(self):
+        """A failing repository append raises in each caller (none
+        hangs, none gets another's error swallowed) and leaves the
+        service answering."""
 
         class BrokenRepository:
             def append(self, name, correspondences):
@@ -291,10 +377,13 @@ class TestBatchFailurePropagation:
         for thread in threads:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads), \
-            "a waiter hung after the batch failed"
+            "a caller hung after the persist failed"
         assert len(outcomes) == 6
         assert all(kind == "error" and "disk full" in detail
                    for kind, detail in outcomes.values())
+        service.repository = None
+        assert service.match_record(
+            ObjectInstance("q", {"title": "adaptive stream 1"}))
 
 
 class TestRepositoryPersistence:
