@@ -58,18 +58,31 @@ class TokenBlocking(PairGenerator):
 
     def _index(self, source: LogicalSource,
                attribute: str) -> Dict[str, List[str]]:
-        index: Dict[str, List[str]] = {}
-        for instance in source:
-            value = instance.get(attribute)
-            if value is None:
-                continue
-            # sorted: the posting-list dict's insertion order (and so
-            # every downstream iteration of it) must not depend on the
-            # process's string hash seed
-            for token in sorted(set(word_tokens(str(value)))):
-                if len(token) >= self.min_token_length:
-                    index.setdefault(token, []).append(instance.id)
-        return index
+        """Token -> ids posting lists of one attribute, in source order.
+
+        Owned by the source (:meth:`LogicalSource.derived`): every
+        matcher of a workflow that blocks the same attribute reads the
+        same lists, so they are never mutated.  ``max_df`` and
+        ``max_block_size`` filter per request, downstream.
+        """
+        min_length = self.min_token_length
+
+        def build() -> Dict[str, List[str]]:
+            index: Dict[str, List[str]] = {}
+            for instance in source:
+                value = instance.get(attribute)
+                if value is None:
+                    continue
+                # sorted: the posting-list dict's insertion order (and
+                # so every downstream iteration of it) must not depend
+                # on the process's string hash seed
+                for token in sorted(set(word_tokens(str(value)))):
+                    if len(token) >= min_length:
+                        index.setdefault(token, []).append(instance.id)
+            return index
+
+        return source.derived(("token-postings", attribute, min_length),
+                              build)
 
     def _eligible_postings(self, domain: LogicalSource,
                            range: LogicalSource,

@@ -63,8 +63,7 @@ class Mapping:
                              name: Optional[str] = None) -> "Mapping":
         """Build a mapping from ``(domain id, range id, sim)`` triples."""
         mapping = cls(domain, range, kind=kind, name=name)
-        for domain_id, range_id, similarity in correspondences:
-            mapping.add(domain_id, range_id, similarity)
+        mapping.add_rows(correspondences)
         return mapping
 
     @classmethod
@@ -106,6 +105,29 @@ class Mapping:
                 raise ValueError(f"unknown on_conflict policy {on_conflict!r}")
         self._by_domain.setdefault(domain_id, {})[range_id] = similarity
         self._by_range.setdefault(range_id, {})[domain_id] = similarity
+
+    def add_rows(self, rows: Iterable[Tuple[str, str, float]]) -> None:
+        """Insert many ``(domain id, range id, similarity)`` rows.
+
+        Exactly ``add(*row)`` per row, in order — the same validation,
+        the same keep-the-larger policy for a repeated pair — as one
+        loop over both indexes instead of a call per row.  This is how
+        the engine loads its surviving rows.
+        """
+        by_domain = self._by_domain
+        by_range = self._by_range
+        for domain_id, range_id, similarity in rows:
+            similarity = validate_similarity(similarity)
+            row = by_domain.get(domain_id)
+            if row is None:
+                row = by_domain[domain_id] = {}
+            elif similarity <= row.get(range_id, -1.0):
+                continue
+            row[range_id] = similarity
+            back = by_range.get(range_id)
+            if back is None:
+                back = by_range[range_id] = {}
+            back[domain_id] = similarity
 
     def remove(self, domain_id: str, range_id: str) -> bool:
         """Delete a correspondence; return whether it existed."""

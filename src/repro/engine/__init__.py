@@ -35,9 +35,11 @@ q-gram bitmaps, sparse CSR TF/IDF, or the memoized ``score_batch``
 fallback, chosen by :func:`~repro.engine.columns.build_column` — and
 ``bind(query_values)`` turns it into a kernel that scores row pairs
 bit-identically to the scalar similarity.  The engine builds and binds
-per request (:func:`repro.engine.vectorized.request_kernel`;
+once per source pair — packed columns are kept by the sources
+(:meth:`repro.model.source.LogicalSource.derived`) and composed per
+request (:func:`repro.engine.vectorized.request_kernel`;
 multi-attribute requests compose their bound columns with a
-vectorized combiner), the serve tier's index keeps the same column
+vectorized combiner) — the serve tier's index keeps the same column
 objects across requests and binds per micro-batch, and the numpy-free
 :class:`ChunkScorer` is the reference path both are checked against.
 See ``docs/engine.md``.

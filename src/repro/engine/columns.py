@@ -160,6 +160,8 @@ class _Column:
     #: clear the similarity's per-string cache once query traffic has
     #: grown it beyond this many entries past the reference size
     QUERY_CACHE_SLACK = 65536
+    #: attributes only ``bind`` / ``_pack`` / ``export`` read
+    _PACKING_STATE: Tuple[str, ...] = ("sim", "_reference_values")
 
     def __init__(self, sim: SimilarityFunction,
                  reference_values: Sequence[object]) -> None:
@@ -202,6 +204,22 @@ class _Column:
         """Boolean array: pairs with a ``None`` value on either side."""
         return self.domain_missing[domain_rows] | self.range_missing[range_rows]
 
+    def release(self) -> None:
+        """Keep the packed arrays only: this kernel is done binding.
+
+        Empties the similarity's per-string cache — the arrays hold
+        everything it computed — and forgets what only packing reads
+        (:attr:`_PACKING_STATE`: the similarity, the value list, the
+        vocabulary), so a kernel kept for later requests retains numpy
+        state and nothing per string.  It still scores; binding or
+        exporting it again raises ``AttributeError``.
+        """
+        cache = self._query_cache()
+        if cache is not None:
+            cache.clear()
+        for name in self._PACKING_STATE:
+            delattr(self, name)
+
     def export(self) -> ColumnState:
         raise NotImplementedError
 
@@ -215,6 +233,7 @@ class NGramColumn(_Column):
     """
 
     sim: NGramSimilarity
+    _PACKING_STATE = _Column._PACKING_STATE + ("_vocabulary",)
 
     def __init__(self, sim: NGramSimilarity,
                  reference_values: Sequence[object],
@@ -400,6 +419,8 @@ class TfIdfColumn(_Column):
     """
 
     sim: TfIdfCosineSimilarity
+    _PACKING_STATE = _Column._PACKING_STATE + ("_vocabulary",
+                                               "_sorted_texts")
 
     def __init__(self, sim: TfIdfCosineSimilarity,
                  reference_values: Sequence[object],
@@ -596,26 +617,52 @@ class ScalarColumn(_Column):
         return {"kind": "scalar"}, {}
 
 
+def _unchanged(sim: SimilarityFunction, base: type,
+               names: Sequence[str]) -> bool:
+    """Whether ``sim``'s class inherits ``names`` from ``base`` as is."""
+    return all(getattr(type(sim), name) is getattr(base, name)
+               for name in names)
+
+
+def column_config(sim: SimilarityFunction) -> Optional[Tuple[Any, ...]]:
+    """What a packed column of ``sim`` depends on, or ``None``.
+
+    The column registry's type guard.  Exact :class:`NGramSimilarity`
+    scoring gets the packed bit column (``np.bitwise_count`` needs
+    numpy >= 2.0), exact :class:`TfIdfCosineSimilarity` scoring the
+    sparse CSR column; subclasses that override what a column reads or
+    replays — and thereby silently change the math, such as SoftTFIDF
+    — do not pack (``None``).  The tuple names the column kind and
+    every parameter of ``sim`` that shapes the packed arrays besides
+    the values themselves (for TF/IDF: besides the corpus ``prepare``
+    saw), so it can stand for ``sim`` in a memo key.  Requires numpy.
+    """
+    if isinstance(sim, NGramSimilarity) \
+            and _unchanged(sim, NGramSimilarity, ("_score", "grams")) \
+            and hasattr(_np, "bitwise_count"):
+        return "ngram", sim.q, sim.method, sim.pad
+    if isinstance(sim, TfIdfCosineSimilarity) \
+            and _unchanged(sim, TfIdfCosineSimilarity,
+                           ("_score", "vector", "value_vector", "idf",
+                            "prepare")):
+        return ("tfidf",)
+    return None
+
+
 def build_column(sim: SimilarityFunction,
                  reference_values: Sequence[object]) -> _Column:
     """The column registry: pack ``reference_values`` for ``sim``.
 
-    Exact :class:`NGramSimilarity` scoring gets the packed bit column
-    (``np.bitwise_count`` needs numpy >= 2.0), exact
-    :class:`TfIdfCosineSimilarity` scoring the sparse CSR column.
-    Everything else — including subclasses that override ``_score`` or
-    ``vector`` and thereby silently change the math, such as SoftTFIDF
-    — and any reference over the :data:`MAX_INDEX_BYTES` budget gets the
-    :class:`ScalarColumn` fallback.  Requires numpy.
+    The packed column where :func:`column_config` allows one;
+    everything else, and any reference over the
+    :data:`MAX_INDEX_BYTES` budget, gets the :class:`ScalarColumn`
+    fallback.  Requires numpy.
     """
+    packs = column_config(sim) is not None
     try:
-        if isinstance(sim, NGramSimilarity) \
-                and type(sim)._score is NGramSimilarity._score \
-                and hasattr(_np, "bitwise_count"):
+        if packs and isinstance(sim, NGramSimilarity):
             return NGramColumn(sim, reference_values)
-        if isinstance(sim, TfIdfCosineSimilarity) \
-                and type(sim)._score is TfIdfCosineSimilarity._score \
-                and type(sim).vector is TfIdfCosineSimilarity.vector:
+        if packs and isinstance(sim, TfIdfCosineSimilarity):
             return TfIdfColumn(sim, reference_values)
     except MemoryError:
         pass

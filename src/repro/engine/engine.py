@@ -15,9 +15,12 @@ Execution model (replacing the matchers' one-pair-at-a-time loops):
    submission order, so serial and parallel execution produce
    *identical* mappings.
 
-Workers are forked after ``prepare`` has run, so corpus-level indexes
-(gram caches, TF/IDF document frequencies) and packed columns are
-built once and shared copy-on-write.
+Workers are forked after ``_prepare`` has run, so corpus-level state
+(packed columns, TF/IDF document frequencies) is built once and shared
+copy-on-write.  What is a pure function of the sources — the packed
+columns here, the blocking strategies' posting lists — is kept *by*
+the sources (:meth:`repro.model.source.LogicalSource.derived`), so the
+next request over the same sources, from any engine, finds it built.
 """
 
 from __future__ import annotations
@@ -96,41 +99,41 @@ class BatchMatchEngine:
 
     def execute(self, request: MatchRequest) -> Mapping:
         """Run ``request`` and return its same-mapping."""
-        profiling = self.config.profile
         self.last_profile = None
-        if profiling:
+        if self.config.profile:
             self.last_profile = {"path": None, "prepare_seconds": 0.0,
+                                 "kernel_cached": False,
+                                 "index_cached": False,
                                  "chunks": 0, "chunk_items": [],
                                  "chunk_seconds": [],
-                                 "shard_seconds": []}
-        begun = time.perf_counter() if profiling else 0.0
-        self._prepare(request)
-        if profiling:
-            self.last_profile["prepare_seconds"] = \
-                time.perf_counter() - begun
+                                 "shard_seconds": [],
+                                 "survivor_rows": 0, "merged_rows": 0,
+                                 # the sources' (hits, builds) so far;
+                                 # _prepare adds its own lookups, so at
+                                 # the end the rest is the blocking index's
+                                 "memo_counts": _memo_counts(request)}
         result = Mapping(request.domain.name, request.range.name,
                          kind=MappingKind.SAME, name=request.name)
         if self.config.shard_blocking:
             from repro.engine import shards as shards_module
             if shards_module.execute_sharded(self, request, result):
-                self._profile_path("sharded")
+                self._profile_done("sharded", request)
                 return result
             # not shardable (explicit candidates / foreign blocking
             # object): continue on the streamed paths below
         is_self = request.is_self
+        indexed = self._prepare(request)
         chunks = iter_chunks(self._pair_stream(request),
                              self.config.chunk_size)
-        indexed = self._try_indexed(request)
         if indexed is not None:
             # the parent converts id-pair chunks to row arrays and
             # workers return only surviving rows, so IPC is ~8 bytes
             # per candidate pair plus the (sparse) survivors
-            self._profile_path("indexed")
+            path = "indexed"
             target = indexed.score_rows
             work = ((len(chunk), indexed.convert(chunk)) for chunk in chunks)
         else:
-            self._profile_path(
-                "parallel" if self.config.workers > 1 else "serial")
+            path = "parallel" if self.config.workers > 1 else "serial"
             target = ChunkScorer(request).score_chunk
             work = ((len(chunk), (chunk,)) for chunk in chunks)
         # two chunks queued per worker keep the pool busy while the
@@ -141,14 +144,19 @@ class BatchMatchEngine:
             self._profile_chunk(items, seconds)
             if indexed is not None:
                 output = indexed.triples(*output)
-            self._merge(result, output, is_self)
+            self._merge(result, output, is_self, survivors=len(output))
+        self._profile_done(path, request)
         return result
 
     # -- profiling -----------------------------------------------------
 
-    def _profile_path(self, path: str) -> None:
-        if self.last_profile is not None:
-            self.last_profile["path"] = path
+    def _profile_done(self, path: str, request: MatchRequest) -> None:
+        profile = self.last_profile
+        if profile is not None:
+            profile["path"] = path
+            hits, builds = _memo_counts(request)
+            asked, built = profile.pop("memo_counts")
+            profile["index_cached"] = hits > asked and builds == built
 
     def _profile_chunk(self, items: int, seconds: float) -> None:
         profile = self.last_profile
@@ -168,6 +176,10 @@ class BatchMatchEngine:
         return {
             "path": profile["path"],
             "prepare_seconds": profile["prepare_seconds"],
+            "kernel_cached": profile["kernel_cached"],
+            "index_cached": profile["index_cached"],
+            "survivor_rows": profile["survivor_rows"],
+            "merged_rows": profile["merged_rows"],
             "chunks": profile["chunks"],
             "score_seconds": sum(chunk_seconds) + sum(shard_seconds),
             "chunk_p50_seconds": obs_percentile(chunk_seconds, 0.50),
@@ -175,38 +187,43 @@ class BatchMatchEngine:
             "shards": len(shard_seconds),
         }
 
-    def _try_indexed(self, request: MatchRequest) -> Optional[IndexedScorer]:
-        """Build the vectorized fast path when the request is eligible.
+    def _prepare(self, request: MatchRequest) -> Optional[IndexedScorer]:
+        """Corpus-level state for ``request``, before any pair is scored.
 
-        Requests with at least one packed column
-        (:func:`repro.engine.vectorized.request_kernel`) score through
-        numpy arrays; everything else uses the generic chunk scorer.
-        Explicit candidate lists skip the kernel: they are typically
-        tiny relative to the sources, and packing full source matrices
-        to score a handful of pairs would cost more than it saves.
+        Must run before workers fork so they inherit it.  Requests
+        with at least one packed column get their kernel
+        (:func:`repro.engine.vectorized.request_kernel`, which
+        prepares what it has to pack and finds the rest on the
+        sources) and score through numpy arrays; all others get their
+        similarities prepared for the generic chunk scorer, which is
+        what ``None`` selects.  Explicit candidate lists skip the
+        kernel: they are typically tiny relative to the sources, and
+        packing full source matrices to score a handful of pairs would
+        cost more than it saves.
         """
-        if request.candidates is not None:
-            return None
-        kernel = vectorized.request_kernel(request)
+        begun = time.perf_counter()
+        before = _memo_counts(request)
+        indexed = None
+        kernel = (vectorized.request_kernel(request)
+                  if request.candidates is None else None)
         if kernel is None:
-            return None
-        return IndexedScorer(
-            kernel, request.domain.ids(), request.range.ids(),
-            request.threshold,
-            missing_zero=(request.combiner is None
-                          and request.missing == "zero"))
-
-    def _prepare(self, request: MatchRequest) -> None:
-        """Build corpus-level indexes before any pair is scored.
-
-        Must run before workers fork so prepared state is inherited.
-        """
-        for spec in request.specs:
-            corpus = request.domain.attribute_values(spec.attribute)
-            if request.range is not request.domain:
-                corpus = corpus + request.range.attribute_values(
-                    spec.range_attribute)
-            spec.similarity.prepare(corpus)
+            vectorized.prepare_similarities(request)
+        else:
+            indexed = IndexedScorer(
+                kernel, request.domain.ids(), request.range.ids(),
+                request.threshold,
+                missing_zero=(request.combiner is None
+                              and request.missing == "zero"))
+        profile = self.last_profile
+        if profile is not None:
+            profile["prepare_seconds"] = time.perf_counter() - begun
+            hits, builds = _memo_counts(request)
+            profile["kernel_cached"] = \
+                indexed is not None and builds == before[1]
+            asked, built = profile["memo_counts"]
+            profile["memo_counts"] = (asked + hits - before[0],
+                                      built + builds - before[1])
+        return indexed
 
     def _pair_stream(self, request: MatchRequest) -> Iterable[Pair]:
         """Candidate pairs, with the exact unordered-pair dedup the
@@ -244,16 +261,27 @@ class BatchMatchEngine:
                 for id_b in range_ids:
                     yield id_a, id_b
 
-    @staticmethod
-    def _merge(result: Mapping, triples: List[Triple], is_self: bool) -> None:
-        add = result.add
+    def _merge(self, result: Mapping, triples: List[Triple], is_self: bool,
+               *, survivors: int) -> None:
+        """Load scored rows; ``survivors`` of them came back from scoring
+        (more than ``triples`` where duplicates were dropped on the way)."""
+        profile = self.last_profile
+        if profile is not None:
+            profile["survivor_rows"] += survivors
+            profile["merged_rows"] += len(triples)
         if is_self:
-            for id_a, id_b, score in triples:
-                add(id_a, id_b, score)
-                add(id_b, id_a, score)
-        else:
-            for id_a, id_b, score in triples:
-                add(id_a, id_b, score)
+            triples = [row for id_a, id_b, score in triples
+                       for row in ((id_a, id_b, score), (id_b, id_a, score))]
+        result.add_rows(triples)
+
+
+def _memo_counts(request: MatchRequest) -> Tuple[int, int]:
+    """``(hits, builds)`` of the request's sources' ``derived`` memos."""
+    sources = [request.domain]
+    if request.range is not request.domain:
+        sources.append(request.range)
+    return (sum(source.derived_hits for source in sources),
+            sum(source.derived_builds for source in sources))
 
 
 # ----------------------------------------------------------------------

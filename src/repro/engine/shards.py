@@ -20,9 +20,10 @@ Two worker-side scoring modes:
   (``np.repeat``/``np.tile``) and scored in bulk — no Python tuple is
   ever created per pair.  Duplicate pairs across blocks/shards are
   scored redundantly instead of deduplicated: scoring is
-  deterministic, the result mapping is keyed, and on measured
-  workloads re-scoring ~30% duplicates is far cheaper than sorting
-  tens of millions of pair codes.
+  deterministic, and on measured workloads re-scoring ~30% duplicates
+  is far cheaper than sorting tens of millions of pair codes.  Their
+  *survivors* — orders of magnitude fewer — are deduplicated in the
+  parent before the merge (:func:`_first_occurrences`).
 * **streamed** — any other shard iterates ``shard.pairs()`` through
   the same chunk scorers the serial path uses.
 
@@ -112,7 +113,7 @@ class ShardRunner:
         self.scorer = scorer
 
     def run(self, shard_index: int):
-        """Score one shard; returns a payload for :func:`merge_payload`.
+        """Score one shard; returns a payload for :func:`execute_sharded`.
 
         Payloads are ``("rows", (rows_a, rows_b, scores))`` from the
         vectorized modes (int/float arrays — the parent maps rows back
@@ -516,7 +517,7 @@ def build_shard_runner(engine: "BatchMatchEngine", request: MatchRequest):
                                   config.workers)
     if balance:
         shards = rebalance_shards(shards, bins)
-    indexed = engine._try_indexed(request)
+    indexed = engine._prepare(request)
     scorer = None if indexed is not None else ChunkScorer(request)
     return shards, ShardRunner(shards, request, config.chunk_size, indexed,
                                scorer)
@@ -546,15 +547,44 @@ def execute_sharded(engine: "BatchMatchEngine", request: MatchRequest,
     shards, runner = plan
     if not shards:
         return True  # no candidates at all: the empty mapping is correct
-    indexed = runner.indexed
     durations: List[float] = []
+    kept = []
     work = ((None, (index,)) for index in range(len(shards)))
     for _, seconds, (kind, data) in run_ordered(
             runner.run, work, workers=min(config.workers, len(shards)),
             inflight=len(shards)):
         durations.append(seconds)
-        triples = indexed.triples(*data) if kind == "rows" else data
-        engine._merge(result, triples, request.is_self)
+        if kind == "rows":
+            kept.append(data)
+        else:
+            engine._merge(result, data, request.is_self,
+                          survivors=len(data))
+    if kept:
+        rows_a, rows_b, scores = (
+            _np.concatenate(parts) for parts in zip(*kept))
+        survivors = len(scores)
+        first = _first_occurrences(rows_a, rows_b, len(request.range))
+        engine._merge(
+            result,
+            runner.indexed.triples(rows_a[first], rows_b[first],
+                                   scores[first]),
+            request.is_self, survivors=survivors)
     if engine.last_profile is not None:
         engine.last_profile["shard_seconds"] = durations
     return True
+
+
+def _first_occurrences(rows_a, rows_b, range_size: int):
+    """Positions of each distinct ``(row_a, row_b)``'s first occurrence,
+    ascending.
+
+    A pair sharing several tokens (keys, windows) survives once per
+    shard — and, block-vectorized, once per block — that generated it;
+    every copy has the same score (module docstring), so the first in
+    shard-submission order is the row the keyed merge would have kept.
+    Dropping the rest here costs one sort of the *survivors*' int64
+    codes, not of the candidates', and saves their id lookups and
+    inserts.
+    """
+    codes = rows_a.astype(_np.int64) * range_size + rows_b
+    return _np.sort(_np.unique(codes, return_index=True)[1])

@@ -23,8 +23,10 @@ column ride along as :class:`~repro.engine.columns.ScalarColumn`
 fallbacks, so one slow similarity no longer forces the whole request
 off the fast path.
 
-The batch engine (:func:`request_kernel`, once per request), the
-sharded runner and the serve index (:func:`bind_columns`, once per
+The batch engine and its sharded runner (:func:`request_kernel`: the
+columns of one source pair are prepared, packed and bound once and
+kept by the sources, each request only composes them) and the serve
+index (:func:`build_columns` once, :func:`bind_columns` per
 micro-batch over its persistent columns) all go through these
 functions.  :class:`IndexedScorer` is kernel-agnostic: candidate pairs
 cross process boundaries as int index arrays (~8 bytes/pair) instead
@@ -32,10 +34,10 @@ of string tuples, and on the sharded path the payload contract is
 *shard indices in, surviving ``(rows_a, rows_b, scores)`` arrays out*
 (see :mod:`repro.engine.shards`).
 
-numpy is optional: :func:`build_columns` returns ``None`` without it,
-when no spec has a packed column, and :func:`request_kernel` also when
-a side would exceed the memory budget; callers fall back to the Python
-path.
+numpy is optional: :func:`build_columns` and :func:`request_kernel`
+return ``None`` without it and when no spec has a packed column,
+:func:`request_kernel` also when a side would exceed the memory
+budget; callers fall back to the Python path.
 """
 
 from __future__ import annotations
@@ -54,7 +56,12 @@ from repro.core.operators.functions import (
     MinFunction,
     WeightedFunction,
 )
-from repro.engine.columns import build_column, numpy_available, survivors
+from repro.engine.columns import (
+    build_column,
+    column_config,
+    numpy_available,
+    survivors,
+)
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
 
@@ -398,26 +405,97 @@ def bind_columns(built, query_values: Sequence[Sequence[object]],
     return MultiSpecKernel(kernels, combiner, threshold=threshold)
 
 
+def _corpus(request, spec: AttributeSpec):
+    """What ``spec``'s similarity is prepared on: both sides' values."""
+    corpus = request.domain.attribute_values(spec.attribute)
+    if request.range is not request.domain:
+        corpus = corpus + request.range.attribute_values(
+            spec.range_attribute)
+    return corpus
+
+
+def prepare_similarities(request) -> None:
+    """Give every spec's similarity its corpus-level state.
+
+    In spec order, so of two specs sharing one similarity object the
+    later corpus wins — on every execution path alike.
+    """
+    for spec in request.specs:
+        spec.similarity.prepare(_corpus(request, spec))
+
+
+def _bound_column(request, spec: AttributeSpec):
+    """``spec``'s column: range side packed, domain side bound."""
+    domain_values, range_values = source_values(
+        request.domain, request.range, spec.attribute, spec.range_attribute)
+    return build_column(spec.similarity, range_values).bind(domain_values)
+
+
+def _prepared_column(request, spec: AttributeSpec):
+    """:func:`_bound_column` of ``spec``'s freshly prepared similarity."""
+    spec.similarity.prepare(_corpus(request, spec))
+    return _bound_column(request, spec)
+
+
+def _kept_column(request, spec: AttributeSpec, config):
+    """``spec``'s packed column, prepared and bound once per source pair.
+
+    A packed column is a pure function of the two sources, the two
+    attribute names and ``config``
+    (:func:`~repro.engine.columns.column_config`): that is its key in
+    the domain source's memo (:meth:`LogicalSource.derived`, scoped to
+    the range source), and a hit skips ``prepare`` along with the
+    packing.  The memo keeps arrays only
+    (:meth:`~repro.engine.columns._Column.release`): the parent's
+    retained bytes are bytes every forked worker maps too.
+    """
+    def build():
+        kernel = _prepared_column(request, spec)
+        if not kernel.vectorized:  # over budget: the scalar fallback
+            raise MemoryError("packed reference side exceeds the budget")
+        kernel.release()
+        return kernel
+
+    return request.domain.derived(
+        ("bound-column", spec.attribute, spec.range_attribute) + config,
+        build, partner=request.range)
+
+
 def request_kernel(request):
     """The kernel scoring ``request``'s row pairs, or ``None``.
 
-    Columns pack the range side and bind the domain side, both in
-    ``source.ids()`` row order.  ``None`` sends the request down the
-    generic :class:`~repro.engine.scorer.ChunkScorer` path.
+    One bound column per spec — range side packed, domain side bound,
+    both in ``source.ids()`` row order — each built right after its
+    similarity was prepared; packed columns are built once per source
+    pair (:func:`_kept_column`).  Specs sharing one similarity
+    *object* opt the request out of that: they are all prepared first,
+    so the shared instance scores with its last corpus like it does on
+    the generic path, which no per-spec key describes.
+
+    ``None`` — without numpy, when no spec has a packed column (an
+    all-fallback composition would be the generic scorer with extra
+    packing cost) or when a side exceeds the memory budget — sends the
+    request down the generic :class:`~repro.engine.scorer.ChunkScorer`
+    path; nothing is guaranteed prepared then.
     """
-    values = [source_values(request.domain, request.range,
-                            spec.attribute, spec.range_attribute)
-              for spec in request.specs]
-    built = build_columns(request.specs,
-                          [range_values for _, range_values in values])
-    if built is None:
+    specs = request.specs
+    configs = [column_config(spec.similarity) for spec in specs]
+    if not numpy_available() or not any(configs):
         return None
     try:
-        return bind_columns(
-            built, [domain_values for domain_values, _ in values],
-            request.combiner, request.threshold)
-    except MemoryError:  # the domain side alone exceeds the budget
+        if len({id(spec.similarity) for spec in specs}) < len(specs):
+            prepare_similarities(request)
+            kernels = [_bound_column(request, spec) for spec in specs]
+        else:
+            kernels = [_prepared_column(request, spec) if config is None
+                       else _kept_column(request, spec, config)
+                       for spec, config in zip(specs, configs)]
+    except MemoryError:
         return None
+    if request.combiner is None:
+        return kernels[0]
+    return MultiSpecKernel(kernels, request.combiner,
+                           threshold=request.threshold)
 
 
 class IndexedScorer:
@@ -471,10 +549,7 @@ class IndexedScorer:
 
     def triples(self, rows_a, rows_b, scores):
         """Materialize surviving rows as (domain id, range id, score)."""
-        domain_ids = self.domain_ids
-        range_ids = self.range_ids
-        return [
-            (domain_ids[row_a], range_ids[row_b], score)
-            for row_a, row_b, score in zip(
-                rows_a.tolist(), rows_b.tolist(), scores.tolist())
-        ]
+        return list(zip(
+            map(self.domain_ids.__getitem__, rows_a.tolist()),
+            map(self.range_ids.__getitem__, rows_b.tolist()),
+            scores.tolist()))

@@ -10,10 +10,25 @@ of a particular semantic object type" (paper §2.1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TypeVar,
+)
 
 from repro.model.entity import ObjectInstance
+
+T = TypeVar("T")
+#: the one ``_derived`` key no caller can pass: the partner table
+_PARTNERS = object()
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,13 @@ class LogicalSource:
         self.physical = physical
         self.object_type = object_type
         self._instances: Dict[str, ObjectInstance] = {}
+        #: bumped by every ``add``: how a partner source's memo sees
+        #: that this one changed
+        self.version = 0
+        #: lookups :meth:`derived` answered from the memo / by building
+        self.derived_hits = 0
+        self.derived_builds = 0
+        self._derived: Dict[Hashable, Any] = {}
 
     @property
     def name(self) -> str:
@@ -73,12 +95,61 @@ class LogicalSource:
                 f"duplicate instance id {instance.id!r} in {self.name}"
             )
         self._instances[instance.id] = instance
+        self.version += 1
+        if self._derived:
+            self._derived.clear()
 
     def add_record(self, id: str, **attributes: Any) -> ObjectInstance:
         """Convenience: build and add an instance from keyword attributes."""
         instance = ObjectInstance(id, attributes)
         self.add(instance)
         return instance
+
+    def derived(self, key: Hashable, build: Callable[[], T], *,
+                partner: Optional["LogicalSource"] = None) -> T:
+        """``build()``, computed once for this source's current contents.
+
+        The memo for everything that is a pure function of the
+        instances and expensive to recompute (blocking posting lists,
+        packed kernel columns): the first lookup of ``key`` stores
+        ``build()``, later ones return the stored object.  It lives
+        and dies with the source *object*: :meth:`add` drops it, a
+        pickled copy and a :meth:`subset` start empty, and nothing is
+        keyed on :attr:`name` (two subsets share one).
+
+        ``partner`` scopes an entry to a second source as well — the
+        value also depends on *its* contents.  The partner is held
+        weakly and compared by identity and :attr:`version`, so the
+        entry goes when the partner is collected or grows, and a new
+        object at a recycled address can never hit it.
+
+        Values are shared between callers: treat them as read-only.
+        Not synchronized — concurrent first lookups may both build.
+        """
+        memo = self._derived
+        if partner is not None and partner is not self:
+            # partner source -> (its version, entries), weakly keyed
+            partners = memo.get(_PARTNERS)
+            if partners is None:
+                partners = memo[_PARTNERS] = weakref.WeakKeyDictionary()
+            scoped = partners.get(partner)
+            if scoped is None or scoped[0] != partner.version:
+                scoped = partners[partner] = (partner.version, {})
+            memo = scoped[1]
+        try:
+            value: T = memo[key]
+        except KeyError:
+            value = memo[key] = build()
+            self.derived_builds += 1
+        else:
+            self.derived_hits += 1
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # derived state is rebuilt where it is needed, never shipped
+        state = dict(self.__dict__)
+        state["_derived"] = {}
+        return state
 
     def get(self, id: str) -> Optional[ObjectInstance]:
         """Return the instance with ``id`` or ``None``."""
@@ -110,11 +181,9 @@ class LogicalSource:
 
     def attribute_values(self, attribute: str) -> List[Any]:
         """All non-``None`` values of ``attribute`` across instances."""
-        return [
-            instance.get(attribute)
-            for instance in self._instances.values()
-            if instance.get(attribute) is not None
-        ]
+        values = (instance.get(attribute)
+                  for instance in self._instances.values())
+        return [value for value in values if value is not None]
 
     def select(self, predicate: Callable[[ObjectInstance], bool]) -> List[ObjectInstance]:
         """Return the instances satisfying ``predicate``."""

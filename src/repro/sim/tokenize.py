@@ -19,6 +19,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 def strip_accents(text: str) -> str:
     """Replace accented characters with their ASCII base form."""
+    if text.isascii():
+        # NFKD maps ASCII to itself and no ASCII character combines
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

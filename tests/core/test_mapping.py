@@ -64,6 +64,29 @@ class TestAddRemove:
         with pytest.raises(ValueError):
             mapping.add("a", "b", 0.1, on_conflict="bogus")
 
+    def test_add_rows_is_add_per_row(self):
+        rows = [("a", "b", 0.5), ("a", "c", 1), ("a", "b", 0.8),
+                ("d", "b", 0.25), ("a", "b", 0.3), ("d", "b", 0.25)]
+        bulk, single = Mapping("A", "B"), Mapping("A", "B")
+        bulk.add_rows(iter(rows))
+        for row in rows:
+            single.add(*row)
+        # same correspondences in the same insertion order, both indexes
+        assert list(bulk) == list(single)
+        assert {key: list(row.items())
+                for key, row in bulk.by_range.items()} \
+            == {key: list(row.items())
+                for key, row in single.by_range.items()}
+        assert bulk.get("a", "b") == 0.8
+        assert type(bulk.get("a", "c")) is float
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_add_rows_validates(self, bad):
+        mapping = Mapping("A", "B")
+        with pytest.raises(ValueError):
+            mapping.add_rows([("a", "b", 0.5), ("a", "c", bad)])
+        assert mapping.get("a", "b") == 0.5  # rows before it went in
+
     def test_remove(self, mapping):
         assert mapping.remove("a1", "b2") is True
         assert mapping.get("a1", "b2") is None

@@ -206,6 +206,76 @@ BLOCKING_IDS = ["cross-default", "FullCross", "KeyBlocking",
                 "TokenBlocking", "SortedNeighborhood", "CanopyBlocking"]
 
 
+def _weighted(blocking, engine):
+    return MultiAttributeMatcher(
+        [AttributePair("title", similarity="trigram"),
+         AttributePair("venue", similarity="tfidf", weight=2.0),
+         AttributePair("year", similarity="year", weight=0.5)],
+        combine="weighted", threshold=0.4, blocking=blocking, engine=engine)
+
+
+#: fresh matcher (and similarity objects) per run, like a workflow's
+#: matchers: what is shared between runs is shared through the sources
+PREPARED_MATCHERS = {
+    "trigram": lambda blocking, engine: AttributeMatcher(
+        "title", similarity="trigram", threshold=0.4, blocking=blocking,
+        engine=engine),
+    "tfidf": lambda blocking, engine: AttributeMatcher(
+        "title", similarity="tfidf", threshold=0.3, blocking=blocking,
+        engine=engine),
+    "weighted": _weighted,
+}
+PREPARED_ENGINES = {
+    "streamed": SERIAL,
+    "sharded-1": SHARDED_INLINE,
+    "sharded-2": BatchMatchEngine(EngineConfig(workers=2, chunk_size=64,
+                                               shard_blocking=True)),
+}
+
+
+def _twin(instance):
+    """A near-duplicate of ``instance`` under a new id."""
+    from repro.model.entity import ObjectInstance
+    return ObjectInstance(instance.id + "-twin", dict(instance.attributes))
+
+
+def _derived_keys(source):
+    """Every tuple key in ``source``'s memo, partner-scoped ones included."""
+    keys = []
+    for key, value in source._derived.items():
+        if isinstance(key, tuple):
+            keys.append(key)
+        else:  # the partner table: partner -> (version, entries)
+            keys.extend(k for _, entries in value.values() for k in entries)
+    return keys
+
+
+def _similarities(matcher):
+    if isinstance(matcher, AttributeMatcher):
+        return [matcher.similarity]
+    return [pair.similarity for pair in matcher.pairs]
+
+
+def _reachable(root):
+    """Every container / object reachable from ``root`` (leaf values,
+    classes and source instances excluded)."""
+    import gc
+    import types
+
+    from repro.model.entity import ObjectInstance
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (str, int, float, type, types.ModuleType,
+                      types.FunctionType, ObjectInstance)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
 class TestSerialShardedEquivalence:
     """Sharded execution must be byte-identical to serial execution
     for every blocking strategy, in every worker-side scoring mode
@@ -396,6 +466,115 @@ class TestSerialShardedEquivalence:
                                    engine=SHARDED_INLINE)
         assert serial.match(domain, range_).to_rows() == \
             sharded.match(domain, range_).to_rows()
+
+    # -- prepared state on the sources: cold == warm == grown == fresh --
+
+    @pytest.mark.parametrize("engine", ["streamed", "sharded-1", "sharded-2"])
+    @pytest.mark.parametrize("self_matching", [False, True],
+                             ids=["two-source", "self"])
+    @pytest.mark.parametrize("flavor", sorted(PREPARED_MATCHERS))
+    @pytest.mark.parametrize("blocking", ALL_BLOCKINGS, ids=BLOCKING_IDS)
+    def test_prepared_state_never_changes_rows(self, dataset, blocking,
+                                               flavor, self_matching,
+                                               engine):
+        """What the sources keep between requests (posting lists,
+        packed columns) is invisible in the rows: a cold run, a warm
+        run and runs after either source grew all equal a serial run
+        over brand-new source objects, row list for row list."""
+        make = PREPARED_MATCHERS[flavor]
+
+        def rows(domain, range_, on=PREPARED_ENGINES[engine]):
+            return make(blocking, on).match(domain, range_).to_rows()
+
+        def fresh(*sources):
+            copies = [source.subset(source.ids()) for source in sources]
+            return copies[0], copies[-1]
+
+        pubs = dataset.dblp.publications
+        domain = pubs.subset(pubs.ids()[:45])
+        range_ = domain if self_matching else \
+            dataset.acm.publications.subset(
+                dataset.acm.publications.ids()[:40])
+        cold = rows(domain, range_)
+        assert cold == rows(*fresh(domain, range_), on=SERIAL)
+        assert cold
+        builds = domain.derived_builds + range_.derived_builds
+        assert rows(domain, range_) == cold
+        # the warm run found everything it looked up
+        assert domain.derived_builds + range_.derived_builds == builds
+        first, later = pubs.ids()[0], pubs.ids()[50]
+        for grown, twin in ((range_, first), (domain, later)):
+            grown.add(_twin(pubs.require(twin)))
+            after = rows(domain, range_)
+            assert after == rows(*fresh(domain, range_), on=SERIAL)
+            # the record that arrived after the state was built is seen
+            assert (first, first + "-twin") in {(a, b) for a, b, _ in after}
+
+    def test_shared_similarity_object_stays_off_the_memo(self, dataset):
+        """Two specs sharing one TF/IDF instance score with its last
+        corpus on every path; no per-spec memo key describes that."""
+        dblp, acm = (source.subset(source.ids()) for source in
+                     (dataset.dblp.publications, dataset.acm.publications))
+        for engine in (SERIAL, SHARDED_INLINE):
+            shared = TfIdfCosineSimilarity()
+            matcher = MultiAttributeMatcher(
+                [AttributePair("title", similarity=shared),
+                 AttributePair("venue", similarity=shared)],
+                combine="avg", threshold=0.3,
+                blocking=TokenBlocking(max_df=0.5), engine=engine)
+            rows = matcher.match(dblp, acm).to_rows()
+            assert rows
+            assert not any(key[0] == "bound-column"
+                           for key in _derived_keys(dblp))  # nothing kept
+            candidates = [(a, b) for a, b, _ in rows]
+            generic = matcher.match(dblp, acm, candidates=candidates)
+            assert generic.to_rows() == rows
+
+    def test_duplicate_survivors_reach_the_merge_once(self):
+        """Titles sharing many tokens surface once per shared token;
+        the merge must see each surviving pair exactly once."""
+        words = "adaptive query processing over streaming sensor data"
+        domain = _source("L", [f"{words} part{i}" for i in range(12)])
+        range_ = _source("R", [f"{words} vol{i}" for i in range(12)])
+        engine = BatchMatchEngine(EngineConfig(
+            workers=2, chunk_size=64, shard_blocking=True, profile=True))
+        mapping = AttributeMatcher(
+            "title", similarity="trigram", threshold=0.5,
+            blocking=TokenBlocking(max_df=1.0), engine=engine,
+        ).match(domain, range_)
+        profile = engine.profile_summary()
+        assert len(mapping) == 12 * 12
+        assert profile["merged_rows"] == len(mapping)
+        assert profile["survivor_rows"] >= 5 * len(mapping)
+        serial = AttributeMatcher(
+            "title", similarity="trigram", threshold=0.5,
+            blocking=TokenBlocking(max_df=1.0), engine=SERIAL,
+        ).match(domain, range_)
+        # same rows in the same insertion order, not just the same set
+        assert list(mapping) == list(serial)
+
+    @pytest.mark.parametrize("flavor", sorted(PREPARED_MATCHERS))
+    def test_sources_keep_arrays_not_per_string_state(self, dataset, flavor):
+        """The memory rule: forked workers map every retained parent
+        byte too, so the memo may hold posting lists, id tables and
+        numpy state — never gram sets or TF/IDF weight dicts."""
+        dblp, acm = (source.subset(source.ids()) for source in
+                     (dataset.dblp.publications, dataset.acm.publications))
+        matcher = PREPARED_MATCHERS[flavor](TokenBlocking(max_df=0.5),
+                                            SHARDED_INLINE)
+        assert matcher.match(dblp, acm).to_rows()
+        assert any(key[0] == "bound-column" for key in _derived_keys(dblp))
+        kept = list(_reachable(dblp._derived))
+        assert any(type(obj).__name__ == "ndarray" for obj in kept)
+        for obj in kept:
+            assert not isinstance(obj, frozenset)
+            if isinstance(obj, dict):
+                assert not any(isinstance(value, float)
+                               for value in obj.values()), obj
+        # and the similarity that packed is left prepared but unburdened
+        for spec_similarity in _similarities(matcher):
+            assert not getattr(spec_similarity, "_gram_cache", None)
+            assert not getattr(spec_similarity, "_vector_cache", None)
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,40 @@ class TestProfileRecords:
         assert summary["chunk_p99_seconds"] >= summary["chunk_p50_seconds"]
         assert summary["shards"] == len(engine.last_profile["shard_seconds"])
 
+    @pytest.mark.parametrize("path", ["serial", "sharded"])
+    def test_warm_run_shows_as_warm(self, path):
+        """Same sources, new engine, new similarity, new blocking
+        object: the second run finds the posting lists and the packed
+        column on the sources and says so."""
+        domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
+
+        def run():
+            engine = BatchMatchEngine(EngineConfig(profile=True,
+                                                   **CONFIGS[path]))
+            mapping = engine.execute(MatchRequest(
+                domain=domain, range=range_, threshold=0.3,
+                specs=[AttributeSpec("title", "title", TrigramSimilarity())],
+                blocking=TokenBlocking()))
+            return mapping.to_rows(), engine.profile_summary()
+
+        cold_rows, cold = run()
+        warm_rows, warm = run()
+        assert warm_rows == cold_rows
+        assert (cold["kernel_cached"], cold["index_cached"]) == (False, False)
+        assert (warm["kernel_cached"], warm["index_cached"]) == (True, True)
+        assert warm["merged_rows"] == cold["merged_rows"] == len(cold_rows)
+        assert warm["survivor_rows"] >= warm["merged_rows"]
+        range_.add_record("b-late", title="streaming theta join zebra000 late")
+        _, grown = run()
+        assert (grown["kernel_cached"], grown["index_cached"]) == (False, False)
+
+    def test_index_cached_needs_an_index(self):
+        # cross product: no blocking index is ever looked up, so "no
+        # index was built" must not read as "the index was cached"
+        engine, _ = _run(True, workers=1, chunk_size=64)
+        assert engine.profile_summary()["index_cached"] is False
+        assert "memo_counts" not in engine.last_profile
+
     def test_each_run_resets_the_profile(self):
         engine = BatchMatchEngine(EngineConfig(profile=True, workers=1,
                                                chunk_size=64))

@@ -100,6 +100,19 @@ class TweakedVector(TfIdfCosineSimilarity):
         return {token: 1.0 for token in text.split()}
 
 
+class TweakedGrams(TrigramSimilarity):
+    """Same ``q``/``method``/``pad`` as its base, different gram sets:
+    a packed column of it must not pass for a trigram column."""
+
+    def grams(self, text: str):
+        return frozenset(text.split())
+
+
+class TweakedIdf(TfIdfCosineSimilarity):
+    def idf(self, token: str) -> float:
+        return 1.0
+
+
 class TestKernelSelection:
     """``build_column`` is the registry; each similarity type must land
     on exactly the column whose math it matches."""
@@ -113,9 +126,12 @@ class TestKernelSelection:
         (LevenshteinSimilarity, ScalarColumn),
         (TweakedTfIdf, ScalarColumn),
         (TweakedVector, ScalarColumn),
+        (TweakedGrams, ScalarColumn),
+        (TweakedIdf, ScalarColumn),
     ], ids=["trigram", "jaccard-ngram", "tfidf", "softtfidf",
             "levenshtein", "tfidf-score-override",
-            "tfidf-vector-override"])
+            "tfidf-vector-override", "ngram-grams-override",
+            "tfidf-idf-override"])
     def test_registry_routing(self, dataset, make_sim, expected):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         sim = make_sim()
@@ -275,7 +291,10 @@ class TestSparseKernelBitExact:
     def test_memory_budget_refuses_oversized_index(self, dataset,
                                                    monkeypatch):
         monkeypatch.setattr(columns, "MAX_INDEX_BYTES", 64)
-        dblp, acm = dataset.dblp.publications, dataset.acm.publications
+        # copies: the budget guards packing, and the shared fixture
+        # sources may already hold this column packed
+        dblp, acm = (source.subset(source.ids()) for source in
+                     (dataset.dblp.publications, dataset.acm.publications))
         sim = TfIdfCosineSimilarity()
         sim.prepare(dblp.attribute_values("title"))
         assert isinstance(build_column(sim, acm.attribute_values("title")),
@@ -325,6 +344,33 @@ class TestColumnBinding:
             source, source, specs=[AttributeSpec("title", "title", sim)])
         kernel = vectorized.request_kernel(request)
         assert kernel.domain is kernel.range
+
+    @pytest.mark.parametrize("make_sim", [TrigramSimilarity,
+                                          TfIdfCosineSimilarity],
+                             ids=["ngram", "tfidf"])
+    def test_released_kernel_scores_but_cannot_pack(self, make_sim):
+        import numpy as np
+
+        source = _source("S", _skewed_titles(30))
+        sim = make_sim()
+        sim.prepare(source.attribute_values("title"))
+        values = [instance.get("title") for instance in source]
+        kernel = build_column(sim, values).bind(list(values))
+        rows = np.arange(len(values))
+        before = kernel.score_rows(rows, rows[::-1])
+        bounds = kernel.score_bound_rows(rows, rows[::-1])
+        kernel.release()
+        assert np.array_equal(kernel.score_rows(rows, rows[::-1]), before)
+        assert np.array_equal(kernel.score_bound_rows(rows, rows[::-1]),
+                              bounds)
+        assert not kernel.missing_rows(rows, rows).any()
+        # the per-string cache went with it, the corpus statistics stay
+        assert not sim._gram_cache if make_sim is TrigramSimilarity \
+            else (not sim._vector_cache and sim._idf)
+        with pytest.raises(AttributeError):
+            kernel.bind(values)
+        with pytest.raises(AttributeError):
+            kernel.export()
 
     @pytest.mark.parametrize("make_sim", [
         TrigramSimilarity,

@@ -1,5 +1,7 @@
 """Property-based tests for similarity functions."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.sim.edit import (
 )
 from repro.sim.hybrid import TokenJaccardSimilarity
 from repro.sim.ngram import TrigramSimilarity
+from repro.sim.tokenize import strip_accents
 
 texts = st.text(alphabet="abcdefg hi", min_size=0, max_size=20)
 words = st.text(alphabet="abcdefg", min_size=1, max_size=12)
@@ -63,3 +66,17 @@ def test_single_typo_never_destroys_trigram(a):
     if len(a) >= 6:
         mutated = "z" + a[1:]
         assert TrigramSimilarity()(a, mutated) > 0.4
+
+
+def _strip_accents_nfkd(text):
+    """The definition, without the ASCII shortcut."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+@given(text=st.one_of(st.text(max_size=40),
+                      st.text(alphabet=st.characters(max_codepoint=0x17f),
+                              max_size=40)))
+@settings(max_examples=300)
+def test_strip_accents_fast_path_equals_nfkd(text):
+    assert strip_accents(text) == _strip_accents_nfkd(text)
