@@ -159,7 +159,7 @@ class DeterminismChecker(Checker):
 
     CODE = "DET"
     SCOPES = ("repro/engine/", "repro/serve/", "repro/sim/",
-              "repro/fusion/", "repro/blocking/")
+              "repro/fusion/", "repro/blocking/", "repro/core/")
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         parents: Dict[int, ast.AST] = {}

@@ -7,17 +7,48 @@ connect instances of the same object type and represent semantic
 equality; every other mapping is an *association mapping* (publications
 of an author, venue of a publication, co-authors, ...).
 
-The implementation keeps both domain- and range-indexed views so that
-merge, compose and the Relative similarity functions (which need
-out-/in-degrees) are all linear in the number of correspondences.
+The table has two forms.  Operators and the engine produce and consume
+its **columns** (:class:`Columns`: one interned int32 id code per side
+and a float64 similarity per row); matchers, scripts and evaluation
+read it through the **dict views** ``by_domain`` / ``by_range``.  Each
+form is built from the other on first use and kept; ``add`` /
+``add_rows`` / ``remove`` write the domain-indexed dict and drop the
+rest, so no form is ever stale.
+
+Row order is part of the contract: rows are grouped by domain id,
+groups in the order their domain id first appeared, rows of a group in
+the order they were added — exactly the iteration order of the
+``by_domain`` dict of dicts.  ``list(mapping)``, the columns and every
+view derived from them follow it (``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.core.correspondence import Correspondence, validate_similarity
+
+Array = NDArray[Any]
+View = Dict[str, Dict[str, float]]
 
 
 class MappingKind(str, Enum):
@@ -25,6 +56,148 @@ class MappingKind(str, Enum):
 
     SAME = "same"
     ASSOCIATION = "association"
+
+
+class IdSpace:
+    """The interned ids of one logical source: id string <-> int code.
+
+    Codes are handed out in interning order and never change, so the
+    columns of two mappings over the same space compare and join as
+    integers.
+    """
+
+    __slots__ = ("ids", "codes", "_lock", "__weakref__")
+
+    def __init__(self) -> None:
+        self.ids: List[str] = []
+        self.codes: Dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def intern(self, ids: Iterable[str]) -> Array:
+        """int32 codes of ``ids``; an unseen id gets the next code."""
+        codes, known = self.codes, self.ids
+        out: List[int] = []
+        with self._lock:
+            for id in ids:
+                code = codes.get(id)
+                if code is None:
+                    code = codes[id] = len(known)
+                    known.append(id)
+                out.append(code)
+        return np.asarray(out, dtype=np.int32)
+
+
+#: the live id space of each logical-source *name*.  Weak: a space
+#: lives exactly as long as some mapping's columns hold it, and while
+#: it lives every mapping over that name finds the same one — which is
+#: what makes their codes comparable.
+_SPACES: "weakref.WeakValueDictionary[str, IdSpace]" = \
+    weakref.WeakValueDictionary()
+_SPACES_LOCK = threading.Lock()
+
+
+def id_space(name: str) -> IdSpace:
+    """The id space of the logical source called ``name``."""
+    with _SPACES_LOCK:
+        space = _SPACES.get(name)
+        if space is None:
+            space = _SPACES[name] = IdSpace()
+        return space
+
+
+class Columns(NamedTuple):
+    """A mapping table as arrays, one entry per row, in row order.
+
+    The arrays are shared between mappings (``copy``, ``take``) and
+    never written to.
+    """
+
+    domain_space: IdSpace
+    range_space: IdSpace
+    domain: Array  # int32 codes in ``domain_space``
+    range: Array  # int32 codes in ``range_space``
+    sims: Array  # float64
+
+    def take(self, rows: Array) -> "Columns":
+        """The rows selected by an index array or boolean mask."""
+        return self._replace(domain=self.domain[rows],
+                             range=self.range[rows], sims=self.sims[rows])
+
+    def pair_keys(self) -> Array:
+        """One int64 per row, equal exactly for equal (domain, range)."""
+        return (self.domain.astype(np.int64) << 32) | self.range
+
+
+def concatenate(tables: Sequence[Columns]) -> Columns:
+    """The rows of ``tables`` (all over the same spaces), one after another."""
+    return tables[0]._replace(
+        domain=np.concatenate([table.domain for table in tables]),
+        range=np.concatenate([table.range for table in tables]),
+        sims=np.concatenate([table.sims for table in tables]))
+
+
+def distinct_keys(keys: Array) -> Tuple[Array, Array]:
+    """The distinct values of ``keys`` in order of first occurrence.
+
+    Returns ``(first, slot)``: ``first[j]`` is the row where the j-th
+    distinct key first occurs (ascending) and ``slot[i]`` the ``j`` of
+    row ``i`` — a key table that ``np.bincount(slot, weights=...)``
+    and ``ufunc.at(out, slot, ...)`` aggregate over in row order.
+    """
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def regroup(columns: Columns) -> Columns:
+    """Rows stably regrouped by domain, groups by first occurrence.
+
+    Turns distinct pairs listed in insertion order into row order —
+    what inserting them one by one into ``by_domain`` does.
+    """
+    _, slot = distinct_keys(columns.domain)
+    if (np.diff(slot) >= 0).all():
+        return columns
+    return columns.take(np.argsort(slot, kind="stable"))
+
+
+def canonical(columns: Columns) -> Columns:
+    """The table that ``add_rows`` builds from ``columns``' rows.
+
+    A repeated pair keeps its first position and its largest
+    similarity; then :func:`regroup`.
+    """
+    first, slot = distinct_keys(columns.pair_keys())
+    if len(first) < len(slot):
+        best = np.zeros(len(first), dtype=np.float64)
+        np.maximum.at(best, slot, columns.sims)
+        columns = columns.take(first)._replace(sims=best)
+    return regroup(columns)
+
+
+def validated(sims: Array) -> Array:
+    """``sims`` as float64, every one checked like ``validate_similarity``."""
+    sims = np.asarray(sims, dtype=np.float64)
+    valid = (sims >= 0.0) & (sims <= 1.0)
+    if not valid.all():
+        raise ValueError("similarity must be within [0, 1], got "
+                         f"{sims[~valid][0]!r}")
+    return sims
+
+
+def _index(keys: Iterable[str], others: Iterable[str],
+           sims: Iterable[float]) -> View:
+    """``{key: {other: sim}}`` over rows, in row order."""
+    view: View = {}
+    for key, other, sim in zip(keys, others, sims):
+        row = view.get(key)
+        if row is None:
+            row = view[key] = {}
+        row[other] = sim
+    return view
 
 
 class Mapping:
@@ -38,7 +211,8 @@ class Mapping:
     source, paper §2.1/§4.3).
     """
 
-    __slots__ = ("domain", "range", "kind", "name", "_by_domain", "_by_range")
+    __slots__ = ("domain", "range", "kind", "name",
+                 "_columns", "_by_domain", "_by_range")
 
     def __init__(self, domain: str, range: str,
                  kind: MappingKind = MappingKind.SAME,
@@ -49,12 +223,51 @@ class Mapping:
         self.range = range
         self.kind = MappingKind(kind)
         self.name = name
-        self._by_domain: Dict[str, Dict[str, float]] = {}
-        self._by_range: Dict[str, Dict[str, float]] = {}
+        # at least one of _columns / _by_domain is set; _by_range is
+        # only ever a view of them
+        self._columns: Optional[Columns] = None
+        self._by_domain: Optional[View] = {}
+        self._by_range: Optional[View] = None
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+
+    @classmethod
+    def of(cls, domain: str, range: str, columns: Columns, *,
+           kind: MappingKind = MappingKind.SAME,
+           name: Optional[str] = None) -> "Mapping":
+        """The mapping whose table *is* ``columns``.
+
+        For operators: ``columns`` must hold distinct pairs in row
+        order with valid similarities (:func:`canonical` makes any
+        rows so).
+        """
+        mapping = cls(domain, range, kind=kind, name=name)
+        mapping._columns = columns
+        mapping._by_domain = None
+        return mapping
+
+    @classmethod
+    def from_columns(cls, domain: str, range: str,
+                     domain_ids: Sequence[str], range_ids: Sequence[str],
+                     rows_a: Array, rows_b: Array, sims: Array, *,
+                     kind: MappingKind = MappingKind.SAME,
+                     name: Optional[str] = None) -> "Mapping":
+        """:meth:`add_rows` as one array pass.
+
+        Row ``i`` relates ``domain_ids[rows_a[i]]`` to
+        ``range_ids[rows_b[i]]`` with ``sims[i]`` — how the engine's
+        surviving row arrays become a mapping without passing through
+        id strings.  Same validation, same keep-the-larger policy for
+        a repeated pair, same row order as adding the rows one by one.
+        """
+        space_a, space_b = id_space(domain), id_space(range)
+        columns = Columns(space_a, space_b,
+                          space_a.intern(domain_ids)[rows_a],
+                          space_b.intern(range_ids)[rows_b],
+                          validated(sims))
+        return cls.of(domain, range, canonical(columns), kind=kind, name=name)
 
     @classmethod
     def from_correspondences(cls, domain: str, range: str,
@@ -74,10 +287,69 @@ class Mapping:
         Used as the "trivial same-mapping" when running the
         neighborhood matcher within a single source (paper §4.3).
         """
-        mapping = cls(lds_name, lds_name, kind=MappingKind.SAME, name=name)
-        for id in ids:
-            mapping.add(id, id, 1.0)
-        return mapping
+        ids = list(ids)
+        rows = np.arange(len(ids))
+        return cls.from_columns(lds_name, lds_name, ids, ids, rows, rows,
+                                np.ones(len(ids)), name=name)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # id spaces are per process: pickle the rows, not the codes
+        return (Mapping.from_correspondences,
+                (self.domain, self.range, list(self), self.kind, self.name))
+
+    # ------------------------------------------------------------------
+    # the two forms
+    # ------------------------------------------------------------------
+
+    def columns(self) -> Columns:
+        """The mapping table as arrays (rebuilt after a mutation)."""
+        columns = self._columns
+        if columns is None:
+            domain_ids, range_ids, sims = self._rows()
+            space_a, space_b = id_space(self.domain), id_space(self.range)
+            columns = self._columns = Columns(
+                space_a, space_b, space_a.intern(domain_ids),
+                space_b.intern(range_ids),
+                np.fromiter(sims, dtype=np.float64))
+        return columns
+
+    def _rows(self) -> Tuple[Iterable[str], Iterable[str], Iterable[float]]:
+        """Domain ids, range ids and similarities, row by row."""
+        columns = self._columns
+        if columns is not None:
+            return (map(columns.domain_space.ids.__getitem__,
+                        columns.domain.tolist()),
+                    map(columns.range_space.ids.__getitem__,
+                        columns.range.tolist()),
+                    columns.sims.tolist())
+        by_domain = self.by_domain
+        return ([key for key, row in by_domain.items() for _ in row],
+                chain.from_iterable(by_domain.values()),
+                chain.from_iterable(row.values()
+                                    for row in by_domain.values()))
+
+    @property
+    def by_domain(self) -> View:
+        """``{domain id: {range id: sim}}`` — read-only for callers."""
+        view = self._by_domain
+        if view is None:
+            view = self._by_domain = _index(*self._rows())
+        return view
+
+    @property
+    def by_range(self) -> View:
+        """``{range id: {domain id: sim}}`` — read-only for callers."""
+        view = self._by_range
+        if view is None:
+            domain_ids, range_ids, sims = self._rows()
+            view = self._by_range = _index(range_ids, domain_ids, sims)
+        return view
+
+    def _writable(self) -> View:
+        """``by_domain``, about to change: the forms derived from it go."""
+        by_domain = self.by_domain
+        self._columns = self._by_range = None
+        return by_domain
 
     # ------------------------------------------------------------------
     # mutation
@@ -92,7 +364,8 @@ class Mapping:
         overwrites, ``"error"`` raises.
         """
         similarity = validate_similarity(similarity)
-        row = self._by_domain.get(domain_id)
+        by_domain = self._writable()
+        row = by_domain.get(domain_id)
         if row is not None and range_id in row:
             if on_conflict == "max":
                 if similarity <= row[range_id]:
@@ -103,19 +376,16 @@ class Mapping:
                 )
             elif on_conflict != "replace":
                 raise ValueError(f"unknown on_conflict policy {on_conflict!r}")
-        self._by_domain.setdefault(domain_id, {})[range_id] = similarity
-        self._by_range.setdefault(range_id, {})[domain_id] = similarity
+        by_domain.setdefault(domain_id, {})[range_id] = similarity
 
     def add_rows(self, rows: Iterable[Tuple[str, str, float]]) -> None:
         """Insert many ``(domain id, range id, similarity)`` rows.
 
         Exactly ``add(*row)`` per row, in order — the same validation,
         the same keep-the-larger policy for a repeated pair — as one
-        loop over both indexes instead of a call per row.  This is how
-        the engine loads its surviving rows.
+        loop instead of a call per row.
         """
-        by_domain = self._by_domain
-        by_range = self._by_range
+        by_domain = self._writable()
         for domain_id, range_id, similarity in rows:
             similarity = validate_similarity(similarity)
             row = by_domain.get(domain_id)
@@ -124,23 +394,15 @@ class Mapping:
             elif similarity <= row.get(range_id, -1.0):
                 continue
             row[range_id] = similarity
-            back = by_range.get(range_id)
-            if back is None:
-                back = by_range[range_id] = {}
-            back[domain_id] = similarity
 
     def remove(self, domain_id: str, range_id: str) -> bool:
         """Delete a correspondence; return whether it existed."""
-        row = self._by_domain.get(domain_id)
-        if row is None or range_id not in row:
+        if (domain_id, range_id) not in self:
             return False
-        del row[range_id]
-        if not row:
-            del self._by_domain[domain_id]
-        back = self._by_range[range_id]
-        del back[domain_id]
-        if not back:
-            del self._by_range[range_id]
+        by_domain = self._writable()
+        del by_domain[domain_id][range_id]
+        if not by_domain[domain_id]:
+            del by_domain[domain_id]
         return True
 
     # ------------------------------------------------------------------
@@ -149,26 +411,25 @@ class Mapping:
 
     def get(self, domain_id: str, range_id: str) -> Optional[float]:
         """Similarity of the pair, or ``None`` if absent."""
-        row = self._by_domain.get(domain_id)
+        row = self.by_domain.get(domain_id)
         if row is None:
             return None
         return row.get(range_id)
 
     def __contains__(self, pair: Tuple[str, str]) -> bool:
         domain_id, range_id = pair
-        row = self._by_domain.get(domain_id)
-        return row is not None and range_id in row
+        return range_id in self.by_domain.get(domain_id, ())
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._by_domain.values())
+        if self._columns is not None:
+            return len(self._columns.sims)
+        return sum(len(row) for row in self.by_domain.values())
 
     def __bool__(self) -> bool:
-        return bool(self._by_domain)
+        return len(self) > 0
 
     def __iter__(self) -> Iterator[Correspondence]:
-        for domain_id, row in self._by_domain.items():
-            for range_id, similarity in row.items():
-                yield Correspondence(domain_id, range_id, similarity)
+        return map(Correspondence, *self._rows())
 
     def correspondences(self) -> List[Correspondence]:
         """Return all correspondences as a list (mapping-table rows)."""
@@ -176,48 +437,41 @@ class Mapping:
 
     def pairs(self) -> Set[Tuple[str, str]]:
         """The set of (domain id, range id) pairs, similarity dropped."""
-        return {
-            (domain_id, range_id)
-            for domain_id, row in self._by_domain.items()
-            for range_id in row
-        }
+        domain_ids, range_ids, _ = self._rows()
+        return set(zip(domain_ids, range_ids))
 
     def range_ids_of(self, domain_id: str) -> Dict[str, float]:
         """Correspondences of one domain object as ``{range id: sim}``."""
-        return dict(self._by_domain.get(domain_id, {}))
+        return dict(self.by_domain.get(domain_id, {}))
 
     def domain_ids_of(self, range_id: str) -> Dict[str, float]:
         """Correspondences of one range object as ``{domain id: sim}``."""
-        return dict(self._by_range.get(range_id, {}))
+        return dict(self.by_range.get(range_id, {}))
 
     def domain_ids(self) -> Set[str]:
         """Domain objects covered by at least one correspondence."""
-        return set(self._by_domain)
+        return set(self.by_domain)
 
     def range_ids(self) -> Set[str]:
         """Range objects covered by at least one correspondence."""
-        return set(self._by_range)
+        return set(self.by_range)
 
     def out_degree(self, domain_id: str) -> int:
         """n(a): number of correspondences of ``domain_id`` (Fig. 5)."""
-        return len(self._by_domain.get(domain_id, {}))
+        return len(self.by_domain.get(domain_id, ()))
 
     def in_degree(self, range_id: str) -> int:
         """n(b): number of correspondences onto ``range_id`` (Fig. 5)."""
-        return len(self._by_range.get(range_id, {}))
-
-    # internal read-only views used by the operators (no copies)
-    @property
-    def by_domain(self) -> Dict[str, Dict[str, float]]:
-        return self._by_domain
-
-    @property
-    def by_range(self) -> Dict[str, Dict[str, float]]:
-        return self._by_range
+        return len(self.by_range.get(range_id, ()))
 
     # ------------------------------------------------------------------
     # derived mappings
     # ------------------------------------------------------------------
+
+    def take(self, rows: Array, name: Optional[str] = None) -> "Mapping":
+        """The rows selected by a boolean mask (or ascending indices)."""
+        return Mapping.of(self.domain, self.range, self.columns().take(rows),
+                          kind=self.kind, name=name)
 
     def inverse(self, name: Optional[str] = None) -> "Mapping":
         """The inverse mapping (domain and range exchanged).
@@ -225,57 +479,47 @@ class Mapping:
         The explicit mapping representation exists precisely so that
         "we can easily determine and use the inverse mapping" (§2.1).
         """
-        inverted = Mapping(self.range, self.domain, kind=self.kind, name=name)
-        for domain_id, row in self._by_domain.items():
-            for range_id, similarity in row.items():
-                inverted.add(range_id, domain_id, similarity)
-        return inverted
+        columns = self.columns()
+        swapped = Columns(columns.range_space, columns.domain_space,
+                          columns.range, columns.domain, columns.sims)
+        return Mapping.of(self.range, self.domain, regroup(swapped),
+                          kind=self.kind, name=name)
 
     def copy(self, name: Optional[str] = None) -> "Mapping":
-        """Deep copy (correspondence dictionaries are not shared)."""
-        duplicate = Mapping(self.domain, self.range, kind=self.kind,
-                            name=name if name is not None else self.name)
-        for domain_id, row in self._by_domain.items():
-            duplicate._by_domain[domain_id] = dict(row)
-        for range_id, row in self._by_range.items():
-            duplicate._by_range[range_id] = dict(row)
-        return duplicate
+        """An independent copy (mutating either leaves the other alone)."""
+        return Mapping.of(self.domain, self.range, self.columns(),
+                          kind=self.kind,
+                          name=name if name is not None else self.name)
 
     def filter(self, predicate: Callable[[Correspondence], bool],
                name: Optional[str] = None) -> "Mapping":
         """Keep only correspondences satisfying ``predicate``."""
-        result = Mapping(self.domain, self.range, kind=self.kind, name=name)
-        for correspondence in self:
-            if predicate(correspondence):
-                result.add(*correspondence)
-        return result
+        keep = [bool(predicate(correspondence)) for correspondence in self]
+        return self.take(np.asarray(keep, dtype=np.bool_), name=name)
+
+    def _restrict(self, space: IdSpace, codes: Array,
+                  ids: Iterable[str]) -> "Mapping":
+        wanted = [space.codes[id] for id in ids if id in space.codes]
+        return self.take(np.isin(codes, np.asarray(wanted, dtype=np.int32)))
 
     def restrict_domain(self, ids: Iterable[str]) -> "Mapping":
         """Keep only correspondences whose domain id is in ``ids``."""
-        wanted = set(ids)
-        result = Mapping(self.domain, self.range, kind=self.kind)
-        for domain_id in wanted:
-            for range_id, similarity in self._by_domain.get(domain_id, {}).items():
-                result.add(domain_id, range_id, similarity)
-        return result
+        columns = self.columns()
+        return self._restrict(columns.domain_space, columns.domain, ids)
 
     def restrict_range(self, ids: Iterable[str]) -> "Mapping":
         """Keep only correspondences whose range id is in ``ids``."""
-        wanted = set(ids)
-        result = Mapping(self.domain, self.range, kind=self.kind)
-        for range_id in wanted:
-            for domain_id, similarity in self._by_range.get(range_id, {}).items():
-                result.add(domain_id, range_id, similarity)
-        return result
+        columns = self.columns()
+        return self._restrict(columns.range_space, columns.range, ids)
 
     def scale(self, factor: float) -> "Mapping":
         """Multiply every similarity by ``factor`` (clamped to 1.0)."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        result = Mapping(self.domain, self.range, kind=self.kind)
-        for domain_id, range_id, similarity in self:
-            result.add(domain_id, range_id, min(1.0, similarity * factor))
-        return result
+        columns = self.columns()
+        scaled = columns.sims * factor
+        return Mapping.of(self.domain, self.range, columns._replace(
+            sims=np.where(scaled < 1.0, scaled, 1.0)), kind=self.kind)
 
     def without_identity(self) -> "Mapping":
         """Drop trivial self-correspondences (domain id == range id).
@@ -283,6 +527,9 @@ class Mapping:
         This is the paper's final dedup selection step
         ``select($Merged, "[domain.id]<>[range.id]")`` (§4.3).
         """
+        columns = self.columns()
+        if columns.domain_space is columns.range_space:
+            return self.take(columns.domain != columns.range)
         return self.filter(lambda corr: corr.domain != corr.range)
 
     # ------------------------------------------------------------------
@@ -295,9 +542,8 @@ class Mapping:
 
     def to_rows(self) -> List[Tuple[str, str, float]]:
         """Mapping-table rows, deterministically sorted."""
-        return sorted(
-            (corr.domain, corr.range, corr.similarity) for corr in self
-        )
+        domain_ids, range_ids, sims = self._rows()
+        return sorted(zip(domain_ids, range_ids, sims))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):
@@ -306,7 +552,7 @@ class Mapping:
             self.domain == other.domain
             and self.range == other.range
             and self.kind == other.kind
-            and self._by_domain == other._by_domain
+            and self.to_rows() == other.to_rows()
         )
 
     def __repr__(self) -> str:

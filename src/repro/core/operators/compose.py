@@ -20,10 +20,16 @@ neighborhood matcher.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.core.mapping import Mapping, MappingKind
-from repro.core.operators.functions import CombinationFunction, get_combination
+import numpy as np
+
+from repro.core.mapping import Columns, Mapping, MappingKind, distinct_keys
+from repro.core.operators.functions import (
+    CombinationFunction,
+    combine_columns,
+    get_combination,
+)
 
 #: aggregation functions over compose-path similarities
 _PATH_AGGREGATES = (
@@ -46,26 +52,6 @@ def _normalize_aggregate(g: str) -> str:
     raise KeyError(
         f"unknown path aggregation {g!r}; known: {sorted(set(_PATH_AGGREGATES))}"
     )
-
-
-class _PathStats:
-    """Running aggregates over the compose paths of one output pair."""
-
-    __slots__ = ("total", "minimum", "maximum", "count")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.minimum = 1.0
-        self.maximum = 0.0
-        self.count = 0
-
-    def update(self, value: float) -> None:
-        self.total += value
-        self.count += 1
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
 
 
 def compose(map1: Mapping, map2: Mapping,
@@ -102,44 +88,56 @@ def compose(map1: Mapping, map2: Mapping,
         both_same = (map1.kind == MappingKind.SAME and map2.kind == MappingKind.SAME)
         kind = MappingKind.SAME if both_same else MappingKind.ASSOCIATION
 
-    stats: Dict[Tuple[str, str], _PathStats] = {}
-    map2_by_domain = map2.by_domain
-    for a, row1 in map1.by_domain.items():
-        for c, sim1 in row1.items():
-            row2 = map2_by_domain.get(c)
-            if not row2:
-                continue
-            for b, sim2 in row2.items():
-                path_sim = combiner.combine((sim1, sim2))
-                if path_sim is None:
-                    continue
-                key = (a, b)
-                entry = stats.get(key)
-                if entry is None:
-                    entry = stats[key] = _PathStats()
-                entry.update(path_sim)
+    left, right = map1.columns(), map2.columns()
+    # ``right`` is grouped by domain: one segment of rows per object c
+    # of the intermediate source, found through c's code
+    size = len(right.domain_space.ids)
+    segment_start = np.zeros(size, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(right.domain, prepend=-1))
+    segment_start[right.domain[starts]] = starts
+    # every compose path a -> c -> b, ordered by ``left`` row, then by
+    # c's segment: ``left`` row ``row1[p]`` continues in ``right`` row
+    # ``row2[p]``
+    paths = np.bincount(right.domain, minlength=size)[left.range]
+    ends = np.cumsum(paths)
+    row1 = np.repeat(np.arange(len(paths)), paths)
+    row2 = np.repeat(segment_start[left.range] - (ends - paths), paths) \
+        + np.arange(len(row1))
+    everywhere = np.ones(len(row1), dtype=np.bool_)
+    path_sims, valid = combine_columns(
+        combiner, (left.sims[row1], right.sims[row2]),
+        (everywhere, everywhere))
+    if not valid.all():  # only a custom ``f`` drops paths
+        row1, row2, path_sims = row1[valid], row2[valid], path_sims[valid]
 
-    result = Mapping(map1.domain, map2.range, kind=kind, name=name)
-    for (a, b), entry in stats.items():
+    found = Columns(left.domain_space, right.range_space,
+                    left.domain[row1], right.range[row2], path_sims)
+    first, slot = distinct_keys(found.pair_keys())
+    found = found.take(first)
+    if aggregate == "min":
+        sims = np.ones(len(first), dtype=np.float64)
+        np.minimum.at(sims, slot, path_sims)
+    elif aggregate == "max":
+        sims = np.zeros(len(first), dtype=np.float64)
+        np.maximum.at(sims, slot, path_sims)
+    else:
+        # bincount adds its weights in input order: the path sums are
+        # left to right, like the scalar combiners' (``ordered_sum``)
+        sims = np.bincount(slot, weights=path_sims, minlength=len(first))
         if aggregate == "avg":
-            similarity = entry.total / entry.count
-        elif aggregate == "min":
-            similarity = entry.minimum
-        elif aggregate == "max":
-            similarity = entry.maximum
-        elif aggregate == "sum":
-            similarity = min(1.0, entry.total)
-        elif aggregate == "relative_left":
-            similarity = entry.total / map1.out_degree(a)
-        elif aggregate == "relative_right":
-            similarity = entry.total / map2.in_degree(b)
-        else:  # relative
-            denominator = map1.out_degree(a) + map2.in_degree(b)
-            similarity = 2.0 * entry.total / denominator
-        # Similarities never exceed 1: sums are bounded by the degree
-        # counts, but clamp defensively against float drift.
-        if similarity > 1.0:
-            similarity = 1.0
-        if similarity > 0.0:
-            result.add(a, b, similarity)
-    return result
+            sims = sims / np.bincount(slot, minlength=len(first))
+        elif aggregate != "sum":  # the relative family (Figure 5)
+            out_degree = np.bincount(left.domain)[found.domain]
+            in_degree = np.bincount(right.range)[found.range]
+            if aggregate == "relative_left":
+                sims = sims / out_degree
+            elif aggregate == "relative_right":
+                sims = sims / in_degree
+            else:
+                sims = 2.0 * sims / (out_degree + in_degree)
+    # Similarities never exceed 1: sums are bounded by the degree
+    # counts, but clamp defensively against float drift.
+    sims = np.minimum(sims, 1.0)
+    return Mapping.of(map1.domain, map2.range,
+                      found._replace(sims=sims).take(sims > 0.0),
+                      kind=kind, name=name)

@@ -15,7 +15,25 @@ path similarities ``s_i1`` and ``s_i2`` (§3.2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, Tuple, TypeVar, cast
+
+import numpy as np
+
+Number = TypeVar("Number")  # a float, or a whole column of them
+
+
+def ordered_sum(values: Iterable[Number]) -> Number:
+    """``values`` added left to right from 0.0, one rounding per add.
+
+    The one sum behind every averaged similarity, for floats and for
+    whole columns alike.  Builtin ``sum`` compensates float sums from
+    CPython 3.12 on and ``np.add.reduce`` adds pairwise; either would
+    change last bits with the interpreter or the group size.
+    """
+    total: Any = 0.0
+    for value in values:
+        total = total + value
+    return cast(Number, total)
 
 
 class CombinationFunction(ABC):
@@ -62,7 +80,7 @@ class AvgFunction(CombinationFunction):
         effective = self._effective(values)
         if effective is None:
             return None
-        return sum(effective) / len(effective)
+        return ordered_sum(effective) / len(effective)
 
 
 class MinFunction(CombinationFunction):
@@ -123,11 +141,11 @@ class WeightedFunction(CombinationFunction):
                 f"expected {len(self.weights)} values, got {len(values)}"
             )
         if self.missing_as_zero:
-            total = sum(
+            total = ordered_sum(
                 weight * (0.0 if value is None else value)
                 for weight, value in zip(self.weights, values)
             )
-            return total / sum(self.weights)
+            return total / ordered_sum(self.weights)
         pairs = [
             (weight, value)
             for weight, value in zip(self.weights, values)
@@ -135,10 +153,76 @@ class WeightedFunction(CombinationFunction):
         ]
         if not pairs:
             return None
-        weight_sum = sum(weight for weight, _ in pairs)
+        weight_sum = ordered_sum(weight for weight, _ in pairs)
         if weight_sum <= 0:
             return None
-        return sum(weight * value for weight, value in pairs) / weight_sum
+        return ordered_sum(
+            weight * value for weight, value in pairs) / weight_sum
+
+
+def combine_columns(combiner: CombinationFunction, columns: Sequence[Any],
+                    present: Sequence[Any]) -> Tuple[Any, Any]:
+    """``combiner.combine`` over whole columns: ``(scores, valid)``.
+
+    ``columns[i][row]`` is input ``i``'s similarity for a row and
+    ``present[i][row]`` whether it has one (a ``None`` slot otherwise).
+    ``valid`` is False where ``combine`` returns ``None``; ``scores``
+    is 0.0 there.  Array implementations exist for the exact avg / min
+    / max / weighted classes (covering their ``-0`` variants); any
+    subclass is called row by row.  Either way the scores are
+    bit-identical to the scalar calls: sums go through
+    :func:`ordered_sum` with missing slots contributing an exact
+    ``+0.0`` (which IEEE addition cannot observe on non-negative
+    similarities), min/max perform no arithmetic, and divisions divide
+    the same two float64 values.
+    """
+    count = len(columns[0])
+    available = np.zeros(count, dtype=np.int64)
+    for mask in present:
+        available += mask
+    some = available > 0
+    if type(combiner) is AvgFunction:
+        total = ordered_sum(np.where(mask, column, 0.0)
+                            for column, mask in zip(columns, present))
+        if combiner.missing_as_zero:
+            return total / len(columns), np.ones(count, dtype=np.bool_)
+        return np.where(some, total / np.maximum(available, 1), 0.0), some
+    if type(combiner) is MinFunction:
+        valid = available == len(columns) if combiner.missing_as_zero \
+            else some
+        low = np.minimum.reduce([np.where(mask, column, np.inf)
+                                 for column, mask in zip(columns, present)])
+        return np.where(valid, low, 0.0), valid
+    if type(combiner) is MaxFunction:
+        high = np.maximum.reduce([np.where(mask, column, -np.inf)
+                                  for column, mask in zip(columns, present)])
+        return np.where(some, high, 0.0), some
+    if type(combiner) is WeightedFunction \
+            and len(combiner.weights) == len(columns):
+        total = ordered_sum(
+            np.where(mask, weight * column, 0.0)
+            for weight, column, mask in zip(combiner.weights, columns,
+                                            present))
+        if combiner.missing_as_zero:
+            return (total / ordered_sum(combiner.weights),
+                    np.ones(count, dtype=np.bool_))
+        weight_sum = ordered_sum(
+            np.where(mask, weight, 0.0)
+            for weight, mask in zip(combiner.weights, present))
+        valid = weight_sum > 0.0
+        return np.where(valid, total / np.where(valid, weight_sum, 1.0),
+                        0.0), valid
+    # a custom subclass: row by row through the scalar API
+    scores = np.zeros(count, dtype=np.float64)
+    valid = np.zeros(count, dtype=np.bool_)
+    cells = [[value if there else None
+              for value, there in zip(column.tolist(), mask.tolist())]
+             for column, mask in zip(columns, present)]
+    for row, values in enumerate(zip(*cells)):
+        score = combiner.combine(list(values))
+        if score is not None:
+            scores[row], valid[row] = score, True
+    return scores, valid
 
 
 _ALIASES = {

@@ -14,8 +14,22 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.core.mapping import Mapping, MappingKind
-from repro.core.operators.functions import CombinationFunction, get_combination
+import numpy as np
+
+from repro.core.mapping import (
+    Mapping,
+    MappingKind,
+    canonical,
+    concatenate,
+    distinct_keys,
+    regroup,
+    validated,
+)
+from repro.core.operators.functions import (
+    CombinationFunction,
+    combine_columns,
+    get_combination,
+)
 
 
 def _check_compatible(mappings: Sequence[Mapping]) -> None:
@@ -36,22 +50,15 @@ def _merge_prefer(mappings: Sequence[Mapping], preferred_index: int,
             f"prefer index {preferred_index} out of range for "
             f"{len(mappings)} input mappings"
         )
-    preferred = mappings[preferred_index]
-    result = Mapping(preferred.domain, preferred.range,
-                     kind=MappingKind.SAME, name=name)
-    for domain_id, range_id, similarity in preferred:
-        result.add(domain_id, range_id, similarity)
-    covered = preferred.domain_ids()
-    for index, mapping in enumerate(mappings):
-        if index == preferred_index:
-            continue
-        for domain_id, row in mapping.by_domain.items():
-            if domain_id in covered:
-                continue
-            for range_id, similarity in row.items():
-                # "max" conflict policy merges agreeing non-preferred inputs.
-                result.add(domain_id, range_id, similarity, on_conflict="max")
-    return result
+    tables = [mapping.columns() for mapping in mappings]
+    preferred = tables.pop(preferred_index)
+    covered = np.zeros(len(preferred.domain_space.ids), dtype=np.bool_)
+    covered[preferred.domain] = True
+    # agreeing non-preferred inputs keep their larger similarity
+    rows = concatenate([preferred] + [table.take(~covered[table.domain])
+                                      for table in tables])
+    return Mapping.of(mappings[0].domain, mappings[0].range, canonical(rows),
+                      kind=MappingKind.SAME, name=name)
 
 
 def merge(mappings: Sequence[Mapping],
@@ -119,17 +126,21 @@ def merge(mappings: Sequence[Mapping],
 
     combiner = get_combination(function, weights=weights)
 
-    # Union of all pairs, then combine per pair with one slot per input.
-    result = Mapping(mappings[0].domain, mappings[0].range,
-                     kind=MappingKind.SAME, name=name)
-    all_pairs = set()
-    for mapping in mappings:
-        for domain_id, row in mapping.by_domain.items():
-            for range_id in row:
-                all_pairs.add((domain_id, range_id))
-    for domain_id, range_id in all_pairs:
-        values = [mapping.get(domain_id, range_id) for mapping in mappings]
-        combined = combiner.combine(values)
-        if combined is not None and combined > 0.0:
-            result.add(domain_id, range_id, combined)
-    return result
+    # The union of all pairs, by first occurrence over the inputs in
+    # input order; then combine per pair with one slot per input.
+    tables = [mapping.columns() for mapping in mappings]
+    rows = concatenate(tables)
+    first, slot = distinct_keys(rows.pair_keys())
+    values = np.zeros((len(tables), len(first)), dtype=np.float64)
+    present = np.zeros(values.shape, dtype=np.bool_)
+    offset = 0
+    for index, table in enumerate(tables):
+        slots = slot[offset:offset + len(table.sims)]
+        values[index, slots] = table.sims
+        present[index, slots] = True
+        offset += len(table.sims)
+    combined, _ = combine_columns(combiner, values, present)
+    keep = combined > 0.0  # dropped pairs combine to 0.0
+    merged = rows.take(first[keep])._replace(sims=validated(combined[keep]))
+    return Mapping.of(mappings[0].domain, mappings[0].range, regroup(merged),
+                      kind=MappingKind.SAME, name=name)

@@ -10,8 +10,11 @@ then enforce a year constraint.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
+from repro.core.correspondence import Correspondence
 from repro.core.mapping import Mapping
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource
@@ -43,71 +46,74 @@ class ThresholdSelection(Selection):
         self.strict = strict
 
     def apply(self, mapping: Mapping) -> Mapping:
-        if self.strict:
-            return mapping.filter(lambda c: c.similarity > self.threshold)
-        return mapping.filter(lambda c: c.similarity >= self.threshold)
+        sims = mapping.columns().sims
+        return mapping.take(sims > self.threshold if self.strict
+                            else sims >= self.threshold)
 
     def __repr__(self) -> str:
         op = ">" if self.strict else ">="
         return f"ThresholdSelection(sim {op} {self.threshold})"
 
 
-class BestNSelection(Selection):
+class _PerInstanceSelection(Selection):
+    """Keeps, per instance, the correspondences at or above a cut-off.
+
+    ``side`` selects the grouping: ``"domain"`` cuts per domain
+    instance, ``"range"`` per range instance, and ``"both"`` keeps a
+    correspondence only if it survives both groupings (the strictest
+    reading, useful for 1:1 same-mappings).
+    """
+
+    def __init__(self, side: str) -> None:
+        if side not in ("domain", "range", "both"):
+            raise ValueError(f"side must be domain|range|both, got {side!r}")
+        self.side = side
+
+    @abstractmethod
+    def _cutoffs(self, sims: Any, group: Any, sizes: Any) -> Any:
+        """Per group the smallest similarity kept; row ``i`` (similarity
+        ``sims[i]``) is in group ``group[i]``, of ``sizes[group[i]]`` rows."""
+
+    def _kept(self, codes: Any, sims: Any) -> Any:
+        _, group, sizes = np.unique(codes, return_inverse=True,
+                                    return_counts=True)
+        return sims >= self._cutoffs(sims, group, sizes)[group]
+
+    def apply(self, mapping: Mapping) -> Mapping:
+        columns = mapping.columns()
+        keep = np.ones(len(columns.sims), dtype=np.bool_)
+        if self.side in ("domain", "both"):
+            keep &= self._kept(columns.domain, columns.sims)
+        if self.side in ("range", "both"):
+            keep &= self._kept(columns.range, columns.sims)
+        return mapping.take(keep)
+
+
+class BestNSelection(_PerInstanceSelection):
     """Keep the n most similar correspondences per instance.
 
-    ``side`` selects the grouping: ``"domain"`` keeps the top-n per
-    domain instance, ``"range"`` per range instance, and ``"both"``
-    keeps a correspondence only if it survives both groupings (the
-    strictest reading, useful for 1:1 same-mappings).  Ties at the
-    cut-off similarity are all kept, so Best-1 never drops one of two
-    equally good candidates arbitrarily.
+    Ties at the cut-off similarity are all kept, so Best-1 never drops
+    one of two equally good candidates arbitrarily.
     """
 
     def __init__(self, n: int = 1, *, side: str = "domain") -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if side not in ("domain", "range", "both"):
-            raise ValueError(f"side must be domain|range|both, got {side!r}")
+        super().__init__(side)
         self.n = n
-        self.side = side
 
-    def _survivors(self, grouped: dict[str, dict[str, float]]) -> set[tuple[str, str]]:
-        survivors: set[tuple[str, str]] = set()
-        for key, row in grouped.items():
-            if len(row) <= self.n:
-                survivors.update((key, other) for other in row)
-                continue
-            ranked = sorted(row.values(), reverse=True)
-            cutoff = ranked[self.n - 1]
-            survivors.update(
-                (key, other) for other, sim in row.items() if sim >= cutoff
-            )
-        return survivors
-
-    def apply(self, mapping: Mapping) -> Mapping:
-        domain_ok: Optional[set[tuple[str, str]]] = None
-        range_ok: Optional[set[tuple[str, str]]] = None
-        if self.side in ("domain", "both"):
-            domain_ok = self._survivors(mapping.by_domain)
-        if self.side in ("range", "both"):
-            flipped = self._survivors(mapping.by_range)
-            range_ok = {(domain, range_) for range_, domain in flipped}
-
-        def keep(corr) -> bool:
-            pair = (corr.domain, corr.range)
-            if domain_ok is not None and pair not in domain_ok:
-                return False
-            if range_ok is not None and pair not in range_ok:
-                return False
-            return True
-
-        return mapping.filter(keep)
+    def _cutoffs(self, sims: Any, group: Any, sizes: Any) -> Any:
+        # rows by group, best first: a group's n-th row is its cut-off
+        ranked = sims[np.lexsort((-sims, group))]
+        nth = np.cumsum(sizes) - sizes + self.n - 1
+        return np.where(sizes > self.n,
+                        ranked[np.minimum(nth, len(ranked) - 1)], -np.inf)
 
     def __repr__(self) -> str:
         return f"BestNSelection(n={self.n}, side={self.side!r})"
 
 
-class Best1DeltaSelection(Selection):
+class Best1DeltaSelection(_PerInstanceSelection):
     """Best correspondence per instance plus near-ties within delta.
 
     "The correspondence with maximal similarity value is determined for
@@ -122,40 +128,15 @@ class Best1DeltaSelection(Selection):
             raise ValueError(f"delta must be non-negative, got {delta!r}")
         if relative and delta > 1:
             raise ValueError("relative delta must be within [0, 1]")
-        if side not in ("domain", "range", "both"):
-            raise ValueError(f"side must be domain|range|both, got {side!r}")
+        super().__init__(side)
         self.delta = delta
         self.relative = relative
-        self.side = side
 
-    def _survivors(self, grouped: dict[str, dict[str, float]]) -> set[tuple[str, str]]:
-        survivors: set[tuple[str, str]] = set()
-        for key, row in grouped.items():
-            best = max(row.values())
-            cutoff = best * (1.0 - self.delta) if self.relative else best - self.delta
-            survivors.update(
-                (key, other) for other, sim in row.items() if sim >= cutoff
-            )
-        return survivors
-
-    def apply(self, mapping: Mapping) -> Mapping:
-        domain_ok: Optional[set[tuple[str, str]]] = None
-        range_ok: Optional[set[tuple[str, str]]] = None
-        if self.side in ("domain", "both"):
-            domain_ok = self._survivors(mapping.by_domain)
-        if self.side in ("range", "both"):
-            flipped = self._survivors(mapping.by_range)
-            range_ok = {(domain, range_) for range_, domain in flipped}
-
-        def keep(corr) -> bool:
-            pair = (corr.domain, corr.range)
-            if domain_ok is not None and pair not in domain_ok:
-                return False
-            if range_ok is not None and pair not in range_ok:
-                return False
-            return True
-
-        return mapping.filter(keep)
+    def _cutoffs(self, sims: Any, group: Any, sizes: Any) -> Any:
+        best = np.zeros(len(sizes), dtype=np.float64)
+        np.maximum.at(best, group, sims)
+        return best * (1.0 - self.delta) if self.relative \
+            else best - self.delta
 
     def __repr__(self) -> str:
         kind = "relative" if self.relative else "absolute"
@@ -181,7 +162,7 @@ class ConstraintSelection(Selection):
         self.keep_unresolved = keep_unresolved
 
     def apply(self, mapping: Mapping) -> Mapping:
-        def keep(corr) -> bool:
+        def keep(corr: Correspondence) -> bool:
             instance_a = self.domain_source.get(corr.domain)
             instance_b = self.range_source.get(corr.range)
             if instance_a is None or instance_b is None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.core.mapping import Mapping, MappingKind
+import numpy as np
+
+from repro.core.mapping import Mapping, MappingKind, canonical, concatenate
 from repro.core.operators.compose import compose
 from repro.core.operators.merge import merge
 
@@ -29,11 +31,9 @@ def difference(left: Mapping, right: Mapping, name: Optional[str] = None) -> Map
     """Correspondences of ``left`` whose pair is absent from ``right``."""
     if left.domain != right.domain or left.range != right.range:
         raise ValueError("difference requires mappings between the same sources")
-    result = Mapping(left.domain, left.range, kind=left.kind, name=name)
-    for domain_id, range_id, similarity in left:
-        if right.get(domain_id, range_id) is None:
-            result.add(domain_id, range_id, similarity)
-    return result
+    rows, others = left.columns(), right.columns()
+    shared = np.isin(rows.pair_keys(), others.pair_keys())
+    return left.take(~shared, name=name)
 
 
 def symmetrize(mapping: Mapping, name: Optional[str] = None) -> Mapping:
@@ -45,10 +45,12 @@ def symmetrize(mapping: Mapping, name: Optional[str] = None) -> Mapping:
     """
     if not mapping.is_self_mapping():
         raise ValueError("symmetrize only applies to self-mappings")
-    result = mapping.copy(name=name)
-    for domain_id, range_id, similarity in mapping:
-        result.add(range_id, domain_id, similarity, on_conflict="max")
-    return result
+    columns = mapping.columns()
+    mirrored = columns._replace(domain=columns.range, range=columns.domain)
+    return Mapping.of(mapping.domain, mapping.range,
+                      canonical(concatenate([columns, mirrored])),
+                      kind=mapping.kind,
+                      name=name if name is not None else mapping.name)
 
 
 def transitive_closure(mapping: Mapping, name: Optional[str] = None) -> Mapping:

@@ -40,7 +40,7 @@ once per source pair — packed columns are kept by the sources
 request (:func:`repro.engine.vectorized.request_kernel`;
 multi-attribute requests compose their bound columns with a
 vectorized combiner) — the serve tier's index keeps the same column
-objects across requests and binds per micro-batch, and the numpy-free
+objects across requests and binds per micro-batch, and the scalar
 :class:`ChunkScorer` is the reference path both are checked against.
 See ``docs/engine.md``.
 """

@@ -29,7 +29,7 @@ Three columns exist, chosen by :func:`build_column`:
   ``bincount`` segment sums);
 * :class:`ScalarColumn` — the fallback for every other similarity:
   value lookup plus the memoized ``score_batch``
-  (:class:`ValuePairMemo`) the numpy-free
+  (:class:`ValuePairMemo`) the scalar
   :class:`~repro.engine.scorer.ChunkScorer` also uses.
 
 Bit-exactness.  The kernels evaluate the *same* arithmetic expressions
@@ -42,9 +42,6 @@ entries for unseen tokens contribute exact ``+0.0`` terms to the dot
 product (all weights are non-negative, so skipping them cannot flip a
 ``-0.0``) while the expansion tie-break still compares the *logical*
 vector sizes and full lexicographic text order.
-
-numpy is optional: callers check :func:`numpy_available` before
-building columns and fall back to the Python path without it.
 """
 
 from __future__ import annotations
@@ -66,12 +63,9 @@ from repro.sim.base import SimilarityFunction
 from repro.sim.ngram import NGramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
-_np: Any
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy
-    _np = numpy
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
+import numpy
+
+_np: Any = numpy  # arrays are typed ``Any`` throughout this module
 
 ValuePair = Tuple[str, str]
 #: ``(JSON meta, named arrays)`` — a column's on-disk form
@@ -84,11 +78,6 @@ MAX_INDEX_BYTES = 512 * 1024 * 1024
 #: bytes per packed TF/IDF entry: insertion-order indices (8) + data
 #: (8) plus the lookup copy's keys (8) + data (8)
 _BYTES_PER_ENTRY = 32
-
-
-def numpy_available() -> bool:
-    """True when columns can be built at all."""
-    return _np is not None
 
 
 def missing_mask(values: Sequence[object]) -> Any:

@@ -11,9 +11,10 @@ Execution model (replacing the matchers' one-pair-at-a-time loops):
    by the generic :class:`~repro.engine.scorer.ChunkScorer` otherwise —
    inline for ``workers=1``, or across the engine's one process pool
    (:func:`repro.engine.pool.run_ordered`);
-4. surviving triples are merged into one :class:`Mapping` in chunk
-   submission order, so serial and parallel execution produce
-   *identical* mappings.
+4. the survivors are loaded into one :class:`Mapping` in chunk
+   submission order (:meth:`BatchMatchEngine._load` — kernel survivors
+   as row arrays straight into the mapping's columns), so serial and
+   parallel execution produce *identical* mappings.
 
 Workers are forked after ``_prepare`` has run, so corpus-level state
 (packed columns, TF/IDF document frequencies) is built once and shared
@@ -27,10 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.blocking.pair_generator import dedup_self_pairs
-from repro.core.mapping import Mapping, MappingKind
+from repro.core.mapping import Mapping
 from repro.engine import vectorized
 from repro.engine.chunks import iter_chunks
 from repro.engine.pool import run_ordered
@@ -40,7 +43,6 @@ from repro.engine.vectorized import IndexedScorer
 from repro.obs.registry import percentile as obs_percentile
 
 Pair = Tuple[str, str]
-Triple = Tuple[str, str, float]
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,14 @@ class BatchMatchEngine:
                                  # _prepare adds its own lookups, so at
                                  # the end the rest is the blocking index's
                                  "memo_counts": _memo_counts(request)}
-        result = Mapping(request.domain.name, request.range.name,
-                         kind=MappingKind.SAME, name=request.name)
         if self.config.shard_blocking:
             from repro.engine import shards as shards_module
-            if shards_module.execute_sharded(self, request, result):
+            result = shards_module.execute_sharded(self, request)
+            if result is not None:
                 self._profile_done("sharded", request)
                 return result
             # not shardable (explicit candidates / foreign blocking
             # object): continue on the streamed paths below
-        is_self = request.is_self
         indexed = self._prepare(request)
         chunks = iter_chunks(self._pair_stream(request),
                              self.config.chunk_size)
@@ -136,15 +136,15 @@ class BatchMatchEngine:
             path = "parallel" if self.config.workers > 1 else "serial"
             target = ChunkScorer(request).score_chunk
             work = ((len(chunk), (chunk,)) for chunk in chunks)
-        # two chunks queued per worker keep the pool busy while the
-        # merge cursor drains, and bound what sits in memory
+        # two chunks queued per worker keep the pool busy and bound
+        # what sits in memory
+        outputs = []
         for items, seconds, output in run_ordered(
                 target, work, workers=self.config.workers,
                 inflight=2 * self.config.workers):
             self._profile_chunk(items, seconds)
-            if indexed is not None:
-                output = indexed.triples(*output)
-            self._merge(result, output, is_self, survivors=len(output))
+            outputs.append(output)
+        result = self._load(request, indexed, outputs)
         self._profile_done(path, request)
         return result
 
@@ -261,18 +261,48 @@ class BatchMatchEngine:
                 for id_b in range_ids:
                     yield id_a, id_b
 
-    def _merge(self, result: Mapping, triples: List[Triple], is_self: bool,
-               *, survivors: int) -> None:
-        """Load scored rows; ``survivors`` of them came back from scoring
-        (more than ``triples`` where duplicates were dropped on the way)."""
+    def _load(self, request: MatchRequest, indexed: Optional[IndexedScorer],
+              outputs: list) -> Mapping:
+        """The request's mapping from its scoring ``outputs``, taken in
+        submission order.
+
+        With ``indexed`` every output is a ``(rows_a, rows_b, scores)``
+        survivor triple of arrays, and they become the mapping's
+        columns as they are (:meth:`Mapping.from_columns`) — no id
+        string is touched per row; otherwise every output is a list of
+        ``(id, id, score)`` triples.  Either way a pair that survived
+        more than once keeps its first position and its largest score,
+        and self-matching rows are mirrored.
+        """
+        domain, range_ = request.domain.name, request.range.name
+        if indexed is None:
+            triples = [row for output in outputs for row in output]
+            survivors = len(triples)
+            if request.is_self:
+                triples = [row for id_a, id_b, score in triples
+                           for row in ((id_a, id_b, score),
+                                       (id_b, id_a, score))]
+            result = Mapping.from_correspondences(
+                domain, range_, triples, name=request.name)
+        else:
+            no_rows = np.zeros(0, dtype=np.int32)
+            rows_a, rows_b, scores = map(np.concatenate, zip(
+                (no_rows, no_rows, np.zeros(0)), *outputs))
+            survivors = len(scores)
+            if request.is_self:
+                rows_a, rows_b = (
+                    np.stack((rows_a, rows_b), axis=1).ravel(),
+                    np.stack((rows_b, rows_a), axis=1).ravel())
+                scores = np.repeat(scores, 2)
+            result = Mapping.from_columns(
+                domain, range_, indexed.domain_ids, indexed.range_ids,
+                rows_a, rows_b, scores, name=request.name)
         profile = self.last_profile
         if profile is not None:
-            profile["survivor_rows"] += survivors
-            profile["merged_rows"] += len(triples)
-        if is_self:
-            triples = [row for id_a, id_b, score in triples
-                       for row in ((id_a, id_b, score), (id_b, id_a, score))]
-        result.add_rows(triples)
+            profile["survivor_rows"] = survivors
+            profile["merged_rows"] = \
+                len(result) // (2 if request.is_self else 1)
+        return result
 
 
 def _memo_counts(request: MatchRequest) -> Tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Chunk scoring: the numpy-free reference path.
+"""Chunk scoring: the scalar reference path.
 
 A :class:`ChunkScorer` turns a chunk of candidate ``(domain id,
 range id)`` pairs into surviving ``(domain id, range id, score)``

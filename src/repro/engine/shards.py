@@ -22,8 +22,8 @@ Two worker-side scoring modes:
   scored redundantly instead of deduplicated: scoring is
   deterministic, and on measured workloads re-scoring ~30% duplicates
   is far cheaper than sorting tens of millions of pair codes.  Their
-  *survivors* — orders of magnitude fewer — are deduplicated in the
-  parent before the merge (:func:`_first_occurrences`).
+  *survivors* — orders of magnitude fewer — collapse when the parent
+  loads them (:meth:`BatchMatchEngine._load`).
 * **streamed** — any other shard iterates ``shard.pairs()`` through
   the same chunk scorers the serial path uses.
 
@@ -32,9 +32,9 @@ shards`): the :class:`ShardRunner` — shard list, request, scoring
 state — is built in the parent *before* the pool forks
 (:func:`repro.engine.pool.run_ordered`), so workers inherit
 everything copy-on-write; each task carries one int
-**shard index in** and returns only the **survivors out** — ``("rows",
-(rows_a, rows_b, scores))`` arrays from the vectorized modes or
-``("triples", [...])`` from the generic scorer.
+**shard index in** and returns only the **survivors out** —
+``(rows_a, rows_b, scores)`` arrays from the vectorized modes or a
+list of ``(id, id, score)`` triples from the generic scorer.
 
 Skewed block-size distributions (one stop-word token, one dominant
 blocking key) leave the naive shard list with a long tail: one shard
@@ -62,6 +62,8 @@ import heapq
 import multiprocessing
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.blocking.pair_generator import (
     BlockShard,
     FullCross,
@@ -71,16 +73,12 @@ from repro.blocking.pair_generator import (
     dedup_self_pairs,
     partition_spans,
 )
+from repro.core.mapping import Mapping
 from repro.engine.chunks import iter_chunks
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.scorer import ChunkScorer
 from repro.engine.vectorized import IndexedScorer
-
-try:  # numpy backs the block-vectorized mode; optional like elsewhere
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import BatchMatchEngine
@@ -113,11 +111,11 @@ class ShardRunner:
         self.scorer = scorer
 
     def run(self, shard_index: int):
-        """Score one shard; returns a payload for :func:`execute_sharded`.
+        """Score one shard; returns its survivors.
 
-        Payloads are ``("rows", (rows_a, rows_b, scores))`` from the
-        vectorized modes (int/float arrays — the parent maps rows back
-        to ids) or ``("triples", [...])`` from the generic scorer.
+        ``(rows_a, rows_b, scores)`` arrays from the vectorized modes
+        (the parent loads them as columns) or a list of ``(id, id,
+        score)`` triples from the generic scorer.
 
         Self-matching block expansion may emit a pair in either
         orientation, so the block-vectorized mode additionally
@@ -133,12 +131,11 @@ class ShardRunner:
             if blocks is not None and (
                     indexed.kernel.orientation_symmetric
                     or not self.is_self):
-                return "rows", self._score_slices(
-                    self._expand_blocks(blocks))
-            return "rows", self._score_slices(
+                return self._score_slices(self._expand_blocks(blocks))
+            return self._score_slices(
                 indexed.convert(chunk) for chunk in iter_chunks(
                     self._shard_pairs(shard), self.chunk_size))
-        return "triples", self._run_pairs_scorer(shard)
+        return self._run_pairs_scorer(shard)
 
     # -- block-vectorized mode -----------------------------------------
 
@@ -523,68 +520,45 @@ def build_shard_runner(engine: "BatchMatchEngine", request: MatchRequest):
                                scorer)
 
 
-def execute_sharded(engine: "BatchMatchEngine", request: MatchRequest,
-                    result) -> bool:
-    """Run ``request`` through the sharded path; False means "not mine".
+def execute_sharded(engine: "BatchMatchEngine",
+                    request: MatchRequest) -> Optional[Mapping]:
+    """Run ``request`` through the sharded path; ``None`` means "not mine".
 
-    Falls through (returning False, leaving ``result`` untouched) when
-    the candidate source cannot shard: an explicit candidate iterable,
-    a blocking object that does not implement the ``shards`` protocol
-    (or inherits a stale one — see :func:`_shards_authoritative`), or
-    a multi-worker run on a platform without ``fork`` (the streamed
-    path still parallelizes there by pickling the scorer).  Once
-    sharding starts it always completes — on a forked pool with every
-    shard queued up front when ``workers > 1``, inline otherwise (same
-    results, no processes).
-    """
-    config = engine.config
-    if config.workers > 1 and \
-            "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    plan = build_shard_runner(engine, request)
-    if plan is None:
-        return False
-    shards, runner = plan
-    if not shards:
-        return True  # no candidates at all: the empty mapping is correct
-    durations: List[float] = []
-    kept = []
-    work = ((None, (index,)) for index in range(len(shards)))
-    for _, seconds, (kind, data) in run_ordered(
-            runner.run, work, workers=min(config.workers, len(shards)),
-            inflight=len(shards)):
-        durations.append(seconds)
-        if kind == "rows":
-            kept.append(data)
-        else:
-            engine._merge(result, data, request.is_self,
-                          survivors=len(data))
-    if kept:
-        rows_a, rows_b, scores = (
-            _np.concatenate(parts) for parts in zip(*kept))
-        survivors = len(scores)
-        first = _first_occurrences(rows_a, rows_b, len(request.range))
-        engine._merge(
-            result,
-            runner.indexed.triples(rows_a[first], rows_b[first],
-                                   scores[first]),
-            request.is_self, survivors=survivors)
-    if engine.last_profile is not None:
-        engine.last_profile["shard_seconds"] = durations
-    return True
-
-
-def _first_occurrences(rows_a, rows_b, range_size: int):
-    """Positions of each distinct ``(row_a, row_b)``'s first occurrence,
-    ascending.
+    Steps aside when the candidate source cannot shard: an explicit
+    candidate iterable, a blocking object that does not implement the
+    ``shards`` protocol (or inherits a stale one — see
+    :func:`_shards_authoritative`), or a multi-worker run on a
+    platform without ``fork`` (the streamed path still parallelizes
+    there by pickling the scorer).  Once sharding starts it always
+    completes — on a forked pool with every shard queued up front when
+    ``workers > 1``, inline otherwise (same results, no processes).
 
     A pair sharing several tokens (keys, windows) survives once per
     shard — and, block-vectorized, once per block — that generated it;
     every copy has the same score (module docstring), so the first in
-    shard-submission order is the row the keyed merge would have kept.
-    Dropping the rest here costs one sort of the *survivors*' int64
-    codes, not of the candidates', and saves their id lookups and
-    inserts.
+    shard-submission order, which loading keeps, is the row a keyed
+    merge would have kept.  That costs one sort of the *survivors*'
+    pair codes, not of the candidates'.
     """
-    codes = rows_a.astype(_np.int64) * range_size + rows_b
-    return _np.sort(_np.unique(codes, return_index=True)[1])
+    config = engine.config
+    if config.workers > 1 and \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    plan = build_shard_runner(engine, request)
+    if plan is None:
+        return None
+    shards, runner = plan
+    if not shards:  # no candidates at all: the empty mapping is correct
+        return Mapping(request.domain.name, request.range.name,
+                       name=request.name)
+    durations: List[float] = []
+    outputs = []
+    work = ((None, (index,)) for index in range(len(shards)))
+    for _, seconds, output in run_ordered(
+            runner.run, work, workers=min(config.workers, len(shards)),
+            inflight=len(shards)):
+        durations.append(seconds)
+        outputs.append(output)
+    if engine.last_profile is not None:
+        engine.last_profile["shard_seconds"] = durations
+    return engine._load(request, runner.indexed, outputs)

@@ -17,7 +17,7 @@ values are masked as ``None`` slots, and the request's
 :class:`~repro.core.operators.functions.CombinationFunction` is
 applied column-wise (vectorized for the exact avg/min/max/weighted
 classes, including their ``-0`` missing-as-zero policies; per-row for
-custom combiners) — bit-identical to the numpy-free
+custom combiners) — bit-identical to the scalar
 :func:`repro.engine.scorer.score_pairs` loop.  Specs without a packed
 column ride along as :class:`~repro.engine.columns.ScalarColumn`
 fallbacks, so one slow similarity no longer forces the whole request
@@ -34,20 +34,17 @@ of string tuples, and on the sharded path the payload contract is
 *shard indices in, surviving ``(rows_a, rows_b, scores)`` arrays out*
 (see :mod:`repro.engine.shards`).
 
-numpy is optional: :func:`build_columns` and :func:`request_kernel`
-return ``None`` without it and when no spec has a packed column,
-:func:`request_kernel` also when a side would exceed the memory
-budget; callers fall back to the Python path.
+:func:`build_columns` and :func:`request_kernel` return ``None`` when
+no spec has a packed column, :func:`request_kernel` also when a side
+would exceed the memory budget; callers fall back to the generic
+scorer.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
+import numpy as _np
 
 from repro.core.operators.functions import (
     AvgFunction,
@@ -55,13 +52,9 @@ from repro.core.operators.functions import (
     MaxFunction,
     MinFunction,
     WeightedFunction,
+    combine_columns,
 )
-from repro.engine.columns import (
-    build_column,
-    column_config,
-    numpy_available,
-    survivors,
-)
+from repro.engine.columns import build_column, column_config, survivors
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
 
@@ -80,79 +73,6 @@ def source_values(domain: LogicalSource, range_: LogicalSource,
                            for instance in range_]
 
 
-def _combine_columns(combiner: CombinationFunction, columns, present):
-    """Apply ``combiner`` column-wise; dropped slots become 0.0.
-
-    Vectorized implementations exist for the exact avg/min/max/
-    weighted classes (covering their missing-as-zero ``-0`` variants);
-    any subclass falls back to per-row ``combine`` calls.  Either way
-    the result is bit-identical to the scalar loop: sums accumulate
-    left to right with missing slots contributing an exact ``+0.0``
-    (which IEEE addition cannot observe on the engine's non-negative
-    scores), min/max perform no arithmetic, and divisions divide the
-    same two float64 values.  A combined result of ``None`` maps to
-    0.0, which the engine's ``score > 0`` filter removes — the same
-    outcome as the scalar path dropping the pair.
-    """
-    count = len(columns[0])
-    cls = type(combiner)
-    if cls is AvgFunction:
-        acc = _np.zeros(count, dtype=_np.float64)
-        available = _np.zeros(count, dtype=_np.int64)
-        for column, mask in zip(columns, present):
-            acc = acc + _np.where(mask, column, 0.0)
-            available += mask
-        if combiner.missing_as_zero:
-            return acc / len(columns)
-        valid = available > 0
-        return _np.where(valid, acc / _np.maximum(available, 1), 0.0)
-    if cls is MinFunction:
-        acc = _np.full(count, _np.inf, dtype=_np.float64)
-        available = _np.zeros(count, dtype=_np.int64)
-        for column, mask in zip(columns, present):
-            acc = _np.minimum(acc, _np.where(mask, column, _np.inf))
-            available += mask
-        if combiner.missing_as_zero:
-            valid = available == len(columns)
-        else:
-            valid = available > 0
-        return _np.where(valid, acc, 0.0)
-    if cls is MaxFunction:
-        acc = _np.full(count, -_np.inf, dtype=_np.float64)
-        available = _np.zeros(count, dtype=_np.int64)
-        for column, mask in zip(columns, present):
-            acc = _np.maximum(acc, _np.where(mask, column, -_np.inf))
-            available += mask
-        return _np.where(available > 0, acc, 0.0)
-    if cls is WeightedFunction and len(combiner.weights) == len(columns):
-        if combiner.missing_as_zero:
-            total = _np.zeros(count, dtype=_np.float64)
-            for weight, column, mask in zip(combiner.weights, columns,
-                                            present):
-                total = total + _np.where(mask, weight * column, 0.0)
-            return total / sum(combiner.weights)
-        total = _np.zeros(count, dtype=_np.float64)
-        weight_sum = _np.zeros(count, dtype=_np.float64)
-        for weight, column, mask in zip(combiner.weights, columns, present):
-            total = total + _np.where(mask, weight * column, 0.0)
-            weight_sum = weight_sum + _np.where(mask, weight, 0.0)
-        valid = weight_sum > 0.0
-        return _np.where(valid, total / _np.where(valid, weight_sum, 1.0),
-                         0.0)
-    # custom combiner subclass: per-row fallback through the scalar API
-    combine = combiner.combine
-    out = _np.zeros(count, dtype=_np.float64)
-    column_lists = [column.tolist() for column in columns]
-    mask_lists = [mask.tolist() for mask in present]
-    for row in range(count):
-        values = [column[row] if mask[row] else None
-                  for column, mask in zip(column_lists, mask_lists)]
-        score = combine(values)
-        if score is not None:
-            out[row] = score
-    return out
-
-
 class MultiSpecKernel:
     """Composed kernel for multi-attribute requests.
 
@@ -161,7 +81,7 @@ class MultiSpecKernel:
     all aligned on the same row order and evaluated on the same
     candidate row arrays.  Missing values (the columns' own masks) are
     masked into ``None`` slots and the :class:`CombinationFunction` is
-    applied column-wise (:func:`_combine_columns`), so the combined
+    applied column-wise (``combine_columns``), so the combined
     scores are bit-identical to the scalar multi-attribute loop; pairs
     the combiner drops surface as 0.0 and fall to the ``score > 0``
     filter.
@@ -216,7 +136,7 @@ class MultiSpecKernel:
                   for column in self.columns]
         present = [~column.missing_rows(domain_rows, range_rows)
                    for column in self.columns]
-        return _combine_columns(self.combiner, scores, present)
+        return combine_columns(self.combiner, scores, present)[0]
 
     def _column_caps(self, domain_rows, range_rows):
         """Per-row score caps per column, for the unevaluated tail.
@@ -364,10 +284,10 @@ class MultiSpecKernel:
         self.prefiltered += count - len(alive)
         out = _np.zeros(count, dtype=_np.float64)
         if len(alive):
-            out[alive] = _combine_columns(
+            out[alive] = combine_columns(
                 combiner,
                 [scores[alive] for scores in full_scores],
-                [mask[alive] for mask in full_present])
+                [mask[alive] for mask in full_present])[0]
         return out
 
 
@@ -375,12 +295,10 @@ def build_columns(specs: Sequence[AttributeSpec],
                   reference_values: Sequence[Sequence[object]]):
     """One column per attribute spec over the reference side, or ``None``.
 
-    ``None`` without numpy, and when no spec gets a packed column: an
-    all-fallback composition would just be the generic scorer (which
-    keeps the very same memo) with extra packing cost.
+    ``None`` when no spec gets a packed column: an all-fallback
+    composition would just be the generic scorer (which keeps the very
+    same memo) with extra packing cost.
     """
-    if not numpy_available():
-        return None
     built = [build_column(spec.similarity, values)
              for spec, values in zip(specs, reference_values)]
     if not any(column.vectorized for column in built):
@@ -472,15 +390,15 @@ def request_kernel(request):
     so the shared instance scores with its last corpus like it does on
     the generic path, which no per-spec key describes.
 
-    ``None`` — without numpy, when no spec has a packed column (an
-    all-fallback composition would be the generic scorer with extra
-    packing cost) or when a side exceeds the memory budget — sends the
+    ``None`` — when no spec has a packed column (an all-fallback
+    composition would be the generic scorer with extra packing cost)
+    or when a side exceeds the memory budget — sends the
     request down the generic :class:`~repro.engine.scorer.ChunkScorer`
     path; nothing is guaranteed prepared then.
     """
     specs = request.specs
     configs = [column_config(spec.similarity) for spec in specs]
-    if not numpy_available() or not any(configs):
+    if not any(configs):
         return None
     try:
         if len({id(spec.similarity) for spec in specs}) < len(specs):
@@ -507,8 +425,9 @@ class IndexedScorer:
     pairs into int row arrays (:meth:`convert`); scoring
     (:meth:`score_rows`) runs wherever the scorer lives — inline, or
     inside forked workers that inherited the packed arrays — and
-    returns only surviving rows; :meth:`triples` maps survivors back to
-    id strings in the parent.
+    returns only surviving rows, which the parent loads as they are
+    (:meth:`repro.core.mapping.Mapping.from_columns` over
+    ``domain_ids`` / ``range_ids``).
     """
 
     def __init__(self, kernel, domain_ids: List[str],
@@ -546,10 +465,3 @@ class IndexedScorer:
         """Score row arrays; return only rows surviving the threshold."""
         return survivors(self.kernel, rows_a, rows_b, self.threshold,
                          self.missing_zero)
-
-    def triples(self, rows_a, rows_b, scores):
-        """Materialize surviving rows as (domain id, range id, score)."""
-        return list(zip(
-            map(self.domain_ids.__getitem__, rows_a.tolist()),
-            map(self.range_ids.__getitem__, rows_b.tolist()),
-            scores.tolist()))

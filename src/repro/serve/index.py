@@ -60,10 +60,7 @@ import time
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
+import numpy as _np
 
 from repro.concurrency import requires_lock
 from repro.engine import scorer
@@ -553,9 +550,8 @@ class IncrementalIndex:
         One ``bincount`` over the concatenated posting arrays replaces
         the per-id dict accumulation — this runs once per query record
         and dominated the old online loop.  Weight sums accumulate in
-        token order on both the numpy and the fallback path, so the
-        ranking is identical (bit-for-bit) across them and across an
-        index rebuild.  When posting skew warrants it (see
+        token order, so the ranking is identical (bit-for-bit) across
+        an index rebuild.  When posting skew warrants it (see
         :meth:`_should_prune`) the impact-ordered pruned path answers
         instead — bit-identical by the module-docstring argument — and
         falls back here whenever its stop rule never fires.
@@ -567,23 +563,13 @@ class IncrementalIndex:
             return [], []
         counters = self._pruning_counters
         counters["queries"] += 1
-        if _np is not None and self._should_prune(postings, max_candidates):
+        if self._should_prune(postings, max_candidates):
             pruned = self._pruned_slots(postings, max_candidates)
             if pruned is not None:
                 counters["pruned_queries"] += 1
                 return pruned
         counters["postings_touched"] += sum(
             len(posting) for _, posting, _ in postings)
-        if _np is None:
-            scores: Dict[int, float] = {}
-            for _, posting, weight in postings:
-                for slot in posting:
-                    scores[slot] = scores.get(slot, 0.0) + weight
-            ranked = sorted(scores.items(),
-                            key=lambda item: (-item[1], item[0]))
-            ranked = ranked[:max_candidates]
-            return ([slot for slot, _ in ranked],
-                    [score for _, score in ranked])
         arrays = [self._posting_array(token, posting)
                   for token, posting, _ in postings]
         totals = _np.bincount(
@@ -878,9 +864,8 @@ class IncrementalIndex:
         all_slots = None
         if max_candidates is None:
             # one shared live-slot list: identical for every record
-            all_slots = [self._id_slots[id] for id in self.ids()]
-            if _np is not None:
-                all_slots = _np.asarray(all_slots, dtype=_np.int64)
+            all_slots = _np.asarray(
+                [self._id_slots[id] for id in self.ids()], dtype=_np.int64)
         runs = []
         for position, record in enumerate(records):
             value = record.get(attribute)

@@ -38,10 +38,7 @@ import pickle
 import shutil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
+import numpy as _np
 
 from repro.blocking.pair_generator import partition_spans
 from repro.model.entity import ObjectInstance

@@ -444,11 +444,7 @@ class TestSerialShardedEquivalence:
             domain=dblp, range=acm,
             specs=[Spec("title", "title", TrigramSimilarity())],
             threshold=0.4, blocking=TokenBlocking(max_df=0.5))
-        from repro.core.mapping import Mapping
-        result = Mapping(dblp.name, acm.name)
-        assert shards_module.execute_sharded(SHARDED, request, result) \
-            is False
-        assert len(result) == 0
+        assert shards_module.execute_sharded(SHARDED, request) is None
 
     @settings(max_examples=10, deadline=None)
     @given(domain_titles=_titles, range_titles=_titles,
@@ -700,8 +696,6 @@ class TestWorkflowEngineInjection:
 # ----------------------------------------------------------------------
 
 class TestVectorizedKernel:
-    @pytest.mark.skipif(not columns.numpy_available(),
-                        reason="numpy bit kernel unavailable")
     @pytest.mark.parametrize("make_sim", [
         TrigramSimilarity,
         lambda: JaccardNGram(2),
@@ -721,8 +715,6 @@ class TestVectorizedKernel:
                                 threshold=0.0, engine=engine)
         assert slow.match(dblp, acm).to_rows() == fast_rows
 
-    @pytest.mark.skipif(not columns.numpy_available(),
-                        reason="numpy bit kernel unavailable")
     def test_parallel_indexed_path_identical(self, dataset):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         serial = AttributeMatcher("title", similarity="trigram",

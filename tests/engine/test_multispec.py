@@ -24,16 +24,13 @@ from repro.core.operators.functions import (
     MaxFunction,
 )
 from repro.engine import BatchMatchEngine, EngineConfig, vectorized
-from repro.engine.columns import ScalarColumn, numpy_available
+from repro.engine.columns import ScalarColumn
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.vectorized import MultiSpecKernel, request_kernel
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.base import SimilarityFunction
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
-
-pytestmark = pytest.mark.skipif(not numpy_available(),
-                                reason="numpy kernels unavailable")
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
 PARALLEL = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))

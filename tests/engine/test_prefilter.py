@@ -15,6 +15,7 @@ formula and must fall back to the unfiltered path unchanged.
 import random
 from typing import Optional, Sequence
 
+import numpy
 import pytest
 
 from repro.core.operators.functions import (
@@ -26,8 +27,6 @@ from repro.engine.vectorized import MultiSpecKernel, request_kernel
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.edit import LevenshteinSimilarity
 from repro.sim.ngram import DiceNGram, TrigramSimilarity
-
-numpy = pytest.importorskip("numpy")
 
 WORDS = [f"tok{i}" for i in range(40)]
 

@@ -32,7 +32,6 @@ from repro.engine.columns import (
     ScalarColumn,
     TfIdfColumn,
     build_column,
-    numpy_available,
 )
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.shards import (
@@ -50,9 +49,6 @@ SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
                                         shard_blocking=True))
 SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
                                                shard_blocking=True))
-
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="numpy unavailable")
 
 
 def _source(name: str, titles) -> LogicalSource:
@@ -117,7 +113,6 @@ class TestKernelSelection:
     """``build_column`` is the registry; each similarity type must land
     on exactly the column whose math it matches."""
 
-    @needs_numpy
     @pytest.mark.parametrize("make_sim, expected", [
         (TrigramSimilarity, NGramColumn),
         (lambda: JaccardNGram(2), NGramColumn),
@@ -148,7 +143,6 @@ class TestKernelSelection:
         assert type(kernel) is (expected if column.vectorized
                                 else type(None))
 
-    @needs_numpy
     def test_soft_tfidf_never_routes_into_sparse_kernel(self, dataset):
         """Regression for the ``score_batch`` reassignment: SoftTFIDF
         must be refused by the sparse column even though it *is* a
@@ -215,7 +209,6 @@ class TestKernelSelection:
 # sparse kernel bit-exactness
 # ----------------------------------------------------------------------
 
-@needs_numpy
 class TestSparseKernelBitExact:
     def test_identical_to_python_path_two_source(self, dataset,
                                                  monkeypatch):
@@ -324,7 +317,6 @@ QUERY_ONLY_RANGE = [
 ]
 
 
-@needs_numpy
 class TestColumnBinding:
     @pytest.mark.parametrize("make_sim", [TrigramSimilarity,
                                           TfIdfCosineSimilarity],

@@ -31,8 +31,6 @@ from repro.serve.cluster import _fork_available
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
-numpy = pytest.importorskip("numpy")
-
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
          "graph", "join", "view", "cube", "match", "entity", "fusion",
          "cleaning", "warehouse", "duplicate", "lineage", "canopy"]
