@@ -39,20 +39,3 @@ class Matcher(ABC):
     def __call__(self, domain: LogicalSource, range: LogicalSource, *,
                  candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
         return self.match(domain, range, candidates=candidates)
-
-    @staticmethod
-    def cross_product(domain: LogicalSource,
-                      range: LogicalSource) -> Iterable[Tuple[str, str]]:
-        """All (domain id, range id) pairs; for self-matching the
-        reflexive pair (x, x) is skipped and each unordered pair is
-        emitted once (duplicates are symmetric)."""
-        if domain is range or domain.name == range.name:
-            ids = domain.ids()
-            for i, id_a in enumerate(ids):
-                for id_b in ids[i + 1:]:
-                    yield id_a, id_b
-        else:
-            range_ids = range.ids()
-            for id_a in domain.ids():
-                for id_b in range_ids:
-                    yield id_a, id_b

@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.blocking.pair_generator import FullCross
 from repro.core.mapping import Mapping, MappingKind
 from repro.core.matchers.attribute import AttributeMatcher
 from repro.core.matchers.base import Matcher
@@ -435,7 +436,9 @@ class TreeMatcher(Matcher):
     def match(self, domain: LogicalSource, range: LogicalSource, *,
               candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
         pairs = candidates if candidates is not None else (
-            self.cross_product(domain, range)
+            FullCross().candidates(
+                domain, range, domain_attribute=self.features[0].attribute,
+                range_attribute=self.features[0].range_attribute)
         )
         result = Mapping(domain.name, range.name, kind=MappingKind.SAME,
                          name=self.name)

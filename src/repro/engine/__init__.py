@@ -1,12 +1,13 @@
 """Parallel batch match engine.
 
-Replaces the matchers' one-pair-at-a-time scoring loops with a batch
-execution model: candidate pairs are streamed in fixed-size chunks,
-scored through one column layer (below), and — when ``workers > 1`` —
-fanned out across a process pool (:mod:`repro.engine.pool`) whose
-partial results merge into a single mapping deterministically.
-``workers=1`` is a zero-overhead serial fallback producing
-byte-identical mappings.
+Replaces the matchers' one-pair-at-a-time scoring loops with one batch
+execution model: a request's candidates — an explicit list, a blocking
+strategy or the cross product — are planned as shards, cut into
+slices (row arrays or fixed-size id-pair chunks), scored through one
+column layer (below), and — when ``workers > 1`` — fanned out across a
+process pool (:mod:`repro.engine.pool`) whose partial results load
+into a single mapping deterministically.  ``workers=1`` is a
+zero-overhead serial fallback producing byte-identical mappings.
 
 Typical use::
 
@@ -20,17 +21,16 @@ Typical use::
 or process-wide via :func:`configure_default_engine` (what the CLI's
 ``--workers`` / ``--chunk-size`` flags call).
 
-With ``EngineConfig(shard_blocking=True)`` candidate generation itself
-moves into the workers (:mod:`repro.engine.shards`): the blocking
-strategy is partitioned into shards, each worker generates and scores
-its shard's pairs locally, and the parent only merges surviving
-triples — same results, no parent-side generation bottleneck.
-The shard planner reads the shards' cost estimates and, when they are
-skewed, splits and LPT-packs them so one dominant block cannot leave a
-worker with a long tail.
+``EngineConfig(shard_blocking=True)`` changes who cuts the slices
+(:mod:`repro.engine.shards`): the blocking strategy is partitioned
+into shards, each worker generates and scores its shards' pairs
+locally, and the parent only loads the survivors — same results, no
+parent-side generation bottleneck.  The planner reads the shards' cost
+estimates and, when they are skewed, splits and LPT-packs them so one
+dominant block cannot leave a worker with a long tail.
 
-One scoring core backs every path (:mod:`repro.engine.columns`,
-numpy optional): a *column* packs one attribute's reference side —
+One scoring core backs every path (:mod:`repro.engine.columns`): a
+*column* packs one attribute's reference side —
 q-gram bitmaps, sparse CSR TF/IDF, or the memoized ``score_batch``
 fallback, chosen by :func:`~repro.engine.columns.build_column` — and
 ``bind(query_values)`` turns it into a kernel that scores row pairs
@@ -45,7 +45,6 @@ objects across requests and binds per micro-batch, and the scalar
 See ``docs/engine.md``.
 """
 
-from repro.engine.chunks import iter_chunks
 from repro.engine.engine import (
     BatchMatchEngine,
     EngineConfig,
@@ -55,6 +54,7 @@ from repro.engine.engine import (
 )
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.scorer import ChunkScorer
+from repro.engine.shards import iter_chunks
 
 __all__ = [
     "AttributeSpec",

@@ -1,17 +1,23 @@
 """The parallel batch match engine.
 
-Execution model (replacing the matchers' one-pair-at-a-time loops):
+Every request — whatever its candidate source, worker count or kernel —
+runs the same four steps (:meth:`BatchMatchEngine.execute`):
 
-1. candidate pairs are streamed from an explicit iterable, a blocking
-   strategy or the cross product, with self-matching dedup applied on
-   the fly (reflexive pairs skipped, unordered duplicates dropped);
-2. the stream is cut into fixed-size chunks (:mod:`repro.engine.chunks`);
-3. each chunk is scored — by a request kernel over packed columns
-   (:func:`repro.engine.vectorized.request_kernel`) where one exists,
-   by the generic :class:`~repro.engine.scorer.ChunkScorer` otherwise —
-   inline for ``workers=1``, or across the engine's one process pool
-   (:func:`repro.engine.pool.run_ordered`);
-4. the survivors are loaded into one :class:`Mapping` in chunk
+1. **plan**: the candidates become a list of shards
+   (:meth:`BatchMatchEngine._plan`) — one shard holding the whole
+   request, or the blocking strategy's partition under
+   ``shard_blocking``;
+2. **slices**: a :class:`~repro.engine.shards.ShardRunner` cuts every
+   shard into work items — row arrays or id-pair chunks, with
+   self-matching dedup applied on the fly;
+3. **score**: each slice is scored — by a request kernel over packed
+   columns (:func:`repro.engine.vectorized.request_kernel`) where one
+   exists, by the generic :class:`~repro.engine.scorer.ChunkScorer`
+   otherwise — inline for ``workers=1``, or across the engine's one
+   process pool (:func:`repro.engine.pool.run_ordered`), whose tasks
+   are slices cut in the parent or, under ``shard_blocking``, whole
+   shards cut where they are scored;
+4. **load**: the survivors are loaded into one :class:`Mapping` in
    submission order (:meth:`BatchMatchEngine._load` — kernel survivors
    as row arrays straight into the mapping's columns), so serial and
    parallel execution produce *identical* mappings.
@@ -26,23 +32,26 @@ next request over the same sources, from any engine, finds it built.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.blocking.pair_generator import dedup_self_pairs
+from repro.blocking.pair_generator import FullCross, IterableShard, PairShard
 from repro.core.mapping import Mapping
 from repro.engine import vectorized
-from repro.engine.chunks import iter_chunks
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
-from repro.engine.scorer import ChunkScorer
+from repro.engine.shards import (
+    ShardRunner,
+    autotune_plan,
+    rebalance_shards,
+    shards_authoritative,
+)
 from repro.engine.vectorized import IndexedScorer
 from repro.obs.registry import percentile as obs_percentile
-
-Pair = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,11 @@ class EngineConfig:
 
     workers: int = 1
     chunk_size: int = 2048
-    #: run candidate generation inside the workers (``repro.engine.
-    #: shards``) instead of streaming every pair through the parent.
-    #: Results are identical; on blocked workloads this removes the
-    #: parent-side generation bottleneck.  Ignored (falling back to
-    #: the streamed paths) for explicit candidate lists, blocking
+    #: run candidate generation inside the workers (pool tasks are
+    #: whole shards, :mod:`repro.engine.shards`) instead of cutting
+    #: every slice in the parent.  Results are identical; on blocked
+    #: workloads this removes the parent-side generation bottleneck.
+    #: Ignored (the parent cuts) for explicit candidate lists, blocking
     #: objects without an authoritative ``shards`` protocol, and
     #: multi-worker runs on platforms without ``fork``.
     shard_blocking: bool = False
@@ -101,8 +110,9 @@ class BatchMatchEngine:
 
     def execute(self, request: MatchRequest) -> Mapping:
         """Run ``request`` and return its same-mapping."""
+        config = self.config
         self.last_profile = None
-        if self.config.profile:
+        if config.profile:
             self.last_profile = {"path": None, "prepare_seconds": 0.0,
                                  "kernel_cached": False,
                                  "index_cached": False,
@@ -114,39 +124,73 @@ class BatchMatchEngine:
                                  # _prepare adds its own lookups, so at
                                  # the end the rest is the blocking index's
                                  "memo_counts": _memo_counts(request)}
-        if self.config.shard_blocking:
-            from repro.engine import shards as shards_module
-            result = shards_module.execute_sharded(self, request)
-            if result is not None:
-                self._profile_done("sharded", request)
-                return result
-            # not shardable (explicit candidates / foreign blocking
-            # object): continue on the streamed paths below
-        indexed = self._prepare(request)
-        chunks = iter_chunks(self._pair_stream(request),
-                             self.config.chunk_size)
-        if indexed is not None:
-            # the parent converts id-pair chunks to row arrays and
-            # workers return only surviving rows, so IPC is ~8 bytes
-            # per candidate pair plus the (sparse) survivors
-            path = "indexed"
-            target = indexed.score_rows
-            work = ((len(chunk), indexed.convert(chunk)) for chunk in chunks)
+        shards, sharded = self._plan(request)
+        runner = ShardRunner(shards, request, config.chunk_size,
+                             self._prepare(request))
+        if sharded:
+            # every shard queued up front: a task is one int
+            path, target = "sharded", runner.run
+            work = ((None, (index,)) for index in range(len(shards)))
+            workers = min(config.workers, len(shards)) or 1
+            inflight = len(shards)
         else:
-            path = "parallel" if self.config.workers > 1 else "serial"
-            target = ChunkScorer(request).score_chunk
-            work = ((len(chunk), (chunk,)) for chunk in chunks)
-        # two chunks queued per worker keep the pool busy and bound
-        # what sits in memory
+            # two slices queued per worker keep the pool busy and bound
+            # what sits in memory
+            path = ("indexed" if runner.indexed is not None else
+                    "parallel" if config.workers > 1 else "serial")
+            target = runner.score
+            work = ((len(item[0]), item) for shard in shards
+                    for item in runner.slices(shard))
+            workers, inflight = config.workers, 2 * config.workers
         outputs = []
         for items, seconds, output in run_ordered(
-                target, work, workers=self.config.workers,
-                inflight=2 * self.config.workers):
-            self._profile_chunk(items, seconds)
+                target, work, workers=workers, inflight=inflight):
+            self._profile_task(items, seconds)
             outputs.append(output)
-        result = self._load(request, indexed, outputs)
+        result = self._load(request, runner, outputs)
         self._profile_done(path, request)
         return result
+
+    def _plan(self, request: MatchRequest) -> Tuple[List[PairShard], bool]:
+        """The request's shards, and whether each is one pool task.
+
+        A function of the request and the config alone; nothing
+        carries over between runs.  By default the whole request is
+        one shard whose slices the parent cuts: the blocking strategy's
+        own (the cross product is :class:`FullCross`) when its
+        ``shards`` protocol is authoritative
+        (:func:`~repro.engine.shards.shards_authoritative`), else a
+        pair stream over the explicit candidates or the foreign
+        ``candidates()``.  ``shard_blocking`` asks the strategy for four
+        shards per worker instead, rebalanced when the cost model
+        (:func:`~repro.engine.shards.autotune_plan`) reads them as
+        skewed; it steps aside where the candidate source cannot shard
+        and for multi-worker runs without ``fork`` — parent-cut slices
+        still parallelize there, by pickling the scorer.
+        """
+        config = self.config
+        spec = request.specs[0]
+        attributes = dict(domain_attribute=spec.attribute,
+                          range_attribute=spec.range_attribute)
+        blocking = (request.blocking if request.blocking is not None
+                    else FullCross())
+        if request.candidates is not None:
+            return [IterableShard(lambda: request.candidates)], False
+        if not shards_authoritative(blocking):
+            return [IterableShard(lambda: blocking.candidates(
+                request.domain, request.range, **attributes))], False
+        sharded = config.shard_blocking and (
+            config.workers == 1
+            or "fork" in multiprocessing.get_all_start_methods())
+        shards = blocking.shards(
+            request.domain, request.range,
+            n_shards=4 * config.workers if sharded else 1, **attributes)
+        if sharded:
+            balance, bins = autotune_plan(
+                [shard.cost() for shard in shards], config.workers)
+            if balance:
+                shards = rebalance_shards(shards, bins)
+        return shards, sharded
 
     # -- profiling -----------------------------------------------------
 
@@ -158,9 +202,15 @@ class BatchMatchEngine:
             asked, built = profile.pop("memo_counts")
             profile["index_cached"] = hits > asked and builds == built
 
-    def _profile_chunk(self, items: int, seconds: float) -> None:
+    def _profile_task(self, items: Optional[int], seconds: float) -> None:
+        """One pool task's duration: a whole shard's (``items is
+        None``) or a slice's, with its size."""
         profile = self.last_profile
-        if profile is not None:
+        if profile is None:
+            return
+        if items is None:
+            profile["shard_seconds"].append(seconds)
+        else:
             profile["chunks"] += 1
             profile["chunk_items"].append(items)
             profile["chunk_seconds"].append(seconds)
@@ -196,16 +246,14 @@ class BatchMatchEngine:
         prepares what it has to pack and finds the rest on the
         sources) and score through numpy arrays; all others get their
         similarities prepared for the generic chunk scorer, which is
-        what ``None`` selects.  Explicit candidate lists skip the
-        kernel: they are typically tiny relative to the sources, and
-        packing full source matrices to score a handful of pairs would
-        cost more than it saves.
+        what ``None`` selects.  Where the candidates come from plays
+        no part: an explicit list is scored by the columns the sources
+        keep like any blocked request.
         """
         begun = time.perf_counter()
         before = _memo_counts(request)
         indexed = None
-        kernel = (vectorized.request_kernel(request)
-                  if request.candidates is None else None)
+        kernel = vectorized.request_kernel(request)
         if kernel is None:
             vectorized.prepare_similarities(request)
         else:
@@ -225,69 +273,38 @@ class BatchMatchEngine:
                                       built + builds - before[1])
         return indexed
 
-    def _pair_stream(self, request: MatchRequest) -> Iterable[Pair]:
-        """Candidate pairs, with the exact unordered-pair dedup the
-        matchers always had applied to self-matching streams.
-
-        Two-source streams pass through: the built-in blocking
-        strategies already deduplicate, and rescoring a duplicate from
-        a custom stream is idempotent at the merge.
-        """
-        pairs = self._raw_pairs(request)
-        return dedup_self_pairs(pairs) if request.is_self else pairs
-
-    def _raw_pairs(self, request: MatchRequest) -> Iterable[Pair]:
-        if request.candidates is not None:
-            return request.candidates
-        if request.blocking is not None:
-            first = request.specs[0]
-            return request.blocking.candidates(
-                request.domain, request.range,
-                domain_attribute=first.attribute,
-                range_attribute=first.range_attribute,
-            )
-        return self._cross_product(request)
-
-    @staticmethod
-    def _cross_product(request: MatchRequest) -> Iterator[Pair]:
-        if request.is_self:
-            ids = request.domain.ids()
-            for i, id_a in enumerate(ids):
-                for id_b in ids[i + 1:]:
-                    yield id_a, id_b
-        else:
-            range_ids = request.range.ids()
-            for id_a in request.domain.ids():
-                for id_b in range_ids:
-                    yield id_a, id_b
-
-    def _load(self, request: MatchRequest, indexed: Optional[IndexedScorer],
+    def _load(self, request: MatchRequest, runner: ShardRunner,
               outputs: list) -> Mapping:
         """The request's mapping from its scoring ``outputs``, taken in
         submission order.
 
-        With ``indexed`` every output is a ``(rows_a, rows_b, scores)``
+        With a kernel every output is a ``(rows_a, rows_b, scores)``
         survivor triple of arrays, and they become the mapping's
         columns as they are (:meth:`Mapping.from_columns`) — no id
         string is touched per row; otherwise every output is a list of
         ``(id, id, score)`` triples.  Either way a pair that survived
         more than once keeps its first position and its largest score,
         and self-matching rows are mirrored.
+
+        A pair sharing several tokens (keys, windows) survives once per
+        shard — and, block-expanded, once per block — that generated
+        it; every copy has the same score, so the first in submission
+        order is the row a keyed merge would have kept.  That costs one
+        sort of the *survivors*' pair codes, not of the candidates'.
         """
         domain, range_ = request.domain.name, request.range.name
+        indexed = runner.indexed
+        gathered = runner.gather(outputs)
         if indexed is None:
-            triples = [row for output in outputs for row in output]
-            survivors = len(triples)
+            survivors = len(gathered)
             if request.is_self:
-                triples = [row for id_a, id_b, score in triples
-                           for row in ((id_a, id_b, score),
-                                       (id_b, id_a, score))]
+                gathered = [row for id_a, id_b, score in gathered
+                            for row in ((id_a, id_b, score),
+                                        (id_b, id_a, score))]
             result = Mapping.from_correspondences(
-                domain, range_, triples, name=request.name)
+                domain, range_, gathered, name=request.name)
         else:
-            no_rows = np.zeros(0, dtype=np.int32)
-            rows_a, rows_b, scores = map(np.concatenate, zip(
-                (no_rows, no_rows, np.zeros(0)), *outputs))
+            rows_a, rows_b, scores = gathered
             survivors = len(scores)
             if request.is_self:
                 rows_a, rows_b = (

@@ -58,14 +58,14 @@ class MatchRequest:
     ``candidates`` iterable, the ``blocking`` strategy, or the full
     cross product of the two sources.
 
-    The request also decides kernel eligibility: requests without an
-    explicit candidate list can take a vectorized fast path
+    The request also decides kernel eligibility, whatever its
+    candidate source: it takes a vectorized fast path
     (:func:`repro.engine.vectorized.request_kernel`: one column per
     spec — q-gram bitmaps, sparse TF/IDF or the scalar fallback — plus,
     for multi-attribute requests, a vectorized combiner) when at least
-    one spec has a packed column.  The sharded path additionally
-    requires a
-    ``blocking`` object with an authoritative ``shards`` protocol.
+    one spec has a packed column.  Running whole shards inside the
+    workers (``shard_blocking``) additionally requires a ``blocking``
+    object with an authoritative ``shards`` protocol.
     """
 
     domain: LogicalSource

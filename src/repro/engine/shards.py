@@ -1,45 +1,45 @@
-"""Sharded execution: candidate generation *and* scoring in workers.
+"""Shards: the engine's unit of candidate generation and scoring.
 
-The streamed parallel path (:mod:`repro.engine.engine`) generates
-every candidate pair in the parent and ships chunks to workers — on
-blocked workloads the pure-Python pair generation serializes the run
-(Amdahl).  The sharded path removes that bottleneck: the parent asks
-the blocking strategy for *shards* (:meth:`PairGenerator.shards` —
-key groups, posting-list ranges, window segments, seed partitions, id
-tiles), builds the scoring state, and forks.  Workers inherit
-everything copy-on-write, receive only a shard index, generate their
-shard's pairs locally and return the surviving triples; nothing
-per-pair ever crosses a process boundary.
+A request's plan (:meth:`repro.engine.engine.BatchMatchEngine._plan`)
+is a list of :class:`PairShard`\\ s: one holding the whole request, or
+— under ``shard_blocking`` — the blocking strategy's partition
+(:meth:`PairGenerator.shards`: key groups, posting-list ranges, window
+segments, seed partitions, id tiles).  A :class:`ShardRunner` cuts a
+shard into *slices*, scores a slice and gathers the survivors of
+several; the engine loads what comes back.  A slice is one of:
 
-Two worker-side scoring modes:
-
-* **block-vectorized** — when the request has a kernel
+* **block-expanded row arrays** — the request has a kernel
   (:func:`repro.engine.vectorized.request_kernel`) *and* the shard
-  exposes an :class:`IdBlock` structure, pairs are expanded directly
-  as row arrays
-  (``np.repeat``/``np.tile``) and scored in bulk — no Python tuple is
-  ever created per pair.  Duplicate pairs across blocks/shards are
-  scored redundantly instead of deduplicated: scoring is
-  deterministic, and on measured workloads re-scoring ~30% duplicates
-  is far cheaper than sorting tens of millions of pair codes.  Their
-  *survivors* — orders of magnitude fewer — collapse when the parent
-  loads them (:meth:`BatchMatchEngine._load`).
-* **streamed** — any other shard iterates ``shard.pairs()`` through
-  the same chunk scorers the serial path uses.
+  exposes an :class:`IdBlock` structure: pairs are expanded directly
+  as row arrays (``np.repeat``/``np.tile``) and scored in bulk — no
+  Python tuple is ever created per pair.  Duplicate pairs across
+  blocks/shards are scored redundantly instead of deduplicated:
+  scoring is deterministic, and on measured workloads re-scoring ~30%
+  duplicates is far cheaper than sorting tens of millions of pair
+  codes.  Their *survivors* — orders of magnitude fewer — collapse
+  when the parent loads them (:meth:`BatchMatchEngine._load`).
+* **converted id-pair chunks** — a kernel but no usable blocks:
+  ``shard.pairs()`` in ``chunk_size`` chunks, each converted to row
+  arrays (:meth:`IndexedScorer.convert`).
+* **plain id-pair chunks** — no kernel: the same chunks, scored by the
+  generic :class:`ChunkScorer`.
 
-Shard-payload contract (the other side of :meth:`PairGenerator.
-shards`): the :class:`ShardRunner` — shard list, request, scoring
-state — is built in the parent *before* the pool forks
-(:func:`repro.engine.pool.run_ordered`), so workers inherit
-everything copy-on-write; each task carries one int
-**shard index in** and returns only the **survivors out** —
-``(rows_a, rows_b, scores)`` arrays from the vectorized modes or a
-list of ``(id, id, score)`` triples from the generic scorer.
+``shard_blocking`` decides who cuts.  Off, the parent iterates
+:meth:`ShardRunner.slices` and every slice is a pool task.  On, every
+*shard* is (:meth:`ShardRunner.run`): the runner — shard list, request,
+scoring state — is built in the parent *before* the pool forks
+(:func:`repro.engine.pool.run_ordered`), so workers inherit everything
+copy-on-write; each task carries one int **shard index in** and
+returns only the **survivors out** — ``(rows_a, rows_b, scores)``
+arrays from a kernel or a list of ``(id, id, score)`` triples from the
+generic scorer.  Nothing per-pair crosses a process boundary, which
+removes the parent-side generation bottleneck (Amdahl) of blocked
+parallel runs.
 
 Skewed block-size distributions (one stop-word token, one dominant
 blocking key) leave the naive shard list with a long tail: one shard
 holds most of the work and its worker finishes long after the rest.
-The planner (:func:`build_shard_runner`) therefore always reads the
+The planner (:meth:`BatchMatchEngine._plan`) therefore always reads the
 shards' cost estimates (:meth:`PairShard.cost`) and, when
 :func:`autotune_plan` finds them skewed, calls :func:`rebalance_shards`
 — oversized block groups are *split* (down to row/column slices of a
@@ -47,11 +47,11 @@ single giant block) and the pieces greedily bin-packed, largest first,
 onto the least-loaded bin (classic LPT), so no bin exceeds ~2x the
 mean load.
 
-Correctness contract: for every blocking strategy the sharded result
-mapping equals the serial result mapping exactly, balanced or not.
-Shard pair sets union to the serial candidate set (splitting
+Correctness contract: for every blocking strategy the result mapping
+is the same whoever cuts the slices and however the shards were
+balanced.  Shard pair sets union to the candidate set (splitting
 partitions blocks pair-exactly; packing only concatenates), scores
-depend only on the value pair, and the merge is idempotent for
+depend only on the value pair, and loading is idempotent for
 duplicates, so shard order, splitting and duplication cannot change
 the outcome.
 """
@@ -59,32 +59,25 @@ the outcome.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as _np
 
 from repro.blocking.pair_generator import (
     BlockShard,
-    FullCross,
     IdBlock,
     PairGenerator,
     PairShard,
     dedup_self_pairs,
     partition_spans,
 )
-from repro.core.mapping import Mapping
-from repro.engine.chunks import iter_chunks
-from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.scorer import ChunkScorer
 from repro.engine.vectorized import IndexedScorer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import BatchMatchEngine
-
 Pair = Tuple[str, str]
-Triple = Tuple[str, str, float]
+T = TypeVar("T")
 
 #: row-array slice size for one vectorized scoring call; bounds worker
 #: memory at a few MB per in-flight slice while amortizing numpy call
@@ -92,52 +85,101 @@ Triple = Tuple[str, str, float]
 ROWS_PER_CALL = 1 << 20
 
 
+def iter_chunks(iterable: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
+    """Yield successive lists of up to ``chunk_size`` items.
+
+    Consumes ``iterable`` lazily: a chunk is only pulled when the
+    consumer asks for it, so candidate generation and scoring can
+    pipeline.  A chunk is small enough to bound memory and IPC
+    payloads, and large enough to amortize per-chunk overhead (batch
+    call, future submission, result merge).  The final chunk may be
+    shorter; no empty chunks are produced.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
+    iterator = iter(iterable)
+    while True:
+        chunk = list(islice(iterator, chunk_size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _concatenated(parts) -> tuple:
+    """Equally shaped tuples of arrays, concatenated column by column."""
+    return tuple(map(_np.concatenate, zip(*parts)))
+
+
 class ShardRunner:
-    """Executes one shard end-to-end; lives in the parent, runs anywhere.
+    """Cuts shards into slices and scores them; lives in the parent,
+    runs anywhere.
 
     Built before the pool forks, so workers inherit the shard list,
     sources, similarity state and packed columns copy-on-write and
-    tasks only carry a shard index.  Exactly one of ``indexed`` /
-    ``scorer`` is set.
+    tasks carry a shard index (:meth:`run`) or one slice
+    (:attr:`score`).  ``indexed`` is the request's kernel bridge;
+    ``None`` selects the generic :class:`ChunkScorer`, whose
+    similarities must be prepared by then.
     """
 
     def __init__(self, shards: Sequence[PairShard], request: MatchRequest,
-                 chunk_size: int, indexed: Optional[IndexedScorer],
-                 scorer: Optional[ChunkScorer]) -> None:
+                 chunk_size: int, indexed: Optional[IndexedScorer]) -> None:
         self.shards = list(shards)
         self.is_self = request.is_self
         self.chunk_size = chunk_size
         self.indexed = indexed
-        self.scorer = scorer
+        #: ``score(*slice)``: one slice's survivors — ``(rows_a, rows_b,
+        #: scores)`` arrays from the kernel (the parent loads them as
+        #: columns) or a list of ``(id, id, score)`` triples from the
+        #: generic scorer.  The scorer's own method, not the runner's:
+        #: as a pool target it pickles without the shard list, which is
+        #: what a platform without ``fork`` needs.
+        self.score = (indexed.score_rows if indexed is not None
+                      else ChunkScorer(request).score_chunk)
 
-    def run(self, shard_index: int):
-        """Score one shard; returns its survivors.
-
-        ``(rows_a, rows_b, scores)`` arrays from the vectorized modes
-        (the parent loads them as columns) or a list of ``(id, id,
-        score)`` triples from the generic scorer.
+    def slices(self, shard: PairShard) -> Iterator[tuple]:
+        """The shard's work items, each the arguments of one
+        :attr:`score` call: ``(rows_a, rows_b)`` with a kernel,
+        ``(chunk,)`` of id pairs without.
 
         Self-matching block expansion may emit a pair in either
-        orientation, so the block-vectorized mode additionally
-        requires an orientation-symmetric kernel; composed
-        multi-attribute kernels carrying a scalar-fallback column
-        (whose wrapped similarity may be asymmetric) take the
-        orientation-faithful pair stream instead.
+        orientation, so it additionally requires an
+        orientation-symmetric kernel; composed multi-attribute kernels
+        carrying a scalar-fallback column (whose wrapped similarity
+        may be asymmetric) take the orientation-faithful pair stream
+        instead.
         """
-        shard = self.shards[shard_index]
         indexed = self.indexed
-        if indexed is not None:
-            blocks = shard.blocks()
-            if blocks is not None and (
-                    indexed.kernel.orientation_symmetric
-                    or not self.is_self):
-                return self._score_slices(self._expand_blocks(blocks))
-            return self._score_slices(
-                indexed.convert(chunk) for chunk in iter_chunks(
-                    self._shard_pairs(shard), self.chunk_size))
-        return self._run_pairs_scorer(shard)
+        blocks = shard.blocks() if indexed is not None else None
+        if blocks is not None and (indexed.kernel.orientation_symmetric
+                                   or not self.is_self):
+            return self._joined(self._expand_blocks(blocks))
+        # the exact unordered-pair dedup the matchers always had, shard
+        # by shard (cross-shard duplicates collapse at the load, like a
+        # custom two-source stream's; the built-ins' are already unique)
+        pairs = shard.pairs()
+        if self.is_self:
+            pairs = dedup_self_pairs(pairs)
+        chunks = iter_chunks(pairs, self.chunk_size)
+        if indexed is None:
+            return ((chunk,) for chunk in chunks)
+        # pairs cross process boundaries as int row arrays, ~8 bytes
+        # each, and only surviving rows come back
+        return map(indexed.convert, chunks)
 
-    # -- block-vectorized mode -----------------------------------------
+    def gather(self, outputs: Iterable):
+        """Several :attr:`score` outputs as one, in the order given."""
+        if self.indexed is None:
+            return [row for output in outputs for row in output]
+        no_rows = _np.zeros(0, dtype=_np.int32)
+        return _concatenated([(no_rows, no_rows, _np.zeros(0)), *outputs])
+
+    def run(self, shard_index: int):
+        """Score one whole shard where it is called; its survivors."""
+        return self.gather(self.score(*item) for item in
+                           self.slices(self.shards[shard_index]))
+
+    # -- block expansion -------------------------------------------------
 
     def _block_rows(self, block: IdBlock):
         """Row arrays of a block's id lists (ids unknown to the request's
@@ -186,41 +228,26 @@ class ShardRunner:
                     yield (_np.repeat(left, width),
                            _np.tile(rows_r, len(left)))
 
-    def _score_slices(self, slices):
-        """Survivors of every ``(rows_a, rows_b)`` slice, concatenated."""
-        kept = []
-        for rows_a, rows_b in slices:
-            survivors = self.indexed.score_rows(rows_a, rows_b)
-            if len(survivors[0]):
-                kept.append(survivors)
-        if not kept:
-            empty_rows = _np.asarray([], dtype=_np.int32)
-            return empty_rows, empty_rows, _np.asarray([], dtype=_np.float64)
-        return tuple(_np.concatenate(parts) for parts in zip(*kept))
+    def _joined(self, slices):
+        """Consecutive slices joined until one holds ``chunk_size`` rows.
 
-    # -- streamed modes -------------------------------------------------
-
-    def _shard_pairs(self, shard: PairShard) -> Iterator[Pair]:
-        """The shard's pair stream with self-matching hygiene applied.
-
-        Mirrors the serial path's ``_pair_stream`` through the shared
-        :func:`dedup_self_pairs` filter (shard-locally — cross-shard
-        duplicates resolve idempotently at the merge).  Required for
-        custom strategies whose shards may not canonicalize; harmless
-        for the built-ins, which already do.
+        Token blocking expands to thousands of blocks of a few dozen
+        rows; scored (or shipped to a worker) one by one, the per-call
+        overhead would exceed the scoring.  Row order inside and across
+        slices is unchanged and no join exceeds ``ROWS_PER_CALL``.
         """
-        pairs = shard.pairs()
-        if not self.is_self:
-            yield from pairs
-            return
-        yield from dedup_self_pairs(pairs)
-
-    def _run_pairs_scorer(self, shard: PairShard) -> List[Triple]:
-        scorer = self.scorer
-        triples: List[Triple] = []
-        for chunk in iter_chunks(self._shard_pairs(shard), self.chunk_size):
-            triples.extend(scorer.score_chunk(chunk))
-        return triples
+        held: list = []
+        rows = 0
+        for piece in slices:
+            size = len(piece[0])
+            if held and (rows >= self.chunk_size
+                         or rows + size > ROWS_PER_CALL):
+                yield _concatenated(held)
+                held, rows = [], 0
+            held.append(piece)
+            rows += size
+        if held:
+            yield _concatenated(held)
 
 
 # ----------------------------------------------------------------------
@@ -448,17 +475,13 @@ def autotune_plan(costs: Sequence[Optional[int]], workers: int):
     return balance, max(4 * workers, min(16 * workers, bins))
 
 
-# ----------------------------------------------------------------------
-# parent-side orchestration
-# ----------------------------------------------------------------------
-
-def _shards_authoritative(blocking) -> bool:
+def shards_authoritative(blocking) -> bool:
     """Whether ``blocking.shards`` actually describes ``candidates``.
 
     False for the un-overridden :meth:`PairGenerator.shards` default
-    (one shard delegating to ``candidates()`` — running that here
-    would serialize the whole request into a single worker; the
-    streamed pool does better) and for subclasses that override
+    (one shard delegating to ``candidates()`` — as a pool task it
+    would serialize the whole request into a single worker; cut in
+    the parent, its slices spread over the pool) and for subclasses that override
     ``candidates`` *below* the class providing ``shards`` (the
     inherited partition describes the parent's pair set, not the
     override's).
@@ -479,86 +502,3 @@ def _shards_authoritative(blocking) -> bool:
         return True
     # candidates defined more derived than shards => shards is stale
     return not issubclass(candidates_cls, shards_cls)
-
-
-def build_shard_runner(engine: "BatchMatchEngine", request: MatchRequest):
-    """Resolve the shard list and runner the sharded path would execute.
-
-    The single source of truth for the sharded plan — four naive
-    shards per worker, rebalanced when the cost model
-    (:func:`autotune_plan`) reads their estimates as skewed, and the
-    kernel-vs-scorer choice — shared by :func:`execute_sharded` and by
-    benchmarks/diagnostics that need to time individual shards without
-    duplicating the engine's wiring.  The plan is a function of the
-    request and ``workers`` alone; nothing carries over between runs.
-    Returns ``None`` when the request cannot shard (explicit candidate
-    iterable, or a blocking object without an authoritative ``shards``
-    protocol — see :func:`_shards_authoritative`); ``([], None)`` when
-    the strategy yields no shards at all; ``(shards, runner)``
-    otherwise.
-    """
-    config = engine.config
-    if request.candidates is not None:
-        return None
-    blocking = request.blocking if request.blocking is not None else FullCross()
-    if not _shards_authoritative(blocking):
-        return None
-    spec = request.specs[0]
-    shards = blocking.shards(
-        request.domain, request.range, n_shards=4 * config.workers,
-        domain_attribute=spec.attribute,
-        range_attribute=spec.range_attribute)
-    if not shards:
-        return [], None
-    balance, bins = autotune_plan([shard.cost() for shard in shards],
-                                  config.workers)
-    if balance:
-        shards = rebalance_shards(shards, bins)
-    indexed = engine._prepare(request)
-    scorer = None if indexed is not None else ChunkScorer(request)
-    return shards, ShardRunner(shards, request, config.chunk_size, indexed,
-                               scorer)
-
-
-def execute_sharded(engine: "BatchMatchEngine",
-                    request: MatchRequest) -> Optional[Mapping]:
-    """Run ``request`` through the sharded path; ``None`` means "not mine".
-
-    Steps aside when the candidate source cannot shard: an explicit
-    candidate iterable, a blocking object that does not implement the
-    ``shards`` protocol (or inherits a stale one — see
-    :func:`_shards_authoritative`), or a multi-worker run on a
-    platform without ``fork`` (the streamed path still parallelizes
-    there by pickling the scorer).  Once sharding starts it always
-    completes — on a forked pool with every shard queued up front when
-    ``workers > 1``, inline otherwise (same results, no processes).
-
-    A pair sharing several tokens (keys, windows) survives once per
-    shard — and, block-vectorized, once per block — that generated it;
-    every copy has the same score (module docstring), so the first in
-    shard-submission order, which loading keeps, is the row a keyed
-    merge would have kept.  That costs one sort of the *survivors*'
-    pair codes, not of the candidates'.
-    """
-    config = engine.config
-    if config.workers > 1 and \
-            "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    plan = build_shard_runner(engine, request)
-    if plan is None:
-        return None
-    shards, runner = plan
-    if not shards:  # no candidates at all: the empty mapping is correct
-        return Mapping(request.domain.name, request.range.name,
-                       name=request.name)
-    durations: List[float] = []
-    outputs = []
-    work = ((None, (index,)) for index in range(len(shards)))
-    for _, seconds, output in run_ordered(
-            runner.run, work, workers=min(config.workers, len(shards)),
-            inflight=len(shards)):
-        durations.append(seconds)
-        outputs.append(output)
-    if engine.last_profile is not None:
-        engine.last_profile["shard_seconds"] = durations
-    return engine._load(request, runner.indexed, outputs)

@@ -1,6 +1,7 @@
 """Tests for the shard planner's cost model.
 
-The planner (:func:`repro.engine.shards.build_shard_runner`) always
+The planner (:meth:`repro.engine.BatchMatchEngine._plan`, the first
+step of ``execute``) always
 asks :func:`~repro.engine.shards.autotune_plan` whether the naive
 shard list is skewed enough to rebalance — there is no switch for it.
 Every decision it makes only moves work between shards, so the
@@ -19,11 +20,7 @@ from repro import AttributeMatcher
 from repro.blocking import KeyBlocking, TokenBlocking
 from repro.engine import BatchMatchEngine, EngineConfig
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.shards import (
-    AUTO_SKEW_FACTOR,
-    autotune_plan,
-    build_shard_runner,
-)
+from repro.engine.shards import AUTO_SKEW_FACTOR, autotune_plan
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.ngram import TrigramSimilarity
 
@@ -57,8 +54,8 @@ def _request(domain, range_, blocking, threshold=0.7):
 
 
 def _plan_costs(engine, request):
-    engine._prepare(request)
-    shards, _ = build_shard_runner(engine, request)
+    shards, sharded = engine._plan(request)
+    assert sharded  # every pool task is one of these shards
     return [shard.cost() for shard in shards]
 
 

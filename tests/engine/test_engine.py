@@ -343,15 +343,23 @@ class TestSerialShardedEquivalence:
             sharded.match(dblp, acm).to_rows()
 
     def test_explicit_candidates_fall_back_to_streaming(self, dataset):
-        """Explicit candidate lists cannot shard; the engine must fall
-        through to the streamed path and still honor the list."""
+        """Explicit candidate lists cannot shard; the parent must cut
+        their slices and still honor the list."""
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         candidates = [(a, b) for a in dblp.ids()[:15] for b in acm.ids()[:15]]
+        engine = BatchMatchEngine(EngineConfig(
+            workers=4, chunk_size=64, shard_blocking=True, profile=True))
         matcher = AttributeMatcher("title", similarity="trigram",
-                                   engine=SHARDED)
+                                   engine=engine)
         mapping = matcher.match(dblp, acm, candidates=candidates)
         allowed = set(candidates)
         assert all((a, b) in allowed for a, b, _ in mapping.to_rows())
+        assert engine.last_profile["path"] == "indexed"
+        assert engine.last_profile["chunks"] == 4  # 225 pairs by 64
+        assert engine.last_profile["shard_seconds"] == []
+        assert list(mapping) == list(AttributeMatcher(
+            "title", similarity="trigram", engine=SERIAL,
+        ).match(dblp, acm, candidates=candidates))
 
     def test_foreign_blocking_object_falls_back(self, dataset):
         """A blocking object without the shards protocol still works
@@ -430,21 +438,36 @@ class TestSerialShardedEquivalence:
             sharded.match(dblp, acm).to_rows()
 
     def test_spawn_only_platform_falls_back_to_streamed_pool(
-            self, dataset, monkeypatch):
-        """Without fork, the streamed path still parallelizes (spawn +
-        pickle); the sharded path must step aside rather than running
-        everything inline."""
-        from repro.engine import shards as shards_module
+            self, dataset, monkeypatch, recwarn):
+        """Without fork, slices cut in the parent still parallelize
+        (spawn + pickle); whole-shard tasks, whose shard list cannot
+        be pickled, must step aside rather than run everything inline."""
+        import multiprocessing
+
         from repro.engine.request import AttributeSpec as Spec
 
-        monkeypatch.setattr(shards_module.multiprocessing,
-                            "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
-        request = MatchRequest(
-            domain=dblp, range=acm,
-            specs=[Spec("title", "title", TrigramSimilarity())],
-            threshold=0.4, blocking=TokenBlocking(max_df=0.5))
-        assert shards_module.execute_sharded(SHARDED, request) is None
+
+        def request():
+            return MatchRequest(
+                domain=dblp, range=acm,
+                specs=[Spec("title", "title", TrigramSimilarity())],
+                threshold=0.4, blocking=TokenBlocking(max_df=0.5))
+
+        shards, sharded = SHARDED._plan(request())
+        assert not sharded and len(shards) == 1
+        # a serial engine has no pool to lose: its tasks stay whole shards
+        assert SHARDED_INLINE._plan(request())[1]
+        engine = BatchMatchEngine(EngineConfig(
+            workers=2, chunk_size=64, shard_blocking=True, profile=True))
+        rows = engine.execute(request()).to_rows()
+        assert rows == SERIAL.execute(request()).to_rows()
+        assert engine.last_profile["path"] == "indexed"
+        assert engine.last_profile["chunks"] > 1
+        # the pool took the pickled scorer: no fallback-to-serial warning
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     @settings(max_examples=10, deadline=None)
     @given(domain_titles=_titles, range_titles=_titles,
@@ -736,21 +759,6 @@ class TestVectorizedKernel:
         assert not columns.build_column(
             Tweaked(), dblp.attribute_values("title")).vectorized
         assert vectorized.request_kernel(request) is None
-
-    def test_explicit_candidates_skip_kernel_build(self, dataset,
-                                                   monkeypatch):
-        """A tiny candidate list must not pay for full source matrices."""
-        dblp, acm = dataset.dblp.publications, dataset.acm.publications
-
-        def exploding_build(*args, **kwargs):
-            raise AssertionError("kernel built for an explicit list")
-
-        monkeypatch.setattr(vectorized, "request_kernel", exploding_build)
-        matcher = AttributeMatcher("title", similarity="trigram",
-                                   engine=SERIAL)
-        candidates = [(dblp.ids()[0], acm.ids()[0])]
-        mapping = matcher.match(dblp, acm, candidates=candidates)
-        assert len(mapping) <= 1
 
     def test_missing_values_score_like_python_path(self, monkeypatch):
         domain = _source("L", ["alpha beta", None, "gamma delta"])

@@ -1,0 +1,308 @@
+"""Every candidate source is an ordinary pair source.
+
+An explicit ``candidates=`` list, a blocking strategy and the cross
+product all reach the engine as shards that one
+:class:`~repro.engine.shards.ShardRunner` cuts into slices — so they
+share the kernels, and who cuts the slices (the parent, per slice, or
+the workers, per shard) never shows in the mapping.  These suites pin
+both: explicit lists against the scalar reference, and parent-cut ==
+worker-cut == serial, row list for row list.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import AttributeMatcher, AttributePair, MultiAttributeMatcher
+from repro.blocking import (
+    BlockShard,
+    CanopyBlocking,
+    FullCross,
+    IdBlock,
+    KeyBlocking,
+    SortedNeighborhood,
+    TokenBlocking,
+    dedup_self_pairs,
+)
+from repro.core.mapping import Mapping
+from repro.core.operators.functions import get_combination
+from repro.engine import (
+    AttributeSpec,
+    BatchMatchEngine,
+    ChunkScorer,
+    EngineConfig,
+    MatchRequest,
+    vectorized,
+)
+from repro.engine import shards as shards_module
+from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.sim.registry import get_similarity
+
+WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
+         "graph", "join", "view", "cube", "fusion"]
+
+
+def _pubs(name: str, count: int, *, step: int = 3) -> LogicalSource:
+    """Publications with overlapping titles, a few of them missing."""
+    source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
+    for i in range(count):
+        title = " ".join(WORDS[(i * step + j) % len(WORDS)]
+                         for j in range(4)) + f" {i % 5}x"
+        source.add_record(
+            f"{name.lower()}{i}",
+            title=None if i % 7 == 3 else title,
+            venue=None if i % 5 == 4 else f"{WORDS[i % 3]} conf",
+            year=None if i % 6 == 5 else 1995 + i % 4)
+    return source
+
+
+# ----------------------------------------------------------------------
+# (a) explicit candidates == the scalar reference, as lists
+# ----------------------------------------------------------------------
+
+def _request(flavor: str, domain, range_, missing: str, candidates=None):
+    """A threshold-0 request with brand-new similarity objects."""
+    def spec(attribute, similarity):
+        return AttributeSpec(attribute, attribute, get_similarity(similarity))
+
+    if flavor == "weighted":
+        return MatchRequest(
+            domain=domain, range=range_, candidates=candidates,
+            specs=[spec("title", "trigram"), spec("venue", "tfidf"),
+                   spec("year", "year")],
+            combiner=get_combination("weighted", weights=[1.0, 2.0, 0.5]))
+    return MatchRequest(domain=domain, range=range_, candidates=candidates,
+                        specs=[spec("title", flavor)], missing=missing)
+
+
+def _scalar_reference(request: MatchRequest, pairs) -> list:
+    """``ChunkScorer`` over ``pairs``, loaded the way matchers always
+    loaded a pair stream."""
+    vectorized.prepare_similarities(request)
+    if request.is_self:
+        pairs = dedup_self_pairs(pairs)
+    triples = ChunkScorer(request).score_chunk(list(pairs))
+    if request.is_self:
+        triples = [row for a, b, score in triples
+                   for row in ((a, b, score), (b, a, score))]
+    return list(Mapping.from_correspondences(
+        request.domain.name, request.range.name, triples))
+
+
+def _candidates(domain, range_, self_matching: bool) -> list:
+    ids_a, ids_b = domain.ids(), range_.ids()
+    pairs = [(ids_a[i], ids_b[(i * 5 + j) % len(ids_b)])
+             for i in range(len(ids_a)) for j in range(4)]
+    pairs += pairs[3:40:4]                          # repeated pairs
+    pairs[10:10] = [("nope", ids_b[0]), (ids_a[0], "nope")]  # unknown ids
+    if self_matching:
+        pairs += [(b, a) for a, b in pairs[:30:3]]  # both orientations
+        pairs.append((ids_a[2], ids_a[2]))          # and a reflexive pair
+    return pairs
+
+
+EXPLICIT_ENGINES = {
+    "serial": BatchMatchEngine(EngineConfig(workers=1, chunk_size=16,
+                                            profile=True)),
+    "pool": BatchMatchEngine(EngineConfig(workers=2, chunk_size=16,
+                                          shard_blocking=True,
+                                          profile=True)),
+}
+
+
+class TestExplicitCandidates:
+    @pytest.mark.parametrize("engine", sorted(EXPLICIT_ENGINES))
+    @pytest.mark.parametrize("missing", ["skip", "zero"])
+    @pytest.mark.parametrize("self_matching", [False, True],
+                             ids=["two-source", "self"])
+    @pytest.mark.parametrize("flavor", ["trigram", "tfidf", "weighted"])
+    def test_equals_the_scalar_reference_as_lists(self, flavor,
+                                                  self_matching, missing,
+                                                  engine):
+        domain = _pubs("L", 30)
+        range_ = domain if self_matching else _pubs("R", 26, step=2)
+        pairs = _candidates(domain, range_, self_matching)
+        expected = _scalar_reference(
+            _request(flavor, domain, range_, missing), pairs)
+        assert len(expected) > 20
+        if missing == "zero" and flavor != "weighted":
+            assert any(score == 0.0 for _, _, score in expected)
+        mapping = EXPLICIT_ENGINES[engine].execute(
+            _request(flavor, domain, range_, missing, candidates=pairs))
+        assert list(mapping) == expected
+        # scored by the kernel, in chunk_size slices cut in the parent
+        profile = EXPLICIT_ENGINES[engine].last_profile
+        assert profile["path"] == "indexed" and profile["chunks"] > 4
+
+    def test_a_one_shot_iterator_is_a_candidate_source(self):
+        domain, range_ = _pubs("L", 12), _pubs("R", 12, step=2)
+        pairs = _candidates(domain, range_, False)
+        expected = EXPLICIT_ENGINES["serial"].execute(
+            _request("trigram", domain, range_, "skip", candidates=pairs))
+        streamed = EXPLICIT_ENGINES["pool"].execute(
+            _request("trigram", domain, range_, "skip",
+                     candidates=iter(pairs)))
+        assert list(streamed) == list(expected)
+
+    def test_confined_request_scores_through_the_kept_columns(self, dataset):
+        """Figure 11's shape: one matcher's result confines the next.
+        The confined request finds the column the blocked one packed."""
+        dblp, acm = (source.subset(source.ids()) for source in
+                     (dataset.dblp.publications, dataset.acm.publications))
+        engine = BatchMatchEngine(EngineConfig(profile=True))
+        blocked = AttributeMatcher(
+            "title", similarity="trigram", threshold=0.4,
+            blocking=TokenBlocking(max_df=0.5), engine=engine,
+        ).match(dblp, acm)
+        assert engine.profile_summary()["kernel_cached"] is False
+        confined = AttributeMatcher(
+            "title", similarity="trigram", threshold=0.6, engine=engine,
+        ).match(dblp, acm, candidates=[(a, b) for a, b, _ in blocked])
+        profile = engine.profile_summary()
+        assert profile["path"] == "indexed"
+        assert profile["kernel_cached"] is True
+        assert profile["survivor_rows"] == profile["merged_rows"] \
+            == len(confined)
+        kept = [row for row in blocked if row[2] >= 0.6]
+        assert 0 < len(kept) < len(blocked)
+        assert confined.to_rows() == sorted(kept)
+
+
+# ----------------------------------------------------------------------
+# (c) parent-cut == worker-cut == serial, as lists
+# ----------------------------------------------------------------------
+
+ALL_BLOCKINGS = {
+    "cross-default": None,
+    "FullCross": FullCross(),
+    "KeyBlocking": KeyBlocking(),
+    "TokenBlocking": TokenBlocking(max_df=0.5),
+    "SortedNeighborhood": SortedNeighborhood(window=3),
+    "CanopyBlocking": CanopyBlocking(loose=0.1, tight=0.5),
+}
+CUTS = {
+    "serial": dict(workers=1),
+    "parent-cut": dict(workers=2),
+    "worker-cut": dict(workers=2, shard_blocking=True),
+    "worker-cut-inline": dict(workers=1, shard_blocking=True),
+}
+MATCHERS = {
+    "trigram": lambda blocking, engine: AttributeMatcher(
+        "title", similarity="trigram", threshold=0.4, blocking=blocking,
+        engine=engine),
+    "jaccard": lambda blocking, engine: AttributeMatcher(
+        "title", similarity="jaccard", threshold=0.3, blocking=blocking,
+        engine=engine),
+    # a scalar column in a composed kernel: self-matching takes the
+    # orientation-faithful converted chunks, not the block expansion
+    "weighted": lambda blocking, engine: MultiAttributeMatcher(
+        [AttributePair("title", similarity="trigram"),
+         AttributePair("venue", similarity="tfidf", weight=2.0),
+         AttributePair("year", similarity="year", weight=0.5)],
+        combine="weighted", threshold=0.4, blocking=blocking, engine=engine),
+}
+
+
+class TestWhoCutsNeverShows:
+    # 1: every block is a slice of its own; 7: most token blocks are
+    # joined and a join ends mid-way through the block list; 4096:
+    # more than the request holds, everything is one slice
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    @pytest.mark.parametrize("self_matching", [False, True],
+                             ids=["two-source", "self"])
+    @pytest.mark.parametrize("flavor", sorted(MATCHERS))
+    @pytest.mark.parametrize("blocking", sorted(ALL_BLOCKINGS))
+    def test_same_list_whoever_cuts(self, dataset, blocking, flavor,
+                                    self_matching, chunk_size):
+        pubs = dataset.dblp.publications
+        domain = pubs.subset(pubs.ids()[:30])
+        range_ = domain if self_matching else \
+            dataset.acm.publications.subset(
+                dataset.acm.publications.ids()[:26])
+        lists = {}
+        for name, cut in CUTS.items():
+            engine = BatchMatchEngine(EngineConfig(
+                chunk_size=chunk_size, profile=True, **cut))
+            lists[name] = list(MATCHERS[flavor](
+                ALL_BLOCKINGS[blocking], engine).match(domain, range_))
+            whole_shards = bool(engine.last_profile["shard_seconds"])
+            assert whole_shards == name.startswith("worker-cut")
+        assert lists["serial"]
+        for name in CUTS:
+            assert lists[name] == lists["serial"], name
+
+    def test_a_block_larger_than_chunk_size_stays_one_slice(self):
+        domain, range_ = _pubs("L", 20), _pubs("R", 15, step=2)
+        engine = BatchMatchEngine(EngineConfig(chunk_size=8, profile=True))
+        mapping = AttributeMatcher("title", similarity="trigram",
+                                   threshold=0.3, engine=engine,
+                                   ).match(domain, range_)
+        assert engine.last_profile["chunk_items"] == [20 * 15]
+        pooled = AttributeMatcher(
+            "title", similarity="trigram", threshold=0.3,
+            engine=BatchMatchEngine(EngineConfig(workers=2, chunk_size=8)),
+        ).match(domain, range_)
+        assert list(pooled) == list(mapping)
+
+
+class TestSlices:
+    """``ShardRunner.slices`` on block shards: joining changes how many
+    calls score the rows, never which rows or in what order."""
+
+    def _runner(self, chunk_size, n=40):
+        source = _pubs("S", n)
+        request = _request("trigram", source, source, "skip")
+        indexed = BatchMatchEngine()._prepare(request)
+        return shards_module.ShardRunner((), request, chunk_size,
+                                         indexed), source.ids()
+
+    @staticmethod
+    def _flat(slices):
+        return [np.concatenate([piece[side] for piece in slices]).tolist()
+                for side in (0, 1)]
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 16, 17, 1000])
+    def test_joined_slices_keep_every_row_in_order(self, chunk_size):
+        runner, ids = self._runner(chunk_size)
+        # triangles of 1..9 ids (0..36 pairs) and 2x3 rectangles:
+        # joins end before, on and after block boundaries
+        blocks = [IdBlock(ids[i:i + 1 + i % 9], [], triangle=True)
+                  for i in range(30)]
+        blocks[4:4] = [IdBlock(ids[0:2], ids[5:8])] * 3
+        shard = BlockShard(lambda: iter(blocks))
+        unjoined = list(runner._expand_blocks(iter(blocks)))
+        slices = list(runner.slices(shard))
+        assert self._flat(slices) == self._flat(unjoined)
+        assert all(len(rows_a) >= chunk_size for rows_a, _ in slices[:-1])
+        if chunk_size == 1:
+            assert len(slices) == len(unjoined)
+        if chunk_size == 1000:
+            assert len(slices) == 1
+        assert len(slices) <= len(unjoined)
+
+    def test_a_join_never_exceeds_rows_per_call(self, monkeypatch):
+        monkeypatch.setattr(shards_module, "ROWS_PER_CALL", 50)
+        runner, ids = self._runner(chunk_size=40)
+        blocks = [IdBlock(ids[i:i + 8], [], triangle=True)  # 28 pairs each
+                  for i in range(12)]
+        slices = list(runner.slices(BlockShard(lambda: iter(blocks))))
+        # 28 + 28 would pass the cap, so no join happens at all
+        assert [len(rows_a) for rows_a, _ in slices] == [28] * 12
+        assert self._flat(slices) == self._flat(
+            list(runner._expand_blocks(iter(blocks))))
+
+    def test_run_is_gather_of_scored_slices(self):
+        runner, ids = self._runner(chunk_size=16)
+        blocks = [IdBlock(ids[i:i + 6], [], triangle=True)
+                  for i in range(0, 36, 3)]
+        runner.shards = [BlockShard(lambda: iter(blocks))]
+        whole = runner.run(0)
+        parts = [runner.score(*item)
+                 for item in runner.slices(runner.shards[0])]
+        assert len(parts) > 1
+        for got, expected in zip(whole, runner.gather(parts)):
+            assert got.tolist() == expected.tolist()
+        assert len(whole[2]) > 0
+        # nothing to gather: empty columns, not an error
+        assert [len(column) for column in runner.gather([])] == [0, 0, 0]
