@@ -5,8 +5,12 @@ product is quadratic and, in pure Python, dominates run time.  Blocking
 strategies produce a reduced candidate pair set that the attribute
 matchers score.  All strategies implement the same protocol:
 
+``shards(domain, range, *, n_shards, domain_attribute, range_attribute)``
+is the strategy's pair set, as independent units of ``(domain id,
+range id)`` pairs a worker pool can generate and score apart;
 ``candidates(domain, range, *, domain_attribute, range_attribute)``
-yields ``(domain id, range id)`` pairs.
+yields the same pairs as one stream — the one-shard partition read
+out, which no built-in strategy defines a second time.
 
 Quality is quantified with :func:`pair_completeness` (fraction of gold
 pairs surviving blocking) and :func:`reduction_ratio` (fraction of the
@@ -21,7 +25,9 @@ from repro.blocking.pair_generator import (
     IterableShard,
     PairGenerator,
     PairShard,
+    block_shards,
     dedup_self_pairs,
+    is_self_match,
     pair_completeness,
     partition_spans,
     reduction_ratio,
@@ -42,7 +48,9 @@ __all__ = [
     "PairShard",
     "SortedNeighborhood",
     "TokenBlocking",
+    "block_shards",
     "dedup_self_pairs",
+    "is_self_match",
     "pair_completeness",
     "partition_spans",
     "reduction_ratio",

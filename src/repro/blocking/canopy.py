@@ -13,15 +13,14 @@ Deterministic given the seed.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.blocking.pair_generator import (
-    BlockShard,
     IdBlock,
-    Pair,
     PairGenerator,
     PairShard,
-    partition_spans,
+    block_shards,
+    is_self_match,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
@@ -64,7 +63,7 @@ class CanopyBlocking(PairGenerator):
     def _records(self, domain: LogicalSource, range: LogicalSource,
                  domain_attribute: str,
                  range_attribute: str) -> Tuple[List[Record], bool]:
-        is_self = domain is range or domain.name == range.name
+        is_self = is_self_match(domain, range)
         records = self._tokenized(domain, domain_attribute, 0)
         if not is_self:
             records += self._tokenized(range, range_attribute, 1)
@@ -119,18 +118,6 @@ class CanopyBlocking(PairGenerator):
                     blocks.append(IdBlock(domain_ids, range_ids))
         return blocks
 
-    def candidates(self, domain: LogicalSource, range: LogicalSource, *,
-                   domain_attribute: str,
-                   range_attribute: str) -> Iterator[Pair]:
-        records, is_self = self._records(domain, range,
-                                         domain_attribute, range_attribute)
-        blocks = self._canopy_blocks(records, self._canopies(records),
-                                     is_self)
-        # canopies overlap, so dedup globally; self-matching pairs are
-        # canonical (min, max)
-        yield from BlockShard(lambda: iter(blocks), dedup=True,
-                              canonical=is_self).pairs()
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
@@ -139,20 +126,14 @@ class CanopyBlocking(PairGenerator):
         Canopy *formation* stays sequential (each seed's tight removals
         gate later seed choices), but it is a linear number of cheap
         Jaccard scans; the quadratic part — expanding every canopy
-        into pairs — is what the shards distribute.  Overlapping
-        canopies can emit the same pair from two shards; consumers
-        resolve that idempotently.
+        into pairs — is what the shards distribute.  Canopies overlap,
+        so shards deduplicate (one shard, the serial stream, globally)
+        and the same pair can still leave two shards; consumers resolve
+        that idempotently.  Self-matching pairs are canonical
+        ``(min, max)``.
         """
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
         records, is_self = self._records(domain, range,
                                          domain_attribute, range_attribute)
-        canopies = self._canopies(records)
-        blocks = self._canopy_blocks(records, canopies, is_self)
-        spans = partition_spans([block.pair_count() for block in blocks],
-                                n_shards)
-        return [
-            BlockShard(lambda s=start, e=end: iter(blocks[s:e]),
-                       dedup=True, canonical=is_self)
-            for start, end in spans
-        ]
+        blocks = self._canopy_blocks(records, self._canopies(records),
+                                     is_self)
+        return block_shards(blocks, n_shards, dedup=True, canonical=is_self)

@@ -1,9 +1,10 @@
 """Blocking protocol, trivial generator, sharding and quality metrics.
 
-Besides the streaming ``candidates`` protocol, every strategy can
-partition its work into independent *shards* (``shards``): units of
-candidate generation that can run on different worker processes with
-no shared mutable state.
+A strategy defines its pair set once, as ``shards``: a partition into
+independent units of candidate generation that can run on different
+worker processes with no shared mutable state.  The streaming
+``candidates`` protocol is that definition asked for one shard and
+read out (:meth:`PairGenerator.candidates`).
 
 The shard-payload contract with the engine's sharded execution path
 (:mod:`repro.engine.shards`) is **indices in, survivors out**: the
@@ -229,33 +230,79 @@ def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]
     return spans
 
 
+def block_shards(blocks: Sequence[IdBlock], n_shards: int, *,
+                 dedup: bool = False,
+                 canonical: bool = False) -> List[PairShard]:
+    """``blocks`` as at most ``n_shards`` shards of contiguous runs.
+
+    Runs are balanced by block pair counts, not block counts, so one
+    huge block does not serialize the whole run.  ``dedup`` /
+    ``canonical`` are every shard's :class:`BlockShard` flags.
+    """
+    spans = partition_spans([block.pair_count() for block in blocks],
+                            n_shards)
+    return [
+        BlockShard(lambda s=start, e=end: iter(blocks[s:e]),
+                   dedup=dedup, canonical=canonical)
+        for start, end in spans
+    ]
+
+
+def is_self_match(domain: LogicalSource, range: LogicalSource) -> bool:
+    """True for self-matching (duplicate detection in one source).
+
+    Two source *objects* under one name count as well: a subset of a
+    source matched against the source is still self-matching.
+    """
+    return domain is range or domain.name == range.name
+
+
 # ----------------------------------------------------------------------
 # the generator protocol
 # ----------------------------------------------------------------------
 
-class PairGenerator(ABC):
-    """Produces candidate (domain id, range id) pairs for matching."""
+class PairGenerator:
+    """Produces candidate (domain id, range id) pairs for matching.
 
-    @abstractmethod
+    A strategy overrides :meth:`shards` — its one definition of the
+    pair set — and inherits :meth:`candidates`.  A foreign strategy may
+    override ``candidates`` alone instead: it keeps the one delegating
+    shard below, which the engine never treats as a partition
+    (:func:`repro.engine.shards.shards_authoritative`).
+    """
+
     def candidates(self, domain: LogicalSource, range: LogicalSource, *,
                    domain_attribute: str,
                    range_attribute: str) -> Iterator[Pair]:
-        """Yield candidate pairs; duplicates are allowed (matchers dedup)."""
+        """Yield candidate pairs; duplicates are allowed (matchers dedup).
+
+        The serial stream *is* the one-shard partition: a single shard
+        spans every block, so its dedup is global and its order the
+        strategy's own.
+        """
+        if type(self).shards is PairGenerator.shards:
+            # the two defaults would only call each other
+            raise TypeError(
+                f"{type(self).__name__} defines neither shards() nor "
+                "candidates(); a blocking strategy must override one")
+        for shard in self.shards(domain, range, n_shards=1,
+                                 domain_attribute=domain_attribute,
+                                 range_attribute=range_attribute):
+            yield from shard.pairs()
 
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
         """Partition candidate generation into independent units.
 
-        The union of the shards' ``pairs()`` equals the distinct pair
-        set of :meth:`candidates` on the same inputs.  The base
-        implementation cannot split unknown strategies, so it returns
-        a single shard delegating to :meth:`candidates`; subclasses
-        override with genuinely parallel partitions (key groups,
-        posting-list ranges, window segments, seed partitions, id
-        tiles).  The engine's sharded path detects the un-overridden
-        default and prefers its streamed pool instead — one delegating
-        shard would serialize the whole request into a single worker.
+        The union of the shards' ``pairs()`` is the strategy's pair
+        set, and ``n_shards=1`` yields :meth:`candidates`' stream
+        itself.  The base implementation is for strategies that define
+        ``candidates`` only: it cannot split them, so it returns a
+        single shard delegating there.  The engine detects that default
+        and cuts its slices in the parent instead — as a pool task, one
+        delegating shard would serialize the whole request into a
+        single worker.
         """
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
@@ -296,20 +343,6 @@ class PairGenerator(ABC):
 class FullCross(PairGenerator):
     """The unblocked cross product (self-matching skips reflexive pairs)."""
 
-    def candidates(self, domain: LogicalSource, range: LogicalSource, *,
-                   domain_attribute: str,
-                   range_attribute: str) -> Iterator[Pair]:
-        if domain is range or domain.name == range.name:
-            ids = domain.ids()
-            for i, id_a in enumerate(ids):
-                for id_b in ids[i + 1:]:
-                    yield id_a, id_b
-        else:
-            range_ids = range.ids()
-            for id_a in domain.ids():
-                for id_b in range_ids:
-                    yield id_a, id_b
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
@@ -322,7 +355,7 @@ class FullCross(PairGenerator):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
         ids = domain.ids()
-        if domain is range or domain.name == range.name:
+        if is_self_match(domain, range):
             n = len(ids)
             spans = partition_spans([n - 1 - i for i in _range(n)], n_shards)
 
@@ -354,7 +387,7 @@ class FullCross(PairGenerator):
         here (the full cross product *is* distinct), which is exactly
         the memory blow-up this override avoids.
         """
-        if domain is range or domain.name == range.name:
+        if is_self_match(domain, range):
             n = len(domain)
             total = n * (n - 1) // 2
         else:

@@ -15,13 +15,14 @@ from repro.blocking.pair_generator import (
     Pair,
     PairGenerator,
     PairShard,
+    is_self_match,
     partition_spans,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import normalize
 
 #: the protocol names the second parameter ``range``, which shadows the
-#: builtin inside ``candidates`` — keep a module-level alias
+#: builtin inside the methods — keep a module-level alias
 _range = range
 
 
@@ -46,10 +47,10 @@ class SortedNeighborhood(PairGenerator):
     def _entries(self, domain: LogicalSource, range: LogicalSource,
                  domain_attribute: str,
                  range_attribute: str) -> List[Tuple[str, int, str]]:
-        """The merged sort order both execution paths slide over."""
+        """The merged sort order the windows slide over."""
         # Tag each record with its side so cross-source pairs can be
         # oriented; for self-matching both sides coincide.
-        is_self = domain is range or domain.name == range.name
+        is_self = is_self_match(domain, range)
         entries: List[Tuple[str, int, str]] = []
         for instance in domain:
             sort_key = self.key(instance.get(domain_attribute))
@@ -71,8 +72,8 @@ class SortedNeighborhood(PairGenerator):
         The window of the last anchors reaches past ``end`` into the
         following segment, so segment streams overlap-free partition
         the anchor positions while still producing every cross-segment
-        pair.  Deduplication is local to the call (the serial stream
-        passes the whole range, shards their own segment).
+        pair.  Deduplication is local to the call: global for the one
+        segment of the serial stream, segment-wide otherwise.
         """
         emitted: Set[Pair] = set()
         for i in _range(start, end):
@@ -94,14 +95,6 @@ class SortedNeighborhood(PairGenerator):
                     emitted.add(pair)
                     yield pair
 
-    def candidates(self, domain: LogicalSource, range: LogicalSource, *,
-                   domain_attribute: str,
-                   range_attribute: str) -> Iterator[Pair]:
-        is_self = domain is range or domain.name == range.name
-        entries = self._entries(domain, range,
-                                domain_attribute, range_attribute)
-        yield from self._window_pairs(entries, 0, len(entries), is_self)
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
@@ -115,7 +108,7 @@ class SortedNeighborhood(PairGenerator):
         """
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        is_self = domain is range or domain.name == range.name
+        is_self = is_self_match(domain, range)
         entries = self._entries(domain, range,
                                 domain_attribute, range_attribute)
         if not entries:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.blocking.pair_generator import (
-    BlockShard,
     IdBlock,
-    Pair,
     PairGenerator,
     PairShard,
-    partition_spans,
+    block_shards,
+    is_self_match,
 )
 from repro.model.source import LogicalSource
 
@@ -58,7 +57,7 @@ class KeyBlocking(PairGenerator):
         stream and the sharded path share one filter.
         """
         domain_blocks = self._blocks(domain, domain_attribute)
-        is_self = domain is range or domain.name == range.name
+        is_self = is_self_match(domain, range)
         range_blocks = (
             domain_blocks if is_self else self._blocks(range, range_attribute)
         )
@@ -77,32 +76,17 @@ class KeyBlocking(PairGenerator):
                 eligible.append(IdBlock(domain_ids, range_ids))
         return eligible
 
-    def candidates(self, domain: LogicalSource, range: LogicalSource, *,
-                   domain_attribute: str,
-                   range_attribute: str) -> Iterator[Pair]:
-        blocks = self._eligible_blocks(domain, range,
-                                       domain_attribute, range_attribute)
-        # key blocks are disjoint, so no dedup; self-matching pairs
-        # keep block-list orientation (BlockShard's default)
-        yield from BlockShard(lambda: iter(blocks)).pairs()
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
         """Key groups: each shard owns a contiguous run of key blocks.
 
         Keys partition the instances, so blocks are pairwise disjoint
-        and each candidate pair lives in exactly one shard.  Runs are
-        balanced by block pair counts, not key counts, so one huge
-        block does not serialize the whole run.
+        and each candidate pair lives in exactly one shard — no dedup —
+        and self-matching pairs keep block-list orientation
+        (:class:`BlockShard`'s default).
         """
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        blocks = self._eligible_blocks(domain, range,
-                                       domain_attribute, range_attribute)
-        spans = partition_spans([block.pair_count() for block in blocks],
-                                n_shards)
-        return [
-            BlockShard(lambda s=start, e=end: iter(blocks[s:e]))
-            for start, end in spans
-        ]
+        return block_shards(
+            self._eligible_blocks(domain, range,
+                                  domain_attribute, range_attribute),
+            n_shards)

@@ -9,15 +9,14 @@ keep blocks small.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.blocking.pair_generator import (
-    BlockShard,
     IdBlock,
-    Pair,
     PairGenerator,
     PairShard,
-    partition_spans,
+    block_shards,
+    is_self_match,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
@@ -99,7 +98,7 @@ class TokenBlocking(PairGenerator):
         shared list, silently doubling the two-source cutoff).
         """
         domain_index = self._index(domain, domain_attribute)
-        is_self = domain is range or domain.name == range.name
+        is_self = is_self_match(domain, range)
         range_index = (
             domain_index if is_self else self._index(range, range_attribute)
         )
@@ -124,17 +123,6 @@ class TokenBlocking(PairGenerator):
                 eligible.append(IdBlock(domain_ids, range_ids))
         return eligible
 
-    def candidates(self, domain: LogicalSource, range: LogicalSource, *,
-                   domain_attribute: str,
-                   range_attribute: str) -> Iterator[Pair]:
-        is_self = domain is range or domain.name == range.name
-        blocks = self._eligible_postings(domain, range,
-                                         domain_attribute, range_attribute)
-        # one shard spanning every block = the serial stream: global
-        # first-seen dedup, canonical (min, max) self-matching pairs
-        yield from BlockShard(lambda: iter(blocks), dedup=True,
-                              canonical=is_self).pairs()
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
@@ -142,19 +130,12 @@ class TokenBlocking(PairGenerator):
 
         A pair sharing several tokens may surface in more than one
         shard (its tokens can land in different ranges); shards
-        deduplicate locally and downstream consumers resolve
-        cross-shard duplicates idempotently, so the union of shard
-        pairs still equals the distinct ``candidates`` set.
+        deduplicate locally — one shard spanning every block, the
+        serial stream, globally — and downstream consumers resolve
+        cross-shard duplicates idempotently.  Self-matching pairs are
+        canonical ``(min, max)``.
         """
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        is_self = domain is range or domain.name == range.name
-        blocks = self._eligible_postings(domain, range,
-                                         domain_attribute, range_attribute)
-        spans = partition_spans([block.pair_count() for block in blocks],
-                                n_shards)
-        return [
-            BlockShard(lambda s=start, e=end: iter(blocks[s:e]),
-                       dedup=True, canonical=is_self)
-            for start, end in spans
-        ]
+        return block_shards(
+            self._eligible_postings(domain, range,
+                                    domain_attribute, range_attribute),
+            n_shards, dedup=True, canonical=is_self_match(domain, range))

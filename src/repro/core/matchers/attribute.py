@@ -40,8 +40,8 @@ class AttributeMatcher(Matcher):
         ``"skip"`` (default) produces no correspondence for pairs with
         a missing value; ``"zero"`` scores them 0 (only observable with
         ``threshold == 0`` diagnostics).  The policy travels on the
-        :class:`MatchRequest`, so every execution path — scalar,
-        vectorized, parallel, sharded — applies it identically.
+        :class:`MatchRequest`, so every execution mode — serial,
+        parallel, sharded — applies it identically.
     engine:
         Optional :class:`~repro.engine.BatchMatchEngine` executing the
         candidate scoring; defaults to the process-wide default engine

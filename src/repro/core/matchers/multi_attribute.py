@@ -50,12 +50,12 @@ class MultiAttributeMatcher(Matcher):
     ``avg`` tolerates Google Scholar's optional year while ``min0``
     requires every attribute to agree.
 
-    Execution rides the same engine fast paths as the single-attribute
-    matcher: when at least one attribute pair's similarity has a
-    packed column, the engine composes the per-spec columns and a
-    column-wise combiner (:func:`repro.engine.vectorized.
-    request_kernel`) — bit-identical results, and eligible for
-    sharded/balanced execution like any other indexed request.
+    Execution rides the same engine route as the single-attribute
+    matcher: the engine composes one column per attribute pair —
+    packed where the similarity packs — and a column-wise combiner
+    (:func:`repro.engine.vectorized.request_kernel`) — bit-identical
+    results, and eligible for sharded/balanced execution like any
+    other request.
     """
 
     def __init__(self, pairs: Sequence[AttributePair],

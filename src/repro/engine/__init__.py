@@ -3,8 +3,8 @@
 Replaces the matchers' one-pair-at-a-time scoring loops with one batch
 execution model: a request's candidates — an explicit list, a blocking
 strategy or the cross product — are planned as shards, cut into
-slices (row arrays or fixed-size id-pair chunks), scored through one
-column layer (below), and — when ``workers > 1`` — fanned out across a
+row-array slices, scored by the request's one kernel over the column
+layer (below), and — when ``workers > 1`` — fanned out across a
 process pool (:mod:`repro.engine.pool`) whose partial results load
 into a single mapping deterministically.  ``workers=1`` is a
 zero-overhead serial fallback producing byte-identical mappings.
@@ -29,19 +29,20 @@ parent-side generation bottleneck.  The planner reads the shards' cost
 estimates and, when they are skewed, splits and LPT-packs them so one
 dominant block cannot leave a worker with a long tail.
 
-One scoring core backs every path (:mod:`repro.engine.columns`): a
+One scoring core backs every request (:mod:`repro.engine.columns`): a
 *column* packs one attribute's reference side —
 q-gram bitmaps, sparse CSR TF/IDF, or the memoized ``score_batch``
 fallback, chosen by :func:`~repro.engine.columns.build_column` — and
 ``bind(query_values)`` turns it into a kernel that scores row pairs
 bit-identically to the scalar similarity.  The engine builds and binds
 once per source pair — packed columns are kept by the sources
-(:meth:`repro.model.source.LogicalSource.derived`) and composed per
-request (:func:`repro.engine.vectorized.request_kernel`;
-multi-attribute requests compose their bound columns with a
-vectorized combiner) — the serve tier's index keeps the same column
-objects across requests and binds per micro-batch, and the scalar
-:class:`ChunkScorer` is the reference path both are checked against.
+(:meth:`repro.model.source.LogicalSource.derived`), scalar ones built
+per request — and composes them
+(:func:`repro.engine.vectorized.request_kernel`; multi-attribute
+requests compose their bound columns with a vectorized combiner); the
+serve tier's index keeps the same column objects across requests and
+binds per micro-batch.  The scalar :class:`ChunkScorer` runs no
+request: it is the reference both are checked against.
 See ``docs/engine.md``.
 """
 

@@ -1,7 +1,7 @@
 """The scoring core: packed reference columns, bound per query batch.
 
-Everything that scores row pairs — the batch engine's indexed and
-sharded paths, the composed multi-attribute kernel, the serve tier's
+Everything that scores row pairs — every batch engine request, alone
+or inside the composed multi-attribute kernel, and the serve tier's
 :class:`~repro.serve.index.IncrementalIndex` — instantiates this one
 layer::
 
@@ -29,8 +29,8 @@ Three columns exist, chosen by :func:`build_column`:
   ``bincount`` segment sums);
 * :class:`ScalarColumn` — the fallback for every other similarity:
   value lookup plus the memoized ``score_batch``
-  (:class:`ValuePairMemo`) the scalar
-  :class:`~repro.engine.scorer.ChunkScorer` also uses.
+  (:class:`ValuePairMemo`) the scalar reference
+  (:mod:`repro.engine.scorer`) also uses.
 
 Bit-exactness.  The kernels evaluate the *same* arithmetic expressions
 as the scalar ``_score`` implementations in the same order, so column,
@@ -551,15 +551,15 @@ class ScalarColumn(_Column):
 
     Scores the candidate rows' distinct value pairs through the
     similarity's ``score_batch`` — exactly the evaluation (and the
-    bounded :class:`ValuePairMemo`) the generic
-    :class:`~repro.engine.scorer.ChunkScorer` performs, so scores are
-    bit-identical to the scalar path.  The memo lives on the column and
+    bounded :class:`ValuePairMemo`) of the scalar reference
+    (:func:`repro.engine.scorer.score_pairs`), so scores are
+    bit-identical to it.  The memo lives on the column and
     so persists across binds.  Missing values score 0.0 like the packed
     columns.
 
     Not orientation-symmetric in general (the wrapped similarity may
-    not be), so a composed kernel containing a scalar column keeps the
-    sharded self-matching path on the orientation-faithful pair stream
+    not be), so a kernel that is or contains a scalar column keeps
+    self-matching requests on the orientation-faithful pair stream
     instead of the block-vectorized expansion.
     """
 

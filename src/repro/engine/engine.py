@@ -8,19 +8,20 @@ runs the same four steps (:meth:`BatchMatchEngine.execute`):
    request, or the blocking strategy's partition under
    ``shard_blocking``;
 2. **slices**: a :class:`~repro.engine.shards.ShardRunner` cuts every
-   shard into work items — row arrays or id-pair chunks, with
-   self-matching dedup applied on the fly;
-3. **score**: each slice is scored — by a request kernel over packed
-   columns (:func:`repro.engine.vectorized.request_kernel`) where one
-   exists, by the generic :class:`~repro.engine.scorer.ChunkScorer`
-   otherwise — inline for ``workers=1``, or across the engine's one
-   process pool (:func:`repro.engine.pool.run_ordered`), whose tasks
-   are slices cut in the parent or, under ``shard_blocking``, whole
-   shards cut where they are scored;
+   shard into work items — pairs of row arrays, with self-matching
+   dedup applied on the fly;
+3. **score**: each slice is scored by the request's kernel
+   (:func:`repro.engine.vectorized.request_kernel`: one column per
+   spec, packed where the similarity packs, the memoized
+   ``score_batch`` otherwise) — inline for ``workers=1``, or across
+   the engine's one process pool
+   (:func:`repro.engine.pool.run_ordered`), whose tasks are slices cut
+   in the parent or, under ``shard_blocking``, whole shards cut where
+   they are scored;
 4. **load**: the survivors are loaded into one :class:`Mapping` in
-   submission order (:meth:`BatchMatchEngine._load` — kernel survivors
-   as row arrays straight into the mapping's columns), so serial and
-   parallel execution produce *identical* mappings.
+   submission order (:meth:`BatchMatchEngine._load` — row arrays
+   straight into the mapping's columns), so serial and parallel
+   execution produce *identical* mappings.
 
 Workers are forked after ``_prepare`` has run, so corpus-level state
 (packed columns, TF/IDF document frequencies) is built once and shared
@@ -136,9 +137,7 @@ class BatchMatchEngine:
         else:
             # two slices queued per worker keep the pool busy and bound
             # what sits in memory
-            path = ("indexed" if runner.indexed is not None else
-                    "parallel" if config.workers > 1 else "serial")
-            target = runner.score
+            path, target = "indexed", runner.score
             work = ((len(item[0]), item) for shard in shards
                     for item in runner.slices(shard))
             workers, inflight = config.workers, 2 * config.workers
@@ -237,37 +236,31 @@ class BatchMatchEngine:
             "shards": len(shard_seconds),
         }
 
-    def _prepare(self, request: MatchRequest) -> Optional[IndexedScorer]:
+    def _prepare(self, request: MatchRequest) -> IndexedScorer:
         """Corpus-level state for ``request``, before any pair is scored.
 
-        Must run before workers fork so they inherit it.  Requests
-        with at least one packed column get their kernel
-        (:func:`repro.engine.vectorized.request_kernel`, which
-        prepares what it has to pack and finds the rest on the
-        sources) and score through numpy arrays; all others get their
-        similarities prepared for the generic chunk scorer, which is
-        what ``None`` selects.  Where the candidates come from plays
-        no part: an explicit list is scored by the columns the sources
-        keep like any blocked request.
+        Must run before workers fork so they inherit it: the request's
+        kernel (:func:`repro.engine.vectorized.request_kernel`, which
+        prepares every similarity it has to pack or wrap and finds the
+        kept columns on the sources) behind its id-to-row bridge.
+        Where the candidates come from plays no part: an explicit list
+        is scored by the columns the sources keep like any blocked
+        request.
         """
         begun = time.perf_counter()
         before = _memo_counts(request)
-        indexed = None
-        kernel = vectorized.request_kernel(request)
-        if kernel is None:
-            vectorized.prepare_similarities(request)
-        else:
-            indexed = IndexedScorer(
-                kernel, request.domain.ids(), request.range.ids(),
-                request.threshold,
-                missing_zero=(request.combiner is None
-                              and request.missing == "zero"))
+        indexed = IndexedScorer(
+            vectorized.request_kernel(request),
+            request.domain.ids(), request.range.ids(), request.threshold,
+            missing_zero=(request.combiner is None
+                          and request.missing == "zero"))
         profile = self.last_profile
         if profile is not None:
             profile["prepare_seconds"] = time.perf_counter() - begun
             hits, builds = _memo_counts(request)
+            # one memo lookup per kept column: all of them hits
             profile["kernel_cached"] = \
-                indexed is not None and builds == before[1]
+                hits - before[0] == len(request.specs)
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],
                                       built + builds - before[1])
@@ -278,13 +271,12 @@ class BatchMatchEngine:
         """The request's mapping from its scoring ``outputs``, taken in
         submission order.
 
-        With a kernel every output is a ``(rows_a, rows_b, scores)``
-        survivor triple of arrays, and they become the mapping's
-        columns as they are (:meth:`Mapping.from_columns`) — no id
-        string is touched per row; otherwise every output is a list of
-        ``(id, id, score)`` triples.  Either way a pair that survived
-        more than once keeps its first position and its largest score,
-        and self-matching rows are mirrored.
+        Every output is a ``(rows_a, rows_b, scores)`` survivor triple
+        of arrays, and they become the mapping's columns as they are
+        (:meth:`Mapping.from_columns`) — no id string is touched per
+        row.  A pair that survived more than once keeps its first
+        position and its largest score, and self-matching rows are
+        mirrored.
 
         A pair sharing several tokens (keys, windows) survives once per
         shard — and, block-expanded, once per block — that generated
@@ -292,28 +284,18 @@ class BatchMatchEngine:
         order is the row a keyed merge would have kept.  That costs one
         sort of the *survivors*' pair codes, not of the candidates'.
         """
-        domain, range_ = request.domain.name, request.range.name
         indexed = runner.indexed
-        gathered = runner.gather(outputs)
-        if indexed is None:
-            survivors = len(gathered)
-            if request.is_self:
-                gathered = [row for id_a, id_b, score in gathered
-                            for row in ((id_a, id_b, score),
-                                        (id_b, id_a, score))]
-            result = Mapping.from_correspondences(
-                domain, range_, gathered, name=request.name)
-        else:
-            rows_a, rows_b, scores = gathered
-            survivors = len(scores)
-            if request.is_self:
-                rows_a, rows_b = (
-                    np.stack((rows_a, rows_b), axis=1).ravel(),
-                    np.stack((rows_b, rows_a), axis=1).ravel())
-                scores = np.repeat(scores, 2)
-            result = Mapping.from_columns(
-                domain, range_, indexed.domain_ids, indexed.range_ids,
-                rows_a, rows_b, scores, name=request.name)
+        rows_a, rows_b, scores = runner.gather(outputs)
+        survivors = len(scores)
+        if request.is_self:
+            rows_a, rows_b = (
+                np.stack((rows_a, rows_b), axis=1).ravel(),
+                np.stack((rows_b, rows_a), axis=1).ravel())
+            scores = np.repeat(scores, 2)
+        result = Mapping.from_columns(
+            request.domain.name, request.range.name,
+            indexed.domain_ids, indexed.range_ids,
+            rows_a, rows_b, scores, name=request.name)
         profile = self.last_profile
         if profile is not None:
             profile["survivor_rows"] = survivors

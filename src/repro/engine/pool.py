@@ -1,7 +1,7 @@
 """The engine's one worker pool: ordered submit/drain over a task slot.
 
-Every parallel path — streamed chunks through the generic scorer or a
-vectorized kernel, whole shards through a
+Every parallel run — row-array slices through the request's kernel,
+or whole shards through a
 :class:`~repro.engine.shards.ShardRunner` — runs the same loop: the
 callable that does the work is installed in the module-level slot
 *before* the pool forks, so workers inherit it (and everything it

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
+from repro.blocking.pair_generator import is_self_match
 from repro.core.operators.functions import CombinationFunction
 from repro.model.source import LogicalSource
 from repro.sim.base import SimilarityFunction
@@ -58,14 +59,13 @@ class MatchRequest:
     ``candidates`` iterable, the ``blocking`` strategy, or the full
     cross product of the two sources.
 
-    The request also decides kernel eligibility, whatever its
-    candidate source: it takes a vectorized fast path
-    (:func:`repro.engine.vectorized.request_kernel`: one column per
-    spec — q-gram bitmaps, sparse TF/IDF or the scalar fallback — plus,
-    for multi-attribute requests, a vectorized combiner) when at least
-    one spec has a packed column.  Running whole shards inside the
-    workers (``shard_blocking``) additionally requires a ``blocking``
-    object with an authoritative ``shards`` protocol.
+    Whatever its specs and its candidate source, the request is scored
+    by one kernel (:func:`repro.engine.vectorized.request_kernel`: one
+    column per spec — q-gram bitmaps, sparse TF/IDF or the scalar
+    fallback — plus, for multi-attribute requests, a vectorized
+    combiner).  Running whole shards inside the workers
+    (``shard_blocking``) additionally requires a ``blocking`` object
+    with an authoritative ``shards`` protocol.
     """
 
     domain: LogicalSource
@@ -97,4 +97,4 @@ class MatchRequest:
     @property
     def is_self(self) -> bool:
         """True for self-matching (duplicate detection in one source)."""
-        return self.domain is self.range or self.domain.name == self.range.name
+        return is_self_match(self.domain, self.range)

@@ -6,23 +6,22 @@ is a list of :class:`PairShard`\\ s: one holding the whole request, or
 (:meth:`PairGenerator.shards`: key groups, posting-list ranges, window
 segments, seed partitions, id tiles).  A :class:`ShardRunner` cuts a
 shard into *slices*, scores a slice and gathers the survivors of
-several; the engine loads what comes back.  A slice is one of:
+several; the engine loads what comes back.  A slice is a pair of row
+arrays for the request's kernel
+(:func:`repro.engine.vectorized.request_kernel`), cut one of two ways:
 
-* **block-expanded row arrays** — the request has a kernel
-  (:func:`repro.engine.vectorized.request_kernel`) *and* the shard
-  exposes an :class:`IdBlock` structure: pairs are expanded directly
-  as row arrays (``np.repeat``/``np.tile``) and scored in bulk — no
-  Python tuple is ever created per pair.  Duplicate pairs across
-  blocks/shards are scored redundantly instead of deduplicated:
-  scoring is deterministic, and on measured workloads re-scoring ~30%
-  duplicates is far cheaper than sorting tens of millions of pair
-  codes.  Their *survivors* — orders of magnitude fewer — collapse
-  when the parent loads them (:meth:`BatchMatchEngine._load`).
-* **converted id-pair chunks** — a kernel but no usable blocks:
-  ``shard.pairs()`` in ``chunk_size`` chunks, each converted to row
-  arrays (:meth:`IndexedScorer.convert`).
-* **plain id-pair chunks** — no kernel: the same chunks, scored by the
-  generic :class:`ChunkScorer`.
+* **block expansion** — the shard exposes an :class:`IdBlock`
+  structure: pairs are expanded directly as row arrays
+  (``np.repeat``/``np.tile``) and scored in bulk — no Python tuple is
+  ever created per pair.  Duplicate pairs across blocks/shards are
+  scored redundantly instead of deduplicated: scoring is
+  deterministic, and on measured workloads re-scoring ~30% duplicates
+  is far cheaper than sorting tens of millions of pair codes.  Their
+  *survivors* — orders of magnitude fewer — collapse when the parent
+  loads them (:meth:`BatchMatchEngine._load`).
+* **converted id-pair chunks** — no usable blocks: ``shard.pairs()``
+  in ``chunk_size`` chunks, each converted to row arrays
+  (:meth:`IndexedScorer.convert`).
 
 ``shard_blocking`` decides who cuts.  Off, the parent iterates
 :meth:`ShardRunner.slices` and every slice is a pool task.  On, every
@@ -31,8 +30,7 @@ scoring state — is built in the parent *before* the pool forks
 (:func:`repro.engine.pool.run_ordered`), so workers inherit everything
 copy-on-write; each task carries one int **shard index in** and
 returns only the **survivors out** — ``(rows_a, rows_b, scores)``
-arrays from a kernel or a list of ``(id, id, score)`` triples from the
-generic scorer.  Nothing per-pair crosses a process boundary, which
+arrays.  Nothing per-pair crosses a process boundary, which
 removes the parent-side generation bottleneck (Amdahl) of blocked
 parallel runs.
 
@@ -73,7 +71,6 @@ from repro.blocking.pair_generator import (
     partition_spans,
 )
 from repro.engine.request import MatchRequest
-from repro.engine.scorer import ChunkScorer
 from repro.engine.vectorized import IndexedScorer
 
 Pair = Tuple[str, str]
@@ -117,40 +114,34 @@ class ShardRunner:
     Built before the pool forks, so workers inherit the shard list,
     sources, similarity state and packed columns copy-on-write and
     tasks carry a shard index (:meth:`run`) or one slice
-    (:attr:`score`).  ``indexed`` is the request's kernel bridge;
-    ``None`` selects the generic :class:`ChunkScorer`, whose
-    similarities must be prepared by then.
+    (:attr:`score`).  ``indexed`` is the request's kernel bridge.
     """
 
     def __init__(self, shards: Sequence[PairShard], request: MatchRequest,
-                 chunk_size: int, indexed: Optional[IndexedScorer]) -> None:
+                 chunk_size: int, indexed: IndexedScorer) -> None:
         self.shards = list(shards)
         self.is_self = request.is_self
         self.chunk_size = chunk_size
         self.indexed = indexed
-        #: ``score(*slice)``: one slice's survivors — ``(rows_a, rows_b,
-        #: scores)`` arrays from the kernel (the parent loads them as
-        #: columns) or a list of ``(id, id, score)`` triples from the
-        #: generic scorer.  The scorer's own method, not the runner's:
-        #: as a pool target it pickles without the shard list, which is
-        #: what a platform without ``fork`` needs.
-        self.score = (indexed.score_rows if indexed is not None
-                      else ChunkScorer(request).score_chunk)
+        #: ``score(rows_a, rows_b)``: one slice's survivors as
+        #: ``(rows_a, rows_b, scores)`` arrays, which the parent loads
+        #: as columns.  The scorer's own method, not the runner's: as a
+        #: pool target it pickles without the shard list, which is what
+        #: a platform without ``fork`` needs.
+        self.score = indexed.score_rows
 
     def slices(self, shard: PairShard) -> Iterator[tuple]:
-        """The shard's work items, each the arguments of one
-        :attr:`score` call: ``(rows_a, rows_b)`` with a kernel,
-        ``(chunk,)`` of id pairs without.
+        """The shard's work items, each the ``(rows_a, rows_b)``
+        arguments of one :attr:`score` call.
 
         Self-matching block expansion may emit a pair in either
         orientation, so it additionally requires an
-        orientation-symmetric kernel; composed multi-attribute kernels
-        carrying a scalar-fallback column (whose wrapped similarity
-        may be asymmetric) take the orientation-faithful pair stream
-        instead.
+        orientation-symmetric kernel; kernels carrying a scalar column
+        (whose wrapped similarity may be asymmetric) take the
+        orientation-faithful pair stream instead.
         """
         indexed = self.indexed
-        blocks = shard.blocks() if indexed is not None else None
+        blocks = shard.blocks()
         if blocks is not None and (indexed.kernel.orientation_symmetric
                                    or not self.is_self):
             return self._joined(self._expand_blocks(blocks))
@@ -160,21 +151,16 @@ class ShardRunner:
         pairs = shard.pairs()
         if self.is_self:
             pairs = dedup_self_pairs(pairs)
-        chunks = iter_chunks(pairs, self.chunk_size)
-        if indexed is None:
-            return ((chunk,) for chunk in chunks)
         # pairs cross process boundaries as int row arrays, ~8 bytes
         # each, and only surviving rows come back
-        return map(indexed.convert, chunks)
+        return map(indexed.convert, iter_chunks(pairs, self.chunk_size))
 
-    def gather(self, outputs: Iterable):
+    def gather(self, outputs: Iterable[tuple]) -> tuple:
         """Several :attr:`score` outputs as one, in the order given."""
-        if self.indexed is None:
-            return [row for output in outputs for row in output]
         no_rows = _np.zeros(0, dtype=_np.int32)
         return _concatenated([(no_rows, no_rows, _np.zeros(0)), *outputs])
 
-    def run(self, shard_index: int):
+    def run(self, shard_index: int) -> tuple:
         """Score one whole shard where it is called; its survivors."""
         return self.gather(self.score(*item) for item in
                            self.slices(self.shards[shard_index]))

@@ -19,9 +19,9 @@ applied column-wise (vectorized for the exact avg/min/max/weighted
 classes, including their ``-0`` missing-as-zero policies; per-row for
 custom combiners) — bit-identical to the scalar
 :func:`repro.engine.scorer.score_pairs` loop.  Specs without a packed
-column ride along as :class:`~repro.engine.columns.ScalarColumn`
-fallbacks, so one slow similarity no longer forces the whole request
-off the fast path.
+column — and specs with a side over the memory budget — ride as
+:class:`~repro.engine.columns.ScalarColumn`\\ s, alone or beside packed
+ones, so every request has a kernel and the engine one way to score.
 
 The batch engine and its sharded runner (:func:`request_kernel`: the
 columns of one source pair are prepared, packed and bound once and
@@ -34,10 +34,9 @@ of string tuples, and on the sharded path the payload contract is
 *shard indices in, surviving ``(rows_a, rows_b, scores)`` arrays out*
 (see :mod:`repro.engine.shards`).
 
-:func:`build_columns` and :func:`request_kernel` return ``None`` when
-no spec has a packed column, :func:`request_kernel` also when a side
-would exceed the memory budget; callers fall back to the generic
-scorer.
+:func:`build_columns` returns ``None`` when no spec has a packed
+column: the serve index then scores its rows unpacked
+(:func:`repro.engine.scorer.score_pairs`).
 """
 
 from __future__ import annotations
@@ -54,7 +53,12 @@ from repro.core.operators.functions import (
     WeightedFunction,
     combine_columns,
 )
-from repro.engine.columns import build_column, column_config, survivors
+from repro.engine.columns import (
+    ScalarColumn,
+    build_column,
+    column_config,
+    survivors,
+)
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
 
@@ -295,9 +299,9 @@ def build_columns(specs: Sequence[AttributeSpec],
                   reference_values: Sequence[Sequence[object]]):
     """One column per attribute spec over the reference side, or ``None``.
 
-    ``None`` when no spec gets a packed column: an all-fallback
-    composition would just be the generic scorer (which keeps the very
-    same memo) with extra packing cost.
+    ``None`` when no spec gets a packed column: the serve index,
+    which binds these per micro-batch, scores such rows through the
+    unpacked loop it keeps for its buffer anyway.
     """
     built = [build_column(spec.similarity, values)
              for spec, values in zip(specs, reference_values)]
@@ -343,10 +347,18 @@ def prepare_similarities(request) -> None:
 
 
 def _bound_column(request, spec: AttributeSpec):
-    """``spec``'s column: range side packed, domain side bound."""
+    """``spec``'s column: range side packed, domain side bound.
+
+    A domain side over the memory budget sends both sides to the
+    scalar column, where :func:`~repro.engine.columns.build_column`
+    sends an oversized range side.
+    """
     domain_values, range_values = source_values(
         request.domain, request.range, spec.attribute, spec.range_attribute)
-    return build_column(spec.similarity, range_values).bind(domain_values)
+    try:
+        return build_column(spec.similarity, range_values).bind(domain_values)
+    except MemoryError:
+        return ScalarColumn(spec.similarity, range_values).bind(domain_values)
 
 
 def _prepared_column(request, spec: AttributeSpec):
@@ -365,12 +377,15 @@ def _kept_column(request, spec: AttributeSpec, config):
     the range source), and a hit skips ``prepare`` along with the
     packing.  The memo keeps arrays only
     (:meth:`~repro.engine.columns._Column.release`): the parent's
-    retained bytes are bytes every forked worker maps too.
+    retained bytes are bytes every forked worker maps too.  Raises
+    ``MemoryError``, keeping nothing, when a side is over the budget:
+    a scalar column scores through its similarity *object*, which no
+    key describes.
     """
     def build():
         kernel = _prepared_column(request, spec)
-        if not kernel.vectorized:  # over budget: the scalar fallback
-            raise MemoryError("packed reference side exceeds the budget")
+        if not kernel.vectorized:
+            raise MemoryError("a packed side exceeds the budget")
         kernel.release()
         return kernel
 
@@ -379,37 +394,38 @@ def _kept_column(request, spec: AttributeSpec, config):
         build, partner=request.range)
 
 
+def _spec_column(request, spec: AttributeSpec):
+    """``spec``'s bound column, its similarity prepared: the kept
+    packed one where the similarity packs and fits the budget, a
+    :class:`~repro.engine.columns.ScalarColumn` built for this request
+    otherwise."""
+    config = column_config(spec.similarity)
+    if config is not None:
+        try:
+            return _kept_column(request, spec, config)
+        except MemoryError:
+            pass  # over budget, nothing kept: the scalar column below
+    return _prepared_column(request, spec)
+
+
 def request_kernel(request):
-    """The kernel scoring ``request``'s row pairs, or ``None``.
+    """The kernel scoring ``request``'s row pairs.
 
     One bound column per spec — range side packed, domain side bound,
     both in ``source.ids()`` row order — each built right after its
     similarity was prepared; packed columns are built once per source
     pair (:func:`_kept_column`).  Specs sharing one similarity
     *object* opt the request out of that: they are all prepared first,
-    so the shared instance scores with its last corpus like it does on
-    the generic path, which no per-spec key describes.
-
-    ``None`` — when no spec has a packed column (an all-fallback
-    composition would be the generic scorer with extra packing cost)
-    or when a side exceeds the memory budget — sends the
-    request down the generic :class:`~repro.engine.scorer.ChunkScorer`
-    path; nothing is guaranteed prepared then.
+    so the shared instance scores with its last corpus — what the
+    scalar reference (:mod:`repro.engine.scorer`) does with it — which
+    no per-spec key describes.
     """
     specs = request.specs
-    configs = [column_config(spec.similarity) for spec in specs]
-    if not any(configs):
-        return None
-    try:
-        if len({id(spec.similarity) for spec in specs}) < len(specs):
-            prepare_similarities(request)
-            kernels = [_bound_column(request, spec) for spec in specs]
-        else:
-            kernels = [_prepared_column(request, spec) if config is None
-                       else _kept_column(request, spec, config)
-                       for spec, config in zip(specs, configs)]
-    except MemoryError:
-        return None
+    if len({id(spec.similarity) for spec in specs}) < len(specs):
+        prepare_similarities(request)
+        kernels = [_bound_column(request, spec) for spec in specs]
+    else:
+        kernels = [_spec_column(request, spec) for spec in specs]
     if request.combiner is None:
         return kernels[0]
     return MultiSpecKernel(kernels, request.combiner,

@@ -15,7 +15,7 @@ script language and the matcher configuration layer use.
 """
 
 from repro.sim.affix import AffixSimilarity, common_prefix_length, common_suffix_length
-from repro.sim.base import CachedSimilarity, SimilarityFunction
+from repro.sim.base import SimilarityFunction
 from repro.sim.edit import (
     JaroSimilarity,
     JaroWinklerSimilarity,
@@ -44,7 +44,6 @@ from repro.sim.tokenize import (
 
 __all__ = [
     "AffixSimilarity",
-    "CachedSimilarity",
     "DiceNGram",
     "ExactSimilarity",
     "JaccardNGram",

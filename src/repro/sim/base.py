@@ -10,7 +10,7 @@ into :meth:`SimilarityFunction.prepare`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class SimilarityFunction(ABC):
@@ -53,12 +53,12 @@ class SimilarityFunction(ABC):
         """Score many value pairs at once (the batch engine's hot path).
 
         ``pairs`` follows :meth:`_score`'s contract: values are
-        non-``None`` and already coerced to ``str``.  The default
-        implementation loops :meth:`_score` with the same clamping as
-        :meth:`similarity`; corpus-aware functions override this with
-        vectorized variants over their prepared token/vector indexes.
-        Results must be bit-identical to per-pair :meth:`similarity`
-        calls so that serial and batched execution agree exactly.
+        non-``None`` and already coerced to ``str``.  Loops
+        :meth:`_score` with the same clamping as :meth:`similarity`: a
+        similarity keeps one scoring expression, so whatever a subclass
+        makes of ``_score`` is what batches score with, bit-identical
+        to per-pair :meth:`similarity` calls — which is what lets
+        serial and batched execution agree exactly.
         """
         score = self._score
         out: List[float] = []
@@ -73,81 +73,3 @@ class SimilarityFunction(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class CachedSimilarity(SimilarityFunction):
-    """Memoizing wrapper around another similarity function.
-
-    Attribute matchers repeatedly compare the same strings when
-    blocking produces overlapping candidate blocks; caching on the
-    (ordered) string pair removes that duplicated work.  Symmetric
-    functions may pass ``symmetric=True`` to normalize the cache key.
-    """
-
-    def __init__(self, inner: SimilarityFunction, *, symmetric: bool = True,
-                 max_size: Optional[int] = None) -> None:
-        self.inner = inner
-        self.name = f"cached[{inner.name}]"
-        self._symmetric = symmetric
-        self._max_size = max_size
-        self._cache: dict[tuple[str, str], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def prepare(self, values: Iterable[object]) -> None:
-        self._cache.clear()
-        self.inner.prepare(values)
-
-    def _score(self, a: str, b: str) -> float:
-        key = (b, a) if self._symmetric and b < a else (a, b)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        score = self.inner.similarity(a, b)
-        if self._max_size is not None and len(self._cache) >= self._max_size:
-            self._cache.clear()
-        self._cache[key] = score
-        return score
-
-    def score_batch(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
-        """Batch scoring through the cache: only misses reach ``inner``.
-
-        Distinct cache keys missing from the cache are scored once via
-        ``inner.score_batch`` and then filled in, so a batch with many
-        repeated pairs costs one inner evaluation per distinct pair.
-        """
-        cache = self._cache
-        symmetric = self._symmetric
-        keys = []
-        miss_keys: dict[Tuple[str, str], None] = {}
-        for a, b in pairs:
-            key = (b, a) if symmetric and b < a else (a, b)
-            keys.append(key)
-            if key in cache or key in miss_keys:
-                self.hits += 1
-            else:
-                self.misses += 1
-                miss_keys[key] = None
-        fresh: dict[Tuple[str, str], float] = {}
-        if miss_keys:
-            misses = list(miss_keys)
-            fresh = dict(zip(misses, self.inner.score_batch(misses)))
-        # Serve the batch before any cache maintenance so a reset can
-        # never drop keys this batch still references, then respect the
-        # bound: an oversized batch must not leave the cache over limit.
-        out = [cache[key] if key in cache else fresh[key] for key in keys]
-        if fresh:
-            if self._max_size is not None:
-                if len(cache) + len(fresh) > self._max_size:
-                    cache.clear()
-                if len(fresh) <= self._max_size:
-                    cache.update(fresh)
-            else:
-                cache.update(fresh)
-        return out
-
-    def cache_info(self) -> dict[str, int]:
-        """Return hit/miss/size counters for diagnostics."""
-        return {"hits": self.hits, "misses": self.misses, "size": len(self._cache)}

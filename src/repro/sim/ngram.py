@@ -8,7 +8,7 @@ classic "trigram metric" the paper names.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable
 
 from repro.sim.base import SimilarityFunction
 from repro.sim.tokenize import qgrams
@@ -60,47 +60,6 @@ class NGramSimilarity(SimilarityFunction):
             return overlap / len(grams_a | grams_b)
         # overlap coefficient
         return overlap / min(len(grams_a), len(grams_b))
-
-    def score_batch(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
-        """Vectorized batch scoring over the prepared gram index.
-
-        Binds the gram cache and the normalization into a tight loop so
-        chunked execution avoids the per-call dispatch of
-        :meth:`similarity`.  Uses the exact expressions of
-        :meth:`_score`, so results are bit-identical to per-pair calls.
-        """
-        grams = self.grams
-        method = self.method
-        out: List[float] = []
-        append = out.append
-        if method == "dice":
-            for a, b in pairs:
-                grams_a = grams(a)
-                grams_b = grams(b)
-                overlap = len(grams_a & grams_b)
-                if overlap == 0:
-                    append(0.0)
-                else:
-                    append(2.0 * overlap / (len(grams_a) + len(grams_b)))
-        elif method == "jaccard":
-            for a, b in pairs:
-                grams_a = grams(a)
-                grams_b = grams(b)
-                overlap = len(grams_a & grams_b)
-                if overlap == 0:
-                    append(0.0)
-                else:
-                    append(overlap / len(grams_a | grams_b))
-        else:  # overlap coefficient
-            for a, b in pairs:
-                grams_a = grams(a)
-                grams_b = grams(b)
-                overlap = len(grams_a & grams_b)
-                if overlap == 0:
-                    append(0.0)
-                else:
-                    append(overlap / min(len(grams_a), len(grams_b)))
-        return out
 
 
 class DiceNGram(NGramSimilarity):

@@ -9,7 +9,7 @@ so that document frequencies are meaningful.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.sim.base import SimilarityFunction
 from repro.sim.edit import jaro_winkler_similarity
@@ -102,27 +102,6 @@ class TfIdfCosineSimilarity(SimilarityFunction):
             vec_a, vec_b = vec_b, vec_a
         return sum(weight * vec_b.get(token, 0.0) for token, weight in vec_a.items())
 
-    def score_batch(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
-        """Vectorized batch cosine over the prepared TF/IDF vector cache.
-
-        Same dot-product expression (and symmetric tie-break) as
-        :meth:`_score` — bit-identical results — with the vector cache
-        bound locally and the clamp of :meth:`similarity` applied
-        inline.
-        """
-        vector = self.vector
-        out: List[float] = []
-        append = out.append
-        for a, b in pairs:
-            vec_a = vector(a)
-            vec_b = vector(b)
-            if len(vec_b) < len(vec_a) or (len(vec_b) == len(vec_a) and b < a):
-                vec_a, vec_b = vec_b, vec_a
-            get = vec_b.get
-            s = sum(weight * get(token, 0.0) for token, weight in vec_a.items())
-            append(0.0 if s < 0.0 else (1.0 if s > 1.0 else s))
-        return out
-
 
 class SoftTfIdfSimilarity(TfIdfCosineSimilarity):
     """SoftTFIDF (Cohen et al. 2003): TF/IDF with fuzzy token matching.
@@ -134,20 +113,6 @@ class SoftTfIdfSimilarity(TfIdfCosineSimilarity):
     """
 
     name = "softtfidf"
-
-    def score_batch(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
-        """Per-pair loop over SoftTFIDF's own :meth:`_score`.
-
-        The parent's batch kernel computes a *plain* cosine; silently
-        inheriting it (or the old ``score_batch = SimilarityFunction.
-        score_batch`` class-attribute reassignment, which an innocent
-        parent refactor would bypass) would make batched scores
-        disagree with per-pair :meth:`similarity` calls.  The explicit
-        override pins SoftTFIDF to the generic loop; the engine's
-        sparse TF/IDF kernel likewise refuses SoftTFIDF (it overrides
-        ``_score``), so every execution path scores the fuzzy measure.
-        """
-        return SimilarityFunction.score_batch(self, pairs)
 
     def __init__(self, token_threshold: float = 0.9) -> None:
         super().__init__()

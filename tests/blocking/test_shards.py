@@ -246,6 +246,49 @@ class TestShardValidation:
         assert set(shards[0].pairs()) == {("x", "y"), ("x", "z")}
 
 
+class TestCandidatesIsTheOneShardStream:
+    """``shards()`` is a strategy's only pair-set definition;
+    ``candidates()`` is its one-shard partition read out."""
+
+    BUILT_INS = [FullCross(), KeyBlocking(), TokenBlocking(max_df=1.0),
+                 SortedNeighborhood(window=3),
+                 CanopyBlocking(loose=0.15, tight=0.5, seed=3)]
+
+    @pytest.mark.parametrize("self_matching", [False, True],
+                             ids=["two-source", "self"])
+    @pytest.mark.parametrize("blocking", BUILT_INS,
+                             ids=lambda blocking: type(blocking).__name__)
+    def test_same_pairs_in_the_same_order(self, sources, blocking,
+                                          self_matching):
+        domain, range_ = sources
+        if self_matching:
+            range_ = domain
+        attributes = dict(domain_attribute="title", range_attribute="title")
+        stream = list(blocking.candidates(domain, range_, **attributes))
+        assert stream == [
+            pair
+            for shard in blocking.shards(domain, range_, n_shards=1,
+                                         **attributes)
+            for pair in shard.pairs()]
+        assert len(stream) >= 2
+        assert "candidates" not in vars(type(blocking))
+
+    def test_a_strategy_defining_neither_fails_clearly(self, sources):
+        class Neither(PairGenerator):
+            pass
+
+        domain, range_ = sources
+        attributes = dict(domain_attribute="title", range_attribute="title")
+        with pytest.raises(TypeError, match="Neither defines neither"):
+            list(Neither().candidates(domain, range_, **attributes))
+        # the delegating default shard reaches the same error
+        shard, = Neither().shards(domain, range_, n_shards=1, **attributes)
+        with pytest.raises(TypeError, match="must override one"):
+            list(shard.pairs())
+        with pytest.raises(TypeError, match="must override one"):
+            Neither().count(domain, range_, **attributes)
+
+
 class TestPartitionSpans:
     def test_balances_uniform_costs(self):
         assert partition_spans([1] * 16, 4) == \

@@ -34,8 +34,9 @@ from repro.engine import (
     vectorized,
 )
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
-from repro.sim.base import CachedSimilarity, SimilarityFunction
+from repro.sim.base import SimilarityFunction
 from repro.sim.ngram import JaccardNGram, NGramSimilarity, TrigramSimilarity
+from repro.sim.registry import available_similarities, get_similarity
 from repro.sim.tfidf import SoftTfIdfSimilarity, TfIdfCosineSimilarity
 
 PARALLEL = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
@@ -397,6 +398,7 @@ class TestSerialShardedEquivalence:
                     for id_b in range.ids()[:10]:
                         yield id_a, id_b
 
+        assert not shards_module.shards_authoritative(CandidatesOnly())
         installed = []
         monkeypatch.setattr(
             shards_module.ShardRunner, "run",
@@ -405,12 +407,18 @@ class TestSerialShardedEquivalence:
         serial = AttributeMatcher("title", similarity="tfidf",
                                   threshold=0.4, blocking=CandidatesOnly(),
                                   engine=SERIAL)
+        pooled = BatchMatchEngine(EngineConfig(
+            workers=4, chunk_size=16, shard_blocking=True, profile=True))
         sharded = AttributeMatcher("title", similarity="tfidf",
                                    threshold=0.4, blocking=CandidatesOnly(),
-                                   engine=SHARDED)
+                                   engine=pooled)
         assert serial.match(dblp, acm).to_rows() == \
             sharded.match(dblp, acm).to_rows()
         assert not installed  # the sharded orchestration never engaged
+        # and the pool still had work to spread: slices cut in the parent
+        profile = pooled.profile_summary()
+        assert profile["path"] == "indexed" and profile["shards"] == 0
+        assert profile["chunks"] == -(-100 // 16)
 
     def test_subclass_overriding_candidates_invalidates_inherited_shards(
             self, dataset):
@@ -529,25 +537,34 @@ class TestSerialShardedEquivalence:
             # the record that arrived after the state was built is seen
             assert (first, first + "-twin") in {(a, b) for a, b, _ in after}
 
-    def test_shared_similarity_object_stays_off_the_memo(self, dataset):
+    def test_shared_similarity_object_stays_off_the_memo(self, dataset,
+                                                         scalar_engine):
         """Two specs sharing one TF/IDF instance score with its last
-        corpus on every path; no per-spec memo key describes that."""
+        corpus — in the kernel as in the scalar reference; no per-spec
+        memo key describes that."""
         dblp, acm = (source.subset(source.ids()) for source in
                      (dataset.dblp.publications, dataset.acm.publications))
-        for engine in (SERIAL, SHARDED_INLINE):
+        for config in (dict(), dict(shard_blocking=True)):
+            engine = BatchMatchEngine(EngineConfig(
+                chunk_size=64, profile=True, **config))
             shared = TfIdfCosineSimilarity()
             matcher = MultiAttributeMatcher(
                 [AttributePair("title", similarity=shared),
                  AttributePair("venue", similarity=shared)],
                 combine="avg", threshold=0.3,
                 blocking=TokenBlocking(max_df=0.5), engine=engine)
-            rows = matcher.match(dblp, acm).to_rows()
+            mapping = matcher.match(dblp, acm)
+            rows = mapping.to_rows()
             assert rows
+            assert engine.profile_summary()["path"] == (
+                "sharded" if config else "indexed")
             assert not any(key[0] == "bound-column"
                            for key in _derived_keys(dblp))  # nothing kept
             candidates = [(a, b) for a, b, _ in rows]
-            generic = matcher.match(dblp, acm, candidates=candidates)
-            assert generic.to_rows() == rows
+            confined = matcher.match(dblp, acm, candidates=candidates)
+            assert confined.to_rows() == rows
+            matcher.engine = scalar_engine
+            assert list(matcher.match(dblp, acm)) == list(mapping)
 
     def test_duplicate_survivors_reach_the_merge_once(self):
         """Titles sharing many tokens surface once per shared token;
@@ -724,7 +741,7 @@ class TestVectorizedKernel:
         lambda: JaccardNGram(2),
         lambda: NGramSimilarity(3, method="overlap"),
     ], ids=["dice", "jaccard", "overlap"])
-    def test_bit_identical_to_python_path(self, dataset, monkeypatch,
+    def test_bit_identical_to_python_path(self, dataset, scalar_engine,
                                           make_sim):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         engine = BatchMatchEngine(EngineConfig(workers=1, chunk_size=128))
@@ -732,10 +749,8 @@ class TestVectorizedKernel:
                                 threshold=0.0, engine=engine)
         fast_rows = fast.match(dblp, acm).to_rows()
 
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity=make_sim(),
-                                threshold=0.0, engine=engine)
+                                threshold=0.0, engine=scalar_engine)
         assert slow.match(dblp, acm).to_rows() == fast_rows
 
     def test_parallel_indexed_path_identical(self, dataset):
@@ -747,30 +762,43 @@ class TestVectorizedKernel:
         assert serial.match(dblp, acm).to_rows() == \
             parallel.match(dblp, acm).to_rows()
 
-    def test_subclass_with_custom_score_is_not_eligible(self, dataset):
+    def test_subclass_with_custom_score_rides_the_scalar_column(
+            self, dataset, scalar_reference):
+        """An overridden ``_score`` never packs — the bit column would
+        replay the base class's math — but scores on the indexed path
+        like any request, through its own ``_score``."""
         class Tweaked(TrigramSimilarity):
             def _score(self, a: str, b: str) -> float:
                 return min(1.0, super()._score(a, b) * 1.1)
 
         dblp = dataset.dblp.publications
         request = MatchRequest(
-            domain=dblp, range=dblp,
+            domain=dblp, range=dblp, threshold=0.5,
             specs=[AttributeSpec("title", "title", Tweaked())])
         assert not columns.build_column(
             Tweaked(), dblp.attribute_values("title")).vectorized
-        assert vectorized.request_kernel(request) is None
+        assert type(vectorized.request_kernel(request)) \
+            is columns.ScalarColumn
+        engine = BatchMatchEngine(EngineConfig(chunk_size=128, profile=True))
+        mapping = engine.execute(request)
+        assert engine.profile_summary()["path"] == "indexed"
+        assert list(mapping) == list(scalar_reference(request))
+        plain = MatchRequest(
+            domain=dblp, range=dblp, threshold=0.5,
+            specs=[AttributeSpec("title", "title", TrigramSimilarity())])
+        # its own math, not the packed trigram's
+        assert len(mapping) > 0
+        assert list(mapping) != list(engine.execute(plain))
 
-    def test_missing_values_score_like_python_path(self, monkeypatch):
+    def test_missing_values_score_like_python_path(self, scalar_engine):
         domain = _source("L", ["alpha beta", None, "gamma delta"])
         range_ = _source("R", ["alpha beta", "gamma delta", None])
         engine = BatchMatchEngine(EngineConfig(workers=1, chunk_size=2))
         fast = AttributeMatcher("title", similarity="trigram",
                                 threshold=0.0, engine=engine)
         fast_rows = fast.match(domain, range_).to_rows()
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity="trigram",
-                                threshold=0.0, engine=engine)
+                                threshold=0.0, engine=scalar_engine)
         assert slow.match(domain, range_).to_rows() == fast_rows
 
 
@@ -783,43 +811,12 @@ class TestScoreBatch:
              ("schema matching", "cupid schema matching"),
              ("", "empty left"), ("x", "y"), ("abc", "abc")]
 
-    @pytest.mark.parametrize("sim", [
-        TrigramSimilarity(),
-        TfIdfCosineSimilarity(),
-        SoftTfIdfSimilarity(),
-        CachedSimilarity(TrigramSimilarity()),
-    ], ids=lambda s: s.name)
-    def test_batch_matches_per_pair_scoring(self, sim):
+    @pytest.mark.parametrize("name", available_similarities())
+    def test_batch_matches_per_pair_scoring(self, name):
+        sim = get_similarity(name)
         sim.prepare([a for a, _ in self.PAIRS] + [b for _, b in self.PAIRS])
         expected = [sim.similarity(a, b) for a, b in self.PAIRS]
         assert sim.score_batch(self.PAIRS) == expected
-
-    def test_cached_similarity_batches_misses_once(self):
-        cached = CachedSimilarity(TrigramSimilarity())
-        pairs = [("aa", "bb"), ("bb", "aa"), ("aa", "bb")]
-        scores = cached.score_batch(pairs)
-        assert scores[0] == scores[1] == scores[2]
-        # symmetric normalization: one distinct key, two batch hits
-        assert cached.misses == 1
-        assert cached.hits == 2
-
-    def test_cached_similarity_bounded_cache_serves_evicted_hits(self):
-        """Regression: a size-triggered reset mid-batch must not drop
-        keys the batch already counted as hits."""
-        cached = CachedSimilarity(TrigramSimilarity(), max_size=2)
-        warm = cached.similarity("alpha", "beta")
-        batch = [("alpha", "beta"), ("gamma", "delta"),
-                 ("epsilon", "zeta"), ("eta", "theta")]
-        scores = cached.score_batch(batch)
-        assert scores[0] == warm
-        assert len(cached._cache) <= 2  # the bound survives the batch
-
-    def test_cached_similarity_oversized_batch_respects_bound(self):
-        cached = CachedSimilarity(TrigramSimilarity(), max_size=3)
-        pairs = [(f"left {i}", f"right {i}") for i in range(10)]
-        expected = [cached.inner.similarity(a, b) for a, b in pairs]
-        assert cached.score_batch(pairs) == expected
-        assert len(cached._cache) <= 3
 
 
 # ----------------------------------------------------------------------

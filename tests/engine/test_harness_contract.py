@@ -1,20 +1,24 @@
-"""What ``benchmarks/moma_bench`` takes from the engine, pinned.
+"""What ``benchmarks/moma_bench`` takes from the program, pinned.
 
 The harness directory is read-only to ordinary PRs, so a rename it
 depends on surfaces only when the benchmark gate runs it.  This suite
 fails in tier-1 instead: every name, keyword and attribute below is
-one ``benchmarks/moma_bench/batch.py`` reads (``_install_core_wrappers``,
-``_blocking_layer``, ``_sharded_engine``, ``run_workflows``).  If a
-test here has to change, the harness has to change with it — which
-takes a ``benchmark``-labelled PR.
+one ``benchmarks/moma_bench/batch.py`` (``_install_core_wrappers``,
+``_blocking_layer``, ``_sim_layer``, ``_sharded_engine``,
+``run_workflows``) or ``benchmarks/moma_bench/layers.py``
+(``index_read_layer``, ``cluster_layer``) reads.  If a test here has
+to change, the harness has to change with it — which takes a
+``benchmark``-labelled PR.
 """
 
 from __future__ import annotations
 
 import inspect
 
+import pytest
+
 from repro import AttributeMatcher
-from repro.blocking import TokenBlocking
+from repro.blocking import KeyBlocking, TokenBlocking
 from repro.blocking.pair_generator import PairShard
 from repro.engine import (
     BatchMatchEngine,
@@ -84,11 +88,89 @@ def test_execute_is_a_wrappable_method_reporting_its_profile(dataset):
     assert request.domain is dblp and request.range is acm
     assert request.domain.name != request.range.name
     assert request.is_self is False
-    # ...and the two blocking calls the blocking layer times
-    attributes = dict(domain_attribute="title", range_attribute="title")
-    pairs = list(request.blocking.candidates(request.domain, request.range,
-                                             **attributes))
-    shards = request.blocking.shards(request.domain, request.range,
-                                     n_shards=8, **attributes)
-    assert pairs and shards
+
+
+@pytest.mark.parametrize("blocking, attribute", [
+    (TokenBlocking(max_df=0.5), "title"),
+    (KeyBlocking(key=lambda value: None if value is None else str(value)),
+     "year"),
+], ids=["TokenBlocking", "KeyBlocking"])
+def test_the_two_blocking_calls_the_blocking_layer_times(dataset, blocking,
+                                                         attribute):
+    dblp, acm = dataset.dblp.publications, dataset.acm.publications
+    attributes = dict(domain_attribute=attribute, range_attribute=attribute)
+    pairs = list(blocking.candidates(dblp, acm, **attributes))
+    shards = blocking.shards(dblp, acm, n_shards=8, **attributes)
+    assert pairs and 1 <= len(shards) <= 8
     assert all(isinstance(shard, PairShard) for shard in shards)
+    # what the similarity sample is drawn from
+    id_a, id_b = pairs[0]
+    assert dblp.require(id_a).id == id_a and acm.require(id_b).id == id_b
+
+
+@pytest.mark.parametrize("name", ["trigram", "tfidf"])
+def test_similarity_layer_calls(name):
+    from repro.sim import get_similarity
+
+    sample = [("adaptive query processing", "adaptive query optimization"),
+              ("schema matching", "schema matching survey"), ("x", "y")]
+    similarity = get_similarity(name)
+    assert similarity.name == name
+    similarity.prepare([value for pair in sample for value in pair])
+    scores = similarity.score_batch(sample)
+    assert len(scores) == len(sample)
+    assert scores[0] > 0.0 and scores[2] == 0.0
+
+
+def test_index_read_layer_calls(dataset):
+    from repro.serve import IncrementalIndex
+
+    reference = dataset.acm.publications
+    records = [instance for instance in dataset.dblp.publications][:6]
+    answers = []
+    for mode in ("auto", "never", "always"):
+        index = IncrementalIndex(reference, pruning=mode)
+        answers.append(index.match_records(records, threshold=0.5,
+                                           max_candidates=20))
+        pruning = index.stats()["pruning"]
+        assert set(pruning) >= {"queries", "pruned_queries",
+                                "postings_touched", "postings_skipped"}
+        assert pruning["queries"] == len(records)
+    assert answers[0] == answers[1] == answers[2]
+    title = str(records[0].get("title"))
+    assert index.ranked_candidates(title, 20)
+    ids = index.candidate_ids(title, 20)
+    assert index.score_pairs(records[:1], [(0, id) for id in ids],
+                             threshold=0.5) is not None
+
+
+def test_cluster_layer_calls(dataset, tmp_path):
+    from repro.serve import ClusterIndex
+    from repro.serve.index import resolve_specs
+
+    build = inspect.signature(ClusterIndex.build).parameters
+    assert {"specs", "shards", "processes", "data_dir"} <= set(build)
+    assert build["processes"].default is True
+
+    reference = dataset.acm.publications
+    records = [instance for instance in dataset.dblp.publications][:4]
+    specs = resolve_specs("title", "trigram", None)
+    data_dir = str(tmp_path / "cluster")
+    cluster = ClusterIndex.build(reference, specs=specs, shards=2,
+                                 processes=False, data_dir=data_dir)
+    try:
+        answer = cluster.match_records(records, threshold=0.5,
+                                       max_candidates=20)
+        cluster.checkpoint()
+    finally:
+        cluster.close()
+    # the harness restores with the default (process) topology; one
+    # restore here keeps that spelling alive without a second pool
+    restore = inspect.signature(ClusterIndex.restore).parameters
+    assert list(restore)[0] == "data_dir"
+    restored = ClusterIndex.restore(data_dir, processes=False)
+    try:
+        assert restored.match_records(records, threshold=0.5,
+                                      max_candidates=20) == answer
+    finally:
+        restored.close()

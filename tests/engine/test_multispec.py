@@ -23,7 +23,7 @@ from repro.core.operators.functions import (
     CombinationFunction,
     MaxFunction,
 )
-from repro.engine import BatchMatchEngine, EngineConfig, vectorized
+from repro.engine import BatchMatchEngine, EngineConfig
 from repro.engine.columns import ScalarColumn
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.vectorized import MultiSpecKernel, request_kernel
@@ -93,26 +93,25 @@ def _pairs():
 
 
 def _scalar_reference(pairs, combine, threshold, blocking, domain, range_,
-                      monkeypatch):
-    """The generic-path result: composed kernel disabled."""
-    with monkeypatch.context() as patch:
-        patch.setattr(vectorized, "request_kernel",
-                      lambda request: None)
-        matcher = MultiAttributeMatcher(pairs, combine=combine,
-                                        threshold=threshold,
-                                        blocking=blocking, engine=SERIAL)
-        return matcher.match(domain, range_).to_rows()
+                      scalar_engine):
+    """The matcher's request scored by the scalar reference."""
+    matcher = MultiAttributeMatcher(pairs, combine=combine,
+                                    threshold=threshold,
+                                    blocking=blocking, engine=scalar_engine)
+    return matcher.match(domain, range_).to_rows()
 
 
 class TestComposedKernelEquivalence:
     @pytest.mark.parametrize("combine", COMBINERS)
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_all_execution_modes_match_scalar(self, combine, threshold,
-                                              monkeypatch, force_rebalance):
+                                              scalar_engine,
+                                              force_rebalance):
         domain, range_ = _sources()
         blocking = TokenBlocking(max_df=0.8)
         reference = _scalar_reference(_pairs(), combine, threshold,
-                                      blocking, domain, range_, monkeypatch)
+                                      blocking, domain, range_,
+                                      scalar_engine)
         for engine, rebalanced in EXECUTION_MODES:
             if rebalanced:
                 force_rebalance()
@@ -125,7 +124,7 @@ class TestComposedKernelEquivalence:
 
     @pytest.mark.parametrize("combine", ["avg", "min0", "weighted"])
     def test_asymmetric_similarity_scalar_column(self, combine,
-                                                 monkeypatch,
+                                                 scalar_engine,
                                                  force_rebalance):
         """An asymmetric, kernel-less similarity rides a scalar-fallback
         column; every mode (incl. self-matching below) must agree."""
@@ -133,7 +132,7 @@ class TestComposedKernelEquivalence:
         pairs = [AttributePair("title", similarity=AsymmetricOverlap()),
                  AttributePair("venue", similarity="tfidf", weight=2.0)]
         reference = _scalar_reference(pairs, combine, 0.2, KeyBlocking(),
-                                      domain, range_, monkeypatch)
+                                      domain, range_, scalar_engine)
         for engine, rebalanced in EXECUTION_MODES:
             if rebalanced:
                 force_rebalance()
@@ -165,14 +164,14 @@ class TestComposedKernelEquivalence:
                 reference = rows
             assert rows == reference
 
-    def test_missing_slots_on_either_side(self, monkeypatch):
+    def test_missing_slots_on_either_side(self, scalar_engine):
         """Heavy missing rates on both sources: the masked None slots
         must flow through every combiner policy identically."""
         domain, range_ = _sources(miss_rate=0.6, seed=23)
         for combine in COMBINERS:
             reference = _scalar_reference(_pairs(), combine, 0.0,
                                           FullCross(), domain, range_,
-                                          monkeypatch)
+                                          scalar_engine)
             matcher = MultiAttributeMatcher(_pairs(), combine=combine,
                                             threshold=0.0,
                                             blocking=FullCross(),
@@ -183,23 +182,17 @@ class TestComposedKernelEquivalence:
     @given(threshold=st.sampled_from([0.0, 0.3, 0.6]),
            combine=st.sampled_from(COMBINERS),
            seed=st.integers(min_value=0, max_value=2**16))
-    def test_property_composed_equals_scalar(self, threshold, combine,
-                                             seed):
+    def test_property_composed_equals_scalar(self, scalar_engine,
+                                             threshold, combine, seed):
         domain, range_ = _sources(miss_rate=0.35, n=40, seed=seed)
         pairs = _pairs()
         fast = MultiAttributeMatcher(pairs, combine=combine,
                                      threshold=threshold, engine=SERIAL)
-        fast_rows = fast.match(domain, range_).to_rows()
-        original = vectorized.request_kernel
-        vectorized.request_kernel = lambda request: None
-        try:
-            slow = MultiAttributeMatcher(pairs, combine=combine,
-                                         threshold=threshold,
-                                         engine=SERIAL)
-            slow_rows = slow.match(domain, range_).to_rows()
-        finally:
-            vectorized.request_kernel = original
-        assert fast_rows == slow_rows
+        slow = MultiAttributeMatcher(pairs, combine=combine,
+                                     threshold=threshold,
+                                     engine=scalar_engine)
+        assert fast.match(domain, range_).to_rows() \
+            == slow.match(domain, range_).to_rows()
 
 
 class TestComposedKernelStructure:
@@ -226,11 +219,23 @@ class TestComposedKernelStructure:
                    for column in kernel.columns) == 1
         assert not kernel.orientation_symmetric  # scalar column inside
 
-    def test_all_scalar_columns_fall_back_to_generic(self):
+    def test_all_scalar_columns_compose_like_any_others(
+            self, scalar_reference):
+        """No packed column in sight: still one composed kernel, on
+        the indexed path, equal to the reference as lists."""
         pairs = [AttributePair("title", similarity=AsymmetricOverlap()),
                  AttributePair("venue", similarity=AsymmetricOverlap())]
         request = self._request(pairs)
-        assert request_kernel(request) is None
+        kernel = request_kernel(request)
+        assert isinstance(kernel, MultiSpecKernel)
+        assert all(type(column) is ScalarColumn
+                   for column in kernel.columns)
+        assert not kernel.orientation_symmetric
+        engine = BatchMatchEngine(EngineConfig(chunk_size=64, profile=True))
+        mapping = engine.execute(request)
+        assert engine.profile_summary()["path"] == "indexed"
+        assert list(mapping) == list(scalar_reference(request))
+        assert len(mapping) > 50
 
     def test_all_real_kernels_are_orientation_symmetric(self):
         pairs = [AttributePair("title", similarity="trigram"),
@@ -245,7 +250,7 @@ class TestComposedKernelStructure:
         assert kernel.orientation_symmetric
 
     def test_custom_combiner_subclass_uses_per_row_fallback(self,
-                                                            monkeypatch):
+                                                            scalar_engine):
         """A combiner the vectorized dispatch does not recognize still
         produces scalar-identical results through the per-row path."""
 
@@ -263,7 +268,7 @@ class TestComposedKernelStructure:
         pairs = [AttributePair("title", similarity="trigram"),
                  AttributePair("venue", similarity="tfidf")]
         reference = _scalar_reference(pairs, Harmonic(), 0.1, FullCross(),
-                                      domain, range_, monkeypatch)
+                                      domain, range_, scalar_engine)
         matcher = MultiAttributeMatcher(pairs, combine=Harmonic(),
                                         threshold=0.1,
                                         blocking=FullCross(),

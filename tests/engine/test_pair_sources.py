@@ -23,17 +23,13 @@ from repro.blocking import (
     KeyBlocking,
     SortedNeighborhood,
     TokenBlocking,
-    dedup_self_pairs,
 )
-from repro.core.mapping import Mapping
 from repro.core.operators.functions import get_combination
 from repro.engine import (
     AttributeSpec,
     BatchMatchEngine,
-    ChunkScorer,
     EngineConfig,
     MatchRequest,
-    vectorized,
 )
 from repro.engine import shards as shards_module
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -76,20 +72,6 @@ def _request(flavor: str, domain, range_, missing: str, candidates=None):
                         specs=[spec("title", flavor)], missing=missing)
 
 
-def _scalar_reference(request: MatchRequest, pairs) -> list:
-    """``ChunkScorer`` over ``pairs``, loaded the way matchers always
-    loaded a pair stream."""
-    vectorized.prepare_similarities(request)
-    if request.is_self:
-        pairs = dedup_self_pairs(pairs)
-    triples = ChunkScorer(request).score_chunk(list(pairs))
-    if request.is_self:
-        triples = [row for a, b, score in triples
-                   for row in ((a, b, score), (b, a, score))]
-    return list(Mapping.from_correspondences(
-        request.domain.name, request.range.name, triples))
-
-
 def _candidates(domain, range_, self_matching: bool) -> list:
     ids_a, ids_b = domain.ids(), range_.ids()
     pairs = [(ids_a[i], ids_b[(i * 5 + j) % len(ids_b)])
@@ -119,12 +101,12 @@ class TestExplicitCandidates:
     @pytest.mark.parametrize("flavor", ["trigram", "tfidf", "weighted"])
     def test_equals_the_scalar_reference_as_lists(self, flavor,
                                                   self_matching, missing,
-                                                  engine):
+                                                  engine, scalar_reference):
         domain = _pubs("L", 30)
         range_ = domain if self_matching else _pubs("R", 26, step=2)
         pairs = _candidates(domain, range_, self_matching)
-        expected = _scalar_reference(
-            _request(flavor, domain, range_, missing), pairs)
+        expected = list(scalar_reference(
+            _request(flavor, domain, range_, missing, candidates=pairs)))
         assert len(expected) > 20
         if missing == "zero" and flavor != "weighted":
             assert any(score == 0.0 for _, _, score in expected)

@@ -3,8 +3,9 @@
 ``EngineConfig(profile=True)`` reuses the timed task variants the
 adaptive tuner already ships, so a profiled run must produce the
 byte-identical mapping of an unprofiled one on every execution path —
-serial, parallel, indexed and sharded — while filling
-``engine.last_profile`` with per-stage wall-clock timings.
+slices cut in the parent (inline or pooled) and whole shards in the
+workers — while filling ``engine.last_profile`` with per-stage
+wall-clock timings.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.blocking import TokenBlocking
+from repro.core.operators.functions import get_combination
 from repro.engine import (
     AttributeSpec,
     BatchMatchEngine,
@@ -19,6 +21,7 @@ from repro.engine import (
     MatchRequest,
 )
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.sim.edit import LevenshteinSimilarity
 from repro.sim.ngram import TrigramSimilarity
 
 # each pair shares one rare, long token ("zebraNNN"), so TokenBlocking
@@ -76,7 +79,7 @@ class TestBitIdentity:
         engine, profiled = _run(True, blocking=TokenBlocking(),
                                 workers=1, chunk_size=64)
         assert profiled.to_rows() == plain.to_rows()
-        assert engine.last_profile["path"] in ("indexed", "serial")
+        assert engine.last_profile["path"] == "indexed"
 
 
 class TestProfileRecords:
@@ -88,7 +91,7 @@ class TestProfileRecords:
     def test_serial_profile_fields(self):
         engine, _ = _run(True, workers=1, chunk_size=64)
         profile = engine.last_profile
-        assert profile["path"] in ("serial", "indexed")
+        assert profile["path"] == "indexed"
         assert profile["chunks"] >= 1
         assert len(profile["chunk_seconds"]) == profile["chunks"]
         assert all(seconds >= 0.0 for seconds in profile["chunk_seconds"])
@@ -140,6 +143,39 @@ class TestProfileRecords:
         range_.add_record("b-late", title="streaming theta join zebra000 late")
         _, grown = run()
         assert (grown["kernel_cached"], grown["index_cached"]) == (False, False)
+
+    @pytest.mark.parametrize("make_specs", [
+        # one object behind two specs: prepared together, kept by nobody
+        lambda shared: [AttributeSpec("title", "title", shared),
+                             AttributeSpec("title", "title", shared)],
+        # the packed half is kept, the scalar half re-prepared and
+        # re-wrapped every run
+        lambda shared: [
+            AttributeSpec("title", "title", TrigramSimilarity()),
+            AttributeSpec("title", "title", LevenshteinSimilarity())],
+        lambda shared: [
+            AttributeSpec("title", "title", LevenshteinSimilarity())],
+    ], ids=["shared-similarity", "packed-and-scalar", "scalar-only"])
+    def test_kernel_cached_means_every_column_was_found(self, make_specs):
+        """``kernel_cached`` is "every spec's bound column came out of
+        the sources' memo" — not "nothing was built": a request with
+        any un-kept column is never warm, on any run."""
+        domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
+        engine = BatchMatchEngine(EngineConfig(profile=True, chunk_size=64))
+        rows = []
+        for _ in range(3):
+            specs = make_specs(TrigramSimilarity())
+            mapping = engine.execute(MatchRequest(
+                domain=domain, range=range_, specs=specs, threshold=0.3,
+                blocking=TokenBlocking(),
+                combiner=get_combination("avg") if len(specs) > 1 else None))
+            summary = engine.profile_summary()
+            assert summary["path"] == "indexed"
+            assert summary["kernel_cached"] is False
+            rows.append(mapping.to_rows())
+        assert rows[0] and rows[0] == rows[1] == rows[2]
+        # the blocking index is another matter: kept from run one on
+        assert summary["index_cached"] is True
 
     def test_index_cached_needs_an_index(self):
         # cross product: no blocking index is ever looked up, so "no

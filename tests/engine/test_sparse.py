@@ -135,13 +135,12 @@ class TestKernelSelection:
         column = build_column(sim, acm.attribute_values("title"))
         assert type(column) is expected
         assert column.vectorized is (expected is not ScalarColumn)
-        # and the request-level registry agrees: scalar-only requests
-        # get no kernel at all
+        # and the request-level registry agrees: a single-attribute
+        # request's kernel is that very column, bound
         request = MatchRequest(dblp, acm,
                                specs=[AttributeSpec("title", "title", sim)])
         kernel = vectorized.request_kernel(request)
-        assert type(kernel) is (expected if column.vectorized
-                                else type(None))
+        assert type(kernel) is expected
 
     def test_soft_tfidf_never_routes_into_sparse_kernel(self, dataset):
         """Regression for the ``score_batch`` reassignment: SoftTFIDF
@@ -180,8 +179,8 @@ class TestKernelSelection:
     def test_soft_tfidf_engine_run_uses_generic_path(self, dataset,
                                                      monkeypatch):
         """End-to-end: a SoftTFIDF match through the engine must score
-        through the generic batch loop (same rows as pairwise), with
-        the sparse column forbidden outright."""
+        through the scalar column's batch loop (same rows as
+        pairwise), with the sparse column forbidden outright."""
 
         def exploding_column(*args, **kwargs):
             raise AssertionError("SoftTFIDF reached the sparse column")
@@ -211,29 +210,25 @@ class TestKernelSelection:
 
 class TestSparseKernelBitExact:
     def test_identical_to_python_path_two_source(self, dataset,
-                                                 monkeypatch):
+                                                 scalar_engine):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         fast = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
                                 engine=SERIAL)
         fast_rows = fast.match(dblp, acm).to_rows()
         assert fast_rows  # non-trivial scenario
 
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
-                                engine=SERIAL)
+                                engine=scalar_engine)
         assert slow.match(dblp, acm).to_rows() == fast_rows
 
     def test_identical_to_python_path_self_matching(self, dataset,
-                                                    monkeypatch):
+                                                    scalar_engine):
         gs = dataset.gs.publications
         fast = AttributeMatcher("title", similarity="tfidf", threshold=0.2,
                                 engine=SERIAL)
         fast_rows = fast.match(gs, gs).to_rows()
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.2,
-                                engine=SERIAL)
+                                engine=scalar_engine)
         assert slow.match(gs, gs).to_rows() == fast_rows
 
     def test_parallel_sparse_path_identical(self, dataset):
@@ -247,16 +242,14 @@ class TestSparseKernelBitExact:
             engine=parallel).match(dblp, acm).to_rows()
         assert serial_rows == parallel_rows
 
-    def test_missing_and_empty_values(self, monkeypatch):
+    def test_missing_and_empty_values(self, scalar_engine):
         domain = _source("L", ["alpha beta", None, "", "gamma delta"])
         range_ = _source("R", ["alpha beta", "gamma delta", None, ""])
         fast = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
                                 engine=SERIAL)
         fast_rows = fast.match(domain, range_).to_rows()
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity="tfidf", threshold=0.0,
-                                engine=SERIAL)
+                                engine=scalar_engine)
         assert slow.match(domain, range_).to_rows() == fast_rows
 
     def test_orientation_symmetric(self, dataset):
@@ -281,20 +274,39 @@ class TestSparseKernelBitExact:
         backward = kernel.score_rows(np.asarray(rows_b), np.asarray(rows_a))
         assert (forward == backward).all()
 
-    def test_memory_budget_refuses_oversized_index(self, dataset,
-                                                   monkeypatch):
-        monkeypatch.setattr(columns, "MAX_INDEX_BYTES", 64)
-        # copies: the budget guards packing, and the shared fixture
+    @pytest.mark.parametrize("over_budget", ["range", "domain"])
+    @pytest.mark.parametrize("make_sim", [TrigramSimilarity,
+                                          TfIdfCosineSimilarity],
+                             ids=["ngram", "tfidf"])
+    def test_memory_budget_refuses_oversized_index(self, dataset, make_sim,
+                                                   over_budget, monkeypatch,
+                                                   scalar_reference):
+        """A side over the budget rides the scalar column — kept by
+        nobody — and the request still scores like the reference."""
+        dblp, acm = dataset.dblp.publications, dataset.acm.publications
+        # subsets: the budget guards packing, and the shared fixture
         # sources may already hold this column packed
-        dblp, acm = (source.subset(source.ids()) for source in
-                     (dataset.dblp.publications, dataset.acm.publications))
-        sim = TfIdfCosineSimilarity()
-        sim.prepare(dblp.attribute_values("title"))
-        assert isinstance(build_column(sim, acm.attribute_values("title")),
+        small, large = dblp.subset(dblp.ids()[:3]), acm.subset(acm.ids())
+        domain, range_ = ((small, large) if over_budget == "range"
+                          else (large, small))
+        sim = make_sim()
+        sim.prepare(small.attribute_values("title"))
+        # fits the three-record side, not the full one
+        monkeypatch.setattr(columns, "MAX_INDEX_BYTES", 1024)
+        assert build_column(sim, small.attribute_values("title")).vectorized
+        assert isinstance(build_column(sim, large.attribute_values("title")),
                           ScalarColumn)
-        request = MatchRequest(dblp, acm,
+        request = MatchRequest(domain, range_, threshold=0.2,
                                specs=[AttributeSpec("title", "title", sim)])
-        assert vectorized.request_kernel(request) is None
+        assert type(vectorized.request_kernel(request)) is ScalarColumn
+        engine = BatchMatchEngine(EngineConfig(chunk_size=64, profile=True))
+        for _ in range(2):  # nothing was kept: the second run is cold too
+            mapping = engine.execute(request)
+            profile = engine.profile_summary()
+            assert profile["path"] == "indexed"
+            assert profile["kernel_cached"] is False
+        assert list(mapping) == list(scalar_reference(request))
+        assert len(mapping) > 0
 
 
 # ----------------------------------------------------------------------
@@ -432,17 +444,15 @@ class TestColumnBinding:
     @pytest.mark.parametrize("engine", [SERIAL, SHARDED],
                              ids=["serial", "sharded"])
     def test_query_only_vocabulary_end_to_end(self, similarity, engine,
-                                              monkeypatch):
+                                              scalar_engine):
         domain = _source("L", QUERY_ONLY_DOMAIN)
         range_ = _source("R", QUERY_ONLY_RANGE)
         fast = AttributeMatcher("title", similarity=similarity,
                                 threshold=0.0, missing="zero",
                                 engine=engine).match(domain, range_)
-        monkeypatch.setattr(vectorized, "request_kernel",
-                            lambda request: None)
         slow = AttributeMatcher("title", similarity=similarity,
                                 threshold=0.0, missing="zero",
-                                engine=engine).match(domain, range_)
+                                engine=scalar_engine).match(domain, range_)
         assert fast.to_rows() == slow.to_rows()
         assert fast.to_rows()
 

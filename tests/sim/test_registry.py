@@ -69,33 +69,3 @@ class TestBaseBehaviour:
                 return -0.5
 
         assert Negative()("a", "b") == 0.0
-
-
-class TestCachedSimilarity:
-    def test_caching_hits(self):
-        from repro.sim.base import CachedSimilarity
-        from repro.sim.ngram import TrigramSimilarity
-
-        cached = CachedSimilarity(TrigramSimilarity())
-        first = cached("abc", "abd")
-        second = cached("abc", "abd")
-        assert first == second
-        assert cached.hits == 1 and cached.misses == 1
-
-    def test_symmetric_key(self):
-        from repro.sim.base import CachedSimilarity
-        from repro.sim.ngram import TrigramSimilarity
-
-        cached = CachedSimilarity(TrigramSimilarity(), symmetric=True)
-        cached("abc", "abd")
-        cached("abd", "abc")
-        assert cached.hits == 1
-
-    def test_max_size_eviction(self):
-        from repro.sim.base import CachedSimilarity
-        from repro.sim.ngram import TrigramSimilarity
-
-        cached = CachedSimilarity(TrigramSimilarity(), max_size=1)
-        cached("a", "b")
-        cached("c", "d")
-        assert cached.cache_info()["size"] <= 1
