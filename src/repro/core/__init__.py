@@ -53,8 +53,6 @@ __all__ = [
     "NeighborhoodMatcher",
     "NotIdentity",
     "Selection",
-    "StrategyOutcome",
-    "StrategySelector",
     "ThresholdSelection",
     "TuningResult",
     "author_neighborhood_workflow",
@@ -92,8 +90,6 @@ _LAZY = {
         "repro.core.matchers.neighborhood", "neighborhood_match"),
     "MatchContext": ("repro.core.workflow", "MatchContext"),
     "MatchWorkflow": ("repro.core.workflow", "MatchWorkflow"),
-    "StrategySelector": ("repro.core.strategy", "StrategySelector"),
-    "StrategyOutcome": ("repro.core.strategy", "StrategyOutcome"),
     "publication_title_workflow": (
         "repro.core.prebuilt", "publication_title_workflow"),
     "venue_neighborhood_workflow": (

@@ -31,27 +31,27 @@ from repro.core.operators.functions import (
     get_combination,
 )
 
-#: aggregation functions over compose-path similarities
-_PATH_AGGREGATES = (
-    "avg", "average", "min", "max", "sum",
-    "relative", "relativeleft", "relative_left", "relativeright",
-    "relative_right",
-)
+#: aggregation functions over compose-path similarities, by the
+#: spellings ``g`` may use (case, dashes and underscores are ignored)
+_PATH_AGGREGATES = {
+    "avg": "avg", "average": "avg",
+    "min": "min", "max": "max", "sum": "sum",
+    "relative": "relative",
+    "relativeleft": "relative_left",
+    "relativeright": "relative_right",
+}
 
 
-def _normalize_aggregate(g: str) -> str:
-    key = g.strip().lower().replace("-", "").replace("_", "")
-    if key in ("avg", "average"):
-        return "avg"
-    if key in ("min", "max", "sum", "relative"):
-        return key
-    if key == "relativeleft":
-        return "relative_left"
-    if key == "relativeright":
-        return "relative_right"
-    raise KeyError(
-        f"unknown path aggregation {g!r}; known: {sorted(set(_PATH_AGGREGATES))}"
-    )
+def normalize_aggregate(g: str) -> str:
+    """The canonical name of path aggregation ``g`` (``KeyError`` if
+    unknown) — also what makes ``g`` a symbol of the script language."""
+    aggregate = _PATH_AGGREGATES.get(
+        g.strip().lower().replace("-", "").replace("_", ""))
+    if aggregate is None:
+        raise KeyError(
+            f"unknown path aggregation {g!r}; known: {sorted(_PATH_AGGREGATES)}"
+        )
+    return aggregate
 
 
 def compose(map1: Mapping, map2: Mapping,
@@ -83,7 +83,7 @@ def compose(map1: Mapping, map2: Mapping,
             f"{map1.range!r} vs {map2.domain!r}"
         )
     combiner = get_combination(f)
-    aggregate = _normalize_aggregate(g)
+    aggregate = normalize_aggregate(g)
     if kind is None:
         both_same = (map1.kind == MappingKind.SAME and map2.kind == MappingKind.SAME)
         kind = MappingKind.SAME if both_same else MappingKind.ASSOCIATION

@@ -12,6 +12,7 @@ the precision for the correspondences of the preferred mapping".
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,24 @@ def _check_compatible(mappings: Sequence[Mapping]) -> None:
                 f"{first.domain!r}->{first.range!r} and "
                 f"{other.domain!r}->{other.range!r}"
             )
+
+
+_PREFER_NAME = re.compile(r"prefer(?:map)?(\d*)")
+
+
+def prefer_index(function: object) -> Optional[int]:
+    """The input a ``"PreferMap<i>"`` style name prefers, or ``None``.
+
+    ``i`` counts from 1 as in the paper (``PreferMap1`` is the first
+    input, index 0); ``"prefer"`` / ``"prefermap"`` without digits name
+    the first input too.  Anything else is not a prefer name.
+    """
+    if not isinstance(function, str):
+        return None
+    match = _PREFER_NAME.fullmatch(function.strip().lower())
+    if match is None:
+        return None
+    return int(match.group(1)) - 1 if match.group(1) else 0
 
 
 def _merge_prefer(mappings: Sequence[Mapping], preferred_index: int,
@@ -77,11 +96,16 @@ def merge(mappings: Sequence[Mapping],
     function:
         Combination function: ``"avg"``, ``"min"``, ``"max"``, their
         ``"-0"`` variants, ``"weighted"`` (with ``weights``), a
-        :class:`CombinationFunction` instance, or ``"prefer"`` together
-        with the ``prefer`` argument.
+        :class:`CombinationFunction` instance, or a PreferMap name:
+        ``"prefer"`` (with the ``prefer`` argument, else the first
+        input) or ``"PreferMap<i>"`` / ``"prefer<i>"`` with ``i``
+        counting inputs from 1 as in the paper — ``"PreferMap1"`` is
+        ``prefer=0``.  (Until PR 19 the Python API read the digit as a
+        0-based index while scripts read it 1-based.)
     prefer:
-        For PreferMap semantics: the index of the preferred mapping or
-        the mapping object itself (must be one of ``mappings``).
+        For PreferMap semantics: the 0-based index of the preferred
+        mapping or the mapping object itself (must be one of
+        ``mappings``); wins over a digit in ``function``.
     name:
         Optional name for the result mapping.
 
@@ -99,10 +123,8 @@ def merge(mappings: Sequence[Mapping],
     if len(mappings) == 1 and prefer is None:
         return mappings[0].copy(name=name)
 
-    wants_prefer = prefer is not None or (
-        isinstance(function, str) and function.strip().lower().startswith("prefer")
-    )
-    if wants_prefer:
+    named = prefer_index(function)
+    if prefer is not None or named is not None:
         if isinstance(prefer, Mapping):
             try:
                 preferred_index = next(
@@ -115,11 +137,7 @@ def merge(mappings: Sequence[Mapping],
         elif isinstance(prefer, int):
             preferred_index = prefer
         elif prefer is None:
-            # allow "prefer0" / "prefermap1" style names
-            digits = "".join(
-                ch for ch in str(function).strip().lower() if ch.isdigit()
-            )
-            preferred_index = int(digits) if digits else 0
+            preferred_index = named
         else:
             raise TypeError(f"cannot interpret prefer={prefer!r}")
         return _merge_prefer(mappings, preferred_index, name)

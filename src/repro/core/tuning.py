@@ -28,13 +28,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.pair_generator import FullCross
 from repro.core.mapping import Mapping, MappingKind
 from repro.core.matchers.attribute import AttributeMatcher
 from repro.core.matchers.base import Matcher
 from repro.core.operators.merge import merge
+from repro.eval.metrics import f_measure, precision_recall_f1
 from repro.model.source import LogicalSource
 from repro.sim.base import SimilarityFunction
 from repro.sim.registry import get_similarity
@@ -58,18 +59,6 @@ class TuningResult:
             similarity=self.params["similarity"],
             threshold=self.params["threshold"],
         )
-
-
-def _prf(predicted: Set[Tuple[str, str]],
-         gold: Set[Tuple[str, str]]) -> Tuple[float, float, float]:
-    if not predicted:
-        return 0.0, 0.0, 0.0
-    true_positives = len(predicted & gold)
-    precision = true_positives / len(predicted)
-    recall = true_positives / len(gold) if gold else 0.0
-    if precision + recall == 0:
-        return precision, recall, 0.0
-    return precision, recall, 2 * precision * recall / (precision + recall)
 
 
 def tune_threshold(mapping: Mapping, gold: Mapping
@@ -98,12 +87,10 @@ def tune_threshold(mapping: Mapping, gold: Mapping
                 true_positives += 1
             index += 1
         if selected and total_gold:
-            precision = true_positives / selected
-            recall = true_positives / total_gold
-            if precision + recall > 0:
-                f1 = 2 * precision * recall / (precision + recall)
-                if f1 > best_f1:
-                    best_f1, best_threshold = f1, threshold
+            f1 = f_measure(true_positives / selected,
+                           true_positives / total_gold)
+            if f1 > best_f1:
+                best_f1, best_threshold = f1, threshold
     return best_threshold, best_f1
 
 
@@ -169,7 +156,8 @@ class GridSearchTuner:
                     (corr.domain, corr.range)
                     for corr in fuzzy if corr.similarity >= threshold
                 }
-                precision, recall, f1 = _prf(predicted, gold.pairs())
+                precision, recall, f1 = precision_recall_f1(
+                    predicted, gold.pairs())
                 params = {
                     "attribute": attr_a,
                     "range_attribute": attr_b,

@@ -19,7 +19,12 @@ The workflow engine therefore distinguishes:
 
 All steps read and write named mappings in a :class:`MatchContext`,
 which layers the in-flight workspace over the mapping cache, the
-mapping repository and the source-mapping model.
+mapping repository and the source-mapping model;
+:meth:`MatchContext.record` is the one place a finished step is
+published and traced.  :mod:`repro.script` is the same tier in the
+paper's other notation: a ``ScriptEngine`` holds a context and records
+every top-level mapping assignment as a step, so workflows and scripts
+see each other's results by name (docs/workflows.md).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.core.mapping import Mapping
 from repro.core.matchers.base import Matcher
 from repro.core.operators.compose import compose
 from repro.core.operators.merge import merge
-from repro.core.operators.selection import Selection
+from repro.core.operators.selection import Selection, select
 from repro.model.cache import MappingCache
 from repro.model.repository import MappingRepository
 from repro.model.smm import SourceMappingModel
@@ -76,10 +81,15 @@ class MatchContext:
         """Register ``source`` under its qualified name."""
         self._sources[source.name] = source
 
-    def resolve_source(self, name: str) -> LogicalSource:
+    def find_source(self, name: str) -> Optional[LogicalSource]:
+        """The source called ``name``, or ``None``."""
         source = self._sources.get(name)
         if source is None and self.smm is not None:
             source = self.smm.get_source(name)
+        return source
+
+    def resolve_source(self, name: str) -> LogicalSource:
+        source = self.find_source(name)
         if source is None:
             raise WorkflowError(f"unknown logical source {name!r}")
         return source
@@ -90,19 +100,24 @@ class MatchContext:
         """Provide an input mapping under ``name``."""
         self._mappings[name] = mapping
 
+    def find_mapping(self, name: str) -> Optional[Mapping]:
+        """The mapping called ``name``, or ``None``."""
+        mapping = self.workspace.get(name)
+        if mapping is None:
+            mapping = self.cache.get(name)
+        if mapping is None:
+            mapping = self._mappings.get(name)
+        if mapping is None and self.smm is not None:
+            mapping = self.smm.find_mapping(name)
+        if mapping is None and self.repository is not None:
+            if self.repository.contains(name):
+                mapping = self.repository.load(name)
+        return mapping
+
     def resolve_mapping(self, ref: Union[str, Mapping]) -> Mapping:
         if isinstance(ref, Mapping):
             return ref
-        mapping = self.workspace.get(ref)
-        if mapping is None:
-            mapping = self.cache.get(ref)
-        if mapping is None:
-            mapping = self._mappings.get(ref)
-        if mapping is None and self.smm is not None:
-            mapping = self.smm.find_mapping(ref)
-        if mapping is None and self.repository is not None:
-            if self.repository.contains(ref):
-                mapping = self.repository.load(ref)
+        mapping = self.find_mapping(ref)
         if mapping is None:
             raise WorkflowError(f"unknown mapping {ref!r}")
         return mapping
@@ -112,9 +127,35 @@ class MatchContext:
         self.workspace[name] = mapping
         self.cache.put(name, mapping)
 
+    def record(self, label: str, output: Optional[str],
+               mapping: Mapping) -> None:
+        """Publish a finished step's ``mapping`` and trace it; a step
+        naming no ``output`` (:class:`StoreStep`) is traced only."""
+        target = ""
+        if output is not None:
+            self.publish(output, mapping)
+            target = f" -> {output}"
+        self.trace.append(
+            f"{label}{target} ({len(mapping)} correspondences)")
+
+
+def _ref(ref: Union[str, Mapping]) -> str:
+    return ref if isinstance(ref, str) else "<mapping>"
+
+
+class _Step:
+    """What the step classes share.  A step is its declarative fields,
+    ``describe()`` (its trace label) and ``apply(context)`` (its
+    mapping); running it is computing, then recording."""
+
+    def run(self, context: MatchContext) -> Mapping:
+        mapping = self.apply(context)
+        context.record(self.describe(), self.output, mapping)
+        return mapping
+
 
 @dataclass
-class MatcherStep:
+class MatcherStep(_Step):
     """Execute a matcher and publish its same-mapping.
 
     ``engine`` optionally overrides the batch execution engine for this
@@ -134,7 +175,10 @@ class MatcherStep:
     candidates: Optional[Iterable[Tuple[str, str]]] = None
     engine: Optional[object] = None
 
-    def run(self, context: MatchContext) -> Mapping:
+    def describe(self) -> str:
+        return f"matcher {self.matcher.name} {self.domain}->{self.range}"
+
+    def apply(self, context: MatchContext) -> Mapping:
         from repro.engine import BatchMatchEngine, EngineConfig
 
         domain = context.resolve_source(self.domain)
@@ -142,27 +186,20 @@ class MatcherStep:
         engine = self.engine if self.engine is not None else context.engine
         if isinstance(engine, EngineConfig):
             engine = BatchMatchEngine(engine)
-        if engine is not None and hasattr(self.matcher, "engine"):
-            previous = self.matcher.engine
-            self.matcher.engine = engine
-            try:
-                mapping = self.matcher.match(domain, range_,
-                                             candidates=self.candidates)
-            finally:
-                self.matcher.engine = previous
-        else:
-            mapping = self.matcher.match(domain, range_,
-                                         candidates=self.candidates)
-        context.publish(self.output, mapping)
-        context.trace.append(
-            f"matcher {self.matcher.name} {self.domain}->{self.range}: "
-            f"{len(mapping)} correspondences -> {self.output}"
-        )
-        return mapping
+        if engine is None or not hasattr(self.matcher, "engine"):
+            return self.matcher.match(domain, range_,
+                                      candidates=self.candidates)
+        previous = self.matcher.engine
+        self.matcher.engine = engine
+        try:
+            return self.matcher.match(domain, range_,
+                                      candidates=self.candidates)
+        finally:
+            self.matcher.engine = previous
 
 
 @dataclass
-class CombineStep:
+class CombineStep(_Step):
     """A mapping combiner: operator plus optional selection chain.
 
     ``operator`` is ``"merge"`` (inputs: 2+ mapping refs) or
@@ -176,7 +213,11 @@ class CombineStep:
     params: Dict[str, object] = field(default_factory=dict)
     selections: Sequence[Selection] = field(default_factory=tuple)
 
-    def run(self, context: MatchContext) -> Mapping:
+    def describe(self) -> str:
+        return (f"{self.operator.strip().lower()}"
+                f"({', '.join(map(_ref, self.inputs))})")
+
+    def apply(self, context: MatchContext) -> Mapping:
         resolved = [context.resolve_mapping(ref) for ref in self.inputs]
         operator = self.operator.strip().lower()
         if operator == "merge":
@@ -189,38 +230,26 @@ class CombineStep:
             mapping = compose(resolved[0], resolved[1], **self.params)
         else:
             raise WorkflowError(f"unknown operator {self.operator!r}")
-        for selection in self.selections:
-            mapping = selection.apply(mapping)
-        context.publish(self.output, mapping)
-        context.trace.append(
-            f"{operator}({', '.join(str(ref) if isinstance(ref, str) else '<mapping>' for ref in self.inputs)})"
-            f" -> {self.output} ({len(mapping)} correspondences)"
-        )
-        return mapping
+        return select(mapping, *self.selections)
 
 
 @dataclass
-class SelectStep:
+class SelectStep(_Step):
     """Refine a mapping with a selection chain."""
 
     output: str
     input: Union[str, Mapping]
     selections: Sequence[Selection]
 
-    def run(self, context: MatchContext) -> Mapping:
-        mapping = context.resolve_mapping(self.input)
-        for selection in self.selections:
-            mapping = selection.apply(mapping)
-        context.publish(self.output, mapping)
-        context.trace.append(
-            f"select({self.input if isinstance(self.input, str) else '<mapping>'}) "
-            f"-> {self.output} ({len(mapping)} correspondences)"
-        )
-        return mapping
+    def describe(self) -> str:
+        return f"select({_ref(self.input)})"
+
+    def apply(self, context: MatchContext) -> Mapping:
+        return select(context.resolve_mapping(self.input), *self.selections)
 
 
 @dataclass
-class StoreStep:
+class StoreStep(_Step):
     """Persist a mapping into the repository for later re-use."""
 
     input: Union[str, Mapping]
@@ -228,14 +257,14 @@ class StoreStep:
 
     output: Optional[str] = None
 
-    def run(self, context: MatchContext) -> Mapping:
+    def describe(self) -> str:
+        return f"store {self.repository_name!r}"
+
+    def apply(self, context: MatchContext) -> Mapping:
         mapping = context.resolve_mapping(self.input)
         if context.repository is None:
             raise WorkflowError("no repository attached to the match context")
         context.repository.save(self.repository_name, mapping)
-        context.trace.append(
-            f"store {self.repository_name!r} ({len(mapping)} correspondences)"
-        )
         return mapping
 
 

@@ -16,7 +16,13 @@ MOMA match workflows are written as scripts over mapping operators::
 
 This package provides the lexer, parser and interpreter for that
 language, plus the builtin operator bindings and the constraint
-expression evaluator used by ``select``.
+expression evaluator used by ``select``.  Scripts are the workflow
+tier of :mod:`repro.core.workflow` in another notation: a
+:class:`ScriptEngine` runs in a ``MatchContext`` (its own, or one
+shared with workflows), a top-level ``$Var = <mapping>`` is a recorded
+step, and ``Trigram`` / ``Average`` / ``Relative`` are symbols because
+the similarity, combination and aggregate registries know them — see
+docs/workflows.md.
 """
 
 from repro.script.constraints import ConstraintExpression

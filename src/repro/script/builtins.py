@@ -4,7 +4,11 @@ Each builtin receives the engine and the evaluated argument list.  The
 set mirrors the operators the paper's scripts use: ``attrMatch``,
 ``nhMatch``, ``merge``, ``compose``, ``select``, plus repository and
 mapping utilities (``store``, ``load``, ``inverse``, ``identity``,
-``threshold``, ``bestN``).
+``threshold``, ``bestN``).  Function symbols arrive as the strings the
+operators themselves accept (``"avg"``, ``"relative_left"``,
+``"prefermap2"``) and are handed through unparsed; what a builtin
+needs from the environment (``select``'s sources, ``store`` / ``load``'s
+repository) it reads from ``engine.context``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from repro.script.errors import ScriptRuntimeError
 Builtin = Callable[[Any, List[Any]], Any]
 
 _ATTR_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
-_BEST_RE = re.compile(r"^best-?(\d+)$", re.IGNORECASE)
+#: the ``best-N`` selection spec of ``select`` (``Best1`` as a symbol)
+BEST_N = re.compile(r"^best-?(\d+)$", re.IGNORECASE)
 
 
 def _attr_name(spec: Any) -> str:
@@ -94,24 +99,16 @@ def builtin_merge(engine, arguments: List[Any]) -> Mapping:
     """``merge(m1, m2[, ...], function)``.
 
     The trailing argument is a combination-function symbol (Average,
-    Min, Min0, Max, PreferMap1, ...); with only mappings given the
-    default is Average.
+    Min, Min0, Max, ...) or ``PreferMap<i>``, the i-th mapping counting
+    from 1; with only mappings given the default is Average.
     """
     if not arguments:
         raise ScriptRuntimeError("merge needs at least one mapping")
-    function: Any = "avg"
-    prefer = None
     mappings = list(arguments)
-    last = mappings[-1]
-    if isinstance(last, str):
-        function = mappings.pop()
-    elif isinstance(last, tuple) and last and last[0] == "prefer":
-        mappings.pop()
-        function = "prefer"
-        prefer = last[1]
+    function = mappings.pop() if isinstance(mappings[-1], str) else "avg"
     resolved = [_require_mapping(m, i + 1, "merge")
                 for i, m in enumerate(mappings)]
-    return merge_op(resolved, function, prefer=prefer)
+    return merge_op(resolved, function)
 
 
 def builtin_compose(engine, arguments: List[Any]) -> Mapping:
@@ -140,13 +137,13 @@ def builtin_select(engine, arguments: List[Any]) -> Mapping:
     if isinstance(spec, (int, float)):
         return ThresholdSelection(float(spec)).apply(mapping)
     if isinstance(spec, str):
-        best = _BEST_RE.match(spec.strip())
+        best = BEST_N.match(spec.strip())
         if best:
             return BestNSelection(int(best.group(1))).apply(mapping)
         constraint = ConstraintExpression(
             spec,
-            domain_source=engine.resolve_source(mapping.domain),
-            range_source=engine.resolve_source(mapping.range),
+            domain_source=engine.context.find_source(mapping.domain),
+            range_source=engine.context.find_source(mapping.range),
         )
         return mapping.filter(constraint)
     raise ScriptRuntimeError(f"select: cannot interpret spec {spec!r}")
@@ -191,10 +188,11 @@ def builtin_store(engine, arguments: List[Any]) -> Mapping:
     """``store(mapping, "name")`` — persist into the repository."""
     if len(arguments) != 2 or not isinstance(arguments[1], str):
         raise ScriptRuntimeError('store(mapping, "name")')
-    if engine.repository is None:
+    repository = engine.context.repository
+    if repository is None:
         raise ScriptRuntimeError("store: engine has no repository")
     mapping = _require_mapping(arguments[0], 1, "store")
-    engine.repository.save(arguments[1], mapping)
+    repository.save(arguments[1], mapping)
     return mapping
 
 
@@ -202,9 +200,10 @@ def builtin_load(engine, arguments: List[Any]) -> Mapping:
     """``load("name")`` — fetch from the repository."""
     if len(arguments) != 1 or not isinstance(arguments[0], str):
         raise ScriptRuntimeError('load("name")')
-    if engine.repository is None:
+    repository = engine.context.repository
+    if repository is None:
         raise ScriptRuntimeError("load: engine has no repository")
-    return engine.repository.load(arguments[0])
+    return repository.load(arguments[0])
 
 
 def builtin_size(engine, arguments: List[Any]) -> float:

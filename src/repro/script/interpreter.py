@@ -1,9 +1,13 @@
 """Tree-walking interpreter for the script language.
 
 The engine evaluates a parsed :class:`~repro.script.nodes.Program`
-against an environment of named mappings and logical sources (usually
-a :class:`~repro.model.smm.SourceMappingModel`).  User procedures
-(``PROCEDURE ... END``) live alongside the builtins of
+against a :class:`~repro.core.workflow.MatchContext` — the environment
+match workflows run in.  Bare identifiers resolve through the context
+(mapping, then source, then the ``DBLP.AuthorAuthor`` identity
+pattern); what is left is a *symbol* iff one of the registries that
+give it meaning knows it.  A top-level ``$Var = <mapping>`` is a
+workflow step: it is recorded in the context under ``Var``.  User
+procedures (``PROCEDURE ... END``) live alongside the builtins of
 :mod:`repro.script.builtins`; ``nhMatch`` is predefined exactly as in
 the paper but can be shadowed by a script-level procedure.
 """
@@ -13,9 +17,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.mapping import Mapping
-from repro.model.repository import MappingRepository
-from repro.model.smm import SourceMappingModel
-from repro.model.source import LogicalSource
+from repro.core.operators.compose import normalize_aggregate
+from repro.core.operators.functions import get_combination
+from repro.core.operators.merge import prefer_index
+from repro.core.workflow import MatchContext
 from repro.script import builtins as script_builtins
 from repro.script.errors import ScriptRuntimeError
 from repro.script.nodes import (
@@ -31,26 +36,49 @@ from repro.script.nodes import (
     VariableRef,
 )
 from repro.script.parser import parse
+from repro.sim.registry import available_similarities
 
-#: symbolic identifiers that evaluate to themselves (combination and
-#: aggregation function names, similarity function names)
-_SYMBOLS = {
-    "min": "min", "minimum": "min", "min0": "min0",
-    "max": "max", "maximum": "max",
-    "avg": "avg", "average": "avg", "avg0": "avg0",
-    "weighted": "weighted",
-    "relative": "relative",
-    "relativeleft": "relative_left",
-    "relativeright": "relative_right",
-    "sum": "sum",
-    "trigram": "trigram", "tfidf": "tfidf", "affix": "affix",
-    "levenshtein": "levenshtein", "jaro": "jaro",
-    "jarowinkler": "jarowinkler", "exact": "exact", "year": "year",
-    "jaccard": "jaccard", "personname": "personname",
-    "mongeelkan": "mongeelkan", "softtfidf": "softtfidf",
-    "name": "personname",
-    "best1": "best-1", "threshold": "threshold",
-}
+
+def _symbol(name: str) -> Optional[str]:
+    """``name`` as the registry that knows it spells it, or ``None``.
+
+    No table here: a similarity is a symbol iff registered (so
+    ``register_similarity`` extends the language), ``Average`` iff
+    ``get_combination`` resolves it, ``RelativeLeft`` iff compose does,
+    ``PreferMap2`` iff merge parses it, ``Best1`` iff select does.
+    """
+    lowered = name.strip().lower()
+    key = lowered.replace("-", "").replace("_", "")
+    known = available_similarities()
+    for spelling in (lowered, key):
+        if spelling in known:
+            return spelling
+    try:
+        return get_combination(key).name
+    except KeyError:
+        pass
+    except ValueError:  # "weighted": known, but only built with weights
+        return key
+    try:
+        return normalize_aggregate(key)
+    except KeyError:
+        pass
+    if prefer_index(key) is not None or script_builtins.BEST_N.match(key):
+        return key
+    return None
+
+
+def _describe(node) -> str:
+    """``node`` as source text, for the step trace."""
+    if isinstance(node, Call):
+        return f"{node.name}({', '.join(map(_describe, node.arguments))})"
+    if isinstance(node, VariableRef):
+        return f"${node.name}"
+    if isinstance(node, NumberLiteral):
+        return f"{node.value:g}"
+    if isinstance(node, StringLiteral):
+        return repr(node.value)
+    return node.name
 
 
 class _ReturnSignal(Exception):
@@ -61,43 +89,22 @@ class _ReturnSignal(Exception):
 
 
 class ScriptEngine:
-    """Evaluate scripts against sources, mappings and a repository."""
+    """Evaluate scripts in ``context`` — shared with workflows — or in
+    a private ``MatchContext(**environment)``; sources and input
+    mappings are provided through ``engine.context.add_*``."""
 
-    def __init__(self, *,
-                 smm: Optional[SourceMappingModel] = None,
-                 repository: Optional[MappingRepository] = None,
-                 sources: Optional[Dict[str, LogicalSource]] = None,
-                 mappings: Optional[Dict[str, Mapping]] = None) -> None:
-        self.smm = smm
-        self.repository = repository
-        self._sources: Dict[str, LogicalSource] = dict(sources or {})
-        self._mappings: Dict[str, Mapping] = dict(mappings or {})
+    def __init__(self, context: Optional[MatchContext] = None,
+                 **environment: Any) -> None:
+        if context is not None and environment:
+            raise TypeError(
+                "pass a MatchContext or the arguments to build one, not both")
+        self.context = (context if context is not None
+                        else MatchContext(**environment))
         self.variables: Dict[str, Any] = {}
         self.procedures: Dict[str, ProcedureDef] = {}
         self.builtins = script_builtins.default_builtins()
 
     # -- environment -----------------------------------------------------
-
-    def add_source(self, source: LogicalSource) -> None:
-        self._sources[source.name] = source
-
-    def add_mapping(self, name: str, mapping: Mapping) -> None:
-        self._mappings[name] = mapping
-
-    def resolve_source(self, name: str) -> Optional[LogicalSource]:
-        source = self._sources.get(name)
-        if source is None and self.smm is not None:
-            source = self.smm.get_source(name)
-        return source
-
-    def resolve_mapping(self, name: str) -> Optional[Mapping]:
-        mapping = self._mappings.get(name)
-        if mapping is None and self.smm is not None:
-            mapping = self.smm.find_mapping(name)
-        if mapping is None and self.repository is not None:
-            if self.repository.contains(name):
-                mapping = self.repository.load(name)
-        return mapping
 
     def _resolve_identity_pattern(self, name: str) -> Optional[Mapping]:
         """``DBLP.AuthorAuthor`` -> identity mapping of ``DBLP.Author``.
@@ -114,31 +121,18 @@ class ScriptEngine:
         half = len(suffix) // 2
         if suffix[:half] != suffix[half:]:
             return None
-        source = self.resolve_source(f"{prefix}.{suffix[:half]}")
+        source = self.context.find_source(f"{prefix}.{suffix[:half]}")
         if source is None:
             return None
         return Mapping.identity(source.name, source.ids())
 
     def resolve_identifier(self, name: str) -> Any:
         """Resolve a bare identifier: mapping, source, identity, symbol."""
-        mapping = self.resolve_mapping(name)
-        if mapping is not None:
-            return mapping
-        source = self.resolve_source(name)
-        if source is not None:
-            return source
-        identity = self._resolve_identity_pattern(name)
-        if identity is not None:
-            return identity
-        # PreferMap1 / PreferMap2 ... -> ("prefer", index)
-        lowered = name.lower()
-        if lowered.startswith("prefermap"):
-            digits = lowered[len("prefermap"):]
-            index = int(digits) - 1 if digits.isdigit() else 0
-            return ("prefer", max(index, 0))
-        symbol = _SYMBOLS.get(lowered.replace("-", "").replace("_", ""))
-        if symbol is not None:
-            return symbol
+        for find in (self.context.find_mapping, self.context.find_source,
+                     self._resolve_identity_pattern, _symbol):
+            value = find(name)
+            if value is not None:
+                return value
         raise ScriptRuntimeError(
             f"cannot resolve identifier {name!r} (not a mapping, source "
             "or known symbol)"
@@ -160,18 +154,9 @@ class ScriptEngine:
         if isinstance(node, Identifier):
             return self.resolve_identifier(node.name)
         if isinstance(node, Call):
-            return self._call(node, local)
+            return self.call(node.name, *(self.evaluate(argument, local)
+                                          for argument in node.arguments))
         raise ScriptRuntimeError(f"cannot evaluate node {node!r}")
-
-    def _call(self, node: Call, local: Optional[Dict[str, Any]]) -> Any:
-        arguments = [self.evaluate(arg, local) for arg in node.arguments]
-        procedure = self.procedures.get(node.name)
-        if procedure is not None:
-            return self._run_procedure(procedure, arguments)
-        builtin = self.builtins.get(node.name.lower())
-        if builtin is not None:
-            return builtin(self, arguments)
-        raise ScriptRuntimeError(f"unknown function {node.name!r}")
 
     def _run_procedure(self, procedure: ProcedureDef,
                        arguments: List[Any]) -> Any:
@@ -196,8 +181,12 @@ class ScriptEngine:
             value = self.evaluate(statement.expression, local)
             if local is not None:
                 local[statement.target] = value
-            else:
-                self.variables[statement.target] = value
+                return value
+            self.variables[statement.target] = value
+            if isinstance(value, Mapping):
+                # a top-level statement is a workflow step
+                self.context.record(_describe(statement.expression),
+                                    statement.target, value)
             return value
         if isinstance(statement, Return):
             raise _ReturnSignal(self.evaluate(statement.expression, local))
@@ -218,7 +207,7 @@ class ScriptEngine:
         return result
 
     def call(self, name: str, *arguments: Any) -> Any:
-        """Invoke a procedure or builtin directly from Python."""
+        """Invoke a procedure or builtin (also directly from Python)."""
         procedure = self.procedures.get(name)
         if procedure is not None:
             return self._run_procedure(procedure, list(arguments))

@@ -4,7 +4,9 @@ The script language (``attrMatch(..., Trigram, 0.5, ...)``) and matcher
 configuration files refer to similarity functions by name; this module
 resolves those names to fresh instances.  Registration is open so that
 applications can plug in domain-specific metrics, mirroring MOMA's
-"extensible library of matcher algorithms".
+"extensible library of matcher algorithms" — and this registry is the
+script language's only list of similarity symbols: a name is usable in
+a script from the moment :func:`register_similarity` has seen it.
 """
 
 from __future__ import annotations

@@ -90,9 +90,25 @@ class TestMergeGeneral:
             merge([map1, map2], "prefer", prefer=7)
 
     def test_prefer_name_with_digit(self, map1, map2):
-        # "PreferMap1"-style resolution: 1-based index in the name
-        merged = merge([map1, map2], "prefer1")
-        assert merged.get("a1", "b1") == 0.6 or merged.get("a1", "b1") == 1.0
+        # "PreferMap<i>" counts the inputs from 1, as in the paper
+        first = merge([map1, map2], "prefer", prefer=0).to_rows()
+        second = merge([map1, map2], "prefer", prefer=1).to_rows()
+        assert first != second
+        assert merge([map1, map2], "PreferMap1").to_rows() == first
+        assert merge([map1, map2], "PreferMap2").to_rows() == second
+        assert merge([map1, map2], "prefer2").to_rows() == second
+        # no digit: the first input
+        assert merge([map1, map2], "prefer").to_rows() == first
+        assert merge([map1, map2], "PreferMap").to_rows() == first
+
+    @pytest.mark.parametrize("name", ["PreferMap0", "PreferMap3"])
+    def test_prefer_name_out_of_range(self, map1, map2, name):
+        with pytest.raises(ValueError):
+            merge([map1, map2], name)
+
+    def test_prefer_name_is_a_full_match(self, map1, map2):
+        with pytest.raises(KeyError):
+            merge([map1, map2], "preferences")
 
     def test_result_name(self, map1, map2):
         assert merge([map1, map2], "avg", name="combined").name == "combined"

@@ -73,6 +73,42 @@ class TestMatchContext:
         with pytest.raises(WorkflowError):
             context.resolve_mapping("ghost")
 
+    def test_find_is_resolve_without_the_error(self, context):
+        assert context.find_source("L.Publication") is \
+            context.resolve_source("L.Publication")
+        assert context.find_source("Ghost.Publication") is None
+        provided = Mapping("L.Publication", "R.Publication")
+        context.add_mapping("input", provided)
+        for name in ("input", "ghost"):
+            before = context.cache.stats()
+            found = context.find_mapping(name)
+            between = context.cache.stats()
+            try:
+                resolved = context.resolve_mapping(name)
+            except WorkflowError:
+                resolved = None
+            after = context.cache.stats()
+            assert found is resolved
+            # both walk the cache once: one miss each, provided or absent
+            assert between["misses"] - before["misses"] == 1
+            assert after["misses"] - between["misses"] == 1
+            assert after["hits"] == before["hits"]
+        context.publish("input", provided)
+        before = context.cache.stats()
+        assert context.find_mapping("input") is provided
+        assert context.cache.stats() == before  # workspace shadows the cache
+
+    def test_record_publishes_and_traces(self, context):
+        mapping = Mapping.from_correspondences(
+            "L.Publication", "R.Publication", [("a1", "b1", 1.0)])
+        context.record("step one", "out", mapping)
+        context.record("step two", None, mapping)
+        assert context.resolve_mapping("out") is mapping
+        assert context.cache.get("out") is mapping
+        assert list(context.workspace) == ["out"]
+        assert context.trace == ["step one -> out (1 correspondences)",
+                                 "step two (1 correspondences)"]
+
 
 class TestWorkflowSteps:
     def test_matcher_step(self, context):
@@ -131,6 +167,9 @@ class TestWorkflowSteps:
         ctx.add_mapping("result", mapping)
         StoreStep("result", "final").run(ctx)
         assert "final" in repository
+        # traced like any step, but a store names no result to publish
+        assert ctx.trace == ["store 'final' (1 correspondences)"]
+        assert ctx.workspace == {} and len(ctx.cache) == 0
 
     def test_store_without_repository(self, context):
         context.add_mapping("m", Mapping("A", "B"))
@@ -168,11 +207,21 @@ class TestMatchWorkflow:
             MatchWorkflow("empty").run(context)
 
     def test_trace_records_steps(self, context):
-        workflow = MatchWorkflow("traced").add_matcher(
-            "titles", AttributeMatcher("title", threshold=0.9),
-            "L.Publication", "R.Publication")
+        workflow = (
+            MatchWorkflow("traced")
+            .add_matcher("titles", AttributeMatcher("title", threshold=0.9),
+                         "L.Publication", "R.Publication")
+            .add_merge("merged", ["titles", "titles"], function="max")
+            .add_select("strong", "merged", ThresholdSelection(0.95))
+        )
         workflow.run(context)
-        assert any("titles" in line for line in context.trace)
+        # one line per step, in order
+        assert context.trace == [
+            "matcher attr[title~trigram@0.9] L.Publication->R.Publication"
+            " -> titles (2 correspondences)",
+            "merge(titles, titles) -> merged (2 correspondences)",
+            "select(merged) -> strong (2 correspondences)",
+        ]
 
     def test_workflow_as_matcher(self, sources, context):
         domain, range_ = sources

@@ -99,19 +99,28 @@ class TestTable4:
         result = run_table4(workbench)
         assert result.data["overall|50%"]["recall"] >= \
             result.data["overall|80%"]["recall"]
+        assert result.data["journals|50%"]["recall"] >= \
+            result.data["journals|80%"]["recall"]
+
+    def test_best1_is_the_strongest_overall_strategy(self, workbench):
+        result = run_table4(workbench)
+        assert result.data["overall|best1"]["f1"] >= \
+            max(result.data["overall|80%"]["f1"],
+                result.data["overall|50%"]["f1"]) - 0.08
 
 
 class TestTable5:
     def test_neighborhood_alone_high_recall_low_precision(self, workbench):
         result = run_table5(workbench)
         neighborhood = result.data["overall|neighborhood"]
-        assert neighborhood["recall"] > 0.9
-        assert neighborhood["precision"] < 0.4
+        assert neighborhood["recall"] > 0.95
+        assert neighborhood["precision"] < 0.35
 
     def test_merge_beats_attribute(self, workbench):
         result = run_table5(workbench)
         assert result.data["overall|merge"]["f1"] > \
             result.data["overall|attribute"]["f1"]
+        assert result.data["overall|merge"]["f1"] > 0.9
 
     def test_merge_precision_near_perfect(self, workbench):
         result = run_table5(workbench)
@@ -141,8 +150,9 @@ class TestTable6:
 class TestGsTables:
     def test_merge_recall_driven(self, workbench, runner):
         result = runner(workbench)
+        # title-mangled GS entries are recovered through author lists
         assert result.data["merge"]["recall"] > \
-            result.data["attribute"]["recall"]
+            result.data["attribute"]["recall"] + 0.05
         assert result.data["merge"]["f1"] > result.data["attribute"]["f1"]
 
     def test_neighborhood_low_precision(self, workbench, runner):
@@ -157,6 +167,7 @@ class TestTable9:
 
     def test_candidates_carry_evidence(self, workbench):
         result = run_table9(workbench)
+        assert result.data["candidates"]
         for candidate in result.data["candidates"]:
             assert 0 <= candidate["merged"] <= 1
             assert candidate["shared_co_authors"] >= 0
@@ -191,9 +202,12 @@ class TestTable9:
 class TestTable10:
     def test_summary_aggregates(self, workbench):
         result = run_table10(workbench)
-        assert result.data["DBLP-ACM|venues"] > 0.8
-        assert result.data["DBLP-ACM|publications"] > 0.8
-        assert result.data["DBLP-GS|publications"] > 0.6
+        # paper: 96.9-98.8 for DBLP-ACM, ~88-89 for the GS pairs
+        assert result.data["DBLP-ACM|venues"] > 0.9
+        assert result.data["DBLP-ACM|publications"] > 0.9
+        assert result.data["DBLP-ACM|authors"] > 0.85
+        assert result.data["DBLP-GS|publications"] > 0.8
+        assert result.data["GS-ACM|publications"] > 0.8
 
 
 class TestFigures:

@@ -50,8 +50,8 @@ class TestMergeComposeSelect:
                                              [("a1", "b1", 1.0)])
         second = Mapping.from_correspondences("L.Author", "R.Author",
                                               [("a1", "b1", 0.5)])
-        engine.add_mapping("First", first)
-        engine.add_mapping("Second", second)
+        engine.context.add_mapping("First", first)
+        engine.context.add_mapping("Second", second)
         merged = engine.run("$M = merge(First, Second, Average)")
         assert merged.get("a1", "b1") == pytest.approx(0.75)
 
@@ -61,16 +61,16 @@ class TestMergeComposeSelect:
         second = Mapping.from_correspondences("L.Author", "R.Author",
                                               [("a1", "b2", 0.9),
                                                ("a2", "b2", 0.8)])
-        engine.add_mapping("First", first)
-        engine.add_mapping("Second", second)
+        engine.context.add_mapping("First", first)
+        engine.context.add_mapping("Second", second)
         merged = engine.run("$M = merge(First, Second, PreferMap1)")
         assert merged.pairs() == {("a1", "b1"), ("a2", "b2")}
 
     def test_compose_defaults(self, engine):
         left = Mapping.from_correspondences("L.Author", "X", [("a1", "x", 1.0)])
         right = Mapping.from_correspondences("X", "R.Author", [("x", "b1", 0.8)])
-        engine.add_mapping("Left", left)
-        engine.add_mapping("Right", right)
+        engine.context.add_mapping("Left", left)
+        engine.context.add_mapping("Right", right)
         composed = engine.run("$C = compose(Left, Right)")
         assert composed.get("a1", "b1") == pytest.approx(0.8)
 
@@ -78,7 +78,7 @@ class TestMergeComposeSelect:
         mapping = Mapping.from_correspondences("L.Author", "R.Author",
                                                [("a1", "b1", 0.9),
                                                 ("a2", "b2", 0.4)])
-        engine.add_mapping("M", mapping)
+        engine.context.add_mapping("M", mapping)
         selected = engine.run("$S = select(M, 0.5)")
         assert selected.pairs() == {("a1", "b1")}
 
@@ -86,7 +86,7 @@ class TestMergeComposeSelect:
         mapping = Mapping.from_correspondences("L.Author", "R.Author",
                                                [("a1", "b1", 0.9),
                                                 ("a1", "b2", 0.5)])
-        engine.add_mapping("M", mapping)
+        engine.context.add_mapping("M", mapping)
         selected = engine.run('$S = select(M, "best-1")')
         assert selected.pairs() == {("a1", "b1")}
 
@@ -94,7 +94,7 @@ class TestMergeComposeSelect:
         mapping = Mapping.from_correspondences("L.Author", "L.Author",
                                                [("a1", "a1", 1.0),
                                                 ("a1", "a2", 0.8)])
-        engine.add_mapping("M", mapping)
+        engine.context.add_mapping("M", mapping)
         selected = engine.run('$S = select(M, "[domain.id]<>[range.id]")')
         assert selected.pairs() == {("a1", "a2")}
 
@@ -102,7 +102,7 @@ class TestMergeComposeSelect:
         mapping = Mapping.from_correspondences("L.Author", "R.Author",
                                                [("a1", "b1", 1.0),
                                                 ("a2", "b2", 1.0)])
-        engine.add_mapping("M", mapping)
+        engine.context.add_mapping("M", mapping)
         selected = engine.run(
             '$S = select(M, "[domain.year]-[range.year]<=0.5")')
         assert selected.pairs() == {("a1", "b1")}
@@ -110,7 +110,7 @@ class TestMergeComposeSelect:
 
 class TestUtilities:
     def test_inverse(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Author", "R.Author", [("a1", "b1", 0.9)]))
         inverted = engine.run("$I = inverse(M)")
         assert inverted.get("b1", "a1") == 0.9
@@ -120,7 +120,7 @@ class TestUtilities:
         assert identity.get("a1", "a1") == 1.0
 
     def test_store_and_load(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Author", "R.Author", [("a1", "b1", 0.9)]))
         engine.run('store(M, "persisted")')
         loaded = engine.run('$L = load("persisted")')
@@ -128,18 +128,18 @@ class TestUtilities:
 
     def test_store_requires_repository(self):
         engine = ScriptEngine()
-        engine.add_mapping("M", Mapping("A", "B"))
+        engine.context.add_mapping("M", Mapping("A", "B"))
         with pytest.raises(ScriptRuntimeError):
             engine.run('store(M, "x")')
 
     def test_bestn_builtin(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Author", "R.Author",
             [("a1", "b1", 0.9), ("a1", "b2", 0.5)]))
         best = engine.run("$B = bestN(M, 1)")
         assert best.pairs() == {("a1", "b1")}
 
     def test_size(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Author", "R.Author", [("a1", "b1", 0.9)]))
         assert engine.run("size(M)") == 1.0

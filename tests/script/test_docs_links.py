@@ -49,14 +49,14 @@ def _links(path: Path):
 def test_docs_directory_has_the_guaranteed_pages():
     names = {path.name for path in (REPO_ROOT / "docs").glob("*.md")}
     assert {"architecture.md", "engine.md", "benchmarks.md",
-            "serving.md", "static-analysis.md"} <= names
+            "serving.md", "static-analysis.md", "workflows.md"} <= names
 
 
 def test_readme_links_every_docs_page():
     readme_links = " ".join(_links(REPO_ROOT / "README.md"))
     for page in ("docs/architecture.md", "docs/engine.md",
                  "docs/benchmarks.md", "docs/serving.md",
-                 "docs/static-analysis.md"):
+                 "docs/static-analysis.md", "docs/workflows.md"):
         assert page in readme_links, f"README does not link {page}"
 
 

@@ -22,20 +22,20 @@ def engine():
 
 class TestSymmetrizeClosure:
     def test_symmetrize(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Publication", "L.Publication", [("p1", "p2", 0.8)]))
         result = engine.run("$S = symmetrize(M)")
         assert result.get("p2", "p1") == 0.8
 
     def test_closure_builds_clusters(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Publication", "L.Publication",
             [("a", "b", 1.0), ("b", "c", 1.0)]))
         result = engine.run("$C = closure(M)")
         assert ("a", "c") in result.pairs()
 
     def test_closure_rejects_cross_source(self, engine):
-        engine.add_mapping("M", Mapping.from_correspondences(
+        engine.context.add_mapping("M", Mapping.from_correspondences(
             "L.Publication", "R.Publication", [("p1", "q1", 1.0)]))
         with pytest.raises(ScriptRuntimeError) as excinfo:
             engine.run("$C = closure(M)")

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.core.mapping import Mapping, MappingKind
+from repro.core.matchers.attribute import AttributeMatcher
+from repro.core.operators.selection import BestNSelection
+from repro.core.workflow import MatchContext, MatchWorkflow
+from repro.model.cache import MappingCache
 from repro.model.smm import SourceMappingModel
 from repro.script.errors import ScriptRuntimeError
 from repro.script.interpreter import ScriptEngine
@@ -39,8 +43,9 @@ class TestResolution:
         assert engine.resolve_identifier("Min") == "min"
 
     def test_prefermap_symbol(self, engine):
-        assert engine.resolve_identifier("PreferMap1") == ("prefer", 0)
-        assert engine.resolve_identifier("PreferMap2") == ("prefer", 1)
+        # a symbol like any other: merge parses the (1-based) index
+        assert engine.resolve_identifier("PreferMap1") == "prefermap1"
+        assert engine.resolve_identifier("PreferMap2") == "prefermap2"
 
     def test_identity_pattern(self, engine):
         identity = engine.resolve_identifier("L.PublicationPublication")
@@ -105,13 +110,70 @@ class TestExecution:
         assert engine.call("size", mapping) == 2.0
 
 
+class TestSharedContext:
+    """Scripts and workflows are one tier: one environment, one trace."""
+
+    def test_engine_holds_the_context_it_is_given(self, engine):
+        context = MatchContext()
+        assert ScriptEngine(context).context is context
+        assert engine.context.smm is not None  # built from **environment
+        with pytest.raises(TypeError):
+            ScriptEngine(context, smm=SourceMappingModel())
+
+    def test_workflow_and_script_resolve_each_other(self, engine):
+        context = engine.context
+        MatchWorkflow("first").add_matcher(
+            "titles", AttributeMatcher("title", threshold=0.5),
+            "L.Publication", "R.Publication").run(context)
+        # the script reads the workflow's result by name ...
+        strong = engine.run("$Strong = select(titles, 0.8)")
+        assert strong is context.resolve_mapping("Strong")
+        # ... and a later workflow reads the script's
+        best = MatchWorkflow("second").add_select(
+            "best", "Strong", BestNSelection(1)).run(context)
+        assert best.pairs() == {("p1", "q1"), ("p2", "q2")}
+        assert len(context.trace) == 3
+        assert context.trace[0].startswith("matcher ")
+        assert context.trace[1] == \
+            "select(titles, 0.8) -> Strong (2 correspondences)"
+        assert context.trace[2] == \
+            "select(Strong) -> best (2 correspondences)"
+
+    def test_script_sees_the_mapping_cache(self):
+        cache = MappingCache()
+        cached = Mapping.from_correspondences("A", "B", [("a", "b", 1.0)])
+        cache.put("Shared", cached)
+        engine = ScriptEngine(cache=cache)
+        assert engine.run("$X = Shared") is cached
+        assert cache.stats()["hits"] == 1
+
+    def test_only_top_level_mapping_assignments_are_steps(self, engine):
+        engine.run(
+            "PROCEDURE probe($M)\n"
+            "  $Local = inverse($M)\n"
+            "  RETURN $Local\n"
+            "END\n"
+            "$X = probe(L-R)\n"
+            "$N = size($X)\n"
+            "size(L-R)"
+        )
+        context = engine.context
+        assert set(context.workspace) == {"X"}
+        assert context.trace == ["probe(L-R) -> X (2 correspondences)"]
+        assert engine.variables["N"] == 2.0
+        with pytest.raises(ScriptRuntimeError):
+            engine.resolve_identifier("Local")
+        with pytest.raises(ScriptRuntimeError):
+            engine.resolve_identifier("N")
+
+
 class TestPaperScript:
     def test_nhmatch_as_user_procedure_matches_builtin(self, engine):
         asso = Mapping.from_correspondences(
             "L.Publication", "L.Publication",
             [("p1", "p2", 1.0), ("p2", "p1", 1.0)],
             kind=MappingKind.ASSOCIATION)
-        engine.add_mapping("Asso", asso)
+        engine.context.add_mapping("Asso", asso)
         engine.run(
             "PROCEDURE myMatch ( $Asso1, $Same, $Asso2)\n"
             "   $Temp = compose ( $Asso1 , $Same , Min, Average )\n"
