@@ -13,7 +13,9 @@ Rules:
 =======  ============================================================
 DET001   ``for``/comprehension iterates directly over a set
          expression (literal, comprehension, ``set()``/``frozenset()``
-         call, or a local variable only ever assigned sets)
+         call, a local variable only ever assigned sets, or a call of
+         a function of the same module / ``self.`` method of the same
+         class annotated ``-> Set[...]`` / ``-> FrozenSet[...]``)
 DET002   ``os.listdir``/``os.scandir`` result used without
          ``sorted(...)`` around the call
 DET003   ``sum()``/``math.fsum()`` over a set expression — float
@@ -32,16 +34,28 @@ commutative reductions over exact types, cache eviction).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.analysis.core import Checker, Finding, ModuleContext, call_name
+from repro.analysis.core import (
+    Checker,
+    Finding,
+    ModuleContext,
+    call_name,
+    tail_name,
+)
 
 _SET_CALLS = {"set", "frozenset"}
+#: return annotations that promise a hash-ordered collection
+_SET_ANNOTATIONS = {"Set", "FrozenSet", "AbstractSet", "MutableSet",
+                    "set", "frozenset"}
 _LISTDIR_CALLS = {"os.listdir", "os.scandir", "listdir", "scandir"}
 _SUM_CALLS = {"sum", "math.fsum", "fsum"}
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                       ast.Module]
+#: ``id(scope node)`` -> names: per function, the locals only ever
+#: assigned sets; per module / class, its set-annotated defs
+_SetNames = Tuple[Dict[int, Set[str]], Dict[int, Set[str]]]
 
 
 def _is_set_expression(node: ast.expr) -> bool:
@@ -56,6 +70,37 @@ def _is_set_expression(node: ast.expr) -> bool:
         # set algebra: ``a | b`` etc. counts only when a side is a set
         return _is_set_expression(node.left) or _is_set_expression(node.right)
     return False
+
+
+def _returns_set(function: Union[ast.FunctionDef,
+                                 ast.AsyncFunctionDef]) -> bool:
+    """Whether a ``def`` is annotated as returning a set type."""
+    annotation = function.returns
+    if isinstance(annotation, ast.Constant) \
+            and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return False
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return annotation is not None \
+        and tail_name(annotation) in _SET_ANNOTATIONS
+
+
+def _set_returning_defs(tree: ast.Module) -> Dict[int, Set[str]]:
+    """``id(module or class node)`` -> names of the functions defined
+    directly in it that are annotated as returning a set."""
+    owners: List[Union[ast.Module, ast.ClassDef]] = [tree]
+    owners.extend(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef))
+    return {
+        id(owner): {
+            statement.name for statement in owner.body
+            if isinstance(statement, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+            and _returns_set(statement)}
+        for owner in owners}
 
 
 def _is_listdir_call(node: ast.expr) -> bool:
@@ -167,12 +212,14 @@ class DeterminismChecker(Checker):
             for child in ast.iter_child_nodes(parent):
                 parents[id(child)] = parent
         set_locals = self._function_set_locals(context.tree)
+        # (names only ever assigned sets, set-annotated defs)
+        set_names = (set_locals, _set_returning_defs(context.tree))
         for node in ast.walk(context.tree):
-            yield from self._check_iteration(context, node, set_locals,
+            yield from self._check_iteration(context, node, set_names,
                                              parents)
             if isinstance(node, ast.Call):
                 yield from self._check_listdir(context, node, parents)
-                yield from self._check_sum(context, node, set_locals,
+                yield from self._check_sum(context, node, set_names,
                                            parents)
                 yield from self._check_sorted_projection(context, node)
 
@@ -204,11 +251,35 @@ class DeterminismChecker(Checker):
             current = parents.get(id(current))
         return None
 
+    def _calls_set_returning_def(self, call: ast.Call,
+                                 set_defs: Dict[int, Set[str]],
+                                 parents: Dict[int, ast.AST]) -> bool:
+        """``name(...)`` of a set-annotated function of this module, or
+        ``self.name(...)`` / ``cls.name(...)`` of a set-annotated method
+        of the enclosing class — how a hash-ordered iteration hides
+        behind a helper (``for gram in self._grams(value)``)."""
+        target = call.func
+        if isinstance(target, ast.Name):
+            owner_type: type = ast.Module
+        elif isinstance(target, ast.Attribute) \
+                and isinstance(target.value, ast.Name) \
+                and target.value.id in ("self", "cls"):
+            owner_type = ast.ClassDef
+        else:
+            return False
+        owner = parents.get(id(call))
+        while owner is not None and not isinstance(owner, owner_type):
+            owner = parents.get(id(owner))
+        return tail_name(target) in set_defs.get(id(owner), ())
+
     def _iterable_is_set(self, iterable: ast.expr, node: ast.AST,
-                         set_locals: Dict[int, Set[str]],
+                         set_names: _SetNames,
                          parents: Dict[int, ast.AST]) -> bool:
+        set_locals, set_defs = set_names
         if _is_set_expression(iterable):
             return True
+        if isinstance(iterable, ast.Call):
+            return self._calls_set_returning_def(iterable, set_defs, parents)
         if isinstance(iterable, ast.Name):
             scope = self._enclosing_scope(node, parents)
             if scope is not None \
@@ -219,7 +290,7 @@ class DeterminismChecker(Checker):
     # -- rules ---------------------------------------------------------
 
     def _check_iteration(self, context: ModuleContext, node: ast.AST,
-                         set_locals: Dict[int, Set[str]],
+                         set_names: _SetNames,
                          parents: Dict[int, ast.AST]) -> Iterator[Finding]:
         iterables: List[ast.expr] = []
         if isinstance(node, ast.For):
@@ -228,7 +299,7 @@ class DeterminismChecker(Checker):
                                ast.GeneratorExp)):
             iterables.extend(generator.iter for generator in node.generators)
         for iterable in iterables:
-            if self._iterable_is_set(iterable, node, set_locals, parents) \
+            if self._iterable_is_set(iterable, node, set_names, parents) \
                     and not _is_sorted_wrapped(iterable, parents):
                 yield Finding(
                     context.path, iterable.lineno, "DET001",
@@ -249,12 +320,12 @@ class DeterminismChecker(Checker):
             "sorted(...)")
 
     def _check_sum(self, context: ModuleContext, node: ast.Call,
-                   set_locals: Dict[int, Set[str]],
+                   set_names: _SetNames,
                    parents: Dict[int, ast.AST]) -> Iterator[Finding]:
         if call_name(node.func) not in _SUM_CALLS or not node.args:
             return
         argument = node.args[0]
-        if self._iterable_is_set(argument, node, set_locals, parents):
+        if self._iterable_is_set(argument, node, set_names, parents):
             yield Finding(
                 context.path, node.lineno, "DET003",
                 "float accumulation over a set follows hash order; sum "

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 
 # ----------------------------------------------------------------------

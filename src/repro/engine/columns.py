@@ -10,6 +10,11 @@ layer::
         .score_rows(query_rows, reference_rows)
     survivors(kernel, rows_a, rows_b, threshold)   # the one filter
 
+Both packing calls take the values' ``features`` where the caller keeps
+them — a source's :func:`~repro.sim.ngram.gram_arrays`, extracted once
+per attribute however many partners it is matched against — and
+extract them from the values otherwise (the serve index, per page).
+
 A *column* packs one attribute's reference-side values.  ``bind``
 returns the same column with a query side attached — a *kernel*
 exposing ``score_rows`` / ``score_bound_rows`` /
@@ -22,7 +27,8 @@ columns across requests and binds every micro-batch.
 Three columns exist, chosen by :func:`build_column`:
 
 * :class:`NGramColumn` — q-gram sets as bit rows of a packed
-  ``uint64`` matrix; a chunk scores with a gather, a bitwise AND and
+  ``uint64`` matrix, scattered from the values' gram arrays in one
+  ``bitwise_or.at``; a chunk scores with a gather, a bitwise AND and
   ``np.bitwise_count``;
 * :class:`TfIdfColumn` — prepared TF/IDF vectors as CSR arrays, chunks
   scored as sparse dot products (ragged gather, keyed ``searchsorted``,
@@ -51,7 +57,6 @@ from bisect import bisect_left
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -60,7 +65,7 @@ from typing import (
 )
 
 from repro.sim.base import SimilarityFunction
-from repro.sim.ngram import NGramSimilarity
+from repro.sim.ngram import GramArrays, NGramSimilarity, gram_arrays
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
 import numpy
@@ -146,8 +151,10 @@ class _Column:
     #: either way round
     orientation_symmetric = True
 
-    #: clear the similarity's per-string cache once query traffic has
-    #: grown it beyond this many entries past the reference size
+    #: clear the similarity's per-string cache (TF/IDF vectors: they
+    #: depend on the prepared corpus, so the similarity keeps them)
+    #: once query traffic has grown it beyond this many entries past
+    #: the reference size
     QUERY_CACHE_SLACK = 65536
     #: attributes only ``bind`` / ``_pack`` / ``export`` read
     _PACKING_STATE: Tuple[str, ...] = ("sim", "_reference_values")
@@ -161,25 +168,28 @@ class _Column:
         self.domain: Any = None
         self.domain_missing: Any = None
 
-    def _pack(self, values: Sequence[object]) -> Any:
+    def _pack(self, values: Sequence[object], features: Any = None) -> Any:
         raise NotImplementedError
 
     def _query_cache(self) -> Optional[Dict[str, Any]]:
         """The similarity's per-string cache that binds may grow."""
         return None
 
-    def bind(self, query_values: Sequence[object]) -> "_Column":
+    def bind(self, query_values: Sequence[object],
+             features: Any = None) -> "_Column":
         """This column with ``query_values`` attached as the domain side.
 
         Binding the very list the column was built from (self-matching)
-        aliases the packed reference side.
+        aliases the packed reference side.  ``features`` is what the
+        caller already extracted from exactly these values, for the
+        column kinds that pack from an extraction.
         """
         kernel = copy.copy(self)
         if query_values is self._reference_values:
             kernel.domain = self.range
             kernel.domain_missing = self.range_missing
             return kernel
-        kernel.domain = self._pack(query_values)
+        kernel.domain = self._pack(query_values, features)
         kernel.domain_missing = missing_mask(query_values)
         cache = self._query_cache()
         if cache is not None and len(cache) > \
@@ -196,8 +206,9 @@ class _Column:
     def release(self) -> None:
         """Keep the packed arrays only: this kernel is done binding.
 
-        Empties the similarity's per-string cache — the arrays hold
-        everything it computed — and forgets what only packing reads
+        Empties the similarity's per-string cache, where it keeps one
+        — the arrays hold everything it computed — and forgets what
+        only packing reads
         (:attr:`_PACKING_STATE`: the similarity, the value list, the
         vocabulary), so a kernel kept for later requests retains numpy
         state and nothing per string.  It still scores; binding or
@@ -208,6 +219,11 @@ class _Column:
             cache.clear()
         for name in self._PACKING_STATE:
             delattr(self, name)
+
+    @property
+    def released(self) -> bool:
+        """Whether :meth:`release` ran: arrays only, no more binding."""
+        return not hasattr(self, "sim")
 
     def export(self) -> ColumnState:
         raise NotImplementedError
@@ -226,67 +242,58 @@ class NGramColumn(_Column):
 
     def __init__(self, sim: NGramSimilarity,
                  reference_values: Sequence[object],
-                 restored: Optional[ColumnState] = None) -> None:
+                 restored: Optional[ColumnState] = None,
+                 features: Optional[GramArrays] = None) -> None:
         super().__init__(sim, reference_values)
         self.method = sim.method
         if restored is not None:
             meta, arrays = restored
-            self._vocabulary = {gram: position for position, gram
-                                in enumerate(meta["vocabulary"])}
-            self._width = max(1, (len(self._vocabulary) + 63) // 64)
+            self._set_vocabulary(meta["vocabulary"])
             self.range = (arrays["range_bits"], arrays["range_sizes"])
             return
-        vocabulary: Dict[str, int] = {}
-        for value in reference_values:
-            for gram in self._grams(value):
-                if gram not in vocabulary:
-                    vocabulary[gram] = len(vocabulary)
-        self._vocabulary = vocabulary
-        self._width = max(1, (len(vocabulary) + 63) // 64)
-        self.range = self._pack(reference_values)
+        if features is None:
+            features = gram_arrays(reference_values, sim.q, sim.pad)
+        # the reference's distinct grams in sorted order: positions
+        # that depend on the values alone
+        self._set_vocabulary(features.grams)
+        self.range = self._pack(reference_values, features)
 
-    def _grams(self, value: object) -> FrozenSet[str]:
-        if value is None:
-            return frozenset()
-        return self.sim.grams(str(value))
+    def _set_vocabulary(self, grams: Sequence[str]) -> None:
+        self._vocabulary = {gram: position
+                            for position, gram in enumerate(grams)}
+        self._width = max(1, (len(self._vocabulary) + 63) // 64)
 
-    def _query_cache(self) -> Optional[Dict[str, Any]]:
-        return self.sim._gram_cache
-
-    def _pack(self, values: Sequence[object]) -> Tuple[Any, Any]:
+    def _pack(self, values: Sequence[object],
+              features: Optional[GramArrays] = None) -> Tuple[Any, Any]:
         """Pack gram sets over the *reference* vocabulary.
 
-        Grams outside the vocabulary (possible only on the query side)
-        set no bit but still count toward the row size, so overlap
-        stays exact while dice/jaccard denominators see the full set
-        size.  The bit scatter is one ``bitwise_or.at`` over all
-        (row, gram) entries: this packs every serve micro-batch, so a
-        per-gram Python loop would eat the batching gain.
+        ``features`` are ``values``' gram arrays
+        (:func:`repro.sim.ngram.gram_arrays`, extracted here when the
+        caller keeps none); their distinct grams are looked up in the
+        vocabulary once each and the ``(row, gram)`` entries scattered
+        in one ``bitwise_or.at``.  Grams outside the vocabulary
+        (possible only on the query side) set no bit but still count
+        toward the row size, so overlap stays exact while dice/jaccard
+        denominators see the full set size.
         """
         width = self._width
         if len(values) * width * 8 > MAX_INDEX_BYTES:
             raise MemoryError("packed gram index exceeds budget")
+        if features is None:
+            features = gram_arrays(values, self.sim.q, self.sim.pad)
         bits = _np.zeros((len(values), width), dtype=_np.uint64)
-        sizes = _np.zeros(len(values), dtype=_np.int64)
-        rows: List[int] = []
-        positions: List[int] = []
         lookup = self._vocabulary.get
-        for row, value in enumerate(values):
-            grams = self._grams(value)
-            sizes[row] = len(grams)
-            for gram in grams:
-                position = lookup(gram)
-                if position is not None:
-                    rows.append(row)
-                    positions.append(position)
-        if rows:
-            position_array = _np.asarray(positions, dtype=_np.int64)
-            cells = _np.asarray(rows, dtype=_np.int64) * width \
-                + (position_array >> 6)
-            masks = _np.left_shift(
-                _np.uint64(1), (position_array & 63).astype(_np.uint64))
-            _np.bitwise_or.at(bits.reshape(-1), cells, masks)
-        return bits, sizes
+        positions = _np.fromiter(
+            (lookup(gram, -1) for gram in features.grams),
+            dtype=_np.int64, count=len(features.grams))[features.codes]
+        known = positions >= 0
+        positions = positions[known]
+        cells = features.rows[known].astype(_np.int64) * width \
+            + (positions >> 6)
+        masks = _np.left_shift(
+            _np.uint64(1), (positions & 63).astype(_np.uint64))
+        _np.bitwise_or.at(bits.reshape(-1), cells, masks)
+        return bits, features.sizes
 
     def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         """Score aligned row-index arrays; returns a float64 array.
@@ -461,7 +468,7 @@ class TfIdfColumn(_Column):
             return 2 * position
         return 2 * position - 1
 
-    def _pack(self, values: Sequence[object]) -> _Side:
+    def _pack(self, values: Sequence[object], features: Any = None) -> _Side:
         return _Side([self.sim.value_vector(value) for value in values],
                      self._vocabulary, self._vocab_size,
                      [self._rank(self._text(value)) for value in values])
@@ -572,7 +579,8 @@ class ScalarColumn(_Column):
         self.memo = ValuePairMemo(sim)
         self.range = self._pack(reference_values)
 
-    def _pack(self, values: Sequence[object]) -> List[Optional[str]]:
+    def _pack(self, values: Sequence[object],
+              features: Any = None) -> List[Optional[str]]:
         return [None if value is None else str(value) for value in values]
 
     def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
@@ -639,18 +647,19 @@ def column_config(sim: SimilarityFunction) -> Optional[Tuple[Any, ...]]:
 
 
 def build_column(sim: SimilarityFunction,
-                 reference_values: Sequence[object]) -> _Column:
+                 reference_values: Sequence[object],
+                 features: Any = None) -> _Column:
     """The column registry: pack ``reference_values`` for ``sim``.
 
     The packed column where :func:`column_config` allows one;
     everything else, and any reference over the
     :data:`MAX_INDEX_BYTES` budget, gets the :class:`ScalarColumn`
-    fallback.  Requires numpy.
+    fallback.  ``features`` as in :meth:`_Column.bind`.  Requires numpy.
     """
     packs = column_config(sim) is not None
     try:
         if packs and isinstance(sim, NGramSimilarity):
-            return NGramColumn(sim, reference_values)
+            return NGramColumn(sim, reference_values, features=features)
         if packs and isinstance(sim, TfIdfCosineSimilarity):
             return TfIdfColumn(sim, reference_values)
     except MemoryError:

@@ -60,8 +60,14 @@ class EngineConfig:
     """Tuning knobs for batch execution.
 
     ``workers=1`` is the serial fallback (no processes, no IPC).
-    ``chunk_size`` trades scheduling overhead against pipelining; the
-    default suits pure-Python similarity kernels.  Everything else
+    ``chunk_size`` is the number of candidate row pairs in one slice —
+    one kernel call, and one pool task when the parent cuts.  Every
+    request runs on a kernel, whose call costs a fixed ~25 µs of array
+    set-up plus the gathered rows: measured on a 900-title trigram
+    column, 0.55 µs a pair at 64 rows, 0.12 µs at the default and 0.2 –
+    0.9 µs from 16k rows up, where the gathered bit rows (rows × packed
+    width) outgrow the cache.  The table-workflow pass takes 0.32 /
+    0.31 / 0.33 / 0.39 s at 256 / 2048 / 16k / 128k.  Everything else
     about a run's plan — shard count, skew rebalancing, how many
     chunks queue ahead of the merge cursor — the engine derives from
     ``workers`` and the shard cost estimates
@@ -249,18 +255,21 @@ class BatchMatchEngine:
         """
         begun = time.perf_counter()
         before = _memo_counts(request)
+        kernel = vectorized.request_kernel(request)
         indexed = IndexedScorer(
-            vectorized.request_kernel(request),
-            request.domain.ids(), request.range.ids(), request.threshold,
+            kernel, request.domain.ids(), request.range.ids(),
+            request.threshold,
             missing_zero=(request.combiner is None
                           and request.missing == "zero"))
         profile = self.last_profile
         if profile is not None:
             profile["prepare_seconds"] = time.perf_counter() - begun
             hits, builds = _memo_counts(request)
-            # one memo lookup per kept column: all of them hits
-            profile["kernel_cached"] = \
-                hits - before[0] == len(request.specs)
+            # kept columns are the released ones (arrays only), and
+            # one that was not found would have been built just now
+            profile["kernel_cached"] = builds == before[1] and all(
+                column.released
+                for column in getattr(kernel, "columns", (kernel,)))
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],
                                       built + builds - before[1])

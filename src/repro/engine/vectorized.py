@@ -61,6 +61,7 @@ from repro.engine.columns import (
 )
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
+from repro.sim.ngram import gram_arrays
 
 
 def source_values(domain: LogicalSource, range_: LogicalSource,
@@ -346,8 +347,26 @@ def prepare_similarities(request) -> None:
         spec.similarity.prepare(_corpus(request, spec))
 
 
+def _kept_grams(source: LogicalSource, attribute: str,
+                values: Sequence[object], similarity):
+    """``values``' gram arrays where ``similarity`` packs a q-gram
+    column (else ``None``), kept by ``source``.
+
+    A function of one source's one attribute and ``(q, pad)`` — not of
+    the partner, the method or the similarity object — so DBLP's
+    titles are extracted once for DBLP→ACM and DBLP→GS alike.
+    """
+    config = column_config(similarity)
+    if config is None or config[0] != "ngram":
+        return None
+    _, q, _, pad = config
+    return source.derived(("gram-arrays", attribute, q, pad),
+                          lambda: gram_arrays(values, q, pad))
+
+
 def _bound_column(request, spec: AttributeSpec):
-    """``spec``'s column: range side packed, domain side bound.
+    """``spec``'s column: range side packed, domain side bound, each
+    from the features its source keeps.
 
     A domain side over the memory budget sends both sides to the
     scalar column, where :func:`~repro.engine.columns.build_column`
@@ -355,10 +374,17 @@ def _bound_column(request, spec: AttributeSpec):
     """
     domain_values, range_values = source_values(
         request.domain, request.range, spec.attribute, spec.range_attribute)
+    similarity = spec.similarity
     try:
-        return build_column(spec.similarity, range_values).bind(domain_values)
+        return build_column(
+            similarity, range_values,
+            _kept_grams(request.range, spec.range_attribute, range_values,
+                        similarity),
+        ).bind(domain_values,
+               _kept_grams(request.domain, spec.attribute, domain_values,
+                           similarity))
     except MemoryError:
-        return ScalarColumn(spec.similarity, range_values).bind(domain_values)
+        return ScalarColumn(similarity, range_values).bind(domain_values)
 
 
 def _prepared_column(request, spec: AttributeSpec):

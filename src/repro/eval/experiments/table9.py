@@ -17,8 +17,10 @@ candidates the same way plus recall of the injected duplicate pairs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.blocking import TokenBlocking
-from repro.core.mapping import Mapping
+from repro.core.mapping import Mapping, distinct_keys
 from repro.core.matchers.attribute import AttributeMatcher
 from repro.core.matchers.neighborhood import neighborhood_match
 from repro.core.operators.merge import merge
@@ -59,40 +61,44 @@ def run_table9(source, *, top_k: int = 5) -> ExperimentResult:
     # all co-authors but have unrelated names from flooding the top.
     merged = merge([co_author_sim, name_sim], "avg0").without_identity()
 
-    # unordered candidate pairs ranked by merged similarity; the merged
-    # mapping is symmetric but iterates in the order of its set-built
-    # inputs, so each pair is emitted as (min id, max id) and ties are
-    # broken on the ids — the ranking must not follow PYTHONHASHSEED
-    seen = set()
-    candidates = []
-    for corr in merged:
-        key = tuple(sorted((corr.domain, corr.range)))
-        if key in seen:
-            continue
-        seen.add(key)
-        author_a, author_b = key
-        shared = len(
-            set(dblp.co_author.range_ids_of(author_a))
-            & set(dblp.co_author.range_ids_of(author_b))
-        )
-        candidates.append({
-            "author_a": author_a,
-            "author_b": author_b,
-            "name_a": authors.require(author_a).get("name"),
-            "name_b": authors.require(author_b).get("name"),
-            "co_author": co_author_sim.get(author_a, author_b) or 0.0,
-            "name": name_sim.get(author_a, author_b) or 0.0,
-            "merged": corr.similarity,
-            "shared_co_authors": shared,
-        })
-    candidates.sort(key=lambda row: (-row["merged"], row["author_a"],
-                                     row["author_b"]))
-
-    # recall of injected duplicates among the top candidates
     gold = workbench.dataset.gold.get("author-duplicates",
                                       authors.name, authors.name)
     gold_pairs = {tuple(sorted(pair)) for pair in gold.pairs()}
-    top = candidates[:max(top_k, len(gold_pairs))]
+
+    # unordered candidate pairs ranked by merged similarity.  The merged
+    # mapping is symmetric but iterates in the order of its set-built
+    # inputs, so each pair is taken where it first occurs, named
+    # (min id, max id), and ties are broken on the ids — the ranking
+    # must not follow PYTHONHASHSEED.  Ranked on the columns first:
+    # only the pairs that are reported get their detail row.
+    columns = merged.columns()
+    ids = columns.domain_space.ids  # a self-mapping: one id space
+    low = np.minimum(columns.domain, columns.range).astype(np.int64)
+    first, _ = distinct_keys(
+        (low << 32) | np.maximum(columns.domain, columns.range))
+    sims = columns.sims[first]
+    keep = max(top_k, len(gold_pairs))
+    if 0 < keep < len(first):
+        # everything tied with the keep-th similarity is still in
+        first = first[sims >= np.partition(sims, -keep)[-keep]]
+    ranked = sorted(
+        (-similarity, *sorted((ids[domain], ids[range_])))
+        for domain, range_, similarity in zip(
+            columns.domain[first].tolist(), columns.range[first].tolist(),
+            columns.sims[first].tolist()))
+    top = [{
+        "author_a": author_a,
+        "author_b": author_b,
+        "name_a": authors.require(author_a).get("name"),
+        "name_b": authors.require(author_b).get("name"),
+        "co_author": co_author_sim.get(author_a, author_b) or 0.0,
+        "name": name_sim.get(author_a, author_b) or 0.0,
+        "merged": -negated,
+        "shared_co_authors": len(
+            set(dblp.co_author.range_ids_of(author_a))
+            & set(dblp.co_author.range_ids_of(author_b))),
+    } for negated, author_a, author_b in ranked[:keep]]
+    # recall of injected duplicates among the top candidates
     found = sum(
         1 for row in top
         if (row["author_a"], row["author_b"]) in gold_pairs
@@ -104,7 +110,7 @@ def run_table9(source, *, top_k: int = 5) -> ExperimentResult:
         ["rank", "author", "author'", "co-author", "name", "merge",
          "(paths)"],
     )
-    for rank, row in enumerate(candidates[:top_k], start=1):
+    for rank, row in enumerate(top[:top_k], start=1):
         table.add_row(
             rank, row["name_a"], row["name_b"],
             percent_cell(row["co_author"]), percent_cell(row["name"]),
@@ -123,7 +129,7 @@ def run_table9(source, *, top_k: int = 5) -> ExperimentResult:
     return ExperimentResult(
         "table9", "duplicate author detection", table,
         data={
-            "candidates": candidates[:top_k],
+            "candidates": top[:top_k],
             "recall_at_k": recall_at_k,
             "gold_pairs": len(gold_pairs),
         },

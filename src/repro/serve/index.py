@@ -74,7 +74,6 @@ from repro.engine.request import AttributeSpec
 from repro.engine.vectorized import bind_columns, build_columns
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource
-from repro.sim.ngram import NGramSimilarity
 from repro.sim.registry import get_similarity
 from repro.sim.tokenize import word_tokens
 
@@ -199,14 +198,10 @@ class IncrementalIndex:
             id: slot for slot, id in enumerate(self._slot_ids)}
         restored = getattr(self, "_pending_column_states", None)
         self._pending_column_states = None
-        # corpus statistics (gram caches, TF/IDF document frequencies)
-        # refresh here and freeze until the next rebuild
+        # corpus statistics (TF/IDF document frequencies) refresh here
+        # and freeze until the next rebuild; the q-gram family has
+        # none, which keeps its restore O(mmap)
         for spec in self.specs:
-            if restored is not None and isinstance(spec.similarity,
-                                                   NGramSimilarity):
-                # gram caches refill lazily; skipping the warm-up keeps
-                # restore O(mmap) for the q-gram family
-                continue
             spec.similarity.prepare(
                 base.attribute_values(spec.range_attribute))
         self._base_values = [

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.sim.base import SimilarityFunction
 from repro.sim.edit import JaroWinklerSimilarity
 from repro.sim.ngram import TrigramSimilarity
-from repro.sim.tokenize import initials, name_parts, normalize, word_tokens
+from repro.sim.tokenize import name_features, normalize, word_tokens
 
 
 class ExactSimilarity(SimilarityFunction):
@@ -97,29 +97,24 @@ class PersonNameSimilarity(SimilarityFunction):
         self.inner = inner if inner is not None else TrigramSimilarity()
         self.last_weight = last_weight
 
-    def _first_similarity(self, first_a: str, first_b: str) -> float:
-        norm_a = normalize(first_a)
-        norm_b = normalize(first_b)
-        if not norm_a or not norm_b:
-            return 0.5
-        initials_a = initials(first_a)
-        initials_b = initials(first_b)
-        tokens_a = word_tokens(first_a)
-        tokens_b = word_tokens(first_b)
-        abbreviated_a = all(len(tok) == 1 for tok in tokens_a)
-        abbreviated_b = all(len(tok) == 1 for tok in tokens_b)
-        if abbreviated_a or abbreviated_b:
+    def _score(self, a: str, b: str) -> float:
+        # everything read off one name is memoized per name
+        # (tokenize.name_features); a pair only pays the inner
+        # similarity of the parts
+        last_a, first_a, initials_a, abbreviated_a = name_features(a)
+        last_b, first_b, initials_b, abbreviated_b = name_features(b)
+        last_sim = self.inner.similarity(last_a, last_b)
+        if not first_a or not first_b:
+            first_sim = 0.5
+        elif abbreviated_a or abbreviated_b:
             # Compare on the shared number of initials so "J." matches
             # "John B." (first initial agrees).
             width = min(len(initials_a), len(initials_b))
             if width == 0:
-                return 0.5
-            return 1.0 if initials_a[:width] == initials_b[:width] else 0.0
-        return self.inner.similarity(norm_a, norm_b)
-
-    def _score(self, a: str, b: str) -> float:
-        first_a, last_a = name_parts(a)
-        first_b, last_b = name_parts(b)
-        last_sim = self.inner.similarity(normalize(last_a), normalize(last_b))
-        first_sim = self._first_similarity(first_a, first_b)
+                first_sim = 0.5
+            else:
+                first_sim = (1.0 if initials_a[:width] == initials_b[:width]
+                             else 0.0)
+        else:
+            first_sim = self.inner.similarity(first_a, first_b)
         return self.last_weight * last_sim + (1.0 - self.last_weight) * first_sim

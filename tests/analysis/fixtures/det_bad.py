@@ -44,3 +44,26 @@ def sort_items_ignoring_key(scores):
 
 def sort_values_with_key(scores):
     return sorted(scores.values(), key=lambda cluster: -cluster.size)
+
+
+def gram_set(text) -> FrozenSet[str]:
+    return frozenset(text)
+
+
+def iterate_set_returning_function(text):
+    return [gram for gram in gram_set(text)]
+
+
+class Column:
+    def _grams(self, value) -> "typing.Set[str]":
+        return set(value)
+
+    def vocabulary(self, values):
+        positions = {}
+        for value in values:
+            for gram in self._grams(value):
+                positions.setdefault(gram, len(positions))
+        return positions
+
+    def weight(self, value):
+        return sum(self._grams(value))

@@ -44,3 +44,37 @@ def sort_items_with_tiebreak(scores):
 
 def membership_test(token, vocabulary):
     return token in set(vocabulary)
+
+
+def gram_set(text) -> FrozenSet[str]:
+    return frozenset(text)
+
+
+def gram_list(text) -> List[str]:
+    return list(text)
+
+
+def iterate_sorted_set_returning_function(text):
+    return [gram for gram in sorted(gram_set(text))] \
+        + [gram for gram in gram_list(text)]
+
+
+class Column:
+    def _grams(self, value) -> Set[str]:
+        return set(value)
+
+    def vocabulary(self, values, other):
+        positions = {}
+        for value in values:
+            for gram in sorted(self._grams(value)):
+                positions.setdefault(gram, len(positions))
+            # someone else's method of the same name: unknown type
+            for gram in other._grams(value):
+                positions.setdefault(gram, len(positions))
+        return positions
+
+
+class Unrelated:
+    def tokens(self, value):
+        # a bare name resolves against the module, not ``Column``
+        return [gram for gram in _grams(value)]

@@ -14,6 +14,10 @@ def test_det_bad_fixture_exact_codes_and_lines(load_fixture, line_of):
         ("DET003", line_of(source, "math.fsum({")),
         ("DET004", line_of(source, "key=lambda kv: kv[1])")),
         ("DET004", line_of(source, "scores.values()")),
+        # a set-annotated callee of the same module / class
+        ("DET001", line_of(source, "for gram in gram_set(text)")),
+        ("DET001", line_of(source, "for gram in self._grams(value):")),
+        ("DET003", line_of(source, "return sum(self._grams(value))")),
     }
     assert {(finding.code, finding.line) for finding in findings} == expected
     assert all(finding.file == "repro/engine/det_bad.py"

@@ -1,0 +1,74 @@
+"""The per-gram packing loops, kept as the oracle for the array packer.
+
+This is how :class:`repro.engine.columns.NGramColumn` built its
+vocabulary and packed a side before both went through
+:func:`repro.sim.ngram.gram_arrays`: one Python step per gram of every
+value, over ``frozenset(qgrams(...))`` gram sets.  Only the constructor
+and ``_pack`` are the old code; binding and scoring are inherited, so a
+:class:`ReferenceNGramColumn` and an ``NGramColumn`` over the same
+values must agree on ``sizes``, on every pairwise overlap and, bit for
+bit, on ``score_rows``.
+
+The vocabulary loop walks a ``frozenset``, so bit *positions* here
+follow ``PYTHONHASHSEED`` — the defect the array packer's sorted
+vocabulary removed.  Scores never depended on them.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+
+import numpy as _np
+
+from repro.engine.columns import MAX_INDEX_BYTES, NGramColumn, _Column
+from repro.sim.ngram import NGramSimilarity
+from repro.sim.tokenize import qgrams
+
+
+class ReferenceNGramColumn(NGramColumn):
+    """:class:`NGramColumn` with the per-gram vocabulary and pack loops."""
+
+    def __init__(self, sim: NGramSimilarity,
+                 reference_values: Sequence[object]) -> None:
+        _Column.__init__(self, sim, reference_values)
+        self.method = sim.method
+        vocabulary: Dict[str, int] = {}
+        for value in reference_values:
+            for gram in self._grams(value):
+                if gram not in vocabulary:
+                    vocabulary[gram] = len(vocabulary)
+        self._vocabulary = vocabulary
+        self._width = max(1, (len(vocabulary) + 63) // 64)
+        self.range = self._pack(reference_values)
+
+    def _grams(self, value: object) -> FrozenSet[str]:
+        if value is None:
+            return frozenset()
+        return frozenset(qgrams(str(value), self.sim.q, pad=self.sim.pad))
+
+    def _pack(self, values: Sequence[object],
+              features: Any = None) -> Tuple[Any, Any]:
+        width = self._width
+        if len(values) * width * 8 > MAX_INDEX_BYTES:
+            raise MemoryError("packed gram index exceeds budget")
+        bits = _np.zeros((len(values), width), dtype=_np.uint64)
+        sizes = _np.zeros(len(values), dtype=_np.int64)
+        rows: List[int] = []
+        positions: List[int] = []
+        lookup = self._vocabulary.get
+        for row, value in enumerate(values):
+            grams = self._grams(value)
+            sizes[row] = len(grams)
+            for gram in grams:
+                position = lookup(gram)
+                if position is not None:
+                    rows.append(row)
+                    positions.append(position)
+        if rows:
+            position_array = _np.asarray(positions, dtype=_np.int64)
+            cells = _np.asarray(rows, dtype=_np.int64) * width \
+                + (position_array >> 6)
+            masks = _np.left_shift(
+                _np.uint64(1), (position_array & 63).astype(_np.uint64))
+            _np.bitwise_or.at(bits.reshape(-1), cells, masks)
+        return bits, sizes

@@ -608,9 +608,14 @@ class TestSerialShardedEquivalence:
                 assert not any(isinstance(value, float)
                                for value in obj.values()), obj
         # and the similarity that packed is left prepared but unburdened
+        # (per string a similarity may keep TF/IDF vectors only; gram
+        # sets are the process memo's, repro.sim.tokenize)
         for spec_similarity in _similarities(matcher):
-            assert not getattr(spec_similarity, "_gram_cache", None)
-            assert not getattr(spec_similarity, "_vector_cache", None)
+            state = dict(vars(spec_similarity))
+            assert not state.pop("_vector_cache", None)
+            state.pop("_idf", None)  # corpus statistics
+            assert not any(isinstance(value, (dict, list, set, frozenset))
+                           for value in state.values()), state
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,252 @@
+"""The array q-gram packer against the per-gram loops (``reference_pack``).
+
+:func:`repro.sim.ngram.gram_arrays` is the only way a q-gram column is
+packed — engine requests, the serve index's reference side and every
+page it binds.  Three statements hold it to the old loops:
+
+* the arrays *are* ``set(qgrams(...))`` row by row (a hypothesis
+  property and a table of awkward values);
+* a column packed from them has the oracle's sizes and pairwise
+  overlaps and scores bitwise equal — for every ``(q, pad)`` that
+  ``column_config`` admits and every method;
+* the packed bytes depend on the values only: equal under two string
+  hash seeds, and a snapshot in the old (hash-order) vocabulary still
+  restores and scores the same.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_pack import ReferenceNGramColumn
+from repro.engine.columns import NGramColumn, build_column, import_column
+from repro.sim.ngram import NGramSimilarity, gram_arrays
+from repro.sim.tokenize import clear_memo, qgrams
+
+#: what the packer must survive: ASCII, accents that decompose, letters
+#: that do not (``ø``, CJK, a supplementary-plane ideograph),
+#: punctuation only, empty, missing, shorter than every ``q`` tried,
+#: a lone surrogate (JSON can deliver one), repeated grams, duplicates
+REFERENCE = [
+    "Adaptive Query Processing", "adaptive query optimization",
+    "Café Müller", "Søren Kierkegård", "数据库系统概论", "数据 集成 𠀋",
+    "?!...", "", None, "a", "ab", "abc", "aaaaaaa", "x y", "\ud800z",
+    "The Potter's Wheel: An Interactive Data Cleaning System",
+    "adaptive query optimization",
+]
+QUERIES = [
+    "adaptive query procesing", "cafe muller", "Sören Kierkegard",
+    "数据库", None, "", "zzzz", "b", "ba", "Potter's wheel", "ø", "# #",
+    "q" * 40, "abc",
+]
+
+
+def _row_sets(arrays, count):
+    sets = [set() for _ in range(count)]
+    for row, code in zip(arrays.rows.tolist(), arrays.codes.tolist()):
+        gram = arrays.grams[code]
+        assert gram not in sets[row], "entries must be row-unique"
+        sets[row].add(gram)
+    return sets
+
+
+def _expected_sets(values, q, pad):
+    return [set() if value is None else set(qgrams(str(value), q, pad=pad))
+            for value in values]
+
+
+@pytest.mark.parametrize("pad", [True, False], ids=["pad", "nopad"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+class TestGramArrays:
+    def test_rows_are_the_qgram_sets(self, q, pad):
+        for values in (REFERENCE, QUERIES, [], [None], ["", "?"]):
+            arrays = gram_arrays(values, q, pad)
+            expected = _expected_sets(values, q, pad)
+            assert _row_sets(arrays, len(values)) == expected
+            assert arrays.sizes.tolist() == [len(grams) for grams in expected]
+            assert arrays.sizes.dtype == np.int64
+            assert (np.diff(arrays.rows) >= 0).all()
+            # the order that makes packed bytes seed-independent
+            assert arrays.grams == sorted(set().union(*expected))
+
+    @pytest.mark.parametrize("method", ["dice", "jaccard", "overlap"])
+    def test_column_equals_the_loop_packed_oracle(self, q, pad, method):
+        sim = NGramSimilarity(q, method=method, pad=pad)
+        column = build_column(sim, REFERENCE)
+        assert type(column) is NGramColumn
+        kernel = column.bind(QUERIES)
+        oracle = ReferenceNGramColumn(sim, REFERENCE).bind(QUERIES)
+        assert set(column._vocabulary) == set(oracle._vocabulary)
+        for side in ("domain", "range"):
+            assert np.array_equal(getattr(kernel, side)[1],
+                                  getattr(oracle, side)[1])
+        rows_a, rows_b = (grid.ravel() for grid in np.meshgrid(
+            np.arange(len(QUERIES)), np.arange(len(REFERENCE)),
+            indexing="ij"))
+
+        def overlaps(bound):
+            return np.bitwise_count(
+                bound.domain[0][rows_a] & bound.range[0][rows_b]).sum(axis=1)
+
+        assert np.array_equal(overlaps(kernel), overlaps(oracle))
+        scores = kernel.score_rows(rows_a, rows_b)
+        assert scores.tobytes() == oracle.score_rows(rows_a, rows_b).tobytes()
+        assert np.array_equal(kernel.score_bound_rows(rows_a, rows_b),
+                              oracle.score_bound_rows(rows_a, rows_b))
+        # ... which are the scalar scores, pair by pair
+        assert scores.tolist() == [
+            sim.similarity(QUERIES[a], REFERENCE[b])
+            for a, b in zip(rows_a.tolist(), rows_b.tolist())]
+
+    def test_kept_features_pack_like_fresh_ones(self, q, pad):
+        sim = NGramSimilarity(q, pad=pad)
+        fresh = build_column(sim, REFERENCE).bind(QUERIES)
+        kept = build_column(sim, REFERENCE,
+                            gram_arrays(REFERENCE, q, pad)) \
+            .bind(QUERIES, gram_arrays(QUERIES, q, pad))
+        assert kept.export()[0] == fresh.export()[0]
+        for side in ("domain", "range"):
+            for mine, theirs in zip(getattr(kept, side),
+                                    getattr(fresh, side)):
+                assert mine.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.one_of(
+           st.none(),
+           st.text(max_size=12),
+           st.text(alphabet="ab #é𠀋", max_size=6)), max_size=8),
+       q=st.integers(min_value=1, max_value=5), pad=st.booleans())
+def test_array_grams_are_the_qgram_sets(values, q, pad):
+    arrays = gram_arrays(values, q, pad)
+    assert _row_sets(arrays, len(values)) == _expected_sets(values, q, pad)
+
+
+def test_rejects_a_non_positive_q_like_qgrams():
+    with pytest.raises(ValueError):
+        gram_arrays(["abc"], 0, True)
+
+
+def test_an_alphabet_too_wide_for_one_code_is_reranked():
+    """``|alphabet| ** q`` past 63 bits: the window codes are re-ranked
+    between digits instead of wrapping around."""
+    letters = "".join(map(chr, list(range(0x3400, 0x9FA6))
+                          + list(range(0x20000, 0x2A6D7))))
+    assert len(set(letters)) ** 4 > 2 ** 63
+    values = [letters, letters[1000:1010], letters[:3], None]
+    arrays = gram_arrays(values, 4, False)
+    assert _row_sets(arrays, len(values)) == _expected_sets(values, 4, False)
+
+
+def test_the_memo_does_not_enter_the_arrays():
+    first = gram_arrays(REFERENCE, 3, True)
+    clear_memo()
+    second = gram_arrays(REFERENCE, 3, True)
+    assert first.grams == second.grams
+    for mine, theirs in zip(first[:3], second[:3]):
+        assert np.array_equal(mine, theirs)
+
+
+# ----------------------------------------------------------------------
+# packed bytes are a function of the values
+# ----------------------------------------------------------------------
+
+_EXPORT = """
+import hashlib, json, sys
+from repro.engine.columns import build_column
+from repro.sim.ngram import NGramSimilarity
+values = json.loads(sys.argv[1])
+meta, arrays = build_column(NGramSimilarity(3), values).export()
+print(json.dumps([meta, {name: hashlib.sha256(array.tobytes()).hexdigest()
+                         for name, array in arrays.items()}]))
+"""
+
+
+def _export_under(seed: str):
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _EXPORT, json.dumps(REFERENCE)],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_export_is_equal_under_two_hash_seeds():
+    """The vocabulary used to take its order from iterating frozensets,
+    so a serve snapshot's ``meta["vocabulary"]`` and ``range_bits``
+    bytes differed from one interpreter to the next."""
+    meta, digests = first = _export_under("1")
+    assert first == _export_under("2")
+    assert meta["vocabulary"] == sorted(meta["vocabulary"])
+    assert set(digests) == {"range_bits", "range_sizes"}
+
+
+@pytest.mark.parametrize("method", ["dice", "jaccard", "overlap"])
+def test_a_snapshot_in_the_old_vocabulary_order_restores(method):
+    """Positions come from ``meta["vocabulary"]``, whatever its order:
+    a snapshot written before the vocabulary was sorted loads and
+    scores like a freshly packed column."""
+    sim = NGramSimilarity(3, method=method)
+    meta, arrays = ReferenceNGramColumn(sim, REFERENCE).export()
+    assert meta["vocabulary"] != sorted(meta["vocabulary"])
+    # through JSON, as the snapshot manifest stores it
+    restored = import_column(sim, json.loads(json.dumps(meta)), arrays,
+                             REFERENCE)
+    assert type(restored) is NGramColumn
+    fresh = build_column(sim, REFERENCE)
+    rows_a, rows_b = (grid.ravel() for grid in np.meshgrid(
+        np.arange(len(QUERIES)), np.arange(len(REFERENCE)), indexing="ij"))
+    assert restored.bind(QUERIES).score_rows(rows_a, rows_b).tobytes() \
+        == fresh.bind(QUERIES).score_rows(rows_a, rows_b).tobytes()
+    assert restored.export()[0] == meta
+
+
+# ----------------------------------------------------------------------
+# who keeps the extraction
+# ----------------------------------------------------------------------
+
+def test_a_source_extracts_an_attribute_once_for_all_its_partners(
+        dataset, monkeypatch, scalar_reference):
+    """DBLP's titles are extracted for DBLP→ACM and found for DBLP→GS —
+    whatever the method, the threshold or the similarity object."""
+    from repro.blocking import TokenBlocking
+    from repro.engine import (AttributeSpec, BatchMatchEngine, MatchRequest,
+                              vectorized)
+
+    dblp, acm, gs = (source.subset(source.ids()) for source in (
+        dataset.dblp.publications, dataset.acm.publications,
+        dataset.gs.publications))
+    extracted = []
+
+    def counting(values, q, pad):
+        extracted.append((len(values), q, pad))
+        return gram_arrays(values, q, pad)
+
+    monkeypatch.setattr(vectorized, "gram_arrays", counting)
+    engine = BatchMatchEngine()
+    for range_, method in ((acm, "dice"), (gs, "dice"), (gs, "jaccard")):
+        request = MatchRequest(
+            domain=dblp, range=range_, threshold=0.5,
+            specs=[AttributeSpec("title", "title",
+                                 NGramSimilarity(3, method=method))],
+            blocking=TokenBlocking(max_df=0.5))
+        assert list(engine.execute(request)) \
+            == list(scalar_reference(request))
+    assert sorted(extracted) == sorted(
+        (len(source), 3, True) for source in (dblp, acm, gs))
+    assert ("gram-arrays", "title", 3, True) in dblp._derived
+    # a different (q, pad) is a different extraction
+    engine.execute(MatchRequest(
+        domain=dblp, range=acm, threshold=0.5,
+        specs=[AttributeSpec("title", "title", NGramSimilarity(2))],
+        blocking=TokenBlocking(max_df=0.5)))
+    assert len(extracted) == 5

@@ -116,10 +116,17 @@ def test_similarity_layer_calls(name):
               ("schema matching", "schema matching survey"), ("x", "y")]
     similarity = get_similarity(name)
     assert similarity.name == name
-    similarity.prepare([value for pair in sample for value in pair])
+    # ``_sim_layer`` times both calls: ``prepare`` takes the flat value
+    # list (repeats included) and returns nothing, ``score_batch`` one
+    # float per pair, in order — the pairwise ``similarity``
+    assert similarity.prepare(
+        [value for pair in sample for value in pair]) is None
     scores = similarity.score_batch(sample)
-    assert len(scores) == len(sample)
+    assert type(scores) is list and len(scores) == len(sample)
+    assert all(type(score) is float and 0.0 <= score <= 1.0
+               for score in scores)
     assert scores[0] > 0.0 and scores[2] == 0.0
+    assert scores == [similarity.similarity(a, b) for a, b in sample]
 
 
 def test_index_read_layer_calls(dataset):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.ngram import DiceNGram, JaccardNGram, NGramSimilarity, TrigramSimilarity
+from repro.sim.tokenize import qgrams
 
 
 class TestTrigram:
@@ -54,17 +55,23 @@ class TestVariants:
         with pytest.raises(ValueError):
             NGramSimilarity(3, method="cosine")
 
-    def test_gram_cache_reused(self):
-        sim = TrigramSimilarity()
-        grams_first = sim.grams("hello world")
-        grams_second = sim.grams("hello world")
+    def test_gram_sets_come_from_the_process_memo(self):
+        # one set per (value, q, pad), whichever instance asks
+        grams_first = TrigramSimilarity().grams("hello world")
+        grams_second = DiceNGram(3).grams("hello world")
         assert grams_first is grams_second
+        assert grams_first == frozenset(qgrams("hello world", 3))
+        assert DiceNGram(3, pad=False).grams("hello world") \
+            == frozenset(qgrams("hello world", 3, pad=False))
+        assert not any(isinstance(state, (dict, set, frozenset))
+                       for state in vars(TrigramSimilarity()).values())
 
-    def test_prepare_populates_cache(self):
+    def test_prepare_is_accepted_and_changes_nothing(self):
         sim = TrigramSimilarity()
+        before = sim("alpha", "beta")
         sim.prepare(["alpha", "beta", None])
-        assert sim.grams("alpha")  # already cached, still correct
-        assert sim("alpha", "beta") >= 0.0
+        assert sim.grams("alpha") == frozenset(qgrams("alpha", 3))
+        assert sim("alpha", "beta") == before
 
     def test_q1_grams(self):
         sim = NGramSimilarity(1, pad=False)
