@@ -230,7 +230,7 @@ def all_checkers() -> List[Checker]:
     """One fresh instance of every registered checker, in code order."""
     from repro.analysis.api import ApiErrorChecker
     from repro.analysis.cfg import ConfigContractChecker
-    from repro.analysis.det import DeterminismChecker
+    from repro.analysis.det import DeterminismChecker, SetMethodChecker
     from repro.analysis.dur import DurabilityChecker
     from repro.analysis.krn import KernelSurfaceChecker
     from repro.analysis.lck import (
@@ -244,6 +244,7 @@ def all_checkers() -> List[Checker]:
         ApiErrorChecker, ConfigContractChecker, DeterminismChecker,
         DurabilityChecker, InterproceduralLockChecker, KernelSurfaceChecker,
         LockOrderChecker, PickleSafetyChecker, RpcProtocolChecker,
+        SetMethodChecker,
     ]
     return [cls() for cls in sorted(classes, key=lambda cls: cls.CODE)]
 
@@ -271,6 +272,41 @@ def tail_name(node: ast.expr) -> Optional[str]:
     if dotted is None:
         return None
     return dotted.rsplit(".", 1)[-1]
+
+
+def ordered_iterables(node: ast.AST) -> List[ast.expr]:
+    """The expressions ``node`` consumes element by element, in order:
+    the iterable of a ``for`` or of a comprehension's generators, the
+    argument of ``list(...)`` / ``tuple(...)``."""
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                         ast.GeneratorExp)):
+        return [generator.iter for generator in node.generators]
+    if isinstance(node, ast.Call) and len(node.args) == 1 \
+            and not node.keywords \
+            and call_name(node.func) in ("list", "tuple"):
+        return [node.args[0]]
+    return []
+
+
+def parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
+    """``id(node)`` -> parent, over every node under ``tree``."""
+    return {id(child): parent for parent in ast.walk(tree)
+            for child in ast.iter_child_nodes(parent)}
+
+
+def sorted_wrapped(node: ast.expr, parents: Dict[int, ast.AST]) -> bool:
+    """Whether ``node`` is an (arbitrarily nested) argument of a call
+    that forgets element order: ``sorted()``, ``len()``."""
+    current: Optional[ast.AST] = parents.get(id(node))
+    while current is not None:
+        if isinstance(current, ast.Call) \
+                and call_name(current.func) in ("sorted", "len",
+                                                "list.sort"):
+            return True
+        current = parents.get(id(current))
+    return False
 
 
 def walk_functions(tree: ast.Module) -> Iterator[Tuple[ast.AST, List[str]]]:

@@ -11,11 +11,15 @@ tie-breaks by insertion history.
 Rules:
 
 =======  ============================================================
-DET001   ``for``/comprehension iterates directly over a set
+DET001   ``for``/comprehension iterates directly over — or
+         ``list(...)``/``tuple(...)`` freezes the order of — a set
          expression (literal, comprehension, ``set()``/``frozenset()``
          call, a local variable only ever assigned sets, or a call of
          a function of the same module / ``self.`` method of the same
-         class annotated ``-> Set[...]`` / ``-> FrozenSet[...]``)
+         class annotated ``-> Set[...]`` / ``-> FrozenSet[...]``);
+         across modules (:class:`SetMethodChecker`), a set-annotated
+         method called on a local whose class the project graph can
+         name — ``list(neighborhood.pairs())``
 DET002   ``os.listdir``/``os.scandir`` result used without
          ``sorted(...)`` around the call
 DET003   ``sum()``/``math.fsum()`` over a set expression — float
@@ -40,8 +44,17 @@ from repro.analysis.core import (
     Checker,
     Finding,
     ModuleContext,
+    ProjectChecker,
     call_name,
+    ordered_iterables,
+    parent_map,
+    sorted_wrapped,
     tail_name,
+)
+from repro.analysis.graph import (
+    FunctionSummary,
+    ProjectGraph,
+    annotation_head,
 )
 
 _SET_CALLS = {"set", "frozenset"}
@@ -72,20 +85,15 @@ def _is_set_expression(node: ast.expr) -> bool:
     return False
 
 
+def _names_set(head: Optional[str]) -> bool:
+    """Whether an annotation's head names a hash-ordered collection."""
+    return head is not None and head.rsplit(".", 1)[-1] in _SET_ANNOTATIONS
+
+
 def _returns_set(function: Union[ast.FunctionDef,
                                  ast.AsyncFunctionDef]) -> bool:
     """Whether a ``def`` is annotated as returning a set type."""
-    annotation = function.returns
-    if isinstance(annotation, ast.Constant) \
-            and isinstance(annotation.value, str):
-        try:
-            annotation = ast.parse(annotation.value, mode="eval").body
-        except SyntaxError:
-            return False
-    if isinstance(annotation, ast.Subscript):
-        annotation = annotation.value
-    return annotation is not None \
-        and tail_name(annotation) in _SET_ANNOTATIONS
+    return _names_set(annotation_head(function.returns))
 
 
 def _set_returning_defs(tree: ast.Module) -> Dict[int, Set[str]]:
@@ -106,18 +114,6 @@ def _set_returning_defs(tree: ast.Module) -> Dict[int, Set[str]]:
 def _is_listdir_call(node: ast.expr) -> bool:
     return isinstance(node, ast.Call) \
         and call_name(node.func) in _LISTDIR_CALLS
-
-
-def _is_sorted_wrapped(node: ast.expr, parents: Dict[int, ast.AST]) -> bool:
-    """Whether ``node`` is an (arbitrarily nested) argument of sorted()."""
-    current: Optional[ast.AST] = parents.get(id(node))
-    while current is not None:
-        if isinstance(current, ast.Call):
-            name = call_name(current.func)
-            if name in ("sorted", "len", "list.sort"):
-                return True
-        current = parents.get(id(current))
-    return False
 
 
 class _SetLocals(ast.NodeVisitor):
@@ -199,18 +195,21 @@ def _lambda_item_indices(key: ast.expr) -> Optional[Set[object]]:
     return indices
 
 
+_HASH_ORDERED = ("iteration over a set is hash-ordered (process-"
+                 "dependent for strings); iterate sorted(...) or a "
+                 "deterministic sequence instead")
+
+
 class DeterminismChecker(Checker):
     """DET001-DET004 over the scored / serving / kernel modules."""
 
     CODE = "DET"
     SCOPES = ("repro/engine/", "repro/serve/", "repro/sim/",
-              "repro/fusion/", "repro/blocking/", "repro/core/")
+              "repro/fusion/", "repro/blocking/", "repro/core/",
+              "repro/eval/experiments/")
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        parents: Dict[int, ast.AST] = {}
-        for parent in ast.walk(context.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[id(child)] = parent
+        parents = parent_map(context.tree)
         set_locals = self._function_set_locals(context.tree)
         # (names only ever assigned sets, set-annotated defs)
         set_names = (set_locals, _set_returning_defs(context.tree))
@@ -292,26 +291,17 @@ class DeterminismChecker(Checker):
     def _check_iteration(self, context: ModuleContext, node: ast.AST,
                          set_names: _SetNames,
                          parents: Dict[int, ast.AST]) -> Iterator[Finding]:
-        iterables: List[ast.expr] = []
-        if isinstance(node, ast.For):
-            iterables.append(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            iterables.extend(generator.iter for generator in node.generators)
-        for iterable in iterables:
+        for iterable in ordered_iterables(node):
             if self._iterable_is_set(iterable, node, set_names, parents) \
-                    and not _is_sorted_wrapped(iterable, parents):
-                yield Finding(
-                    context.path, iterable.lineno, "DET001",
-                    "iteration over a set is hash-ordered (process-"
-                    "dependent for strings); iterate sorted(...) or a "
-                    "deterministic sequence instead")
+                    and not sorted_wrapped(iterable, parents):
+                yield Finding(context.path, iterable.lineno, "DET001",
+                              _HASH_ORDERED)
 
     def _check_listdir(self, context: ModuleContext, node: ast.Call,
                        parents: Dict[int, ast.AST]) -> Iterator[Finding]:
         if not _is_listdir_call(node):
             return
-        if _is_sorted_wrapped(node, parents):
+        if sorted_wrapped(node, parents):
             return
         name = call_name(node.func)
         yield Finding(
@@ -359,3 +349,40 @@ class DeterminismChecker(Checker):
                 "sorting dict values() with a projecting key tie-breaks "
                 "by insertion order; sort items() with an explicit "
                 "tie-break")
+
+
+class SetMethodChecker(ProjectChecker):
+    """DET001 across modules: a set-annotated *method* of another
+    object, consumed in order.
+
+    The per-file rule only sees set-returning helpers of the same
+    module or class.  ``list(neighborhood.pairs())`` hides the set
+    behind a method of a class defined elsewhere
+    (``Mapping.pairs -> Set[...]``); the project graph names the
+    receiver's class — its annotation, the class it was constructed
+    from, or the return annotation of the function it was assigned
+    from — and the method's own return annotation says whether what
+    comes back is a set.
+    """
+
+    CODE = "DET"
+    SCOPES = DeterminismChecker.SCOPES
+
+    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
+        for file in graph.ordered_files():
+            if not self.file_in_scope(file.path):
+                continue
+            for function in file.functions:
+                for use in function.method_iterations:
+                    owner = graph.resolve(use.ref, file)
+                    if owner is not None \
+                            and isinstance(owner.node, FunctionSummary):
+                        # a call's result: the class its annotation
+                        # names, as the callee's own module spells it
+                        owner = graph.resolve(owner.node.returns or "",
+                                              owner.file)
+                    method = None if owner is None else graph.function_named(
+                        f"{owner.qualname}.{use.method}")
+                    if method is not None and _names_set(method[0].returns):
+                        yield Finding(file.path, use.line, "DET001",
+                                      _HASH_ORDERED)

@@ -33,12 +33,15 @@ import ast
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.core import ordered_iterables, parent_map, sorted_wrapped
+
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +118,20 @@ class CliFlag:
 
 
 @dataclass
+class MethodIteration:
+    """``<local>.<method>(...)`` consumed in order — a ``for`` or
+    comprehension iterable, a ``list(...)`` / ``tuple(...)`` argument —
+    outside any ``sorted(...)``."""
+
+    line: int
+    method: str
+    #: what names the receiver's class, from its one binding in the
+    #: function: the head of its annotation, or the callee whose result
+    #: it was assigned
+    ref: str
+
+
+@dataclass
 class FunctionSummary:
     """One function or method with everything the checkers consume."""
 
@@ -135,6 +152,9 @@ class FunctionSummary:
         default_factory=list)
     #: attributes referenced on ``self`` (or an alias of ``self``)
     attr_refs: List[str] = field(default_factory=list)
+    #: :func:`annotation_head` of the return annotation
+    returns: Optional[str] = None
+    method_iterations: List[MethodIteration] = field(default_factory=list)
 
 
 @dataclass
@@ -207,7 +227,10 @@ class FileSummary:
                     key_reads=[KeyRead(**r) for r in item["key_reads"]],
                     dict_assigns=[(a[0], a[1], list(a[2]))
                                   for a in item["dict_assigns"]],
-                    attr_refs=list(item["attr_refs"])))
+                    attr_refs=list(item["attr_refs"]),
+                    returns=item["returns"],
+                    method_iterations=[MethodIteration(**use) for use
+                                       in item["method_iterations"]]))
             return out
 
         def _classes(raw: List[dict]) -> List[ClassSummary]:
@@ -325,6 +348,56 @@ def _dict_literal_keys(node: ast.expr) -> Optional[List[str]]:
     return keys
 
 
+def annotation_head(annotation: Optional[ast.expr]) -> Optional[str]:
+    """The dotted name an annotation leads with — quotes, subscripts
+    and ``Optional[...]`` peeled: ``"Optional[m.Mapping]"`` ->
+    ``m.Mapping``, ``Set[Pair]`` -> ``Set``."""
+    if isinstance(annotation, ast.Constant) \
+            and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.Subscript):
+        head = _dotted_name(annotation.value)
+        if head is not None and head.rsplit(".", 1)[-1] == "Optional":
+            return annotation_head(annotation.slice)
+        return head
+    return _dotted_name(annotation) if annotation is not None else None
+
+
+def _method_iterations(node: ast.AST) -> List[MethodIteration]:
+    """Every :class:`MethodIteration` under the function ``node`` whose
+    receiver is bound exactly once: an annotated parameter never
+    assigned to, or a local assigned the result of one named call."""
+    stores = Counter(child.id for child in ast.walk(node)
+                     if isinstance(child, ast.Name)
+                     and isinstance(child.ctx, ast.Store))
+    parameters = {arg.arg: annotation_head(arg.annotation) for arg in
+                  node.args.posonlyargs + node.args.args
+                  + node.args.kwonlyargs}
+    bound = {name: head for name, head in parameters.items()
+             if head is not None and not stores[name]}
+    for child in ast.walk(node):
+        if isinstance(child, ast.Assign) and len(child.targets) == 1 \
+                and isinstance(child.targets[0], ast.Name) \
+                and isinstance(child.value, ast.Call):
+            name, callee = child.targets[0].id, _dotted_name(child.value.func)
+            if callee is not None and stores[name] == 1 \
+                    and name not in parameters:
+                bound[name] = callee
+    parents = parent_map(node)
+    return [MethodIteration(iterable.lineno, iterable.func.attr,
+                            bound[iterable.func.value.id])
+            for child in ast.walk(node)
+            for iterable in ordered_iterables(child)
+            if isinstance(iterable, ast.Call)
+            and isinstance(iterable.func, ast.Attribute)
+            and isinstance(iterable.func.value, ast.Name)
+            and iterable.func.value.id in bound
+            and not sorted_wrapped(iterable, parents)]
+
+
 def _summarize_function(node: ast.AST, qualname: str,
                         classname: Optional[str]) -> FunctionSummary:
     params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
@@ -332,7 +405,9 @@ def _summarize_function(node: ast.AST, qualname: str,
         name=node.name, qualname=qualname, classname=classname,
         line=node.lineno, end=node.end_lineno or node.lineno,
         params=params, decorators=_decorator_names(node),
-        required_lock=_required_lock(node))
+        required_lock=_required_lock(node),
+        returns=annotation_head(node.returns),
+        method_iterations=_method_iterations(node))
     aliases: Set[str] = {"self"}
     # alias pass first: ``config = self`` style rebindings
     for child in ast.walk(node):

@@ -2,7 +2,7 @@
 
 ``columns.build_column`` is the kernel registry: every column class it
 (transitively) instantiates is bound into a kernel and handed to
-``MultiSpecKernel``, the threshold prefilters, ``IndexedScorer`` and
+``MultiSpecKernel``, the threshold prefilters, ``ShardRunner`` and
 the serve index, which assume the kernel surface —
 ``score_rows(domain_rows, range_rows)``, ``score_bound_rows`` (the
 prefilters' admissible bound) and the ``orientation_symmetric`` flag

@@ -40,6 +40,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -126,6 +127,74 @@ class Columns(NamedTuple):
     def pair_keys(self) -> Array:
         """One int64 per row, equal exactly for equal (domain, range)."""
         return (self.domain.astype(np.int64) << 32) | self.range
+
+    def keys_in(self, other: "Columns") -> Array:
+        """:meth:`pair_keys` of these rows as ``other``'s spaces code them.
+
+        Comparable with ``other.pair_keys()`` whatever source *names*
+        the two tables were declared under; a row with an id
+        ``other``'s spaces do not hold gets -1, which no pair key is.
+        """
+        domain = recode(self.domain_space, self.domain, other.domain_space)
+        range_ = recode(self.range_space, self.range, other.range_space)
+        keys = (domain.astype(np.int64) << 32) | range_
+        keys[(domain < 0) | (range_ < 0)] = -1
+        return keys
+
+    def isin(self, other: "Columns") -> Array:
+        """Boolean per row: whether ``other`` holds the row's pair too
+        (both tables hold distinct pairs, as a mapping's do)."""
+        keys = other.keys_in(self)
+        return np.isin(self.pair_keys(), keys[keys >= 0], assume_unique=True)
+
+
+def recode(space: IdSpace, codes: Array, target: IdSpace) -> Array:
+    """``codes`` of ``space`` as ``target`` codes the same ids (-1
+    where it holds no such id; nothing is interned)."""
+    if space is target:
+        return codes
+    known = target.codes.get
+    table = np.fromiter((known(id, -1) for id in space.ids),
+                        dtype=np.int32, count=len(space.ids))
+    return table[codes]
+
+
+class SourceCodes(NamedTuple):
+    """A logical source's rows in the id space of its name: the bridge
+    between the engine's row indices (``source.ids()`` order) and the
+    mappings' codes.  It holds the space strongly, so while a source
+    keeps its bridge no id of that name can be dealt another code.
+    """
+
+    space: IdSpace
+    codes: Array  # int32: the code of ``source.ids()[row]``
+    #: int32: the row of a code, -1 for an id of the name that is not
+    #: this source's; one slot longer than the space was, so that
+    #: index -1 reads -1 too
+    rows: Array
+    index: Dict[str, int]  # id -> row
+
+    def rows_of(self, codes: Array) -> Array:
+        """The rows of ``codes`` (of ``space``, or -1): -1 where this
+        source has no such id.  A code past ``rows`` was interned after
+        the bridge was built, by another source of the name."""
+        return self.rows[np.where(codes < len(self.rows), codes, -1)]
+
+
+def source_codes(source: Any) -> SourceCodes:
+    """``source``'s bridge, kept by the source like its posting lists
+    and packed columns (``LogicalSource.derived``, key
+    ``("id-codes",)``): dropped when the source grows."""
+    def build() -> SourceCodes:
+        ids = source.ids()
+        space = id_space(source.name)
+        codes = space.intern(ids)
+        rows = np.full(len(space.ids) + 1, -1, dtype=np.int32)
+        rows[codes] = np.arange(len(ids), dtype=np.int32)
+        return SourceCodes(space, codes, rows,
+                           {id: row for row, id in enumerate(ids)})
+
+    return source.derived(("id-codes",), build)
 
 
 def concatenate(tables: Sequence[Columns]) -> Columns:
@@ -250,23 +319,22 @@ class Mapping:
 
     @classmethod
     def from_columns(cls, domain: str, range: str,
-                     domain_ids: Sequence[str], range_ids: Sequence[str],
+                     domain_codes: SourceCodes, range_codes: SourceCodes,
                      rows_a: Array, rows_b: Array, sims: Array, *,
                      kind: MappingKind = MappingKind.SAME,
                      name: Optional[str] = None) -> "Mapping":
         """:meth:`add_rows` as one array pass.
 
-        Row ``i`` relates ``domain_ids[rows_a[i]]`` to
-        ``range_ids[rows_b[i]]`` with ``sims[i]`` — how the engine's
-        surviving row arrays become a mapping without passing through
-        id strings.  Same validation, same keep-the-larger policy for
-        a repeated pair, same row order as adding the rows one by one.
+        Row ``i`` relates the sources' rows ``rows_a[i]`` and
+        ``rows_b[i]`` (:func:`source_codes` of the two sources) with
+        ``sims[i]`` — how the engine's surviving row arrays become a
+        mapping without passing through id strings.  Same validation,
+        same keep-the-larger policy for a repeated pair, same row
+        order as adding the rows one by one.
         """
-        space_a, space_b = id_space(domain), id_space(range)
-        columns = Columns(space_a, space_b,
-                          space_a.intern(domain_ids)[rows_a],
-                          space_b.intern(range_ids)[rows_b],
-                          validated(sims))
+        columns = Columns(domain_codes.space, range_codes.space,
+                          domain_codes.codes[rows_a],
+                          range_codes.codes[rows_b], validated(sims))
         return cls.of(domain, range, canonical(columns), kind=kind, name=name)
 
     @classmethod
@@ -287,10 +355,10 @@ class Mapping:
         Used as the "trivial same-mapping" when running the
         neighborhood matcher within a single source (paper §4.3).
         """
-        ids = list(ids)
-        rows = np.arange(len(ids))
-        return cls.from_columns(lds_name, lds_name, ids, ids, rows, rows,
-                                np.ones(len(ids)), name=name)
+        space = id_space(lds_name)
+        codes = space.intern(ids)
+        return cls.of(lds_name, lds_name, canonical(Columns(
+            space, space, codes, codes, np.ones(len(codes)))), name=name)
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # id spaces are per process: pickle the rows, not the codes
@@ -435,10 +503,14 @@ class Mapping:
         """Return all correspondences as a list (mapping-table rows)."""
         return list(self)
 
+    def id_pairs(self) -> Iterator[Tuple[str, str]]:
+        """The (domain id, range id) of every row, in row order."""
+        domain_ids, range_ids, _ = self._rows()
+        return zip(domain_ids, range_ids)
+
     def pairs(self) -> Set[Tuple[str, str]]:
         """The set of (domain id, range id) pairs, similarity dropped."""
-        domain_ids, range_ids, _ = self._rows()
-        return set(zip(domain_ids, range_ids))
+        return set(self.id_pairs())
 
     def range_ids_of(self, domain_id: str) -> Dict[str, float]:
         """Correspondences of one domain object as ``{range id: sim}``."""
@@ -561,3 +633,8 @@ class Mapping:
             f"Mapping{label}({self.domain!r} -> {self.range!r}, "
             f"{self.kind.value}, {len(self)} correspondences)"
         )
+
+
+#: what may confine a matcher's candidates: id pairs, or a mapping — an
+#: earlier step's result, read as arrays (paper §4.3, Fig. 11)
+Candidates = Union[Mapping, Iterable[Tuple[str, str]]]

@@ -8,9 +8,9 @@ result correspondences."
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.core.mapping import Mapping
+from repro.core.mapping import Candidates, Mapping
 from repro.core.matchers.base import Matcher, MatcherError
 from repro.engine import AttributeSpec, MatchRequest, get_default_engine
 from repro.model.source import LogicalSource
@@ -78,7 +78,7 @@ class AttributeMatcher(Matcher):
         )
 
     def match(self, domain: LogicalSource, range: LogicalSource, *,
-              candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
+              candidates: Optional[Candidates] = None) -> Mapping:
         request = MatchRequest(
             domain=domain,
             range=range,

@@ -10,14 +10,26 @@ online matching but should be blocked for paper-scale offline runs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
-from repro.core.mapping import Mapping
+from repro.core.mapping import Candidates, Mapping
 from repro.model.source import LogicalSource
 
 
 class MatcherError(RuntimeError):
     """Raised when a matcher cannot run (bad config, missing attributes)."""
+
+
+def confine(mapping: Mapping,
+            candidates: Optional[Candidates]) -> Mapping:
+    """``mapping``'s rows among ``candidates``: how a matcher that
+    derives its result from mappings, not from pairs, honours them."""
+    if candidates is None:
+        return mapping
+    if isinstance(candidates, Mapping):
+        return mapping.take(mapping.columns().isin(candidates.columns()))
+    allowed = set(candidates)
+    return mapping.filter(lambda c: (c.domain, c.range) in allowed)
 
 
 class Matcher(ABC):
@@ -28,14 +40,15 @@ class Matcher(ABC):
 
     @abstractmethod
     def match(self, domain: LogicalSource, range: LogicalSource, *,
-              candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
+              candidates: Optional[Candidates] = None) -> Mapping:
         """Match ``domain`` against ``range``.
 
         ``candidates`` optionally restricts scoring to the given
-        (domain id, range id) pairs, typically produced by a blocking
-        strategy from :mod:`repro.blocking`.
+        (domain id, range id) pairs — an iterable of them, typically
+        produced by a blocking strategy from :mod:`repro.blocking`, or
+        a :class:`Mapping`, typically an earlier matcher's result.
         """
 
     def __call__(self, domain: LogicalSource, range: LogicalSource, *,
-                 candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
+                 candidates: Optional[Candidates] = None) -> Mapping:
         return self.match(domain, range, candidates=candidates)

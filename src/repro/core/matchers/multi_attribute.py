@@ -9,9 +9,9 @@ function family as the merge operator, applied per candidate pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
-from repro.core.mapping import Mapping
+from repro.core.mapping import Candidates, Mapping
 from repro.core.matchers.base import Matcher, MatcherError
 from repro.core.operators.functions import CombinationFunction, get_combination
 from repro.engine import AttributeSpec, MatchRequest, get_default_engine
@@ -79,7 +79,7 @@ class MultiAttributeMatcher(Matcher):
         self.name = name or f"multiattr[{attrs}@{threshold:g}]"
 
     def match(self, domain: LogicalSource, range: LogicalSource, *,
-              candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
+              candidates: Optional[Candidates] = None) -> Mapping:
         request = MatchRequest(
             domain=domain,
             range=range,

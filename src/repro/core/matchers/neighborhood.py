@@ -18,10 +18,10 @@ switches to RelativeLeft (§5.4.3) — exposed here via ``g2``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
-from repro.core.mapping import Mapping, MappingKind
-from repro.core.matchers.base import Matcher, MatcherError
+from repro.core.mapping import Candidates, Mapping, MappingKind
+from repro.core.matchers.base import Matcher, MatcherError, confine
 from repro.core.operators.compose import compose
 from repro.model.source import LogicalSource
 
@@ -72,7 +72,7 @@ class NeighborhoodMatcher(Matcher):
         self.name = name or "neighborhood"
 
     def match(self, domain: LogicalSource, range: LogicalSource, *,
-              candidates: Optional[Iterable[Tuple[str, str]]] = None) -> Mapping:
+              candidates: Optional[Candidates] = None) -> Mapping:
         if self.asso1.domain != domain.name:
             raise MatcherError(
                 f"asso1 starts at {self.asso1.domain!r}, not {domain.name!r}"
@@ -81,11 +81,7 @@ class NeighborhoodMatcher(Matcher):
             raise MatcherError(
                 f"asso2 ends at {self.asso2.range!r}, not {range.name!r}"
             )
-        result = neighborhood_match(
+        return confine(neighborhood_match(
             self.asso1, self.same, self.asso2,
             f=self.f, g1=self.g1, g2=self.g2, name=self.name,
-        )
-        if candidates is not None:
-            allowed = set(candidates)
-            result = result.filter(lambda c: (c.domain, c.range) in allowed)
-        return result
+        ), candidates)

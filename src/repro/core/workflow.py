@@ -30,10 +30,10 @@ see each other's results by name (docs/workflows.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.mapping import Mapping
-from repro.core.matchers.base import Matcher
+from repro.core.mapping import Candidates, Mapping
+from repro.core.matchers.base import Matcher, confine
 from repro.core.operators.compose import compose
 from repro.core.operators.merge import merge
 from repro.core.operators.selection import Selection, select
@@ -166,13 +166,18 @@ class MatcherStep(_Step):
     — ``EngineConfig(workers=4, shard_blocking=True)`` — without
     importing the engine class).  Matchers that don't expose an
     ``engine`` attribute run unchanged.
+
+    ``candidates`` confines the matcher: id pairs, a mapping, or the
+    *name* of one — typically an earlier step's output, which is how a
+    cheap step's result becomes the next matcher's candidate set
+    (paper §4.3, Figure 11).
     """
 
     output: str
     matcher: Matcher
     domain: str
     range: str
-    candidates: Optional[Iterable[Tuple[str, str]]] = None
+    candidates: Optional[Union[str, Candidates]] = None
     engine: Optional[object] = None
 
     def describe(self) -> str:
@@ -183,17 +188,18 @@ class MatcherStep(_Step):
 
         domain = context.resolve_source(self.domain)
         range_ = context.resolve_source(self.range)
+        candidates = self.candidates
+        if isinstance(candidates, str):
+            candidates = context.resolve_mapping(candidates)
         engine = self.engine if self.engine is not None else context.engine
         if isinstance(engine, EngineConfig):
             engine = BatchMatchEngine(engine)
         if engine is None or not hasattr(self.matcher, "engine"):
-            return self.matcher.match(domain, range_,
-                                      candidates=self.candidates)
+            return self.matcher.match(domain, range_, candidates=candidates)
         previous = self.matcher.engine
         self.matcher.engine = engine
         try:
-            return self.matcher.match(domain, range_,
-                                      candidates=self.candidates)
+            return self.matcher.match(domain, range_, candidates=candidates)
         finally:
             self.matcher.engine = previous
 
@@ -291,7 +297,7 @@ class MatchWorkflow:
 
     def add_matcher(self, output: str, matcher: Matcher,
                     domain: str, range: str,
-                    candidates: Optional[Iterable[Tuple[str, str]]] = None,
+                    candidates: Optional[Union[str, Candidates]] = None,
                     engine: Optional[object] = None) -> "MatchWorkflow":
         self.steps.append(MatcherStep(output, matcher, domain, range,
                                       candidates, engine))
@@ -360,7 +366,7 @@ class MatchWorkflow:
 
             def match(self, domain_source: LogicalSource,
                       range_source: LogicalSource, *,
-                      candidates: Optional[Iterable[Tuple[str, str]]] = None
+                      candidates: Optional[Candidates] = None
                       ) -> Mapping:
                 context = MatchContext(
                     smm=base_context.smm if base_context else None,
@@ -372,13 +378,7 @@ class MatchWorkflow:
                 if base_context is not None:
                     context._sources.update(base_context._sources)
                     context._mappings.update(base_context._mappings)
-                mapping = workflow.run(context)
-                if candidates is not None:
-                    allowed = set(candidates)
-                    mapping = mapping.filter(
-                        lambda c: (c.domain, c.range) in allowed
-                    )
-                return mapping
+                return confine(workflow.run(context), candidates)
 
         return _WorkflowMatcher()
 

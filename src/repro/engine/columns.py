@@ -556,13 +556,15 @@ class TfIdfColumn(_Column):
 class ScalarColumn(_Column):
     """Fallback column: memoized ``score_batch`` over coerced texts.
 
-    Scores the candidate rows' distinct value pairs through the
-    similarity's ``score_batch`` — exactly the evaluation (and the
-    bounded :class:`ValuePairMemo`) of the scalar reference
-    (:func:`repro.engine.scorer.score_pairs`), so scores are
-    bit-identical to it.  The memo lives on the column and
-    so persists across binds.  Missing values score 0.0 like the packed
-    columns.
+    Each side is packed as codes over its distinct coerced texts (-1
+    for a missing value).  A slice scores its *distinct* value-pair
+    codes once through the similarity's ``score_batch`` — exactly the
+    evaluation (and the bounded :class:`ValuePairMemo`) of the scalar
+    reference (:func:`repro.engine.scorer.score_pairs`), so scores are
+    bit-identical to it — and gathers them back onto the rows: an
+    exact-year column over 36k candidate rows is a ~10 x 10 lookup.
+    The memo lives on the column and so persists across binds.
+    Missing values score 0.0 like the packed columns.
 
     Not orientation-symmetric in general (the wrapped similarity may
     not be), so a kernel that is or contains a scalar column keeps
@@ -580,29 +582,31 @@ class ScalarColumn(_Column):
         self.range = self._pack(reference_values)
 
     def _pack(self, values: Sequence[object],
-              features: Any = None) -> List[Optional[str]]:
-        return [None if value is None else str(value) for value in values]
+              features: Any = None) -> Tuple[Any, List[str]]:
+        """``(code per row, distinct texts)``: a text's code is its
+        position among the distinct texts, in order of appearance."""
+        texts: Dict[str, int] = {}
+        codes = _np.fromiter(
+            (-1 if value is None else texts.setdefault(str(value), len(texts))
+             for value in values), dtype=_np.int64, count=len(values))
+        return codes, list(texts)
 
     def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
-        texts_a = self.domain
-        texts_b = self.range
-        keys: List[Optional[ValuePair]] = []
-        wanted: Dict[ValuePair, None] = {}
-        for row_a, row_b in zip(_np.asarray(domain_rows).tolist(),
-                                _np.asarray(range_rows).tolist()):
-            value_a = texts_a[row_a]
-            value_b = texts_b[row_b]
-            if value_a is None or value_b is None:
-                keys.append(None)
-                continue
-            key = (value_a, value_b)
-            keys.append(key)
-            wanted[key] = None
-        found = self.memo.scores(wanted)
-        out = _np.zeros(len(keys), dtype=_np.float64)
-        for index, key in enumerate(keys):
-            if key is not None:
-                out[index] = found[key]
+        codes_a, texts_a = self.domain
+        codes_b, texts_b = self.range
+        code_a = codes_a[domain_rows]
+        code_b = codes_b[range_rows]
+        present = (code_a >= 0) & (code_b >= 0)
+        out = _np.zeros(len(code_a), dtype=_np.float64)
+        width = max(1, len(texts_b))
+        pairs, inverse = _np.unique(
+            code_a[present] * width + code_b[present], return_inverse=True)
+        keys = [(texts_a[pair // width], texts_b[pair % width])
+                for pair in pairs.tolist()]
+        found = self.memo.scores(keys)
+        out[present] = _np.fromiter(
+            map(found.__getitem__, keys), dtype=_np.float64,
+            count=len(keys))[inverse]
         return out
 
     def score_bound_rows(self, domain_rows: Any, range_rows: Any) -> Any:

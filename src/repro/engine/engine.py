@@ -46,12 +46,12 @@ from repro.engine import vectorized
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.shards import (
+    MappingShard,
     ShardRunner,
     autotune_plan,
     rebalance_shards,
     shards_authoritative,
 )
-from repro.engine.vectorized import IndexedScorer
 from repro.obs.registry import percentile as obs_percentile
 
 
@@ -132,8 +132,7 @@ class BatchMatchEngine:
                                  # the end the rest is the blocking index's
                                  "memo_counts": _memo_counts(request)}
         shards, sharded = self._plan(request)
-        runner = ShardRunner(shards, request, config.chunk_size,
-                             self._prepare(request))
+        runner = self._prepare(request, shards)
         if sharded:
             # every shard queued up front: a task is one int
             path, target = "sharded", runner.run
@@ -143,7 +142,9 @@ class BatchMatchEngine:
         else:
             # two slices queued per worker keep the pool busy and bound
             # what sits in memory
-            path, target = "indexed", runner.score
+            path = ("rows" if isinstance(request.candidates, Mapping)
+                    else "indexed")
+            target = runner.score
             work = ((len(item[0]), item) for shard in shards
                     for item in runner.slices(shard))
             workers, inflight = config.workers, 2 * config.workers
@@ -179,6 +180,8 @@ class BatchMatchEngine:
                           range_attribute=spec.range_attribute)
         blocking = (request.blocking if request.blocking is not None
                     else FullCross())
+        if isinstance(request.candidates, Mapping):
+            return [MappingShard(request.candidates)], False
         if request.candidates is not None:
             return [IterableShard(lambda: request.candidates)], False
         if not shards_authoritative(blocking):
@@ -242,13 +245,15 @@ class BatchMatchEngine:
             "shards": len(shard_seconds),
         }
 
-    def _prepare(self, request: MatchRequest) -> IndexedScorer:
+    def _prepare(self, request: MatchRequest,
+                 shards: List[PairShard]) -> ShardRunner:
         """Corpus-level state for ``request``, before any pair is scored.
 
         Must run before workers fork so they inherit it: the request's
         kernel (:func:`repro.engine.vectorized.request_kernel`, which
         prepares every similarity it has to pack or wrap and finds the
-        kept columns on the sources) behind its id-to-row bridge.
+        kept columns on the sources) in the runner that cuts
+        ``shards`` for it, between the sources' row<->code bridges.
         Where the candidates come from plays no part: an explicit list
         is scored by the columns the sources keep like any blocked
         request.
@@ -256,24 +261,22 @@ class BatchMatchEngine:
         begun = time.perf_counter()
         before = _memo_counts(request)
         kernel = vectorized.request_kernel(request)
-        indexed = IndexedScorer(
-            kernel, request.domain.ids(), request.range.ids(),
-            request.threshold,
-            missing_zero=(request.combiner is None
-                          and request.missing == "zero"))
+        kernel_builds = _memo_counts(request)[1] - before[1]
+        runner = ShardRunner(shards, request, self.config.chunk_size, kernel)
         profile = self.last_profile
         if profile is not None:
             profile["prepare_seconds"] = time.perf_counter() - begun
             hits, builds = _memo_counts(request)
             # kept columns are the released ones (arrays only), and
             # one that was not found would have been built just now
-            profile["kernel_cached"] = builds == before[1] and all(
+            profile["kernel_cached"] = kernel_builds == 0 and all(
                 column.released
                 for column in getattr(kernel, "columns", (kernel,)))
+            # the runner's two bridge lookups are this step's own too
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],
                                       built + builds - before[1])
-        return indexed
+        return runner
 
     def _load(self, request: MatchRequest, runner: ShardRunner,
               outputs: list) -> Mapping:
@@ -293,7 +296,6 @@ class BatchMatchEngine:
         order is the row a keyed merge would have kept.  That costs one
         sort of the *survivors*' pair codes, not of the candidates'.
         """
-        indexed = runner.indexed
         rows_a, rows_b, scores = runner.gather(outputs)
         survivors = len(scores)
         if request.is_self:
@@ -303,7 +305,7 @@ class BatchMatchEngine:
             scores = np.repeat(scores, 2)
         result = Mapping.from_columns(
             request.domain.name, request.range.name,
-            indexed.domain_ids, indexed.range_ids,
+            runner.domain, runner.range,
             rows_a, rows_b, scores, name=request.name)
         profile = self.last_profile
         if profile is not None:

@@ -12,9 +12,10 @@ worker pool, without the matchers knowing how chunks are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.blocking.pair_generator import is_self_match
+from repro.core.mapping import Candidates
 from repro.core.operators.functions import CombinationFunction
 from repro.model.source import LogicalSource
 from repro.sim.base import SimilarityFunction
@@ -55,9 +56,12 @@ class MatchRequest:
     a missing value becomes a ``None`` slot resolved by the combiner's
     own missing-value policy.
 
-    Candidate pairs come from, in priority order: an explicit
-    ``candidates`` iterable, the ``blocking`` strategy, or the full
-    cross product of the two sources.
+    Candidate pairs come from, in priority order: explicit
+    ``candidates`` — an iterable of id pairs, or a
+    :class:`~repro.core.mapping.Mapping`
+    whose rows are scored in its row order (similarities ignored, ids
+    unknown to either source dropped) — the ``blocking`` strategy, or
+    the full cross product of the two sources.
 
     Whatever its specs and its candidate source, the request is scored
     by one kernel (:func:`repro.engine.vectorized.request_kernel`: one
@@ -73,7 +77,7 @@ class MatchRequest:
     specs: List[AttributeSpec] = field(default_factory=list)
     threshold: float = 0.0
     combiner: Optional[CombinationFunction] = None
-    candidates: Optional[Iterable[Pair]] = None
+    candidates: Optional[Candidates] = None
     blocking: Optional[object] = None
     missing: str = "skip"
     name: Optional[str] = None

@@ -21,7 +21,12 @@ arrays for the request's kernel
   loads them (:meth:`BatchMatchEngine._load`).
 * **converted id-pair chunks** — no usable blocks: ``shard.pairs()``
   in ``chunk_size`` chunks, each converted to row arrays
-  (:meth:`IndexedScorer.convert`).
+  (:meth:`ShardRunner.convert`).
+* **mapping rows** — the candidates are a :class:`Mapping`
+  (:class:`MappingShard`): its code columns become row arrays through
+  the sources' bridges (:func:`repro.core.mapping.source_codes`), cut
+  into ``chunk_size`` slices in the mapping's row order — no id string
+  is read.
 
 ``shard_blocking`` decides who cuts.  Off, the parent iterates
 :meth:`ShardRunner.slices` and every slice is a pool task.  On, every
@@ -57,6 +62,7 @@ the outcome.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -70,8 +76,9 @@ from repro.blocking.pair_generator import (
     dedup_self_pairs,
     partition_spans,
 )
+from repro.core.mapping import Mapping, distinct_keys, recode, source_codes
+from repro.engine.columns import survivors
 from repro.engine.request import MatchRequest
-from repro.engine.vectorized import IndexedScorer
 
 Pair = Tuple[str, str]
 T = TypeVar("T")
@@ -107,6 +114,17 @@ def _concatenated(parts) -> tuple:
     return tuple(map(_np.concatenate, zip(*parts)))
 
 
+class MappingShard(PairShard):
+    """The rows of a candidate mapping (``MatchRequest.candidates``),
+    which :meth:`ShardRunner.slices` reads as arrays."""
+
+    def __init__(self, mapping: Mapping) -> None:
+        self.mapping = mapping
+
+    def pairs(self) -> Iterator[Pair]:
+        return self.mapping.id_pairs()
+
+
 class ShardRunner:
     """Cuts shards into slices and scores them; lives in the parent,
     runs anywhere.
@@ -114,21 +132,33 @@ class ShardRunner:
     Built before the pool forks, so workers inherit the shard list,
     sources, similarity state and packed columns copy-on-write and
     tasks carry a shard index (:meth:`run`) or one slice
-    (:attr:`score`).  ``indexed`` is the request's kernel bridge.
+    (:attr:`score`).  ``kernel`` is the request's
+    (:func:`repro.engine.vectorized.request_kernel`) — anything
+    exposing ``score_rows(domain_rows, range_rows)`` over
+    ``source.ids()``-aligned row indices; ``domain`` / ``range`` are
+    the sources' row<->code bridges
+    (:func:`repro.core.mapping.source_codes`), through which ids and
+    mapping codes become rows and the surviving rows a mapping.
     """
 
     def __init__(self, shards: Sequence[PairShard], request: MatchRequest,
-                 chunk_size: int, indexed: IndexedScorer) -> None:
+                 chunk_size: int, kernel) -> None:
         self.shards = list(shards)
         self.is_self = request.is_self
         self.chunk_size = chunk_size
-        self.indexed = indexed
+        self.kernel = kernel
+        self.domain = source_codes(request.domain)
+        self.range = source_codes(request.range)
         #: ``score(rows_a, rows_b)``: one slice's survivors as
         #: ``(rows_a, rows_b, scores)`` arrays, which the parent loads
-        #: as columns.  The scorer's own method, not the runner's: as a
-        #: pool target it pickles without the shard list, which is what
-        #: a platform without ``fork`` needs.
-        self.score = indexed.score_rows
+        #: as columns.  Closed over the kernel alone, not the runner:
+        #: as a pool target it pickles without the shard list and the
+        #: bridges' id spaces, which is what a platform without
+        #: ``fork`` needs.
+        self.score = partial(
+            survivors, kernel, threshold=request.threshold,
+            missing_zero=(request.combiner is None
+                          and request.missing == "zero"))
 
     def slices(self, shard: PairShard) -> Iterator[tuple]:
         """The shard's work items, each the ``(rows_a, rows_b)``
@@ -140,9 +170,10 @@ class ShardRunner:
         (whose wrapped similarity may be asymmetric) take the
         orientation-faithful pair stream instead.
         """
-        indexed = self.indexed
+        if isinstance(shard, MappingShard):
+            return self._mapping_slices(shard.mapping)
         blocks = shard.blocks()
-        if blocks is not None and (indexed.kernel.orientation_symmetric
+        if blocks is not None and (self.kernel.orientation_symmetric
                                    or not self.is_self):
             return self._joined(self._expand_blocks(blocks))
         # the exact unordered-pair dedup the matchers always had, shard
@@ -153,7 +184,53 @@ class ShardRunner:
             pairs = dedup_self_pairs(pairs)
         # pairs cross process boundaries as int row arrays, ~8 bytes
         # each, and only surviving rows come back
-        return map(indexed.convert, iter_chunks(pairs, self.chunk_size))
+        return map(self.convert, iter_chunks(pairs, self.chunk_size))
+
+    def convert(self, chunk: Iterable[Pair]) -> tuple:
+        """Map a chunk of id pairs to row arrays (unknown ids dropped)."""
+        domain_row = self.domain.index.get
+        range_row = self.range.index.get
+        rows_a: List[int] = []
+        rows_b: List[int] = []
+        for id_a, id_b in chunk:
+            row_a = domain_row(id_a)
+            row_b = range_row(id_b)
+            if row_a is None or row_b is None:
+                continue
+            rows_a.append(row_a)
+            rows_b.append(row_b)
+        # int32 keeps IPC payloads at 8 bytes/pair; sources are far
+        # below 2**31 rows.
+        return (_np.asarray(rows_a, dtype=_np.int32),
+                _np.asarray(rows_b, dtype=_np.int32))
+
+    def _mapping_slices(self, mapping: Mapping) -> Iterator[tuple]:
+        """A candidate mapping's rows, ``chunk_size`` at a time.
+
+        What :func:`dedup_self_pairs` and :meth:`convert` do to its id
+        pairs, in that order, on its code columns: self-matching drops ``a == a`` and
+        the later orientation of a pair seen both ways round (ids of
+        one name share one space, so codes compare like ids), then
+        rows with an id unknown to either source go.
+        """
+        columns = mapping.columns()
+        codes_a = recode(columns.domain_space, columns.domain,
+                         self.domain.space)
+        codes_b = recode(columns.range_space, columns.range,
+                         self.range.space)
+        if self.is_self:
+            first, _ = distinct_keys(
+                (_np.minimum(codes_a, codes_b).astype(_np.int64) << 32)
+                | _np.maximum(codes_a, codes_b))
+            first = first[codes_a[first] != codes_b[first]]
+            codes_a, codes_b = codes_a[first], codes_b[first]
+        rows_a = self.domain.rows_of(codes_a)
+        rows_b = self.range.rows_of(codes_b)
+        known = (rows_a >= 0) & (rows_b >= 0)
+        rows_a, rows_b = rows_a[known], rows_b[known]
+        for start in range(0, len(rows_a), self.chunk_size):
+            yield (rows_a[start:start + self.chunk_size],
+                   rows_b[start:start + self.chunk_size])
 
     def gather(self, outputs: Iterable[tuple]) -> tuple:
         """Several :attr:`score` outputs as one, in the order given."""
@@ -169,15 +246,14 @@ class ShardRunner:
 
     def _block_rows(self, block: IdBlock):
         """Row arrays of a block's id lists (ids unknown to the request's
-        sources are dropped, mirroring ``IndexedScorer.convert``)."""
-        indexed = self.indexed
-        domain_row = indexed._domain_rows.get
+        sources are dropped, mirroring :meth:`convert`)."""
+        domain_row = self.domain.index.get
         rows_d = [row for row in map(domain_row, block.domain_ids)
                   if row is not None]
         if block.triangle:
             # self-matching: both sides index the same source/matrix
             return (_np.asarray(rows_d, dtype=_np.int32), None)
-        range_row = indexed._range_rows.get
+        range_row = self.range.index.get
         rows_r = [row for row in map(range_row, block.range_ids)
                   if row is not None]
         return (_np.asarray(rows_d, dtype=_np.int32),

@@ -1,8 +1,8 @@
 """Request-level kernels over the column layer.
 
 :mod:`repro.engine.columns` scores one attribute; this module turns a
-whole request into one ``score_rows(domain_rows, range_rows)`` kernel
-and bridges id-pair chunks onto it::
+whole request into one ``score_rows(domain_rows, range_rows)``
+kernel::
 
     build_columns(specs, reference values)      one column per spec
       -> bind_columns(columns, query values)    bind each; compose
@@ -28,11 +28,10 @@ columns of one source pair are prepared, packed and bound once and
 kept by the sources, each request only composes them) and the serve
 index (:func:`build_columns` once, :func:`bind_columns` per
 micro-batch over its persistent columns) all go through these
-functions.  :class:`IndexedScorer` is kernel-agnostic: candidate pairs
-cross process boundaries as int index arrays (~8 bytes/pair) instead
-of string tuples, and on the sharded path the payload contract is
-*shard indices in, surviving ``(rows_a, rows_b, scores)`` arrays out*
-(see :mod:`repro.engine.shards`).
+functions.  Candidate pairs cross process boundaries as int index
+arrays (~8 bytes/pair) instead of string tuples, and on the sharded
+path the payload contract is *shard indices in, surviving ``(rows_a,
+rows_b, scores)`` arrays out* (see :mod:`repro.engine.shards`).
 
 :func:`build_columns` returns ``None`` when no spec has a packed
 column: the serve index then scores its rows unpacked
@@ -41,7 +40,7 @@ column: the serve index then scores its rows unpacked
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as _np
 
@@ -57,7 +56,6 @@ from repro.engine.columns import (
     ScalarColumn,
     build_column,
     column_config,
-    survivors,
 )
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
@@ -457,53 +455,3 @@ def request_kernel(request):
     return MultiSpecKernel(kernels, request.combiner,
                            threshold=request.threshold)
 
-
-class IndexedScorer:
-    """Bridges id-pair chunks onto a kernel.
-
-    Kernel-agnostic: anything exposing ``score_rows(domain_rows,
-    range_rows)`` over ``source.ids()``-aligned row indices works.  The
-    parent converts each chunk of ``(domain id, range id)`` string
-    pairs into int row arrays (:meth:`convert`); scoring
-    (:meth:`score_rows`) runs wherever the scorer lives — inline, or
-    inside forked workers that inherited the packed arrays — and
-    returns only surviving rows, which the parent loads as they are
-    (:meth:`repro.core.mapping.Mapping.from_columns` over
-    ``domain_ids`` / ``range_ids``).
-    """
-
-    def __init__(self, kernel, domain_ids: List[str],
-                 range_ids: List[str], threshold: float, *,
-                 missing_zero: bool = False) -> None:
-        self.kernel = kernel
-        self.threshold = threshold
-        self.domain_ids = domain_ids
-        self.range_ids = range_ids
-        self._domain_rows = {id: row for row, id in enumerate(domain_ids)}
-        self._range_rows = {id: row for row, id in enumerate(range_ids)}
-        #: the single-attribute missing="zero" policy (see
-        #: :func:`repro.engine.columns.survivors`)
-        self.missing_zero = missing_zero
-
-    def convert(self, chunk):
-        """Map a chunk of id pairs to row arrays (unknown ids dropped)."""
-        domain_row = self._domain_rows.get
-        range_row = self._range_rows.get
-        rows_a: List[int] = []
-        rows_b: List[int] = []
-        for id_a, id_b in chunk:
-            row_a = domain_row(id_a)
-            row_b = range_row(id_b)
-            if row_a is None or row_b is None:
-                continue
-            rows_a.append(row_a)
-            rows_b.append(row_b)
-        # int32 keeps IPC payloads at 8 bytes/pair; sources are far
-        # below 2**31 rows.
-        return (_np.asarray(rows_a, dtype=_np.int32),
-                _np.asarray(rows_b, dtype=_np.int32))
-
-    def score_rows(self, rows_a, rows_b):
-        """Score row arrays; return only rows surviving the threshold."""
-        return survivors(self.kernel, rows_a, rows_b, self.threshold,
-                         self.missing_zero)

@@ -10,8 +10,11 @@ And when two matchers disagree, where exactly?
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.mapping import Mapping
 
@@ -119,23 +122,25 @@ def agreement(left: Mapping, right: Mapping, *,
     if left.domain != right.domain or left.range != right.range:
         raise ValueError("agreement requires mappings between the same "
                          "sources")
-    left_pairs = left.pairs()
-    right_pairs = right.pairs()
-    both_pairs = left_pairs & right_pairs
-    conflicts = sum(
-        1 for domain_id, range_id in both_pairs
-        if abs(left.get(domain_id, range_id)
-               - right.get(domain_id, range_id)) > similarity_tolerance
-    )
-    only_left = sorted(left_pairs - right_pairs)
-    only_right = sorted(right_pairs - left_pairs)
+    left_rows, right_rows = left.columns(), right.columns()
+    in_right = left_rows.isin(right_rows)
+    in_left = right_rows.isin(left_rows)
+    # the shared rows of both sides, aligned by sorting their pair keys
+    left_order = np.argsort(left_rows.pair_keys()[in_right])
+    right_order = np.argsort(right_rows.keys_in(left_rows)[in_left])
+    deltas = np.abs(left_rows.sims[in_right][left_order]
+                    - right_rows.sims[in_left][right_order])
+    both = int(np.count_nonzero(in_right))
     return AgreementReport(
-        both=len(both_pairs),
-        only_left=len(only_left),
-        only_right=len(only_right),
-        similarity_conflicts=conflicts,
-        examples_only_left=only_left[:max_examples],
-        examples_only_right=only_right[:max_examples],
+        both=both,
+        only_left=len(left) - both,
+        only_right=len(right) - both,
+        similarity_conflicts=int(
+            np.count_nonzero(deltas > similarity_tolerance)),
+        examples_only_left=heapq.nsmallest(
+            max_examples, left.take(~in_right).id_pairs()),
+        examples_only_right=heapq.nsmallest(
+            max_examples, right.take(~in_left).id_pairs()),
     )
 
 

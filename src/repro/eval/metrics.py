@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Set, Tuple
 
-from repro.core.mapping import Mapping
+import numpy as np
+
+from repro.core.mapping import Columns, Mapping
 
 Pair = Tuple[str, str]
 
@@ -45,25 +47,37 @@ def f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def precision_recall_f1(predicted: Set[Pair],
-                        gold: Set[Pair]) -> Tuple[float, float, float]:
-    """Plain set-based P/R/F over pair sets."""
-    if not predicted:
-        return 0.0, 0.0, 0.0
-    true_positives = len(predicted & gold)
-    precision = true_positives / len(predicted)
-    recall = true_positives / len(gold) if gold else 0.0
-    return precision, recall, f_measure(precision, recall)
+def _quality(true_positives: int, predicted: int, gold: int) -> MatchQuality:
+    """P/R/F from the three counts (0 where a denominator is)."""
+    precision = true_positives / predicted if predicted else 0.0
+    recall = true_positives / gold if gold else 0.0
+    return MatchQuality(
+        precision=precision, recall=recall,
+        f1=f_measure(precision, recall),
+        true_positives=true_positives, predicted=predicted, gold=gold,
+    )
 
 
 def evaluate_pairs(predicted: Set[Pair], gold: Set[Pair]) -> MatchQuality:
     """Evaluate explicit pair sets."""
-    precision, recall, f1 = precision_recall_f1(predicted, gold)
-    return MatchQuality(
-        precision=precision, recall=recall, f1=f1,
-        true_positives=len(predicted & gold),
-        predicted=len(predicted), gold=len(gold),
-    )
+    return _quality(len(predicted & gold), len(predicted), len(gold))
+
+
+def precision_recall_f1(predicted: Set[Pair],
+                        gold: Set[Pair]) -> Tuple[float, float, float]:
+    """Plain set-based P/R/F over pair sets."""
+    quality = evaluate_pairs(predicted, gold)
+    return quality.precision, quality.recall, quality.f1
+
+
+def _restricted(mapping: Mapping,
+                restrict: Optional[Callable[[Pair], bool]]) -> Columns:
+    """``mapping``'s table, cut to the rows whose pair ``restrict`` keeps."""
+    columns = mapping.columns()
+    if restrict is None:
+        return columns
+    return columns.take(np.fromiter(map(restrict, mapping.id_pairs()),
+                                    dtype=np.bool_, count=len(mapping)))
 
 
 def evaluate(predicted: Mapping, gold: Mapping,
@@ -74,10 +88,12 @@ def evaluate(predicted: Mapping, gold: Mapping,
     ``restrict`` optionally limits the evaluation universe — e.g. to
     conference publications only, for the per-group rows of Tables 4
     and 5.  The filter applies to both predicted and gold pairs.
+
+    Counted on the two tables' int64 pair keys, the gold's read in the
+    predicted mapping's id spaces (:meth:`Columns.isin`), so a gold
+    standard declared under other source names still compares by id.
     """
-    predicted_pairs = predicted.pairs()
-    gold_pairs = gold.pairs()
-    if restrict is not None:
-        predicted_pairs = {pair for pair in predicted_pairs if restrict(pair)}
-        gold_pairs = {pair for pair in gold_pairs if restrict(pair)}
-    return evaluate_pairs(predicted_pairs, gold_pairs)
+    predicted_rows = _restricted(predicted, restrict)
+    gold_rows = _restricted(gold, restrict)
+    return _quality(int(np.count_nonzero(predicted_rows.isin(gold_rows))),
+                    len(predicted_rows.sims), len(gold_rows.sims))

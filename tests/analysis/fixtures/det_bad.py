@@ -27,6 +27,10 @@ def comprehension_over_set(tokens):
     return [token.upper() for token in set(tokens)]
 
 
+def freeze_set_order(tokens):
+    return list(set(tokens)), tuple({token.lower() for token in tokens})
+
+
 def listdir_unsorted(path):
     collected = []
     for entry in os.listdir(path):

@@ -27,6 +27,10 @@ def comprehension_over_sorted_set(tokens):
     return [token.upper() for token in sorted(set(tokens))]
 
 
+def freeze_sorted_set_order(tokens, scores):
+    return sorted(list(set(tokens))), list(scores.items()), len(list(set(tokens)))
+
+
 def listdir_sorted(path):
     collected = []
     for entry in sorted(os.listdir(path)):

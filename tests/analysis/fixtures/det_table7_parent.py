@@ -54,7 +54,7 @@ def run_gs_publication_experiment(workbench: Workbench, other: str,
     # additional (permissive) title match on small input data.
     refine = AttributeMatcher("title", "title", "trigram", 0.5)
     refined = refine.match(bundle.publications, gs.publications,
-                           candidates=neighborhood)
+                           candidates=list(neighborhood.pairs()))
     merged = BestNSelection(1, side="range").apply(
         merge([attribute, refined], "max")
     )

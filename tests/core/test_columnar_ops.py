@@ -22,7 +22,12 @@ import reference_ops as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mapping import Mapping, MappingKind
+from repro.core.mapping import (
+    Mapping,
+    MappingKind,
+    SourceCodes,
+    source_codes,
+)
 from repro.core.operators.compose import compose
 from repro.core.operators.functions import (
     AvgFunction,
@@ -37,6 +42,7 @@ from repro.core.operators.selection import (
     ThresholdSelection,
 )
 from repro.core.operators.setops import difference, symmetrize
+from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -254,6 +260,15 @@ class TestDerived:
 # from_columns: the engine's survivor hand-off
 # ----------------------------------------------------------------------
 
+def _bridge(name: str, ids) -> SourceCodes:
+    """The row<->code bridge of a source called ``name`` holding ``ids``."""
+    physical, object_type = name.split(".")
+    source = LogicalSource(PhysicalSource(physical), ObjectType(object_type))
+    for id in ids:
+        source.add_record(id)
+    return source_codes(source)
+
+
 class TestFromColumns:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
@@ -264,18 +279,21 @@ class TestFromColumns:
         domain_ids = [f"a{i}" for i in range(6)]
         range_ids = [f"b{i}" for i in range(6)]
         expected = Mapping.from_correspondences(
-            "A", "B", [(domain_ids[a], range_ids[b], s) for a, b, s in rows])
+            "S.A", "S.B",
+            [(domain_ids[a], range_ids[b], s) for a, b, s in rows])
         columns = [np.asarray(column) for column in zip(*rows)] \
             or [np.zeros(0, dtype=np.int32)] * 2 + [np.zeros(0)]
-        loaded = Mapping.from_columns("A", "B", domain_ids, range_ids,
-                                      *columns, name="loaded")
+        loaded = Mapping.from_columns(
+            "S.A", "S.B", _bridge("S.A", domain_ids),
+            _bridge("S.B", range_ids), *columns, name="loaded")
         _same(loaded, expected)
         assert loaded.name == "loaded"
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_validates_like_add(self, bad):
         with pytest.raises(ValueError):
-            Mapping.from_columns("A", "B", ["a"], ["b"], np.asarray([0, 0]),
+            Mapping.from_columns("S.A", "S.B", _bridge("S.A", ["a"]),
+                                 _bridge("S.B", ["b"]), np.asarray([0, 0]),
                                  np.asarray([0, 0]), np.asarray([0.5, bad]))
 
     def test_identity_collapses_repeated_ids(self):

@@ -1,4 +1,5 @@
-"""The per-gram packing loops, kept as the oracle for the array packer.
+"""The per-gram packing loops and the scalar column's per-row loop,
+kept as the oracles for the array packer and the value-coded column.
 
 This is how :class:`repro.engine.columns.NGramColumn` built its
 vocabulary and packed a side before both went through
@@ -12,15 +13,24 @@ bit, on ``score_rows``.
 The vocabulary loop walks a ``frozenset``, so bit *positions* here
 follow ``PYTHONHASHSEED`` — the defect the array packer's sorted
 vocabulary removed.  Scores never depended on them.
+
+:class:`ReferenceScalarColumn` is the :class:`ScalarColumn` from before
+its sides were packed as value codes: a list of coerced texts per side
+and one Python step per candidate *row* around the memo.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.engine.columns import MAX_INDEX_BYTES, NGramColumn, _Column
+from repro.engine.columns import (
+    MAX_INDEX_BYTES,
+    NGramColumn,
+    ScalarColumn,
+    _Column,
+)
 from repro.sim.ngram import NGramSimilarity
 from repro.sim.tokenize import qgrams
 
@@ -72,3 +82,33 @@ class ReferenceNGramColumn(NGramColumn):
                 _np.uint64(1), (position_array & 63).astype(_np.uint64))
             _np.bitwise_or.at(bits.reshape(-1), cells, masks)
         return bits, sizes
+
+
+class ReferenceScalarColumn(ScalarColumn):
+    """:class:`ScalarColumn` with text lists and the per-row loop."""
+
+    def _pack(self, values: Sequence[object],
+              features: Any = None) -> List[Optional[str]]:
+        return [None if value is None else str(value) for value in values]
+
+    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        texts_a = self.domain
+        texts_b = self.range
+        keys: List[Optional[Tuple[str, str]]] = []
+        wanted: Dict[Tuple[str, str], None] = {}
+        for row_a, row_b in zip(_np.asarray(domain_rows).tolist(),
+                                _np.asarray(range_rows).tolist()):
+            value_a = texts_a[row_a]
+            value_b = texts_b[row_b]
+            if value_a is None or value_b is None:
+                keys.append(None)
+                continue
+            key = (value_a, value_b)
+            keys.append(key)
+            wanted[key] = None
+        found = self.memo.scores(wanted)
+        out = _np.zeros(len(keys), dtype=_np.float64)
+        for index, key in enumerate(keys):
+            if key is not None:
+                out[index] = found[key]
+        return out

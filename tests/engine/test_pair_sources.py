@@ -24,7 +24,10 @@ from repro.blocking import (
     SortedNeighborhood,
     TokenBlocking,
 )
+from repro.core.mapping import Mapping, MappingKind
+from repro.core.matchers.neighborhood import NeighborhoodMatcher
 from repro.core.operators.functions import get_combination
+from repro.core.workflow import MatchContext, MatchWorkflow
 from repro.engine import (
     AttributeSpec,
     BatchMatchEngine,
@@ -152,6 +155,136 @@ class TestExplicitCandidates:
 
 
 # ----------------------------------------------------------------------
+# (b) a mapping as the candidate set == its id pairs as a list
+# ----------------------------------------------------------------------
+
+def _candidate_mapping(domain, range_, self_matching, names=None) -> Mapping:
+    names = names or (domain.name, range_.name)
+    return Mapping.from_correspondences(
+        *names, [(a, b, 0.5) for a, b in
+                 _candidates(domain, range_, self_matching)])
+
+
+class TestMappingCandidates:
+    @pytest.mark.parametrize("engine", sorted(EXPLICIT_ENGINES))
+    @pytest.mark.parametrize("self_matching", [False, True],
+                             ids=["two-source", "self"])
+    @pytest.mark.parametrize("flavor", ["trigram", "jaccard", "weighted"])
+    def test_equals_its_pair_list_as_lists(self, flavor, self_matching,
+                                           engine):
+        """Same rows in the same order — the candidate mapping's — with
+        unknown ids dropped and self-matching pairs deduplicated, first
+        orientation winning, whoever scores the slices."""
+        domain = _pubs("L", 30)
+        range_ = domain if self_matching else _pubs("R", 26, step=2)
+        candidates = _candidate_mapping(domain, range_, self_matching)
+        pairs = list(candidates.id_pairs())
+        assert ("nope", range_.ids()[0]) in pairs
+        if self_matching:
+            assert any((b, a) in pairs for a, b in pairs if a != b)
+            assert any(a == b for a, b in pairs)
+        expected = EXPLICIT_ENGINES["serial"].execute(
+            _request(flavor, domain, range_, "skip", candidates=pairs))
+        assert EXPLICIT_ENGINES["serial"].last_profile["path"] == "indexed"
+        assert len(expected) > 20
+        for form in (candidates, candidates.copy()):  # dicts, columns
+            mapping = EXPLICIT_ENGINES[engine].execute(
+                _request(flavor, domain, range_, "skip", candidates=form))
+            assert list(mapping) == list(expected)
+            profile = EXPLICIT_ENGINES[engine].last_profile
+            assert profile["path"] == "rows" and profile["chunks"] > 4
+
+    def test_rows_are_scored_in_the_mappings_row_order(self):
+        domain, range_ = _pubs("L", 12), _pubs("R", 12, step=2)
+        rows = [(a, b, 1.0) for a in reversed(domain.ids())
+                for b in range_.ids()[:3]]
+        candidates = Mapping.from_correspondences(domain.name, range_.name,
+                                                  rows)
+        mapping = EXPLICIT_ENGINES["serial"].execute(
+            _request("trigram", domain, range_, "zero", candidates=candidates))
+        scored = [(a, b) for a, b, _ in mapping]
+        assert len(scored) > 10
+        assert scored == [(a, b) for a, b, _ in rows if (a, b) in set(scored)]
+
+    def test_a_mapping_declared_under_other_names_compares_by_id(self):
+        domain, range_ = _pubs("L", 20), _pubs("R", 20, step=2)
+        own = _candidate_mapping(domain, range_, False)
+        foreign = _candidate_mapping(domain, range_, False,
+                                     names=("Elsewhere.X", "Elsewhere.Y"))
+        run = EXPLICIT_ENGINES["serial"].execute
+        assert list(run(_request("trigram", domain, range_, "skip",
+                                 candidates=foreign))) == \
+            list(run(_request("trigram", domain, range_, "skip",
+                              candidates=own)))
+
+    def test_a_subset_against_its_source_is_self_matching(self):
+        """Two source objects, one name, one id space: ``(b, a)`` first
+        shadows ``(a, b)`` even where only the latter has rows."""
+        full = _pubs("L", 16)
+        part = full.subset(full.ids()[:8])
+        inside, outside = full.ids()[2], full.ids()[12]
+        rows = [(outside, inside, 1.0), (inside, outside, 1.0),
+                (inside, full.ids()[5], 1.0), (inside, inside, 1.0)]
+        candidates = Mapping.from_correspondences(part.name, full.name, rows)
+        run = EXPLICIT_ENGINES["serial"].execute
+        mapping = run(_request("trigram", part, full, "zero",
+                               candidates=candidates))
+        assert list(mapping) == list(run(_request(
+            "trigram", part, full, "zero",
+            candidates=[(a, b) for a, b, _ in rows])))
+        assert {(a, b) for a, b, _ in mapping} == {
+            (inside, full.ids()[5]), (full.ids()[5], inside)}
+
+    def test_matchers_and_workflow_steps_pass_a_mapping_through(self):
+        domain, range_ = _pubs("L", 20), _pubs("R", 20, step=2)
+        candidates = _candidate_mapping(domain, range_, False)
+        pairs = list(candidates.id_pairs())
+        for matcher in (
+                AttributeMatcher("title", similarity="trigram"),
+                MultiAttributeMatcher(
+                    [AttributePair("title", similarity="trigram"),
+                     AttributePair("year", similarity="year")],
+                    combine="avg")):
+            expected = list(matcher.match(domain, range_, candidates=pairs))
+            assert expected
+            assert list(matcher.match(domain, range_,
+                                      candidates=candidates)) == expected
+            context = MatchContext(sources={domain.name: domain,
+                                            range_.name: range_})
+            workflow = MatchWorkflow("fig11") \
+                .add_select("confine", candidates) \
+                .add_matcher("by-object", matcher, domain.name, range_.name,
+                             candidates=candidates) \
+                .add_matcher("by-name", matcher, domain.name, range_.name,
+                             candidates="confine")
+            assert list(workflow.run(context)) == expected
+            assert list(context.resolve_mapping("by-object")) == expected
+
+    def test_neighborhood_matcher_is_confined_by_a_mapping(self):
+        asso1 = Mapping.from_correspondences(
+            "N.Pub", "N.Author", [("p1", "x", 1.0), ("p2", "y", 1.0)],
+            kind=MappingKind.ASSOCIATION)
+        same = Mapping.from_correspondences(
+            "N.Author", "M.Author", [("x", "u", 1.0), ("y", "v", 1.0)])
+        asso2 = Mapping.from_correspondences(
+            "M.Author", "M.Pub", [("u", "q1", 1.0), ("v", "q2", 1.0)],
+            kind=MappingKind.ASSOCIATION)
+        domain = LogicalSource(PhysicalSource("N"), ObjectType("Pub"))
+        range_ = LogicalSource(PhysicalSource("M"), ObjectType("Pub"))
+        matcher = NeighborhoodMatcher(asso1, same, asso2)
+        full = matcher.match(domain, range_)
+        assert {(a, b) for a, b, _ in full} == {("p1", "q1"), ("p2", "q2")}
+        for names in (("N.Pub", "M.Pub"), ("Else.A", "Else.B")):
+            allowed = Mapping.from_correspondences(
+                *names, [("p2", "q2", 0.1), ("p1", "q2", 0.1)])
+            confined = matcher.match(domain, range_, candidates=allowed)
+            assert list(confined) == [row for row in full
+                                      if row[0] == "p2"]
+            assert list(confined) == list(matcher.match(
+                domain, range_, candidates=[("p2", "q2"), ("p1", "q2")]))
+
+
+# ----------------------------------------------------------------------
 # (c) parent-cut == worker-cut == serial, as lists
 # ----------------------------------------------------------------------
 
@@ -235,9 +368,8 @@ class TestSlices:
     def _runner(self, chunk_size, n=40):
         source = _pubs("S", n)
         request = _request("trigram", source, source, "skip")
-        indexed = BatchMatchEngine()._prepare(request)
-        return shards_module.ShardRunner((), request, chunk_size,
-                                         indexed), source.ids()
+        engine = BatchMatchEngine(EngineConfig(chunk_size=chunk_size))
+        return engine._prepare(request, ()), source.ids()
 
     @staticmethod
     def _flat(slices):

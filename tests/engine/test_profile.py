@@ -184,6 +184,48 @@ class TestProfileRecords:
         assert engine.profile_summary()["index_cached"] is False
         assert "memo_counts" not in engine.last_profile
 
+    def test_the_bridges_lookups_are_the_prepare_steps_own(self):
+        """The sources' row<->code bridges are two more ``derived``
+        lookups per request, made where the kernel's are: hits on a
+        warm run, they must not read as "the blocking index was
+        cached", nor their cold builds as "a column was built"."""
+        domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
+        engine = BatchMatchEngine(EngineConfig(profile=True, chunk_size=64))
+
+        def run(**kwargs):
+            before = [(s.derived_hits, s.derived_builds)
+                      for s in (domain, range_)]
+            mapping = engine.execute(MatchRequest(
+                domain=domain, range=range_, threshold=0.3,
+                specs=[AttributeSpec("title", "title", TrigramSimilarity())],
+                **kwargs))
+            after = [(s.derived_hits, s.derived_builds)
+                     for s in (domain, range_)]
+            return mapping, engine.profile_summary(), [
+                (hits - h, builds - b)
+                for (hits, builds), (h, b) in zip(after, before)]
+
+        cold, summary, counts = run()
+        assert (summary["kernel_cached"], summary["index_cached"]) \
+            == (False, False)
+        # domain: gram arrays + bound column + bridge; range: the same
+        # minus the column, which the domain side keeps
+        assert counts == [(0, 3), (0, 2)]
+        _, summary, counts = run()
+        assert counts == [(2, 0), (1, 0)]  # column + bridge; bridge
+        assert (summary["path"], summary["kernel_cached"],
+                summary["index_cached"]) == ("indexed", True, False)
+        _, summary, counts = run(candidates=cold)
+        assert counts == [(2, 0), (1, 0)]
+        assert (summary["path"], summary["kernel_cached"],
+                summary["index_cached"]) == ("rows", True, False)
+        _, summary, _ = run(blocking=TokenBlocking())
+        assert (summary["kernel_cached"], summary["index_cached"]) \
+            == (True, False)
+        _, summary, _ = run(blocking=TokenBlocking())
+        assert (summary["kernel_cached"], summary["index_cached"]) \
+            == (True, True)
+
     def test_each_run_resets_the_profile(self):
         engine = BatchMatchEngine(EngineConfig(profile=True, workers=1,
                                                chunk_size=64))

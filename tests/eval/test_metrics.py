@@ -1,6 +1,11 @@
 """Tests for evaluation metrics."""
 
+from dataclasses import asdict
+
 import pytest
+import reference_metrics as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mapping import Mapping
 from repro.eval.metrics import (
@@ -73,3 +78,52 @@ class TestEvaluate:
     def test_evaluate_pairs_direct(self):
         quality = evaluate_pairs({("a", "b")}, {("a", "b"), ("c", "d")})
         assert quality.recall == 0.5
+
+
+# ----------------------------------------------------------------------
+# the columnar evaluate against the set-based one (``reference_metrics``)
+# ----------------------------------------------------------------------
+
+_rows = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                           st.sampled_from([0.25, 0.5, 1.0])), max_size=30)
+
+
+def _mapping(domain, range_, rows):
+    return Mapping.from_correspondences(
+        domain, range_, [(f"a{a}", f"b{b}", sim) for a, b, sim in rows])
+
+
+class TestEvaluateAgainstSetReference:
+    @settings(max_examples=200, deadline=None)
+    @given(predicted=_rows, gold=_rows,
+           gold_names=st.sampled_from([("E.A", "E.B"), ("Gold.A", "E.B"),
+                                       ("Gold.A", "Gold.B")]),
+           restricted=st.sampled_from([None, "even", "none"]),
+           columnar=st.booleans())
+    def test_every_field_equal(self, predicted, gold, gold_names, restricted,
+                               columnar):
+        """Empty sides, a restricted universe, gold under other source
+        names (its codes mean other ids there), gold ids the predicted
+        mapping's spaces never saw — and either form of the table."""
+        predicted = _mapping("E.A", "E.B", predicted)
+        gold = _mapping(*gold_names, gold)
+        if columnar:
+            predicted, gold = predicted.copy(), gold.copy()
+        restrict = {
+            None: None,
+            "even": lambda pair: int(pair[0][1:]) % 2 == 0,
+            "none": lambda pair: False,
+        }[restricted]
+        assert asdict(evaluate(predicted, gold, restrict=restrict)) == \
+            asdict(reference.evaluate(predicted, gold, restrict=restrict))
+
+    def test_foreign_gold_compares_ids_not_codes(self):
+        """Gold interned under another name in another order: code 0
+        is a different id on each side."""
+        gold = Mapping.from_correspondences(
+            "Other.A", "Other.B", [("z", "z", 1.0), ("a1", "b1", 1.0)])
+        predicted = Mapping.from_correspondences(
+            "Mine.A", "Mine.B", [("a1", "b1", 0.9), ("q", "q", 0.9)])
+        quality = evaluate(predicted, gold)
+        assert (quality.true_positives, quality.predicted, quality.gold) \
+            == (1, 2, 2)
