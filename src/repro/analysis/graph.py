@@ -41,7 +41,7 @@ from repro.analysis.core import ordered_iterables, parent_map, sorted_wrapped
 
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
-ANALYSIS_VERSION = 4
+ANALYSIS_VERSION = 5
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,12 @@
 the serve index, which assume the kernel surface —
 ``score_rows(domain_rows, range_rows)``, ``score_bound_rows`` (the
 prefilters' admissible bound) and the ``orientation_symmetric`` flag
-the deterministic merge relies on.  A column missing one of these
-crashes at match or serve time; this family fails lint instead:
+the deterministic merge relies on.  ``score_rows`` is the column base
+class's (a table lookup, or the column kind's own
+``kernel_rows``), so what a kind owes is ``kernel_rows``: the
+inherited ``score_rows`` alone would pass a kind that cannot score.
+A column missing one of these crashes at match or serve time; this
+family fails lint instead:
 
 =======  ============================================================
 KRN001   a class reachable from the registry entry point lacks a
@@ -39,7 +43,7 @@ class KernelContract:
     """One registry entry point and the surface its kernels owe."""
 
     entry_point: str = "repro.engine.columns.build_column"
-    required_methods: Tuple[str, ...] = ("score_rows",
+    required_methods: Tuple[str, ...] = ("kernel_rows",
                                          "score_bound_rows")
     required_attrs: Tuple[str, ...] = ("orientation_symmetric",)
     #: how deep to follow project calls out of the entry point when

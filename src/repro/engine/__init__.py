@@ -41,7 +41,7 @@ per request — and composes them
 (:func:`repro.engine.vectorized.request_kernel`; multi-attribute
 requests compose their bound columns with a vectorized combiner); the
 serve tier's index keeps the same column objects across requests and
-binds per micro-batch.  The scalar :class:`ChunkScorer` runs no
+binds per page of queries.  The scalar :class:`ChunkScorer` runs no
 request: it is the reference both are checked against.
 See ``docs/engine.md``.
 """

@@ -1,4 +1,4 @@
-"""The scoring core: packed reference columns, bound per query batch.
+"""The scoring core: packed reference columns, bound per query side.
 
 Everything that scores row pairs — every batch engine request, alone
 or inside the composed multi-attribute kernel, and the serve tier's
@@ -18,11 +18,20 @@ extract them from the values otherwise (the serve index, per page).
 A *column* packs one attribute's reference-side values.  ``bind``
 returns the same column with a query side attached — a *kernel*
 exposing ``score_rows`` / ``score_bound_rows`` /
-``orientation_symmetric`` (the surface KRN001 pins) plus the two
-missing-value masks.  The batch engine binds a request's domain values
-once (self-matching passes the reference list itself, which aliases
-the packed side instead of packing twice); the serve index keeps its
-columns across requests and binds every micro-batch.
+``orientation_symmetric`` plus the two missing-value masks.  The batch
+engine binds a request's domain values once (self-matching passes the
+reference list itself, which aliases the packed side instead of
+packing twice); the serve index keeps its columns across requests and
+binds every page of queries.
+
+``score_rows`` is defined once, on :class:`_Column`.  A score is a
+function of the coerced value pair, so a bound column that carries
+both sides' :func:`value_codes` can answer from a *table* — one score
+per pair of distinct values, filled by the column's own per-kind
+kernel (``kernel_rows``, what KRN001 pins beside ``score_bound_rows``)
+over one representative row per value — and does so once the engine
+found the grid smaller than the request (:meth:`_Column.tabulate`).
+Without a table ``score_rows`` *is* ``kernel_rows``.
 
 Three columns exist, chosen by :func:`build_column`:
 
@@ -34,7 +43,7 @@ Three columns exist, chosen by :func:`build_column`:
   scored as sparse dot products (ragged gather, keyed ``searchsorted``,
   ``bincount`` segment sums);
 * :class:`ScalarColumn` — the fallback for every other similarity:
-  value lookup plus the memoized ``score_batch``
+  value codes plus the memoized ``score_batch``
   (:class:`ValuePairMemo`) the scalar reference
   (:mod:`repro.engine.scorer`) also uses.
 
@@ -54,11 +63,14 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import is_
 from typing import (
     Any,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -87,8 +99,38 @@ _BYTES_PER_ENTRY = 32
 
 def missing_mask(values: Sequence[object]) -> Any:
     """Boolean row array marking ``None`` attribute values."""
-    return _np.fromiter((value is None for value in values),
+    return _np.fromiter(map(is_, values, repeat(None)),
                         dtype=_np.bool_, count=len(values))
+
+
+class ValueCodes(NamedTuple):
+    """One side's values, coded (:func:`value_codes`)."""
+
+    codes: Any  # int64 per row: its value's code, -1 = missing
+    rows: Any  # int64 per code: the first row holding that value
+    texts: List[str]  # per code: the coerced value
+
+
+def value_codes(values: Sequence[object]) -> ValueCodes:
+    """Code ``values`` over their distinct coerced texts.
+
+    A value's code is the position of ``str(value)`` among the distinct
+    texts in order of first appearance — what every column scores is
+    the coerced text, so ``1`` and ``"1"`` share a code and ``1.0`` has
+    its own; ``None`` is -1, apart from the literal text ``"None"``.
+    One dict pass over the texts, no Python step per value.
+    """
+    present = ~missing_mask(values)
+    texts = list(map(str, compress(values, present.tolist())))
+    distinct = dict.fromkeys(texts)
+    code_of = dict(zip(distinct, range(len(distinct))))
+    coded = _np.fromiter(map(code_of.__getitem__, texts),
+                         dtype=_np.int64, count=len(texts))
+    rows = _np.flatnonzero(present)
+    codes = _np.full(len(values), -1, dtype=_np.int64)
+    codes[rows] = coded
+    first = _np.unique(coded, return_index=True)[1]
+    return ValueCodes(codes, rows[first], list(distinct))
 
 
 class ValuePairMemo:
@@ -136,12 +178,14 @@ class ValuePairMemo:
 
 
 class _Column:
-    """Shared column mechanics: the reference side, ``bind``, the masks.
+    """Shared column mechanics: the reference side, ``bind``, the
+    masks, ``score_rows``.
 
     Subclasses pack one side's values in ``_pack`` and score bound rows
-    in ``score_rows`` / ``score_bound_rows``; both are only meaningful
-    on the kernel ``bind`` returns.  Rows are aligned with the value
-    lists handed to the constructor and to ``bind``.
+    in ``kernel_rows(domain_rows, range_rows)`` /
+    ``score_bound_rows``; both are only meaningful on the kernel
+    ``bind`` returns.  Rows are aligned with the value lists handed to
+    the constructor and to ``bind``.
     """
 
     #: False for the memoized ``score_batch`` fallback
@@ -150,6 +194,13 @@ class _Column:
     #: block-vectorized sharded mode may expand a self-matching pair
     #: either way round
     orientation_symmetric = True
+    #: the bound ``(domain, range)`` sides' :class:`ValueCodes`, where
+    #: whoever bound the column keeps them (the batch engine does)
+    codes: Optional[Tuple[ValueCodes, ValueCodes]] = None
+    #: ``(row offset per domain row, column per range row, flat
+    #: scores)`` over every pair of distinct values, once
+    #: :meth:`tabulate` ran
+    table: Any = None
 
     #: clear the similarity's per-string cache (TF/IDF vectors: they
     #: depend on the prepared corpus, so the similarity keeps them)
@@ -185,6 +236,7 @@ class _Column:
         column kinds that pack from an extraction.
         """
         kernel = copy.copy(self)
+        kernel.codes = kernel.table = None  # they describe the old side
         if query_values is self._reference_values:
             kernel.domain = self.range
             kernel.domain_missing = self.range_missing
@@ -202,6 +254,38 @@ class _Column:
     def missing_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         """Boolean array: pairs with a ``None`` value on either side."""
         return self.domain_missing[domain_rows] | self.range_missing[range_rows]
+
+    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        """Score aligned row-index arrays; returns a float64 array.
+
+        Three gathers through the :attr:`table` where there is one, the
+        column kind's ``kernel_rows`` otherwise — bit-identical, since
+        the table holds what that very kernel scored.
+        """
+        if self.table is None:
+            return self.kernel_rows(domain_rows, range_rows)
+        offsets, columns, scores = self.table
+        return scores.take(offsets[domain_rows] + columns[range_rows])
+
+    def tabulate(self) -> None:
+        """Fill :attr:`table` from :attr:`codes`: every later
+        ``score_rows`` is a lookup.
+
+        ``kernel_rows`` scores the grid of representative rows, so the
+        table cannot disagree with the kernel, orientation included.
+        The grid sits in a frame of zeros that the missing code (-1)
+        wraps onto: a missing value scores exact 0.0 in every kernel.
+        Whether the grid is worth filling is the caller's decision
+        (:func:`repro.engine.vectorized.request_kernel`).
+        """
+        (codes_a, rows_a, _), (codes_b, rows_b, _) = self.codes
+        height, width = len(rows_a) + 1, len(rows_b) + 1
+        grid = _np.zeros((height, width))
+        grid[:-1, :-1] = self.kernel_rows(
+            _np.repeat(rows_a, width - 1), _np.tile(rows_b, height - 1)
+        ).reshape(height - 1, width - 1)
+        self.table = (codes_a % height * width, codes_b % width,
+                      grid.ravel())
 
     def release(self) -> None:
         """Keep the packed arrays only: this kernel is done binding.
@@ -295,7 +379,7 @@ class NGramColumn(_Column):
         _np.bitwise_or.at(bits.reshape(-1), cells, masks)
         return bits, features.sizes
 
-    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+    def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         """Score aligned row-index arrays; returns a float64 array.
 
         Evaluates the scalar ``_score`` expressions elementwise:
@@ -323,7 +407,7 @@ class NGramColumn(_Column):
         The overlap can never exceed the smaller gram-set size, and
         each scalar expression is monotone in the exactly-represented
         integer overlap under IEEE correctly-rounded division, so
-        ``score_rows(...) <= score_bound_rows(...)`` holds *exactly*,
+        ``kernel_rows(...) <= score_bound_rows(...)`` holds *exactly*,
         float by float — a pair whose bound misses the threshold can
         be dropped with bit-identical surviving results.  O(pairs)
         size gathers; the packed bitmaps are never touched.
@@ -332,7 +416,7 @@ class NGramColumn(_Column):
         size_b = self.range[1][range_rows]
         cap = _np.minimum(size_a, size_b)
         if self.method == "dice":
-            # same denominator as score_rows, numerator capped
+            # same denominator as kernel_rows, numerator capped
             return 2.0 * cap / _np.maximum(size_a + size_b, 1)
         if self.method == "jaccard":
             # overlap=cap minimizes the denominator to max(a, b)
@@ -473,7 +557,7 @@ class TfIdfColumn(_Column):
                      self._vocabulary, self._vocab_size,
                      [self._rank(self._text(value)) for value in values])
 
-    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+    def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         """Score aligned row-index arrays; returns a float64 array.
 
         Per pair, the smaller row (tie: smaller text rank) is expanded
@@ -556,8 +640,8 @@ class TfIdfColumn(_Column):
 class ScalarColumn(_Column):
     """Fallback column: memoized ``score_batch`` over coerced texts.
 
-    Each side is packed as codes over its distinct coerced texts (-1
-    for a missing value).  A slice scores its *distinct* value-pair
+    Each side is packed as its :func:`value_codes` and the distinct
+    texts they stand for.  A slice scores its *distinct* value-pair
     codes once through the similarity's ``score_batch`` — exactly the
     evaluation (and the bounded :class:`ValuePairMemo`) of the scalar
     reference (:func:`repro.engine.scorer.score_pairs`), so scores are
@@ -576,24 +660,24 @@ class ScalarColumn(_Column):
     orientation_symmetric = False
 
     def __init__(self, sim: SimilarityFunction,
-                 reference_values: Sequence[object]) -> None:
+                 reference_values: Sequence[object],
+                 features: Any = None) -> None:
         super().__init__(sim, reference_values)
         self.memo = ValuePairMemo(sim)
-        self.range = self._pack(reference_values)
+        self.range = self._pack(reference_values, features)
 
     def _pack(self, values: Sequence[object],
-              features: Any = None) -> Tuple[Any, List[str]]:
-        """``(code per row, distinct texts)``: a text's code is its
-        position among the distinct texts, in order of appearance."""
-        texts: Dict[str, int] = {}
-        codes = _np.fromiter(
-            (-1 if value is None else texts.setdefault(str(value), len(texts))
-             for value in values), dtype=_np.int64, count=len(values))
-        return codes, list(texts)
+              features: Any = None) -> ValueCodes:
+        """``features``, the values' :class:`ValueCodes` — coded here
+        when the caller keeps none (or kept what another column kind
+        packs from)."""
+        if isinstance(features, ValueCodes):
+            return features
+        return value_codes(values)
 
-    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
-        codes_a, texts_a = self.domain
-        codes_b, texts_b = self.range
+    def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+        codes_a, _, texts_a = self.domain
+        codes_b, _, texts_b = self.range
         code_a = codes_a[domain_rows]
         code_b = codes_b[range_rows]
         present = (code_a >= 0) & (code_b >= 0)
@@ -668,7 +752,7 @@ def build_column(sim: SimilarityFunction,
             return TfIdfColumn(sim, reference_values)
     except MemoryError:
         pass
-    return ScalarColumn(sim, reference_values)
+    return ScalarColumn(sim, reference_values, features)
 
 
 def survivors(kernel: Any, rows_a: Any, rows_b: Any, threshold: float,

@@ -13,8 +13,9 @@ runs the same four steps (:meth:`BatchMatchEngine.execute`):
 3. **score**: each slice is scored by the request's kernel
    (:func:`repro.engine.vectorized.request_kernel`: one column per
    spec, packed where the similarity packs, the memoized
-   ``score_batch`` otherwise) — inline for ``workers=1``, or across
-   the engine's one process pool
+   ``score_batch`` otherwise, answering from a score table where the
+   plan's rows outnumber the column's distinct value pairs) — inline
+   for ``workers=1``, or across the engine's one process pool
    (:func:`repro.engine.pool.run_ordered`), whose tasks are slices cut
    in the parent or, under ``shard_blocking``, whole shards cut where
    they are scored;
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -46,6 +48,7 @@ from repro.engine import vectorized
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.shards import (
+    ROWS_PER_CALL,
     MappingShard,
     ShardRunner,
     autotune_plan,
@@ -123,6 +126,7 @@ class BatchMatchEngine:
             self.last_profile = {"path": None, "prepare_seconds": 0.0,
                                  "kernel_cached": False,
                                  "index_cached": False,
+                                 "columns": [],
                                  "chunks": 0, "chunk_items": [],
                                  "chunk_seconds": [],
                                  "shard_seconds": [],
@@ -183,7 +187,11 @@ class BatchMatchEngine:
         if isinstance(request.candidates, Mapping):
             return [MappingShard(request.candidates)], False
         if request.candidates is not None:
-            return [IterableShard(lambda: request.candidates)], False
+            return [IterableShard(
+                lambda: request.candidates,
+                cost=(len(request.candidates)
+                      if isinstance(request.candidates, Sized)
+                      else None))], False
         if not shards_authoritative(blocking):
             return [IterableShard(lambda: blocking.candidates(
                 request.domain, request.range, **attributes))], False
@@ -236,6 +244,7 @@ class BatchMatchEngine:
             "prepare_seconds": profile["prepare_seconds"],
             "kernel_cached": profile["kernel_cached"],
             "index_cached": profile["index_cached"],
+            "columns": profile["columns"],
             "survivor_rows": profile["survivor_rows"],
             "merged_rows": profile["merged_rows"],
             "chunks": profile["chunks"],
@@ -257,21 +266,33 @@ class BatchMatchEngine:
         Where the candidates come from plays no part: an explicit list
         is scored by the columns the sources keep like any blocked
         request.
+
+        The plan sizes the score tables: a column may spend as many
+        cells as the shards will ask it for rows (the table then costs
+        no more than the request was going to pay), one slice's worth
+        at most, and none when a shard cannot tell its cost.
         """
         begun = time.perf_counter()
         before = _memo_counts(request)
-        kernel = vectorized.request_kernel(request)
+        costs = [shard.cost() for shard in shards]
+        kernel = vectorized.request_kernel(
+            request, 0 if None in costs else min(sum(costs), ROWS_PER_CALL))
         kernel_builds = _memo_counts(request)[1] - before[1]
         runner = ShardRunner(shards, request, self.config.chunk_size, kernel)
         profile = self.last_profile
         if profile is not None:
             profile["prepare_seconds"] = time.perf_counter() - begun
             hits, builds = _memo_counts(request)
+            columns = getattr(kernel, "columns", (kernel,))
             # kept columns are the released ones (arrays only), and
             # one that was not found would have been built just now
             profile["kernel_cached"] = kernel_builds == 0 and all(
-                column.released
-                for column in getattr(kernel, "columns", (kernel,)))
+                column.released for column in columns)
+            profile["columns"] = [
+                {"kind": type(columns[j]).__name__,
+                 "distinct": [len(side.rows) for side in columns[j].codes],
+                 "table": columns[j].table is not None}
+                for j in getattr(kernel, "order", (0,))]
             # the runner's two bridge lookups are this step's own too
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],

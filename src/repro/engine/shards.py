@@ -124,6 +124,9 @@ class MappingShard(PairShard):
     def pairs(self) -> Iterator[Pair]:
         return self.mapping.id_pairs()
 
+    def cost(self) -> int:
+        return len(self.mapping)
+
 
 class ShardRunner:
     """Cuts shards into slices and scores them; lives in the parent,

@@ -26,8 +26,8 @@ ones, so every request has a kernel and the engine one way to score.
 The batch engine and its sharded runner (:func:`request_kernel`: the
 columns of one source pair are prepared, packed and bound once and
 kept by the sources, each request only composes them) and the serve
-index (:func:`build_columns` once, :func:`bind_columns` per
-micro-batch over its persistent columns) all go through these
+index (:func:`build_columns` once, :func:`bind_columns` per page of
+queries over its persistent columns) all go through these
 functions.  Candidate pairs cross process boundaries as int index
 arrays (~8 bytes/pair) instead of string tuples, and on the sharded
 path the payload contract is *shard indices in, surviving ``(rows_a,
@@ -56,6 +56,7 @@ from repro.engine.columns import (
     ScalarColumn,
     build_column,
     column_config,
+    value_codes,
 )
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
@@ -102,6 +103,14 @@ class MultiSpecKernel:
     and survivors are re-combined from the full per-column scores, so
     the output is bit-identical to the unfiltered path; custom
     combiner subclasses disable the prefilter entirely.
+
+    *Evaluation* order is not spec order: columns answering from a
+    table (:meth:`~repro.engine.columns._Column.tabulate`) go first —
+    they cost a lookup a row, and whatever they rule out never reaches
+    a kernel — the rest follow as the specs list them
+    (:attr:`order`).  The bounds are stated over "evaluated" and
+    "remaining" columns, so any order drops only rows that cannot
+    reach the threshold; *combine* order is always spec order.
     """
 
     #: absolute slack for prefilter bound comparisons: bounds are a
@@ -115,6 +124,9 @@ class MultiSpecKernel:
                  threshold: Optional[float] = None) -> None:
         self.columns = list(columns)
         self.combiner = combiner
+        #: column indices in prefilter evaluation order: tabled first
+        self.order = sorted(range(len(self.columns)),
+                            key=lambda j: self.columns[j].table is None)
         #: rows dropped by the progressive prefilter, cumulative
         self.prefiltered = 0
         # prefilter only for the exact built-in classes, whose bound
@@ -141,25 +153,48 @@ class MultiSpecKernel:
                    for column in self.columns]
         return combine_columns(self.combiner, scores, present)[0]
 
-    def _column_caps(self, domain_rows, range_rows):
-        """Per-row score caps per column, for the unevaluated tail.
+    def _caps_after(self, domain_rows, range_rows):
+        """What the bound formula reads of the unevaluated columns'
+        score caps: entry ``k`` aggregates evaluation steps ``k+1..``.
 
-        Every column's ``score_bound_rows`` is an exact float upper
-        bound on its ``score_rows`` output (the q-gram gram-count/
-        length bound, the TF/IDF emptiness cap, 1.0 for scalar
-        columns).
+        A column's ``score_bound_rows`` is an exact float upper bound
+        on its ``score_rows`` (the q-gram gram-count bound, the TF/IDF
+        emptiness cap, 1.0 for scalar columns).  The avg and weighted
+        skip-mode bounds read no cap (``None`` entries), and no formula
+        reads the first evaluated column's.
         """
-        return [_np.minimum(column.score_bound_rows(domain_rows, range_rows),
-                            1.0)
-                for column in self.columns]
+        combiner = self.combiner
+        cls = type(combiner)
+        weights = combiner.weights if cls is WeightedFunction else None
+        count = len(domain_rows)
+        after = [None] * len(self.order)
+        if cls is MaxFunction or (cls is MinFunction
+                                  and not combiner.missing_as_zero):
+            join, running = _np.maximum, _np.zeros(count)
+        elif cls is MinFunction:
+            join, running = _np.minimum, _np.full(count, _np.inf)
+        elif combiner.missing_as_zero:
+            join, running = _np.add, _np.zeros(count)
+        else:
+            return after
+        for k in range(len(self.order) - 1, 0, -1):
+            column = self.columns[self.order[k]]
+            cap = _np.minimum(
+                column.score_bound_rows(domain_rows, range_rows), 1.0)
+            if weights is not None:
+                cap = weights[self.order[k]] * cap
+            running = join(running, cap)
+            after[k - 1] = running
+        return after
 
     def _score_rows_prefiltered(self, domain_rows, range_rows):
         """Progressive column evaluation under the threshold prefilter.
 
-        Per combiner class the bound on a row's best achievable final
-        score, after evaluating columns ``0..j`` (``S``/``c`` the sum/
-        count of present scores, ``r`` the remaining-column count,
-        caps as in :meth:`_column_caps`):
+        Columns are evaluated in :attr:`order`.  Per combiner class the
+        bound on a row's best achievable final score after a step
+        (``S``/``c`` the sum/count of present scores so far, ``r`` the
+        number of columns still to evaluate, caps as in
+        :meth:`_caps_after`):
 
         * avg (skip):  ``(S + r) / (c + r)`` — monotone since every
           score is at most 1;
@@ -177,50 +212,32 @@ class MultiSpecKernel:
         A row is dropped only when its bound misses the threshold by
         :data:`PREFILTER_SLACK`, which dwarfs every float error above,
         so no row the exact combine would score at or over the
-        threshold is ever dropped.
+        threshold is ever dropped — under any evaluation order; the
+        survivors are combined in spec order.
         """
         domain_rows = _np.asarray(domain_rows)
         range_rows = _np.asarray(range_rows)
         count = len(domain_rows)
         columns = self.columns
+        order = self.order
         n = len(columns)
         combiner = self.combiner
         cls = type(combiner)
         cutoff = self._prefilter - self.PREFILTER_SLACK
-        caps = self._column_caps(domain_rows, range_rows)
-        # suffix aggregates of the caps over the unevaluated tail:
-        # index j holds the aggregate of caps[j+1:]
-        cap_sum_after = [None] * n
-        cap_max_after = [None] * n
-        cap_min_after = [None] * n
-        running_sum = _np.zeros(count, dtype=_np.float64)
-        running_max = _np.zeros(count, dtype=_np.float64)
-        running_min = _np.full(count, _np.inf, dtype=_np.float64)
-        for j in range(n - 1, -1, -1):
-            cap_sum_after[j] = running_sum
-            cap_max_after[j] = running_max
-            cap_min_after[j] = running_min
-            running_sum = running_sum + caps[j]
-            running_max = _np.maximum(running_max, caps[j])
-            running_min = _np.minimum(running_min, caps[j])
+        after = self._caps_after(domain_rows, range_rows)
         if cls is WeightedFunction:
             weights = combiner.weights
             weight_total = sum(weights)
-            if combiner.missing_as_zero:
-                wcap_sum_after = [None] * n
-                running_wsum = _np.zeros(count, dtype=_np.float64)
-                for j in range(n - 1, -1, -1):
-                    wcap_sum_after[j] = running_wsum
-                    running_wsum = running_wsum + weights[j] * caps[j]
         alive = _np.arange(count, dtype=_np.int64)
-        full_scores = []
-        full_present = []
+        full_scores = [None] * n
+        full_present = [None] * n
         acc_sum = _np.zeros(count, dtype=_np.float64)
         acc_den = _np.zeros(count, dtype=_np.float64)
         acc_count = _np.zeros(count, dtype=_np.int64)
         acc_min = _np.full(count, _np.inf, dtype=_np.float64)
         acc_max = _np.full(count, -_np.inf, dtype=_np.float64)
-        for j, column in enumerate(columns):
+        for k, j in enumerate(order):
+            column = columns[j]
             col_scores = _np.zeros(count, dtype=_np.float64)
             col_present = _np.zeros(count, dtype=_np.bool_)
             if len(alive):
@@ -228,9 +245,9 @@ class MultiSpecKernel:
                 rows_b = range_rows[alive]
                 col_scores[alive] = column.score_rows(rows_a, rows_b)
                 col_present[alive] = ~column.missing_rows(rows_a, rows_b)
-            full_scores.append(col_scores)
-            full_present.append(col_present)
-            if not len(alive) or j == n - 1:
+            full_scores[j] = col_scores
+            full_present[j] = col_present
+            if not len(alive) or k == n - 1:
                 continue
             s = col_scores[alive]
             p = col_present[alive]
@@ -238,10 +255,9 @@ class MultiSpecKernel:
                 acc_sum[alive] += _np.where(p, s, 0.0)
                 acc_count[alive] += p
                 if combiner.missing_as_zero:
-                    bound = (acc_sum[alive]
-                             + cap_sum_after[j][alive]) / n
+                    bound = (acc_sum[alive] + after[k][alive]) / n
                 else:
-                    r = n - 1 - j
+                    r = n - 1 - k
                     bound = ((acc_sum[alive] + r)
                              / (acc_count[alive] + r))
             elif cls is MinFunction:
@@ -250,30 +266,25 @@ class MultiSpecKernel:
                 acc_count[alive] += p
                 if combiner.missing_as_zero:
                     bound = _np.where(
-                        acc_count[alive] == j + 1,
-                        _np.minimum(acc_min[alive],
-                                    cap_min_after[j][alive]),
+                        acc_count[alive] == k + 1,
+                        _np.minimum(acc_min[alive], after[k][alive]),
                         0.0)
                 else:
                     bound = _np.where(acc_count[alive] > 0,
-                                      acc_min[alive],
-                                      cap_max_after[j][alive])
+                                      acc_min[alive], after[k][alive])
             elif cls is MaxFunction:
                 acc_max[alive] = _np.maximum(
                     acc_max[alive], _np.where(p, s, -_np.inf))
                 bound = _np.maximum(
-                    _np.maximum(acc_max[alive],
-                                cap_max_after[j][alive]), 0.0)
+                    _np.maximum(acc_max[alive], after[k][alive]), 0.0)
             else:  # WeightedFunction with matching weights
+                acc_sum[alive] += _np.where(p, weights[j] * s, 0.0)
                 if combiner.missing_as_zero:
-                    acc_sum[alive] += _np.where(p, weights[j] * s, 0.0)
-                    bound = ((acc_sum[alive]
-                              + wcap_sum_after[j][alive])
-                             / weight_total)
+                    bound = (acc_sum[alive] + after[k][alive]) \
+                        / weight_total
                 else:
-                    acc_sum[alive] += _np.where(p, weights[j] * s, 0.0)
                     acc_den[alive] += _np.where(p, weights[j], 0.0)
-                    wr = sum(weights[j + 1:])
+                    wr = sum(weights[i] for i in order[k + 1:])
                     den = acc_den[alive] + wr
                     positive = den > 0.0
                     bound = _np.where(
@@ -299,8 +310,8 @@ def build_columns(specs: Sequence[AttributeSpec],
     """One column per attribute spec over the reference side, or ``None``.
 
     ``None`` when no spec gets a packed column: the serve index,
-    which binds these per micro-batch, scores such rows through the
-    unpacked loop it keeps for its buffer anyway.
+    which binds these per page of queries, scores such rows through
+    the unpacked loop it keeps for its buffer anyway.
     """
     built = [build_column(spec.similarity, values)
              for spec, values in zip(specs, reference_values)]
@@ -345,26 +356,33 @@ def prepare_similarities(request) -> None:
         spec.similarity.prepare(_corpus(request, spec))
 
 
-def _kept_grams(source: LogicalSource, attribute: str,
-                values: Sequence[object], similarity):
-    """``values``' gram arrays where ``similarity`` packs a q-gram
-    column (else ``None``), kept by ``source``.
+def _kept_features(source: LogicalSource, attribute: str,
+                   values: Sequence[object], similarity):
+    """``(what similarity's column packs from, value codes)`` of
+    ``values``, both kept by ``source``.
 
-    A function of one source's one attribute and ``(q, pad)`` — not of
-    the partner, the method or the similarity object — so DBLP's
-    titles are extracted once for DBLP→ACM and DBLP→GS alike.
+    The value codes (:func:`~repro.engine.columns.value_codes`) are a
+    function of one source's one attribute; so are the gram arrays a
+    q-gram column packs from, given ``(q, pad)`` — neither depends on
+    the partner, the method or the similarity object, so DBLP's titles
+    are extracted once for DBLP→ACM and DBLP→GS alike.  Every other
+    column kind is handed the codes: the scalar column packs from
+    them.
     """
+    codes = source.derived(("value-codes", attribute),
+                           lambda: value_codes(values))
     config = column_config(similarity)
     if config is None or config[0] != "ngram":
-        return None
+        return codes, codes
     _, q, _, pad = config
     return source.derived(("gram-arrays", attribute, q, pad),
-                          lambda: gram_arrays(values, q, pad))
+                          lambda: gram_arrays(values, q, pad)), codes
 
 
 def _bound_column(request, spec: AttributeSpec):
     """``spec``'s column: range side packed, domain side bound, each
-    from the features its source keeps.
+    from the features its source keeps, carrying both sides' value
+    codes.
 
     A domain side over the memory budget sends both sides to the
     scalar column, where :func:`~repro.engine.columns.build_column`
@@ -373,16 +391,18 @@ def _bound_column(request, spec: AttributeSpec):
     domain_values, range_values = source_values(
         request.domain, request.range, spec.attribute, spec.range_attribute)
     similarity = spec.similarity
+    domain_features, domain_codes = _kept_features(
+        request.domain, spec.attribute, domain_values, similarity)
+    range_features, range_codes = _kept_features(
+        request.range, spec.range_attribute, range_values, similarity)
     try:
-        return build_column(
-            similarity, range_values,
-            _kept_grams(request.range, spec.range_attribute, range_values,
-                        similarity),
-        ).bind(domain_values,
-               _kept_grams(request.domain, spec.attribute, domain_values,
-                           similarity))
+        column = build_column(similarity, range_values, range_features
+                              ).bind(domain_values, domain_features)
     except MemoryError:
-        return ScalarColumn(similarity, range_values).bind(domain_values)
+        column = ScalarColumn(similarity, range_values, range_codes
+                              ).bind(domain_values, domain_codes)
+    column.codes = (domain_codes, range_codes)
+    return column
 
 
 def _prepared_column(request, spec: AttributeSpec):
@@ -432,7 +452,7 @@ def _spec_column(request, spec: AttributeSpec):
     return _prepared_column(request, spec)
 
 
-def request_kernel(request):
+def request_kernel(request, cells: int = 0):
     """The kernel scoring ``request``'s row pairs.
 
     One bound column per spec — range side packed, domain side bound,
@@ -443,6 +463,11 @@ def request_kernel(request):
     so the shared instance scores with its last corpus — what the
     scalar reference (:mod:`repro.engine.scorer`) does with it — which
     no per-spec key describes.
+
+    ``cells`` is what the caller's plan allows a score table to hold:
+    a column whose distinct values span no more cells than that is
+    tabulated — in place, so a kept column stays tabulated for later
+    requests — and composed kernels evaluate it first.
     """
     specs = request.specs
     if len({id(spec.similarity) for spec in specs}) < len(specs):
@@ -450,8 +475,12 @@ def request_kernel(request):
         kernels = [_bound_column(request, spec) for spec in specs]
     else:
         kernels = [_spec_column(request, spec) for spec in specs]
+    for column in kernels:
+        domain_codes, range_codes = column.codes
+        if column.table is None and \
+                len(domain_codes.rows) * len(range_codes.rows) <= cells:
+            column.tabulate()
     if request.combiner is None:
         return kernels[0]
     return MultiSpecKernel(kernels, request.combiner,
                            threshold=request.threshold)
-

@@ -11,7 +11,7 @@ through ``_build_indirect``, proving call-graph collection) never sets
 class GoodKernel:
     orientation_symmetric = True
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [1.0]
 
     def score_bound_rows(self, domain_rows, range_rows):
@@ -21,7 +21,7 @@ class GoodKernel:
 class NoBoundKernel:
     orientation_symmetric = False
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [1.0]
 
 
@@ -29,7 +29,7 @@ class NoFlagKernel:
     def __init__(self):
         self.rows = 0
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [1.0]
 
     def score_bound_rows(self, domain_rows, range_rows):

@@ -4,7 +4,7 @@
 class BitKernel:
     orientation_symmetric = True
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [1.0]
 
     def score_bound_rows(self, domain_rows, range_rows):
@@ -15,7 +15,7 @@ class CsrKernel:
     def __init__(self):
         self.orientation_symmetric = False
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [0.5]
 
     def score_bound_rows(self, domain_rows, range_rows):

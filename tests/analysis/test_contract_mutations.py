@@ -74,8 +74,10 @@ def test_deleting_a_docs_row_trips_cfg003(tmp_path):
 ANCHORS = {
     # the docstring's opening words disambiguate NGramColumn's methods
     # from the other columns implementing the same protocol
-    "score_rows": (
-        "    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:\n"
+    # the kind's own kernel: the ``score_rows`` it inherits from
+    # ``_Column`` must not satisfy the contract in its place
+    "kernel_rows": (
+        "    def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:\n"
         '        """Score aligned row-index arrays; returns a float64 array.'
         "\n\n        Evaluates"),
     "score_bound_rows": (

@@ -34,7 +34,7 @@ INHERITED = '''\
 class _BaseKernel:
     orientation_symmetric = True
 
-    def score_rows(self, domain_rows, range_rows):
+    def kernel_rows(self, domain_rows, range_rows):
         return [1.0]
 
 

@@ -91,7 +91,7 @@ class ReferenceScalarColumn(ScalarColumn):
               features: Any = None) -> List[Optional[str]]:
         return [None if value is None else str(value) for value in values]
 
-    def score_rows(self, domain_rows: Any, range_rows: Any) -> Any:
+    def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         texts_a = self.domain
         texts_b = self.range
         keys: List[Optional[Tuple[str, str]]] = []

@@ -208,11 +208,13 @@ class TestProfileRecords:
         cold, summary, counts = run()
         assert (summary["kernel_cached"], summary["index_cached"]) \
             == (False, False)
-        # domain: gram arrays + bound column + bridge; range: the same
-        # minus the column, which the domain side keeps
-        assert counts == [(0, 3), (0, 2)]
+        # domain: value codes + gram arrays + bound column + bridge;
+        # range: the same minus the column, which the domain side keeps
+        assert counts == [(0, 4), (0, 3)]
         _, summary, counts = run()
-        assert counts == [(2, 0), (1, 0)]  # column + bridge; bridge
+        # column + bridge; bridge — the kept column carries its value
+        # codes, so a warm request looks none up
+        assert counts == [(2, 0), (1, 0)]
         assert (summary["path"], summary["kernel_cached"],
                 summary["index_cached"]) == ("indexed", True, False)
         _, summary, counts = run(candidates=cold)
@@ -225,6 +227,50 @@ class TestProfileRecords:
         _, summary, _ = run(blocking=TokenBlocking())
         assert (summary["kernel_cached"], summary["index_cached"]) \
             == (True, True)
+
+    def test_a_scalar_columns_code_lookups_are_the_prepare_steps_own(self):
+        """A scalar column is rebuilt every run and finds both sides'
+        value codes on the sources: two more hits inside ``_prepare``,
+        which must not read as a cached kernel or a cached index."""
+        domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
+        engine = BatchMatchEngine(EngineConfig(profile=True, chunk_size=64))
+        for counts in ([(0, 2), (0, 2)], [(2, 0), (2, 0)]):
+            before = [(s.derived_hits, s.derived_builds)
+                      for s in (domain, range_)]
+            engine.execute(MatchRequest(
+                domain=domain, range=range_, threshold=0.3,
+                specs=[AttributeSpec("title", "title",
+                                     LevenshteinSimilarity())]))
+            # value codes + bridge on either side
+            assert [(s.derived_hits - hits, s.derived_builds - builds)
+                    for s, (hits, builds)
+                    in zip((domain, range_), before)] == counts
+            summary = engine.profile_summary()
+            assert (summary["kernel_cached"], summary["index_cached"]) \
+                == (False, False)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS))
+    def test_columns_are_listed_in_evaluation_order(self, path):
+        """Kind, distinct counts and table use per spec, known in the
+        parent before any worker forks."""
+        domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
+        engine = BatchMatchEngine(EngineConfig(profile=True,
+                                               **CONFIGS[path]))
+        engine.execute(MatchRequest(
+            domain=domain, range=range_, threshold=0.3,
+            specs=[AttributeSpec("title", "title", TrigramSimilarity()),
+                   AttributeSpec("venue", "venue",
+                                 LevenshteinSimilarity())],
+            combiner=get_combination("avg"), blocking=TokenBlocking()))
+        # no record has a venue: a 0 x 0 grid, tabulated and
+        # evaluated before the 40 x 42 titles, which outnumber the
+        # blocked rows
+        expected = [{"kind": "ScalarColumn", "distinct": [0, 0],
+                     "table": True},
+                    {"kind": "NGramColumn", "distinct": [40, 42],
+                     "table": False}]
+        assert engine.last_profile["columns"] == expected
+        assert engine.profile_summary()["columns"] == expected
 
     def test_each_run_resets_the_profile(self):
         engine = BatchMatchEngine(EngineConfig(profile=True, workers=1,

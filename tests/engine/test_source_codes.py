@@ -1,4 +1,5 @@
-"""The source<->code bridge (:func:`repro.core.mapping.source_codes`).
+"""The source<->code bridge (:func:`repro.core.mapping.source_codes`)
+and the per-attribute value codes kept beside it.
 
 A source keeps ``(id space, codes in row order, rows by code)`` like
 its posting lists and packed columns; the engine loads survivors and
@@ -6,12 +7,15 @@ reads candidate mappings through it.  These suites pin its lifetime:
 it goes when the source grows, a subset starts without one, and the
 codes it dealt stay valid whatever else happens to the name's id space
 — another source of the name growing it, or every mapping over the
-name being collected between two requests.
+name being collected between two requests.  The value codes
+(:func:`repro.engine.columns.value_codes`, under ``("value-codes",
+attribute)``) live and die the same way.
 """
 
 from __future__ import annotations
 
 import gc
+import pickle
 
 import numpy as np
 
@@ -107,3 +111,25 @@ def test_codes_stay_valid_after_every_mapping_was_collected():
     again = MATCHER.match(left, right)
     assert again.columns().range_space is space
     assert again.to_rows() == rows
+
+
+def test_value_codes_are_kept_per_attribute_and_die_with_the_contents():
+    left, right = _source("VcL", ["a", "b", "a2"]), _source("VcR", ["c", "d"])
+    MATCHER.match(left, right)
+    key = ("value-codes", "title")
+    kept = left._derived[key]
+    assert kept.codes.tolist() == [0, 1, 2] and key in right._derived
+    # coded once per source attribute: another similarity, another
+    # partner and a self-match all find the same object
+    other = _source("VcO", ["e"])
+    AttributeMatcher("title", similarity="levenshtein",
+                     threshold=0.2).match(left, other)
+    AttributeMatcher("title", similarity="tfidf",
+                     threshold=0.2).match(left, left)
+    assert left._derived[key] is kept
+    assert key not in pickle.loads(pickle.dumps(left))._derived
+    assert left.subset(["a", "b"])._derived == {}
+    left.add_record("z", title="title a adaptive query")
+    assert key not in left._derived
+    MATCHER.match(left, right)
+    assert left._derived[key].codes.tolist() == [0, 1, 2, 0]
