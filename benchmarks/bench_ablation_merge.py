@@ -9,6 +9,7 @@ the result, and Min-0 intersection trades recall for precision.
 
 from repro.core.operators.merge import merge
 from repro.core.operators.selection import ThresholdSelection
+from repro.core.prebuilt import THRESHOLD
 from repro.eval.report import Table, format_percent
 
 FUNCTIONS = ("avg", "avg0", "min", "min0", "max")
@@ -17,8 +18,8 @@ FUNCTIONS = ("avg", "avg0", "min", "min0", "max")
 def run_merge_ablation(workbench):
     title = workbench.fuzzy_title("DBLP", "ACM")
     author = workbench.fuzzy_pub_authors("DBLP", "ACM")
-    year = workbench.year_mapping("DBLP", "ACM")
-    threshold = ThresholdSelection(workbench.THRESHOLD)
+    year = workbench.mapping("year|DBLP|ACM")
+    threshold = ThresholdSelection(THRESHOLD)
 
     table = Table(
         "Ablation: merge combination function (Table 2 inputs, 80% threshold)",

@@ -55,10 +55,6 @@ __all__ = [
     "Selection",
     "ThresholdSelection",
     "TuningResult",
-    "author_neighborhood_workflow",
-    "duplicate_author_workflow",
-    "publication_title_workflow",
-    "venue_neighborhood_workflow",
     "compose",
     "default_library",
     "difference",
@@ -90,14 +86,6 @@ _LAZY = {
         "repro.core.matchers.neighborhood", "neighborhood_match"),
     "MatchContext": ("repro.core.workflow", "MatchContext"),
     "MatchWorkflow": ("repro.core.workflow", "MatchWorkflow"),
-    "publication_title_workflow": (
-        "repro.core.prebuilt", "publication_title_workflow"),
-    "venue_neighborhood_workflow": (
-        "repro.core.prebuilt", "venue_neighborhood_workflow"),
-    "author_neighborhood_workflow": (
-        "repro.core.prebuilt", "author_neighborhood_workflow"),
-    "duplicate_author_workflow": (
-        "repro.core.prebuilt", "duplicate_author_workflow"),
     "DecisionTree": ("repro.core.tuning", "DecisionTree"),
     "DecisionTreeMatcherTuner": (
         "repro.core.tuning", "DecisionTreeMatcherTuner"),

@@ -12,7 +12,8 @@ The workflow engine therefore distinguishes:
 
 * :class:`MatcherStep` — run a matcher on two logical sources;
 * :class:`CombineStep` — a mapping combiner: a mapping operator
-  (merge or compose) followed by an optional selection chain;
+  (merge, compose, neighborhood, inverse, symmetrize or closure)
+  followed by an optional selection chain;
 * :class:`SelectStep` — selection only, refining one mapping;
 * :class:`StoreStep` — persist a mapping into the repository so other
   workflows can re-use it.
@@ -34,9 +35,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.mapping import Candidates, Mapping
 from repro.core.matchers.base import Matcher, confine
+from repro.core.matchers.neighborhood import neighborhood_match
 from repro.core.operators.compose import compose
 from repro.core.operators.merge import merge
 from repro.core.operators.selection import Selection, select
+from repro.core.operators.setops import symmetrize, transitive_closure
 from repro.model.cache import MappingCache
 from repro.model.repository import MappingRepository
 from repro.model.smm import SourceMappingModel
@@ -143,10 +146,16 @@ def _ref(ref: Union[str, Mapping]) -> str:
     return ref if isinstance(ref, str) else "<mapping>"
 
 
+def _names(*refs: object) -> List[str]:
+    """The refs given by name (not ``None``, pairs or a ``Mapping``)."""
+    return [ref for ref in refs if isinstance(ref, str)]
+
+
 class _Step:
     """What the step classes share.  A step is its declarative fields,
-    ``describe()`` (its trace label) and ``apply(context)`` (its
-    mapping); running it is computing, then recording."""
+    ``describe()`` (its trace label), ``reads()`` (the mapping names
+    it resolves) and ``apply(context)`` (its mapping); running it is
+    computing, then recording."""
 
     def run(self, context: MatchContext) -> Mapping:
         mapping = self.apply(context)
@@ -183,6 +192,9 @@ class MatcherStep(_Step):
     def describe(self) -> str:
         return f"matcher {self.matcher.name} {self.domain}->{self.range}"
 
+    def reads(self) -> List[str]:
+        return _names(self.candidates)
+
     def apply(self, context: MatchContext) -> Mapping:
         from repro.engine import BatchMatchEngine, EngineConfig
 
@@ -208,10 +220,17 @@ class MatcherStep(_Step):
 class CombineStep(_Step):
     """A mapping combiner: operator plus optional selection chain.
 
-    ``operator`` is ``"merge"`` (inputs: 2+ mapping refs) or
-    ``"compose"`` (exactly 2 refs).  ``params`` feed through to the
-    operator (combination functions, weights, prefer index).
+    ``operator`` is ``"merge"`` (inputs: 2+ mapping refs),
+    ``"compose"`` (exactly 2 refs), ``"neighborhood"`` (association,
+    same-mapping, association: :func:`neighborhood_match`) or one of
+    the one-input ``"inverse"``, ``"symmetrize"`` and ``"closure"``.
+    ``params`` feed through to merge, compose and neighborhood
+    (combination functions, weights, prefer index, aggregates).
     """
+
+    #: inputs each fixed-arity operator takes
+    ARITY = {"compose": 2, "neighborhood": 3, "inverse": 1,
+             "symmetrize": 1, "closure": 1}
 
     output: str
     operator: str
@@ -223,19 +242,32 @@ class CombineStep(_Step):
         return (f"{self.operator.strip().lower()}"
                 f"({', '.join(map(_ref, self.inputs))})")
 
+    def reads(self) -> List[str]:
+        return _names(*self.inputs)
+
     def apply(self, context: MatchContext) -> Mapping:
         resolved = [context.resolve_mapping(ref) for ref in self.inputs]
         operator = self.operator.strip().lower()
+        arity = self.ARITY.get(operator)
+        if arity is None and operator != "merge":
+            raise WorkflowError(f"unknown operator {self.operator!r}")
+        if arity is not None and len(resolved) != arity:
+            raise WorkflowError(
+                f"{operator} expects {arity} inputs, got {len(resolved)}")
+        # each operator is called through this module's globals, where
+        # a tracer that patches them (benchmarks/moma_bench) is seen
         if operator == "merge":
             mapping = merge(resolved, **self.params)
         elif operator == "compose":
-            if len(resolved) != 2:
-                raise WorkflowError(
-                    f"compose expects 2 inputs, got {len(resolved)}"
-                )
-            mapping = compose(resolved[0], resolved[1], **self.params)
+            mapping = compose(*resolved, **self.params)
+        elif operator == "neighborhood":
+            mapping = neighborhood_match(*resolved, **self.params)
+        elif operator == "inverse":
+            mapping = resolved[0].inverse()
+        elif operator == "symmetrize":
+            mapping = symmetrize(resolved[0])
         else:
-            raise WorkflowError(f"unknown operator {self.operator!r}")
+            mapping = transitive_closure(resolved[0])
         return select(mapping, *self.selections)
 
 
@@ -249,6 +281,9 @@ class SelectStep(_Step):
 
     def describe(self) -> str:
         return f"select({_ref(self.input)})"
+
+    def reads(self) -> List[str]:
+        return _names(self.input)
 
     def apply(self, context: MatchContext) -> Mapping:
         return select(context.resolve_mapping(self.input), *self.selections)
@@ -265,6 +300,9 @@ class StoreStep(_Step):
 
     def describe(self) -> str:
         return f"store {self.repository_name!r}"
+
+    def reads(self) -> List[str]:
+        return _names(self.input)
 
     def apply(self, context: MatchContext) -> Mapping:
         mapping = context.resolve_mapping(self.input)
@@ -325,6 +363,31 @@ class MatchWorkflow:
                                       params, tuple(selections)))
         return self
 
+    def add_neighborhood(self, output: str, asso1: Union[str, Mapping],
+                         same: Union[str, Mapping],
+                         asso2: Union[str, Mapping],
+                         selections: Sequence[Selection] = (),
+                         **params: object) -> "MatchWorkflow":
+        self.steps.append(CombineStep(output, "neighborhood",
+                                      [asso1, same, asso2], dict(params),
+                                      tuple(selections)))
+        return self
+
+    def add_inverse(self, output: str,
+                    input: Union[str, Mapping]) -> "MatchWorkflow":
+        self.steps.append(CombineStep(output, "inverse", [input]))
+        return self
+
+    def add_symmetrize(self, output: str,
+                       input: Union[str, Mapping]) -> "MatchWorkflow":
+        self.steps.append(CombineStep(output, "symmetrize", [input]))
+        return self
+
+    def add_closure(self, output: str,
+                    input: Union[str, Mapping]) -> "MatchWorkflow":
+        self.steps.append(CombineStep(output, "closure", [input]))
+        return self
+
     def add_select(self, output: str, input: Union[str, Mapping],
                    *selections: Selection) -> "MatchWorkflow":
         self.steps.append(SelectStep(output, input, tuple(selections)))
@@ -348,6 +411,32 @@ class MatchWorkflow:
             return context.resolve_mapping(self.result)
         assert last is not None
         return last
+
+    def output(self, context: MatchContext, name: str) -> Mapping:
+        """The mapping called ``name``, computing only what is missing.
+
+        What ``context`` already holds is returned as it is; otherwise
+        the step declaring ``name`` runs, after the outputs it
+        ``reads()``.  Steps outside ``name``'s dependency cone do not
+        run, and nothing runs twice in one context — the paper's "a
+        step may only combine existing or previously computed mappings
+        from the mapping repository or mapping cache" (§2.2).
+        """
+        mapping = context.find_mapping(name)
+        if mapping is not None:
+            # held for the rest of this context: the step that reads
+            # it must find it even if the cache evicts it meanwhile
+            context.workspace[name] = mapping
+            return mapping
+        declaring = [step for step in self.steps if step.output == name]
+        if not declaring:
+            raise WorkflowError(f"unknown mapping {name!r}")
+        if len(declaring) > 1:
+            raise WorkflowError(f"workflow {self.name!r} declares "
+                                f"{name!r} {len(declaring)} times")
+        for ref in declaring[0].reads():
+            self.output(context, ref)
+        return declaring[0].run(context)
 
     def as_matcher(self, domain: str, range: str,
                    base_context: Optional[MatchContext] = None) -> Matcher:

@@ -2,9 +2,12 @@
 
 Each ``run_tableN`` takes a :class:`~repro.eval.experiments.common.Workbench`
 (or a dataset) and returns an :class:`ExperimentResult` whose table
-shows paper-reference numbers next to measured ones.  The drivers are
-the single source of truth for the match workflows — benchmarks,
-examples and integration tests all call them.
+shows paper-reference numbers next to measured ones.  The match
+strategies themselves are declared once, as the steps of
+:func:`repro.core.prebuilt.evaluation_workflow`; a driver asks the
+workbench for the named outputs its table reports, scores them against
+gold and renders — benchmarks, examples and integration tests all call
+the drivers.
 """
 
 from repro.eval.experiments.common import ExperimentResult, Workbench

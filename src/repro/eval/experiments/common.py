@@ -1,21 +1,23 @@
 """Shared machinery for the experiment drivers.
 
-The :class:`Workbench` wraps a generated dataset and memoizes the
-intermediate mappings (fuzzy title mappings, publication same-mappings,
-the venue same-mapping, ...) that several tables share — exactly the
-role of MOMA's mapping cache, and implemented on top of it.
+The :class:`Workbench` wraps a generated dataset, the declared
+evaluation workflow (:func:`repro.core.prebuilt.evaluation_workflow`)
+and the mapping cache its outputs are kept in.  A table driver asks
+for named outputs; a step runs when the first table needs it, and the
+intermediate mappings several tables share (fuzzy title mappings,
+publication same-mappings, the venue same-mapping, ...) come out of
+the cache afterwards — exactly the role of MOMA's mapping cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List
 
-from repro.blocking import KeyBlocking, TokenBlocking
 from repro.core.mapping import Mapping
-from repro.core.matchers.attribute import AttributeMatcher
-from repro.core.matchers.neighborhood import neighborhood_match
-from repro.core.operators.selection import BestNSelection, ThresholdSelection
+from repro.core.prebuilt import evaluation_workflow
+from repro.core.workflow import MatchContext
 from repro.datagen.sources import BibliographicDataset, SourceBundle
 from repro.eval.metrics import MatchQuality, evaluate
 from repro.eval.report import Table
@@ -37,140 +39,63 @@ class ExperimentResult:
 
 
 class Workbench:
-    """Dataset + memoized intermediate mappings for the experiments."""
-
-    #: trigram fuzzy-mapping floor; low enough that every threshold the
-    #: experiments use can be applied afterwards without re-matching
-    FUZZY_FLOOR = 0.4
-    #: the standard threshold of the paper's attribute matchers (§5.2)
-    THRESHOLD = 0.8
+    """Dataset + the evaluation workflow over one mapping cache."""
 
     def __init__(self, dataset: BibliographicDataset) -> None:
         self.dataset = dataset
         self.cache = MappingCache(max_entries=256)
-        # max_df values are calibrated to the corrected two-source
-        # cutoff semantics (a token's df is compared against max_df of
-        # the *combined* population).  The doubled values reproduce the
-        # old effective cutoffs to within one df count (integer
-        # truncation differs at some population sizes); no token sits
-        # on that boundary at the tiny/small/paper dataset scales, so
-        # the candidate sets the experiments were tuned on are
-        # unchanged.  Both instances only ever run in two-source mode
-        # here.
-        self._title_blocking = TokenBlocking(max_df=0.2)
-        self._name_blocking = TokenBlocking(max_df=0.5)
+        self.workflow = evaluation_workflow(dataset.smm)
+        authors = dataset.dblp.authors
+        #: the one input no step produces: the trivial same-mapping of
+        #: the §4.3 script
+        self.provided = {"DBLP.AuthorAuthor": Mapping.identity(
+            authors.name, authors.ids())}
+        #: one line per step run, across all table runs
+        self.trace: List[str] = []
 
     # -- plumbing --------------------------------------------------------
 
     def bundle(self, name: str) -> SourceBundle:
         return self.dataset.bundle(name)
 
-    def _memo(self, key: str, factory: Callable[[], Mapping]) -> Mapping:
-        cached = self.cache.get(key)
-        if cached is None:
-            cached = factory()
-            self.cache.put(key, cached)
-        return cached
+    def begin(self) -> Callable[[str], Mapping]:
+        """``output(name)`` for one table run: a fresh workspace over
+        the shared cache, so what an earlier run produced is a cache
+        hit and only what nobody produced yet is computed."""
+        context = MatchContext(smm=self.dataset.smm, cache=self.cache,
+                               mappings=self.provided)
+        context.trace = self.trace
+        return functools.partial(self.workflow.output, context)
 
-    # -- attribute mappings ------------------------------------------------
+    def mapping(self, name: str) -> Mapping:
+        """One declared output by name (``"year|DBLP|ACM"``)."""
+        return self.begin()(name)
+
+    # -- the outputs other code asks for by role ---------------------------
 
     def fuzzy_title(self, left: str, right: str) -> Mapping:
         """Unthresholded trigram title mapping between two sources."""
-        def build() -> Mapping:
-            matcher = AttributeMatcher(
-                "title", "title", "trigram", self.FUZZY_FLOOR,
-                blocking=self._title_blocking,
-            )
-            return matcher.match(self.bundle(left).publications,
-                                 self.bundle(right).publications)
-        return self._memo(f"fuzzy_title|{left}|{right}", build)
+        return self.mapping(f"fuzzy_title|{left}|{right}")
 
-    def pub_same(self, left: str, right: str,
-                 threshold: Optional[float] = None) -> Mapping:
-        """Title-based publication same-mapping at ``threshold``."""
-        threshold = self.THRESHOLD if threshold is None else threshold
-        return self._memo(
-            f"pub_same|{left}|{right}|{threshold}",
-            lambda: ThresholdSelection(threshold).apply(
-                self.fuzzy_title(left, right)
-            ),
-        )
+    def pub_same(self, left: str, right: str) -> Mapping:
+        """Title-based publication same-mapping at the 80% threshold."""
+        return self.mapping(f"pub_same|{left}|{right}")
 
     def fuzzy_pub_authors(self, left: str, right: str) -> Mapping:
         """Trigram mapping over the publications' author-list strings."""
-        def build() -> Mapping:
-            matcher = AttributeMatcher(
-                "authors", "authors", "trigram", self.FUZZY_FLOOR,
-                blocking=self._title_blocking,
-            )
-            return matcher.match(self.bundle(left).publications,
-                                 self.bundle(right).publications)
-        return self._memo(f"fuzzy_pub_authors|{left}|{right}", build)
+        return self.mapping(f"fuzzy_pub_authors|{left}|{right}")
 
-    def year_mapping(self, left: str, right: str) -> Mapping:
-        """Exact-year publication mapping (Table 2's third matcher).
-
-        Blocking on the year value is lossless for exact matching —
-        cross-year pairs score 0 anyway — and avoids the quadratic
-        cross product at paper scale.
-        """
-        def build() -> Mapping:
-            matcher = AttributeMatcher(
-                "year", "year", "exact", 1.0,
-                blocking=KeyBlocking(key=lambda value: (
-                    str(value) if value is not None else None)),
-            )
-            return matcher.match(self.bundle(left).publications,
-                                 self.bundle(right).publications)
-        return self._memo(f"year|{left}|{right}", build)
-
-    def fuzzy_author_names(self, left: str, right: str,
-                           similarity: str = "trigram") -> Mapping:
+    def fuzzy_author_names(self, left: str, right: str) -> Mapping:
         """Fuzzy author-name mapping between two sources' author LDS."""
-        def build() -> Mapping:
-            matcher = AttributeMatcher(
-                "name", "name", similarity, self.FUZZY_FLOOR,
-                blocking=self._name_blocking,
-            )
-            return matcher.match(self.bundle(left).authors,
-                                 self.bundle(right).authors)
-        return self._memo(f"author_names|{left}|{right}|{similarity}", build)
+        return self.mapping(f"author_names|{left}|{right}")
 
-    # -- derived same-mappings ------------------------------------------------
-
-    def venue_same(self, *, selection: str = "best1") -> Mapping:
-        """DBLP-ACM venue same-mapping via 1:n neighborhood matching.
-
-        This is the §5.4.1 pipeline: compose the venue-publication
-        associations around the title-based publication same-mapping,
-        then select.
-        """
-        def build() -> Mapping:
-            dblp = self.bundle("DBLP")
-            acm = self.bundle("ACM")
-            raw = neighborhood_match(
-                dblp.venue_pub, self.pub_same("DBLP", "ACM"), acm.pub_venue,
-            )
-            if selection == "best1":
-                return BestNSelection(1).apply(raw)
-            return ThresholdSelection(float(selection)).apply(raw)
-        return self._memo(f"venue_same|{selection}", build)
+    def venue_same(self) -> Mapping:
+        """DBLP-ACM venue same-mapping: 1:n neighborhood, Best-1."""
+        return self.mapping("venue_same|DBLP|ACM")
 
     def gs_author_same(self, other: str = "DBLP") -> Mapping:
-        """Author same-mapping between ``other`` and GS (§5.4.3 setup).
-
-        Uses the initials-tolerant person-name similarity because "GS
-        reduces authors' first names to their first letter".
-        """
-        def build() -> Mapping:
-            matcher = AttributeMatcher(
-                "name", "name", "personname", 0.75,
-                blocking=self._name_blocking,
-            )
-            fuzzy = matcher.match(self.bundle(other).authors,
-                                  self.bundle("GS").authors)
-            return BestNSelection(1).apply(fuzzy)
-        return self._memo(f"gs_author_same|{other}", build)
+        """Author same-mapping between ``other`` and GS (§5.4.3 setup)."""
+        return self.mapping(f"author_same|{other}|GS")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -208,9 +133,22 @@ class Workbench:
         return kinds
 
 
-def quality_columns() -> list:
-    """The standard column set for P/R/F comparison tables."""
-    return ["metric", "paper", "measured"]
+def quality_table(title: str, paper: Dict[str, tuple],
+                  results: Dict[str, MatchQuality], note: str) -> Table:
+    """One "paper / ours" precision, recall and F-measure row per key
+    of ``paper`` (tables 2, 6, 7 and 8)."""
+    table = Table(title, ["matcher", "precision (paper/ours)",
+                          "recall (paper/ours)", "f-measure (paper/ours)"])
+    for key, (paper_p, paper_r, paper_f) in paper.items():
+        quality = results[key]
+        table.add_row(
+            key,
+            f"{percent_cell(paper_p)} / {percent_cell(quality.precision)}",
+            f"{percent_cell(paper_r)} / {percent_cell(quality.recall)}",
+            f"{percent_cell(paper_f)} / {percent_cell(quality.f1)}",
+        )
+    table.add_note(note)
+    return table
 
 
 def percent_cell(value: float) -> str:

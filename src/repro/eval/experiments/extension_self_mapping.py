@@ -24,15 +24,7 @@ reached through their cleaner siblings.
 
 from __future__ import annotations
 
-from repro.blocking import TokenBlocking
-from repro.core.matchers.attribute import AttributeMatcher
-from repro.core.operators.compose import compose
-from repro.core.operators.merge import merge
-from repro.core.operators.selection import (
-    BestNSelection,
-    MaxAttributeDifference,
-)
-from repro.core.operators.setops import symmetrize, transitive_closure
+from repro.core.mapping import Mapping
 from repro.eval.experiments.common import (
     ExperimentResult,
     Workbench,
@@ -42,35 +34,18 @@ from repro.eval.experiments.common import (
 from repro.eval.report import Table
 
 
-def gs_self_mapping(workbench: Workbench, *,
-                    threshold: float = 0.9):
-    """Duplicate clusters within GS as a transitive self-mapping.
-
-    A high title threshold plus the §3.3 year constraint keeps
-    conference/journal versions of the same work (identical titles,
-    different years — different real-world publications!) out of the
-    duplicate clusters; transitive closure then materializes the
-    clusters as a 1:1-per-pair self-mapping.
-    """
-    gs = workbench.bundle("GS").publications
-    matcher = AttributeMatcher("title", similarity="trigram",
-                               threshold=threshold,
-                               blocking=TokenBlocking())
-    raw = matcher.match(gs, gs)
-    raw = MaxAttributeDifference(gs, gs, "year", 0.5).apply(raw)
-    return transitive_closure(symmetrize(raw))
+def gs_self_mapping(workbench: Workbench) -> Mapping:
+    """Duplicate clusters within GS as a transitive self-mapping."""
+    return workbench.mapping("pub_self|GS|GS")
 
 
 def run_self_mapping_extension(source) -> ExperimentResult:
     workbench = ensure_workbench(source)
+    output = workbench.begin()
 
-    base = workbench.pub_same("DBLP", "GS")
-    self_mapping = gs_self_mapping(workbench)
-    propagated = compose(base, self_mapping, "min", "max")
-    # merge the propagated evidence in, then let each GS entry keep its
-    # best DBLP partner — cluster support disambiguates near-ties
-    expanded = BestNSelection(1, side="range").apply(
-        merge([base, propagated], "max"))
+    base = output("pub_same|DBLP|GS")
+    self_mapping = output("pub_self|GS|GS")
+    expanded = output("pub_expanded|DBLP|GS")
 
     base_quality = workbench.score(base, "publications", "DBLP", "GS")
     expanded_quality = workbench.score(expanded, "publications",

@@ -16,15 +16,11 @@ Paper reference (P / R / F):
 
 from __future__ import annotations
 
-from repro.core.operators.merge import merge
-from repro.core.operators.selection import ThresholdSelection
 from repro.eval.experiments.common import (
     ExperimentResult,
-    Workbench,
     ensure_workbench,
-    percent_cell,
+    quality_table,
 )
-from repro.eval.report import Table
 
 PAPER = {
     "title": (0.867, 0.977, 0.919),
@@ -33,41 +29,26 @@ PAPER = {
     "merge": (0.973, 0.939, 0.955),
 }
 
+OUTPUTS = {
+    "title": "pub_same|DBLP|ACM",
+    "author": "pub_authors_same|DBLP|ACM",
+    "year": "year|DBLP|ACM",
+    "merge": "pub_attributes|DBLP|ACM",
+}
+
 
 def run_table2(source) -> ExperimentResult:
-    workbench: Workbench = ensure_workbench(source)
-    threshold = ThresholdSelection(workbench.THRESHOLD)
-
-    title = workbench.fuzzy_title("DBLP", "ACM")
-    author = workbench.fuzzy_pub_authors("DBLP", "ACM")
-    year = workbench.year_mapping("DBLP", "ACM")
-    merged = threshold.apply(merge([title, author, year], "avg0"))
-
+    workbench = ensure_workbench(source)
+    output = workbench.begin()
     results = {
-        "title": workbench.score(threshold.apply(title),
-                                 "publications", "DBLP", "ACM"),
-        "author": workbench.score(threshold.apply(author),
-                                  "publications", "DBLP", "ACM"),
-        "year": workbench.score(year, "publications", "DBLP", "ACM"),
-        "merge": workbench.score(merged, "publications", "DBLP", "ACM"),
+        key: workbench.score(output(name), "publications", "DBLP", "ACM")
+        for key, name in OUTPUTS.items()
     }
-
-    table = Table(
+    table = quality_table(
         "Table 2: matching DBLP-ACM publications using attribute matchers",
-        ["matcher", "precision (paper/ours)", "recall (paper/ours)",
-         "f-measure (paper/ours)"],
-    )
-    for key in ("title", "author", "year", "merge"):
-        paper_p, paper_r, paper_f = PAPER[key]
-        quality = results[key]
-        table.add_row(
-            key,
-            f"{percent_cell(paper_p)} / {percent_cell(quality.precision)}",
-            f"{percent_cell(paper_r)} / {percent_cell(quality.recall)}",
-            f"{percent_cell(paper_f)} / {percent_cell(quality.f1)}",
-        )
-    table.add_note("merge = Avg-0 combination of all three matchers, "
-                   "80% threshold selection")
+        PAPER, results,
+        "merge = Avg-0 combination of all three matchers, "
+        "80% threshold selection")
     return ExperimentResult(
         "table2", "attribute matchers and their merge", table,
         data={key: quality.as_row() for key, quality in results.items()},

@@ -19,11 +19,8 @@ Paper reference (F-measure):
 
 from __future__ import annotations
 
-from repro.core.operators.compose import compose
-from repro.core.operators.merge import merge
 from repro.eval.experiments.common import (
     ExperimentResult,
-    Workbench,
     ensure_workbench,
     percent_cell,
 )
@@ -35,32 +32,17 @@ PAPER = {
     "GS-ACM": {"direct": 0.353, "compose": 0.839, "merge": 0.837},
 }
 
+#: the direct mapping of each pair; GS-ACM's is the pre-existing links
+DIRECT = {
+    "DBLP-GS": "pub_same|DBLP|GS",
+    "DBLP-ACM": "pub_same|DBLP|ACM",
+    "GS-ACM": "GS.LinksToACM",
+}
+
 
 def run_table3(source) -> ExperimentResult:
-    workbench: Workbench = ensure_workbench(source)
-
-    direct_da = workbench.pub_same("DBLP", "ACM")
-    direct_dg = workbench.pub_same("DBLP", "GS")
-    links = workbench.bundle("GS").extras["links_to_acm"]
-
-    composed = {
-        # DBLP -> GS via ACM: direct DBLP-ACM, then inverted GS->ACM links
-        "DBLP-GS": compose(direct_da, links.inverse(), "min", "max"),
-        # DBLP -> ACM via GS: DBLP-GS title mapping, then the links
-        "DBLP-ACM": compose(direct_dg, links, "min", "max"),
-        # GS -> ACM via the curated hub DBLP (Figure 8)
-        "GS-ACM": compose(direct_dg.inverse(), direct_da, "min", "max"),
-    }
-    direct = {
-        "DBLP-GS": direct_dg,
-        "DBLP-ACM": direct_da,
-        "GS-ACM": links,
-    }
-    pairs = {
-        "DBLP-GS": ("DBLP", "GS"),
-        "DBLP-ACM": ("DBLP", "ACM"),
-        "GS-ACM": ("GS", "ACM"),
-    }
+    workbench = ensure_workbench(source)
+    output = workbench.begin()
 
     table = Table(
         "Table 3: matching publications via different compose paths "
@@ -69,21 +51,16 @@ def run_table3(source) -> ExperimentResult:
          "GS-ACM (via DBLP)"],
     )
     data = {}
-    rows = {"direct": {}, "compose": {}, "merge": {}}
-    for pair_key, (left, right) in pairs.items():
-        quality_direct = workbench.score(direct[pair_key], "publications",
-                                         left, right)
-        quality_compose = workbench.score(composed[pair_key], "publications",
-                                          left, right)
-        merged = merge([direct[pair_key], composed[pair_key]], "max")
-        quality_merge = workbench.score(merged, "publications", left, right)
-        rows["direct"][pair_key] = quality_direct
-        rows["compose"][pair_key] = quality_compose
-        rows["merge"][pair_key] = quality_merge
+    for pair_key, direct in DIRECT.items():
+        left, right = pair_key.split("-")
         data[pair_key] = {
-            "direct": quality_direct.as_row(),
-            "compose": quality_compose.as_row(),
-            "merge": quality_merge.as_row(),
+            strategy: workbench.score(output(name), "publications",
+                                      left, right).as_row()
+            for strategy, name in (
+                ("direct", direct),
+                ("compose", f"pub_via|{left}|{right}"),
+                ("merge", f"pub_direct_or_via|{left}|{right}"),
+            )
         }
 
     for strategy in ("direct", "compose", "merge"):
@@ -91,7 +68,7 @@ def run_table3(source) -> ExperimentResult:
             strategy,
             *[
                 f"{percent_cell(PAPER[pair][strategy])} / "
-                f"{percent_cell(rows[strategy][pair].f1)}"
+                f"{percent_cell(data[pair][strategy]['f1'])}"
                 for pair in ("DBLP-GS", "DBLP-ACM", "GS-ACM")
             ],
         )

@@ -40,11 +40,17 @@ PAPER_F = {
     ("overall", "best1"): 0.988,
 }
 
-SELECTIONS = ("80%", "50%", "best1")
+#: the three selections of the one neighborhood mapping, by output
+SELECTIONS = {
+    "80%": "venue_same_80|DBLP|ACM",
+    "50%": "venue_same_50|DBLP|ACM",
+    "best1": "venue_same|DBLP|ACM",
+}
 
 
 def run_table4(source) -> ExperimentResult:
     workbench: Workbench = ensure_workbench(source)
+    output = workbench.begin()
     kinds = workbench.venue_kind_of_dblp_venue()
 
     def conference_only(pair):
@@ -59,12 +65,8 @@ def run_table4(source) -> ExperimentResult:
          "f-measure (paper/ours)"],
     )
     data = {}
-    for selection_key in SELECTIONS:
-        selection_arg = ("best1" if selection_key == "best1"
-                         else selection_key.rstrip("%"))
-        if selection_arg != "best1":
-            selection_arg = str(float(selection_arg) / 100.0)
-        mapping = workbench.venue_same(selection=selection_arg)
+    for selection_key, name in SELECTIONS.items():
+        mapping = output(name)
         for group, restrict in (
             ("conferences", conference_only),
             ("journals", journal_only),

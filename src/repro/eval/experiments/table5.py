@@ -18,8 +18,6 @@ number is the overall merged F-measure of 98.6 %.)
 
 from __future__ import annotations
 
-from repro.core.matchers.neighborhood import neighborhood_match
-from repro.core.operators.merge import merge
 from repro.eval.experiments.common import (
     ExperimentResult,
     Workbench,
@@ -43,18 +41,7 @@ PAPER_F = {
 
 def run_table5(source) -> ExperimentResult:
     workbench: Workbench = ensure_workbench(source)
-    dblp = workbench.bundle("DBLP")
-    acm = workbench.bundle("ACM")
-
-    attribute = workbench.pub_same("DBLP", "ACM")
-    venue_same = workbench.venue_same(selection="best1")
-    neighborhood = neighborhood_match(
-        dblp.pub_venue, venue_same, acm.venue_pub,
-    )
-    # Min-0 = intersection: a pair survives only when the titles agree
-    # AND the publications sit in matched venues.
-    merged = merge([attribute, neighborhood], "min0")
-
+    output = workbench.begin()
     kinds = workbench.venue_kind_of_pub("DBLP")
 
     def conference_only(pair):
@@ -74,13 +61,13 @@ def run_table5(source) -> ExperimentResult:
         ("journals", journal_only),
         ("overall", None),
     ):
-        for matcher_key, mapping in (
-            ("attribute", attribute),
-            ("neighborhood", neighborhood),
-            ("merge", merged),
+        for matcher_key, name in (
+            ("attribute", "pub_same|DBLP|ACM"),
+            ("neighborhood", "pub_nh|DBLP|ACM"),
+            ("merge", "pub_title_and_venue|DBLP|ACM"),
         ):
-            quality = workbench.score(mapping, "publications", "DBLP", "ACM",
-                                      restrict=restrict)
+            quality = workbench.score(output(name), "publications",
+                                      "DBLP", "ACM", restrict=restrict)
             paper_f = PAPER_F.get((group, matcher_key))
             table.add_row(
                 group, matcher_key,

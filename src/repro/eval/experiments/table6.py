@@ -15,16 +15,11 @@ Paper reference (P / R / F):
 
 from __future__ import annotations
 
-from repro.core.matchers.neighborhood import neighborhood_match
-from repro.core.operators.merge import merge
-from repro.core.operators.selection import BestNSelection, ThresholdSelection
 from repro.eval.experiments.common import (
     ExperimentResult,
-    Workbench,
     ensure_workbench,
-    percent_cell,
+    quality_table,
 )
-from repro.eval.report import Table
 
 PAPER = {
     "attribute": (0.993, 0.813, 0.894),
@@ -32,44 +27,23 @@ PAPER = {
     "merge": (0.999, 0.940, 0.969),
 }
 
+OUTPUTS = {
+    "attribute": "author_names_same|DBLP|ACM",
+    "neighborhood": "author_nh|DBLP|ACM",
+    "merge": "author_same|DBLP|ACM",
+}
+
 
 def run_table6(source) -> ExperimentResult:
-    workbench: Workbench = ensure_workbench(source)
-    dblp = workbench.bundle("DBLP")
-    acm = workbench.bundle("ACM")
-
-    attribute = ThresholdSelection(workbench.THRESHOLD).apply(
-        workbench.fuzzy_author_names("DBLP", "ACM")
-    )
-    neighborhood = neighborhood_match(
-        dblp.author_pub, workbench.pub_same("DBLP", "ACM"), acm.pub_author,
-    )
-    merged = BestNSelection(1, side="both").apply(
-        merge([attribute, neighborhood], "max")
-    )
-
+    workbench = ensure_workbench(source)
+    output = workbench.begin()
     results = {
-        "attribute": workbench.score(attribute, "authors", "DBLP", "ACM"),
-        "neighborhood": workbench.score(neighborhood, "authors",
-                                        "DBLP", "ACM"),
-        "merge": workbench.score(merged, "authors", "DBLP", "ACM"),
+        key: workbench.score(output(name), "authors", "DBLP", "ACM")
+        for key, name in OUTPUTS.items()
     }
-
-    table = Table(
+    table = quality_table(
         "Table 6: matching DBLP-ACM authors via n:m neighborhood matcher",
-        ["matcher", "precision (paper/ours)", "recall (paper/ours)",
-         "f-measure (paper/ours)"],
-    )
-    for key in ("attribute", "neighborhood", "merge"):
-        paper_p, paper_r, paper_f = PAPER[key]
-        quality = results[key]
-        table.add_row(
-            key,
-            f"{percent_cell(paper_p)} / {percent_cell(quality.precision)}",
-            f"{percent_cell(paper_r)} / {percent_cell(quality.recall)}",
-            f"{percent_cell(paper_f)} / {percent_cell(quality.f1)}",
-        )
-    table.add_note("merge = Max combination + Best-1 on both sides")
+        PAPER, results, "merge = Max combination + Best-1 on both sides")
     return ExperimentResult(
         "table6", "author matching via n:m neighborhood", table,
         data={key: quality.as_row() for key, quality in results.items()},

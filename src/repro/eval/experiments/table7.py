@@ -18,17 +18,12 @@ Paper reference (P / R / F):
 
 from __future__ import annotations
 
-from repro.core.matchers.attribute import AttributeMatcher
-from repro.core.matchers.neighborhood import neighborhood_match
-from repro.core.operators.merge import merge
-from repro.core.operators.selection import BestNSelection
 from repro.eval.experiments.common import (
     ExperimentResult,
     Workbench,
     ensure_workbench,
-    percent_cell,
+    quality_table,
 )
-from repro.eval.report import Table
 
 PAPER = {
     "attribute": (0.811, 0.816, 0.813),
@@ -36,54 +31,29 @@ PAPER = {
     "merge": (0.851, 0.929, 0.889),
 }
 
+OUTPUTS = {
+    "attribute": "pub_same|{other}|GS",
+    "neighborhood": "pub_nh|{other}|GS",
+    "merge": "pub_title_or_authors|{other}|GS",
+}
+
 
 def run_gs_publication_experiment(workbench: Workbench, other: str,
                                   paper: dict, experiment_id: str,
                                   table_number: int) -> ExperimentResult:
     """Shared driver for Tables 7 (DBLP-GS) and 8 (ACM-GS)."""
-    bundle = workbench.bundle(other)
-    gs = workbench.bundle("GS")
-
-    attribute = workbench.pub_same(other, "GS")
-    author_same = workbench.gs_author_same(other)
-    neighborhood = neighborhood_match(
-        bundle.pub_author, author_same, gs.author_pub,
-        g2="relative_left",
-    )
-    # Figure 11: the neighborhood result confines candidates for an
-    # additional (permissive) title match on small input data.
-    refine = AttributeMatcher("title", "title", "trigram", 0.5)
-    refined = refine.match(bundle.publications, gs.publications,
-                           candidates=neighborhood)
-    merged = BestNSelection(1, side="range").apply(
-        merge([attribute, refined], "max")
-    )
-
+    output = workbench.begin()
     results = {
-        "attribute": workbench.score(attribute, "publications", other, "GS"),
-        "neighborhood": workbench.score(neighborhood, "publications",
-                                        other, "GS"),
-        "merge": workbench.score(merged, "publications", other, "GS"),
+        key: workbench.score(output(name.format(other=other)),
+                             "publications", other, "GS")
+        for key, name in OUTPUTS.items()
     }
-
-    table = Table(
+    table = quality_table(
         f"Table {table_number}: matching {other}-GS publications via "
-        "author neighborhood (n:m)",
-        ["matcher", "precision (paper/ours)", "recall (paper/ours)",
-         "f-measure (paper/ours)"],
-    )
-    for key in ("attribute", "neighborhood", "merge"):
-        paper_p, paper_r, paper_f = paper[key]
-        quality = results[key]
-        table.add_row(
-            key,
-            f"{percent_cell(paper_p)} / {percent_cell(quality.precision)}",
-            f"{percent_cell(paper_r)} / {percent_cell(quality.recall)}",
-            f"{percent_cell(paper_f)} / {percent_cell(quality.f1)}",
-        )
-    table.add_note("neighborhood uses RelativeLeft (incomplete GS author "
-                   "lists); merge refines neighborhood candidates with a "
-                   "permissive title match (Figure 11), Best-1 per GS entry")
+        "author neighborhood (n:m)", paper, results,
+        "neighborhood uses RelativeLeft (incomplete GS author "
+        "lists); merge refines neighborhood candidates with a "
+        "permissive title match (Figure 11), Best-1 per GS entry")
     return ExperimentResult(
         experiment_id, f"{other}-GS publication matching", table,
         data={key: quality.as_row() for key, quality in results.items()},

@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocking import TokenBlocking
-from repro.core.mapping import Mapping, distinct_keys
-from repro.core.matchers.attribute import AttributeMatcher
-from repro.core.matchers.neighborhood import neighborhood_match
-from repro.core.operators.merge import merge
+from repro.core.mapping import distinct_keys
 from repro.eval.experiments.common import (
     ExperimentResult,
     Workbench,
@@ -44,22 +40,13 @@ PAPER_TOP = (
 
 def run_table9(source, *, top_k: int = 5) -> ExperimentResult:
     workbench: Workbench = ensure_workbench(source)
+    output = workbench.begin()
     dblp = workbench.bundle("DBLP")
     authors = dblp.authors
 
-    identity = Mapping.identity(authors.name, authors.ids())
-    co_author_sim = neighborhood_match(dblp.co_author, identity,
-                                       dblp.co_author)
-    name_matcher = AttributeMatcher(
-        "name", "name", "trigram", 0.5,
-        blocking=TokenBlocking(max_df=0.25),
-    )
-    name_sim = name_matcher.match(authors, authors)
-    # Avg-0: a candidate missing one of the two signals is averaged
-    # against 0 — this reproduces the paper's printed merge values
-    # (e.g. Trigoni: (67% + 75%) / 2 = 71%) and keeps pairs that share
-    # all co-authors but have unrelated names from flooding the top.
-    merged = merge([co_author_sim, name_sim], "avg0").without_identity()
+    co_author_sim = output("co_author_sim|DBLP|DBLP")
+    name_sim = output("author_name_sim|DBLP|DBLP")
+    merged = output("author_duplicates|DBLP|DBLP")
 
     gold = workbench.dataset.gold.get("author-duplicates",
                                       authors.name, authors.name)

@@ -2,8 +2,9 @@
 
 "MOMA also maintains a mapping cache for storing intermediate
 same-mappings derived during a match workflow."  A bounded LRU keyed
-by step/operator signature; entries are whole Mapping objects, so a
-repeated combiner invocation inside (or across) workflows is free.
+by the name a step publishes its result under; entries are whole
+Mapping objects, so a step's output is free to every later workflow
+run over the same cache.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ class MappingCache:
         self._entries: "OrderedDict[str, Mapping]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def make_key(operator: str, *parts: object) -> str:
-        """Build a deterministic cache key from operator and parameters."""
-        return "|".join([operator, *map(str, parts)])
 
     def get(self, key: str) -> Optional[Mapping]:
         """Return the cached mapping or ``None``; refreshes recency."""

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.mapping import Mapping
+from repro.core.mapping import Mapping, MappingKind
 from repro.core.matchers.attribute import AttributeMatcher
+from repro.core.matchers.base import MatcherError
+from repro.core.matchers.neighborhood import neighborhood_match
 from repro.core.operators.selection import NotIdentity, ThresholdSelection
+from repro.core.operators.setops import symmetrize, transitive_closure
 from repro.core.workflow import (
     CombineStep,
     MatchContext,
@@ -14,6 +17,7 @@ from repro.core.workflow import (
     StoreStep,
     WorkflowError,
 )
+from repro.model.cache import MappingCache
 from repro.model.repository import MappingRepository
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 
@@ -142,10 +146,49 @@ class TestWorkflowSteps:
         composed = step.run(context)
         assert composed.get("a1", "b1") == pytest.approx(0.9)
 
-    def test_compose_arity_checked(self, context):
-        step = CombineStep("bad", "compose", [Mapping("A", "B")], {})
-        with pytest.raises(WorkflowError):
+    @pytest.mark.parametrize("operator, given", [
+        ("compose", 1), ("compose", 3), ("neighborhood", 2),
+        ("inverse", 2), ("symmetrize", 0), ("closure", 2)])
+    def test_fixed_arity_checked(self, context, operator, given):
+        step = CombineStep("bad", operator, [Mapping("A", "A")] * given, {})
+        with pytest.raises(WorkflowError, match=f"{operator} expects"):
             step.run(context)
+
+    def test_one_input_operators(self, context):
+        pairs = Mapping.from_correspondences(
+            "L.Publication", "L.Publication",
+            [("a1", "a2", 0.9), ("a2", "a3", 0.7)])
+        context.add_mapping("pairs", pairs)
+        workflow = (MatchWorkflow("dups")
+                    .add_inverse("back", "pairs")
+                    .add_symmetrize("both", "pairs")
+                    .add_closure("clusters", "both"))
+        workflow.run(context)
+        rows = {name: context.resolve_mapping(name).to_rows()
+                for name in ("back", "both", "clusters")}
+        assert rows == {
+            "back": pairs.inverse().to_rows(),
+            "both": symmetrize(pairs).to_rows(),
+            "clusters": transitive_closure(symmetrize(pairs)).to_rows()}
+        assert context.trace[-1] == \
+            "closure(both) -> clusters (6 correspondences)"
+
+    def test_reads_names_not_objects(self):
+        by_value = Mapping("A", "B")
+        matcher = AttributeMatcher("title")
+        assert MatcherStep("m", matcher, "A", "B").reads() == []
+        assert MatcherStep("m", matcher, "A", "B",
+                           candidates=[("a", "b")]).reads() == []
+        assert MatcherStep("m", matcher, "A", "B",
+                           candidates=by_value).reads() == []
+        assert MatcherStep("m", matcher, "A", "B",
+                           candidates="blocked").reads() == ["blocked"]
+        assert CombineStep("c", "merge", ["x", by_value, "y"]).reads() \
+            == ["x", "y"]
+        assert SelectStep("s", "x", []).reads() == ["x"]
+        assert SelectStep("s", by_value, []).reads() == []
+        assert StoreStep("x", "stored").reads() == ["x"]
+        assert StoreStep(by_value, "stored").reads() == []
 
     def test_unknown_operator(self, context):
         step = CombineStep("bad", "cross", [Mapping("A", "B")], {})
@@ -243,3 +286,118 @@ class TestMatchWorkflow:
             "L.Publication", "R.Publication")
         workflow.run(context)
         assert context.cache.get("titles") is not None
+
+
+class TestNeighborhoodStep:
+    """The workflow step, the function and the script builtin are one
+    operator (``CombineStep`` calls ``neighborhood_match``)."""
+
+    @pytest.mark.parametrize("params, symbol", [
+        ({}, ""), ({"g2": "relative_left"}, ", RelativeLeft")])
+    def test_three_notations_agree(self, dataset, params, symbol):
+        from repro.script import ScriptEngine
+
+        same = dataset.gold.get("authors", "DBLP.Author", "GS.Author")
+        context = MatchContext(smm=dataset.smm, mappings={"Same": same})
+        step = (MatchWorkflow("nh").add_neighborhood(
+            "pubs", "DBLP.PubAuthor", "Same", "GS.AuthorPub", **params)
+            .output(context, "pubs"))
+        direct = neighborhood_match(dataset.dblp.pub_author, same,
+                                    dataset.gs.author_pub, **params)
+        script = ScriptEngine(context).run(
+            f"nhMatch(DBLP.PubAuthor, Same, GS.AuthorPub{symbol})")
+        assert step.to_rows() == direct.to_rows() == script.to_rows() != []
+        assert step.kind is MappingKind.SAME
+        assert context.trace == [
+            "neighborhood(DBLP.PubAuthor, Same, GS.AuthorPub) -> pubs "
+            f"({len(direct)} correspondences)"]
+
+    def test_mismatched_association_ends(self, dataset):
+        same = dataset.gold.get("authors", "DBLP.Author", "GS.Author")
+        context = MatchContext(smm=dataset.smm, mappings={"Same": same})
+        for inputs in (["DBLP.AuthorPub", "Same", "GS.AuthorPub"],
+                       ["DBLP.PubAuthor", "Same", "GS.PubAuthor"]):
+            with pytest.raises(MatcherError):
+                CombineStep("bad", "neighborhood", inputs).run(context)
+
+
+def _outputs(trace):
+    """The output names of a trace, one per step run, in order."""
+    return [line.split(" -> ")[1].split(" (")[0] for line in trace]
+
+
+class TestOutput:
+    """``MatchWorkflow.output``: demand-driven, nothing runs twice."""
+
+    @pytest.fixture
+    def workflow(self):
+        return (
+            MatchWorkflow("demand")
+            .add_matcher("titles", AttributeMatcher("title", threshold=0.5),
+                         "L.Publication", "R.Publication")
+            .add_matcher("years",
+                         AttributeMatcher("year", similarity="exact",
+                                          threshold=1.0),
+                         "L.Publication", "R.Publication")
+            .add_select("strong", "titles", ThresholdSelection(0.9))
+            .add_merge("merged", ["strong", "years"], function="avg0"))
+
+    def test_only_the_dependency_cone_runs(self, context, workflow):
+        strong = workflow.output(context, "strong")
+        assert strong.pairs() == {("a1", "b1"), ("a2", "b2")}
+        # ``years`` and ``merged`` are declared, not asked for
+        assert _outputs(context.trace) == ["titles", "strong"]
+
+    def test_a_held_output_is_not_run_again(self, context, workflow):
+        merged = workflow.output(context, "merged")
+        ran = list(context.trace)
+        assert len(ran) == 4
+        assert workflow.output(context, "merged") is merged
+        assert workflow.output(context, "titles") is \
+            context.resolve_mapping("titles")
+        assert context.trace == ran
+        # ... nor what another context left in the shared cache
+        later = MatchContext(cache=context.cache)
+        assert workflow.output(later, "merged") is merged
+        assert later.trace == []
+
+    def test_provided_inputs_are_held(self, context, workflow):
+        provided = Mapping.from_correspondences(
+            "L.Publication", "R.Publication", [("a1", "b3", 1.0)])
+        context.add_mapping("titles", provided)
+        assert workflow.output(context, "strong").pairs() == {("a1", "b3")}
+        assert len(context.trace) == 1
+
+    def test_evicted_outputs_are_recomputed(self, sources, workflow):
+        cache = MappingCache(max_entries=1)
+        contexts = [MatchContext(cache=cache, sources={
+            source.name: source for source in sources}) for _ in range(3)]
+        merged = workflow.output(contexts[0], "merged")
+        assert len(cache) == 1 and len(contexts[0].trace) == 4
+        # a fresh workspace: only ``merged`` survived in the cache
+        assert workflow.output(contexts[1], "merged") is merged
+        strong = workflow.output(contexts[1], "strong")
+        assert len(contexts[1].trace) == 2 and "strong" in cache
+        # ``strong`` comes from the cache, ``years`` evicts it before
+        # the merge step reads it: what was found stays held
+        again = workflow.output(contexts[2], "merged")
+        assert again.to_rows() == merged.to_rows()
+        assert contexts[2].resolve_mapping("strong") is strong
+        assert _outputs(contexts[2].trace) == ["years", "merged"]
+
+    def test_unknown_name(self, context, workflow):
+        with pytest.raises(WorkflowError, match="unknown mapping 'ghost'"):
+            workflow.output(context, "ghost")
+        workflow.add_select("weak", "ghost", ThresholdSelection(0.1))
+        with pytest.raises(WorkflowError, match="unknown mapping 'ghost'"):
+            workflow.output(context, "weak")
+
+    def test_output_declared_twice(self, context, workflow):
+        workflow.add_select("strong", "titles", ThresholdSelection(0.8))
+        with pytest.raises(WorkflowError, match="declares 'strong' 2 times"):
+            workflow.output(context, "strong")
+        with pytest.raises(WorkflowError, match="declares 'strong' 2 times"):
+            workflow.output(context, "merged")
+        # ``run`` keeps its sequential meaning: the later step wins
+        assert len(workflow.run(MatchContext(
+            sources=context._sources))) == 2

@@ -5,8 +5,9 @@ depends on surfaces only when the benchmark gate runs it.  This suite
 fails in tier-1 instead: every name, keyword and attribute below is
 one ``benchmarks/moma_bench/batch.py`` (``_install_core_wrappers``,
 ``_blocking_layer``, ``_sim_layer``, ``_sharded_engine``,
-``run_workflows``) or ``benchmarks/moma_bench/layers.py``
-(``index_read_layer``, ``cluster_layer``) reads.  If a test here has
+``run_workflows``, ``_runners``, ``_named_mappings``) or
+``benchmarks/moma_bench/layers.py`` (``index_read_layer``,
+``cluster_layer``) reads.  If a test here has
 to change, the harness has to change with it — which takes a
 ``benchmark``-labelled PR.
 """
@@ -181,3 +182,96 @@ def test_cluster_layer_calls(dataset, tmp_path):
                                       max_candidates=20) == answer
     finally:
         restored.close()
+
+
+def _f1_values(node):
+    """``batch.py::_f1_values``: every ``f1`` in a runner's data tree."""
+    if not isinstance(node, dict):
+        return []
+    if "f1" in node:
+        return [node["f1"]]
+    return [f1 for child in node.values() for f1 in _f1_values(child)]
+
+
+def test_workflow_pass_calls(dataset):
+    """``run_workflows``: a ``Workbench`` per dataset, every runner
+    handed that workbench, the cache's hit ratio after the pass, the
+    source bundles for the record count, and ``_named_mappings``'
+    eight accessor calls with exactly these arguments."""
+    from repro.core.mapping import Mapping
+    from repro.eval import experiments
+    from repro.eval.experiments import Workbench
+
+    workbench = Workbench(dataset)
+    for bundle in (workbench.dataset.dblp, workbench.dataset.acm,
+                   workbench.dataset.gs):
+        assert len(bundle.publications) > 0 and len(bundle.authors) > 0
+    runners = [(f"table{n}", getattr(experiments, f"run_table{n}"))
+               for n in range(2, 11)]
+    runners.append(("self_mapping", experiments.run_self_mapping_extension))
+    f1s = {name: _f1_values(runner(workbench).data)
+           for name, runner in runners}
+    # tables 9 and 10 report no P / R / F row; every other runner does
+    assert [name for name, values in f1s.items() if not values] == \
+        ["table9", "table10"]
+    assert all(type(f1) is float for values in f1s.values() for f1 in values)
+    cache = workbench.cache.stats()
+    assert cache["hits"] + cache["misses"] > 0
+    assert 0.0 < cache["hits"] / (cache["hits"] + cache["misses"]) < 1.0
+    named = [
+        workbench.fuzzy_title("DBLP", "ACM"),
+        workbench.fuzzy_title("DBLP", "GS"),
+        workbench.fuzzy_title("ACM", "GS"),
+        workbench.fuzzy_pub_authors("DBLP", "ACM"),
+        workbench.fuzzy_author_names("DBLP", "ACM"),
+        workbench.venue_same(),
+        workbench.gs_author_same("DBLP"),
+        workbench.gs_author_same("ACM"),
+    ]
+    for mapping in named:
+        assert isinstance(mapping, Mapping) and mapping.to_rows()
+
+
+def test_table_runs_call_operators_through_patchable_globals(dataset):
+    """``Tracer.wrap_function`` replaces ``merge`` / ``compose`` /
+    ``neighborhood_match`` in the globals of every loaded ``repro``
+    module that holds them; a table run has to call them through such
+    a global (an operator captured in a table at import time reads
+    ``core.compose_s == 0``)."""
+    import sys
+
+    from repro.core.matchers.neighborhood import neighborhood_match
+    from repro.core.operators.compose import compose
+    from repro.core.operators.merge import merge
+    from repro.eval.experiments import Workbench, run_table3, run_table4
+
+    seen, undo = [], []
+
+    def wrap(function, name):
+        def traced(*args, **kwargs):
+            seen.append(name)
+            return function(*args, **kwargs)
+        for module_name, module in list(sys.modules.items()):
+            if module is None or not module_name.startswith("repro"):
+                continue
+            for attribute, value in list(vars(module).items()):
+                if value is function:
+                    setattr(module, attribute, traced)
+                    undo.append((module, attribute, function))
+
+    try:
+        wrap(merge, "core.merge")
+        wrap(compose, "core.compose")
+        wrap(neighborhood_match, "core.neighborhood")
+        workbench = Workbench(dataset)
+        # table 3: three compose and three merge steps, no neighborhood
+        run_table3(workbench)
+        assert seen.count("core.compose") == 3
+        assert seen.count("core.merge") == 3
+        run_table4(workbench)
+        assert seen.count("core.neighborhood") == 1
+        # the neighborhood's own two compositions are seen as well
+        assert seen.count("core.compose") == 5
+    finally:
+        for module, attribute, function in undo:
+            setattr(module, attribute, function)

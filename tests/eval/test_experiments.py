@@ -188,9 +188,11 @@ class TestTable10:
         assert result.data["GS-ACM|publications"] > 0.8
 
 
-#: every table on the tiny preset: result data, rendered text, and —
-#: for the matchers handed a candidate set (tables 7 / 8 / 10's refined
-#: title match) — the result mapping row by row, in iteration order
+#: every table on the tiny preset: result data, rendered text, the
+#: step trace (order and cardinalities), the mappings the benchmark
+#: harness digests, and — for the matchers handed a candidate set
+#: (tables 7 / 8's refined title match) — the result mapping row by
+#: row, in iteration order
 _TABLES_SCRIPT = """
 import json
 from repro.core.matchers.attribute import AttributeMatcher
@@ -212,7 +214,15 @@ for name in [f'run_table{n}' for n in range(2, 11)] \\
         + ['run_self_mapping_extension']:
     result = getattr(experiments, name)(workbench)
     tables[name] = {'data': result.data, 'text': result.render()}
-print(json.dumps({'tables': tables, 'confined': confined}))
+named = [
+    workbench.fuzzy_title('DBLP', 'ACM'), workbench.fuzzy_title('DBLP', 'GS'),
+    workbench.fuzzy_title('ACM', 'GS'),
+    workbench.fuzzy_pub_authors('DBLP', 'ACM'),
+    workbench.fuzzy_author_names('DBLP', 'ACM'), workbench.venue_same(),
+    workbench.gs_author_same('DBLP'), workbench.gs_author_same('ACM')]
+print(json.dumps({'tables': tables, 'confined': confined,
+                  'trace': workbench.trace,
+                  'mappings': [mapping.to_rows() for mapping in named]}))
 """
 
 
@@ -232,7 +242,8 @@ class TestHashSeedIndependence:
 
         first = run("1")
         assert first == run("2")
-        assert len(first["confined"]) >= 2 and all(first["confined"])
+        assert len(first["confined"]) == 2 and all(first["confined"])
+        assert len(first["trace"]) == 47 and all(first["mappings"])
         # table 9: candidate orientation is the ids' order, not a set's
         for candidate in first["tables"]["run_table9"]["data"]["candidates"]:
             assert candidate["author_a"] < candidate["author_b"]

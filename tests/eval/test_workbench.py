@@ -1,8 +1,12 @@
-"""Tests for the experiment workbench (shared pipeline cache)."""
+"""Tests for the experiment workbench (the declared workflow over one
+mapping cache)."""
 
 import pytest
 
 from repro.core.mapping import Mapping
+from repro.core.matchers.attribute import AttributeMatcher
+from repro.core.workflow import MatcherStep, WorkflowError
+from repro.eval import experiments
 from repro.eval.experiments import Workbench
 from repro.eval.experiments.common import ensure_workbench
 
@@ -13,16 +17,77 @@ class TestCaching:
         second = workbench.fuzzy_title("DBLP", "ACM")
         assert first is second
 
-    def test_threshold_variants_distinct(self, workbench):
-        loose = workbench.pub_same("DBLP", "ACM", threshold=0.5)
-        tight = workbench.pub_same("DBLP", "ACM", threshold=0.9)
-        assert len(loose) >= len(tight)
+    def test_the_threshold_is_applied_to_the_floor_mapping(self, workbench):
+        fuzzy = workbench.fuzzy_title("DBLP", "ACM")
+        same = workbench.pub_same("DBLP", "ACM")
+        assert len(fuzzy) > len(same) > 0
+        assert min(similarity for _, _, similarity in same) >= 0.8
+        assert min(similarity for _, _, similarity in fuzzy) >= 0.4
 
-    def test_venue_same_selection_variants(self, workbench):
-        best1 = workbench.venue_same(selection="best1")
-        threshold = workbench.venue_same(selection="0.5")
-        assert best1 is workbench.venue_same(selection="best1")
+    def test_venue_selections_share_one_neighborhood(self, workbench):
+        best1 = workbench.venue_same()
+        threshold = workbench.mapping("venue_same_50|DBLP|ACM")
+        assert best1 is workbench.venue_same()
         assert best1.to_rows() != [] and threshold is not best1
+        assert sum("venue_nh|DBLP|ACM (" in line
+                   for line in workbench.trace) == 1
+
+    def test_accessors_are_name_lookups(self, workbench):
+        assert workbench.gs_author_same("ACM") is \
+            workbench.mapping("author_same|ACM|GS")
+        with pytest.raises(WorkflowError, match="fuzzy_title.GS.ACM"):
+            workbench.fuzzy_title("GS", "ACM")
+
+    def test_constructing_runs_nothing(self, dataset):
+        workbench = Workbench(dataset)
+        assert workbench.trace == [] and len(workbench.cache) == 0
+        assert workbench.cache.stats()["misses"] == 0
+
+
+def _outputs(trace):
+    return [line.split(" -> ")[1].split(" (")[0] for line in trace]
+
+
+class TestEachStepRunsOnce:
+    def test_a_pass_runs_every_declared_step_exactly_once(self, dataset,
+                                                          monkeypatch):
+        """Tables 2-10 and the extension share steps (the parent ran
+        14 attribute matchers where 12 are distinct, and table 10 ran
+        tables 4-8 again): a declared step runs for the first table
+        that needs it, and for nobody after."""
+        matched = []
+        match = AttributeMatcher.match
+
+        def counting(self, domain, range, *, candidates=None):
+            matched.append(self)
+            return match(self, domain, range, candidates=candidates)
+
+        monkeypatch.setattr(AttributeMatcher, "match", counting)
+        workbench = Workbench(dataset)
+        runners = [getattr(experiments, f"run_table{n}")
+                   for n in range(2, 10)]
+        for runner in runners:
+            runner(workbench)
+        before_table10 = list(workbench.trace)
+        experiments.run_table10(workbench)
+        assert workbench.trace == before_table10
+        experiments.run_self_mapping_extension(workbench)
+
+        steps = workbench.workflow.steps
+        # one trace line per declared step: nothing repeated, and no
+        # declaration that no table reaches
+        assert sorted(_outputs(workbench.trace)) == \
+            sorted(step.output for step in steps)
+        assert sorted(map(id, matched)) == sorted(
+            id(step.matcher) for step in steps
+            if isinstance(step, MatcherStep))
+        assert workbench.cache.stats()["hits"] > 0
+
+        ran = list(workbench.trace)
+        for runner in runners + [experiments.run_table10,
+                                 experiments.run_self_mapping_extension]:
+            runner(workbench)
+        assert workbench.trace == ran and len(matched) == 12
 
 
 class TestResolution:

@@ -61,12 +61,6 @@ class TestMappingCache:
         assert len(cache) == 0
         assert cache.stats()["hits"] == 1
 
-    def test_make_key_deterministic(self):
-        assert MappingCache.make_key("merge", "m1", "m2", 0.8) == \
-            MappingCache.make_key("merge", "m1", "m2", 0.8)
-        assert MappingCache.make_key("merge", "m1") != \
-            MappingCache.make_key("compose", "m1")
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MappingCache(max_entries=0)
