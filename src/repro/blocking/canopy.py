@@ -16,16 +16,18 @@ import random
 from typing import List, Tuple
 
 from repro.blocking.pair_generator import (
-    IdBlock,
     PairGenerator,
     PairShard,
+    Postings,
     block_shards,
     is_self_match,
+    join_postings,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
 
-Record = Tuple[str, int, frozenset]
+#: (row in its source, side, tokens)
+Record = Tuple[int, int, frozenset]
 
 
 class CanopyBlocking(PairGenerator):
@@ -51,23 +53,14 @@ class CanopyBlocking(PairGenerator):
     def _tokenized(self, source: LogicalSource, attribute: str,
                    side: int) -> List[Record]:
         records = []
-        for instance in source:
+        for row, instance in enumerate(source):
             value = instance.get(attribute)
             if value is None:
                 continue
             tokens = frozenset(word_tokens(str(value)))
             if tokens:
-                records.append((instance.id, side, tokens))
+                records.append((row, side, tokens))
         return records
-
-    def _records(self, domain: LogicalSource, range: LogicalSource,
-                 domain_attribute: str,
-                 range_attribute: str) -> Tuple[List[Record], bool]:
-        is_self = is_self_match(domain, range)
-        records = self._tokenized(domain, domain_attribute, 0)
-        if not is_self:
-            records += self._tokenized(range, range_attribute, 1)
-        return records, is_self
 
     def _canopies(self, records: List[Record]) -> List[List[int]]:
         """Run the clustering pass; return canopies as index lists.
@@ -98,26 +91,6 @@ class CanopyBlocking(PairGenerator):
             canopies.append(canopy)
         return canopies
 
-    def _canopy_blocks(self, records: List[Record],
-                       canopies: List[List[int]],
-                       is_self: bool) -> List[IdBlock]:
-        """Materialize canopies as id blocks (cross-side for two sources)."""
-        blocks: List[IdBlock] = []
-        for canopy in canopies:
-            if is_self:
-                if len(canopy) < 2:
-                    continue
-                ids = [records[index][0] for index in canopy]
-                blocks.append(IdBlock(ids, ids, triangle=True))
-            else:
-                domain_ids = [records[index][0] for index in canopy
-                              if records[index][1] == 0]
-                range_ids = [records[index][0] for index in canopy
-                             if records[index][1] == 1]
-                if domain_ids and range_ids:
-                    blocks.append(IdBlock(domain_ids, range_ids))
-        return blocks
-
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
@@ -132,8 +105,22 @@ class CanopyBlocking(PairGenerator):
         that idempotently.  Self-matching pairs are canonical
         ``(min, max)``.
         """
-        records, is_self = self._records(domain, range,
-                                         domain_attribute, range_attribute)
-        blocks = self._canopy_blocks(records, self._canopies(records),
-                                     is_self)
-        return block_shards(blocks, n_shards, dedup=True, canonical=is_self)
+        is_self = is_self_match(domain, range)
+        records = self._tokenized(domain, domain_attribute, 0)
+        if not is_self:
+            records += self._tokenized(range, range_attribute, 1)
+        # a canopy's rows by side: a block where both sides have some
+        # (self-matching: a triangle of two rows or more)
+        numbers: Tuple[list, list] = ([], [])
+        rows: Tuple[list, list] = ([], [])
+        for number, canopy in enumerate(self._canopies(records)):
+            for index in canopy:
+                row, side, _ = records[index]
+                numbers[side].append(number)
+                rows[side].append(row)
+        blocks = join_postings(
+            Postings.of(numbers[0], rows[0]),
+            None if is_self else Postings.of(numbers[1], rows[1]),
+            lambda a, b: a >= (2 if is_self else 1))
+        return block_shards(blocks, domain, range, n_shards,
+                            dedup=True, canonical=is_self)

@@ -12,7 +12,8 @@ shard list is built in the parent *before* the worker pool forks, so
 workers inherit it (sources, similarity state, packed kernel arrays
 and all) copy-on-write; each task ships only an int shard index into
 a worker, the worker generates that shard's pairs locally via
-:meth:`PairShard.pairs` (or expands its :meth:`PairShard.blocks`
+:meth:`PairShard.pairs` (or expands its blocks — a built-in
+strategy's are a :class:`BlockBatch` of rows, no id string is read —
 directly as packed row arrays), scores them, and ships only the
 surviving correspondences back.  Nothing per-pair ever crosses a
 process boundary, which removes the parent-side Amdahl bottleneck of
@@ -28,27 +29,38 @@ pieces — before any worker starts
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import (
+    Any,
     Callable,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
-from repro.core.mapping import Mapping
+import numpy as np
+
+from repro.core.mapping import Mapping, distinct_keys
 from repro.model.source import LogicalSource
 
 Pair = Tuple[str, str]
+Array = Any
 
 #: the protocol names a parameter ``range``, which shadows the builtin
 #: inside generator methods — keep a module-level alias
 _range = range
+
+#: rows one step of :meth:`BlockBatch.expand` produces: a few MB of
+#: temporaries however large the blocks are
+EXPAND_ROWS = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -57,15 +69,15 @@ _range = range
 
 @dataclass(frozen=True)
 class IdBlock:
-    """One rectangular (or triangular) unit of candidate pairs.
+    """One rectangular (or triangular) unit of candidate pairs, as ids:
+    what a foreign strategy's :class:`BlockShard` yields, and how
+    :meth:`PairShard.blocks` shows a built-in one's :class:`BlockBatch`.
 
     ``triangle=False`` means the cross product ``domain_ids x
     range_ids`` oriented as (domain id, range id).  ``triangle=True``
     means the self-matching pairs of ``domain_ids`` alone: every
     ``(domain_ids[i], domain_ids[j])`` with ``i < j`` by list position
-    (``range_ids`` is ignored).  Blocks deliberately carry plain id
-    lists so the blocking layer stays independent of how the engine
-    scores them (Python pairs or packed row arrays).
+    (``range_ids`` is ignored).
     """
 
     domain_ids: Sequence[str]
@@ -78,6 +90,89 @@ class IdBlock:
             n = len(self.domain_ids)
             return n * (n - 1) // 2
         return len(self.domain_ids) * len(self.range_ids)
+
+
+class BlockBatch(NamedTuple):
+    """The blocks of one shard, as arrays.
+
+    Row ``k`` of ``blocks`` is ``(start_a, count_a, start_b, count_b,
+    triangle)``: block ``k`` pairs ``rows_a[start_a:][:count_a]`` with
+    ``rows_b[start_b:][:count_b]`` — every one with every other, or,
+    for a triangle, each with the later ones of the same span, which
+    the b side repeats.  Blocks share the row arrays: a run of them
+    (:meth:`take`) or a piece of one costs five integers.
+    """
+
+    rows_a: Array  # int32 domain rows
+    rows_b: Array  # int32 range rows
+    blocks: Array  # int64, shape (n, 5)
+
+    @classmethod
+    def of(cls, blocks: Iterable[IdBlock],
+           row_a: Callable[[str], Optional[int]],
+           row_b: Callable[[str], Optional[int]]) -> "BlockBatch":
+        """``blocks`` over the rows ``row_a`` / ``row_b`` give their
+        ids: a pair is kept where the first knows its domain id and
+        the second its range id."""
+        rows_a: List[int] = []
+        rows_b: List[int] = []
+        spans = []
+        for block in blocks:
+            side_a = list(map(row_a, block.domain_ids))
+            side_b = list(map(row_b, block.domain_ids if block.triangle
+                              else block.range_ids))
+            at_a, at_b = len(rows_a), len(rows_b)
+            rows_a += [row for row in side_a if row is not None]
+            rows_b += [row for row in side_b if row is not None]
+            if not block.triangle or ([row is None for row in side_a]
+                                      == [row is None for row in side_b]):
+                spans.append((at_a, len(rows_a) - at_a,
+                              at_b, len(rows_b) - at_b, block.triangle))
+                continue
+            # the sides know different ids, so their spans do not line
+            # up: each known a row with the known b rows after it
+            for a, b in zip(side_a, side_b):
+                at_b += b is not None
+                if a is not None:
+                    spans.append((at_a, 1, at_b, len(rows_b) - at_b, False))
+                    at_a += 1
+        return cls(np.asarray(rows_a, dtype=np.int32),
+                   np.asarray(rows_b, dtype=np.int32),
+                   np.array(spans, dtype=np.int64).reshape(-1, 5))
+
+    def take(self, start: int, end: int) -> "BlockBatch":
+        return self._replace(blocks=self.blocks[start:end])
+
+    def costs(self) -> Array:
+        """Raw (pre-dedup) pair count of every block."""
+        _, count_a, _, count_b, triangle = self.blocks.T
+        return np.where(triangle, count_a * (count_a - 1) // 2,
+                        count_a * count_b)
+
+    def expand(self) -> Iterator[Tuple[Array, Array]]:
+        """The blocks' pairs as ``(rows_a, rows_b)`` arrays, block
+        after block and row-major within: one ragged cross product,
+        cut every :data:`EXPAND_ROWS` rows wherever that falls."""
+        start_a, count_a, start_b, count_b, triangle = self.blocks.T
+        # one entry per a-side row of a block: its run of b-side rows
+        block = np.repeat(np.arange(len(count_a)), count_a)
+        nth = np.arange(len(block)) - (np.cumsum(count_a) - count_a)[block]
+        skipped = np.where(triangle[block], nth + 1, 0)
+        lens = count_b[block] - skipped
+        ends = np.cumsum(lens)
+        shift = start_b[block] + skipped - (ends - lens)
+        left = self.rows_a[start_a[block] + nth]
+        total = int(ends[-1]) if len(ends) else 0
+        for p in _range(0, total, EXPAND_ROWS):
+            q = min(p + EXPAND_ROWS, total)
+            lo = np.searchsorted(ends, p, side="right")
+            hi = np.searchsorted(ends, q, side="left") + 1
+            part = lens[lo:hi].copy()
+            part[0] = ends[lo] - p
+            part[-1] -= ends[hi - 1] - q
+            yield (np.repeat(left[lo:hi], part),
+                   self.rows_b[np.arange(p, q)
+                               + np.repeat(shift[lo:hi], part)])
 
 
 class PairShard(ABC):
@@ -100,11 +195,19 @@ class PairShard(ABC):
 
         Strategies whose shards are unions of rectangular/triangular
         id blocks return an iterator of :class:`IdBlock`; the engine
-        can then expand pairs as packed row arrays without creating a
-        Python tuple per pair.  ``None`` (the default) means the shard
-        is only reachable through :meth:`pairs`.
+        can then expand pairs as packed row arrays (:meth:`batches`)
+        without creating a Python tuple per pair.  ``None`` (the
+        default) means the shard is only reachable through :meth:`pairs`.
         """
         return None
+
+    def batches(self, runner: Any) -> Optional[List[BlockBatch]]:
+        """:meth:`blocks` over the rows of ``runner.sources``, through
+        their bridges ``runner.domain`` / ``runner.range``
+        (:func:`repro.core.mapping.source_codes`)."""
+        blocks = self.blocks()
+        return None if blocks is None else [BlockBatch.of(
+            blocks, runner.domain.index.get, runner.range.index.get)]
 
     def cost(self) -> Optional[int]:
         """Estimated raw (pre-dedup) pair count of this shard.
@@ -115,6 +218,15 @@ class PairShard(ABC):
         assumed average cost.
         """
         return None
+
+    def distinct_pairs(self, limit: Optional[int] = None) -> int:
+        """The distinct pairs of :meth:`pairs`, counted up to ``limit``."""
+        seen: Set[Pair] = set()
+        for pair in self.pairs():
+            seen.add(pair)
+            if limit is not None and len(seen) >= limit:
+                return limit
+        return len(seen)
 
 
 class IterableShard(PairShard):
@@ -138,7 +250,7 @@ class IterableShard(PairShard):
 
 
 class BlockShard(PairShard):
-    """A shard made of :class:`IdBlock`\\ s.
+    """A shard made of :class:`IdBlock`\\ s, which ``factory`` yields.
 
     ``dedup`` applies a shard-local first-seen filter so strategies
     whose serial ``candidates`` deduplicate (token blocking, canopies)
@@ -156,42 +268,117 @@ class BlockShard(PairShard):
         self._factory = factory
         self.dedup = dedup
         self.canonical = canonical
+        self._interned: Optional[Tuple[BlockBatch, List[str]]] = None
 
     def blocks(self) -> Iterator[IdBlock]:
         return iter(self._factory())
 
+    def batch(self) -> BlockBatch:
+        """The blocks as arrays — over one table of the ids met, made
+        once: a foreign strategy's ids need not be any source's."""
+        if self._interned is None:
+            table: dict = {}
+            row = lambda id: table.setdefault(id, len(table))  # noqa: E731
+            self._interned = (BlockBatch.of(self._factory(), row, row),
+                              list(table))
+        return self._interned[0]
+
+    def _ids(self) -> Tuple[Sequence[str], Sequence[str]]:
+        """What :meth:`batch`'s rows are positions in, side by side."""
+        self.batch()
+        return self._interned[1], self._interned[1]
+
+    def over(self, batch: BlockBatch) -> "BlockShard":
+        """This shard with other blocks over :meth:`batch`'s rows (a
+        run of them, pieces of them: what rebalancing makes)."""
+        ids_a, ids_b = self._ids()
+        return BlockShard(lambda: id_blocks(batch, ids_a, ids_b),
+                          dedup=self.dedup, canonical=self.canonical)
+
+    def rows(self, distinct: bool) -> Iterator[Tuple[Array, Array]]:
+        """:meth:`batch` expanded; ``distinct`` keeps a pair's first
+        occurrence only (either orientation of a canonical one)."""
+        seen = np.zeros(0, dtype=np.int64)
+        for rows_a, rows_b in self.batch().expand():
+            if distinct:
+                keys = (rows_a.astype(np.int64) << 32) | rows_b
+                if self.canonical:  # the smaller key: (min, max)
+                    keys = np.minimum(
+                        keys, (rows_b.astype(np.int64) << 32) | rows_a)
+                first = distinct_keys(keys)[0]
+                first = first[~np.isin(keys[first], seen,
+                                       assume_unique=True)]
+                seen = np.concatenate((seen, keys[first]))
+                rows_a, rows_b = rows_a[first], rows_b[first]
+            yield rows_a, rows_b
+
     def pairs(self) -> Iterator[Pair]:
-        emitted: Optional[Set[Pair]] = set() if self.dedup else None
-        for block in self.blocks():
-            if block.triangle:
-                ids = block.domain_ids
-                for i, id_a in enumerate(ids):
-                    for id_b in ids[i + 1:]:
-                        if self.canonical and id_b < id_a:
-                            pair = (id_b, id_a)
-                        else:
-                            pair = (id_a, id_b)
-                        if emitted is not None:
-                            if pair in emitted:
-                                continue
-                            emitted.add(pair)
-                        yield pair
-            else:
-                for id_a in block.domain_ids:
-                    for id_b in block.range_ids:
-                        if self.canonical and id_b < id_a:
-                            pair = (id_b, id_a)
-                        else:
-                            pair = (id_a, id_b)
-                        if emitted is not None:
-                            if pair in emitted:
-                                continue
-                            emitted.add(pair)
-                        yield pair
+        ids_a, ids_b = (np.asarray(side, dtype=object)
+                        for side in self._ids())
+        for rows_a, rows_b in self.rows(self.dedup):
+            pairs = zip(ids_a[rows_a].tolist(), ids_b[rows_b].tolist())
+            if self.canonical:
+                pairs = ((b, a) if b < a else (a, b) for a, b in pairs)
+            yield from pairs
 
     def cost(self) -> int:
         """Exact raw pair count: the sum of the blocks' pair counts."""
-        return sum(block.pair_count() for block in self.blocks())
+        return int(self.batch().costs().sum())
+
+    def distinct_pairs(self, limit: Optional[int] = None) -> int:
+        counted = 0
+        for rows_a, _ in self.rows(True):
+            counted += len(rows_a)
+            if limit is not None and counted >= limit:
+                return limit
+        return counted
+
+
+class RowBlockShard(BlockShard):
+    """What the built-in strategies emit: a :class:`BlockBatch` over
+    the rows of the two ``sources`` (positions in their ``ids()``; a
+    self-match's are the domain's on both sides).  A runner over these
+    very sources expands it as it is; ids are read for another one
+    and for the :meth:`pairs` / :meth:`blocks` views only."""
+
+    def __init__(self, batch: BlockBatch,
+                 sources: Tuple[LogicalSource, LogicalSource], *,
+                 dedup: bool = False, canonical: bool = False) -> None:
+        # no factory: ``blocks`` reads the batch (and a bound
+        # ``self.blocks`` would tie every shard into a reference cycle)
+        self._batch, self.sources = batch, sources
+        self.dedup, self.canonical = dedup, canonical
+
+    def blocks(self) -> Iterator[IdBlock]:
+        return id_blocks(self._batch, *self._ids())
+
+    def batch(self) -> BlockBatch:
+        return self._batch
+
+    def _ids(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return tuple(source.ids() for source in self.sources)
+
+    def over(self, batch: BlockBatch) -> "RowBlockShard":
+        return RowBlockShard(batch, self.sources, dedup=self.dedup,
+                             canonical=self.canonical)
+
+    def batches(self, runner: Any) -> List[BlockBatch]:
+        if all(mine is its for mine, its
+               in zip(self.sources, runner.sources)):
+            return [self._batch]
+        # rows of other sources (a subset against its source: a
+        # self-match of two objects): through the ids, like a foreign's
+        return super().batches(runner)
+
+
+def id_blocks(batch: BlockBatch, ids_a: List[str],
+              ids_b: List[str]) -> Iterator[IdBlock]:
+    """``batch``'s blocks, its rows read as ids."""
+    for start_a, count_a, start_b, count_b, triangle in batch.blocks.tolist():
+        yield IdBlock(
+            [ids_a[row] for row in batch.rows_a[start_a:start_a + count_a]],
+            [ids_b[row] for row in batch.rows_b[start_b:start_b + count_b]],
+            bool(triangle))
 
 
 def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]]:
@@ -210,42 +397,84 @@ def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]
     if n == 0:
         return []
     n_shards = min(n_shards, n)
-    total = sum(costs)
+    ends = np.cumsum(costs, dtype=np.int64)
+    total = int(ends[-1])
     if total <= 0:
         # degenerate (all-zero) costs: balance by count instead
         step = (n + n_shards - 1) // n_shards
         return [(i, min(i + step, n)) for i in range(0, n, step)]
-    target = total / n_shards
+    target = math.ceil(total / n_shards)
     spans: List[Tuple[int, int]] = []
-    start = 0
-    acc = 0.0
-    for index, cost in enumerate(costs):
-        acc += cost
-        if acc >= target and len(spans) < n_shards - 1:
-            spans.append((start, index + 1))
-            start = index + 1
-            acc = 0.0
+    start = reached = 0
+    while len(spans) < n_shards - 1:
+        end = int(np.searchsorted(ends, reached + target)) + 1
+        if end > n:
+            break
+        spans.append((start, end))
+        start, reached = end, int(ends[end - 1])
     if start < n:
         spans.append((start, n))
     return spans
 
 
-def block_shards(blocks: Sequence[IdBlock], n_shards: int, *,
+def block_shards(batch: BlockBatch, domain: LogicalSource,
+                 range: LogicalSource, n_shards: int, *,
                  dedup: bool = False,
                  canonical: bool = False) -> List[PairShard]:
-    """``blocks`` as at most ``n_shards`` shards of contiguous runs.
+    """``batch`` as at most ``n_shards`` shards of contiguous runs.
 
-    Runs are balanced by block pair counts, not block counts, so one
-    huge block does not serialize the whole run.  ``dedup`` /
-    ``canonical`` are every shard's :class:`BlockShard` flags.
+    Its rows are ``domain``'s and ``range``'s — a self-match's
+    ``domain``'s on both sides, whichever object ``range`` is.  Runs
+    are balanced by block pair counts, not block counts, so one huge
+    block does not serialize the whole run.  ``dedup`` / ``canonical``
+    are every shard's :class:`BlockShard` flags.
     """
-    spans = partition_spans([block.pair_count() for block in blocks],
-                            n_shards)
-    return [
-        BlockShard(lambda s=start, e=end: iter(blocks[s:e]),
-                   dedup=dedup, canonical=canonical)
-        for start, end in spans
-    ]
+    sources = (domain, domain if is_self_match(domain, range) else range)
+    return [RowBlockShard(batch.take(start, end), sources,
+                          dedup=dedup, canonical=canonical)
+            for start, end in partition_spans(batch.costs(), n_shards)]
+
+
+class Postings(NamedTuple):
+    """Rows grouped by a key (a token, a blocking key): the rows of
+    ``codes[key]`` are ``rows[indptr[code]:indptr[code + 1]]``,
+    ascending; codes count the keys in order of first occurrence."""
+
+    codes: dict
+    indptr: Array
+    rows: Array
+
+    @classmethod
+    def of(cls, keys: Sequence[Any], rows: Sequence[int]) -> "Postings":
+        """From parallel ``keys`` / ``rows``, the rows ascending."""
+        codes = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+        owner = np.fromiter(map(codes.__getitem__, keys), dtype=np.int64,
+                            count=len(keys))
+        indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(codes)), out=indptr[1:])
+        return cls(codes, indptr, np.asarray(rows, dtype=np.int32)[
+            np.argsort(owner, kind="stable")])
+
+
+def join_postings(domain: Postings, range: Optional[Postings],
+                  keep: Callable[[Array, Array], Array]) -> BlockBatch:
+    """One block per key both sides hold — ``range=None``: one triangle
+    per key of ``domain`` — in ``domain``'s key order, where ``keep``
+    says so of the two sides' row counts."""
+    counts_a = np.diff(domain.indptr)
+    if range is None:
+        range, partner, counts_b = domain, np.arange(len(counts_a)), counts_a
+    else:
+        partner = np.fromiter((range.codes.get(key, -1)
+                               for key in domain.codes),
+                              dtype=np.int64, count=len(counts_a))
+        # a key the range lacks reads the appended 0
+        counts_b = np.append(np.diff(range.indptr), 0)[partner]
+    kept = np.flatnonzero((counts_b > 0) & keep(counts_a, counts_b))
+    return BlockBatch(domain.rows, range.rows, np.stack((
+        domain.indptr[kept], counts_a[kept],
+        range.indptr[partner[kept]], counts_b[kept],
+        np.full(len(kept), range is domain)), axis=1))
 
 
 def is_self_match(domain: LogicalSource, range: LogicalSource) -> bool:
@@ -317,27 +546,23 @@ class PairGenerator:
               limit: Optional[int] = None) -> int:
         """Number of *distinct* candidate pairs (diagnostics).
 
-        Streams the candidate generator instead of materializing it,
-        but exact distinct counting still needs a seen-set, so memory
-        grows with the number of *distinct* pairs counted.  For large
-        sources pass ``limit`` to stop (and bound the seen-set) at the
-        first ``limit`` distinct pairs — diagnostics rarely need more
-        precision than "at least N".  Strategies with a closed-form
-        pair count (e.g. :class:`FullCross`) override this with an
-        O(1) implementation.
+        Counted by the one-shard partition
+        (:meth:`PairShard.distinct_pairs`): on the pair keys of expanded
+        rows for blocks, in a seen-set of id pairs for a stream.  Either
+        grows with the pairs counted, so for large sources pass
+        ``limit`` to stop at the first ``limit`` — diagnostics rarely
+        need more than "at least N".  :class:`FullCross` overrides this
+        with its closed form.
         """
-        seen: Set[Pair] = set()
-        add = seen.add
-        counted = 0
-        for pair in self.candidates(domain, range,
-                                    domain_attribute=domain_attribute,
-                                    range_attribute=range_attribute):
-            if pair not in seen:
-                add(pair)
-                counted += 1
-                if limit is not None and counted >= limit:
-                    break
-        return counted
+        # an overridden candidates() is the pair set, whatever shards()
+        # says: count the default shard, which delegates to it
+        inherited = type(self).candidates is PairGenerator.candidates
+        shards = (self.shards if inherited
+                  else partial(PairGenerator.shards, self))
+        partition = shards(domain, range, n_shards=1,
+                           domain_attribute=domain_attribute,
+                           range_attribute=range_attribute)
+        return partition[0].distinct_pairs(limit) if partition else 0
 
 
 class FullCross(PairGenerator):
@@ -346,46 +571,38 @@ class FullCross(PairGenerator):
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
-        """Id-range tiles: contiguous slices of the domain id list.
+        """Row tiles: contiguous slices of the domain rows.
 
         Self-matching tiles are balanced by the triangular row costs
-        (row ``i`` contributes ``n - 1 - i`` pairs), so early tiles
-        take fewer rows than late ones.
+        (row ``i`` pairs with the ``n - 1 - i`` rows after it), so
+        early tiles take fewer rows than late ones.
         """
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        ids = domain.ids()
+        n, width = len(domain), len(range)
+        rows = np.arange(n, dtype=np.int32)
         if is_self_match(domain, range):
-            n = len(ids)
-            spans = partition_spans([n - 1 - i for i in _range(n)], n_shards)
-
-            def tile(start: int, end: int) -> Callable[[], Iterator[IdBlock]]:
-                def blocks() -> Iterator[IdBlock]:
-                    for i in _range(start, end):
-                        tail = ids[i + 1:]
-                        if tail:
-                            yield IdBlock(ids[i:i + 1], tail)
-                return blocks
-
-            return [BlockShard(tile(start, end)) for start, end in spans]
-        range_ids = range.ids()
-        if not ids or not range_ids:
+            row = np.arange(n)
+            return block_shards(
+                BlockBatch(rows, rows, np.stack(
+                    (row, np.ones_like(row), row + 1, n - 1 - row,
+                     np.zeros_like(row)), axis=1)),
+                domain, range, n_shards)
+        spans = partition_spans([1] * n, n_shards)
+        if not width:
             return []
-        spans = partition_spans([1] * len(ids), n_shards)
-        return [
-            BlockShard(lambda s=start, e=end: iter(
-                [IdBlock(ids[s:e], range_ids)]))
-            for start, end in spans
-        ]
+        tiles = BlockBatch(rows, np.arange(width, dtype=np.int32), np.array(
+            [(start, end - start, 0, width, 0) for start, end in spans],
+            dtype=np.int64).reshape(-1, 5))
+        return [RowBlockShard(tiles.take(k, k + 1), (domain, range))
+                for k in _range(len(tiles.blocks))]
 
     def count(self, domain: LogicalSource, range: LogicalSource, *,
               domain_attribute: str, range_attribute: str,
               limit: Optional[int] = None) -> int:
         """Closed-form count — the cross product is never materialized.
 
-        The generic implementation would build a quadratic seen-set
-        here (the full cross product *is* distinct), which is exactly
-        the memory blow-up this override avoids.
+        The generic implementation would expand a quadratic number of
+        pair keys here (the full cross product *is* distinct), which
+        is exactly the memory blow-up this override avoids.
         """
         if is_self_match(domain, range):
             n = len(domain)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.blocking.pair_generator import (
-    IdBlock,
     PairGenerator,
     PairShard,
+    Postings,
     block_shards,
     is_self_match,
+    join_postings,
 )
 from repro.model.source import LogicalSource
 
@@ -38,55 +39,27 @@ class KeyBlocking(PairGenerator):
         self.key = key
         self.max_block_size = max_block_size
 
-    def _blocks(self, source: LogicalSource,
-                attribute: str) -> Dict[str, List[str]]:
-        blocks: Dict[str, List[str]] = {}
-        for instance in source:
-            key = self.key(instance.get(attribute))
-            if key is not None:
-                blocks.setdefault(key, []).append(instance.id)
-        return blocks
-
-    def _eligible_blocks(self, domain: LogicalSource, range: LogicalSource,
-                         domain_attribute: str,
-                         range_attribute: str) -> List[IdBlock]:
-        """Surviving key blocks, in domain key iteration order.
-
-        Keys present in only one source and blocks tripping the
-        ``max_block_size`` guard are dropped here so the candidate
-        stream and the sharded path share one filter.
-        """
-        domain_blocks = self._blocks(domain, domain_attribute)
-        is_self = is_self_match(domain, range)
-        range_blocks = (
-            domain_blocks if is_self else self._blocks(range, range_attribute)
-        )
-        eligible: List[IdBlock] = []
-        for key, domain_ids in domain_blocks.items():
-            range_ids = range_blocks.get(key)
-            if not range_ids:
-                continue
-            if (self.max_block_size is not None
-                    and len(domain_ids) * len(range_ids) >
-                    self.max_block_size * self.max_block_size):
-                continue
-            if is_self:
-                eligible.append(IdBlock(domain_ids, domain_ids, triangle=True))
-            else:
-                eligible.append(IdBlock(domain_ids, range_ids))
-        return eligible
+    def _blocks(self, source: LogicalSource, attribute: str) -> Postings:
+        keys = [self.key(instance.get(attribute)) for instance in source]
+        rows = [row for row, key in enumerate(keys) if key is not None]
+        return Postings.of([keys[row] for row in rows], rows)
 
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,
                range_attribute: str) -> List[PairShard]:
-        """Key groups: each shard owns a contiguous run of key blocks.
+        """Key groups: each shard owns a contiguous run of key blocks,
+        in domain key order.
 
-        Keys partition the instances, so blocks are pairwise disjoint
-        and each candidate pair lives in exactly one shard — no dedup —
-        and self-matching pairs keep block-list orientation
-        (:class:`BlockShard`'s default).
+        Keys present in only one source and blocks tripping the
+        ``max_block_size`` guard are dropped.  Keys partition the
+        instances, so blocks are pairwise disjoint and each candidate
+        pair lives in exactly one shard — no dedup — and self-matching
+        pairs keep block order (:class:`BlockShard`'s default).
         """
-        return block_shards(
-            self._eligible_blocks(domain, range,
-                                  domain_attribute, range_attribute),
-            n_shards)
+        cap = self.max_block_size
+        blocks = join_postings(
+            self._blocks(domain, domain_attribute),
+            None if is_self_match(domain, range)
+            else self._blocks(range, range_attribute),
+            lambda a, b: cap is None or a * b <= cap * cap)
+        return block_shards(blocks, domain, range, n_shards)

@@ -9,14 +9,15 @@ keep blocks small.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.blocking.pair_generator import (
-    IdBlock,
     PairGenerator,
     PairShard,
+    Postings,
     block_shards,
     is_self_match,
+    join_postings,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
@@ -55,78 +56,45 @@ class TokenBlocking(PairGenerator):
         self.max_df = max_df
         self.max_block_size = max_block_size
 
-    def _index(self, source: LogicalSource,
-               attribute: str) -> Dict[str, List[str]]:
-        """Token -> ids posting lists of one attribute, in source order.
+    def _index(self, source: LogicalSource, attribute: str) -> Postings:
+        """The rows of every token of one attribute.
 
         Owned by the source (:meth:`LogicalSource.derived`): every
-        matcher of a workflow that blocks the same attribute reads the
-        same lists, so they are never mutated.  ``max_df`` and
-        ``max_block_size`` filter per request, downstream.
+        matcher that blocks the same attribute reads the same arrays,
+        so they are never mutated; ``max_df`` and ``max_block_size``
+        filter per request, downstream.
         """
         min_length = self.min_token_length
 
-        def build() -> Dict[str, List[str]]:
-            index: Dict[str, List[str]] = {}
-            for instance in source:
+        def build() -> Postings:
+            tokens: List[str] = []
+            rows: List[int] = []
+            for row, instance in enumerate(source):
                 value = instance.get(attribute)
-                if value is None:
-                    continue
-                # sorted: the posting-list dict's insertion order (and
-                # so every downstream iteration of it) must not depend
-                # on the process's string hash seed
-                for token in sorted(set(word_tokens(str(value)))):
-                    if len(token) >= min_length:
-                        index.setdefault(token, []).append(instance.id)
-            return index
+                if value is not None:
+                    # sorted: token codes — the order of every block
+                    # list — must not follow the string hash seed
+                    found = [token for token
+                             in sorted(set(word_tokens(str(value))))
+                             if len(token) >= min_length]
+                    tokens += found
+                    rows += [row] * len(found)
+            return Postings.of(tokens, rows)
 
         return source.derived(("token-postings", attribute, min_length),
                               build)
 
-    def _eligible_postings(self, domain: LogicalSource,
-                           range: LogicalSource,
-                           domain_attribute: str,
-                           range_attribute: str) -> List[IdBlock]:
-        """Surviving posting-list blocks, in domain token order.
+    def shards(self, domain: LogicalSource, range: LogicalSource, *,
+               n_shards: int, domain_attribute: str,
+               range_attribute: str) -> List[PairShard]:
+        """Posting-list ranges: each shard owns a run of token blocks,
+        the surviving ones in domain token order.
 
         The document frequency of a token is the number of values it
         occurs in: the shared posting list counted once for
         self-matching, the two posting lists summed for two-source
-        matching.  Comparing that df against ``max_df *
-        population`` gives the same effective cutoff in both modes
-        (the earlier ``> 2 * cutoff`` formulation double-counted the
-        shared list, silently doubling the two-source cutoff).
-        """
-        domain_index = self._index(domain, domain_attribute)
-        is_self = is_self_match(domain, range)
-        range_index = (
-            domain_index if is_self else self._index(range, range_attribute)
-        )
-        population = len(domain) + (0 if is_self else len(range))
-        df_cutoff = max(2, int(self.max_df * max(population, 1)))
-
-        eligible: List[IdBlock] = []
-        for token, domain_ids in domain_index.items():
-            range_ids = range_index.get(token)
-            if not range_ids:
-                continue
-            df = len(domain_ids) if is_self else \
-                len(domain_ids) + len(range_ids)
-            if df > df_cutoff:
-                continue
-            if len(domain_ids) > self.max_block_size or \
-                    len(range_ids) > self.max_block_size:
-                continue
-            if is_self:
-                eligible.append(IdBlock(domain_ids, domain_ids, triangle=True))
-            else:
-                eligible.append(IdBlock(domain_ids, range_ids))
-        return eligible
-
-    def shards(self, domain: LogicalSource, range: LogicalSource, *,
-               n_shards: int, domain_attribute: str,
-               range_attribute: str) -> List[PairShard]:
-        """Posting-list ranges: each shard owns a run of token blocks.
+        matching.  Comparing that df against ``max_df * population``
+        gives the same effective cutoff in both modes.
 
         A pair sharing several tokens may surface in more than one
         shard (its tokens can land in different ranges); shards
@@ -135,7 +103,13 @@ class TokenBlocking(PairGenerator):
         cross-shard duplicates idempotently.  Self-matching pairs are
         canonical ``(min, max)``.
         """
-        return block_shards(
-            self._eligible_postings(domain, range,
-                                    domain_attribute, range_attribute),
-            n_shards, dedup=True, canonical=is_self_match(domain, range))
+        is_self = is_self_match(domain, range)
+        population = len(domain) + (0 if is_self else len(range))
+        df_cutoff = max(2, int(self.max_df * max(population, 1)))
+        blocks = join_postings(
+            self._index(domain, domain_attribute),
+            None if is_self else self._index(range, range_attribute),
+            lambda a, b: ((a if is_self else a + b) <= df_cutoff)
+            & (a <= self.max_block_size) & (b <= self.max_block_size))
+        return block_shards(blocks, domain, range, n_shards,
+                            dedup=True, canonical=is_self)

@@ -213,12 +213,19 @@ def distinct_keys(keys: Array) -> Tuple[Array, Array]:
     row ``i`` — a key table that ``np.bincount(slot, weights=...)``
     and ``ufunc.at(out, slot, ...)`` aggregate over in row order.
     """
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    opens = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    # a group's first row is its smallest, however the sort left ties
+    group_first = np.minimum.reduceat(order, np.flatnonzero(opens))
+    by_first = np.argsort(group_first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    slot = np.empty_like(order)
+    slot[order] = rank[np.cumsum(opens) - 1]
+    return group_first[by_first], slot
 
 
 def regroup(columns: Columns) -> Columns:
@@ -322,7 +329,8 @@ class Mapping:
                      domain_codes: SourceCodes, range_codes: SourceCodes,
                      rows_a: Array, rows_b: Array, sims: Array, *,
                      kind: MappingKind = MappingKind.SAME,
-                     name: Optional[str] = None) -> "Mapping":
+                     name: Optional[str] = None,
+                     mirrored: bool = False) -> "Mapping":
         """:meth:`add_rows` as one array pass.
 
         Row ``i`` relates the sources' rows ``rows_a[i]`` and
@@ -330,11 +338,17 @@ class Mapping:
         ``sims[i]`` — how the engine's surviving row arrays become a
         mapping without passing through id strings.  Same validation,
         same keep-the-larger policy for a repeated pair, same row
-        order as adding the rows one by one.
+        order as adding the rows one by one.  ``mirrored`` (the two
+        sources share an id space: self-matching) adds every row the
+        other way round too, right after it.
         """
+        codes_a, codes_b = domain_codes.codes[rows_a], range_codes.codes[rows_b]
+        if mirrored:
+            codes_a, codes_b = (np.stack((codes_a, codes_b), axis=1).ravel(),
+                                np.stack((codes_b, codes_a), axis=1).ravel())
+            sims = np.repeat(sims, 2)
         columns = Columns(domain_codes.space, range_codes.space,
-                          domain_codes.codes[rows_a],
-                          range_codes.codes[rows_b], validated(sims))
+                          codes_a, codes_b, validated(sims))
         return cls.of(domain, range, canonical(columns), kind=kind, name=name)
 
     @classmethod

@@ -129,7 +129,10 @@ def value_codes(values: Sequence[object]) -> ValueCodes:
     rows = _np.flatnonzero(present)
     codes = _np.full(len(values), -1, dtype=_np.int64)
     codes[rows] = coded
-    first = _np.unique(coded, return_index=True)[1]
+    # codes count first appearances, so a value is new where its code
+    # passes every code before it
+    first = _np.flatnonzero(
+        _np.diff(_np.maximum.accumulate(coded), prepend=-1))
     return ValueCodes(codes, rows[first], list(distinct))
 
 

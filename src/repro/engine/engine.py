@@ -40,8 +40,6 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.blocking.pair_generator import FullCross, IterableShard, PairShard
 from repro.core.mapping import Mapping
 from repro.engine import vectorized
@@ -64,7 +62,9 @@ class EngineConfig:
 
     ``workers=1`` is the serial fallback (no processes, no IPC).
     ``chunk_size`` is the number of candidate row pairs in one slice —
-    one kernel call, and one pool task when the parent cuts.  Every
+    one kernel call, and one pool task when the parent cuts (a block
+    slice then holds more, up to
+    :data:`~repro.engine.shards.POOL_SLICE_ROWS` rows).  Every
     request runs on a kernel, whose call costs a fixed ~25 µs of array
     set-up plus the gathered rows: measured on a 900-title trigram
     column, 0.55 µs a pair at 64 rows, 0.12 µs at the default and 0.2 –
@@ -123,11 +123,14 @@ class BatchMatchEngine:
         config = self.config
         self.last_profile = None
         if config.profile:
-            self.last_profile = {"path": None, "prepare_seconds": 0.0,
+            self.last_profile = {"path": None, "plan_seconds": 0.0,
+                                 "prepare_seconds": 0.0,
+                                 "load_seconds": 0.0,
                                  "kernel_cached": False,
                                  "index_cached": False,
                                  "columns": [],
-                                 "chunks": 0, "chunk_items": [],
+                                 "chunks": 0, "candidate_rows": 0,
+                                 "chunk_items": [],
                                  "chunk_seconds": [],
                                  "shard_seconds": [],
                                  "survivor_rows": 0, "merged_rows": 0,
@@ -135,7 +138,9 @@ class BatchMatchEngine:
                                  # _prepare adds its own lookups, so at
                                  # the end the rest is the blocking index's
                                  "memo_counts": _memo_counts(request)}
+        begun = time.perf_counter()
         shards, sharded = self._plan(request)
+        planned = time.perf_counter()
         runner = self._prepare(request, shards)
         if sharded:
             # every shard queued up front: a task is one int
@@ -149,6 +154,8 @@ class BatchMatchEngine:
             path = ("rows" if isinstance(request.candidates, Mapping)
                     else "indexed")
             target = runner.score
+            if config.workers > 1:
+                runner.cut_for_pool(config.workers)
             work = ((len(item[0]), item) for shard in shards
                     for item in runner.slices(shard))
             workers, inflight = config.workers, 2 * config.workers
@@ -157,8 +164,10 @@ class BatchMatchEngine:
                 target, work, workers=workers, inflight=inflight):
             self._profile_task(items, seconds)
             outputs.append(output)
+        scored = time.perf_counter()
         result = self._load(request, runner, outputs)
-        self._profile_done(path, request)
+        self._profile_done(path, request, planned - begun,
+                           time.perf_counter() - scored)
         return result
 
     def _plan(self, request: MatchRequest) -> Tuple[List[PairShard], bool]:
@@ -210,10 +219,13 @@ class BatchMatchEngine:
 
     # -- profiling -----------------------------------------------------
 
-    def _profile_done(self, path: str, request: MatchRequest) -> None:
+    def _profile_done(self, path: str, request: MatchRequest,
+                      plan_seconds: float, load_seconds: float) -> None:
         profile = self.last_profile
         if profile is not None:
             profile["path"] = path
+            profile["plan_seconds"] = plan_seconds
+            profile["load_seconds"] = load_seconds
             hits, builds = _memo_counts(request)
             asked, built = profile.pop("memo_counts")
             profile["index_cached"] = hits > asked and builds == built
@@ -228,6 +240,7 @@ class BatchMatchEngine:
             profile["shard_seconds"].append(seconds)
         else:
             profile["chunks"] += 1
+            profile["candidate_rows"] += items
             profile["chunk_items"].append(items)
             profile["chunk_seconds"].append(seconds)
 
@@ -241,7 +254,10 @@ class BatchMatchEngine:
         shard_seconds = profile["shard_seconds"]
         return {
             "path": profile["path"],
+            "plan_seconds": profile["plan_seconds"],
             "prepare_seconds": profile["prepare_seconds"],
+            "load_seconds": profile["load_seconds"],
+            "candidate_rows": profile["candidate_rows"],
             "kernel_cached": profile["kernel_cached"],
             "index_cached": profile["index_cached"],
             "columns": profile["columns"],
@@ -319,15 +335,13 @@ class BatchMatchEngine:
         """
         rows_a, rows_b, scores = runner.gather(outputs)
         survivors = len(scores)
-        if request.is_self:
-            rows_a, rows_b = (
-                np.stack((rows_a, rows_b), axis=1).ravel(),
-                np.stack((rows_b, rows_a), axis=1).ravel())
-            scores = np.repeat(scores, 2)
+        # mirrored as codes: a self-match's range may be another object
+        # of the name, whose rows are not the domain's
         result = Mapping.from_columns(
             request.domain.name, request.range.name,
             runner.domain, runner.range,
-            rows_a, rows_b, scores, name=request.name)
+            rows_a, rows_b, scores, name=request.name,
+            mirrored=request.is_self)
         profile = self.last_profile
         if profile is not None:
             profile["survivor_rows"] = survivors

@@ -4,21 +4,26 @@ A request's plan (:meth:`repro.engine.engine.BatchMatchEngine._plan`)
 is a list of :class:`PairShard`\\ s: one holding the whole request, or
 — under ``shard_blocking`` — the blocking strategy's partition
 (:meth:`PairGenerator.shards`: key groups, posting-list ranges, window
-segments, seed partitions, id tiles).  A :class:`ShardRunner` cuts a
+segments, seed partitions, row tiles).  A :class:`ShardRunner` cuts a
 shard into *slices*, scores a slice and gathers the survivors of
 several; the engine loads what comes back.  A slice is a pair of row
 arrays for the request's kernel
-(:func:`repro.engine.vectorized.request_kernel`), cut one of two ways:
+(:func:`repro.engine.vectorized.request_kernel`), cut one of three ways:
 
-* **block expansion** — the shard exposes an :class:`IdBlock`
-  structure: pairs are expanded directly as row arrays
-  (``np.repeat``/``np.tile``) and scored in bulk — no Python tuple is
-  ever created per pair.  Duplicate pairs across blocks/shards are
-  scored redundantly instead of deduplicated: scoring is
-  deterministic, and on measured workloads re-scoring ~30% duplicates
-  is far cheaper than sorting tens of millions of pair codes.  Their
-  *survivors* — orders of magnitude fewer — collapse when the parent
-  loads them (:meth:`BatchMatchEngine._load`).
+* **block expansion** — the shard is blocks.  A built-in strategy's
+  is a :class:`BlockBatch` already (start / count arrays into row
+  arrays, made without reading an id string); a foreign
+  :class:`IdBlock` list becomes one through the sources' bridges, once
+  per shard.  One routine (:meth:`BlockBatch.expand`) turns a batch
+  into rows — rectangles and triangles as one ragged cross product, at
+  most ``EXPAND_ROWS`` rows at a time — and a slice is a ``chunk_size``
+  view of that (``POOL_SLICE_ROWS`` where the slice is a pool task):
+  cache-sized kernel calls, no Python step per block or pair.
+  Duplicate pairs across blocks/shards are scored again, not dropped
+  first (whether that would pay depends on the kernel:
+  ``docs/benchmarks.md``, PR 24); their *survivors* — orders of
+  magnitude fewer — collapse when the parent loads them
+  (:meth:`BatchMatchEngine._load`).
 * **converted id-pair chunks** — no usable blocks: ``shard.pairs()``
   in ``chunk_size`` chunks, each converted to row arrays
   (:meth:`ShardRunner.convert`).
@@ -46,7 +51,8 @@ The planner (:meth:`BatchMatchEngine._plan`) therefore always reads the
 shards' cost estimates (:meth:`PairShard.cost`) and, when
 :func:`autotune_plan` finds them skewed, calls :func:`rebalance_shards`
 — oversized block groups are *split* (down to row/column slices of a
-single giant block) and the pieces greedily bin-packed, largest first,
+single giant block; :func:`explode`: arithmetic on the block's starts
+and counts) and the pieces greedily bin-packed, largest first,
 onto the least-loaded bin (classic LPT), so no bin exceeds ~2x the
 mean load.
 
@@ -69,6 +75,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 import numpy as _np
 
 from repro.blocking.pair_generator import (
+    BlockBatch,
     BlockShard,
     IdBlock,
     PairGenerator,
@@ -83,10 +90,16 @@ from repro.engine.request import MatchRequest
 Pair = Tuple[str, str]
 T = TypeVar("T")
 
-#: row-array slice size for one vectorized scoring call; bounds worker
-#: memory at a few MB per in-flight slice while amortizing numpy call
-#: overhead over ~1M pairs
+#: no slice — one vectorized scoring call — is longer (block slices
+#: are ``chunk_size`` views of an ``EXPAND_ROWS`` step, well below),
+#: and a score table spends no more cells (``_prepare``)
 ROWS_PER_CALL = 1 << 20
+#: most rows of a block slice that is a pool task of its own (the
+#: parent cuts for several workers): ``chunk_size`` rows do not pay
+#: for the trip — parent-cut, two workers, an 860 400-row cross
+#: request took 158 ms in 2 048-row tasks, 62 ms in these, 77 ms at
+#: the parent commit's one task a block (``docs/benchmarks.md``, PR 24)
+POOL_SLICE_ROWS = 1 << 15
 
 
 def iter_chunks(iterable: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
@@ -138,8 +151,8 @@ class ShardRunner:
     (:attr:`score`).  ``kernel`` is the request's
     (:func:`repro.engine.vectorized.request_kernel`) — anything
     exposing ``score_rows(domain_rows, range_rows)`` over
-    ``source.ids()``-aligned row indices; ``domain`` / ``range`` are
-    the sources' row<->code bridges
+    ``source.ids()``-aligned row indices; ``sources`` are the
+    request's two and ``domain`` / ``range`` their row<->code bridges
     (:func:`repro.core.mapping.source_codes`), through which ids and
     mapping codes become rows and the surviving rows a mapping.
     """
@@ -149,7 +162,10 @@ class ShardRunner:
         self.shards = list(shards)
         self.is_self = request.is_self
         self.chunk_size = chunk_size
+        #: rows of a block slice (:meth:`cut_for_pool`)
+        self.block_rows = chunk_size
         self.kernel = kernel
+        self.sources = (request.domain, request.range)
         self.domain = source_codes(request.domain)
         self.range = source_codes(request.range)
         #: ``score(rows_a, rows_b)``: one slice's survivors as
@@ -163,6 +179,14 @@ class ShardRunner:
             missing_zero=(request.combiner is None
                           and request.missing == "zero"))
 
+    def cut_for_pool(self, workers: int) -> None:
+        """Every slice is going to be a pool task: block slices take
+        :data:`POOL_SLICE_ROWS` rows, fewer where that would leave a
+        worker under four tasks, never under ``chunk_size``."""
+        rows = sum(shard.cost() or 0 for shard in self.shards)
+        self.block_rows = max(self.chunk_size, min(
+            POOL_SLICE_ROWS, rows // (4 * workers)))
+
     def slices(self, shard: PairShard) -> Iterator[tuple]:
         """The shard's work items, each the ``(rows_a, rows_b)``
         arguments of one :attr:`score` call.
@@ -175,10 +199,10 @@ class ShardRunner:
         """
         if isinstance(shard, MappingShard):
             return self._mapping_slices(shard.mapping)
-        blocks = shard.blocks()
-        if blocks is not None and (self.kernel.orientation_symmetric
-                                   or not self.is_self):
-            return self._joined(self._expand_blocks(blocks))
+        if self.kernel.orientation_symmetric or not self.is_self:
+            batches = shard.batches(self)
+            if batches is not None:
+                return self._block_slices(batches)
         # the exact unordered-pair dedup the matchers always had, shard
         # by shard (cross-shard duplicates collapse at the load, like a
         # custom two-source stream's; the built-ins' are already unique)
@@ -230,10 +254,12 @@ class ShardRunner:
         rows_a = self.domain.rows_of(codes_a)
         rows_b = self.range.rows_of(codes_b)
         known = (rows_a >= 0) & (rows_b >= 0)
-        rows_a, rows_b = rows_a[known], rows_b[known]
-        for start in range(0, len(rows_a), self.chunk_size):
-            yield (rows_a[start:start + self.chunk_size],
-                   rows_b[start:start + self.chunk_size])
+        return self._views(rows_a[known], rows_b[known], self.chunk_size)
+
+    def _views(self, rows_a, rows_b, size: int) -> Iterator[tuple]:
+        """Two row arrays, ``size`` rows at a time."""
+        for start in range(0, len(rows_a), size):
+            yield rows_a[start:start + size], rows_b[start:start + size]
 
     def gather(self, outputs: Iterable[tuple]) -> tuple:
         """Several :attr:`score` outputs as one, in the order given."""
@@ -245,74 +271,11 @@ class ShardRunner:
         return self.gather(self.score(*item) for item in
                            self.slices(self.shards[shard_index]))
 
-    # -- block expansion -------------------------------------------------
-
-    def _block_rows(self, block: IdBlock):
-        """Row arrays of a block's id lists (ids unknown to the request's
-        sources are dropped, mirroring :meth:`convert`)."""
-        domain_row = self.domain.index.get
-        rows_d = [row for row in map(domain_row, block.domain_ids)
-                  if row is not None]
-        if block.triangle:
-            # self-matching: both sides index the same source/matrix
-            return (_np.asarray(rows_d, dtype=_np.int32), None)
-        range_row = self.range.index.get
-        rows_r = [row for row in map(range_row, block.range_ids)
-                  if row is not None]
-        return (_np.asarray(rows_d, dtype=_np.int32),
-                _np.asarray(rows_r, dtype=_np.int32))
-
-    def _expand_blocks(self, blocks: Iterator[IdBlock]):
-        """Yield (rows_a, rows_b) array slices of at most ROWS_PER_CALL."""
-        for block in blocks:
-            rows_d, rows_r = self._block_rows(block)
-            if rows_r is None:  # triangle: pairs (i, j) with j > i
-                k = len(rows_d)
-                i = 0
-                while i < k - 1:
-                    j = i
-                    budget = 0
-                    while j < k - 1 and budget + (k - 1 - j) <= ROWS_PER_CALL:
-                        budget += k - 1 - j
-                        j += 1
-                    if j == i:  # single row exceeds the budget: take it
-                        j = i + 1
-                    counts = _np.arange(k - 1 - i, k - 1 - j, -1)
-                    rows_a = _np.repeat(rows_d[i:j], counts)
-                    rows_b = _np.concatenate(
-                        [rows_d[m + 1:] for m in range(i, j)])
-                    yield rows_a, rows_b
-                    i = j
-            else:
-                width = len(rows_r)
-                if width == 0 or len(rows_d) == 0:
-                    continue
-                step = max(1, ROWS_PER_CALL // width)
-                for start in range(0, len(rows_d), step):
-                    left = rows_d[start:start + step]
-                    yield (_np.repeat(left, width),
-                           _np.tile(rows_r, len(left)))
-
-    def _joined(self, slices):
-        """Consecutive slices joined until one holds ``chunk_size`` rows.
-
-        Token blocking expands to thousands of blocks of a few dozen
-        rows; scored (or shipped to a worker) one by one, the per-call
-        overhead would exceed the scoring.  Row order inside and across
-        slices is unchanged and no join exceeds ``ROWS_PER_CALL``.
-        """
-        held: list = []
-        rows = 0
-        for piece in slices:
-            size = len(piece[0])
-            if held and (rows >= self.chunk_size
-                         or rows + size > ROWS_PER_CALL):
-                yield _concatenated(held)
-                held, rows = [], 0
-            held.append(piece)
-            rows += size
-        if held:
-            yield _concatenated(held)
+    def _block_slices(self, batches: List[BlockBatch]) -> Iterator[tuple]:
+        """The blocks' pairs: views of the one expansion."""
+        for batch in batches:
+            for rows in batch.expand():
+                yield from self._views(*rows, self.block_rows)
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +286,10 @@ class CompositeShard(PairShard):
     """Several shards executed as one unit (an LPT bin).
 
     ``pairs()`` chains the members' streams, preserving each member's
-    own dedup/canonicalization; ``blocks()`` chains the members' block
-    views when *every* member has one (mixing would silently drop the
-    block-less members from the vectorized mode), ``None`` otherwise.
+    own dedup/canonicalization; ``blocks()`` / ``batches()`` chain the
+    members' block views when *every* member has one (mixing would
+    silently drop the block-less members from the vectorized mode),
+    ``None`` otherwise.
     """
 
     def __init__(self, members: Sequence[PairShard]) -> None:
@@ -349,6 +313,15 @@ class CompositeShard(PairShard):
 
         return chain()
 
+    def batches(self, runner) -> Optional[List[BlockBatch]]:
+        batches: List[BlockBatch] = []
+        for member in self.members:
+            view = member.batches(runner)
+            if view is None:
+                return None
+            batches.extend(view)
+        return batches
+
     def cost(self) -> Optional[int]:
         costs = [member.cost() for member in self.members]
         if any(cost is None for cost in costs):
@@ -356,55 +329,48 @@ class CompositeShard(PairShard):
         return sum(costs)
 
 
-def _explode_block(block: IdBlock, target: int) -> Iterator[IdBlock]:
-    """Split one block into pieces of at most ~``target`` pairs.
+def explode(block: Sequence[int], target: int) -> Iterator[Sequence[int]]:
+    """Split one block — a row of :attr:`BlockBatch.blocks` — into
+    pieces of at most ~``target`` pairs.
 
-    Pair-exact: the union of the pieces' pairs equals the block's
-    pairs.  Triangles decompose into *row bands* of ~``target`` pairs
-    — the band's own (sub-)triangle plus one band x tail rectangle —
-    so piece count and materialized id references stay
-    O(pair_count / target), not O(rows); oversized rectangles slice
-    their longer dimension.  Orientation of triangle-derived
-    rectangle pairs becomes block order, which :class:`BlockShard`'s
-    ``canonical`` flag re-orients for strategies whose serial stream
-    emits ``(min id, max id)``.
+    Pair-exact: the pieces' pairs are the block's.  Triangles
+    decompose into *row bands* of ~``target`` pairs — the band's own
+    (sub-)triangle plus one band x tail rectangle — so the piece count
+    stays O(pair_count / target), not O(rows); oversized rectangles
+    slice their longer dimension.  Triangle-derived rectangle pairs
+    come in block order, which :class:`BlockShard`'s ``canonical`` flag
+    re-orients where the serial stream emits ``(min id, max id)``.
     """
-    if block.pair_count() <= target:
+    start_a, count_a, start_b, count_b, triangle = block
+    if (count_a * (count_a - 1) // 2 if triangle
+            else count_a * count_b) <= target:
         yield block
-        return
-    if block.triangle:
-        ids = list(block.domain_ids)
-        n = len(ids)
+    elif triangle:
         start = 0
-        while start < n - 1:
+        while start < count_a - 1:
             # rows [start, end) whose remaining-pair costs (n - 1 - i)
             # sum to ~target; a single row may exceed it and is taken
             # alone (its rectangle recurses into range-side slices)
-            end = start
-            budget = 0
-            while end < n - 1 and (end == start
-                                   or budget + (n - 1 - end) <= target):
-                budget += n - 1 - end
+            end, budget = start + 1, count_a - 1 - start
+            while end < count_a - 1 and budget + count_a - 1 - end <= target:
+                budget += count_a - 1 - end
                 end += 1
-            band = ids[start:end]
-            if len(band) > 1:
-                yield IdBlock(band, band, triangle=True)
-            tail = ids[end:]
-            if tail:
-                yield from _explode_block(IdBlock(band, tail), target)
+            band = end - start
+            if band > 1:
+                yield start_a + start, band, start_b + start, band, 1
+            yield from explode(
+                (start_a + start, band, start_b + end, count_a - end, 0),
+                target)
             start = end
-        return
-    domain_ids = list(block.domain_ids)
-    range_ids = list(block.range_ids)
-    if len(domain_ids) > 1:
-        step = max(1, target // max(1, len(range_ids)))
-        for start in range(0, len(domain_ids), step):
-            yield from _explode_block(
-                IdBlock(domain_ids[start:start + step], range_ids), target)
-        return
-    step = max(1, target)
-    for start in range(0, len(range_ids), step):
-        yield IdBlock(domain_ids, range_ids[start:start + step])
+    elif count_a > 1:
+        step = max(1, target // count_b)
+        for start in range(0, count_a, step):
+            yield from explode((start_a + start, min(step, count_a - start),
+                                start_b, count_b, 0), target)
+    else:
+        for start in range(0, count_b, target):
+            yield (start_a, 1, start_b + start,
+                   min(target, count_b - start), 0)
 
 
 def _split_shard(shard: PairShard, cost: int,
@@ -417,27 +383,25 @@ def _split_shard(shard: PairShard, cost: int,
     piece-local, so duplicate pairs may now span pieces, which the
     idempotent merge already absorbs.
     """
-    blocks_view = shard.blocks()
-    if blocks_view is None:
+    if not isinstance(shard, BlockShard):
+        if shard.blocks() is None:
+            return [(shard, cost)]
+        # a foreign shard class with a block view: split as its blocks
+        shard = BlockShard(shard.blocks,
+                           dedup=bool(getattr(shard, "dedup", False)),
+                           canonical=bool(getattr(shard, "canonical", False)))
+    batch = shard.batch()
+    exploded = batch._replace(blocks=_np.array(
+        [piece for block in batch.blocks.tolist()
+         for piece in explode(block, target)],
+        dtype=_np.int64).reshape(-1, 5))
+    if len(exploded.blocks) <= 1:
         return [(shard, cost)]
-    dedup = bool(getattr(shard, "dedup", False))
-    canonical = bool(getattr(shard, "canonical", False))
-    exploded: List[IdBlock] = []
-    for block in blocks_view:
-        exploded.extend(_explode_block(block, target))
-    if len(exploded) <= 1:
-        return [(shard, cost)]
-    spans = partition_spans([block.pair_count() for block in exploded],
-                            max(1, -(-cost // target)))
-    pieces: List[Tuple[PairShard, int]] = []
-    for start, end in spans:
-        piece_blocks = exploded[start:end]
-        pieces.append((
-            BlockShard(lambda bs=piece_blocks: iter(bs),
-                       dedup=dedup, canonical=canonical),
-            sum(block.pair_count() for block in piece_blocks),
-        ))
-    return pieces
+    costs = exploded.costs()
+    return [
+        (shard.over(exploded.take(start, end)), int(costs[start:end].sum()))
+        for start, end in partition_spans(costs, max(1, -(-cost // target)))
+    ]
 
 
 def rebalance_shards(shards: Sequence[PairShard],

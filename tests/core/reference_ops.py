@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.mapping import Mapping, MappingKind
 from repro.core.operators.functions import get_combination
 
@@ -213,3 +215,20 @@ def restrict(mapping: Mapping, ids, side: str) -> Mapping:
     wanted = set(ids)
     position = 0 if side == "domain" else 1
     return _filter(mapping, lambda corr: corr[position] in wanted)
+
+
+def distinct_keys(keys):
+    """``repro.core.mapping.distinct_keys`` as it was: ``np.unique``'s
+    stable sort, then the groups ranked by their first rows."""
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def first_rows(coded):
+    """The first row of every code, ascending by code — what
+    ``repro.engine.columns.value_codes`` asked ``np.unique`` for."""
+    return np.unique(coded, return_index=True)[1]

@@ -1,0 +1,197 @@
+"""Block expansion one block at a time, kept as the oracle.
+
+These are the loops ``repro.blocking`` and ``repro.engine.shards`` ran
+while candidates were id strings: a ``token -> [id, ...]`` posting
+dict filtered token by token, per block a ``dict.get`` for every id
+and an ``np.repeat`` / ``np.tile``, per pair a Python tuple through a
+first-seen set, and the splitter slicing id lists.  They only touch
+:class:`~repro.blocking.IdBlock`\\ s and plain ``id -> row`` dicts, so
+the row arrays, their order and their repeats *define* what the block
+batch (:class:`repro.blocking.pair_generator.BlockBatch`) must expand
+to.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
+
+from repro.blocking import IdBlock, is_self_match
+from repro.sim.tokenize import word_tokens
+
+Pair = Tuple[str, str]
+
+
+def block_rows(block: IdBlock, domain_index: Dict[str, int],
+               range_index: Dict[str, int]):
+    """Row arrays of a block's id lists (ids unknown to the sources
+    are dropped); a triangle's second array is ``None``."""
+    rows_d = [row for row in map(domain_index.get, block.domain_ids)
+              if row is not None]
+    if block.triangle:
+        return np.asarray(rows_d, dtype=np.int32), None
+    rows_r = [row for row in map(range_index.get, block.range_ids)
+              if row is not None]
+    return (np.asarray(rows_d, dtype=np.int32),
+            np.asarray(rows_r, dtype=np.int32))
+
+
+def expand_blocks(blocks: Iterable[IdBlock], domain_index: Dict[str, int],
+                  range_index: Dict[str, int],
+                  rows_per_call: int = 1 << 20):
+    """Yield ``(rows_a, rows_b)`` array slices of at most
+    ``rows_per_call`` rows, block after block."""
+    for block in blocks:
+        rows_d, rows_r = block_rows(block, domain_index, range_index)
+        if rows_r is None:  # triangle: pairs (i, j) with j > i
+            k = len(rows_d)
+            i = 0
+            while i < k - 1:
+                j = i
+                budget = 0
+                while j < k - 1 and budget + (k - 1 - j) <= rows_per_call:
+                    budget += k - 1 - j
+                    j += 1
+                if j == i:  # single row exceeds the budget: take it
+                    j = i + 1
+                counts = np.arange(k - 1 - i, k - 1 - j, -1)
+                rows_a = np.repeat(rows_d[i:j], counts)
+                rows_b = np.concatenate(
+                    [rows_d[m + 1:] for m in range(i, j)])
+                yield rows_a, rows_b
+                i = j
+        else:
+            width = len(rows_r)
+            if width == 0 or len(rows_d) == 0:
+                continue
+            step = max(1, rows_per_call // width)
+            for start in range(0, len(rows_d), step):
+                left = rows_d[start:start + step]
+                yield np.repeat(left, width), np.tile(rows_r, len(left))
+
+
+def expanded(blocks: Iterable[IdBlock], domain_index: Dict[str, int],
+             range_index: Dict[str, int]) -> Tuple[list, list]:
+    """:func:`expand_blocks`, concatenated, as two lists."""
+    pieces = list(expand_blocks(blocks, domain_index, range_index))
+    return tuple(
+        np.concatenate([piece[side] for piece in pieces]).tolist()
+        if pieces else [] for side in (0, 1))
+
+
+def pair_rows(blocks: Iterable[IdBlock], domain_index: Dict[str, int],
+              range_index: Dict[str, int]) -> Tuple[list, list]:
+    """What ``ShardRunner.convert`` makes of the blocks' id pairs: a
+    pair is a row pair where the domain knows its first id and the
+    range its second.  :func:`expanded` wherever a triangle's ids have
+    the same rows on both sides; the definition where they do not (a
+    self-match of two source objects of one name)."""
+    rows = [(domain_index[id_a], range_index[id_b])
+            for id_a, id_b in block_pairs(blocks)
+            if id_a in domain_index and id_b in range_index]
+    return tuple(list(side) for side in zip(*rows)) if rows else ([], [])
+
+
+def block_pairs(blocks: Iterable[IdBlock], *, dedup: bool = False,
+                canonical: bool = False) -> Iterator[Pair]:
+    """The id pairs of ``blocks``, as ``BlockShard.pairs`` walked them."""
+    emitted: Optional[Set[Pair]] = set() if dedup else None
+    for block in blocks:
+        if block.triangle:
+            ids = block.domain_ids
+            sides = ((id_a, id_b) for i, id_a in enumerate(ids)
+                     for id_b in ids[i + 1:])
+        else:
+            sides = ((id_a, id_b) for id_a in block.domain_ids
+                     for id_b in block.range_ids)
+        for id_a, id_b in sides:
+            pair = (id_b, id_a) if canonical and id_b < id_a \
+                else (id_a, id_b)
+            if emitted is not None:
+                if pair in emitted:
+                    continue
+                emitted.add(pair)
+            yield pair
+
+
+def token_postings(source, attribute: str,
+                   min_length: int) -> Dict[str, List[str]]:
+    """Token -> ids posting lists of one attribute, in source order."""
+    index: Dict[str, List[str]] = {}
+    for instance in source:
+        value = instance.get(attribute)
+        if value is None:
+            continue
+        for token in sorted(set(word_tokens(str(value)))):
+            if len(token) >= min_length:
+                index.setdefault(token, []).append(instance.id)
+    return index
+
+
+def eligible_postings(blocking, domain, range_, domain_attribute: str,
+                      range_attribute: str) -> List[IdBlock]:
+    """``TokenBlocking``'s surviving posting-list blocks, in domain
+    token order, filtered one token at a time."""
+    domain_index = token_postings(domain, domain_attribute,
+                                  blocking.min_token_length)
+    is_self = is_self_match(domain, range_)
+    range_index = domain_index if is_self else token_postings(
+        range_, range_attribute, blocking.min_token_length)
+    population = len(domain) + (0 if is_self else len(range_))
+    df_cutoff = max(2, int(blocking.max_df * max(population, 1)))
+    eligible: List[IdBlock] = []
+    for token, domain_ids in domain_index.items():
+        range_ids = range_index.get(token)
+        if not range_ids:
+            continue
+        df = len(domain_ids) if is_self else \
+            len(domain_ids) + len(range_ids)
+        if df > df_cutoff:
+            continue
+        if len(domain_ids) > blocking.max_block_size or \
+                len(range_ids) > blocking.max_block_size:
+            continue
+        if is_self:
+            eligible.append(IdBlock(domain_ids, domain_ids, triangle=True))
+        else:
+            eligible.append(IdBlock(domain_ids, range_ids))
+    return eligible
+
+
+def explode_block(block: IdBlock, target: int) -> Iterator[IdBlock]:
+    """Split one block into pieces of at most ~``target`` pairs, by
+    slicing its id lists."""
+    if block.pair_count() <= target:
+        yield block
+        return
+    if block.triangle:
+        ids = list(block.domain_ids)
+        n = len(ids)
+        start = 0
+        while start < n - 1:
+            end = start
+            budget = 0
+            while end < n - 1 and (end == start
+                                   or budget + (n - 1 - end) <= target):
+                budget += n - 1 - end
+                end += 1
+            band = ids[start:end]
+            if len(band) > 1:
+                yield IdBlock(band, band, triangle=True)
+            tail = ids[end:]
+            if tail:
+                yield from explode_block(IdBlock(band, tail), target)
+            start = end
+        return
+    domain_ids = list(block.domain_ids)
+    range_ids = list(block.range_ids)
+    if len(domain_ids) > 1:
+        step = max(1, target // max(1, len(range_ids)))
+        for start in range(0, len(domain_ids), step):
+            yield from explode_block(
+                IdBlock(domain_ids[start:start + step], range_ids), target)
+        return
+    step = max(1, target)
+    for start in range(0, len(range_ids), step):
+        yield IdBlock(domain_ids, range_ids[start:start + step])

@@ -1,0 +1,397 @@
+"""Rows are the currency of the blocking tier.
+
+A built-in strategy's shard is a
+:class:`~repro.blocking.pair_generator.BlockBatch` — start / count
+arrays into two row arrays — and
+:meth:`~repro.engine.shards.ShardRunner.slices` expands it in one
+ragged cross product.  What that must produce is pinned against the
+per-block loops it replaced (``reference_blocks``): the same rows in
+the same order, repeats included, for every strategy, both matching
+modes, any shard count, planned or rebalanced; the id-pair protocol
+(``pairs()``, ``blocks()``, ``cost()``) reads the same batch.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+import reference_blocks as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.blocking import (
+    BlockShard,
+    CanopyBlocking,
+    FullCross,
+    IdBlock,
+    KeyBlocking,
+    PairShard,
+    TokenBlocking,
+)
+from repro.blocking.pair_generator import EXPAND_ROWS, BlockBatch
+from repro.engine import (
+    AttributeSpec,
+    BatchMatchEngine,
+    EngineConfig,
+    MatchRequest,
+)
+from repro.engine.shards import (
+    ROWS_PER_CALL,
+    CompositeShard,
+    explode,
+    rebalance_shards,
+)
+from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.sim.ngram import TrigramSimilarity
+
+#: every strategy whose shards are blocks (``SortedNeighborhood``
+#: streams window pairs: no block view, nothing to expand)
+STRATEGIES = {
+    "FullCross": FullCross(),
+    "KeyBlocking": KeyBlocking(),
+    "KeyBlocking-capped": KeyBlocking(max_block_size=3),
+    "TokenBlocking": TokenBlocking(max_df=1.0),
+    "TokenBlocking-df": TokenBlocking(max_df=0.3, max_block_size=6),
+    "CanopyBlocking": CanopyBlocking(loose=0.15, tight=0.5, seed=3),
+}
+ATTRIBUTES = dict(domain_attribute="title", range_attribute="title")
+
+
+def _source(name: str, titles) -> LogicalSource:
+    source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
+    for index, title in enumerate(titles):
+        source.add_record(f"{name.lower()}{index}", title=title)
+    return source
+
+
+def _runner(domain, range_, shards, chunk_size=64):
+    request = MatchRequest(
+        domain=domain, range=range_, threshold=0.3,
+        specs=[AttributeSpec("title", "title", TrigramSimilarity())])
+    return BatchMatchEngine(
+        EngineConfig(chunk_size=chunk_size))._prepare(request, shards)
+
+
+def _members(shard):
+    return shard.members if isinstance(shard, CompositeShard) else [shard]
+
+
+def _ranges(domain, other, k=40):
+    """What ``domain`` is matched against, by mode.  ``self-subset`` /
+    ``self-superset`` are self-matches of two source *objects*: the
+    other's rows are not the domain's, and it lacks some of its ids —
+    or has some more."""
+    backwards = list(reversed(domain.ids()))
+    part = domain.subset(backwards[:k])
+    return {"two-source": (domain, other), "self": (domain, domain),
+            "self-subset": (domain, part),
+            "self-superset": (part, domain.subset(backwards))}
+
+
+MODES = sorted(_ranges(_source("L", []), None))
+
+
+def _check(blocking, domain, range_, n_shards, balanced):
+    shards = blocking.shards(domain, range_, n_shards=n_shards, **ATTRIBUTES)
+    assert len(shards) <= n_shards
+    if balanced:
+        shards = rebalance_shards(shards, 5)
+    runner = _runner(domain, range_, shards)
+    indexes = runner.domain.index, runner.range.index
+    for shard in shards:
+        slices = list(runner.slices(shard))
+        assert all(0 < len(rows_a) == len(rows_b) <= ROWS_PER_CALL
+                   for rows_a, rows_b in slices)
+        rows = [np.concatenate([piece[side] for piece in slices]).tolist()
+                if slices else [] for side in (0, 1)]
+        assert tuple(rows) == reference.pair_rows(shard.blocks(), *indexes)
+        assert shard.cost() == sum(block.pair_count()
+                                   for block in shard.blocks())
+        if runner.domain is runner.range or not runner.is_self:
+            assert tuple(rows) == reference.expanded(shard.blocks(),
+                                                     *indexes)
+            assert shard.cost() == len(rows[0])
+        assert list(shard.pairs()) == [
+            pair for member in _members(shard)
+            for pair in reference.block_pairs(
+                member.blocks(), dedup=member.dedup,
+                canonical=member.canonical)]
+    return shards
+
+
+class TestRowsEqualTheReference:
+    @pytest.mark.parametrize("balanced", [False, True],
+                             ids=["planned", "rebalanced"])
+    @pytest.mark.parametrize("n_shards", [1, 3, 8])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_on_tiny(self, dblp, acm, name, mode, n_shards, balanced):
+        domain, range_ = _ranges(dblp.publications, acm.publications)[mode]
+        shards = _check(STRATEGIES[name], domain, range_, n_shards, balanced)
+        assert sum(shard.cost() for shard in shards) > 0
+
+    #: repeated values, ``None``s, tokens under ``min_token_length``
+    #: ("ab", "c"), a token most values hold ("the": over ``max_df``
+    #: and, in bulk, over ``max_block_size``)
+    TITLES = st.lists(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(["the", "the", "ab", "c", "query",
+                                  "stream", "schema", "join", "views"]),
+                 min_size=0, max_size=4).map(" ".join)),
+        min_size=0, max_size=14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(titles_a=TITLES, titles_b=TITLES, data=st.data())
+    def test_on_generated_sources(self, titles_a, titles_b, data):
+        domain, other = _source("L", titles_a), _source("R", titles_b)
+        modes = _ranges(domain, other,
+                        data.draw(st.integers(0, len(titles_a)), label="k"))
+        for name in sorted(STRATEGIES):
+            mode = data.draw(st.sampled_from(MODES), label=f"{name} mode")
+            _check(STRATEGIES[name], *modes[mode],
+                   data.draw(st.sampled_from([1, 3, 8])),
+                   data.draw(st.booleans(), label="rebalanced"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["TokenBlocking", "TokenBlocking-df"])
+    def test_token_blocks_are_the_filtered_posting_lists(
+            self, dblp, acm, name, mode):
+        """The CSR join against the token-by-token filter: the same
+        blocks, in the same (domain token) order."""
+        domain, range_ = _ranges(dblp.publications, acm.publications)[mode]
+        shard, = STRATEGIES[name].shards(domain, range_, n_shards=1,
+                                         **ATTRIBUTES)
+        assert list(shard.blocks()) == reference.eligible_postings(
+            STRATEGIES[name], domain, range_, "title", "title")
+
+    def test_foreign_id_blocks_take_the_same_expansion(self):
+        """An ``IdBlock`` list becomes a batch through the sources'
+        bridges — an id one side does not know is dropped with every
+        pair it was in, so a triangle means something to a self-match
+        only — and expands like a built-in's."""
+        domain = _source("L", [f"title {i}" for i in range(12)])
+        range_ = _source("R", [f"title {i}" for i in range(9)])
+        ids_a, ids_b = domain.ids(), range_.ids()
+        blocks = [IdBlock(ids_a[:4] + ["nobody"], ["r-unknown"] + ids_b[2:7]),
+                  IdBlock(["l-unknown"], ids_b),
+                  IdBlock([ids_a[5], "l-unknown", ids_a[3], ids_a[9]], [],
+                          triangle=True),
+                  IdBlock(ids_a[6:], [])]
+        shard = BlockShard(lambda: iter(blocks))
+        runner = _runner(domain, range_, [shard], chunk_size=7)
+        slices = list(runner.slices(shard))
+        rows = tuple(np.concatenate([piece[side] for piece in slices]).tolist()
+                     for side in (0, 1))
+        assert rows == reference.pair_rows(blocks, runner.domain.index,
+                                           runner.range.index)
+        assert len(rows[0]) == 4 * 5
+        assert [len(rows_a) for rows_a, _ in slices] == [7, 7, 6]
+        assert list(shard.pairs()) == list(reference.block_pairs(blocks))
+        runner = _runner(domain, domain, [shard])
+        rows = tuple(np.concatenate(side).tolist()
+                     for side in zip(*runner.slices(shard)))
+        assert rows == ([5, 5, 3], [3, 9, 9]) == reference.expanded(
+            blocks, runner.domain.index, runner.range.index)
+
+    def test_an_expansion_step_is_bounded(self, monkeypatch):
+        """Blocks far larger than one step come out in steps of
+        ``EXPAND_ROWS`` cut mid-row, the same rows in the same order."""
+        from repro.blocking import pair_generator
+
+        assert EXPAND_ROWS <= ROWS_PER_CALL
+        rows = np.arange(40, dtype=np.int32)
+        batch = BlockBatch(rows, rows[::-1].copy(), np.array(
+            [(0, 40, 0, 40, 1), (3, 9, 1, 30, 0), (0, 0, 0, 5, 0),
+             (7, 1, 0, 0, 0), (2, 30, 5, 17, 0)], dtype=np.int64))
+        whole = [np.concatenate(side) for side in zip(*batch.expand())]
+        assert len(whole[0]) == batch.costs().sum() == 780 + 270 + 510
+        monkeypatch.setattr(pair_generator, "EXPAND_ROWS", 37)
+        steps = list(batch.expand())
+        assert [len(rows_a) for rows_a, _ in steps[:-1]] == \
+            [37] * (len(steps) - 1)
+        for side in (0, 1):
+            assert np.array_equal(
+                np.concatenate([step[side] for step in steps]), whole[side])
+
+
+class TestExplode:
+    @settings(max_examples=200, deadline=None)
+    @given(count_a=st.integers(0, 40), count_b=st.integers(0, 40),
+           triangle=st.booleans(), target=st.integers(1, 300))
+    def test_equals_the_id_list_splitter(self, count_a, count_b, triangle,
+                                         target):
+        ids_a = [f"a{i}" for i in range(count_a)]
+        ids_b = ids_a if triangle else [f"b{i}" for i in range(count_b)]
+        block = IdBlock(ids_a, ids_b, triangle=triangle)
+        pieces = [
+            IdBlock(ids_a[start_a:start_a + n_a], ids_b[start_b:start_b + n_b],
+                    triangle=bool(flag))
+            for start_a, n_a, start_b, n_b, flag in explode(
+                (0, count_a, 0, len(ids_b), int(triangle)), target)]
+        assert pieces == list(reference.explode_block(block, target))
+
+
+def test_a_foreign_shard_class_with_a_block_view_is_split():
+    """``blocks()`` and ``cost()`` are all rebalancing asks of a shard
+    class of someone else's: its one huge block is cut into pieces
+    that keep its ``dedup`` / ``canonical`` flags and its pairs."""
+    ids = [f"l{i}" for i in range(30)]
+
+    class Theirs(PairShard):
+        canonical = True
+
+        def blocks(self):
+            return iter([IdBlock(ids, ids, triangle=True)])
+
+        def pairs(self):
+            return reference.block_pairs(self.blocks(), canonical=True)
+
+        def cost(self):
+            return 30 * 29 // 2
+
+    balanced = rebalance_shards([Theirs()], 4)
+    assert len(balanced) == 4
+    pieces = [piece for shard in balanced for piece in _members(shard)]
+    assert all(piece.canonical and not piece.dedup for piece in pieces)
+    assert max(shard.cost() for shard in balanced) < 2 * (435 / 4)
+    pairs = [pair for shard in balanced for pair in shard.pairs()]
+    assert len(pairs) == 435 and set(pairs) == set(Theirs().pairs())
+
+
+def test_a_block_slice_that_is_a_pool_task_is_larger(dblp, acm, monkeypatch):
+    """Cut in the parent for several workers, every slice travels to a
+    worker and back, so block slices take ``POOL_SLICE_ROWS`` rows
+    (while that leaves each worker four tasks), not ``chunk_size`` —
+    same rows, same order, same mapping."""
+    from repro.engine import shards as shards_module
+
+    monkeypatch.setattr(shards_module, "POOL_SLICE_ROWS", 1000)
+    request = MatchRequest(
+        domain=dblp.publications, range=acm.publications, threshold=0.4,
+        specs=[AttributeSpec("title", "title", TrigramSimilarity())])
+    rows = len(dblp.publications) * len(acm.publications)
+    results = []
+    assert rows // 8 > 1000 > rows // 16
+    for workers, size in ((1, 64), (2, 1000), (4, rows // 16)):
+        engine = BatchMatchEngine(EngineConfig(
+            workers=workers, chunk_size=64, profile=True))
+        results.append(list(engine.execute(request)))
+        items = engine.last_profile["chunk_items"]
+        assert sum(items) == rows and set(items[:-1]) == {size}
+    assert results[0] == results[1] != []
+
+
+class _Untouchable(dict):
+    """An ``id -> row`` index nobody may ask anything."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("an id string was looked up")
+
+    __getitem__ = __contains__ = __iter__ = __len__ = _refuse
+    get = keys = values = items = setdefault = _refuse
+
+
+@pytest.mark.parametrize("blocking, attribute", [
+    (TokenBlocking(max_df=0.5), "title"),
+    (KeyBlocking(key=lambda value: None if value is None else str(value)),
+     "year"),
+], ids=["TokenBlocking", "KeyBlocking"])
+@pytest.mark.parametrize("config", [
+    dict(), dict(shard_blocking=True)], ids=["parent-cut", "worker-cut"])
+def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
+                                                attribute, config):
+    """Between ``shards()`` and the survivors a warm request touches
+    arrays only: with both bridges' ``id -> row`` dicts booby-trapped
+    it runs, and loads the mapping of an untouched run."""
+    def request(domain, range_):
+        return MatchRequest(
+            domain=domain, range=range_, threshold=0.4, blocking=blocking,
+            specs=[AttributeSpec(attribute, attribute,
+                                 TrigramSimilarity())])
+
+    pubs_a, pubs_b = dblp.publications, acm.publications
+    domain, range_ = pubs_a.subset(pubs_a.ids()), pubs_b.subset(pubs_b.ids())
+    engine = BatchMatchEngine(EngineConfig(**config))
+    expected = list(engine.execute(request(domain, range_)))
+    assert expected
+    for source in (domain, range_):
+        bridge = source.derived(("id-codes",), lambda: None)
+        source._derived[("id-codes",)] = \
+            bridge._replace(index=_Untouchable())
+    with pytest.raises(AssertionError, match="looked up"):
+        BatchMatchEngine().execute(MatchRequest(
+            domain=domain, range=range_, candidates=[(domain.ids()[0],
+                                                      range_.ids()[0])],
+            specs=request(domain, range_).specs))
+    assert list(engine.execute(request(domain, range_))) == expected
+
+
+_TOKEN_ROWS = """
+import hashlib, json
+from repro.blocking import TokenBlocking
+from repro.datagen import build_dataset
+from repro.engine import (AttributeSpec, BatchMatchEngine, EngineConfig,
+                          MatchRequest)
+from repro.sim.ngram import TrigramSimilarity
+
+dataset = build_dataset("tiny", seed=7)
+domain, range_ = dataset.dblp.publications, dataset.acm.publications
+blocking = TokenBlocking(max_df=0.5)
+out = {"vocabulary": list(blocking._index(domain, "title").codes)}
+for name, other in (("two-source", range_), ("self", domain)):
+    shard, = blocking.shards(domain, other, n_shards=1,
+                             domain_attribute="title",
+                             range_attribute="title")
+    runner = BatchMatchEngine(EngineConfig())._prepare(MatchRequest(
+        domain=domain, range=other,
+        specs=[AttributeSpec("title", "title", TrigramSimilarity())]),
+        [shard])
+    digest = hashlib.sha256()
+    for rows_a, rows_b in runner.slices(shard):
+        digest.update(rows_a.tobytes() + rows_b.tobytes())
+    out[name] = {"blocks": shard.batch().blocks.tolist(),
+                 "rows": digest.hexdigest(), "cost": shard.cost()}
+print(json.dumps(out))
+"""
+
+
+def test_token_rows_do_not_follow_the_hash_seed(under_hash_seeds):
+    """Token codes count first occurrences over (row, sorted token),
+    so the vocabulary, the eligible blocks and the expanded rows are
+    the same in every interpreter."""
+    first, second = under_hash_seeds(_TOKEN_ROWS)
+    assert first == second
+    out = json.loads(first)
+    assert len(out["vocabulary"]) == len(set(out["vocabulary"])) > 50
+    assert out["two-source"]["cost"] > 0 and out["self"]["cost"] > 0
+
+
+@pytest.mark.parametrize("config", [
+    dict(), dict(shard_blocking=True)], ids=["parent-cut", "worker-cut"])
+@pytest.mark.parametrize("mode", ["self-subset", "self-superset"])
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_self_match_of_two_source_objects(dblp, acm, name, mode, config):
+    """A subset against its source is a self-match whose range rows
+    are not the domain's: blocks are domain rows on both sides, the
+    runner reaches the range through ids, and the mapping relates
+    exactly the candidate pairs both sides know, scored as themselves,
+    both ways round."""
+    domain, range_ = _ranges(dblp.publications, acm.publications)[mode]
+    similarity, threshold = TrigramSimilarity(), 0.5
+    expected = {}
+    for id_a, id_b in STRATEGIES[name].candidates(domain, range_,
+                                                  **ATTRIBUTES):
+        if id_a != id_b and id_a in domain and id_b in range_:
+            score = similarity(domain.get(id_a).get("title"),
+                               range_.get(id_b).get("title"))
+            if score >= threshold:
+                expected[id_a, id_b] = expected[id_b, id_a] = score
+    assert expected
+    mapping = BatchMatchEngine(EngineConfig(**config)).execute(MatchRequest(
+        domain=domain, range=range_, threshold=threshold,
+        blocking=STRATEGIES[name],
+        specs=[AttributeSpec("title", "title", similarity)]))
+    assert {(id_a, id_b): score
+            for id_a, id_b, score in mapping.to_rows()} == expected

@@ -17,10 +17,6 @@ page it binds.  Three statements hold it to the old loops:
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,21 +167,13 @@ print(json.dumps([meta, {name: hashlib.sha256(array.tobytes()).hexdigest()
 """
 
 
-def _export_under(seed: str):
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", _EXPORT, json.dumps(REFERENCE)],
-        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(done.stdout)
-
-
-def test_export_is_equal_under_two_hash_seeds():
+def test_export_is_equal_under_two_hash_seeds(under_hash_seeds):
     """The vocabulary used to take its order from iterating frozensets,
     so a serve snapshot's ``meta["vocabulary"]`` and ``range_bits``
     bytes differed from one interpreter to the next."""
-    meta, digests = first = _export_under("1")
-    assert first == _export_under("2")
+    first, second = under_hash_seeds(_EXPORT, json.dumps(REFERENCE))
+    assert first == second
+    meta, digests = json.loads(first)
     assert meta["vocabulary"] == sorted(meta["vocabulary"])
     assert set(digests) == {"range_bits", "range_sizes"}
 

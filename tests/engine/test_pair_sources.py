@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import reference_blocks
 
 from repro import AttributeMatcher, AttributePair, MultiAttributeMatcher
 from repro.blocking import (
@@ -24,6 +25,7 @@ from repro.blocking import (
     SortedNeighborhood,
     TokenBlocking,
 )
+from repro.blocking import pair_generator
 from repro.core.mapping import Mapping, MappingKind
 from repro.core.matchers.neighborhood import NeighborhoodMatcher
 from repro.core.operators.functions import get_combination
@@ -34,7 +36,6 @@ from repro.engine import (
     EngineConfig,
     MatchRequest,
 )
-from repro.engine import shards as shards_module
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.registry import get_similarity
 
@@ -347,13 +348,13 @@ class TestWhoCutsNeverShows:
         for name in CUTS:
             assert lists[name] == lists["serial"], name
 
-    def test_a_block_larger_than_chunk_size_stays_one_slice(self):
+    def test_a_block_larger_than_chunk_size_is_cut_into_views(self):
         domain, range_ = _pubs("L", 20), _pubs("R", 15, step=2)
         engine = BatchMatchEngine(EngineConfig(chunk_size=8, profile=True))
         mapping = AttributeMatcher("title", similarity="trigram",
                                    threshold=0.3, engine=engine,
                                    ).match(domain, range_)
-        assert engine.last_profile["chunk_items"] == [20 * 15]
+        assert engine.last_profile["chunk_items"] == [8] * 37 + [4]
         pooled = AttributeMatcher(
             "title", similarity="trigram", threshold=0.3,
             engine=BatchMatchEngine(EngineConfig(workers=2, chunk_size=8)),
@@ -362,8 +363,8 @@ class TestWhoCutsNeverShows:
 
 
 class TestSlices:
-    """``ShardRunner.slices`` on block shards: joining changes how many
-    calls score the rows, never which rows or in what order."""
+    """``ShardRunner.slices`` on block shards: ``chunk_size`` changes
+    how many calls score the rows, never which rows or in what order."""
 
     def _runner(self, chunk_size, n=40):
         source = _pubs("S", n)
@@ -373,38 +374,36 @@ class TestSlices:
 
     @staticmethod
     def _flat(slices):
-        return [np.concatenate([piece[side] for piece in slices]).tolist()
-                for side in (0, 1)]
+        return tuple(
+            np.concatenate([piece[side] for piece in slices]).tolist()
+            for side in (0, 1))
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 16, 17, 1000])
-    def test_joined_slices_keep_every_row_in_order(self, chunk_size):
+    def test_slices_keep_every_row_in_order(self, chunk_size):
         runner, ids = self._runner(chunk_size)
         # triangles of 1..9 ids (0..36 pairs) and 2x3 rectangles:
-        # joins end before, on and after block boundaries
+        # slices end before, on and after block boundaries
         blocks = [IdBlock(ids[i:i + 1 + i % 9], [], triangle=True)
                   for i in range(30)]
         blocks[4:4] = [IdBlock(ids[0:2], ids[5:8])] * 3
-        shard = BlockShard(lambda: iter(blocks))
-        unjoined = list(runner._expand_blocks(iter(blocks)))
-        slices = list(runner.slices(shard))
-        assert self._flat(slices) == self._flat(unjoined)
-        assert all(len(rows_a) >= chunk_size for rows_a, _ in slices[:-1])
-        if chunk_size == 1:
-            assert len(slices) == len(unjoined)
-        if chunk_size == 1000:
-            assert len(slices) == 1
-        assert len(slices) <= len(unjoined)
+        slices = list(runner.slices(BlockShard(lambda: iter(blocks))))
+        expected = reference_blocks.expanded(
+            blocks, runner.domain.index, runner.range.index)
+        assert self._flat(slices) == expected
+        assert all(len(rows_a) == chunk_size for rows_a, _ in slices[:-1])
+        assert len(slices) == -(-len(expected[0]) // chunk_size)
 
-    def test_a_join_never_exceeds_rows_per_call(self, monkeypatch):
-        monkeypatch.setattr(shards_module, "ROWS_PER_CALL", 50)
+    def test_a_slice_never_spans_two_expansion_steps(self, monkeypatch):
+        monkeypatch.setattr(pair_generator, "EXPAND_ROWS", 50)
         runner, ids = self._runner(chunk_size=40)
         blocks = [IdBlock(ids[i:i + 8], [], triangle=True)  # 28 pairs each
                   for i in range(12)]
         slices = list(runner.slices(BlockShard(lambda: iter(blocks))))
-        # 28 + 28 would pass the cap, so no join happens at all
-        assert [len(rows_a) for rows_a, _ in slices] == [28] * 12
-        assert self._flat(slices) == self._flat(
-            list(runner._expand_blocks(iter(blocks))))
+        # 336 rows in steps of 50, each cut into views of 40
+        assert [len(rows_a) for rows_a, _ in slices] == \
+            [40, 10] * 6 + [36]
+        assert self._flat(slices) == reference_blocks.expanded(
+            blocks, runner.domain.index, runner.range.index)
 
     def test_run_is_gather_of_scored_slices(self):
         runner, ids = self._runner(chunk_size=16)

@@ -117,6 +117,36 @@ class TestProfileRecords:
         assert summary["chunk_p99_seconds"] >= summary["chunk_p50_seconds"]
         assert summary["shards"] == len(engine.last_profile["shard_seconds"])
 
+    @pytest.mark.parametrize("blocking", [None, TokenBlocking()],
+                             ids=["cross", "token"])
+    def test_the_named_parts_account_for_execute(self, blocking):
+        """plan + prepare + score + load are timed inside ``execute``,
+        one after another; what they leave of its wall time is the
+        stream (cutting slices, the pool's bookkeeping)."""
+        import time
+
+        engine = BatchMatchEngine(EngineConfig(profile=True, chunk_size=64))
+        request = _request(**({} if blocking is None
+                              else {"blocking": blocking}))
+        begun = time.perf_counter()
+        engine.execute(request)
+        wall = time.perf_counter() - begun
+        summary = engine.profile_summary()
+        parts = [summary[name] for name in (
+            "plan_seconds", "prepare_seconds", "score_seconds",
+            "load_seconds")]
+        assert all(seconds >= 0.0 for seconds in parts)
+        assert sum(parts) <= wall
+        assert summary["candidate_rows"] == \
+            sum(engine.last_profile["chunk_items"]) > 0
+        if blocking is None:
+            assert summary["candidate_rows"] == len(TITLES_A) * len(TITLES_B)
+
+    def test_candidate_rows_is_the_parent_cut_paths(self):
+        engine, _ = _run(True, blocking=TokenBlocking(), workers=2,
+                         chunk_size=64, shard_blocking=True)
+        assert engine.profile_summary()["candidate_rows"] == 0
+
     @pytest.mark.parametrize("path", ["serial", "sharded"])
     def test_warm_run_shows_as_warm(self, path):
         """Same sources, new engine, new similarity, new blocking

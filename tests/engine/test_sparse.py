@@ -14,6 +14,7 @@ Two load-bearing guarantees ride on this module:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import AttributeMatcher
@@ -25,7 +26,11 @@ from repro.blocking import (
     SortedNeighborhood,
     TokenBlocking,
 )
-from repro.blocking.pair_generator import BlockShard, IterableShard
+from repro.blocking.pair_generator import (
+    BlockBatch,
+    BlockShard,
+    IterableShard,
+)
 from repro.engine import BatchMatchEngine, EngineConfig, columns, vectorized
 from repro.engine.columns import (
     NGramColumn,
@@ -36,7 +41,7 @@ from repro.engine.columns import (
 from repro.engine.request import AttributeSpec, MatchRequest
 from repro.engine.shards import (
     CompositeShard,
-    _explode_block,
+    explode,
     rebalance_shards,
 )
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -619,11 +624,11 @@ class TestRebalanceShards:
                 assert pair == tuple(sorted(pair))
 
     def test_explode_block_bounds_piece_size(self):
-        block = IdBlock([f"d{i}" for i in range(50)],
-                        [f"r{i}" for i in range(60)])
-        pieces = list(_explode_block(block, 100))
-        assert sum(piece.pair_count() for piece in pieces) == 3000
-        assert max(piece.pair_count() for piece in pieces) <= 100
+        # 50 x 60 rows: (start_a, count_a, start_b, count_b, triangle)
+        pieces = list(explode((0, 50, 0, 60, 0), 100))
+        costs = [count_a * count_b for _, count_a, _, count_b, _ in pieces]
+        assert sum(costs) == 3000
+        assert max(costs) <= 100
 
     def test_single_dominant_shard_still_splits(self):
         """Regression: a workload where one key dominates *everything*
@@ -643,21 +648,17 @@ class TestRebalanceShards:
 
     def test_explode_triangle_uses_row_bands_not_per_row_rects(self):
         """Regression: triangle decomposition must stay
-        O(pair_count / target) pieces with O(ids) materialized id
-        references per band, not one sliced-tail rectangle per row."""
+        O(pair_count / target) pieces, not one sliced-tail rectangle
+        per row."""
         n = 400
-        ids = [f"s{i}" for i in range(n)]
         total = n * (n - 1) // 2
         target = total // 8
-        pieces = list(_explode_block(IdBlock(ids, ids, triangle=True),
-                                     target))
-        assert sum(piece.pair_count() for piece in pieces) == total
-        assert max(piece.pair_count() for piece in pieces) <= target
+        pieces = np.array(list(explode((0, n, 0, n, 1), target)))
+        costs = BlockBatch(None, None, pieces).costs()
+        assert costs.sum() == total
+        assert costs.max() <= target
         # ~2 pieces per band (triangle + rectangle), nowhere near n
         assert len(pieces) <= 3 * 8 + 2
-        materialized = sum(len(piece.domain_ids) + len(piece.range_ids)
-                           for piece in pieces)
-        assert materialized <= 6 * n * 8  # O(n) per band, not O(n^2)
 
     def test_composite_shard_chains_members(self):
         left = BlockShard(lambda: iter([IdBlock(["a"], ["x"])]))

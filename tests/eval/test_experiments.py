@@ -7,9 +7,6 @@ benchmark scale.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -227,21 +224,14 @@ print(json.dumps({'tables': tables, 'confined': confined,
 
 
 class TestHashSeedIndependence:
-    def test_no_table_follows_the_hash_seed(self):
+    def test_no_table_follows_the_hash_seed(self, under_hash_seeds):
         """Mappings are built through sets in places (``pairs()``,
         merged views); nothing a table reports — and no mapping a
         later step iterates — may inherit their order.  Tables 7 / 8 /
         10 once fed ``list(neighborhood.pairs())`` to the refining
         matcher, so its result's row order followed PYTHONHASHSEED."""
-        def run(hash_seed):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            return json.loads(subprocess.run(
-                [sys.executable, "-c", _TABLES_SCRIPT], env=env, check=True,
-                capture_output=True, text=True, timeout=300).stdout)
-
-        first = run("1")
-        assert first == run("2")
+        first, second = map(json.loads, under_hash_seeds(_TABLES_SCRIPT))
+        assert first == second
         assert len(first["confined"]) == 2 and all(first["confined"])
         assert len(first["trace"]) == 47 and all(first["mappings"])
         # table 9: candidate orientation is the ids' order, not a set's
