@@ -12,6 +12,14 @@ range id)`` pairs a worker pool can generate and score apart;
 yields the same pairs as one stream — the one-shard partition read
 out, which no built-in strategy defines a second time.
 
+A strategy of one's own has two ways in.  Overriding ``candidates``
+alone gives a pair stream, which the engine scores in converted
+chunks.  For vectorized blocks, group each source's rows under keys
+(``pair_generator.Postings.of``), join the two sides
+(``pair_generator.join_postings``: one block per shared key) and
+return :func:`block_shards` of that batch — :class:`BlockShard`\\ s,
+which the engine expands as rows without reading an id.
+
 Quality is quantified with :func:`pair_completeness` (fraction of gold
 pairs surviving blocking) and :func:`reduction_ratio` (fraction of the
 cross product avoided) — the standard blocking metrics.
@@ -21,7 +29,6 @@ from repro.blocking.canopy import CanopyBlocking
 from repro.blocking.pair_generator import (
     BlockShard,
     FullCross,
-    IdBlock,
     IterableShard,
     PairGenerator,
     PairShard,
@@ -31,7 +38,6 @@ from repro.blocking.pair_generator import (
     pair_completeness,
     partition_spans,
     reduction_ratio,
-    unique_pairs,
 )
 from repro.blocking.sorted_neighborhood import SortedNeighborhood
 from repro.blocking.standard import KeyBlocking
@@ -41,7 +47,6 @@ __all__ = [
     "BlockShard",
     "CanopyBlocking",
     "FullCross",
-    "IdBlock",
     "IterableShard",
     "KeyBlocking",
     "PairGenerator",
@@ -54,5 +59,4 @@ __all__ = [
     "pair_completeness",
     "partition_spans",
     "reduction_ratio",
-    "unique_pairs",
 ]

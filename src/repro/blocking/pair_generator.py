@@ -12,9 +12,9 @@ shard list is built in the parent *before* the worker pool forks, so
 workers inherit it (sources, similarity state, packed kernel arrays
 and all) copy-on-write; each task ships only an int shard index into
 a worker, the worker generates that shard's pairs locally via
-:meth:`PairShard.pairs` (or expands its blocks — a built-in
-strategy's are a :class:`BlockBatch` of rows, no id string is read —
-directly as packed row arrays), scores them, and ships only the
+:meth:`PairShard.pairs` (or, for a :class:`BlockShard`, expands its
+:class:`BlockBatch` of rows directly as packed row arrays — no id
+string is read), scores them, and ships only the
 surviving correspondences back.  Nothing per-pair ever crosses a
 process boundary, which removes the parent-side Amdahl bottleneck of
 blocked parallel runs.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import partial
 from typing import (
     Any,
@@ -67,31 +66,6 @@ EXPAND_ROWS = 1 << 18
 # shard primitives
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdBlock:
-    """One rectangular (or triangular) unit of candidate pairs, as ids:
-    what a foreign strategy's :class:`BlockShard` yields, and how
-    :meth:`PairShard.blocks` shows a built-in one's :class:`BlockBatch`.
-
-    ``triangle=False`` means the cross product ``domain_ids x
-    range_ids`` oriented as (domain id, range id).  ``triangle=True``
-    means the self-matching pairs of ``domain_ids`` alone: every
-    ``(domain_ids[i], domain_ids[j])`` with ``i < j`` by list position
-    (``range_ids`` is ignored).
-    """
-
-    domain_ids: Sequence[str]
-    range_ids: Sequence[str]
-    triangle: bool = False
-
-    def pair_count(self) -> int:
-        """Raw (pre-dedup) number of pairs the block expands to."""
-        if self.triangle:
-            n = len(self.domain_ids)
-            return n * (n - 1) // 2
-        return len(self.domain_ids) * len(self.range_ids)
-
-
 class BlockBatch(NamedTuple):
     """The blocks of one shard, as arrays.
 
@@ -106,39 +80,6 @@ class BlockBatch(NamedTuple):
     rows_a: Array  # int32 domain rows
     rows_b: Array  # int32 range rows
     blocks: Array  # int64, shape (n, 5)
-
-    @classmethod
-    def of(cls, blocks: Iterable[IdBlock],
-           row_a: Callable[[str], Optional[int]],
-           row_b: Callable[[str], Optional[int]]) -> "BlockBatch":
-        """``blocks`` over the rows ``row_a`` / ``row_b`` give their
-        ids: a pair is kept where the first knows its domain id and
-        the second its range id."""
-        rows_a: List[int] = []
-        rows_b: List[int] = []
-        spans = []
-        for block in blocks:
-            side_a = list(map(row_a, block.domain_ids))
-            side_b = list(map(row_b, block.domain_ids if block.triangle
-                              else block.range_ids))
-            at_a, at_b = len(rows_a), len(rows_b)
-            rows_a += [row for row in side_a if row is not None]
-            rows_b += [row for row in side_b if row is not None]
-            if not block.triangle or ([row is None for row in side_a]
-                                      == [row is None for row in side_b]):
-                spans.append((at_a, len(rows_a) - at_a,
-                              at_b, len(rows_b) - at_b, block.triangle))
-                continue
-            # the sides know different ids, so their spans do not line
-            # up: each known a row with the known b rows after it
-            for a, b in zip(side_a, side_b):
-                at_b += b is not None
-                if a is not None:
-                    spans.append((at_a, 1, at_b, len(rows_b) - at_b, False))
-                    at_a += 1
-        return cls(np.asarray(rows_a, dtype=np.int32),
-                   np.asarray(rows_b, dtype=np.int32),
-                   np.array(spans, dtype=np.int64).reshape(-1, 5))
 
     def take(self, start: int, end: int) -> "BlockBatch":
         return self._replace(blocks=self.blocks[start:end])
@@ -190,25 +131,6 @@ class PairShard(ABC):
     def pairs(self) -> Iterator[Pair]:
         """Yield the shard's candidate pairs (duplicates allowed)."""
 
-    def blocks(self) -> Optional[Iterator[IdBlock]]:
-        """Optional block-structured view enabling vectorized scoring.
-
-        Strategies whose shards are unions of rectangular/triangular
-        id blocks return an iterator of :class:`IdBlock`; the engine
-        can then expand pairs as packed row arrays (:meth:`batches`)
-        without creating a Python tuple per pair.  ``None`` (the
-        default) means the shard is only reachable through :meth:`pairs`.
-        """
-        return None
-
-    def batches(self, runner: Any) -> Optional[List[BlockBatch]]:
-        """:meth:`blocks` over the rows of ``runner.sources``, through
-        their bridges ``runner.domain`` / ``runner.range``
-        (:func:`repro.core.mapping.source_codes`)."""
-        blocks = self.blocks()
-        return None if blocks is None else [BlockBatch.of(
-            blocks, runner.domain.index.get, runner.range.index.get)]
-
     def cost(self) -> Optional[int]:
         """Estimated raw (pre-dedup) pair count of this shard.
 
@@ -250,7 +172,11 @@ class IterableShard(PairShard):
 
 
 class BlockShard(PairShard):
-    """A shard made of :class:`IdBlock`\\ s, which ``factory`` yields.
+    """A shard made of blocks: a :class:`BlockBatch` over the rows of
+    the two ``sources`` (positions in their ``ids()``; a self-match's
+    are the domain's on both sides).  What every block-structured
+    strategy emits; the engine expands the batch as rows, and ids are
+    read by :meth:`pairs` alone.
 
     ``dedup`` applies a shard-local first-seen filter so strategies
     whose serial ``candidates`` deduplicate (token blocking, canopies)
@@ -263,37 +189,20 @@ class BlockShard(PairShard):
     cross).
     """
 
-    def __init__(self, factory: Callable[[], Iterable[IdBlock]], *,
+    def __init__(self, batch: BlockBatch,
+                 sources: Tuple[LogicalSource, LogicalSource], *,
                  dedup: bool = False, canonical: bool = False) -> None:
-        self._factory = factory
-        self.dedup = dedup
-        self.canonical = canonical
-        self._interned: Optional[Tuple[BlockBatch, List[str]]] = None
-
-    def blocks(self) -> Iterator[IdBlock]:
-        return iter(self._factory())
+        self._batch, self.sources = batch, tuple(sources)
+        self.dedup, self.canonical = dedup, canonical
 
     def batch(self) -> BlockBatch:
-        """The blocks as arrays — over one table of the ids met, made
-        once: a foreign strategy's ids need not be any source's."""
-        if self._interned is None:
-            table: dict = {}
-            row = lambda id: table.setdefault(id, len(table))  # noqa: E731
-            self._interned = (BlockBatch.of(self._factory(), row, row),
-                              list(table))
-        return self._interned[0]
-
-    def _ids(self) -> Tuple[Sequence[str], Sequence[str]]:
-        """What :meth:`batch`'s rows are positions in, side by side."""
-        self.batch()
-        return self._interned[1], self._interned[1]
+        return self._batch
 
     def over(self, batch: BlockBatch) -> "BlockShard":
         """This shard with other blocks over :meth:`batch`'s rows (a
         run of them, pieces of them: what rebalancing makes)."""
-        ids_a, ids_b = self._ids()
-        return BlockShard(lambda: id_blocks(batch, ids_a, ids_b),
-                          dedup=self.dedup, canonical=self.canonical)
+        return BlockShard(batch, self.sources, dedup=self.dedup,
+                          canonical=self.canonical)
 
     def rows(self, distinct: bool) -> Iterator[Tuple[Array, Array]]:
         """:meth:`batch` expanded; ``distinct`` keeps a pair's first
@@ -313,8 +222,8 @@ class BlockShard(PairShard):
             yield rows_a, rows_b
 
     def pairs(self) -> Iterator[Pair]:
-        ids_a, ids_b = (np.asarray(side, dtype=object)
-                        for side in self._ids())
+        ids_a, ids_b = (np.asarray(source.ids(), dtype=object)
+                        for source in self.sources)
         for rows_a, rows_b in self.rows(self.dedup):
             pairs = zip(ids_a[rows_a].tolist(), ids_b[rows_b].tolist())
             if self.canonical:
@@ -332,53 +241,6 @@ class BlockShard(PairShard):
             if limit is not None and counted >= limit:
                 return limit
         return counted
-
-
-class RowBlockShard(BlockShard):
-    """What the built-in strategies emit: a :class:`BlockBatch` over
-    the rows of the two ``sources`` (positions in their ``ids()``; a
-    self-match's are the domain's on both sides).  A runner over these
-    very sources expands it as it is; ids are read for another one
-    and for the :meth:`pairs` / :meth:`blocks` views only."""
-
-    def __init__(self, batch: BlockBatch,
-                 sources: Tuple[LogicalSource, LogicalSource], *,
-                 dedup: bool = False, canonical: bool = False) -> None:
-        # no factory: ``blocks`` reads the batch (and a bound
-        # ``self.blocks`` would tie every shard into a reference cycle)
-        self._batch, self.sources = batch, sources
-        self.dedup, self.canonical = dedup, canonical
-
-    def blocks(self) -> Iterator[IdBlock]:
-        return id_blocks(self._batch, *self._ids())
-
-    def batch(self) -> BlockBatch:
-        return self._batch
-
-    def _ids(self) -> Tuple[Sequence[str], Sequence[str]]:
-        return tuple(source.ids() for source in self.sources)
-
-    def over(self, batch: BlockBatch) -> "RowBlockShard":
-        return RowBlockShard(batch, self.sources, dedup=self.dedup,
-                             canonical=self.canonical)
-
-    def batches(self, runner: Any) -> List[BlockBatch]:
-        if all(mine is its for mine, its
-               in zip(self.sources, runner.sources)):
-            return [self._batch]
-        # rows of other sources (a subset against its source: a
-        # self-match of two objects): through the ids, like a foreign's
-        return super().batches(runner)
-
-
-def id_blocks(batch: BlockBatch, ids_a: List[str],
-              ids_b: List[str]) -> Iterator[IdBlock]:
-    """``batch``'s blocks, its rows read as ids."""
-    for start_a, count_a, start_b, count_b, triangle in batch.blocks.tolist():
-        yield IdBlock(
-            [ids_a[row] for row in batch.rows_a[start_a:start_a + count_a]],
-            [ids_b[row] for row in batch.rows_b[start_b:start_b + count_b]],
-            bool(triangle))
 
 
 def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]]:
@@ -430,8 +292,8 @@ def block_shards(batch: BlockBatch, domain: LogicalSource,
     are every shard's :class:`BlockShard` flags.
     """
     sources = (domain, domain if is_self_match(domain, range) else range)
-    return [RowBlockShard(batch.take(start, end), sources,
-                          dedup=dedup, canonical=canonical)
+    return [BlockShard(batch.take(start, end), sources,
+                       dedup=dedup, canonical=canonical)
             for start, end in partition_spans(batch.costs(), n_shards)]
 
 
@@ -592,7 +454,7 @@ class FullCross(PairGenerator):
         tiles = BlockBatch(rows, np.arange(width, dtype=np.int32), np.array(
             [(start, end - start, 0, width, 0) for start, end in spans],
             dtype=np.int64).reshape(-1, 5))
-        return [RowBlockShard(tiles.take(k, k + 1), (domain, range))
+        return [BlockShard(tiles.take(k, k + 1), (domain, range))
                 for k in _range(len(tiles.blocks))]
 
     def count(self, domain: LogicalSource, range: LogicalSource, *,
@@ -610,15 +472,6 @@ class FullCross(PairGenerator):
         else:
             total = len(domain) * len(range)
         return total if limit is None else min(total, limit)
-
-
-def unique_pairs(pairs: Iterable[Pair]) -> Iterator[Pair]:
-    """Deduplicate a pair stream, preserving first-seen order."""
-    seen: Set[Pair] = set()
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
 
 
 def dedup_self_pairs(pairs: Iterable[Pair]) -> Iterator[Pair]:

@@ -41,9 +41,9 @@ per request — and composes them
 (:func:`repro.engine.vectorized.request_kernel`; multi-attribute
 requests compose their bound columns with a vectorized combiner); the
 serve tier's index keeps the same column objects across requests and
-binds per page of queries.  The scalar :class:`ChunkScorer` runs no
-request: it is the reference both are checked against.
-See ``docs/engine.md``.
+binds per page of queries.  Both are checked against the scalar loop
+(:func:`repro.engine.scorer.score_pairs`), which scores no batch
+request.  See ``docs/engine.md``.
 """
 
 from repro.engine.engine import (
@@ -54,13 +54,11 @@ from repro.engine.engine import (
     set_default_engine,
 )
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.scorer import ChunkScorer
 from repro.engine.shards import iter_chunks
 
 __all__ = [
     "AttributeSpec",
     "BatchMatchEngine",
-    "ChunkScorer",
     "EngineConfig",
     "MatchRequest",
     "configure_default_engine",

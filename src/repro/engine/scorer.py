@@ -1,23 +1,13 @@
-"""Chunk scoring: the scalar reference path.
+"""Scalar scoring of keyed pairs: the reference loop.
 
-A :class:`ChunkScorer` turns a chunk of candidate ``(domain id,
-range id)`` pairs into surviving ``(domain id, range id, score)``
-triples.  It is deliberately self-contained — sources, similarity
-functions, threshold and combiner are all captured at construction —
-so the *same* object drives both serial execution (one scorer in the
-parent process) and parallel execution (one inherited copy per forked
-worker, see :mod:`repro.engine.pool`).
-
-Scoring is deterministic and cache-transparent: repeated value pairs
-are resolved from a per-attribute
-:class:`~repro.engine.columns.ValuePairMemo`, and every path evaluates
-the similarity function through
-:meth:`SimilarityFunction.score_batch`, which is bit-identical to
-per-pair ``similarity`` calls.  Worker-local memos therefore cannot
-change results, only speed.  The packed columns
-(:mod:`repro.engine.columns`) are checked against this path bit for
-bit, and the serve index scores its unpacked buffer rows through the
-very same :func:`score_pairs` loop.
+:func:`score_pairs` turns candidate pairs into surviving ``(key a,
+key b, score)`` triples, one value pair at a time.  It is
+deterministic and cache-transparent: repeated value pairs are resolved
+from a per-attribute :class:`~repro.engine.columns.ValuePairMemo`, and
+every score goes through :meth:`SimilarityFunction.score_batch`, which
+is bit-identical to per-pair ``similarity`` calls.  The serve index
+scores its unpacked buffer rows with it, and the packed columns
+(:mod:`repro.engine.columns`) are checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +16,7 @@ from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.operators.functions import CombinationFunction
 from repro.engine.columns import ValuePair, ValuePairMemo
-from repro.engine.request import AttributeSpec, MatchRequest
-
-Pair = Tuple[str, str]
-Triple = Tuple[str, str, float]
+from repro.engine.request import AttributeSpec
 
 
 def score_pairs(pairs: Iterable[Tuple[Hashable, Hashable]],
@@ -82,24 +69,3 @@ def score_pairs(pairs: Iterable[Tuple[Hashable, Hashable]],
         elif score >= threshold and score > 0.0:
             append((id_a, id_b, score))
     return out
-
-
-class ChunkScorer:
-    """Score chunks of candidate pairs for one match request."""
-
-    def __init__(self, request: MatchRequest, *,
-                 cache_limit: int = 1 << 20) -> None:
-        self.domain = request.domain
-        self.range = request.range
-        self.specs = list(request.specs)
-        self.threshold = request.threshold
-        self.combiner = request.combiner
-        self.missing = request.missing
-        self.memos = [ValuePairMemo(spec.similarity, cache_limit)
-                      for spec in self.specs]
-
-    def score_chunk(self, pairs: Sequence[Pair]) -> List[Triple]:
-        """Return the correspondences of ``pairs`` surviving the threshold."""
-        return score_pairs(pairs, self.domain.get, self.range.get,
-                           self.specs, self.memos, self.combiner,
-                           self.missing, self.threshold)

@@ -10,21 +10,23 @@ several; the engine loads what comes back.  A slice is a pair of row
 arrays for the request's kernel
 (:func:`repro.engine.vectorized.request_kernel`), cut one of three ways:
 
-* **block expansion** — the shard is blocks.  A built-in strategy's
-  is a :class:`BlockBatch` already (start / count arrays into row
-  arrays, made without reading an id string); a foreign
-  :class:`IdBlock` list becomes one through the sources' bridges, once
-  per shard.  One routine (:meth:`BlockBatch.expand`) turns a batch
-  into rows — rectangles and triangles as one ragged cross product, at
-  most ``EXPAND_ROWS`` rows at a time — and a slice is a ``chunk_size``
-  view of that (``POOL_SLICE_ROWS`` where the slice is a pool task):
-  cache-sized kernel calls, no Python step per block or pair.
+* **block expansion** — the shard is a :class:`BlockShard` (or an LPT
+  bin of nothing else): a :class:`BlockBatch`, start / count arrays
+  into row arrays, made without reading an id string.  One routine
+  (:meth:`BlockBatch.expand`) turns a batch into rows — rectangles and
+  triangles as one ragged cross product, at most ``EXPAND_ROWS`` rows
+  at a time — and a slice is a ``chunk_size`` view of that
+  (``POOL_SLICE_ROWS`` where the slice is a pool task): cache-sized
+  kernel calls, no Python step per block or pair.  Rows of other
+  source objects than the request's (a subset matched against its
+  source) are mapped through the sources' code bridges once per shard.
   Duplicate pairs across blocks/shards are scored again, not dropped
   first (whether that would pay depends on the kernel:
   ``docs/benchmarks.md``, PR 24); their *survivors* — orders of
   magnitude fewer — collapse when the parent loads them
   (:meth:`BatchMatchEngine._load`).
-* **converted id-pair chunks** — no usable blocks: ``shard.pairs()``
+* **converted id-pair chunks** — any other shard, and a self-match
+  whose kernel is not orientation-symmetric: ``shard.pairs()``
   in ``chunk_size`` chunks, each converted to row arrays
   (:meth:`ShardRunner.convert`).
 * **mapping rows** — the candidates are a :class:`Mapping`
@@ -75,9 +77,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 import numpy as _np
 
 from repro.blocking.pair_generator import (
-    BlockBatch,
     BlockShard,
-    IdBlock,
     PairGenerator,
     PairShard,
     dedup_self_pairs,
@@ -189,7 +189,9 @@ class ShardRunner:
 
     def slices(self, shard: PairShard) -> Iterator[tuple]:
         """The shard's work items, each the ``(rows_a, rows_b)``
-        arguments of one :attr:`score` call.
+        arguments of one :attr:`score` call: a mapping's rows, a block
+        shard's expansion — an LPT bin's member by member, where every
+        member is a block shard — or else the converted pair stream.
 
         Self-matching block expansion may emit a pair in either
         orientation, so it additionally requires an
@@ -199,10 +201,11 @@ class ShardRunner:
         """
         if isinstance(shard, MappingShard):
             return self._mapping_slices(shard.mapping)
-        if self.kernel.orientation_symmetric or not self.is_self:
-            batches = shard.batches(self)
-            if batches is not None:
-                return self._block_slices(batches)
+        members = (shard.members if isinstance(shard, CompositeShard)
+                   else [shard])
+        if (self.kernel.orientation_symmetric or not self.is_self) and all(
+                isinstance(member, BlockShard) for member in members):
+            return self._block_slices(members)
         # the exact unordered-pair dedup the matchers always had, shard
         # by shard (cross-shard duplicates collapse at the load, like a
         # custom two-source stream's; the built-ins' are already unique)
@@ -271,11 +274,30 @@ class ShardRunner:
         return self.gather(self.score(*item) for item in
                            self.slices(self.shards[shard_index]))
 
-    def _block_slices(self, batches: List[BlockBatch]) -> Iterator[tuple]:
-        """The blocks' pairs: views of the one expansion."""
-        for batch in batches:
-            for rows in batch.expand():
-                yield from self._views(*rows, self.block_rows)
+    def _block_slices(self, shards: List[BlockShard]) -> Iterator[tuple]:
+        """The blocks' pairs: views of the one expansion, shard after
+        shard, over the request's rows."""
+        for shard in shards:
+            own = self._own_rows(shard.sources)
+            for rows_a, rows_b in shard.batch().expand():
+                if own is not None:
+                    rows_a, rows_b = own[0][rows_a], own[1][rows_b]
+                    known = (rows_a >= 0) & (rows_b >= 0)
+                    rows_a, rows_b = rows_a[known], rows_b[known]
+                yield from self._views(rows_a, rows_b, self.block_rows)
+
+    def _own_rows(self, sources: Sequence) -> Optional[tuple]:
+        """Per side, the request's row of every row of ``sources`` (-1
+        for an id the request's source lacks); ``None`` where they are
+        the request's sources.  They differ for a subset matched
+        against its source: a self-match blocks over the domain's rows
+        on both sides, and the range is another object."""
+        if all(mine is its for mine, its in zip(sources, self.sources)):
+            return None
+        return tuple(
+            bridge.rows_of(recode(theirs.space, theirs.codes, bridge.space))
+            for bridge, theirs in zip((self.domain, self.range),
+                                      map(source_codes, sources)))
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +308,10 @@ class CompositeShard(PairShard):
     """Several shards executed as one unit (an LPT bin).
 
     ``pairs()`` chains the members' streams, preserving each member's
-    own dedup/canonicalization; ``blocks()`` / ``batches()`` chain the
-    members' block views when *every* member has one (mixing would
-    silently drop the block-less members from the vectorized mode),
-    ``None`` otherwise.
+    own dedup/canonicalization.  :meth:`ShardRunner.slices` expands
+    the members' blocks one after another when *every* member is a
+    :class:`BlockShard` (mixing would silently drop the others from
+    the vectorized mode) and reads ``pairs()`` otherwise.
     """
 
     def __init__(self, members: Sequence[PairShard]) -> None:
@@ -298,29 +320,6 @@ class CompositeShard(PairShard):
     def pairs(self) -> Iterator[Pair]:
         for member in self.members:
             yield from member.pairs()
-
-    def blocks(self) -> Optional[Iterator[IdBlock]]:
-        views = []
-        for member in self.members:
-            view = member.blocks()
-            if view is None:
-                return None
-            views.append(view)
-
-        def chain() -> Iterator[IdBlock]:
-            for view in views:
-                yield from view
-
-        return chain()
-
-    def batches(self, runner) -> Optional[List[BlockBatch]]:
-        batches: List[BlockBatch] = []
-        for member in self.members:
-            view = member.batches(runner)
-            if view is None:
-                return None
-            batches.extend(view)
-        return batches
 
     def cost(self) -> Optional[int]:
         costs = [member.cost() for member in self.members]
@@ -377,19 +376,14 @@ def _split_shard(shard: PairShard, cost: int,
                  target: int) -> List[Tuple[PairShard, int]]:
     """Split one oversized shard into ~``target``-cost pieces.
 
-    Only block-structured shards can split (their pair sets partition
+    Only :class:`BlockShard`\\ s can split (their pair sets partition
     cleanly); anything else is returned whole.  Pieces inherit the
     shard's dedup/canonical behavior — shard-local dedup weakens to
     piece-local, so duplicate pairs may now span pieces, which the
     idempotent merge already absorbs.
     """
     if not isinstance(shard, BlockShard):
-        if shard.blocks() is None:
-            return [(shard, cost)]
-        # a foreign shard class with a block view: split as its blocks
-        shard = BlockShard(shard.blocks,
-                           dedup=bool(getattr(shard, "dedup", False)),
-                           canonical=bool(getattr(shard, "canonical", False)))
+        return [(shard, cost)]
     batch = shard.batch()
     exploded = batch._replace(blocks=_np.array(
         [piece for block in batch.blocks.tolist()

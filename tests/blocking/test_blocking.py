@@ -10,7 +10,6 @@ from repro.blocking import (
     TokenBlocking,
     pair_completeness,
     reduction_ratio,
-    unique_pairs,
 )
 from repro.core.mapping import Mapping
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -235,10 +234,6 @@ class TestMetrics:
 
     def test_pair_completeness_empty_gold(self):
         assert pair_completeness([], Mapping("A", "B")) == 1.0
-
-    def test_unique_pairs(self):
-        pairs = list(unique_pairs([("a", "b"), ("a", "b"), ("c", "d")]))
-        assert pairs == [("a", "b"), ("c", "d")]
 
     def test_count_distinct(self, sources):
         domain, range_ = sources

@@ -10,20 +10,22 @@ serial execution.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import (
+    BlockShard,
     CanopyBlocking,
     FullCross,
-    IdBlock,
     KeyBlocking,
     PairGenerator,
     SortedNeighborhood,
     TokenBlocking,
     partition_spans,
 )
+from repro.blocking.pair_generator import BlockBatch
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 
 STRATEGIES = [
@@ -42,11 +44,23 @@ IDS = [
 ]
 
 
-def _source(name: str, titles) -> LogicalSource:
+def _source(name: str, titles, ids=None) -> LogicalSource:
     source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
     for index, title in enumerate(titles):
-        source.add_record(f"{name.lower()}{index}", title=title)
+        source.add_record(f"{name.lower()}{index}" if ids is None
+                          else ids[index], title=title)
     return source
+
+
+def _rectangle(ids_a, ids_b, **flags) -> BlockShard:
+    """One ``ids_a x ids_b`` block over sources of exactly these ids."""
+    sources = [_source(name, ids, ids) for name, ids
+               in (("L", ids_a), ("R", ids_b))]
+    rows_a, rows_b = (np.arange(len(source), dtype=np.int32)
+                      for source in sources)
+    return BlockShard(BlockBatch(rows_a, rows_b, np.array(
+        [(0, len(ids_a), 0, len(ids_b), 0)], dtype=np.int64)),
+        sources, **flags)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +133,7 @@ class TestShardUnionEqualsCandidates:
 
 
 class TestShardBlocks:
-    """The optional block view must agree with the shard's pair stream."""
+    """A block shard's blocks, read as ids, agree with its pair stream."""
 
     @pytest.mark.parametrize("blocking", STRATEGIES, ids=IDS)
     @pytest.mark.parametrize("self_match", [False, True])
@@ -130,29 +144,31 @@ class TestShardBlocks:
                                  domain_attribute="title",
                                  range_attribute="title")
         for shard in shards:
-            blocks = shard.blocks()
-            if blocks is None:
+            if not isinstance(shard, BlockShard):
                 continue
+            batch = shard.batch()
+            ids_a, ids_b = (source.ids() for source in shard.sources)
             expanded = set()
-            for block in blocks:
-                if block.triangle:
-                    ids = block.domain_ids
-                    for i, id_a in enumerate(ids):
-                        for id_b in ids[i + 1:]:
+            for start_a, count_a, start_b, count_b, triangle \
+                    in batch.blocks.tolist():
+                side_a = [ids_a[row] for row
+                          in batch.rows_a[start_a:start_a + count_a]]
+                side_b = [ids_b[row] for row
+                          in batch.rows_b[start_b:start_b + count_b]]
+                if triangle:
+                    for i, id_a in enumerate(side_a):
+                        for id_b in side_b[i + 1:]:
                             expanded.add(tuple(sorted((id_a, id_b))))
                 else:
-                    expanded.update(
-                        (a, b) for a in block.domain_ids
-                        for b in block.range_ids)
+                    expanded.update((a, b) for a in side_a for b in side_b)
             pairs = {tuple(sorted(pair)) if self_match else pair
                      for pair in shard.pairs()}
             assert pairs == {tuple(sorted(pair)) if self_match else pair
                              for pair in expanded}
 
-    def test_id_block_pair_count(self):
-        assert IdBlock(["a", "b"], ["x", "y", "z"]).pair_count() == 6
-        assert IdBlock(["a", "b", "c"], ["a", "b", "c"],
-                       triangle=True).pair_count() == 3
+    def test_block_pair_counts(self):
+        assert BlockBatch(None, None, np.array(
+            [(0, 2, 0, 3, 0), (0, 3, 0, 3, 1)])).costs().tolist() == [6, 3]
 
 
 class TestShardCosts:
@@ -177,12 +193,11 @@ class TestShardCosts:
         assert sum(costs) >= distinct
 
     def test_block_shard_cost_is_exact(self):
-        from repro.blocking.pair_generator import BlockShard
-
-        shard = BlockShard(lambda: iter([
-            IdBlock(["a", "b"], ["x", "y", "z"]),
-            IdBlock(["p", "q", "r"], ["p", "q", "r"], triangle=True),
-        ]))
+        domain, range_ = _source("L", ["t"] * 5), _source("R", ["t"] * 6)
+        shard = BlockShard(BlockBatch(
+            np.arange(5, dtype=np.int32), np.arange(6, dtype=np.int32),
+            np.array([(0, 2, 0, 3, 0), (2, 3, 3, 3, 1)], dtype=np.int64)),
+            (domain, range_))
         assert shard.cost() == 6 + 3
 
     def test_iterable_shard_cost_defaults_to_unknown(self):
@@ -209,16 +224,11 @@ class TestCanonicalRectBlocks:
     rect branch must then keep the (min id, max id) orientation."""
 
     def test_rect_pairs_canonicalized(self):
-        from repro.blocking.pair_generator import BlockShard
-
-        shard = BlockShard(lambda: iter([IdBlock(["s2"], ["s10", "s3"])]),
-                           canonical=True)
+        shard = _rectangle(["s2"], ["s10", "s3"], canonical=True)
         assert list(shard.pairs()) == [("s10", "s2"), ("s2", "s3")]
 
     def test_rect_pairs_keep_block_order_without_flag(self):
-        from repro.blocking.pair_generator import BlockShard
-
-        shard = BlockShard(lambda: iter([IdBlock(["s2"], ["s10", "s3"])]))
+        shard = _rectangle(["s2"], ["s10", "s3"])
         assert list(shard.pairs()) == [("s2", "s10"), ("s2", "s3")]
 
 

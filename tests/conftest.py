@@ -54,10 +54,12 @@ def force_rebalance(monkeypatch):
     blocking strategy, and for inline ``workers=1`` runs, call it
     before executing.
     """
-    from repro.engine import shards
+    from repro.engine import engine
 
     def engage() -> None:
-        monkeypatch.setattr(shards, "autotune_plan",
+        # the planner's own reference: patching the defining module
+        # alone would leave it asking the real cost model
+        monkeypatch.setattr(engine, "autotune_plan",
                             lambda costs, workers: (True, 6))
 
     return engage

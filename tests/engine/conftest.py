@@ -2,7 +2,7 @@
 
 The engine scores every request through a kernel
 (:func:`repro.engine.vectorized.request_kernel`); what a kernel must
-reproduce, bit for bit, is :class:`~repro.engine.scorer.ChunkScorer` —
+reproduce, bit for bit, is :class:`reference_scorer.ChunkScorer` —
 per-pair ``score_batch`` over id pairs — loaded the way the matchers
 always loaded a pair stream.  That is this module's one helper.  It
 shares no code with the engine's plan / slice / load steps: it reads
@@ -14,10 +14,11 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from reference_scorer import ChunkScorer
 
 from repro.blocking import FullCross, dedup_self_pairs
 from repro.core.mapping import Mapping
-from repro.engine import ChunkScorer, MatchRequest, vectorized
+from repro.engine import MatchRequest, vectorized
 
 
 def _scalar_reference(request: MatchRequest) -> Mapping:

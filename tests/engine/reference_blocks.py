@@ -5,7 +5,8 @@ while candidates were id strings: a ``token -> [id, ...]`` posting
 dict filtered token by token, per block a ``dict.get`` for every id
 and an ``np.repeat`` / ``np.tile``, per pair a Python tuple through a
 first-seen set, and the splitter slicing id lists.  They only touch
-:class:`~repro.blocking.IdBlock`\\ s and plain ``id -> row`` dicts, so
+:class:`IdBlock`\\ s — a block as two id lists, which is how
+:func:`id_blocks` reads a shard — and plain ``id -> row`` dicts, so
 the row arrays, their order and their repeats *define* what the block
 batch (:class:`repro.blocking.pair_generator.BlockBatch`) must expand
 to.
@@ -13,14 +14,59 @@ to.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.blocking import IdBlock, is_self_match
+from repro.blocking import BlockShard, is_self_match
 from repro.sim.tokenize import word_tokens
 
 Pair = Tuple[str, str]
+
+
+@dataclass(frozen=True)
+class IdBlock:
+    """One rectangular (or triangular) unit of candidate pairs, as ids.
+
+    ``triangle=False`` means the cross product ``domain_ids x
+    range_ids`` oriented as (domain id, range id).  ``triangle=True``
+    means the self-matching pairs of ``domain_ids`` alone: every
+    ``(domain_ids[i], domain_ids[j])`` with ``i < j`` by list position
+    (``range_ids`` is ignored).
+    """
+
+    domain_ids: Sequence[str]
+    range_ids: Sequence[str]
+    triangle: bool = False
+
+    def pair_count(self) -> int:
+        """Raw (pre-dedup) number of pairs the block expands to."""
+        if self.triangle:
+            n = len(self.domain_ids)
+            return n * (n - 1) // 2
+        return len(self.domain_ids) * len(self.range_ids)
+
+
+def id_blocks(shard: BlockShard) -> Iterator[IdBlock]:
+    """``shard.batch()``'s blocks, its rows read as ``shard.sources``'
+    ids."""
+    batch = shard.batch()
+    ids_a, ids_b = (source.ids() for source in shard.sources)
+    for start_a, count_a, start_b, count_b, triangle in batch.blocks.tolist():
+        yield IdBlock(
+            [ids_a[row] for row in batch.rows_a[start_a:start_a + count_a]],
+            [ids_b[row] for row in batch.rows_b[start_b:start_b + count_b]],
+            bool(triangle))
 
 
 def block_rows(block: IdBlock, domain_index: Dict[str, int],

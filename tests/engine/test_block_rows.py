@@ -7,8 +7,9 @@ arrays into two row arrays — and
 ragged cross product.  What that must produce is pinned against the
 per-block loops it replaced (``reference_blocks``): the same rows in
 the same order, repeats included, for every strategy, both matching
-modes, any shard count, planned or rebalanced; the id-pair protocol
-(``pairs()``, ``blocks()``, ``cost()``) reads the same batch.
+modes, any shard count, planned or rebalanced, read as id blocks by
+the reference (``reference_blocks.id_blocks``); ``pairs()`` and
+``cost()`` read the same batch.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import (
-    BlockShard,
     CanopyBlocking,
     FullCross,
-    IdBlock,
     KeyBlocking,
-    PairShard,
     TokenBlocking,
 )
 from repro.blocking.pair_generator import EXPAND_ROWS, BlockBatch
@@ -106,17 +104,17 @@ def _check(blocking, domain, range_, n_shards, balanced):
                    for rows_a, rows_b in slices)
         rows = [np.concatenate([piece[side] for piece in slices]).tolist()
                 if slices else [] for side in (0, 1)]
-        assert tuple(rows) == reference.pair_rows(shard.blocks(), *indexes)
-        assert shard.cost() == sum(block.pair_count()
-                                   for block in shard.blocks())
+        blocks = [block for member in _members(shard)
+                  for block in reference.id_blocks(member)]
+        assert tuple(rows) == reference.pair_rows(blocks, *indexes)
+        assert shard.cost() == sum(block.pair_count() for block in blocks)
         if runner.domain is runner.range or not runner.is_self:
-            assert tuple(rows) == reference.expanded(shard.blocks(),
-                                                     *indexes)
+            assert tuple(rows) == reference.expanded(blocks, *indexes)
             assert shard.cost() == len(rows[0])
         assert list(shard.pairs()) == [
             pair for member in _members(shard)
             for pair in reference.block_pairs(
-                member.blocks(), dedup=member.dedup,
+                reference.id_blocks(member), dedup=member.dedup,
                 canonical=member.canonical)]
     return shards
 
@@ -163,37 +161,8 @@ class TestRowsEqualTheReference:
         domain, range_ = _ranges(dblp.publications, acm.publications)[mode]
         shard, = STRATEGIES[name].shards(domain, range_, n_shards=1,
                                          **ATTRIBUTES)
-        assert list(shard.blocks()) == reference.eligible_postings(
+        assert list(reference.id_blocks(shard)) == reference.eligible_postings(
             STRATEGIES[name], domain, range_, "title", "title")
-
-    def test_foreign_id_blocks_take_the_same_expansion(self):
-        """An ``IdBlock`` list becomes a batch through the sources'
-        bridges — an id one side does not know is dropped with every
-        pair it was in, so a triangle means something to a self-match
-        only — and expands like a built-in's."""
-        domain = _source("L", [f"title {i}" for i in range(12)])
-        range_ = _source("R", [f"title {i}" for i in range(9)])
-        ids_a, ids_b = domain.ids(), range_.ids()
-        blocks = [IdBlock(ids_a[:4] + ["nobody"], ["r-unknown"] + ids_b[2:7]),
-                  IdBlock(["l-unknown"], ids_b),
-                  IdBlock([ids_a[5], "l-unknown", ids_a[3], ids_a[9]], [],
-                          triangle=True),
-                  IdBlock(ids_a[6:], [])]
-        shard = BlockShard(lambda: iter(blocks))
-        runner = _runner(domain, range_, [shard], chunk_size=7)
-        slices = list(runner.slices(shard))
-        rows = tuple(np.concatenate([piece[side] for piece in slices]).tolist()
-                     for side in (0, 1))
-        assert rows == reference.pair_rows(blocks, runner.domain.index,
-                                           runner.range.index)
-        assert len(rows[0]) == 4 * 5
-        assert [len(rows_a) for rows_a, _ in slices] == [7, 7, 6]
-        assert list(shard.pairs()) == list(reference.block_pairs(blocks))
-        runner = _runner(domain, domain, [shard])
-        rows = tuple(np.concatenate(side).tolist()
-                     for side in zip(*runner.slices(shard)))
-        assert rows == ([5, 5, 3], [3, 9, 9]) == reference.expanded(
-            blocks, runner.domain.index, runner.range.index)
 
     def test_an_expansion_step_is_bounded(self, monkeypatch):
         """Blocks far larger than one step come out in steps of
@@ -224,40 +193,14 @@ class TestExplode:
                                          target):
         ids_a = [f"a{i}" for i in range(count_a)]
         ids_b = ids_a if triangle else [f"b{i}" for i in range(count_b)]
-        block = IdBlock(ids_a, ids_b, triangle=triangle)
+        block = reference.IdBlock(ids_a, ids_b, triangle=triangle)
         pieces = [
-            IdBlock(ids_a[start_a:start_a + n_a], ids_b[start_b:start_b + n_b],
-                    triangle=bool(flag))
+            reference.IdBlock(ids_a[start_a:start_a + n_a],
+                              ids_b[start_b:start_b + n_b],
+                              triangle=bool(flag))
             for start_a, n_a, start_b, n_b, flag in explode(
                 (0, count_a, 0, len(ids_b), int(triangle)), target)]
         assert pieces == list(reference.explode_block(block, target))
-
-
-def test_a_foreign_shard_class_with_a_block_view_is_split():
-    """``blocks()`` and ``cost()`` are all rebalancing asks of a shard
-    class of someone else's: its one huge block is cut into pieces
-    that keep its ``dedup`` / ``canonical`` flags and its pairs."""
-    ids = [f"l{i}" for i in range(30)]
-
-    class Theirs(PairShard):
-        canonical = True
-
-        def blocks(self):
-            return iter([IdBlock(ids, ids, triangle=True)])
-
-        def pairs(self):
-            return reference.block_pairs(self.blocks(), canonical=True)
-
-        def cost(self):
-            return 30 * 29 // 2
-
-    balanced = rebalance_shards([Theirs()], 4)
-    assert len(balanced) == 4
-    pieces = [piece for shard in balanced for piece in _members(shard)]
-    assert all(piece.canonical and not piece.dedup for piece in pieces)
-    assert max(shard.cost() for shard in balanced) < 2 * (435 / 4)
-    pairs = [pair for shard in balanced for pair in shard.pairs()]
-    assert len(pairs) == 435 and set(pairs) == set(Theirs().pairs())
 
 
 def test_a_block_slice_that_is_a_pool_task_is_larger(dblp, acm, monkeypatch):
@@ -293,6 +236,8 @@ class _Untouchable(dict):
     get = keys = values = items = setdefault = _refuse
 
 
+@pytest.mark.parametrize("mode", ["two-source", "self-subset",
+                                  "self-superset"])
 @pytest.mark.parametrize("blocking, attribute", [
     (TokenBlocking(max_df=0.5), "title"),
     (KeyBlocking(key=lambda value: None if value is None else str(value)),
@@ -301,10 +246,11 @@ class _Untouchable(dict):
 @pytest.mark.parametrize("config", [
     dict(), dict(shard_blocking=True)], ids=["parent-cut", "worker-cut"])
 def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
-                                                attribute, config):
+                                                attribute, config, mode):
     """Between ``shards()`` and the survivors a warm request touches
-    arrays only: with both bridges' ``id -> row`` dicts booby-trapped
-    it runs, and loads the mapping of an untouched run."""
+    arrays only — a subset matched against its source and a rebalanced
+    plan's LPT bins included: with both bridges' ``id -> row`` dicts
+    booby-trapped it runs, and loads the mapping of an untouched run."""
     def request(domain, range_):
         return MatchRequest(
             domain=domain, range=range_, threshold=0.4, blocking=blocking,
@@ -312,10 +258,27 @@ def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
                                  TrigramSimilarity())])
 
     pubs_a, pubs_b = dblp.publications, acm.publications
-    domain, range_ = pubs_a.subset(pubs_a.ids()), pubs_b.subset(pubs_b.ids())
+    domain, range_ = _ranges(pubs_a.subset(pubs_a.ids()),
+                             pubs_b.subset(pubs_b.ids()), k=120)[mode]
     engine = BatchMatchEngine(EngineConfig(**config))
-    expected = list(engine.execute(request(domain, range_)))
-    assert expected
+
+    def run():
+        """The request's mapping, then the survivors of one LPT bin of
+        a rebalanced plan's pieces, cut the same way: in the parent or
+        where the shard is scored."""
+        pieces = [piece for shard in rebalance_shards(blocking.shards(
+            domain, range_, n_shards=8, domain_attribute=attribute,
+            range_attribute=attribute), 3) for piece in _members(shard)]
+        assert len(pieces) > 1
+        composite = CompositeShard(pieces)
+        runner = engine._prepare(request(domain, range_), [composite])
+        outputs = ([runner.run(0)] if config else
+                   (runner.score(*item) for item in runner.slices(composite)))
+        return (list(engine.execute(request(domain, range_))),
+                [column.tolist() for column in runner.gather(outputs)])
+
+    expected = run()
+    assert expected[0] and expected[1][2]
     for source in (domain, range_):
         bridge = source.derived(("id-codes",), lambda: None)
         source._derived[("id-codes",)] = \
@@ -323,9 +286,9 @@ def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
     with pytest.raises(AssertionError, match="looked up"):
         BatchMatchEngine().execute(MatchRequest(
             domain=domain, range=range_, candidates=[(domain.ids()[0],
-                                                      range_.ids()[0])],
+                                                      range_.ids()[1])],
             specs=request(domain, range_).specs))
-    assert list(engine.execute(request(domain, range_))) == expected
+    assert run() == expected
 
 
 _TOKEN_ROWS = """

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_scorer import ChunkScorer
 
 from repro import AttributeMatcher, AttributePair, MultiAttributeMatcher
 from repro.blocking import (
@@ -26,7 +27,6 @@ from repro.core.workflow import MatchContext, MatchWorkflow
 from repro.engine import (
     AttributeSpec,
     BatchMatchEngine,
-    ChunkScorer,
     EngineConfig,
     MatchRequest,
     columns,

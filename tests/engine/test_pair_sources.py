@@ -20,7 +20,6 @@ from repro.blocking import (
     BlockShard,
     CanopyBlocking,
     FullCross,
-    IdBlock,
     KeyBlocking,
     SortedNeighborhood,
     TokenBlocking,
@@ -370,7 +369,21 @@ class TestSlices:
         source = _pubs("S", n)
         request = _request("trigram", source, source, "skip")
         engine = BatchMatchEngine(EngineConfig(chunk_size=chunk_size))
-        return engine._prepare(request, ()), source.ids()
+        return engine._prepare(request, ()), source
+
+    @staticmethod
+    def _shard(source, blocks) -> BlockShard:
+        """``(start_a, count_a, start_b, count_b, triangle)`` blocks over
+        ``source``'s rows, a self-match's shard."""
+        rows = np.arange(len(source), dtype=np.int32)
+        return BlockShard(pair_generator.BlockBatch(
+            rows, rows, np.array(blocks, dtype=np.int64)), (source, source))
+
+    @staticmethod
+    def _expanded(runner, shard):
+        return reference_blocks.expanded(
+            reference_blocks.id_blocks(shard), runner.domain.index,
+            runner.range.index)
 
     @staticmethod
     def _flat(slices):
@@ -380,36 +393,33 @@ class TestSlices:
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 16, 17, 1000])
     def test_slices_keep_every_row_in_order(self, chunk_size):
-        runner, ids = self._runner(chunk_size)
+        runner, source = self._runner(chunk_size)
         # triangles of 1..9 ids (0..36 pairs) and 2x3 rectangles:
         # slices end before, on and after block boundaries
-        blocks = [IdBlock(ids[i:i + 1 + i % 9], [], triangle=True)
-                  for i in range(30)]
-        blocks[4:4] = [IdBlock(ids[0:2], ids[5:8])] * 3
-        slices = list(runner.slices(BlockShard(lambda: iter(blocks))))
-        expected = reference_blocks.expanded(
-            blocks, runner.domain.index, runner.range.index)
+        blocks = [(i, 1 + i % 9, i, 1 + i % 9, 1) for i in range(30)]
+        blocks[4:4] = [(0, 2, 5, 3, 0)] * 3
+        shard = self._shard(source, blocks)
+        slices = list(runner.slices(shard))
+        expected = self._expanded(runner, shard)
         assert self._flat(slices) == expected
         assert all(len(rows_a) == chunk_size for rows_a, _ in slices[:-1])
         assert len(slices) == -(-len(expected[0]) // chunk_size)
 
     def test_a_slice_never_spans_two_expansion_steps(self, monkeypatch):
         monkeypatch.setattr(pair_generator, "EXPAND_ROWS", 50)
-        runner, ids = self._runner(chunk_size=40)
-        blocks = [IdBlock(ids[i:i + 8], [], triangle=True)  # 28 pairs each
-                  for i in range(12)]
-        slices = list(runner.slices(BlockShard(lambda: iter(blocks))))
+        runner, source = self._runner(chunk_size=40)
+        # 28 pairs each
+        shard = self._shard(source, [(i, 8, i, 8, 1) for i in range(12)])
+        slices = list(runner.slices(shard))
         # 336 rows in steps of 50, each cut into views of 40
         assert [len(rows_a) for rows_a, _ in slices] == \
             [40, 10] * 6 + [36]
-        assert self._flat(slices) == reference_blocks.expanded(
-            blocks, runner.domain.index, runner.range.index)
+        assert self._flat(slices) == self._expanded(runner, shard)
 
     def test_run_is_gather_of_scored_slices(self):
-        runner, ids = self._runner(chunk_size=16)
-        blocks = [IdBlock(ids[i:i + 6], [], triangle=True)
-                  for i in range(0, 36, 3)]
-        runner.shards = [BlockShard(lambda: iter(blocks))]
+        runner, source = self._runner(chunk_size=16)
+        runner.shards = [self._shard(
+            source, [(i, 6, i, 6, 1) for i in range(0, 36, 3)])]
         whole = runner.run(0)
         parts = [runner.score(*item)
                  for item in runner.slices(runner.shards[0])]

@@ -21,7 +21,6 @@ from repro import AttributeMatcher
 from repro.blocking import (
     CanopyBlocking,
     FullCross,
-    IdBlock,
     KeyBlocking,
     SortedNeighborhood,
     TokenBlocking,
@@ -395,7 +394,7 @@ class TestColumnBinding:
     def test_query_only_vocabulary_scores_like_chunk_scorer(self, make_sim):
         import numpy as np
 
-        from repro.engine import ChunkScorer
+        from reference_scorer import ChunkScorer
 
         domain = _source("L", QUERY_ONLY_DOMAIN)
         range_ = _source("R", QUERY_ONLY_RANGE)
@@ -553,6 +552,25 @@ def _pair_union(shards):
     return union
 
 
+def _id_source(name: str, ids) -> LogicalSource:
+    source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
+    for id in ids:
+        source.add_record(id, title=id)
+    return source
+
+
+def _block_shard(ids_a, ids_b=None, **flags) -> BlockShard:
+    """One block over sources holding exactly these ids: ``ids_a x
+    ids_b`` or — ``ids_b=None`` — the triangle of ``ids_a``."""
+    domain = _id_source("L", ids_a)
+    range_ = domain if ids_b is None else _id_source("R", ids_b)
+    rows_a, rows_b = (np.arange(len(side), dtype=np.int32)
+                      for side in (domain, range_))
+    return BlockShard(BlockBatch(rows_a, rows_b, np.array(
+        [(0, len(domain), 0, len(range_), int(ids_b is None))],
+        dtype=np.int64)), (domain, range_), **flags)
+
+
 class TestRebalanceShards:
     def test_splits_the_long_tail(self, skewed_sources):
         domain, range_ = skewed_sources
@@ -589,7 +607,7 @@ class TestRebalanceShards:
         assert rebalance_shards(shards, 4) == shards  # all costs unknown
 
     def test_single_bin_is_identity(self):
-        shards = [BlockShard(lambda: iter([IdBlock(["a"], ["x", "y"])]))]
+        shards = [_block_shard(["a"], ["x", "y"])]
         assert rebalance_shards(shards, 1) == shards
 
     def test_rejects_non_positive_bin_count(self):
@@ -599,8 +617,8 @@ class TestRebalanceShards:
     def test_giant_rectangle_splits_pair_exactly(self):
         domain_ids = [f"d{i}" for i in range(40)]
         range_ids = [f"r{i}" for i in range(35)]
-        shard = BlockShard(lambda: iter([IdBlock(domain_ids, range_ids)]))
-        tiny = BlockShard(lambda: iter([IdBlock(["z"], ["w"])]))
+        shard = _block_shard(domain_ids, range_ids)
+        tiny = _block_shard(["z"], ["w"])
         balanced = rebalance_shards([shard, tiny], 5)
         assert len(balanced) == 5
         assert _pair_union(balanced) == _pair_union([shard, tiny])
@@ -609,10 +627,9 @@ class TestRebalanceShards:
 
     def test_giant_triangle_splits_pair_exactly(self):
         ids = [f"s{i}" for i in range(30)]
-        shard = BlockShard(lambda: iter([IdBlock(ids, ids, triangle=True)]),
-                           canonical=True)
-        balanced = rebalance_shards([shard, BlockShard(
-            lambda: iter([IdBlock(["z"], ["w"])]), canonical=True)], 4)
+        shard = _block_shard(ids, canonical=True)
+        balanced = rebalance_shards(
+            [shard, _block_shard(["z"], ["w"], canonical=True)], 4)
         union = {tuple(sorted(pair)) for pair in _pair_union(balanced)}
         expected = {tuple(sorted((a, b)))
                     for i, a in enumerate(ids) for b in ids[i + 1:]}
@@ -635,7 +652,7 @@ class TestRebalanceShards:
         yields exactly one shard; balancing must still split it rather
         than serializing the whole run onto one worker."""
         ids = [f"s{i}" for i in range(200)]
-        shard = BlockShard(lambda: iter([IdBlock(ids, ids, triangle=True)]))
+        shard = _block_shard(ids)
         balanced = rebalance_shards([shard], 8)
         assert 4 <= len(balanced) <= 8  # split into several real bins
         costs = [s.cost() for s in balanced]
@@ -660,19 +677,25 @@ class TestRebalanceShards:
         # ~2 pieces per band (triangle + rectangle), nowhere near n
         assert len(pieces) <= 3 * 8 + 2
 
-    def test_composite_shard_chains_members(self):
-        left = BlockShard(lambda: iter([IdBlock(["a"], ["x"])]))
-        right = BlockShard(lambda: iter([IdBlock(["b"], ["y"])]))
+    def test_composite_shard_is_sliced_member_by_member(self):
+        """An LPT bin of block shards only expands each member's blocks
+        in turn; one with any other member takes the pair path."""
+        domain = _id_source("L", ["a", "b"])
+        range_ = _id_source("R", ["x", "y"])
+        rows = np.arange(2, dtype=np.int32)
+        left, right = (BlockShard(BlockBatch(rows, rows, np.array(
+            [(row, 1, row, 1, 0)], dtype=np.int64)), (domain, range_))
+            for row in (0, 1))
         composite = CompositeShard([left, right])
         assert list(composite.pairs()) == [("a", "x"), ("b", "y")]
-        chained = [(block.domain_ids, block.range_ids)
-                   for block in composite.blocks()]
-        assert chained == [(["a"], ["x"]), (["b"], ["y"])]
         assert composite.cost() == 2
-
-    def test_composite_shard_without_uniform_blocks_streams_pairs(self):
-        block = BlockShard(lambda: iter([IdBlock(["a"], ["x"])]))
-        stream = IterableShard(lambda: [("b", "y")], cost=1)
-        composite = CompositeShard([block, stream])
-        assert composite.blocks() is None
-        assert set(composite.pairs()) == {("a", "x"), ("b", "y")}
+        mixed = CompositeShard([left, IterableShard(lambda: [("b", "y")],
+                                                    cost=1)])
+        assert set(mixed.pairs()) == {("a", "x"), ("b", "y")}
+        runner = SERIAL._prepare(MatchRequest(
+            domain, range_, specs=[AttributeSpec(
+                "title", "title", TrigramSimilarity())]), [composite, mixed])
+        for shard, slices in ((composite, [([0], [0]), ([1], [1])]),
+                              (mixed, [([0, 1], [0, 1])])):
+            assert [tuple(side.tolist() for side in item)
+                    for item in runner.slices(shard)] == slices
