@@ -40,8 +40,8 @@ Three columns exist, chosen by :func:`build_column`:
   ``bitwise_or.at``; a chunk scores with a gather, a bitwise AND and
   ``np.bitwise_count``;
 * :class:`TfIdfColumn` — prepared TF/IDF vectors as CSR arrays, chunks
-  scored as sparse dot products (ragged gather, keyed ``searchsorted``,
-  ``bincount`` segment sums);
+  scored as sparse dot products (ragged gather, partner weights by
+  direct address into bit rows, ``bincount`` segment sums);
 * :class:`ScalarColumn` — the fallback for every other similarity:
   value codes plus the memoized ``score_batch``
   (:class:`ValuePairMemo`) the scalar reference
@@ -93,8 +93,11 @@ ColumnState = Tuple[Dict[str, Any], Dict[str, Any]]
 MAX_INDEX_BYTES = 512 * 1024 * 1024
 
 #: bytes per packed TF/IDF entry: insertion-order indices (8) + data
-#: (8) plus the lookup copy's keys (8) + data (8)
-_BYTES_PER_ENTRY = 32
+#: (8) plus the ``(row, token)``-ordered data (8); per ``(row, word)``
+#: cell: its bit word (8) + its entry offset (8)
+_BYTES_PER_ENTRY, _BYTES_PER_CELL = 24, 16
+#: ``1 << bit`` for every bit of a ``uint64`` word
+_BIT = _np.left_shift(_np.uint64(1), _np.arange(64, dtype=_np.uint64))
 
 
 def missing_mask(values: Sequence[object]) -> Any:
@@ -439,26 +442,27 @@ class NGramColumn(_Column):
 class _Side:
     """One side's packed TF/IDF vectors.
 
-    Two representations of the same rows: insertion-order CSR arrays
-    (``indptr``/``indices``/``data``) for expansion — entry order
-    within a row is the vector dict's insertion order, which the
-    summation replays — and a ``(row, token)``-keyed, globally sorted
-    copy (``keys``/``sorted_data``) for O(log nnz) partner lookups via
-    ``searchsorted``.  Only tokens of the reference vocabulary are
-    packed; ``logical`` keeps each row's full vector size for the
-    scalar tie-break, and ``rank`` its text's position in the
-    cross-side lexicographic order.
+    Insertion-order CSR arrays (``indptr``/``indices``/``data``) for
+    expansion — entry order within a row is the vector dict's insertion
+    order, which the summation replays — and the same weights in
+    ``(row, token)`` order (``sorted_data``), addressed through the
+    rows' tokens as :class:`NGramColumn`'s ``uint64`` bit rows over the
+    reference vocabulary (``bits``, ``width`` words a row) and
+    ``before``, the sorted entries ahead of each ``(row, word)`` cell;
+    :meth:`address` rebuilds both from the exported :attr:`ARRAYS`.
+    Only tokens of the reference vocabulary are packed; ``logical``
+    keeps each row's full vector size for the scalar tie-break, and
+    ``rank`` its text's position in the cross-side lexicographic order.
     """
 
-    ARRAYS = ("indptr", "indices", "data", "keys", "sorted_data",
-              "lengths", "rank")
-    __slots__ = ARRAYS + ("logical",)
+    ARRAYS = ("indptr", "indices", "data", "sorted_data", "lengths", "rank")
+    __slots__ = ARRAYS + ("logical", "width", "bits", "before")
 
     def __init__(self, vectors: List[Dict[str, float]],
-                 vocabulary: Dict[str, int], vocab_size: int,
+                 vocabulary: Dict[str, int], width: int,
                  ranks: List[int]) -> None:
         if sum(len(vector) for vector in vectors) * _BYTES_PER_ENTRY \
-                > MAX_INDEX_BYTES:
+                + len(vectors) * width * _BYTES_PER_CELL > MAX_INDEX_BYTES:
             raise MemoryError("packed TF/IDF index exceeds budget")
         indices: List[int] = []
         data: List[float] = []
@@ -477,13 +481,38 @@ class _Side:
         self.lengths = _np.diff(self.indptr)
         rows = _np.repeat(_np.arange(len(vectors), dtype=_np.int64),
                           self.lengths)
-        keys = rows * vocab_size + self.indices
-        order = _np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.sorted_data = self.data[order]
+        self.sorted_data = self.data[
+            _np.argsort(rows * (width << 6) + self.indices, kind="stable")]
         self.rank = _np.asarray(ranks, dtype=_np.int64)
         self.logical = _np.asarray([len(vector) for vector in vectors],
                                    dtype=_np.int64)
+        self.address(width)
+
+    def address(self, width: int) -> None:
+        """Rebuild ``bits`` (one ``bitwise_or.at``) and ``before``."""
+        rows = _np.repeat(_np.arange(len(self.lengths), dtype=_np.int64),
+                          self.lengths)
+        bits = _np.zeros(len(self.lengths) * width, dtype=_np.uint64)
+        _np.bitwise_or.at(bits, rows * width + (self.indices >> 6),
+                          _BIT[self.indices & 63])
+        counts = _np.bitwise_count(bits)
+        self.width, self.bits = width, bits
+        self.before = _np.cumsum(counts, dtype=_np.int64) - counts
+
+    def partners(self, rows: Any, tokens: Any) -> Any:
+        """Weights of ``tokens`` (aligned with ``rows``) in those rows,
+        ``+0.0`` where a row lacks its token: a token's weight sits at
+        its cell's ``before`` plus the set bits below it in its word
+        (an absent token's position may run past the end: clipped; a
+        side without entries has no bit set and nothing to take)."""
+        if len(self.sorted_data) == 0:
+            return _np.zeros(len(rows), dtype=_np.float64)
+        cells = rows * self.width + (tokens >> 6)
+        words = self.bits[cells]
+        bit = _BIT[tokens & 63]
+        positions = self.before[cells] + _np.bitwise_count(words & (bit - 1))
+        return _np.where((words & bit) != 0,
+                         self.sorted_data.take(positions, mode="clip"), 0.0)
 
 
 class TfIdfColumn(_Column):
@@ -495,8 +524,8 @@ class TfIdfColumn(_Column):
     kernel replays precisely that computation: row weights are the very
     dicts :meth:`TfIdfCosineSimilarity.value_vector` produces, the
     smaller row (tie: the lexicographically smaller text) is expanded,
-    partner weights come from the other side's sorted keys, and
-    ``np.bincount`` accumulates the products sequentially in input
+    partner weights are read from the other side by direct address,
+    and ``np.bincount`` accumulates the products sequentially in input
     order.  A missing (or token-free) value becomes an empty row that
     scores 0.0 against everything.
     """
@@ -513,12 +542,14 @@ class TfIdfColumn(_Column):
             meta, arrays = restored
             self._vocabulary = {token: position for position, token
                                 in enumerate(meta["vocabulary"])}
-            self._vocab_size = max(1, len(self._vocabulary))
+            self._width = max(1, (len(self._vocabulary) + 63) // 64)
             self._sorted_texts = list(meta["sorted_texts"])
+            # a base written before the bit rows also carries ``keys``
             side = object.__new__(_Side)
             for name in _Side.ARRAYS:
                 setattr(side, name, arrays[name])
             side.logical = side.lengths
+            side.address(self._width)
             self.range = side
             return
         vocabulary: Dict[str, int] = {}
@@ -527,7 +558,7 @@ class TfIdfColumn(_Column):
                 if token not in vocabulary:
                     vocabulary[token] = len(vocabulary)
         self._vocabulary = vocabulary
-        self._vocab_size = max(1, len(vocabulary))
+        self._width = max(1, (len(vocabulary) + 63) // 64)
         self._sorted_texts = sorted({self._text(value)
                                      for value in reference_values})
         self.range = self._pack(reference_values)
@@ -557,7 +588,7 @@ class TfIdfColumn(_Column):
 
     def _pack(self, values: Sequence[object], features: Any = None) -> _Side:
         return _Side([self.sim.value_vector(value) for value in values],
-                     self._vocabulary, self._vocab_size,
+                     self._vocabulary, self._width,
                      [self._rank(self._text(value)) for value in values])
 
     def kernel_rows(self, domain_rows: Any, range_rows: Any) -> Any:
@@ -606,28 +637,23 @@ class TfIdfColumn(_Column):
 
         The ragged expansion enumerates every ``(pair, token, weight)``
         entry of the expanded rows in stored (insertion) order; partner
-        weights come from one vectorized ``searchsorted`` over the
-        lookup side's ``(row, token)`` keys; ``bincount`` then sums each
-        pair's products sequentially in input order — the scalar loop.
+        weights come from :meth:`_Side.partners`, a word gather and a
+        popcount per entry; ``bincount`` then sums each pair's products
+        sequentially in input order — the scalar loop.
         """
         lengths = expand.lengths[expand_rows]
         total = int(lengths.sum())
         count = len(expand_rows)
-        if total == 0 or len(lookup.keys) == 0:
+        if total == 0:
             return _np.zeros(count, dtype=_np.float64)
         pair_ids = _np.repeat(_np.arange(count, dtype=_np.int64), lengths)
-        ends = _np.cumsum(lengths)
-        flat = (_np.arange(total, dtype=_np.int64)
-                - _np.repeat(ends - lengths, lengths)
-                + _np.repeat(expand.indptr[expand_rows], lengths))
+        # entry j of a pair sits at its expanded row's indptr + j
+        flat = _np.arange(total, dtype=_np.int64) + _np.repeat(
+            expand.indptr[expand_rows] - (_np.cumsum(lengths) - lengths),
+            lengths)
         tokens = expand.indices[flat]
         weights = expand.data[flat]
-        queries = _np.repeat(lookup_rows, lengths) * self._vocab_size + tokens
-        positions = _np.searchsorted(lookup.keys, queries)
-        in_range = positions < len(lookup.keys)
-        safe = _np.where(in_range, positions, 0)
-        matched = in_range & (lookup.keys[safe] == queries)
-        partners = _np.where(matched, lookup.sorted_data[safe], 0.0)
+        partners = lookup.partners(_np.repeat(lookup_rows, lengths), tokens)
         return _np.bincount(pair_ids, weights=weights * partners,
                             minlength=count)
 
@@ -716,18 +742,20 @@ def column_config(sim: SimilarityFunction) -> Optional[Tuple[Any, ...]]:
     """What a packed column of ``sim`` depends on, or ``None``.
 
     The column registry's type guard.  Exact :class:`NGramSimilarity`
-    scoring gets the packed bit column (``np.bitwise_count`` needs
-    numpy >= 2.0), exact :class:`TfIdfCosineSimilarity` scoring the
-    sparse CSR column; subclasses that override what a column reads or
-    replays — and thereby silently change the math, such as SoftTFIDF
-    — do not pack (``None``).  The tuple names the column kind and
-    every parameter of ``sim`` that shapes the packed arrays besides
-    the values themselves (for TF/IDF: besides the corpus ``prepare``
-    saw), so it can stand for ``sim`` in a memo key.  Requires numpy.
+    scoring gets the packed bit column, exact
+    :class:`TfIdfCosineSimilarity` scoring the sparse CSR column (both
+    read bit rows with ``np.bitwise_count``: numpy >= 2.0); subclasses
+    that override what a column reads or replays — and thereby silently
+    change the math, such as SoftTFIDF — do not pack (``None``).  The
+    tuple names the column kind and every parameter of ``sim`` that
+    shapes the packed arrays besides the values themselves (for TF/IDF:
+    besides the corpus ``prepare`` saw), so it can stand for ``sim`` in
+    a memo key.  Requires numpy.
     """
+    if not hasattr(_np, "bitwise_count"):
+        return None
     if isinstance(sim, NGramSimilarity) \
-            and _unchanged(sim, NGramSimilarity, ("_score", "grams")) \
-            and hasattr(_np, "bitwise_count"):
+            and _unchanged(sim, NGramSimilarity, ("_score", "grams")):
         return "ngram", sim.q, sim.method, sim.pad
     if isinstance(sim, TfIdfCosineSimilarity) \
             and _unchanged(sim, TfIdfCosineSimilarity,

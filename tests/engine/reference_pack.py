@@ -17,6 +17,12 @@ vocabulary removed.  Scores never depended on them.
 :class:`ReferenceScalarColumn` is the :class:`ScalarColumn` from before
 its sides were packed as value codes: a list of coerced texts per side
 and one Python step per candidate *row* around the memo.
+
+:func:`searchsorted_partners` is the TF/IDF partner lookup from before
+:meth:`repro.engine.columns._Side.partners` read weights by direct
+address: a binary search over the side's ``row * V + token`` keys,
+which a side used to carry (and a serve base to store as
+``col<i>.keys.bin``).
 """
 
 from __future__ import annotations
@@ -82,6 +88,24 @@ class ReferenceNGramColumn(NGramColumn):
                 _np.uint64(1), (position_array & 63).astype(_np.uint64))
             _np.bitwise_or.at(bits.reshape(-1), cells, masks)
         return bits, sizes
+
+
+def searchsorted_partners(side: Any, vocab_size: int, rows: Any,
+                          tokens: Any) -> Any:
+    """Weights of ``tokens`` in ``rows`` of a TF/IDF side, ``+0.0``
+    where the row lacks the token, by ``np.searchsorted`` over the
+    side's sorted keys, rebuilt here as the side used to keep them."""
+    entry_rows = _np.repeat(_np.arange(len(side.lengths), dtype=_np.int64),
+                            side.lengths)
+    keys = _np.sort(entry_rows * max(1, vocab_size) + side.indices)
+    if len(keys) == 0:
+        return _np.zeros(len(rows), dtype=_np.float64)
+    queries = rows * max(1, vocab_size) + tokens
+    positions = _np.searchsorted(keys, queries)
+    in_range = positions < len(keys)
+    safe = _np.where(in_range, positions, 0)
+    matched = in_range & (keys[safe] == queries)
+    return _np.where(matched, side.sorted_data[safe], 0.0)
 
 
 class ReferenceScalarColumn(ScalarColumn):

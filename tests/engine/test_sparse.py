@@ -146,6 +146,32 @@ class TestKernelSelection:
         kernel = vectorized.request_kernel(request)
         assert type(kernel) is expected
 
+    @pytest.mark.parametrize("make_sim", [TrigramSimilarity,
+                                          TfIdfCosineSimilarity],
+                             ids=["ngram", "tfidf"])
+    def test_without_bitwise_count_nothing_packs(self, dataset, make_sim,
+                                                 monkeypatch,
+                                                 scalar_reference):
+        """numpy < 2.0 has no ``bitwise_count``, which both packed
+        kinds read bit rows with: each falls back to the scalar column
+        instead of failing, and scores like the reference."""
+        monkeypatch.delattr(np, "bitwise_count")
+        dblp, acm = (source.subset(source.ids()) for source in (
+            dataset.dblp.publications, dataset.acm.publications))
+        sim = make_sim()
+        assert columns.column_config(sim) is None
+        sim.prepare(dblp.attribute_values("title")
+                    + acm.attribute_values("title"))
+        assert type(build_column(sim, acm.attribute_values("title"))) \
+            is ScalarColumn
+        request = MatchRequest(dblp, acm, threshold=0.3,
+                               blocking=TokenBlocking(),
+                               specs=[AttributeSpec("title", "title", sim)])
+        assert type(vectorized.request_kernel(request)) is ScalarColumn
+        mapping = SERIAL.execute(request)
+        assert list(mapping) == list(scalar_reference(request))
+        assert len(mapping) > 0
+
     def test_soft_tfidf_never_routes_into_sparse_kernel(self, dataset):
         """Regression for the ``score_batch`` reassignment: SoftTFIDF
         must be refused by the sparse column even though it *is* a

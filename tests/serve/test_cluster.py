@@ -8,14 +8,17 @@ mutation interleavings (shards compact on their own schedules, so
 this exercises the compaction-independent ordering contract).
 """
 
+import json
 import os
 import random
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine.request import AttributeSpec
@@ -24,6 +27,7 @@ from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.serve import ClusterIndex, IncrementalIndex, SnapshotUnavailable
 from repro.serve.cluster import _fork_available
 from repro.sim.ngram import TrigramSimilarity
+from repro.sim.tfidf import TfIdfCosineSimilarity
 
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
          "graph", "join", "view", "cube", "match", "entity", "fusion",
@@ -58,6 +62,29 @@ def _cluster(reference, shards, **kwargs):
     kwargs.setdefault("processes", False)
     return ClusterIndex.build(reference, specs=SPECS, shards=shards,
                               **kwargs)
+
+
+def _add_parent_keys(shard_dir) -> None:
+    """Rewrite a shard's latest base in the layout that stored each
+    TF/IDF column's sorted ``row * max(1, V) + token`` keys beside its
+    arrays, as the lookup by binary search needed them."""
+    base = max(shard_dir.glob("base-*"), key=lambda path: int(path.name[5:]))
+    meta = json.loads((base / "meta.json").read_text())
+    for position, column in enumerate(meta["columns"]):
+        if column["meta"]["kind"] != "tfidf":
+            continue
+        files = {spec["name"]: spec["file"] for spec in column["arrays"]}
+        indices, lengths = (np.fromfile(base / files[name], dtype=np.int64)
+                            for name in ("indices", "lengths"))
+        rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys = np.sort(rows * max(1, len(column["meta"]["vocabulary"]))
+                       + indices)
+        keys.tofile(base / f"col{position}.keys.bin")
+        column["arrays"].insert(3, {"name": "keys",
+                                    "file": f"col{position}.keys.bin",
+                                    "dtype": "int64",
+                                    "shape": [len(keys)]})
+    (base / "meta.json").write_text(json.dumps(meta))
 
 
 def _assert_matches_equal(single, cluster, records, *,
@@ -330,6 +357,34 @@ class TestSnapshotRestore:
             assert restored.match_records(queries, threshold=0.2) == before
         finally:
             restored.close()
+
+    @pytest.mark.parametrize("layout", ["current", "with-keys"])
+    def test_tfidf_base_restores_bitwise(self, tmp_path, layout):
+        """A TF/IDF spec snapshots and restores to identical answers —
+        also from a base in the layout written before partner weights
+        were read by direct address, which stores each TF/IDF column's
+        ``keys`` (``col<i>.keys.bin``): a restore ignores them and
+        rebuilds the bit rows from the CSR arrays."""
+        specs = [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
+        cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
+                                     processes=False, data_dir=str(tmp_path))
+        queries = _queries(random.Random(9))
+        before = cluster.match_records(queries, threshold=0.1)
+        cluster.checkpoint()
+        cluster.close()
+        if layout == "with-keys":
+            for shard in range(2):
+                _add_parent_keys(tmp_path / f"shard-{shard:02d}")
+        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        try:
+            after = restored.match_records(queries, threshold=0.1)
+        finally:
+            restored.close()
+        assert [[(id, struct.pack("<d", score)) for id, score in answer]
+                for answer in after] \
+            == [[(id, struct.pack("<d", score)) for id, score in answer]
+                for answer in before]
+        assert any(before)
 
     def test_checkpoint_without_data_dir_raises(self):
         cluster = _cluster(_reference(6), 2)

@@ -224,7 +224,8 @@ class TestScoringEquivalence:
         expected = packed.match_records(records, threshold=0.2)
         title_bytes = packed._columns[0].range[0].nbytes
         # enough for the title bitmaps and every micro-batch bind, not
-        # for the venue CSR arrays (32 bytes per entry)
+        # for the venue CSR arrays and bit rows (24 bytes per entry and
+        # 16 per bit word)
         monkeypatch.setattr(columns, "MAX_INDEX_BYTES", title_bytes)
         capped = IncrementalIndex(_source(), specs=specs(),
                                   combiner=WeightedFunction([2.0, 1.0]))
