@@ -40,10 +40,10 @@ once per source pair — packed columns are kept by the sources
 per request — and composes them
 (:func:`repro.engine.vectorized.request_kernel`; multi-attribute
 requests compose their bound columns with a vectorized combiner); the
-serve tier's index keeps the same column objects across requests and
-binds per page of queries.  Both are checked against the scalar loop
-(:func:`repro.engine.scorer.score_pairs`), which scores no batch
-request.  See ``docs/engine.md``.
+serve tier's index keeps the same column objects across requests,
+scores its append buffer on scalar columns built per page, and binds
+per page of queries.  The scalar loop both are checked against lives
+in the tests.  See ``docs/engine.md``.
 """
 
 from repro.engine.engine import (

@@ -42,10 +42,9 @@ Three columns exist, chosen by :func:`build_column`:
 * :class:`TfIdfColumn` — prepared TF/IDF vectors as CSR arrays, chunks
   scored as sparse dot products (ragged gather, partner weights by
   direct address into bit rows, ``bincount`` segment sums);
-* :class:`ScalarColumn` — the fallback for every other similarity:
-  value codes plus the memoized ``score_batch``
-  (:class:`ValuePairMemo`) the scalar reference
-  (:mod:`repro.engine.scorer`) also uses.
+* :class:`ScalarColumn` — the fallback for every other similarity,
+  and the serve index's column for its buffer rows: value codes plus
+  the memoized ``score_batch`` (:class:`ValuePairMemo`).
 
 Bit-exactness.  The kernels evaluate the *same* arithmetic expressions
 as the scalar ``_score`` implementations in the same order, so column,
@@ -671,11 +670,10 @@ class ScalarColumn(_Column):
 
     Each side is packed as its :func:`value_codes` and the distinct
     texts they stand for.  A slice scores its *distinct* value-pair
-    codes once through the similarity's ``score_batch`` — exactly the
-    evaluation (and the bounded :class:`ValuePairMemo`) of the scalar
-    reference (:func:`repro.engine.scorer.score_pairs`), so scores are
-    bit-identical to it — and gathers them back onto the rows: an
-    exact-year column over 36k candidate rows is a ~10 x 10 lookup.
+    codes once through the similarity's ``score_batch`` — bit-identical
+    to per-pair ``similarity`` calls — and gathers them back onto the
+    rows: an exact-year column over 36k candidate rows is a ~10 x 10
+    lookup.
     The memo lives on the column and so persists across binds.
     Missing values score 0.0 like the packed columns.
 
@@ -814,26 +812,18 @@ def survivors(kernel: Any, rows_a: Any, rows_b: Any, threshold: float,
 # worker skips the entire packing pass and starts scoring straight off
 # the page cache.
 
-def export_column(column: Optional[_Column]) -> ColumnState:
-    """Split a column into ``(JSON meta, named arrays)``."""
-    if column is None:
-        return {"kind": "none"}, {}
-    return column.export()
-
-
 def import_column(sim: Any, meta: Dict[str, Any], arrays: Dict[str, Any],
-                  reference_values: Sequence[object]) -> Optional[_Column]:
-    """Re-assemble a column from :func:`export_column` output.
+                  reference_values: Sequence[object]) -> _Column:
+    """Re-assemble a column from its :meth:`~_Column.export` output.
 
     ``arrays`` may hold plain ndarrays or read-only ``np.memmap``
     views — scoring only ever reads the reference side.  Scalar columns
     carry no arrays; they rebuild from ``reference_values``, which is
-    O(n) string coercion.
+    O(n) string coercion.  ``"none"`` is what older snapshots wrote
+    for an index none of whose specs packed: a scalar column too.
     """
     kind = meta["kind"]
-    if kind == "none":
-        return None
-    if kind == "scalar":
+    if kind in ("scalar", "none"):
         return ScalarColumn(sim, reference_values)
     if kind == "ngram":
         return NGramColumn(sim, reference_values, (meta, arrays))

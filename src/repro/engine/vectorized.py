@@ -4,7 +4,7 @@
 whole request into one ``score_rows(domain_rows, range_rows)``
 kernel::
 
-    build_columns(specs, reference values)      one column per spec
+    build_column(sim, reference values)         one column per spec
       -> bind_columns(columns, query values)    bind each; compose
         -> kernel.score_rows(rows_a, rows_b)
           -> survivors(...)                     the one filter
@@ -17,25 +17,21 @@ values are masked as ``None`` slots, and the request's
 :class:`~repro.core.operators.functions.CombinationFunction` is
 applied column-wise (vectorized for the exact avg/min/max/weighted
 classes, including their ``-0`` missing-as-zero policies; per-row for
-custom combiners) — bit-identical to the scalar
-:func:`repro.engine.scorer.score_pairs` loop.  Specs without a packed
-column — and specs with a side over the memory budget — ride as
+custom combiners) — bit-identical to per-pair combination of the
+scalar similarities.  Specs without a packed column — and specs with
+a side over the memory budget — ride as
 :class:`~repro.engine.columns.ScalarColumn`\\ s, alone or beside packed
 ones, so every request has a kernel and the engine one way to score.
 
 The batch engine and its sharded runner (:func:`request_kernel`: the
 columns of one source pair are prepared, packed and bound once and
 kept by the sources, each request only composes them) and the serve
-index (:func:`build_columns` once, :func:`bind_columns` per page of
-queries over its persistent columns) all go through these
+index (its persistent columns and a page's buffer columns, bound by
+:func:`bind_columns` per page of queries) all go through these
 functions.  Candidate pairs cross process boundaries as int index
 arrays (~8 bytes/pair) instead of string tuples, and on the sharded
 path the payload contract is *shard indices in, surviving ``(rows_a,
 rows_b, scores)`` arrays out* (see :mod:`repro.engine.shards`).
-
-:func:`build_columns` returns ``None`` when no spec has a packed
-column: the serve index then scores its rows unpacked
-(:func:`repro.engine.scorer.score_pairs`).
 """
 
 from __future__ import annotations
@@ -305,21 +301,6 @@ class MultiSpecKernel:
         return out
 
 
-def build_columns(specs: Sequence[AttributeSpec],
-                  reference_values: Sequence[Sequence[object]]):
-    """One column per attribute spec over the reference side, or ``None``.
-
-    ``None`` when no spec gets a packed column: the serve index,
-    which binds these per page of queries, scores such rows through
-    the unpacked loop it keeps for its buffer anyway.
-    """
-    built = [build_column(spec.similarity, values)
-             for spec, values in zip(specs, reference_values)]
-    if not any(column.vectorized for column in built):
-        return None
-    return built
-
-
 def bind_columns(built, query_values: Sequence[Sequence[object]],
                  combiner: Optional[CombinationFunction],
                  threshold: Optional[float]):
@@ -460,9 +441,8 @@ def request_kernel(request, cells: int = 0):
     similarity was prepared; packed columns are built once per source
     pair (:func:`_kept_column`).  Specs sharing one similarity
     *object* opt the request out of that: they are all prepared first,
-    so the shared instance scores with its last corpus — what the
-    scalar reference (:mod:`repro.engine.scorer`) does with it — which
-    no per-spec key describes.
+    so the shared instance scores with its last corpus — what per-pair
+    scoring does with it — which no per-spec key describes.
 
     ``cells`` is what the caller's plan allows a score table to hold:
     a column whose distinct values span no more cells than that is

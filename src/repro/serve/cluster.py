@@ -47,7 +47,8 @@ and scores only those.  The router reproduces this exactly:
   every local top-k changes no float.
 
 Corpus-*aware* similarities (TF/IDF) are the one relaxation: each
-shard freezes document frequencies over its own slice, so scores
+shard freezes document frequencies over its own slice (on its own
+copy of the specs, in-process or forked alike), so scores
 match the single index only for corpus-independent similarities (the
 q-gram family, edit distances) — the same class of relaxation the
 index already applies by freezing statistics between compactions.
@@ -56,6 +57,7 @@ index already applies by freezing statistics between compactions.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import multiprocessing
 import os
@@ -167,11 +169,18 @@ class ShardBackend:
               physical: PhysicalSource, object_type: ObjectType,
               data_dir: Optional[str] = None,
               pruning: str = "auto") -> "ShardBackend":
-        """Build a fresh shard over ``(instance, gseq)`` records."""
+        """Build a fresh shard over ``(instance, gseq)`` records.
+
+        The shard prepares its own copy of ``specs``: in-process shards
+        are handed the same spec objects, and a shared TF/IDF
+        similarity would score every shard with the last slice's
+        document frequencies.
+        """
         source = LogicalSource(physical, object_type)
         for instance, _ in records:
             source.add(instance)
-        index = IncrementalIndex(source, specs=specs, combiner=combiner,
+        index = IncrementalIndex(source, specs=copy.deepcopy(specs),
+                                 combiner=combiner,
                                  missing=missing,
                                  compact_ratio=compact_ratio,
                                  compact_min=compact_min,
@@ -199,7 +208,8 @@ class ShardBackend:
         truncates anything after — re-applying mutations from the
         same base state re-triggers auto-compactions at the same
         points, so the restored index walks the identical state
-        trajectory (same slots, counters, buffer contents).
+        trajectory (same slots, counters, buffer contents).  ``specs``
+        are copied as in :meth:`build`.
         """
         store = partition_layout.PartitionStore(
             partition_layout.shard_dir(data_dir, shard_id))
@@ -212,7 +222,8 @@ class ShardBackend:
         for instance, _ in records:
             source.add(instance)
         index = IncrementalIndex.from_snapshot(
-            source, specs=specs, combiner=combiner, missing=missing,
+            source, specs=copy.deepcopy(specs), combiner=combiner,
+            missing=missing,
             compact_ratio=compact_ratio, compact_min=compact_min,
             column_states=column_states,
             version=counters["version"],

@@ -12,19 +12,20 @@ whose reference barely changes between queries.
   packed once and whose query side is bound per query batch in
   O(batch) (:func:`~repro.engine.vectorized.bind_columns`);
 * mutations (``add`` / ``update`` / ``delete``) cost O(record): new
-  records land in an append buffer scored through the engine's scalar
-  loop (:func:`~repro.engine.scorer.score_pairs`), deletions become
-  tombstones filtered at query time;
+  records land in an append buffer, deletions become tombstones
+  filtered at query time;
 * when the buffer + tombstones outgrow a threshold the index
   *compacts*: live records become the new packed base, corpus
   statistics (TF/IDF document frequencies) are re-prepared, and the
   buffer drains.
 
-Bit-exactness.  Base rows score through the very columns the engine
-uses; buffer rows score through ``score_batch``, which is
-bit-identical to the columns by the engine's equivalence contract.  A
-frozen index therefore answers exactly like the offline engine on the
-same pairs.
+Bit-exactness.  Every pair takes the engine's one route — column,
+bind, kernel, :func:`~repro.engine.columns.survivors`.  Base rows
+score on the persistent columns; the buffer rows a page touches score
+on :class:`~repro.engine.columns.ScalarColumn`\\ s built for that page,
+which are bit-identical to the packed columns by the engine's
+equivalence contract.  A frozen index therefore answers exactly like
+the offline engine on the same pairs.
 
 Corpus statistics are deliberately *frozen between compactions*: a
 standing service must score deterministically regardless of which
@@ -63,15 +64,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.concurrency import requires_lock
-from repro.engine import scorer
 from repro.engine.columns import (
-    ValuePairMemo,
-    export_column,
+    ScalarColumn,
+    build_column,
     import_column,
     survivors,
 )
 from repro.engine.request import AttributeSpec
-from repro.engine.vectorized import bind_columns, build_columns
+from repro.engine.vectorized import bind_columns
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource
 from repro.sim.registry import get_similarity
@@ -133,7 +133,6 @@ class IncrementalIndex:
                  missing: str = "skip",
                  compact_ratio: float = 0.25,
                  compact_min: int = 64,
-                 build_kernels: bool = True,
                  pruning: str = "auto",
                  _column_states=None) -> None:
         specs = resolve_specs(attribute, similarity, specs)
@@ -155,7 +154,6 @@ class IncrementalIndex:
         self.missing = missing
         self.compact_ratio = compact_ratio
         self.compact_min = compact_min
-        self.build_kernels = build_kernels
         self.pruning = pruning
         self._pruning_counters: Dict[str, int] = {
             "queries": 0, "pruned_queries": 0,
@@ -173,17 +171,17 @@ class IncrementalIndex:
 
         self._buffer: Dict[str, ObjectInstance] = {}
         self._tombstones: set = set()
-        #: buffer-row memos; they outlive compactions like the specs do
-        self._memos = [ValuePairMemo(spec.similarity) for spec in self.specs]
         self._compaction_listeners: List[Callable[[], None]] = []
         self.version = 0
         self.compactions = 0
-        self._pending_column_states = _column_states
-        self._rebuild(list(reference))
+        self._rebuild(list(reference), _column_states)
 
     # -- construction / compaction -------------------------------------
 
-    def _rebuild(self, instances: List[ObjectInstance]) -> None:
+    def _rebuild(self, instances: List[ObjectInstance],
+                 restored=None) -> None:
+        """Make ``instances`` the base; ``restored`` are its exported
+        column states (a snapshot restore), ``None`` packs afresh."""
         base = LogicalSource(self._physical, self._object_type)
         for instance in instances:
             base.add(instance)
@@ -196,33 +194,26 @@ class IncrementalIndex:
         self._slot_ids: List[str] = list(base.ids())
         self._id_slots: Dict[str, int] = {
             id: slot for slot, id in enumerate(self._slot_ids)}
-        restored = getattr(self, "_pending_column_states", None)
-        self._pending_column_states = None
         # corpus statistics (TF/IDF document frequencies) refresh here
         # and freeze until the next rebuild; the q-gram family has
         # none, which keeps its restore O(mmap)
         for spec in self.specs:
             spec.similarity.prepare(
                 base.attribute_values(spec.range_attribute))
-        self._base_values = [
+        base_values = [
             [instance.get(spec.range_attribute) for instance in base]
-            for spec in self.specs
-        ]
-        #: one column per spec, or ``None`` when nothing vectorizes
-        #: (every pair then takes the scalar route)
-        self._columns = None
-        if restored is not None:
+            for spec in self.specs]
+        if restored is None:
+            self._columns = [
+                build_column(spec.similarity, values)
+                for spec, values in zip(self.specs, base_values)]
+        else:
             # snapshot restore: re-assemble packed columns around the
             # exported (possibly memmapped) arrays instead of repacking
-            columns = [
+            self._columns = [
                 import_column(spec.similarity, meta, arrays, values)
                 for spec, (meta, arrays), values
-                in zip(self.specs, restored, self._base_values)
-            ]
-            if columns[0] is not None:
-                self._columns = columns
-        elif self.build_kernels:
-            self._columns = build_columns(self.specs, self._base_values)
+                in zip(self.specs, restored, base_values)]
         self._token_index: Dict[str, List[int]] = {}
         self._posting_arrays: Dict[str, object] = {}
         first = self.specs[0].range_attribute
@@ -390,8 +381,7 @@ class IncrementalIndex:
             "version": self.version,
             "compactions": self.compactions,
             "vectorized_columns": sum(
-                1 for column in self._columns or ()
-                if column.vectorized),
+                column.vectorized for column in self._columns),
             "pruning": self.pruning_counters(),
         }
 
@@ -430,13 +420,11 @@ class IncrementalIndex:
     def export_columns(self) -> List[Tuple[dict, Dict[str, object]]]:
         """Packed-column states of the current base, one per spec.
 
-        Each entry is ``(meta, arrays)`` as produced by
-        :func:`~repro.engine.columns.export_column`; the partition
-        store writes the arrays as raw files a restoring worker
-        memory-maps straight back in.
+        Each entry is the column's ``(meta, arrays)`` export; the
+        partition store writes the arrays as raw files a restoring
+        worker memory-maps straight back in.
         """
-        return [export_column(column)
-                for column in self._columns or [None] * len(self.specs)]
+        return [column.export() for column in self._columns]
 
     def base_instances(self) -> List[ObjectInstance]:
         """The packed base's records in slot order (excludes buffer)."""
@@ -768,50 +756,58 @@ class IncrementalIndex:
         to score it against.
 
         Slots of the packed base (``slot < len(base)``: a base record's
-        slot is its column row) go through one bound-kernel
-        ``score_rows`` call; buffer slots — and every slot of an index
-        without columns — go through the engine's scalar loop and this
-        index's own memos.  Both are bit-identical to the offline
-        engine.  Id strings are materialized only for survivors of
-        the kernel call.
+        slot is its column row) score against the persistent columns;
+        the page's distinct buffer slots get one
+        :class:`~repro.engine.columns.ScalarColumn` per spec, built
+        here.  Both go through one :meth:`_score_kernel_rows` call
+        each; only the columns differ.  Id strings are materialized
+        only for survivors.
         """
         slot_ids = self._slot_ids
         out: List[Triple] = []
         if not runs:
             return out
-        if self._columns is None:
-            unpacked = [(query, slot_ids[slot])
-                        for query, slots in runs for slot in slots]
-        else:
-            queries = _np.repeat(
-                _np.asarray([query for query, _ in runs], dtype=_np.int64),
-                [len(slots) for _, slots in runs])
-            slots = _np.concatenate(
-                [_np.asarray(slots, dtype=_np.int64) for _, slots in runs])
-            packed = slots < len(self._base)
-            if packed.any():
-                rows_a, rows_b, scores = self._score_kernel_rows(
-                    records, queries[packed], slots[packed], threshold)
-                out.extend(zip(rows_a.tolist(),
-                               (slot_ids[row] for row in rows_b.tolist()),
-                               scores.tolist()))
-            unpacked = [(query, slot_ids[slot]) for query, slot
-                        in zip(queries[~packed].tolist(),
-                               slots[~packed].tolist())]
-        if unpacked:
-            out.extend(scorer.score_pairs(
-                unpacked, records.__getitem__, self.get, self.specs,
-                self._memos, self.combiner, self.missing, threshold))
+        queries = _np.repeat(
+            _np.asarray([query for query, _ in runs], dtype=_np.int64),
+            [len(slots) for _, slots in runs])
+        slots = _np.concatenate(
+            [_np.asarray(slots, dtype=_np.int64) for _, slots in runs])
+        query_values = [[record.get(spec.attribute) for record in records]
+                        for spec in self.specs]
+        in_base = slots < len(self._base)
+        # (columns, query rows, column rows, the slot of each column row)
+        parts = [(self._columns, queries[in_base], slots[in_base], None)]
+        if not in_base.all():
+            buffered, rows = _np.unique(slots[~in_base], return_inverse=True)
+            instances = [self._buffer[slot_ids[slot]]
+                         for slot in buffered.tolist()]
+            columns = [ScalarColumn(spec.similarity,
+                                    [instance.get(spec.range_attribute)
+                                     for instance in instances])
+                       for spec in self.specs]
+            parts.append((columns, queries[~in_base], rows, buffered))
+        for columns, rows_a, rows_b, row_slots in parts:
+            if not len(rows_a):
+                continue
+            rows_a, rows_b, scores = self._score_kernel_rows(
+                columns, query_values, rows_a, rows_b, threshold)
+            if row_slots is not None:
+                rows_b = row_slots[rows_b]
+            out.extend(zip(rows_a.tolist(),
+                           (slot_ids[slot] for slot in rows_b.tolist()),
+                           scores.tolist()))
         return out
 
-    def _score_kernel_rows(self, records, rows_a, rows_b, threshold: float):
+    def _score_kernel_rows(self, columns, query_values, rows_a, rows_b,
+                           threshold: float):
         """One bound-kernel call; returns surviving row/score arrays.
 
-        ``rows_a`` index into ``records``, ``rows_b`` into the packed
-        base.  Column -> bind -> kernel -> survivor filter, exactly the
-        batch engine's route (:func:`~repro.engine.columns.survivors`
-        carries the ``score >= threshold and score > 0`` filter and the
-        single-attribute ``missing='zero'`` surfacing at threshold 0).
+        ``rows_a`` index into ``query_values``, ``rows_b`` into
+        ``columns``.  Column -> bind -> kernel -> survivor filter,
+        exactly the batch engine's route
+        (:func:`~repro.engine.columns.survivors` carries the ``score >=
+        threshold and score > 0`` filter and the single-attribute
+        ``missing='zero'`` surfacing at threshold 0).
 
         Unless ``pruning="never"``, pairs no kernel could lift over a
         positive ``threshold`` are dropped *before* scoring: the
@@ -822,14 +818,10 @@ class IncrementalIndex:
         :class:`~repro.engine.vectorized.MultiSpecKernel`, whose
         per-combiner progressive prefilter carries the same guarantee.
         """
-        query_values = [
-            [record.get(spec.attribute) for record in records]
-            for spec in self.specs
-        ]
         prefilter = threshold > 0.0 and self.pruning != "never"
-        kernel = bind_columns(self._columns, query_values, self.combiner,
+        kernel = bind_columns(columns, query_values, self.combiner,
                               threshold if prefilter else None)
-        if self.combiner is None and prefilter and len(rows_a):
+        if self.combiner is None and prefilter:
             keep = kernel.score_bound_rows(rows_a, rows_b) >= threshold
             dropped = len(keep) - int(_np.count_nonzero(keep))
             if dropped:

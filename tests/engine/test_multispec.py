@@ -2,7 +2,7 @@
 
 The composed kernel (:func:`repro.engine.vectorized.request_kernel`)
 must be *bit-identical* to the scalar multi-attribute path
-(:func:`repro.engine.scorer.score_pairs`) in every execution mode: serial,
+(``reference_scorer.score_pairs``) in every execution mode: serial,
 parallel streamed, sharded, and sharded+balanced — across all
 combination functions (incl. the ``-0`` missing-as-zero policies),
 asymmetric per-spec similarities (which force a scalar-fallback

@@ -27,6 +27,7 @@ from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.serve import ClusterIndex, IncrementalIndex, SnapshotUnavailable
 from repro.serve.cluster import _fork_available
 from repro.sim.ngram import TrigramSimilarity
+from repro.sim.registry import get_similarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
@@ -214,6 +215,40 @@ class TestProcessShards:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("mode", ["build", "restore"])
+    def test_tfidf_in_process_shards_answer_like_worker_processes(
+            self, tmp_path, mode):
+        """Each shard prepares its own similarity: in-process shards
+        handed the same spec objects must not score with the last
+        slice's document frequencies."""
+        def build(processes, data_dir):
+            specs = [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
+            cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
+                                         processes=processes,
+                                         data_dir=str(data_dir))
+            if mode == "build":
+                return cluster
+            cluster.close()
+            return ClusterIndex.restore(str(data_dir), processes=processes)
+
+        queries = _queries(random.Random(17), count=12)
+        answers = []
+        for processes in (False, True):
+            cluster = build(processes, tmp_path / str(processes))
+            try:
+                answers.append([
+                    [(id, struct.pack("<d", score)) for id, score in answer]
+                    for answer in cluster.match_records(queries,
+                                                        threshold=0.1)])
+                if not processes:
+                    similarities = [shard.backend.index.specs[0].similarity
+                                    for shard in cluster._shards]
+            finally:
+                cluster.close()
+        assert answers[0] == answers[1]
+        assert any(answers[0])
+        assert similarities[0] is not similarities[1]
+
     def test_workers_exit_when_the_router_is_killed(self):
         """A router that dies without sending ``shutdown`` (SIGKILL)
         must not leave its workers behind: each sees EOF on its
@@ -385,6 +420,35 @@ class TestSnapshotRestore:
             == [[(id, struct.pack("<d", score)) for id, score in answer]
                 for answer in before]
         assert any(before)
+
+    def test_base_of_unpacked_specs_in_the_older_layout_restores(
+            self, tmp_path):
+        """Snapshots used to write ``{"kind": "none"}`` for every column
+        of an index none of whose specs packed; such a base restores
+        onto scalar columns and answers like a fresh index."""
+        specs = [AttributeSpec("title", "title", get_similarity("editdistance"))]
+        rng = random.Random(31)
+        single = IncrementalIndex(_reference(), specs=specs)
+        cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
+                                     processes=False, data_dir=str(tmp_path))
+        self._mutate(single, random.Random(5), rounds=6)
+        self._mutate(cluster, random.Random(5), rounds=6)
+        cluster.checkpoint()
+        cluster.close()
+        for shard in range(2):
+            base = max((tmp_path / f"shard-{shard:02d}").glob("base-*"),
+                       key=lambda path: int(path.name[5:]))
+            meta = json.loads((base / "meta.json").read_text())
+            assert [column["meta"] for column in meta["columns"]] \
+                == [{"kind": "scalar"}]
+            meta["columns"][0]["meta"] = {"kind": "none"}
+            (base / "meta.json").write_text(json.dumps(meta))
+        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        try:
+            assert restored.ids() == single.ids()
+            _assert_matches_equal(single, restored, _queries(rng, count=8))
+        finally:
+            restored.close()
 
     def test_checkpoint_without_data_dir_raises(self):
         cluster = _cluster(_reference(6), 2)

@@ -1,6 +1,7 @@
 """Tests for the incremental indexed reference store."""
 
 import pytest
+from reference_scorer import index_scores
 
 from repro.core.operators.functions import WeightedFunction
 from repro.engine import columns
@@ -163,26 +164,22 @@ class TestCandidates:
 
 
 class TestScoringEquivalence:
-    """Bound kernels must agree with the scalar batch path bit-for-bit."""
+    """Bound kernels must agree with the scalar oracle bit-for-bit."""
 
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"],
                              ids=["ngram-bit", "sparse-tfidf"])
-    def test_kernel_equals_scalar_route(self, similarity):
-        kernel_index = IncrementalIndex(_source(), "title", similarity)
-        scalar_index = IncrementalIndex(_source(), "title", similarity,
-                                        build_kernels=False)
-        assert kernel_index.stats()["vectorized_columns"] == 1
-        assert scalar_index.stats()["vectorized_columns"] == 0
+    def test_index_equals_scalar_oracle(self, similarity):
+        index = IncrementalIndex(_source(), "title", similarity)
+        assert index.stats()["vectorized_columns"] == 1
         records = _queries([
             "Adaptive Query Processing for Streams v0",   # exact hit
             "adaptive query processng for streams",        # noisy
             "an entirely unrelated sentence about zebras",  # unseen tokens
             "schema matching",
         ])
-        pairs = _all_pairs(kernel_index, records)
-        kernel = sorted(kernel_index.score_pairs(records, pairs, threshold=0.0))
-        scalar = sorted(scalar_index.score_pairs(records, pairs, threshold=0.0))
-        assert kernel == scalar
+        pairs = _all_pairs(index, records)
+        kernel = sorted(index.score_pairs(records, pairs, threshold=0.0))
+        assert kernel == sorted(index_scores(index, records, pairs, 0.0))
         assert kernel  # non-trivial comparison
 
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
@@ -245,21 +242,13 @@ class TestScoringEquivalence:
         assert sorted(index.score_pairs(records, pairs, threshold=0.1)) \
             == sorted(fresh.score_pairs(records, pairs, threshold=0.1))
 
-    def test_multi_attribute_kernel_equals_scalar(self):
+    def test_multi_attribute_index_equals_scalar_oracle(self):
         specs = [
             AttributeSpec("title", "title", TrigramSimilarity()),
             AttributeSpec("venue", "venue", TfIdfCosineSimilarity()),
         ]
-        combiner = WeightedFunction([2.0, 1.0])
-        kernel_index = IncrementalIndex(_source(), specs=specs,
-                                        combiner=combiner)
-        scalar_specs = [
-            AttributeSpec("title", "title", TrigramSimilarity()),
-            AttributeSpec("venue", "venue", TfIdfCosineSimilarity()),
-        ]
-        scalar_index = IncrementalIndex(_source(), specs=scalar_specs,
-                                        combiner=WeightedFunction([2.0, 1.0]),
-                                        build_kernels=False)
+        index = IncrementalIndex(_source(), specs=specs,
+                                 combiner=WeightedFunction([2.0, 1.0]))
         records = [
             ObjectInstance("q0", {"title": "adaptive query processing",
                                   "venue": "venue 1"}),
@@ -267,21 +256,24 @@ class TestScoringEquivalence:
                                   "venue": None}),
             ObjectInstance("q2", {"venue": "venue 2"}),  # missing title
         ]
-        pairs = _all_pairs(kernel_index, records)
-        assert sorted(kernel_index.score_pairs(records, pairs, threshold=0.0)) \
-            == sorted(scalar_index.score_pairs(records, pairs, threshold=0.0))
+        pairs = _all_pairs(index, records)
+        assert sorted(index.score_pairs(records, pairs, threshold=0.0)) \
+            == sorted(index_scores(index, records, pairs, 0.0))
 
     def test_missing_zero_policy_at_threshold_zero(self):
         source = _source(4)
         source.add_record("hole", title=None)
-        for build_kernels in (True, False):
-            index = IncrementalIndex(source, "title", missing="zero",
-                                     build_kernels=build_kernels)
-            records = _queries(["adaptive query"])
-            pairs = _all_pairs(index, records)
-            triples = index.score_pairs(records, pairs, threshold=0.0)
-            assert (0, "hole", 0.0) in triples
-            # positive thresholds filter the zero scores out again
-            assert all(ref != "hole"
-                       for _, ref, _ in index.score_pairs(
-                           records, pairs, threshold=0.1))
+        index = IncrementalIndex(source, "title", missing="zero",
+                                 compact_min=1000)
+        index.add_record("buffered hole", title=None)
+        records = _queries(["adaptive query"])
+        pairs = _all_pairs(index, records)
+        triples = index.score_pairs(records, pairs, threshold=0.0)
+        assert sorted(triples) == sorted(index_scores(index, records, pairs,
+                                                      0.0))
+        # base and buffer rows surface alike
+        assert {(0, "hole", 0.0), (0, "buffered hole", 0.0)} <= set(triples)
+        # positive thresholds filter the zero scores out again
+        assert all(ref not in ("hole", "buffered hole")
+                   for _, ref, _ in index.score_pairs(
+                       records, pairs, threshold=0.1))

@@ -12,6 +12,7 @@ document frequencies; the trigram run checks every step.)
 import random
 
 import pytest
+from reference_scorer import index_scores
 
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -100,17 +101,14 @@ def test_incremental_equals_rebuilt_tfidf_after_compaction(seed):
             == _match(rebuilt, value, threshold=0.0)
 
 
-def test_scalar_route_equals_kernel_route_under_mutations():
+def test_index_equals_scalar_oracle_under_mutations():
     rng = random.Random(5)
-    kernel = IncrementalIndex(_seed_source(random.Random(5)), "title",
-                              compact_min=12)
-    scalar = IncrementalIndex(_seed_source(random.Random(5)), "title",
-                              compact_min=12, build_kernels=False)
-    kernel_counter = iter(range(10**6))
-    scalar_counter = iter(range(10**6))
+    index = IncrementalIndex(_seed_source(random.Random(5)), "title",
+                             compact_min=12)
+    counter = iter(range(10**6))
     for step in range(40):
-        _mutate(kernel, random.Random(5000 + step), kernel_counter)
-        _mutate(scalar, random.Random(5000 + step), scalar_counter)
-        value = _title(rng)
-        assert _match(kernel, value, threshold=0.0) \
-            == _match(scalar, value, threshold=0.0)
+        _mutate(index, random.Random(5000 + step), counter)
+        record = ObjectInstance("probe", {"title": _title(rng)})
+        pairs = [(0, id) for id in index.ids()]
+        assert sorted(index.score_pairs([record], pairs, threshold=0.0)) \
+            == sorted(index_scores(index, [record], pairs, 0.0))
