@@ -120,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compact-min", type=int, default=64,
                        help="minimum dead rows before compaction is "
                             "considered (default: 64)")
-    serve.add_argument("--pruning", default="auto",
-                       choices=("auto", "always", "never"),
-                       help="impact-ordered candidate pruning: engage "
-                            "on posting skew (auto), force it, or keep "
-                            "the exhaustive bincount path; results are "
-                            "bit-identical either way (default: auto)")
     serve.add_argument("--metrics", action="store_true",
                        help="enable the observability subsystem: GET "
                             "/v1/metrics (Prometheus text format), "
@@ -295,7 +289,6 @@ def _command_serve(args) -> int:
         mapping_name=args.mapping_name if repository is not None else None,
         compact_ratio=args.compact_ratio, compact_min=args.compact_min,
         shards=args.shards, data_dir=args.data_dir,
-        pruning=args.pruning,
         host=args.host, port=args.port,
         metrics=args.metrics,
         trace_sample_rate=args.trace_sample_rate,

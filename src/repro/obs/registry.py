@@ -3,7 +3,7 @@
 Three instrument kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — a monotonically increasing total.  Sources that
-  already keep their own counters (the index's pruning counters, the
+  already keep their own counters (the index's candidate counters, the
   service's cache hits/misses, WAL append/sync totals) synchronize
   them in through :meth:`Counter.set_total` from a registered
   *collector* at scrape time, so the existing counters stay the
@@ -277,7 +277,7 @@ class MetricsRegistry:
     call sites need no bookkeeping.  ``register_collector`` adds a
     zero-argument callable invoked before every render/summary —
     the pull half of the registry, where existing counter sources
-    (index pruning counters, WAL totals, cluster shard stats)
+    (index candidate counters, WAL totals, cluster shard stats)
     synchronize their state in without instrumenting their own hot
     paths.
     """

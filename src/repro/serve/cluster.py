@@ -21,7 +21,7 @@ split across shard workers:
   (memmapped back on restore) plus a mutation WAL, and
   :meth:`ClusterIndex.checkpoint` is an fsync-and-manifest write.
 
-Bit-identity of the merge.  Candidate pruning in the single index
+Bit-identity of the merge.  Candidate ranking in the single index
 takes the top-k ids by (summed token weight desc, insertion order)
 and scores only those.  The router reproduces this exactly:
 
@@ -31,14 +31,12 @@ and scores only those.  The router reproduces this exactly:
   order* as the single index would — each live record lives in
   exactly one shard, so no term is split or duplicated;
 * each shard returns its local top-k ranked by (weight desc, local
-  slot asc) — computed through the index's impact-ordered pruned
-  path when posting skew warrants (bit-identical to the exhaustive
-  ranking by :mod:`repro.serve.index`'s contract); local slot order
-  is monotone in the router's global insertion sequence (``gseq``),
-  so merging shard rankings by (weight desc, gseq asc) and cutting
-  to k yields exactly the single index's top-k — any candidate
-  ranked out locally is outranked by k records that also outrank it
-  globally;
+  slot asc) — the index's own ``bincount`` ranking over the shard's
+  postings; local slot order is monotone in the router's global
+  insertion sequence (``gseq``), so merging shard rankings by (weight
+  desc, gseq asc) and cutting to k yields exactly the single index's
+  top-k — any candidate ranked out locally is outranked by k records
+  that also outrank it globally;
 * the cut fixes the global kth weight bound; a second ``score``
   round ships each shard only its own surviving ``(record, id)``
   pairs, and shards score them through their own packed kernels
@@ -167,8 +165,7 @@ class ShardBackend:
               *, specs: List[AttributeSpec], combiner, missing: str,
               compact_ratio: float, compact_min: int,
               physical: PhysicalSource, object_type: ObjectType,
-              data_dir: Optional[str] = None,
-              pruning: str = "auto") -> "ShardBackend":
+              data_dir: Optional[str] = None) -> "ShardBackend":
         """Build a fresh shard over ``(instance, gseq)`` records.
 
         The shard prepares its own copy of ``specs``: in-process shards
@@ -183,8 +180,7 @@ class ShardBackend:
                                  combiner=combiner,
                                  missing=missing,
                                  compact_ratio=compact_ratio,
-                                 compact_min=compact_min,
-                                 pruning=pruning)
+                                 compact_min=compact_min)
         gseq = {instance.id: g for instance, g in records}
         backend = cls(shard_id, index, gseq)
         if data_dir is not None:
@@ -200,7 +196,7 @@ class ShardBackend:
                 specs: List[AttributeSpec], combiner, missing: str,
                 compact_ratio: float, compact_min: int,
                 physical: PhysicalSource, object_type: ObjectType,
-                wal_entries: int, pruning: str = "auto") -> "ShardBackend":
+                wal_entries: int) -> "ShardBackend":
         """Restart warm: memmap the packed base, replay the WAL tail.
 
         Replays exactly ``wal_entries`` frames (the manifest's
@@ -227,8 +223,7 @@ class ShardBackend:
             compact_ratio=compact_ratio, compact_min=compact_min,
             column_states=column_states,
             version=counters["version"],
-            compactions=counters["compactions"],
-            pruning=pruning)
+            compactions=counters["compactions"])
         gseq = {instance.id: g for instance, g in records}
         wal = WriteAheadLog(partition_layout.wal_path(data_dir, shard_id))
         entries = wal.replay(wal_entries)
@@ -346,12 +341,11 @@ class ShardBackend:
     def candidates(self, records: Sequence[ObjectInstance],
                    max_candidates: int,
                    weights: Optional[Sequence[Optional[dict]]]) -> dict:
-        """Round 1 of the pruned scatter: local candidate rankings.
+        """Round 1 of the top-k scatter: local candidate rankings.
 
         Returns, per record, the shard's top-k candidates as ``(id,
-        gseq, weight)`` — ranked with the router's *global* weights,
-        through the index's impact-ordered pruned path when skew
-        warrants.  No scoring happens here: the router merges the
+        gseq, weight)`` — ranked with the router's *global* weights.
+        No scoring happens here: the router merges the
         shard rankings, cuts to the global top-k (establishing the
         global kth weight bound), and ships only the survivors back
         in a ``score`` round — exactly like the single index scores
@@ -697,8 +691,7 @@ class ClusterIndex:
               missing: str = "skip", compact_ratio: float = 0.25,
               compact_min: int = 64, shards: int = 1,
               processes: bool = True,
-              data_dir: Optional[str] = None,
-              pruning: str = "auto") -> "ClusterIndex":
+              data_dir: Optional[str] = None) -> "ClusterIndex":
         """Partition ``reference`` across ``shards`` fresh workers."""
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards!r}")
@@ -712,7 +705,7 @@ class ClusterIndex:
                             compact_min=compact_min,
                             physical=reference.physical,
                             object_type=reference.object_type,
-                            data_dir=data_dir, pruning=pruning)
+                            data_dir=data_dir)
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             partition_layout.write_specs(data_dir, dict(
@@ -733,14 +726,12 @@ class ClusterIndex:
 
     @classmethod
     def restore(cls, data_dir: str, *,
-                processes: bool = True,
-                pruning: Optional[str] = None) -> "ClusterIndex":
+                processes: bool = True) -> "ClusterIndex":
         """Restart every shard warm from ``data_dir``'s manifest.
 
-        ``pruning=None`` keeps the snapshot's persisted mode (older
-        snapshots without one restore as ``"auto"``); passing a mode
-        overrides it — pruning is a pure performance knob, so the
-        runtime config always wins over the persisted value.
+        Only the keys read below are taken from the specs payload: an
+        older data dir that still carries a ``"pruning"`` mode restores
+        unchanged.
         """
         manifest = partition_layout.read_manifest(data_dir)
         if manifest is None:
@@ -752,9 +743,7 @@ class ClusterIndex:
                             compact_ratio=payload["compact_ratio"],
                             compact_min=payload["compact_min"],
                             physical=payload["physical"],
-                            object_type=payload["object_type"],
-                            pruning=pruning if pruning is not None
-                            else payload.get("pruning", "auto"))
+                            object_type=payload["object_type"])
         transports = cls._spawn(
             [("restore", dict(shard_kwargs, shard_id=shard_id,
                               data_dir=data_dir,
@@ -922,7 +911,7 @@ class ClusterIndex:
             -> List[Result]:
         """Scatter a query batch to every shard, gather + merge top-k.
 
-        Pruned mode runs two scatter rounds: a ``candidates`` round
+        Top-k mode runs two scatter rounds: a ``candidates`` round
         collecting per-shard rankings, then — after the router merges
         them and cuts to the global top-k, which fixes the global kth
         weight bound — a ``score`` round shipping each shard only its

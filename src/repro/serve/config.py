@@ -35,12 +35,7 @@ class ServeConfig:
         ``mapping_name`` name persisted same-mappings.
 
     Index
-        ``compact_ratio`` / ``compact_min`` trigger compaction;
-        ``pruning`` gates the impact-ordered candidate pruning
-        (``"auto"`` engages it when posting skew warrants, ``"always"``
-        forces it, ``"never"`` keeps the exhaustive ``bincount`` path
-        — results are bit-identical either way, this is a pure
-        performance knob).
+        ``compact_ratio`` / ``compact_min`` trigger compaction.
 
     Cluster
         ``shards`` > 0 partitions the reference across that many shard
@@ -86,7 +81,6 @@ class ServeConfig:
     mapping_name: Optional[str] = None
     compact_ratio: float = 0.25
     compact_min: int = 64
-    pruning: str = "auto"
     shards: int = 0
     # repro: allow-cfg002 -- in-process shards exist for tests and
     # embedding; the CLI always runs worker processes
@@ -131,10 +125,6 @@ class ServeConfig:
             raise InvalidRequest("compact_ratio must be positive")
         if self.compact_min < 1:
             raise InvalidRequest("compact_min must be >= 1")
-        if self.pruning not in ("auto", "always", "never"):
-            raise InvalidRequest(
-                f"pruning must be 'auto', 'always' or 'never', "
-                f"got {self.pruning!r}")
         if self.shards < 0:
             raise InvalidRequest("shards must be >= 0")
         if not 0.0 <= self.trace_sample_rate <= 1.0:

@@ -34,31 +34,11 @@ only when the base is rebuilt (``compact()`` forces one).  Scores of
 corpus-independent similarities (the q-gram family, edit distances)
 never depend on this; TF/IDF scores match a freshly built index after
 the next compaction.
-
-Candidate pruning.  ``_candidate_slots`` historically ran one
-``bincount`` over the full concatenated posting mass — linear in
-postings, so a hub token (one shared by most of the corpus) made every
-query pay for the whole corpus.  The ``pruning`` knob adds a
-max-score/WAND-style top-k path: postings are walked in descending
-weight (impact) order, and once ``max_candidates`` slots have been
-seen and the summed weight of the *unprocessed* postings provably
-cannot lift an unseen slot past the current kth partial score, the
-remaining (heaviest-df, lowest-weight) postings are skipped entirely.
-The skipped-slot exclusion uses a relative safety slack far above
-float accumulation error, and the surviving candidates are then
-*rescored exactly* — per token in the original sorted-token order,
-adding the token's weight or an exact ``+0.0`` — which reproduces the
-``bincount`` accumulation bit-for-bit.  The pruned path is therefore
-bit-identical (same slots, same float scores, same order) to the
-exhaustive one; ``tests/serve/test_pruning.py`` holds the equivalence
-harness.  ``pruning="auto"`` engages only when the posting-mass skew
-makes it worthwhile; ``"always"``/``"never"`` force either path.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -146,6 +126,10 @@ class IncrementalIndex:
             raise ValueError("compact_ratio must be positive")
         if compact_min < 1:
             raise ValueError("compact_min must be >= 1")
+        # ``pruning`` selects nothing: candidates come from one route.
+        # The keyword stays, validated, for the benchmark harness's
+        # ``index_read_layer`` (benchmarks/moma_bench/layers.py), which
+        # still builds one index per former mode.
         if pruning not in ("auto", "always", "never"):
             raise ValueError(
                 f"pruning must be 'auto', 'always' or 'never', got {pruning!r}")
@@ -154,11 +138,12 @@ class IncrementalIndex:
         self.missing = missing
         self.compact_ratio = compact_ratio
         self.compact_min = compact_min
-        self.pruning = pruning
-        self._pruning_counters: Dict[str, int] = {
+        # stats()["pruning"]; the two zero counters are the harness's
+        # reads, nothing ever skips a query or a posting
+        self._candidate_counters: Dict[str, int] = {
             "queries": 0, "pruned_queries": 0,
             "postings_touched": 0, "postings_skipped": 0,
-            "membership_probes": 0, "prefilter_skipped": 0,
+            "prefilter_skipped": 0,
         }
         #: cumulative scoring-call timings (repro.obs pulls these at
         #: scrape time; pure observation, results are unaffected)
@@ -250,11 +235,6 @@ class IncrementalIndex:
     # -- token index ---------------------------------------------------
 
     def _index_tokens(self, slot: int, value: object) -> None:
-        # posting lists stay sorted ascending by construction: slots
-        # are handed out monotonically (rebuild enumerates the base in
-        # slot order; add/update always append the next slot) and
-        # ``list.remove`` preserves order — the pruned rescore's
-        # binary-search membership probes depend on this invariant
         for token in posting_tokens(value):
             self._token_index.setdefault(token, []).append(slot)
             self._posting_arrays.pop(token, None)
@@ -382,22 +362,19 @@ class IncrementalIndex:
             "compactions": self.compactions,
             "vectorized_columns": sum(
                 column.vectorized for column in self._columns),
-            "pruning": self.pruning_counters(),
+            "pruning": self.candidate_counters(),
         }
 
-    def pruning_counters(self) -> Dict[str, int]:
-        """Cumulative candidate-pruning counters (the test/bench hook).
+    def candidate_counters(self) -> Dict[str, int]:
+        """Cumulative candidate counters (``stats()["pruning"]``).
 
-        ``queries`` counts candidate retrievals, ``pruned_queries``
-        those answered by the impact-ordered path; ``postings_touched``
-        / ``postings_skipped`` split the posting mass between expanded
-        and provably-skippable postings (the sublinearity
-        regression-guard); ``membership_probes`` counts the exact
-        rescore's binary-search probes and ``prefilter_skipped`` the
-        candidate pairs dropped by score upper bounds before kernel
-        scoring.
+        ``queries`` counts candidate retrievals, ``postings_touched``
+        the posting entries they summed and ``prefilter_skipped`` the
+        multi-attribute pairs :class:`~repro.engine.vectorized.MultiSpecKernel`
+        dropped by score upper bounds.  ``pruned_queries`` and
+        ``postings_skipped`` stay 0.
         """
-        return dict(self._pruning_counters)
+        return dict(self._candidate_counters)
 
     def timing_counters(self) -> Dict[str, float]:
         """Cumulative scoring-call timings for the metrics registry.
@@ -413,7 +390,7 @@ class IncrementalIndex:
         one, with no shard label and no WAL; a cluster answers with the
         same entry shape per shard."""
         return [{"shard": None, "index": self.timing_counters(),
-                 "pruning": self.pruning_counters(), "wal": None}]
+                 "pruning": self.candidate_counters(), "wal": None}]
 
     # -- snapshot export / import --------------------------------------
 
@@ -437,7 +414,6 @@ class IncrementalIndex:
                       missing: str = "skip",
                       compact_ratio: float = 0.25,
                       compact_min: int = 64,
-                      pruning: str = "auto",
                       column_states: List[Tuple[dict, Dict[str, object]]],
                       version: int = 0,
                       compactions: int = 0) -> "IncrementalIndex":
@@ -454,7 +430,7 @@ class IncrementalIndex:
         """
         index = cls(reference, specs=specs, combiner=combiner,
                     missing=missing, compact_ratio=compact_ratio,
-                    compact_min=compact_min, pruning=pruning,
+                    compact_min=compact_min,
                     _column_states=column_states)
         index.version = version
         index.compactions = compactions
@@ -466,7 +442,7 @@ class IncrementalIndex:
                       max_candidates: Optional[int] = 50) -> List[str]:
         """Reference ids worth scoring against ``value``.
 
-        ``None`` disables pruning (every live id, deterministic
+        ``None`` disables the cut (every live id, deterministic
         order).  Otherwise candidates sharing a word token are ranked
         by summed inverse document frequency, ``1 / df`` — the
         continuous form of the old online matcher's ``1000 // df``
@@ -534,23 +510,15 @@ class IncrementalIndex:
         the per-id dict accumulation — this runs once per query record
         and dominated the old online loop.  Weight sums accumulate in
         token order, so the ranking is identical (bit-for-bit) across
-        an index rebuild.  When posting skew warrants it (see
-        :meth:`_should_prune`) the impact-ordered pruned path answers
-        instead — bit-identical by the module-docstring argument — and
-        falls back here whenever its stop rule never fires.
+        an index rebuild.
         """
         if value is None:
             return [], []
         postings = self._posting_weights(value, weights)
         if not postings:
             return [], []
-        counters = self._pruning_counters
+        counters = self._candidate_counters
         counters["queries"] += 1
-        if self._should_prune(postings, max_candidates):
-            pruned = self._pruned_slots(postings, max_candidates)
-            if pruned is not None:
-                counters["pruned_queries"] += 1
-                return pruned
         counters["postings_touched"] += sum(
             len(posting) for _, posting, _ in postings)
         arrays = [self._posting_array(token, posting)
@@ -594,138 +562,6 @@ class IncrementalIndex:
             candidates, scores = candidates[keep], scores[keep]
         order = _np.lexsort((candidates, -scores))
         return candidates[order], scores[order]
-
-    #: auto-gate: prune only past this much total posting mass ...
-    PRUNE_MIN_MASS = 512
-    #: ... and when the longest posting is at least this many times
-    #: the mean length of the *other* postings (hub-token skew; the
-    #: hub must not inflate its own baseline)
-    PRUNE_SKEW_FACTOR = 4.0
-    #: relative safety slack for the stop rule.  Partial sums and the
-    #: remaining-weight bound carry float accumulation error of at
-    #: most a few hundred ulps (~1e-13 relative); 1e-9 dwarfs it, so
-    #: rounding can never wrongly exclude a true top-k member, while
-    #: the final scores are recomputed exactly anyway.
-    PRUNE_SLACK = 1e-9
-
-    def _should_prune(self, postings, max_candidates: int) -> bool:
-        """Engage the impact-ordered path for this query's postings?
-
-        ``auto`` requires enough posting mass to amortize the rescore
-        and real hub-token skew; with near-uniform document
-        frequencies the stop rule cannot fire early and the exhaustive
-        ``bincount`` is cheaper.  Non-positive weights (possible only
-        through a caller-supplied override map) disable pruning — the
-        stop-rule proof needs strictly positive impacts.
-        """
-        if self.pruning == "never" or len(postings) < 2:
-            return False
-        if any(weight <= 0.0 for _, _, weight in postings):
-            return False
-        if self.pruning == "always":
-            return True
-        mass = sum(len(posting) for _, posting, _ in postings)
-        if mass < self.PRUNE_MIN_MASS:
-            return False
-        longest = max(len(posting) for _, posting, _ in postings)
-        rest = (mass - longest) / (len(postings) - 1)
-        return longest >= self.PRUNE_SKEW_FACTOR * max(rest, 1.0)
-
-    def _pruned_slots(self, postings, max_candidates: int):
-        """Impact-ordered (max-score/WAND-style) top-k candidates.
-
-        Phase 1 expands postings in descending weight order — rarest
-        (highest-impact) tokens first — accumulating approximate
-        partial sums, and stops once ``max_candidates`` slots are seen
-        and the summed weight of the unprocessed postings (the best
-        any *unseen* slot could ever reach) falls below the kth
-        partial score by the safety slack.  Phase 2 then rescores the
-        seen slots exactly: per token in the original sorted-token
-        order, membership-probing the posting and adding the token's
-        weight or an exact ``+0.0`` — the very accumulation order (and
-        hence bit pattern) of the exhaustive ``bincount`` — and runs
-        the exhaustive path's own selection (:meth:`_top_slots`) over
-        the seen superset: every unseen slot scores strictly below the
-        boundary, so neither the boundary nor the above/ties split can
-        differ from the full candidate set's.  Returns ``None`` when
-        the stop rule never fires (every posting was expanded, so the
-        exhaustive path is at least as cheap).
-        """
-        counters = self._pruning_counters
-        slack = self.PRUNE_SLACK
-        order = sorted(range(len(postings)),
-                       key=lambda i: (-postings[i][2], i))
-        # remaining[j]: summed weight of the postings after impact
-        # rank j — an upper bound on any unseen slot's final score
-        remaining = [0.0] * len(order)
-        acc = 0.0
-        for j in range(len(order) - 1, 0, -1):
-            acc += postings[order[j]][2]
-            remaining[j - 1] = acc
-        totals = _np.zeros(len(self._slot_ids), dtype=_np.float64)
-        seen_arrays: List[object] = []
-        seen = 0
-        prefix = 0
-        for rank, position in enumerate(order):
-            token, posting, weight = postings[position]
-            array = self._posting_array(token, posting)
-            partial = totals[array]
-            fresh = array[partial == 0.0]
-            if len(fresh):
-                seen_arrays.append(fresh)
-                seen += len(fresh)
-            # slots are distinct within one posting, so the fancy-index
-            # add cannot lose contributions to duplicate indices
-            totals[array] = partial + weight
-            prefix = rank + 1
-            if seen < max_candidates or remaining[rank] <= 0.0:
-                continue
-            partials = totals[_np.concatenate(seen_arrays)]
-            cut = len(partials) - max_candidates
-            kth = _np.partition(partials, cut)[cut]
-            if remaining[rank] * (1.0 + slack) < kth * (1.0 - slack):
-                break
-        else:
-            return None
-        counters["postings_touched"] += sum(
-            len(postings[order[j]][1]) for j in range(prefix))
-        counters["postings_skipped"] += sum(
-            len(postings[order[j]][1]) for j in range(prefix, len(order)))
-        candidates = _np.sort(_np.concatenate(seen_arrays))
-        return self._top_slots(
-            candidates, self._rescore_candidates(postings, candidates),
-            max_candidates)
-
-    def _rescore_candidates(self, postings, candidates):
-        """Exact rarity scores for sorted ``candidates`` slots.
-
-        Bit-identical to ``bincount`` over the concatenated postings:
-        per slot, ``bincount`` adds each containing token's weight in
-        token order; this loop walks the same token order adding the
-        weight on membership and an exact ``+0.0`` otherwise (an IEEE
-        identity on the non-negative accumulator).  Membership is a
-        binary search per candidate — postings are sorted ascending by
-        the ``_index_tokens`` invariant — so a skipped hub posting is
-        probed in O(k log df) without ever being expanded.
-        """
-        counters = self._pruning_counters
-        totals = _np.zeros(len(candidates), dtype=_np.float64)
-        for token, posting, weight in postings:
-            array = self._posting_arrays.get(token)
-            if array is not None:
-                positions = _np.searchsorted(array, candidates)
-                hit = positions < len(array)
-                member = hit.copy()
-                member[hit] = array[positions[hit]] == candidates[hit]
-            else:
-                member = _np.empty(len(candidates), dtype=bool)
-                for where, slot in enumerate(candidates.tolist()):
-                    position = bisect_left(posting, slot)
-                    member[where] = (position < len(posting)
-                                     and posting[position] == slot)
-            counters["membership_probes"] += len(candidates)
-            totals = totals + _np.where(member, weight, 0.0)
-        return totals
 
     # -- scoring -------------------------------------------------------
 
@@ -807,31 +643,17 @@ class IncrementalIndex:
         exactly the batch engine's route
         (:func:`~repro.engine.columns.survivors` carries the ``score >=
         threshold and score > 0`` filter and the single-attribute
-        ``missing='zero'`` surfacing at threshold 0).
-
-        Unless ``pruning="never"``, pairs no kernel could lift over a
-        positive ``threshold`` are dropped *before* scoring: the
-        single-attribute path asks the bound kernel for per-pair score
-        upper bounds (the q-gram gram-count/length bound — exact by
-        float monotonicity, so survivors and scores are unchanged),
-        and the multi-attribute path hands the threshold to
-        :class:`~repro.engine.vectorized.MultiSpecKernel`, whose
-        per-combiner progressive prefilter carries the same guarantee.
+        ``missing='zero'`` surfacing at threshold 0).  A multi-attribute
+        kernel is a :class:`~repro.engine.vectorized.MultiSpecKernel`
+        whose exact threshold prefilter counts what it drops.
         """
-        prefilter = threshold > 0.0 and self.pruning != "never"
         kernel = bind_columns(columns, query_values, self.combiner,
-                              threshold if prefilter else None)
-        if self.combiner is None and prefilter:
-            keep = kernel.score_bound_rows(rows_a, rows_b) >= threshold
-            dropped = len(keep) - int(_np.count_nonzero(keep))
-            if dropped:
-                self._pruning_counters["prefilter_skipped"] += dropped
-                rows_a = rows_a[keep]
-                rows_b = rows_b[keep]
+                              threshold)
         kept = survivors(kernel, rows_a, rows_b, threshold,
                          self.combiner is None and self.missing == "zero")
         if self.combiner is not None:
-            self._pruning_counters["prefilter_skipped"] += kernel.prefiltered
+            self._candidate_counters["prefilter_skipped"] += \
+                kernel.prefiltered
         return kept
 
     def match_records(self, records: Sequence[ObjectInstance], *,

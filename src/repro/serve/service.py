@@ -74,7 +74,7 @@ class MatchService:
     :class:`~repro.serve.config.ServeConfig` (the single-attribute
     ``attribute`` / ``similarity`` pair, or ``specs`` + ``combiner``
     for multi-attribute scoring), or inject a prebuilt ``index``.
-    ``max_candidates=None`` disables candidate pruning —
+    ``max_candidates=None`` disables the candidate cut —
     every query scores against the full reference, which is the
     configuration whose results are bit-identical to the offline
     engine's cross-product run on the same snapshot.
@@ -141,8 +141,7 @@ class MatchService:
                     raise InvalidRequest(
                         "pass a reference source or an index")
                 return ClusterIndex.restore(
-                    config.data_dir, processes=config.shard_processes,
-                    pruning=config.pruning)
+                    config.data_dir, processes=config.shard_processes)
             return ClusterIndex.build(
                 reference,
                 specs=resolve_specs(config.attribute, config.similarity,
@@ -151,7 +150,7 @@ class MatchService:
                 compact_ratio=config.compact_ratio,
                 compact_min=config.compact_min, shards=config.shards,
                 processes=config.shard_processes,
-                data_dir=config.data_dir, pruning=config.pruning)
+                data_dir=config.data_dir)
         if reference is None:
             raise InvalidRequest("pass a reference source or an index")
         return IncrementalIndex(reference, config.attribute,
@@ -159,8 +158,7 @@ class MatchService:
                                 combiner=config.combiner,
                                 missing=config.missing,
                                 compact_ratio=config.compact_ratio,
-                                compact_min=config.compact_min,
-                                pruning=config.pruning)
+                                compact_min=config.compact_min)
 
     # -- observability -------------------------------------------------
 
@@ -203,7 +201,7 @@ class MatchService:
                        "Largest kernel call so far.").set(self.max_batch)
 
     def _collect_index_metrics(self) -> None:
-        """Pull pruning / timing / WAL counters from the backend.
+        """Pull candidate / timing / WAL counters from the backend.
 
         Both backends answer ``shard_metrics()`` with the same entry
         shape (``shard`` is ``None`` for the single in-heap index).
@@ -220,7 +218,7 @@ class MatchService:
             for key, value in sorted(entry["pruning"].items()):
                 registry.counter(
                     f"repro_index_pruning_{key}_total",
-                    "Candidate-pruning counter (see docs/serving.md).",
+                    "Candidate-generation counter (see docs/serving.md).",
                     labels=labels).set_total(value)
             registry.counter(
                 "repro_index_match_calls_total",
@@ -326,9 +324,9 @@ class MatchService:
     def _invalidate(self, *values: object) -> None:
         """Drop cache entries a mutation of ``values`` could affect.
 
-        With candidate pruning, a reference record only influences
+        With a candidate cut, a reference record only influences
         queries sharing a word token with its (old or new) match
-        attribute value; without pruning every query is exposed.
+        attribute value; without one every query is exposed.
         """
         if self.max_candidates is None:
             self._clear_cache()

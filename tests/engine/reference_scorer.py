@@ -12,15 +12,22 @@ A :class:`ChunkScorer` wraps it for one batch match request (the
 request's sources, similarity functions, threshold and combiner
 captured at construction); :func:`index_scores` wraps it for a serve
 index, over the index's live instances.
+
+:func:`reference_ranking` is the serve index's candidate ranking the
+same way: a dict of summed token weights, one record at a time, that
+``IncrementalIndex.ranked_candidates`` must reproduce bit for bit
+(:func:`index_ranking` reads a live index's records into it).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.operators.functions import CombinationFunction
 from repro.engine.columns import ValuePair, ValuePairMemo
 from repro.engine.request import AttributeSpec, MatchRequest
+from repro.serve.index import posting_tokens
 
 Pair = Tuple[str, str]
 Triple = Tuple[str, str, float]
@@ -112,3 +119,46 @@ def index_scores(index, records: Sequence, pairs: Iterable[Tuple[int, str]],
     memos = [ValuePairMemo(spec.similarity) for spec in index.specs]
     return score_pairs(pairs, records.__getitem__, index.get, index.specs,
                        memos, index.combiner, index.missing, threshold)
+
+
+def reference_ranking(live: Iterable[Tuple[int, object]], value: object,
+                      max_candidates: int,
+                      weights: Optional[Dict[str, float]] = None) \
+        -> List[Tuple[int, float]]:
+    """The best ``max_candidates`` ``(slot, summed weight)`` of ``live``
+    ``(slot, match value)`` records for a query ``value``.
+
+    A record's weight adds, in sorted-token order starting from 0.0,
+    the weight of every token it shares with ``value``: ``1 / df`` over
+    ``live`` or, given a ``weights`` map, that map's entry (a token
+    without one adds nothing).  Records summing to 0.0 are no
+    candidates; ties rank by slot.
+    """
+    postings: Dict[str, List[int]] = {}
+    for slot, match_value in live:
+        for token in posting_tokens(match_value):
+            postings.setdefault(token, []).append(slot)
+    totals: Dict[int, float] = {}
+    for token in posting_tokens(value):
+        slots = postings.get(token)
+        if not slots:
+            continue
+        weight = 1.0 / len(slots) if weights is None else weights.get(token)
+        if weight is None:
+            continue
+        for slot in slots:
+            totals[slot] = totals.get(slot, 0.0) + weight
+    ranked = sorted(((slot, total) for slot, total in totals.items()
+                     if total != 0.0), key=lambda item: (-item[1], item[0]))
+    return ranked[:max_candidates]
+
+
+def index_ranking(index, value: object, max_candidates: int,
+                  weights: Optional[Dict[str, float]] = None) \
+        -> List[Tuple[int, float]]:
+    """What ``index.ranked_candidates(value, max_candidates,
+    weights=weights)`` must answer, over the index's live records."""
+    attribute = index.specs[0].range_attribute
+    live = [(index._id_slots[id], index.get(id).get(attribute))
+            for id in index.ids()]
+    return reference_ranking(live, value, max_candidates, weights)

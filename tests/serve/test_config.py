@@ -15,11 +15,6 @@ class TestValidation:
         assert config.attribute == "title"
         assert config.shards == 0
         assert not config.clustered
-        assert config.pruning == "auto"
-
-    @pytest.mark.parametrize("pruning", ["auto", "always", "never"])
-    def test_pruning_modes_validate(self, pruning):
-        assert ServeConfig(pruning=pruning).validate().pruning == pruning
 
     @pytest.mark.parametrize("kwargs", [
         {"threshold": 1.5},
@@ -31,8 +26,6 @@ class TestValidation:
         {"compact_min": 0},
         {"shards": -1},
         {"specs": []},
-        {"pruning": "sometimes"},
-        {"pruning": ""},
         {"attribute": ""},
         {"host": ""},
         {"port": -1},
@@ -77,6 +70,11 @@ class TestMerged:
     def test_merged_rejects_unknown_fields(self):
         with pytest.raises(InvalidRequest):
             ServeConfig().merged(throughput=9000)
+
+    def test_merged_rejects_the_removed_pruning_field(self):
+        with pytest.raises(InvalidRequest,
+                           match=r"unknown config fields: \['pruning'\]"):
+            ServeConfig().merged(pruning="auto")
 
     def test_merged_returns_self_when_empty(self):
         config = ServeConfig()

@@ -160,7 +160,7 @@ class TestMetricsContent:
             assert summary["repro_index_match_calls_total"] \
                 == service.index.timing_counters()["match_calls"]
             assert summary["repro_index_pruning_queries_total"] \
-                == service.index.pruning_counters()["queries"]
+                == service.index.candidate_counters()["queries"]
         finally:
             service.close()
 

@@ -14,7 +14,7 @@ import struct
 import pytest
 from reference_scorer import index_scores
 
-from repro.core.operators.functions import WeightedFunction
+from repro.core.operators.functions import WeightedFunction, get_combination
 from repro.engine.request import AttributeSpec
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
@@ -40,18 +40,27 @@ QUERIES = [
     ObjectInstance("q2", {"title": "warehouse data cleaning",
                           "venue": "venue 2"}),
     ObjectInstance("q3", {"venue": "venue 1"}),
+    # far shorter than every title it shares a token with: a length
+    # bound alone rules it out at threshold 0.5
+    ObjectInstance("q4", {"title": "adaptive", "venue": "venue 1"}),
 ]
+
+
+COMBINED = {"weighted": lambda: WeightedFunction([2.0, 1.0]),
+            "avg": lambda: get_combination("avg"),
+            "min": lambda: get_combination("min"),
+            "max": lambda: get_combination("max")}
 
 
 def _specs(kind):
     """``(specs, combiner)``: one spec of a packed q-gram, a TF/IDF or
-    a non-packing similarity, or a weighted pair beside a non-packing
-    venue spec."""
-    if kind == "weighted":
+    a non-packing similarity, or a combined pair of a q-gram title
+    beside a non-packing venue spec."""
+    if kind in COMBINED:
         return [AttributeSpec("title", "title", get_similarity("trigram")),
                 AttributeSpec("venue", "venue",
                               get_similarity("editdistance"))], \
-            WeightedFunction([2.0, 1.0])
+            COMBINED[kind]()
     return [AttributeSpec("title", "title", get_similarity(kind))], None
 
 
@@ -124,7 +133,7 @@ def _indexes(target):
 @pytest.mark.parametrize("topology", ["index", "cluster"])
 @pytest.mark.parametrize("missing", ["skip", "zero"])
 @pytest.mark.parametrize("kind", ["trigram", "tfidf", "editdistance",
-                                  "weighted"])
+                                  "weighted", "avg", "min", "max"])
 def test_every_state_equals_the_scalar_oracle(topology, kind, missing):
     target = _build(topology, kind, missing)
     try:
@@ -140,15 +149,16 @@ def test_every_state_equals_the_scalar_oracle(topology, kind, missing):
             target.close()
 
 
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
 @pytest.mark.parametrize("topology", ["index", "cluster"])
 @pytest.mark.parametrize("kind", ["trigram", "editdistance", "weighted"])
 def test_base_and_buffer_pairs_all_pass_survivors(monkeypatch, topology,
-                                                  kind):
+                                                  kind, threshold):
     """Count the rows :func:`survivors` sees (as the index imports it)
     against the pairs handed to ``_score_slots``: on a page that hits
-    base and buffer slots alike, they are the same number.  Threshold
-    0 keeps the bound prefilters, which drop pairs before scoring, out
-    of the count."""
+    base and buffer slots alike, they are the same number, at any
+    threshold — no pair is dropped before the kernel is asked (a
+    multi-attribute kernel's own prefilter runs inside it)."""
     target = _build(topology, kind, "skip")
     try:
         states = _states(target)
@@ -170,7 +180,7 @@ def test_base_and_buffer_pairs_all_pass_survivors(monkeypatch, topology,
 
         monkeypatch.setattr(IncrementalIndex, "_score_slots", counting_slots)
         monkeypatch.setattr(serve_index, "survivors", counting_survivors)
-        answers = target.match_records(QUERIES, threshold=0.0,
+        answers = target.match_records(QUERIES, threshold=threshold,
                                        max_candidates=50)
     finally:
         if topology == "cluster":

@@ -145,6 +145,13 @@ class TestServeKnobFlags:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["serve", "--missing", "explode"])
 
+    def test_pruning_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--scale", "tiny", "serve", "--pruning", "never"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --pruning never" \
+            in capsys.readouterr().err
+
     def test_lint_subcommand_accepts_cache_flags(self):
         from repro.__main__ import _build_parser
 
