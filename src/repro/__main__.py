@@ -105,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repository mapping name for persisted "
                             "correspondences (default: serve.same)")
     serve.add_argument("--shards", type=int, default=0,
-                       help="partition the reference across N shard "
-                            "worker processes behind a scatter-gather "
+                       help="partition the reference across N "
+                            "in-process shards behind a scatter-gather "
                             "router (default: 0 = single in-heap index)")
     serve.add_argument("--data-dir", default=None, metavar="PATH",
                        help="back shards with on-disk packed columns + "
@@ -298,7 +298,7 @@ def _command_serve(args) -> int:
                  partition_layout.read_manifest(args.data_dir) is not None)
     if restoring:
         # an existing snapshot wins over regenerating the reference:
-        # shard workers restart warm from their packed bases + WALs
+        # shards restart warm from their packed bases + WALs
         reference = None
     else:
         dataset = build_dataset(args.scale, seed=args.seed)
@@ -310,7 +310,7 @@ def _command_serve(args) -> int:
         host, port = server.server_address[:2]
         origin = ("restored from " + args.data_dir if restoring
                   else f"{reference.name}")
-        topology = (f"{config.validate().shards} shard worker(s)"
+        topology = (f"{config.validate().shards} in-process shard(s)"
                     if config.validate().clustered else "single index")
         print(f"serving {origin} ({len(service.index)} records, "
               f"{args.similarity} @ {args.threshold}, {topology}) "

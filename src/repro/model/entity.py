@@ -51,8 +51,7 @@ class ObjectInstance:
 
     def __reduce__(self):
         # the mappingproxy view defeats default pickling; rebuild from
-        # a plain dict so instances can cross process boundaries (the
-        # serve cluster ships query batches to shard workers)
+        # a plain dict so instances can cross process boundaries
         return (ObjectInstance, (self.id, dict(self._attributes)))
 
     def __eq__(self, other: object) -> bool:

@@ -1,6 +1,6 @@
 """End-to-end observability: metrics, request tracing, structured logs.
 
-The serving tier spans a router, shard worker processes, WALs, a
+The serving tier spans a router, in-process shards, WALs, a
 reuse cache and a candidate index; the engine adds chunked and sharded
 execution.  This package is the one place their runtime
 behaviour becomes *observable* — and nothing more: every instrument
@@ -16,8 +16,8 @@ enforces this).
 * :mod:`repro.obs.trace` — per-request traces: an id minted at the
   HTTP boundary (or taken from ``X-Request-Id``), span records
   (name, parent, start, duration, shard id) collected through the
-  service, the cluster router and — across ``FrameChannel`` payloads
-  — the shard workers, sampled into a bounded ring buffer;
+  service, the cluster router and its shard calls, sampled into a
+  bounded ring buffer;
 * :mod:`repro.obs.log` — structured JSON line logging (one object
   per line, sorted keys) replacing silent paths and
   ``BaseHTTPRequestHandler``'s raw stderr access lines, including

@@ -4,11 +4,9 @@ One trace per sampled request.  The id is minted at the HTTP/service
 boundary (or taken from a client ``X-Request-Id`` header); the active
 :class:`TraceContext` rides a :mod:`contextvars` variable so the
 service, the cluster router and the index never pass it explicitly —
-they just open spans.  Crossing a ``FrameChannel`` the context
-travels as a small ``{"id", "parent"}`` dict inside the op payload;
-the shard worker times its handler and returns a span record (name,
-parent, start, duration, shard id) the router folds back into the
-request's trace.
+they just open spans.  The router opens one ``cluster.<op>`` span per
+scatter-gather round and, inside it, one ``shard.<op>`` span per
+shard call, labelled with the shard id.
 
 Sampling is **deterministic**: a fractional accumulator admits
 exactly ``sample_rate`` of requests (every request at 1.0, none at
@@ -16,14 +14,13 @@ exactly ``sample_rate`` of requests (every request at 1.0, none at
 determinism discipline applies to observability too.  Finished
 traces land in a bounded ring buffer surfaced by ``/v1/stats``.
 
-Span records are plain dicts so they pickle across process
-boundaries and serialize to JSON unchanged:
+Span records are plain dicts so they serialize to JSON unchanged:
 
 ``{"name", "trace_id", "span_id", "parent_id", "start", "duration",
 "shard"}``
 
 with ``start`` in Unix seconds, ``duration`` in seconds and
-``shard`` ``None`` outside shard workers.
+``shard`` ``None`` outside shard calls.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ _current: "ContextVar[Optional[TraceContext]]" = ContextVar(
 def make_span(name: str, trace_id: str, span_id: str,
               parent_id: Optional[str], start: float,
               duration: float, shard: Optional[int] = None) -> Span:
-    """One span record; a plain dict so it crosses pickle and JSON."""
+    """One span record; a plain dict so it serializes to JSON."""
     return {
         "name": name,
         "trace_id": trace_id,
@@ -81,16 +78,6 @@ class TraceContext:
     def active_span_id(self) -> Optional[str]:
         return self._stack[-1] if self._stack else None
 
-    def add_span(self, span: Optional[Span]) -> None:
-        """Fold in a finished span (e.g. one returned by a shard)."""
-        if span is not None:
-            with self._lock:
-                self.spans.append(span)
-
-    def wire_context(self) -> Dict[str, object]:
-        """The payload dict a ``FrameChannel`` frame carries."""
-        return {"id": self.trace_id, "parent": self.active_span_id}
-
     @contextlib.contextmanager
     def span(self, name: str,
              shard: Optional[int] = None) -> Iterator[Span]:
@@ -105,7 +92,8 @@ class TraceContext:
         finally:
             record["duration"] = time.perf_counter() - begun
             self._stack.pop()
-            self.add_span(record)
+            with self._lock:
+                self.spans.append(record)
 
     def to_dict(self) -> Dict[str, object]:
         with self._lock:
@@ -151,26 +139,6 @@ def span(name: str, shard: Optional[int] = None) -> Iterator[
         return
     with context.span(name, shard=shard) as record:
         yield record
-
-
-def shard_span(trace: Optional[Dict[str, object]], name: str,
-               shard_id: int, start: float,
-               duration: float) -> Optional[Span]:
-    """Build the span a shard worker returns for a traced op.
-
-    ``trace`` is the ``{"id", "parent"}`` wire context from the op
-    payload (``None`` = untraced request, returns ``None``).  The
-    span id embeds the parent and shard, which is unique because the
-    router opens a fresh parent span per scatter round.
-    """
-    if trace is None:
-        return None
-    parent = trace.get("parent")
-    return make_span(
-        name, str(trace["id"]),
-        f"{parent or 'root'}.{name}.{shard_id}",
-        None if parent is None else str(parent),
-        start, duration, shard=shard_id)
 
 
 class Tracer:

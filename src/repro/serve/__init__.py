@@ -13,8 +13,7 @@ scenarios)" (§2.1), as a long-lived service:
   tombstones, with threshold-triggered compaction rebuilding the
   packed base and refreshing corpus statistics;
 * :class:`~repro.serve.cluster.ClusterIndex` — the same surface
-  partitioned across shard workers (one process per shard) behind a
-  scatter-gather router whose top-k merge is bit-identical to the
+  partitioned across in-process shards behind a scatter-gather router whose top-k merge is bit-identical to the
   single index; with a data dir every shard persists memmapped packed
   columns plus a mutation WAL, so snapshots are fsync-and-manifest
   writes and restarts are warm;
@@ -38,7 +37,7 @@ from repro.serve.client import Client
 from repro.serve.cluster import ClusterIndex
 from repro.serve.config import ServeConfig
 from repro.serve.errors import (ConflictError, InvalidRequest, ServeError,
-                                ShardUnavailable, SnapshotUnavailable)
+                                SnapshotUnavailable)
 from repro.serve.index import IncrementalIndex
 from repro.serve.service import MatchService, match_query_results
 
@@ -51,7 +50,6 @@ __all__ = [
     "MatchService",
     "ServeConfig",
     "ServeError",
-    "ShardUnavailable",
     "SnapshotUnavailable",
     "match_query_results",
 ]

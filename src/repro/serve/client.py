@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.model.entity import ObjectInstance
 from repro.serve.errors import (ConflictError, InvalidRequest, ServeError,
-                                ShardUnavailable, SnapshotUnavailable)
+                                SnapshotUnavailable)
 
 #: envelope code → exception class raised by the client
 _CODE_ERRORS = {
@@ -55,8 +55,6 @@ class Client:
             code, message = envelope["code"], envelope["message"]
         except (ValueError, KeyError, TypeError):
             code, message = "serve_error", raw.decode("utf-8", "replace")
-        if code == "shard_unavailable":
-            raise ShardUnavailable(-1, message)
         error_type = _CODE_ERRORS.get(code)
         if error_type is not None:
             raise error_type(message)

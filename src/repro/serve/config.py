@@ -38,13 +38,11 @@ class ServeConfig:
         ``compact_ratio`` / ``compact_min`` trigger compaction.
 
     Cluster
-        ``shards`` > 0 partitions the reference across that many shard
-        workers behind a scatter-gather router (0 = classic in-heap
-        single index); ``shard_processes`` runs each shard in its own
-        worker process (``False`` keeps them in-process — same
-        partitioned code paths, no parallelism); ``data_dir`` backs
-        every shard with on-disk packed columns + a mutation WAL and
-        enables ``snapshot()`` / restore (implies at least 1 shard).
+        ``shards`` > 0 partitions the reference across that many
+        in-process shards behind a scatter-gather router (0 = classic
+        in-heap single index); ``data_dir`` backs every shard with
+        on-disk packed columns + a mutation WAL and enables
+        ``snapshot()`` / restore (implies at least 1 shard).
 
     HTTP
         ``host`` / ``port`` for ``repro serve``.
@@ -82,9 +80,6 @@ class ServeConfig:
     compact_ratio: float = 0.25
     compact_min: int = 64
     shards: int = 0
-    # repro: allow-cfg002 -- in-process shards exist for tests and
-    # embedding; the CLI always runs worker processes
-    shard_processes: bool = True
     data_dir: Optional[str] = None
     host: str = "127.0.0.1"
     port: int = 8765

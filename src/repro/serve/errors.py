@@ -57,25 +57,6 @@ class ConflictError(ServeError):
     http_status: int = 409
 
 
-class ShardUnavailable(ServeError):
-    """A shard worker died, hung or returned a corrupt response."""
-
-    code: str = "shard_unavailable"
-    http_status: int = 503
-
-    def __init__(self, shard: int, message: str) -> None:
-        super().__init__(f"shard {shard}: {message}")
-        self.shard = shard
-        self.message = message
-
-    def __reduce__(self) -> tuple[type, tuple[int, str]]:
-        # Exception.__reduce__ would replay self.args (the single
-        # formatted string) into the two-argument __init__ and make
-        # unpickling raise TypeError — and this error crosses the
-        # shard FrameChannel inside ("error", exc) frames
-        return (type(self), (self.shard, self.message))
-
-
 class SnapshotUnavailable(ServeError):
     """Snapshotting was requested on a service without a data dir."""
 

@@ -35,7 +35,7 @@ Every failure returns the v1 error envelope
 status and code come from :func:`repro.serve.errors.error_code_for`,
 so the typed exception hierarchy
 (:class:`~repro.serve.errors.InvalidRequest`,
-:class:`~repro.serve.errors.ShardUnavailable`, ...) maps onto the
+:class:`~repro.serve.errors.ConflictError`, ...) maps onto the
 wire the same way everywhere; unknown paths raise
 :class:`~repro.serve.errors.NotFound`, bodies over
 :data:`MAX_BODY_BYTES` :class:`~repro.serve.errors.PayloadTooLarge`.

@@ -39,7 +39,8 @@ the next compaction.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, KeysView, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as _np
 
@@ -78,10 +79,9 @@ def posting_tokens(value: object) -> Tuple[str, ...]:
     service's cache invalidation.
 
     Sorted, not set, order: candidate weights accumulate one float per
-    token, and the partitioned serving tier recomputes the same sums
-    inside shard worker processes whose string hash seeds differ from
-    the router's — set iteration order would make the accumulation
-    order (and thus the last bits of tied sums) process-dependent.
+    token, and set iteration order depends on the process's string
+    hash seed — it would make the accumulation order (and thus the
+    last bits of tied sums) differ from one process to the next.
     """
     if value is None:
         return ()
@@ -399,7 +399,7 @@ class IncrementalIndex:
 
         Each entry is the column's ``(meta, arrays)`` export; the
         partition store writes the arrays as raw files a restoring
-        worker memory-maps straight back in.
+        shard memory-maps straight back in.
         """
         return [column.export() for column in self._columns]
 
@@ -483,10 +483,13 @@ class IncrementalIndex:
             postings.append((token, posting, weight))
         return postings
 
-    def token_frequencies(self) -> Dict[str, int]:
-        """Live document frequency of every indexed token."""
-        return {token: len(posting)
-                for token, posting in self._token_index.items()}
+    def document_frequency(self, token: str) -> int:
+        """Live records whose first-spec value holds ``token``."""
+        return len(self._token_index.get(token, ()))
+
+    def tokens(self) -> KeysView[str]:
+        """Every token with a live posting."""
+        return self._token_index.keys()
 
     def ranked_candidates(self, value: object, max_candidates: int, *,
                           weights=None) -> List[Tuple[int, float]]:

@@ -17,17 +17,20 @@ Each shard owns one directory under the cluster data dir::
       manifest.json        router state: seq counter, shard bases
       specs.pkl            pickled AttributeSpecs + combiner + knobs
       shard-00/
-        wal.log            mutation WAL (serve.wal frame format)
         base-3/            packed base, versioned by write count
           meta.json        counters, record/column metadata
           records.jsonl    base records in slot order, with gseq
           col0.range_bits.bin   raw arrays, memmapped on restore
           ...
+        wal-3.log          mutations on top of base-3 (serve.wal frames)
 
 A base write goes to a temp directory first and is renamed into
 place, so a crash mid-write leaves the previous base intact; the
 manifest is replaced atomically last and is the single source of
 truth for which base + how many WAL frames constitute the snapshot.
+A base and its WAL are pruned only after a manifest that no longer
+names them has landed, so a crash anywhere in a checkpoint leaves the
+previous snapshot restorable.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ def shard_dir(data_dir: str, shard: int) -> str:
     return os.path.join(data_dir, f"shard-{shard:02d}")
 
 
-def wal_path(data_dir: str, shard: int) -> str:
-    return os.path.join(shard_dir(data_dir, shard), "wal.log")
-
-
 def _fsync_dir(path: str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -118,6 +117,10 @@ class PartitionStore:
     def base_path(self, base_id: int) -> str:
         return os.path.join(self.path, f"base-{base_id}")
 
+    def wal_path(self, base_id: int) -> str:
+        """The WAL of the mutations applied on top of base ``base_id``."""
+        return os.path.join(self.path, f"wal-{base_id}.log")
+
     def write_base(self,
                    records: Sequence[Tuple[ObjectInstance, int]],
                    column_states: Sequence[Tuple[dict, Dict[str, object]]],
@@ -129,7 +132,8 @@ class PartitionStore:
         :meth:`~repro.serve.index.IncrementalIndex.export_columns`;
         ``counters`` carries the index/shard counters the restore path
         resumes from (``version``, ``compactions``, ``seq`` floor).
-        The write is atomic: temp directory, fsync, rename.
+        The write is atomic: temp directory, fsync, rename.  Older
+        bases stay until :meth:`prune`.
         """
         versions = self._base_versions()
         base_id = (versions[-1] + 1) if versions else 0
@@ -171,15 +175,34 @@ class PartitionStore:
         final = self.base_path(base_id)
         os.replace(tmp, final)
         _fsync_dir(self.path)
-        for stale in versions:
-            shutil.rmtree(self.base_path(stale), ignore_errors=True)
         return base_id
+
+    def prune(self, keep: int) -> None:
+        """Delete every base and WAL but base ``keep``'s (call only
+        once a manifest naming ``keep`` is durable)."""
+        for version in self._base_versions():
+            if version != keep:
+                shutil.rmtree(self.base_path(version), ignore_errors=True)
+        for entry in sorted(os.listdir(self.path)):
+            if entry.startswith("wal") and entry.endswith(".log") \
+                    and entry != f"wal-{keep}.log":
+                os.remove(os.path.join(self.path, entry))
 
     # -- base loading --------------------------------------------------
 
-    def latest_base(self) -> Optional[int]:
-        versions = self._base_versions()
-        return versions[-1] if versions else None
+    def adopt_wal(self, base_id: int) -> str:
+        """Path of base ``base_id``'s WAL for a restore.
+
+        A shard dir written before WALs were named by their base holds
+        a single ``wal.log`` on top of its one base; it is renamed to
+        that base's WAL.
+        """
+        path = self.wal_path(base_id)
+        legacy = os.path.join(self.path, "wal.log")
+        if not os.path.exists(path) and os.path.exists(legacy):
+            os.replace(legacy, path)  # repro: allow-durability -- the legacy WAL was fsynced as it was written; the directory fsync below makes the rename durable
+            _fsync_dir(self.path)
+        return path
 
     def load_base(self, base_id: int):
         """Load a packed base written by :meth:`write_base`.

@@ -101,7 +101,7 @@ class MatchService:
         self.mapping_name = config.mapping_name
 
         #: serializes index access (scoring and mutation)
-        self._lock = threading.RLock()  # repro: allow-unpicklable -- the service is a process-local front end; shards get records, not the service
+        self._lock = threading.RLock()  # repro: allow-unpicklable -- the service is a process-local front end and is never serialized
         #: guards the cache and the lookup counters (queries/hits/misses)
         self._cache_lock = threading.Lock()  # repro: allow-unpicklable -- process-local, see _lock
         self._cache: "OrderedDict[tuple, Result]" = OrderedDict()
@@ -140,8 +140,7 @@ class MatchService:
                 if config.data_dir is None:
                     raise InvalidRequest(
                         "pass a reference source or an index")
-                return ClusterIndex.restore(
-                    config.data_dir, processes=config.shard_processes)
+                return ClusterIndex.restore(config.data_dir)
             return ClusterIndex.build(
                 reference,
                 specs=resolve_specs(config.attribute, config.similarity,
@@ -149,7 +148,6 @@ class MatchService:
                 combiner=config.combiner, missing=config.missing,
                 compact_ratio=config.compact_ratio,
                 compact_min=config.compact_min, shards=config.shards,
-                processes=config.shard_processes,
                 data_dir=config.data_dir)
         if reference is None:
             raise InvalidRequest("pass a reference source or an index")
@@ -205,9 +203,8 @@ class MatchService:
 
         Both backends answer ``shard_metrics()`` with the same entry
         shape (``shard`` is ``None`` for the single in-heap index).
-        Takes the service lock: cluster backends answer over
-        FrameChannels, which are not thread-safe, so the pull must
-        not overlap a scoring scatter.
+        Takes the service lock: the indexes are not thread-safe, so
+        the pull must not overlap a scoring call.
         """
         registry = self.metrics
         with self._lock:
@@ -262,7 +259,7 @@ class MatchService:
             return checkpoint()
 
     def close(self) -> None:
-        """Release backend resources (cluster shard workers, WALs)."""
+        """Release backend resources (cluster shard WALs)."""
         close = getattr(self.index, "close", None)
         if close is not None:
             close()

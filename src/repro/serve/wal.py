@@ -2,7 +2,7 @@
 
 Each shard of the partitioned serving tier persists its packed base
 columns rarely (initial build and snapshot-after-compaction) and logs
-every mutation in between to an append-only WAL.  A cold worker then
+every mutation in between to an append-only WAL.  A cold shard then
 restarts warm: memory-map the packed base, replay the WAL tail.
 
 This extends the repository's WAL precedent
@@ -55,7 +55,7 @@ class WriteAheadLog:
 
     def _open(self):
         if self._handle is None:
-            self._handle = open(self.path, "ab")  # repro: allow-unpicklable -- a WAL lives inside one shard worker; handles never cross the channel
+            self._handle = open(self.path, "ab")  # repro: allow-unpicklable -- a WAL belongs to one in-process shard and is never serialized
         return self._handle
 
     def append(self, entry: dict) -> None:
@@ -80,12 +80,22 @@ class WriteAheadLog:
             self._handle.close()
             self._handle = None
 
-    def reset(self) -> None:
-        """Truncate the log to empty (after a fresh base write)."""
+    def reset(self, path: str) -> None:
+        """Continue as an empty log at ``path`` (after a fresh base
+        write); the previous file is left as it is."""
         self.close()
-        with open(self.path, "wb") as handle:
+        with open(path, "wb") as handle:
             handle.flush()
             os.fsync(handle.fileno())
+        # a new file's directory entry is durable only once its
+        # directory is fsynced
+        directory = os.open(os.path.dirname(os.path.abspath(path)),
+                            os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self.path = path
         self.appended = 0
 
     # -- reading -------------------------------------------------------

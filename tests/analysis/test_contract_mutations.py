@@ -1,8 +1,8 @@
 """Acceptance: breaking a real cross-module contract breaks the lint.
 
 Each test copies the *live* source files into a scratch project,
-applies one realistic regression (dropping a handler branch, a docs
-row, a protocol method), and asserts the matching family flags it —
+applies one realistic regression (dropping a docs row or a protocol
+method), and asserts the matching family flags it —
 and that the unmutated copy stays clean, so the signal is the
 mutation, not the harness.
 """
@@ -46,18 +46,6 @@ def test_copied_live_files_lint_clean(tmp_path):
     report = _lint(tmp_path)
     assert report.findings == [], \
         "\n".join(f.render() for f in report.findings)
-
-
-def test_deleting_a_handle_branch_trips_rpc001(tmp_path):
-    _copy(tmp_path, "src/repro/serve/cluster.py")
-    # Retire the "stats" dispatch: its senders remain, so the op is
-    # now sent-but-unhandled (and the renamed branch is dead).
-    _mutate(tmp_path, "src/repro/serve/cluster.py",
-            'if op == "stats":', 'if op == "stats_retired":')
-    report = _lint(tmp_path)
-    rpc = [f for f in report.findings if f.code == "RPC001"]
-    assert any("'stats'" in f.message for f in rpc), \
-        [f.render() for f in report.findings]
 
 
 def test_deleting_a_docs_row_trips_cfg003(tmp_path):

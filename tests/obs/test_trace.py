@@ -1,4 +1,4 @@
-"""Tracing: deterministic sampling, span nesting, wire contexts."""
+"""Tracing: deterministic sampling, span nesting, the ring buffer."""
 
 import json
 import pickle
@@ -79,25 +79,6 @@ class TestSpans:
         span = context.spans[0]
         assert pickle.loads(pickle.dumps(span)) == span
         assert json.loads(json.dumps(span)) == span
-
-    def test_wire_context_carries_active_parent(self):
-        context = TraceContext("t4")
-        assert context.wire_context() == {"id": "t4", "parent": None}
-        with context.span("round"):
-            wire = context.wire_context()
-            assert wire["id"] == "t4"
-            assert wire["parent"] == context.active_span_id
-
-    def test_shard_span_builds_from_wire_context(self):
-        wire = {"id": "t5", "parent": "s2"}
-        span = obs_trace.shard_span(wire, "shard.match", 1, 100.0, 0.25)
-        assert span["trace_id"] == "t5"
-        assert span["parent_id"] == "s2"
-        assert span["span_id"] == "s2.shard.match.1"
-        assert span["shard"] == 1
-        assert span["duration"] == 0.25
-        assert obs_trace.shard_span(None, "shard.match", 1, 0.0, 0.0) \
-            is None
 
     def test_to_dict_duration_is_root_span_duration(self):
         context = TraceContext("t6")

@@ -128,11 +128,11 @@ def _merged_ranking(cluster, value, k):
     rankings under the global weights, merged by (weight desc, gseq)."""
     if value is None:
         return []
-    responses = cluster._scatter("candidates", {
-        "records": [ObjectInstance("q", {"title": value})],
-        "max_candidates": k, "weights": [cluster._weight_map(value)]})
-    merged = sorted((-weight, gseq, id) for response in responses
-                    for id, gseq, weight in response["candidates"][0])
+    records = [ObjectInstance("q", {"title": value})]
+    weights = [cluster._weight_map(value)]
+    merged = sorted((-weight, gseq, id) for shard in cluster._shards
+                    for id, gseq, weight
+                    in shard.candidates(records, k, weights)[0])
     return [(id, -weight) for weight, _, id in merged[:k]]
 
 
@@ -147,8 +147,7 @@ def test_cluster_ranks_and_answers_like_the_single_index(scenario, shards):
     titles, operations, queries, k = scenario
     single = IncrementalIndex(_reference(titles), specs=SPECS, compact_min=4)
     cluster = ClusterIndex.build(_reference(titles), specs=SPECS,
-                                 shards=shards, processes=False,
-                                 compact_min=4)
+                                 shards=shards, compact_min=4)
     records = [ObjectInstance(f"q{i}", {"title": value})
                for i, value in enumerate(queries)]
     counter = itertools.count()
@@ -163,7 +162,7 @@ def test_cluster_ranks_and_answers_like_the_single_index(scenario, shards):
                 for shard in cluster._shards:
                     if weights is not None:
                         _assert_ranks_like_the_reference(
-                            shard.backend.index, value, k, weights)
+                            shard.index, value, k, weights)
                 expected = [(single._slot_ids[slot], weight)
                             for slot, weight in
                             single.ranked_candidates(value, k)]
@@ -211,8 +210,7 @@ def test_pruning_keyword_selects_nothing():
 
 
 def test_cluster_aggregates_candidate_counters():
-    cluster = ClusterIndex.build(_hub_reference(60), specs=SPECS, shards=3,
-                                 processes=False)
+    cluster = ClusterIndex.build(_hub_reference(60), specs=SPECS, shards=3)
     try:
         cluster.match_records(_hub_queries(), threshold=0.2,
                               max_candidates=10)
@@ -231,8 +229,7 @@ def test_data_dir_with_a_persisted_pruning_mode_restores(tmp_path):
     answer bit for bit as before."""
     data_dir = str(tmp_path)
     cluster = ClusterIndex.build(_hub_reference(40), specs=SPECS, shards=2,
-                                 processes=False, data_dir=data_dir,
-                                 compact_min=4)
+                                 data_dir=data_dir, compact_min=4)
     try:
         cluster.add(ObjectInstance("n0", {"title": f"{HUB} schema join"}))
         cluster.update(ObjectInstance("p3", {"title": "adaptive graph"}))
@@ -246,7 +243,7 @@ def test_data_dir_with_a_persisted_pruning_mode_restores(tmp_path):
     payload = partition_layout.read_specs(data_dir)
     assert "pruning" not in payload
     partition_layout.write_specs(data_dir, dict(payload, pruning="always"))
-    restored = ClusterIndex.restore(data_dir, processes=False)
+    restored = ClusterIndex.restore(data_dir)
     try:
         assert [_answer_bits(restored.match_records(
             _hub_queries(), threshold=0.2, max_candidates=k))

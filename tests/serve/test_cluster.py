@@ -15,8 +15,7 @@ import signal
 import struct
 import subprocess
 import sys
-import textwrap
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from repro.engine.request import AttributeSpec
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.serve import ClusterIndex, IncrementalIndex, SnapshotUnavailable
-from repro.serve.cluster import _fork_available
+from repro.serve import partition as partition_layout
+from repro.serve.index import posting_tokens
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.registry import get_similarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
@@ -60,9 +60,14 @@ def _single(reference, **kwargs):
 
 
 def _cluster(reference, shards, **kwargs):
-    kwargs.setdefault("processes", False)
     return ClusterIndex.build(reference, specs=SPECS, shards=shards,
                               **kwargs)
+
+
+def _bits(answers):
+    """Answers with every score as its float's bytes."""
+    return [[(id, struct.pack("<d", score)) for id, score in answer]
+            for answer in answers]
 
 
 def _add_parent_keys(shard_dir) -> None:
@@ -194,114 +199,133 @@ class TestMutationInterleavings:
             cluster.close()
 
 
-@pytest.mark.skipif(not _fork_available(),
-                    reason="fork start method unavailable")
-class TestProcessShards:
-    def test_worker_processes_match_single_index(self):
-        rng = random.Random(7)
-        single = _single(_reference(), compact_min=8)
-        cluster = ClusterIndex.build(_reference(), specs=SPECS, shards=2,
-                                     processes=True, compact_min=8)
+class TestDocumentFrequencies:
+    def test_weight_maps_follow_the_live_records(self):
+        """The router reads document frequencies off the shards'
+        postings: after mixed add / update / delete / compact steps its
+        weight map for a value is ``1 / df`` over the live records, and
+        answers stay the single index's."""
+        rng = random.Random(77)
+        single = _single(_reference(), compact_min=4)
+        cluster = _cluster(_reference(), 3, compact_min=4)
+        next_id = 0
         try:
-            _assert_matches_equal(single, cluster, _queries(rng))
-            for i in range(12):
-                instance = ObjectInstance(f"w{i}", {"title": _title(rng)})
-                single.add(instance)
-                cluster.add(instance)
-            single.delete("p5")
-            cluster.delete("p5")
-            assert cluster.ids() == single.ids()
-            _assert_matches_equal(single, cluster, _queries(rng))
+            for step in range(120):
+                op = rng.random()
+                live = single.ids()
+                if op < 0.45 or not live:
+                    instance = ObjectInstance(f"n{next_id}",
+                                              {"title": _title(rng)})
+                    next_id += 1
+                    single.add(instance)
+                    cluster.add(instance)
+                elif op < 0.7:
+                    instance = ObjectInstance(rng.choice(live),
+                                              {"title": _title(rng)})
+                    single.update(instance)
+                    cluster.update(instance)
+                else:
+                    id = rng.choice(live)
+                    assert single.delete(id) == cluster.delete(id)
+                if step % 40 == 39:
+                    single.compact()
+                    cluster.compact()
+                if step % 10 == 0:
+                    df = {}
+                    for instance in single.instances():
+                        for token in posting_tokens(instance.get("title")):
+                            df[token] = df.get(token, 0) + 1
+                    for value in WORDS + [_title(rng) + " unseen"]:
+                        expected = {token: 1.0 / df[token]
+                                    for token in posting_tokens(value)
+                                    if token in df}
+                        assert cluster._weight_map(value) == (expected or None)
+                    assert cluster.stats()["tokens"] == len(df)
+                    _assert_matches_equal(single, cluster, _queries(rng, 3))
         finally:
             cluster.close()
 
+
+class TestInProcessShards:
     @pytest.mark.parametrize("mode", ["build", "restore"])
-    def test_tfidf_in_process_shards_answer_like_worker_processes(
-            self, tmp_path, mode):
-        """Each shard prepares its own similarity: in-process shards
-        handed the same spec objects must not score with the last
-        slice's document frequencies."""
-        def build(processes, data_dir):
-            specs = [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
-            cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
-                                         processes=processes,
-                                         data_dir=str(data_dir))
-            if mode == "build":
-                return cluster
+    def test_tfidf_shards_score_with_their_own_slice(self, tmp_path, mode):
+        """Each shard prepares its own similarity: no two shards share
+        one, and every TF/IDF shard answers exactly like a single index
+        built over its own slice of the reference."""
+        def specs():
+            return [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
+
+        cluster = ClusterIndex.build(_reference(), specs=specs(), shards=2,
+                                     data_dir=str(tmp_path))
+        if mode == "restore":
             cluster.close()
-            return ClusterIndex.restore(str(data_dir), processes=processes)
-
+            cluster = ClusterIndex.restore(str(tmp_path))
         queries = _queries(random.Random(17), count=12)
-        answers = []
-        for processes in (False, True):
-            cluster = build(processes, tmp_path / str(processes))
-            try:
-                answers.append([
-                    [(id, struct.pack("<d", score)) for id, score in answer]
-                    for answer in cluster.match_records(queries,
-                                                        threshold=0.1)])
-                if not processes:
-                    similarities = [shard.backend.index.specs[0].similarity
-                                    for shard in cluster._shards]
-            finally:
-                cluster.close()
-        assert answers[0] == answers[1]
-        assert any(answers[0])
-        assert similarities[0] is not similarities[1]
-
-    def test_workers_exit_when_the_router_is_killed(self):
-        """A router that dies without sending ``shutdown`` (SIGKILL)
-        must not leave its workers behind: each sees EOF on its
-        channel once no inherited router-side socket keeps it open."""
-        router = subprocess.Popen(
-            [sys.executable, "-c", textwrap.dedent("""
-                import sys, time
-                from repro.engine.request import AttributeSpec
-                from repro.model.source import (LogicalSource, ObjectType,
-                                                PhysicalSource)
-                from repro.serve import ClusterIndex
-                from repro.sim.ngram import TrigramSimilarity
-
-                source = LogicalSource(PhysicalSource("DBLP"),
-                                       ObjectType("Publication"))
-                for i in range(8):
-                    source.add_record(f"p{i}", title=f"stream schema {i}")
-                cluster = ClusterIndex.build(
-                    source, shards=2, processes=True,
-                    specs=[AttributeSpec("title", "title",
-                                         TrigramSimilarity())])
-                print(*(shard.process.pid for shard in cluster._shards),
-                      flush=True)
-                time.sleep(60)
-            """)],
-            stdout=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        workers = []
+        instances = list(_reference())
         try:
-            workers = [int(pid) for pid in router.stdout.readline().split()]
-            assert len(workers) == 2
-            router.kill()
-            router.wait(timeout=5)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and any(
-                    _alive(pid) for pid in workers):
-                time.sleep(0.05)
-            assert [pid for pid in workers if _alive(pid)] == []
+            similarities = [shard.index.specs[0].similarity
+                            for shard in cluster._shards]
+            assert similarities[0] is not similarities[1]
+            spans = partition_layout.initial_partition(len(instances), 2)
+            for shard, (start, end) in zip(cluster._shards, spans):
+                part = LogicalSource(PhysicalSource("DBLP"),
+                                     ObjectType("Publication"))
+                for instance in instances[start:end]:
+                    part.add(instance)
+                alone = IncrementalIndex(part, specs=specs())
+                expected = alone.match_records(queries, threshold=0.1,
+                                               max_candidates=None)
+                assert _bits(shard.index.match_records(
+                    queries, threshold=0.1, max_candidates=None)) \
+                    == _bits(expected)
+                assert any(expected)
         finally:
-            router.kill()
-            router.stdout.close()
-            for pid in workers:
-                if _alive(pid):
-                    os.kill(pid, signal.SIGKILL)
+            cluster.close()
+
+    def test_served_cluster_is_one_process(self, tmp_path):
+        """``repro serve --shards 2 --data-dir D`` runs its shards in
+        the router's process: once it prints ``serving``, its session
+        holds exactly one live process."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--scale", "tiny", "serve",
+             "--port", "0", "--shards", "2",
+             "--data-dir", str(tmp_path / "data")],
+            stdout=subprocess.PIPE, text=True, start_new_session=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        # a server that never prints its banner is killed, which ends
+        # the read loop below
+        watchdog = threading.Timer(60.0, os.killpg,
+                                   (server.pid, signal.SIGKILL))
+        watchdog.start()
+        try:
+            banner = ""
+            for line in server.stdout:
+                if line.startswith("serving "):
+                    banner = line
+                    break
+            assert "2 in-process shard(s)" in banner
+            assert _session_members(server.pid) == [server.pid]
+        finally:
+            watchdog.cancel()
+            os.killpg(server.pid, signal.SIGKILL)
+            server.wait(timeout=5)
+            server.stdout.close()
 
 
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` is a running (not zombie) process."""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
+def _session_members(session: int) -> list:
+    """Live (not zombie) processes of ``session``, by pid."""
+    members = []
+    for entry in sorted(os.listdir("/proc")):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != "Z" and int(fields[3]) == session:
+            members.append(int(entry))
+    return members
 
 
 class TestSnapshotRestore:
@@ -326,7 +350,7 @@ class TestSnapshotRestore:
         }
         cluster.close()
 
-        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        restored = ClusterIndex.restore(str(tmp_path))
         try:
             assert restored.ids() == before["ids"]
             assert restored.stats() == before["stats"]
@@ -340,7 +364,7 @@ class TestSnapshotRestore:
         cluster.checkpoint()
         cluster.add(ObjectInstance("lost", {"title": "after the image"}))
         cluster.close()
-        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        restored = ClusterIndex.restore(str(tmp_path))
         try:
             assert "lost" not in restored
             assert len(restored) == 12
@@ -362,7 +386,7 @@ class TestSnapshotRestore:
         cluster.checkpoint()
         cluster.close()
 
-        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        restored = ClusterIndex.restore(str(tmp_path))
         try:
             for i in range(20, 32):
                 instance = ObjectInstance(f"r{i}", {"title": _title(rng)})
@@ -375,24 +399,6 @@ class TestSnapshotRestore:
         finally:
             restored.close()
 
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_restore_into_worker_processes(self, tmp_path):
-        rng = random.Random(21)
-        cluster = ClusterIndex.build(_reference(), specs=SPECS, shards=2,
-                                     processes=True,
-                                     data_dir=str(tmp_path))
-        self._mutate(cluster, rng, rounds=10)
-        cluster.checkpoint()
-        queries = _queries(random.Random(22))
-        before = cluster.match_records(queries, threshold=0.2)
-        cluster.close()
-        restored = ClusterIndex.restore(str(tmp_path), processes=True)
-        try:
-            assert restored.match_records(queries, threshold=0.2) == before
-        finally:
-            restored.close()
-
     @pytest.mark.parametrize("layout", ["current", "with-keys"])
     def test_tfidf_base_restores_bitwise(self, tmp_path, layout):
         """A TF/IDF spec snapshots and restores to identical answers —
@@ -402,7 +408,7 @@ class TestSnapshotRestore:
         rebuilds the bit rows from the CSR arrays."""
         specs = [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
         cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
-                                     processes=False, data_dir=str(tmp_path))
+                                     data_dir=str(tmp_path))
         queries = _queries(random.Random(9))
         before = cluster.match_records(queries, threshold=0.1)
         cluster.checkpoint()
@@ -410,15 +416,12 @@ class TestSnapshotRestore:
         if layout == "with-keys":
             for shard in range(2):
                 _add_parent_keys(tmp_path / f"shard-{shard:02d}")
-        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        restored = ClusterIndex.restore(str(tmp_path))
         try:
             after = restored.match_records(queries, threshold=0.1)
         finally:
             restored.close()
-        assert [[(id, struct.pack("<d", score)) for id, score in answer]
-                for answer in after] \
-            == [[(id, struct.pack("<d", score)) for id, score in answer]
-                for answer in before]
+        assert _bits(after) == _bits(before)
         assert any(before)
 
     def test_base_of_unpacked_specs_in_the_older_layout_restores(
@@ -430,7 +433,7 @@ class TestSnapshotRestore:
         rng = random.Random(31)
         single = IncrementalIndex(_reference(), specs=specs)
         cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
-                                     processes=False, data_dir=str(tmp_path))
+                                     data_dir=str(tmp_path))
         self._mutate(single, random.Random(5), rounds=6)
         self._mutate(cluster, random.Random(5), rounds=6)
         cluster.checkpoint()
@@ -443,12 +446,47 @@ class TestSnapshotRestore:
                 == [{"kind": "scalar"}]
             meta["columns"][0]["meta"] = {"kind": "none"}
             (base / "meta.json").write_text(json.dumps(meta))
-        restored = ClusterIndex.restore(str(tmp_path), processes=False)
+        restored = ClusterIndex.restore(str(tmp_path))
         try:
             assert restored.ids() == single.ids()
             _assert_matches_equal(single, restored, _queries(rng, count=8))
         finally:
             restored.close()
+
+    def test_data_dir_with_one_wal_log_restores(self, tmp_path):
+        """Data dirs written before WALs were named by their base hold
+        one ``wal.log`` beside each shard's single base; they restore,
+        answer unchanged and checkpoint on into the current layout."""
+        cluster = _cluster(_reference(), 2, data_dir=str(tmp_path),
+                           compact_min=8)
+        self._mutate(cluster, random.Random(23), rounds=12)
+        manifest = cluster.checkpoint()
+        queries = _queries(random.Random(24))
+        before = _bits(cluster.match_records(queries, threshold=0.2))
+        ids = cluster.ids()
+        cluster.close()
+        for shard, entry in enumerate(manifest["shards"]):
+            shard_dir = tmp_path / f"shard-{shard:02d}"
+            # repro: allow-durability -- stages a closed test data dir in the older layout
+            os.replace(shard_dir / f"wal-{entry['base']}.log",
+                       shard_dir / "wal.log")
+        restored = ClusterIndex.restore(str(tmp_path))
+        try:
+            assert restored.ids() == ids
+            assert _bits(restored.match_records(queries, threshold=0.2)) \
+                == before
+            restored.add(ObjectInstance("late", {"title": "view cube"}))
+            restored.checkpoint()
+            after = _bits(restored.match_records(queries, threshold=0.2))
+        finally:
+            restored.close()
+        again = ClusterIndex.restore(str(tmp_path))
+        try:
+            assert "late" in again
+            assert _bits(again.match_records(queries, threshold=0.2)) \
+                == after
+        finally:
+            again.close()
 
     def test_checkpoint_without_data_dir_raises(self):
         cluster = _cluster(_reference(6), 2)
@@ -461,3 +499,74 @@ class TestSnapshotRestore:
     def test_restore_requires_a_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ClusterIndex.restore(str(tmp_path / "nowhere"))
+
+
+class TestInterruptedCheckpoint:
+    """A checkpoint that fails before its manifest lands must leave the
+    last acknowledged snapshot restorable, bit for bit."""
+
+    QUERIES = _queries(random.Random(41), count=8)
+
+    def _image(self, cluster):
+        ranked = []
+        for shard in cluster._shards:
+            for query in self.QUERIES:
+                weights = cluster._weight_map(query.get("title"))
+                ranked.append([
+                    (slot, struct.pack("<d", weight)) for slot, weight
+                    in shard.index.ranked_candidates(
+                        query.get("title"), 10, weights=weights)])
+        return {"ids": cluster.ids(),
+                "answers": _bits(cluster.match_records(self.QUERIES,
+                                                       threshold=0.2)),
+                "ranked": ranked}
+
+    @pytest.mark.parametrize("fault", ["manifest", "shard-0", "shard-1"])
+    def test_restore_yields_the_last_acknowledged_snapshot(
+            self, tmp_path, monkeypatch, fault):
+        rng = random.Random(5)
+        cluster = _cluster(_reference(), 2, data_dir=str(tmp_path),
+                           compact_min=4)
+        cluster.checkpoint()
+        acknowledged = self._image(cluster)
+        compactions = [shard.index.compactions for shard in cluster._shards]
+        for i in range(17):
+            cluster.add(ObjectInstance(f"a{i}", {"title": _title(rng)}))
+        for id in rng.sample(cluster.ids(), 10):
+            cluster.delete(id)
+        # every shard compacted, so every checkpoint writes a new base
+        assert all(shard.index.compactions > before for shard, before
+                   in zip(cluster._shards, compactions))
+
+        def crash(*args, **kwargs):
+            raise OSError("injected crash")
+
+        if fault == "manifest":
+            monkeypatch.setattr(partition_layout, "write_manifest", crash)
+        else:
+            shard = cluster._shards[int(fault[-1])]
+
+            def checkpoint_then_crash():
+                shard_checkpoint()
+                crash()
+
+            shard_checkpoint = shard.checkpoint
+            monkeypatch.setattr(shard, "checkpoint", checkpoint_then_crash)
+        with pytest.raises(OSError, match="injected crash"):
+            cluster.checkpoint()
+        cluster.close()
+        monkeypatch.undo()
+
+        restored = ClusterIndex.restore(str(tmp_path))
+        try:
+            assert self._image(restored) == acknowledged
+            restored.checkpoint()
+        finally:
+            restored.close()
+        # the next manifest prunes every base and WAL it does not name
+        for shard in range(2):
+            names = sorted(path.name for path
+                           in (tmp_path / f"shard-{shard:02d}").iterdir())
+            assert len(names) == 2
+            base = [name for name in names if name.startswith("base-")][0]
+            assert names == [base, f"wal-{base[5:]}.log"]

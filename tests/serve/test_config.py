@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.request import AttributeSpec
 from repro.serve import (ConflictError, InvalidRequest, ServeConfig,
-                         ServeError, ShardUnavailable, SnapshotUnavailable)
+                         ServeError, SnapshotUnavailable)
 from repro.serve.errors import error_code_for
 from repro.sim.ngram import TrigramSimilarity
 
@@ -76,6 +76,12 @@ class TestMerged:
                            match=r"unknown config fields: \['pruning'\]"):
             ServeConfig().merged(pruning="auto")
 
+    def test_merged_rejects_the_removed_shard_processes_field(self):
+        with pytest.raises(
+                InvalidRequest,
+                match=r"unknown config fields: \['shard_processes'\]"):
+            ServeConfig().merged(shard_processes=False)
+
     def test_merged_returns_self_when_empty(self):
         config = ServeConfig()
         assert config.merged(threshold=None) is config
@@ -85,13 +91,7 @@ class TestErrorVocabulary:
     def test_hierarchy(self):
         assert issubclass(InvalidRequest, (ServeError, ValueError))
         assert issubclass(ConflictError, ServeError)
-        assert issubclass(ShardUnavailable, ServeError)
         assert issubclass(SnapshotUnavailable, ServeError)
-
-    def test_shard_unavailable_names_the_shard(self):
-        error = ShardUnavailable(2, "pipe closed")
-        assert error.shard == 2
-        assert "shard 2" in str(error)
 
     def test_to_payload_is_the_envelope(self):
         assert InvalidRequest("bad body").to_payload() == {
@@ -100,7 +100,6 @@ class TestErrorVocabulary:
     @pytest.mark.parametrize("error,expected", [
         (InvalidRequest("x"), (400, "invalid_request")),
         (ConflictError("x"), (409, "conflict")),
-        (ShardUnavailable(0, "x"), (503, "shard_unavailable")),
         (SnapshotUnavailable("x"), (409, "snapshot_unavailable")),
         (ValueError("duplicate id"), (409, "conflict")),
         (KeyError("missing"), (409, "conflict")),

@@ -258,7 +258,6 @@ class TestClusteredService:
         for i in range(12):
             source.add_record(f"p{i}", title=f"stream processing paper {i}")
         config = ServeConfig(attribute="title", threshold=0.3, shards=2,
-                             shard_processes=False,
                              data_dir=str(tmp_path))
         service = MatchService(source, config=config)
         server, thread, client = self._serve(service)

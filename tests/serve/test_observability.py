@@ -5,10 +5,10 @@ Three contracts from docs/observability.md are pinned here:
 1. **Bit-identity** — a service with ``metrics=True`` and
    ``trace_sample_rate=1.0`` answers byte-for-byte what the same
    service answers with observability off, for the single in-heap
-   index and for the sharded cluster (threads and processes).
+   index and for the sharded cluster.
 2. **Trace propagation** — a trace begun at the boundary collects
-   spans from the service's kernel call, the cluster rounds and the
-   shard workers on the far side of the FrameChannel.
+   spans from the service's kernel call, the cluster rounds and each
+   shard call within them.
 3. **Exposition** — ``/v1/metrics`` serves parseable Prometheus text
    covering the service, index, cluster and WAL counters, and every
    response carries a correlatable ``X-Request-Id``.
@@ -27,7 +27,6 @@ from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.obs import trace as obs_trace
 from repro.serve import IncrementalIndex, MatchService, ServeConfig
-from repro.serve.cluster import _fork_available
 from repro.serve.http import build_server
 from repro.serve.service import SERVICE_COUNTERS
 
@@ -89,18 +88,13 @@ class TestBitIdentity:
     def test_single_index(self):
         self._assert_equivalent()
 
-    def test_thread_cluster(self):
-        self._assert_equivalent(shards=2, shard_processes=False)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_process_cluster(self):
-        self._assert_equivalent(shards=2, shard_processes=True)
+    def test_in_process_cluster(self):
+        self._assert_equivalent(shards=2)
 
 
 class TestTracePropagation:
-    def test_spans_cross_the_frame_channel(self):
-        service = _service(True, shards=2, shard_processes=False)
+    def test_spans_cover_every_shard_call(self):
+        service = _service(True, shards=2)
         try:
             context = service.tracer.begin("t-cluster")
             assert context is not None
@@ -112,17 +106,20 @@ class TestTracePropagation:
             assert any(name.startswith("cluster.") for name in names)
             shard_spans = [span for span in context.spans
                            if span["name"].startswith("shard.")]
+            rounds = {span["span_id"] for span in context.spans
+                      if span["name"].startswith("cluster.")}
             assert {span["shard"] for span in shard_spans} == {0, 1}
             for span in shard_spans:
                 assert span["trace_id"] == "t-cluster"
                 assert span["parent_id"] is not None
+                assert span["parent_id"] in rounds
                 assert span["duration"] >= 0.0
             assert service.tracer.recent()[-1]["trace_id"] == "t-cluster"
         finally:
             service.close()
 
     def test_untraced_requests_produce_no_spans(self):
-        service = _service(True, shards=2, shard_processes=False)
+        service = _service(True, shards=2)
         try:
             service.config.trace_sample_rate = 0.0
             service.match_record(_queries(count=1)[0])
@@ -133,7 +130,7 @@ class TestTracePropagation:
 
 class TestMetricsContent:
     def test_cluster_rounds_and_wal_are_exposed(self, tmp_path):
-        service = _service(True, shards=2, shard_processes=False,
+        service = _service(True, shards=2,
                            data_dir=str(tmp_path))
         try:
             _transcript(service)
@@ -165,7 +162,7 @@ class TestMetricsContent:
             service.close()
 
     @pytest.mark.parametrize("topology", [
-        {}, {"shards": 2, "shard_processes": False}],
+        {}, {"shards": 2}],
         ids=["single-index", "two-shard-cluster"])
     def test_every_stats_counter_equals_its_metrics_sample(self, topology):
         """One counter, one definition: what /v1/stats reports is what

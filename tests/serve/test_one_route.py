@@ -120,14 +120,13 @@ def _build(topology, kind, missing):
         return IncrementalIndex(_reference(), specs=specs, combiner=combiner,
                                 missing=missing, compact_min=1000)
     return ClusterIndex.build(_reference(), specs=specs, combiner=combiner,
-                              missing=missing, compact_min=1000, shards=2,
-                              processes=False)
+                              missing=missing, compact_min=1000, shards=2)
 
 
 def _indexes(target):
     if isinstance(target, IncrementalIndex):
         return [target]
-    return [shard.backend.index for shard in target._shards]
+    return [shard.index for shard in target._shards]
 
 
 @pytest.mark.parametrize("topology", ["index", "cluster"])

@@ -43,11 +43,23 @@ class TestRoundTrip:
         for entry in ENTRIES:
             wal.append(entry)
         wal.sync()
-        wal.reset()
+        wal.reset(wal.path)
         assert wal.entry_count() == 0
         wal.append(ENTRIES[0])
         wal.sync()
         assert wal.replay() == [ENTRIES[0]]
+
+    def test_reset_to_a_new_path_leaves_the_old_log(self, tmp_path):
+        wal = _wal(tmp_path)
+        for entry in ENTRIES:
+            wal.append(entry)
+        wal.sync()
+        old = wal.path
+        wal.reset(str(tmp_path / "next.log"))
+        wal.append(ENTRIES[0])
+        wal.sync()
+        assert wal.replay() == [ENTRIES[0]]
+        assert WriteAheadLog(old).replay() == ENTRIES
 
 
 class TestTornTail:
