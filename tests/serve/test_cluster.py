@@ -23,6 +23,7 @@ import pytest
 from repro.engine.request import AttributeSpec
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.obs import MetricsRegistry
 from repro.serve import ClusterIndex, IncrementalIndex, SnapshotUnavailable
 from repro.serve import partition as partition_layout
 from repro.serve.index import posting_tokens
@@ -279,6 +280,64 @@ class TestInProcessShards:
                     queries, threshold=0.1, max_candidates=None)) \
                     == _bits(expected)
                 assert any(expected)
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("mode", ["build", "restore"])
+    def test_processes_keyword_must_be_a_bool(self, tmp_path, mode):
+        cluster = _cluster(_reference(8), 2, data_dir=str(tmp_path))
+        cluster.checkpoint()
+        cluster.close()
+        with pytest.raises(ValueError, match="processes must be a bool"):
+            if mode == "build":
+                _cluster(_reference(8), 2, processes="yes")
+            else:
+                ClusterIndex.restore(str(tmp_path), processes=1)
+
+    def test_processes_keyword_selects_nothing(self, tmp_path):
+        """``processes=True`` and ``processes=False`` build and restore
+        the same in-process cluster, answering bit for bit alike."""
+        queries = _queries(random.Random(19))
+        answers = []
+        for processes in (True, False):
+            data_dir = str(tmp_path / f"data-{processes}")
+            cluster = _cluster(_reference(), 2, processes=processes,
+                               data_dir=data_dir)
+            try:
+                answers.append(_bits(cluster.match_records(
+                    queries, threshold=0.2)))
+                cluster.checkpoint()
+            finally:
+                cluster.close()
+            restored = ClusterIndex.restore(data_dir, processes=processes)
+            try:
+                answers.append(_bits(restored.match_records(
+                    queries, threshold=0.2)))
+            finally:
+                restored.close()
+        assert any(answers[0])
+        assert answers[1:] == answers[:1] * 3
+
+    def test_round_histogram_observes_each_shard_call(self):
+        """One ``repro_cluster_round_seconds`` observation per shard
+        call: every shard in the candidates round, only the shards
+        holding a surviving pair in the score round."""
+        registry = MetricsRegistry()
+        cluster = _cluster(_reference(), 2)
+        cluster.set_metrics(registry)
+        try:
+            query = ObjectInstance("q", {"title": "stream schema 3"})
+            cluster.match_records([query], threshold=0.2, max_candidates=1)
+
+            def count(round_name, shard):
+                return registry.histogram(
+                    "repro_cluster_round_seconds",
+                    labels={"round": round_name, "shard": shard}).count
+
+            assert [count("candidates", shard) for shard in (0, 1)] \
+                == [1, 1]
+            assert sorted(count("score", shard) for shard in (0, 1)) \
+                == [0, 1]
         finally:
             cluster.close()
 

@@ -234,6 +234,17 @@ class TestErrorEnvelope:
         assert excinfo.value.http_status == 404
 
 
+    def test_client_surfaces_a_503_as_a_plain_serve_error(self, client):
+        # a shard_unavailable envelope has no error type of its own
+        envelope = json.dumps({"error": {"code": "shard_unavailable",
+                                         "message": "shard 1: gone"}}).encode()
+        with pytest.raises(ServeError) as excinfo:
+            client._raise_envelope(503, envelope)
+        assert type(excinfo.value) is ServeError
+        assert excinfo.value.http_status == 503
+        assert excinfo.value.code == "shard_unavailable"
+        assert str(excinfo.value) == "shard 1: gone"
+
 class TestClusteredService:
     """The full stack over a partitioned backend: HTTP -> service ->
     cluster router -> shards, including /v1/snapshot and a warm
