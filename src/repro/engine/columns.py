@@ -37,8 +37,8 @@ Three columns exist, chosen by :func:`build_column`:
 
 * :class:`NGramColumn` — q-gram sets as bit rows of a packed
   ``uint64`` matrix, scattered from the values' gram arrays in one
-  ``bitwise_or.at``; a chunk scores with a gather, a bitwise AND and
-  ``np.bitwise_count``;
+  ``bitwise_or.at``; a chunk scores with a gather, a bitwise AND,
+  ``np.bitwise_count`` and an exact float32 row sum;
 * :class:`TfIdfColumn` — prepared TF/IDF vectors as CSR arrays, chunks
   scored as sparse dot products (ragged gather, partner weights by
   direct address into bit rows, ``bincount`` segment sums);
@@ -90,6 +90,16 @@ ColumnState = Tuple[Dict[str, Any], Dict[str, Any]]
 #: refuse to pack one side of a column into more than this many bytes;
 #: :func:`build_column` then falls back to the scalar column
 MAX_INDEX_BYTES = 512 * 1024 * 1024
+
+#: refuse to pack a q-gram side whose rows could hold this many grams:
+#: :meth:`NGramColumn.kernel_rows` sums a row's counts in float32,
+#: exact for every integer below 2**24; :func:`build_column` then falls
+#: back to the scalar column
+MAX_GRAMS = 1 << 24
+#: pairs a :meth:`_Column.tabulate` block scores in one ``kernel_rows``
+#: call: a slice of the default engine, so filling a table holds no
+#: more gathered rows at once than scoring a slice does
+TABLE_BLOCK_ROWS = 2048
 
 #: bytes per packed TF/IDF entry: insertion-order indices (8) + data
 #: (8) plus the ``(row, token)``-ordered data (8); per ``(row, word)``
@@ -285,12 +295,15 @@ class _Column:
         """
         (codes_a, rows_a, _), (codes_b, rows_b, _) = self.codes
         height, width = len(rows_a) + 1, len(rows_b) + 1
-        grid = _np.zeros((height, width))
-        grid[:-1, :-1] = self.kernel_rows(
-            _np.repeat(rows_a, width - 1), _np.tile(rows_b, height - 1)
-        ).reshape(height - 1, width - 1)
-        self.table = (codes_a % height * width, codes_b % width,
-                      grid.ravel())
+        grid = _np.zeros(height * width)
+        cells = (height - 1) * (width - 1)
+        # in blocks of TABLE_BLOCK_ROWS pairs: one call over the whole
+        # grid gathers every cell's packed rows at once
+        for start in range(0, cells, TABLE_BLOCK_ROWS):
+            a, b = _np.divmod(_np.arange(
+                start, min(start + TABLE_BLOCK_ROWS, cells)), width - 1)
+            grid[a * width + b] = self.kernel_rows(rows_a[a], rows_b[b])
+        self.table = (codes_a % height * width, codes_b % width, grid)
 
     def release(self) -> None:
         """Keep the packed arrays only: this kernel is done binding.
@@ -368,6 +381,8 @@ class NGramColumn(_Column):
         width = self._width
         if len(values) * width * 8 > MAX_INDEX_BYTES:
             raise MemoryError("packed gram index exceeds budget")
+        if len(self._vocabulary) >= MAX_GRAMS:
+            raise MemoryError("gram counts would not sum exactly")
         if features is None:
             features = gram_arrays(values, self.sim.q, self.sim.pad)
         bits = _np.zeros((len(values), width), dtype=_np.uint64)
@@ -388,23 +403,27 @@ class NGramColumn(_Column):
         """Score aligned row-index arrays; returns a float64 array.
 
         Evaluates the scalar ``_score`` expressions elementwise:
-        overlap 0 (including missing values) scores 0.0 exactly.
+        overlap 0 (including missing values) divides to +0.0 exactly,
+        every denominator being at least 1.  The overlap is a float32
+        row sum (``einsum``: numpy's integer ``sum(axis=1)`` costs 2.5x
+        at 2048 rows), exact because every partial sum is an integer
+        below :data:`MAX_GRAMS`; against the int64 sizes each
+        expression is then evaluated in float64, as before.
         """
         domain_bits, domain_sizes = self.domain
         range_bits, range_sizes = self.range
-        overlap = _np.bitwise_count(
-            domain_bits[domain_rows] & range_bits[range_rows]
-        ).sum(axis=1, dtype=_np.int64)
+        both = domain_bits.take(domain_rows, axis=0)
+        both &= range_bits.take(range_rows, axis=0)
+        overlap = _np.einsum(
+            "ij->i", _np.bitwise_count(both).astype(_np.float32))
         size_a = domain_sizes[domain_rows]
         size_b = range_sizes[range_rows]
         if self.method == "dice":
-            scores = 2.0 * overlap / _np.maximum(size_a + size_b, 1)
-        elif self.method == "jaccard":
-            scores = overlap / _np.maximum(size_a + size_b - overlap, 1)
-        else:  # overlap coefficient
-            scores = overlap / _np.maximum(_np.minimum(size_a, size_b), 1)
-        scores[overlap == 0] = 0.0
-        return scores
+            return 2.0 * overlap / _np.maximum(size_a + size_b, 1)
+        if self.method == "jaccard":
+            return overlap / _np.maximum(size_a + size_b - overlap, 1)
+        # overlap coefficient
+        return overlap / _np.maximum(_np.minimum(size_a, size_b), 1)
 
     def score_bound_rows(self, domain_rows: Any, range_rows: Any) -> Any:
         """Per-pair score upper bounds from gram counts alone.
@@ -795,10 +814,14 @@ def survivors(kernel: Any, rows_a: Any, rows_b: Any, threshold: float,
     zero scores.  Returns the surviving ``(rows_a, rows_b, scores)``.
     """
     scores = kernel.score_rows(rows_a, rows_b)
-    mask = (scores >= threshold) & (scores > 0.0)
-    if missing_zero and threshold <= 0.0 and len(rows_a):
-        mask |= kernel.missing_rows(rows_a, rows_b)
-    return rows_a[mask], rows_b[mask], scores[mask]
+    if threshold > 0.0:  # which implies ``score > 0``
+        keep = _np.flatnonzero(scores >= threshold)
+    else:  # ``score > 0`` implies ``score >= threshold``
+        mask = scores > 0.0
+        if missing_zero and len(rows_a):
+            mask |= kernel.missing_rows(rows_a, rows_b)
+        keep = _np.flatnonzero(mask)
+    return rows_a.take(keep), rows_b.take(keep), scores.take(keep)
 
 
 # ----------------------------------------------------------------------

@@ -65,12 +65,13 @@ class EngineConfig:
     one kernel call, and one pool task when the parent cuts (a block
     slice then holds more, up to
     :data:`~repro.engine.shards.POOL_SLICE_ROWS` rows).  Every
-    request runs on a kernel, whose call costs a fixed ~25 µs of array
+    request runs on a kernel, whose call costs a fixed ~8 µs of array
     set-up plus the gathered rows: measured on a 900-title trigram
-    column, 0.55 µs a pair at 64 rows, 0.12 µs at the default and 0.2 –
-    0.9 µs from 16k rows up, where the gathered bit rows (rows × packed
-    width) outgrow the cache.  The table-workflow pass takes 0.32 /
-    0.31 / 0.33 / 0.39 s at 256 / 2048 / 16k / 128k.  Everything else
+    column (19 packed words a row; 2-core Xeon, numpy 2.4.6), 0.17 µs a
+    pair at 64 rows, 0.045 µs at the default, 0.06 µs at 16k and
+    0.12 µs at 128k rows, where the gathered bit rows (rows × packed
+    width) outgrow the cache.  The table-workflow pass takes 0.31 /
+    0.20 / 0.25 / 0.36 s at 256 / 2048 / 16k / 128k.  Everything else
     about a run's plan — shard count, skew rebalancing, how many
     chunks queue ahead of the merge cursor — the engine derives from
     ``workers`` and the shard cost estimates

@@ -224,80 +224,73 @@ class MultiSpecKernel:
         if cls is WeightedFunction:
             weights = combiner.weights
             weight_total = sum(weights)
+        # every array below holds the alive rows only, compacted by one
+        # ``keep`` index whenever a step drops some
         alive = _np.arange(count, dtype=_np.int64)
-        full_scores = [None] * n
-        full_present = [None] * n
+        rows_a, rows_b = domain_rows, range_rows
+        scores = [None] * n
+        present = [None] * n
         acc_sum = _np.zeros(count, dtype=_np.float64)
         acc_den = _np.zeros(count, dtype=_np.float64)
         acc_count = _np.zeros(count, dtype=_np.int64)
         acc_min = _np.full(count, _np.inf, dtype=_np.float64)
         acc_max = _np.full(count, -_np.inf, dtype=_np.float64)
         for k, j in enumerate(order):
+            if not len(alive):
+                break
             column = columns[j]
-            col_scores = _np.zeros(count, dtype=_np.float64)
-            col_present = _np.zeros(count, dtype=_np.bool_)
-            if len(alive):
-                rows_a = domain_rows[alive]
-                rows_b = range_rows[alive]
-                col_scores[alive] = column.score_rows(rows_a, rows_b)
-                col_present[alive] = ~column.missing_rows(rows_a, rows_b)
-            full_scores[j] = col_scores
-            full_present[j] = col_present
-            if not len(alive) or k == n - 1:
-                continue
-            s = col_scores[alive]
-            p = col_present[alive]
+            s = scores[j] = column.score_rows(rows_a, rows_b)
+            p = present[j] = ~column.missing_rows(rows_a, rows_b)
+            if k == n - 1:
+                break
             if cls is AvgFunction:
-                acc_sum[alive] += _np.where(p, s, 0.0)
-                acc_count[alive] += p
+                acc_sum += _np.where(p, s, 0.0)
+                acc_count += p
                 if combiner.missing_as_zero:
-                    bound = (acc_sum[alive] + after[k][alive]) / n
+                    bound = (acc_sum + after[k]) / n
                 else:
                     r = n - 1 - k
-                    bound = ((acc_sum[alive] + r)
-                             / (acc_count[alive] + r))
+                    bound = (acc_sum + r) / (acc_count + r)
             elif cls is MinFunction:
-                acc_min[alive] = _np.minimum(
-                    acc_min[alive], _np.where(p, s, _np.inf))
-                acc_count[alive] += p
+                acc_min = _np.minimum(acc_min, _np.where(p, s, _np.inf))
+                acc_count += p
                 if combiner.missing_as_zero:
-                    bound = _np.where(
-                        acc_count[alive] == k + 1,
-                        _np.minimum(acc_min[alive], after[k][alive]),
-                        0.0)
+                    bound = _np.where(acc_count == k + 1,
+                                      _np.minimum(acc_min, after[k]), 0.0)
                 else:
-                    bound = _np.where(acc_count[alive] > 0,
-                                      acc_min[alive], after[k][alive])
+                    bound = _np.where(acc_count > 0, acc_min, after[k])
             elif cls is MaxFunction:
-                acc_max[alive] = _np.maximum(
-                    acc_max[alive], _np.where(p, s, -_np.inf))
-                bound = _np.maximum(
-                    _np.maximum(acc_max[alive], after[k][alive]), 0.0)
+                acc_max = _np.maximum(acc_max, _np.where(p, s, -_np.inf))
+                bound = _np.maximum(_np.maximum(acc_max, after[k]), 0.0)
             else:  # WeightedFunction with matching weights
-                acc_sum[alive] += _np.where(p, weights[j] * s, 0.0)
+                acc_sum += _np.where(p, weights[j] * s, 0.0)
                 if combiner.missing_as_zero:
-                    bound = (acc_sum[alive] + after[k][alive]) \
-                        / weight_total
+                    bound = (acc_sum + after[k]) / weight_total
                 else:
-                    acc_den[alive] += _np.where(p, weights[j], 0.0)
+                    acc_den += _np.where(p, weights[j], 0.0)
                     wr = sum(weights[i] for i in order[k + 1:])
-                    den = acc_den[alive] + wr
+                    den = acc_den + wr
                     positive = den > 0.0
                     bound = _np.where(
                         positive,
-                        (acc_sum[alive] + wr)
-                        / _np.where(positive, den, 1.0),
+                        (acc_sum + wr) / _np.where(positive, den, 1.0),
                         0.0)
             keep = bound >= cutoff
-            if not keep.all():
-                alive = alive[keep]
+            if keep.all():
+                continue
+            keep = _np.flatnonzero(keep)
+            alive, rows_a, rows_b = alive[keep], rows_a[keep], rows_b[keep]
+            acc_sum, acc_den, acc_count, acc_min, acc_max = (
+                acc[keep] for acc in
+                (acc_sum, acc_den, acc_count, acc_min, acc_max))
+            for i in order[:k + 1]:
+                scores[i], present[i] = scores[i][keep], present[i][keep]
+            after[k + 1:] = [None if caps is None else caps[keep]
+                             for caps in after[k + 1:]]
         self.prefiltered += count - len(alive)
         out = _np.zeros(count, dtype=_np.float64)
         if len(alive):
-            out[alive] = combine_columns(
-                combiner,
-                [scores[alive] for scores in full_scores],
-                [mask[alive] for mask in full_present])[0]
+            out[alive] = combine_columns(combiner, scores, present)[0]
         return out
 
 

@@ -2,13 +2,19 @@
 
 :func:`repro.sim.ngram.gram_arrays` is the only way a q-gram column is
 packed — engine requests, the serve index's reference side and every
-page it binds.  Three statements hold it to the old loops:
+page it binds.  Four statements hold it to the old loops:
 
 * the arrays *are* ``set(qgrams(...))`` row by row (a hypothesis
   property and a table of awkward values);
 * a column packed from them has the oracle's sizes and pairwise
   overlaps and scores bitwise equal — for every ``(q, pad)`` that
   ``column_config`` admits and every method;
+* over generated unigram vocabularies of 63 / 64 / 65 / 128 / 129
+  grams — bit 63, word boundaries, a last partial word — with
+  query-only grams, ``""`` and ``None``, the scores are the scalar
+  ones as int64 views (the float32 overlap sum is exact), and a
+  vocabulary past :data:`~repro.engine.columns.MAX_GRAMS` packs no
+  column at all;
 * the packed bytes depend on the values only: equal under two string
   hash seeds, and a snapshot in the old (hash-order) vocabulary still
   restores and scores the same.
@@ -24,7 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_pack import ReferenceNGramColumn
-from repro.engine.columns import NGramColumn, build_column, import_column
+from repro.engine import columns
+from repro.engine.columns import (
+    NGramColumn,
+    ScalarColumn,
+    build_column,
+    import_column,
+)
 from repro.sim.ngram import NGramSimilarity, gram_arrays
 from repro.sim.tokenize import clear_memo, qgrams
 
@@ -44,6 +56,17 @@ QUERIES = [
     "数据库", None, "", "zzzz", "b", "ba", "Potter's wheel", "ø", "# #",
     "q" * 40, "abc",
 ]
+
+
+def _scalar_bits(sim, queries, reference, rows_a, rows_b):
+    return np.array([sim.similarity(queries[a], reference[b])
+                     for a, b in zip(rows_a.tolist(), rows_b.tolist())],
+                    dtype=np.float64).view(np.int64)
+
+
+def _every_pair(queries, reference):
+    return (grid.ravel() for grid in np.meshgrid(
+        np.arange(len(queries)), np.arange(len(reference)), indexing="ij"))
 
 
 def _row_sets(arrays, count):
@@ -85,9 +108,7 @@ class TestGramArrays:
         for side in ("domain", "range"):
             assert np.array_equal(getattr(kernel, side)[1],
                                   getattr(oracle, side)[1])
-        rows_a, rows_b = (grid.ravel() for grid in np.meshgrid(
-            np.arange(len(QUERIES)), np.arange(len(REFERENCE)),
-            indexing="ij"))
+        rows_a, rows_b = _every_pair(QUERIES, REFERENCE)
 
         def overlaps(bound):
             return np.bitwise_count(
@@ -98,10 +119,9 @@ class TestGramArrays:
         assert scores.tobytes() == oracle.score_rows(rows_a, rows_b).tobytes()
         assert np.array_equal(kernel.score_bound_rows(rows_a, rows_b),
                               oracle.score_bound_rows(rows_a, rows_b))
-        # ... which are the scalar scores, pair by pair
-        assert scores.tolist() == [
-            sim.similarity(QUERIES[a], REFERENCE[b])
-            for a, b in zip(rows_a.tolist(), rows_b.tolist())]
+        # ... which are the scalar scores, pair by pair, sign bits too
+        assert np.array_equal(scores.view(np.int64), _scalar_bits(
+            sim, QUERIES, REFERENCE, rows_a, rows_b))
 
     def test_kept_features_pack_like_fresh_ones(self, q, pad):
         sim = NGramSimilarity(q, pad=pad)
@@ -114,6 +134,76 @@ class TestGramArrays:
             for mine, theirs in zip(getattr(kept, side),
                                     getattr(fresh, side)):
                 assert mine.tobytes() == theirs.tobytes()
+
+
+#: reference vocabulary sizes: one short of a packed word, a word, one
+#: past it, two words, one past two
+VOCABULARIES = [63, 64, 65, 128, 129]
+#: unigrams no value normalizes away; the last three are query-only
+LETTERS = [chr(0x4E00 + index) for index in range(max(VOCABULARIES) + 3)]
+
+
+@st.composite
+def unigram_corpora(draw):
+    """``(vocabulary size, reference values, query values)`` over
+    unigrams: every vocabulary letter is dealt to some reference row,
+    so the packed vocabulary is exactly the drawn size.  Queries copy,
+    permute and draw rows, some with letters no reference row holds,
+    beside ``""`` and ``None`` on both sides."""
+    size = draw(st.sampled_from(VOCABULARIES))
+    letters = draw(st.permutations(LETTERS[:size]))
+    rows = draw(st.integers(min_value=1, max_value=9))
+    reference = [letters[start::rows] + draw(st.lists(
+        st.sampled_from(letters), max_size=4)) for start in range(rows)]
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["copy", "permuted", "drawn"]))
+        if kind == "drawn":
+            queries.append(draw(st.lists(st.sampled_from(
+                letters + LETTERS[-3:]), max_size=140)))
+        else:
+            row = draw(st.sampled_from(reference))
+            queries.append(draw(st.permutations(row))
+                           if kind == "permuted" else row)
+    return (size, ["".join(row) for row in reference] + ["", None],
+            ["".join(row) for row in queries] + ["", None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=unigram_corpora(),
+       method=st.sampled_from(["dice", "jaccard", "overlap"]))
+def test_generated_vocabularies_score_like_the_similarity(corpus, method):
+    """The float32 row sum of the overlap counts, at and across the
+    packed words' bit boundaries: bitwise the scalar scores."""
+    size, reference, queries = corpus
+    sim = NGramSimilarity(1, method=method, pad=False)
+    kernel = build_column(sim, reference).bind(queries)
+    assert type(kernel) is NGramColumn
+    assert len(kernel._vocabulary) == size
+    rows_a, rows_b = _every_pair(queries, reference)
+    scores = kernel.score_rows(rows_a, rows_b)
+    assert scores.dtype == np.float64
+    assert np.array_equal(scores.view(np.int64), _scalar_bits(
+        sim, queries, reference, rows_a, rows_b))
+
+
+def test_a_vocabulary_past_exact_counts_falls_back_to_scalar(monkeypatch):
+    """A side whose rows could hold ``MAX_GRAMS`` grams would sum its
+    counts inexactly: ``build_column`` sends it to the scalar column,
+    which scores the same."""
+    sim = NGramSimilarity(3)
+    rows_a, rows_b = _every_pair(QUERIES, REFERENCE)
+    packed = build_column(sim, REFERENCE)
+    scores = packed.bind(QUERIES).score_rows(rows_a, rows_b)
+    size = len(packed._vocabulary)
+    monkeypatch.setattr(columns, "MAX_GRAMS", size + 1)
+    assert type(build_column(sim, REFERENCE)) is NGramColumn
+    monkeypatch.setattr(columns, "MAX_GRAMS", size)
+    scalar = build_column(sim, REFERENCE)
+    assert type(scalar) is ScalarColumn
+    assert np.array_equal(
+        scalar.bind(QUERIES).score_rows(rows_a, rows_b).view(np.int64),
+        scores.view(np.int64))
 
 
 @settings(max_examples=150, deadline=None)

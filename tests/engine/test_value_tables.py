@@ -27,7 +27,7 @@ from repro.core.operators.functions import (
     CombinationFunction,
     get_combination,
 )
-from repro.engine import BatchMatchEngine, EngineConfig
+from repro.engine import BatchMatchEngine, EngineConfig, columns
 from repro.engine.columns import (
     ScalarColumn,
     build_column,
@@ -154,6 +154,41 @@ class TestTableEqualsKernel:
         kernel = column.kernel_rows(rows_a, rows_b)
         column.tabulate()
         assert column.score_rows(rows_a, rows_b).tobytes() == kernel.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("name", ["trigram", "tfidf", "exact"])
+    def test_a_table_fills_in_kernel_sized_blocks(self, name, block,
+                                                  monkeypatch):
+        """No ``kernel_rows`` call over the grid gathers more than
+        :data:`TABLE_BLOCK_ROWS` pairs — a block may end mid-row — and
+        the table is bitwise the one a single call over the grid
+        fills."""
+        if block is not None:
+            monkeypatch.setattr(columns, "TABLE_BLOCK_ROWS", block)
+        reference = [f"stream join {index:03d}" for index in range(60)] \
+            + REFERENCE
+        queries = [f"streams joined {index:03d}" for index in range(40)] \
+            + QUERIES
+        column = _bound(get_similarity(name), reference, queries)
+        kernel_rows = column.kernel_rows
+        calls = []
+
+        def recording(rows_a, rows_b):
+            calls.append(len(rows_a))
+            return kernel_rows(rows_a, rows_b)
+
+        column.kernel_rows = recording
+        column.tabulate()
+        (codes_a, rows_a, _), (codes_b, rows_b, _) = column.codes
+        cells = len(rows_a) * len(rows_b)
+        assert cells > columns.TABLE_BLOCK_ROWS
+        assert sum(calls) == cells
+        assert max(calls) == columns.TABLE_BLOCK_ROWS
+        one_call = np.zeros((len(rows_a) + 1, len(rows_b) + 1))
+        one_call[:-1, :-1] = kernel_rows(
+            np.repeat(rows_a, len(rows_b)), np.tile(rows_b, len(rows_a))
+        ).reshape(len(rows_a), len(rows_b))
+        assert column.table[2].tobytes() == one_call.ravel().tobytes()
 
     def test_an_all_missing_side_tabulates_to_zeros(self):
         column = _bound(get_similarity("exact"), [None, None], ["a", None])
