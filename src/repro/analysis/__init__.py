@@ -2,14 +2,15 @@
 
 The engine and serving tiers rest on invariants no generic linter can
 see: bit-identical scoring depends on deterministic iteration and
-float-summation order, the serve tier depends on ``_lock`` discipline
-and pickle-safe shard payloads, and snapshot correctness depends on
-fsync-before-rename ordering.  This package encodes those hard-won
-rules as AST checkers (Peukert et al.'s rule-based construction
-argument applied to the system's own contracts: check the rules
-mechanically instead of rediscovering each violation in a flaky bench).
+float-summation order, the serve tier depends on ``_lock`` discipline,
+pool tasks and ``specs.pkl`` depend on pickle-safe types, and snapshot
+correctness depends on fsync-before-rename ordering.  This package
+encodes those hard-won rules as AST checkers (Peukert et al.'s
+rule-based construction argument applied to the system's own
+contracts: check the rules mechanically instead of rediscovering each
+violation in a flaky bench).
 
-Five checker families ship today:
+Seven checker families ship today:
 
 =====  ==============================================================
 code   contract
@@ -20,15 +21,25 @@ DET    determinism: no iteration over unordered collections, no
        tie-breaks must be explicit)
 LCK    lock discipline: methods marked ``@requires_lock("_lock")``
        (see :mod:`repro.concurrency`) may only be called with the
-       lock held
+       lock held, and no two classes take their locks in opposite
+       orders
 PKL    cross-process safety: classes holding unpicklable state (or
        exceptions with custom constructor signatures) must define
-       ``__reduce__``/``__getstate__`` before they can cross the
-       shard ``FrameChannel``
+       ``__reduce__``/``__getstate__`` before they can be pickled into
+       an engine pool task, out of a pool worker, or into
+       ``specs.pkl``
 DUR    durability ordering: ``os.replace`` must be dominated by an
        ``fsync`` in the same function; no bare ``os.rename``
 API    HTTP handlers raise only ``repro.serve.errors`` types
+CFG    config dataclasses: every public field is validated, settable
+       from the CLI and listed in the docs knob table
+KRN    every column the kernel registry builds has the full kernel
+       surface
 =====  ==============================================================
+
+CFG, KRN, LCK and DET's cross-module set-method rule run over the
+whole-program :class:`~repro.analysis.graph.ProjectGraph`; the rest
+check one file at a time.
 
 Run ``repro lint`` (or ``python -m repro.analysis``); findings print
 as ``file:line CODE message``.  Suppress a finding inline with

@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="invariant-aware static analysis (per-file "
-                    "DET/LCK/PKL/DUR/API families plus whole-program "
-                    "RPC/CFG/KRN contract checks)")
+                    "DET/PKL/DUR/API families plus whole-program "
+                    "CFG/KRN/LCK contract checks)")
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to check "

@@ -15,15 +15,15 @@ Suppression syntax, one comment per line::
 
 ``allow-<token>`` accepts either a family alias (``unordered`` for
 DET, ``unlocked`` for LCK, ``unpicklable`` for PKL, ``durability`` for
-DUR, ``api-error`` for API, ``protocol`` for RPC, ``config`` for CFG,
-``kernel`` for KRN) or an exact lower-cased finding code
-(``allow-det004``).  Everything after ``--`` is the mandatory reason.
-A suppression covers findings on its own line; a comment-only line
-covers the first following line that holds code.  A suppression that
-matches nothing is itself reported (``SUP002``) so allow-comments
-cannot outlive the finding they excused.
+DUR, ``api-error`` for API, ``config`` for CFG, ``kernel`` for KRN) or
+an exact lower-cased finding code (``allow-det004``).  Everything
+after ``--`` is the mandatory reason.  A suppression covers findings
+on its own line; a comment-only line covers the first following line
+that holds code.  A suppression that matches nothing is itself
+reported (``SUP002``) so allow-comments cannot outlive the finding
+they excused.
 
-Cross-module rules (RPC/CFG/KRN/LCK002+) subclass
+Cross-module rules (CFG/KRN/LCK) subclass
 :class:`ProjectChecker` and run against the
 :class:`repro.analysis.graph.ProjectGraph` built once per run.
 """
@@ -57,7 +57,6 @@ FAMILY_ALIASES: Dict[str, str] = {
     "unpicklable": "PKL",
     "durability": "DUR",
     "api-error": "API",
-    "protocol": "RPC",
     "config": "CFG",
     "kernel": "KRN",
 }
@@ -238,13 +237,11 @@ def all_checkers() -> List[Checker]:
         LockOrderChecker,
     )
     from repro.analysis.pkl import PickleSafetyChecker
-    from repro.analysis.rpc import RpcProtocolChecker
 
     classes: List[Type[Checker]] = [
         ApiErrorChecker, ConfigContractChecker, DeterminismChecker,
         DurabilityChecker, InterproceduralLockChecker, KernelSurfaceChecker,
-        LockOrderChecker, PickleSafetyChecker, RpcProtocolChecker,
-        SetMethodChecker,
+        LockOrderChecker, PickleSafetyChecker, SetMethodChecker,
     ]
     return [cls() for cls in sorted(classes, key=lambda cls: cls.CODE)]
 

@@ -1,14 +1,14 @@
 """Whole-program project model for cross-module contract checking.
 
-The per-file checkers of PR 7 see one ``ast.Module`` at a time, which
-is exactly as far as they can reason: a rule like "every ``op`` the
-router sends must have a handler branch" or "every config field must
-be documented" spans files.  This module builds the project model
-those rules need, **once per run**:
+A per-file checker sees one ``ast.Module`` at a time, which is exactly
+as far as it can reason: a rule like "every config field must be
+documented" or "no lock is taken while a caller holds another" spans
+files.  This module builds the project model those rules need, **once
+per run**:
 
 * a :class:`FileSummary` per source file — imports, classes (fields,
   class/instance attributes, attribute types), functions (call sites,
-  lock spans, RPC send/branch/read sites, CLI flag registrations);
+  lock spans, ordered method iterations, CLI flag registrations);
 * a :class:`ProjectGraph` over all summaries — module table, symbol
   table (``repro.engine.columns.TfIdfColumn`` → class summary), name
   resolution through imports, and an approximate call graph
@@ -22,8 +22,8 @@ project.
 
 Everything here is approximate in the usual static-analysis ways —
 dynamic dispatch, ``getattr`` and monkey-patching are invisible — but
-the contracts the checkers pin (FrameChannel ops, dataclass knobs,
-kernel registry surfaces, lock nesting) are all expressed through the
+the contracts the checkers pin (dataclass knobs, kernel registry
+surfaces, lock nesting, iteration order) are all expressed through the
 syntactic shapes captured below.
 """
 
@@ -41,7 +41,7 @@ from repro.analysis.core import ordered_iterables, parent_map, sorted_wrapped
 
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
-ANALYSIS_VERSION = 5
+ANALYSIS_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -50,23 +50,14 @@ ANALYSIS_VERSION = 5
 
 @dataclass
 class CallSite:
-    """One call expression: where, what, and the RPC-relevant args."""
+    """One call expression: where and what it calls."""
 
     line: int
     #: dotted target (``self._index.add``, ``os.replace``) or ``None``
     #: when the chain crosses a subscript/call and cannot be named
     dotted: Optional[str]
-    #: last attribute segment (``call`` for ``shard.call(...)``)
+    #: last attribute segment (``add`` for ``self._index.add(...)``)
     tail: Optional[str]
-    argc: int
-    #: first positional argument when it is a string constant
-    str_arg0: Optional[str] = None
-    #: keys of the second positional argument when it is a dict
-    #: literal with all-constant keys
-    arg1_dict_keys: Optional[List[str]] = None
-    #: name of the second positional argument when it is a bare name
-    #: (resolved against local dict assignments by the RPC checker)
-    arg1_name: Optional[str] = None
 
 
 @dataclass
@@ -83,29 +74,6 @@ class LockSpan:
 
     def covers(self, line: int) -> bool:
         return self.start <= line <= self.end
-
-
-@dataclass
-class OpBranch:
-    """``if <name> == "<op>":`` — one protocol dispatch branch."""
-
-    line: int
-    end: int
-    name: str
-    op: str
-
-    def covers(self, line: int) -> bool:
-        return self.line <= line <= self.end
-
-
-@dataclass
-class KeyRead:
-    """``<name>["key"]`` (required) or ``<name>.get("key")``."""
-
-    line: int
-    name: str
-    key: str
-    required: bool
 
 
 @dataclass
@@ -145,11 +113,6 @@ class FunctionSummary:
     required_lock: Optional[str]
     calls: List[CallSite] = field(default_factory=list)
     lock_spans: List[LockSpan] = field(default_factory=list)
-    op_branches: List[OpBranch] = field(default_factory=list)
-    key_reads: List[KeyRead] = field(default_factory=list)
-    #: local ``name = {...}`` dict-literal assignments (line, name, keys)
-    dict_assigns: List[Tuple[int, str, List[str]]] = field(
-        default_factory=list)
     #: attributes referenced on ``self`` (or an alias of ``self``)
     attr_refs: List[str] = field(default_factory=list)
     #: :func:`annotation_head` of the return annotation
@@ -222,11 +185,6 @@ class FileSummary:
                     calls=[CallSite(**c) for c in item["calls"]],
                     lock_spans=[LockSpan(**s)
                                 for s in item["lock_spans"]],
-                    op_branches=[OpBranch(**b)
-                                 for b in item["op_branches"]],
-                    key_reads=[KeyRead(**r) for r in item["key_reads"]],
-                    dict_assigns=[(a[0], a[1], list(a[2]))
-                                  for a in item["dict_assigns"]],
                     attr_refs=list(item["attr_refs"]),
                     returns=item["returns"],
                     method_iterations=[MethodIteration(**use) for use
@@ -331,23 +289,6 @@ def _is_self_attr(node: ast.expr, aliases: Set[str]) -> Optional[str]:
     return None
 
 
-def _dict_literal_keys(node: ast.expr) -> Optional[List[str]]:
-    """Keys of a dict literal when every key is a string constant.
-
-    ``dict(mapping, extra=1)`` calls are opaque (``None``); a dict
-    literal with a non-constant key is opaque too.
-    """
-    if not isinstance(node, ast.Dict):
-        return None
-    keys: List[str] = []
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.append(key.value)
-        else:
-            return None
-    return keys
-
-
 def annotation_head(annotation: Optional[ast.expr]) -> Optional[str]:
     """The dotted name an annotation leads with — quotes, subscripts
     and ``Optional[...]`` peeled: ``"Optional[m.Mapping]"`` ->
@@ -429,19 +370,8 @@ def _summarize_function(node: ast.AST, qualname: str,
         if isinstance(child, ast.Call):
             dotted = _dotted_name(child.func)
             tail = _tail_name(child.func)
-            str_arg0 = None
-            if child.args and isinstance(child.args[0], ast.Constant) \
-                    and isinstance(child.args[0].value, str):
-                str_arg0 = child.args[0].value
-            arg1_keys = arg1_name = None
-            if len(child.args) >= 2:
-                arg1_keys = _dict_literal_keys(child.args[1])
-                if isinstance(child.args[1], ast.Name):
-                    arg1_name = child.args[1].id
             summary.calls.append(CallSite(
-                line=child.lineno, dotted=dotted, tail=tail,
-                argc=len(child.args), str_arg0=str_arg0,
-                arg1_dict_keys=arg1_keys, arg1_name=arg1_name))
+                line=child.lineno, dotted=dotted, tail=tail))
             # ``self.<lock>.acquire(...)`` opens a span to the matching
             # release (or the function end)
             if tail in ("acquire", "acquire_lock") \
@@ -463,13 +393,6 @@ def _summarize_function(node: ast.AST, qualname: str,
                     and isinstance(child.args[1], ast.Constant) \
                     and isinstance(child.args[1].value, str):
                 summary.attr_refs.append(child.args[1].value)
-            # ``<name>.get("key")``
-            if tail == "get" and isinstance(child.func, ast.Attribute) \
-                    and isinstance(child.func.value, ast.Name) \
-                    and str_arg0 is not None:
-                summary.key_reads.append(KeyRead(
-                    line=child.lineno, name=child.func.value.id,
-                    key=str_arg0, required=False))
         elif isinstance(child, (ast.With, ast.AsyncWith)):
             for item in child.items:
                 expr: ast.expr = item.context_expr
@@ -484,33 +407,6 @@ def _summarize_function(node: ast.AST, qualname: str,
                         lock=lock, start=child.lineno,
                         end=child.end_lineno or child.lineno,
                         via="with"))
-        elif isinstance(child, ast.If):
-            test = child.test
-            if isinstance(test, ast.Compare) \
-                    and isinstance(test.left, ast.Name) \
-                    and len(test.ops) == 1 \
-                    and isinstance(test.ops[0], ast.Eq) \
-                    and isinstance(test.comparators[0], ast.Constant) \
-                    and isinstance(test.comparators[0].value, str):
-                summary.op_branches.append(OpBranch(
-                    line=child.lineno,
-                    end=child.end_lineno or child.lineno,
-                    name=test.left.id, op=test.comparators[0].value))
-        elif isinstance(child, ast.Subscript):
-            if isinstance(child.value, ast.Name) \
-                    and isinstance(child.slice, ast.Constant) \
-                    and isinstance(child.slice.value, str) \
-                    and isinstance(child.ctx, ast.Load):
-                summary.key_reads.append(KeyRead(
-                    line=child.lineno, name=child.value.id,
-                    key=child.slice.value, required=True))
-        elif isinstance(child, ast.Assign):
-            keys = _dict_literal_keys(child.value)
-            if keys is not None:
-                for target in child.targets:
-                    if isinstance(target, ast.Name):
-                        summary.dict_assigns.append(
-                            (child.lineno, target.id, keys))
         elif isinstance(child, ast.Attribute):
             if isinstance(child.value, ast.Name) \
                     and child.value.id in aliases \
@@ -604,18 +500,6 @@ def summarize_module(display_path: str, tree: ast.Module) -> FileSummary:
         elif isinstance(statement, ast.ClassDef):
             summary.classes.append(
                 _summarize_class(statement, "", summary.functions))
-    for function in summary.functions:
-        for call in function.calls:
-            if call.tail == "add_argument":
-                flags = []
-                if call.str_arg0 is not None \
-                        and call.str_arg0.startswith("-"):
-                    flags.append(call.str_arg0)
-                if flags:
-                    summary.cli_flags.append(CliFlag(
-                        line=call.line, flags=flags, dest=None))
-    # add_argument metadata needs the raw AST for every flag string and
-    # the dest= keyword, which CallSite does not carry; re-walk for them
     summary.cli_flags = _extract_cli_flags(tree)
     return summary
 

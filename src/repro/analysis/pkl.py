@@ -1,9 +1,10 @@
 """PKL — pickle safety for types that cross process boundaries.
 
-The cluster backend moves payloads over ``FrameChannel`` with plain
-``pickle``; shard workers also ship raised exceptions back as
-``("error", exc)`` frames.  Two recurring failure shapes are encoded
-here:
+Three boundaries pickle project objects: the engine pool pickles its
+task to each worker where the ``fork`` start method is absent, an
+exception raised in a pool worker is pickled back to the parent, and a
+serve data dir stores its attribute specs, combiner and knobs in
+``specs.pkl``.  Two recurring failure shapes are encoded here:
 
 =======  ============================================================
 PKL001   a class stores a known-unpicklable object on ``self``
@@ -21,9 +22,9 @@ PKL002 is exactly the ``ObjectInstance.__reduce__`` bug shape from
 PR 6, generalised.  Suppress with ``# repro: allow-unpicklable`` (with
 a reason) for types that are provably process-local.
 
-The scope covers ``benchmarks/`` and ``tests/`` as well as the serve
-and engine trees: harness classes ride the same shard channels when a
-benchmark or test spins up the cluster tier.
+The scope covers ``benchmarks/`` and ``tests/`` as well as the serve,
+model and engine trees: harness classes reach the same boundaries when
+a benchmark or test runs the pool or writes a data dir.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class PickleSafetyChecker(Checker):
                             f"{class_node.name}.{target.attr} holds "
                             f"{name}() which cannot pickle; define "
                             "__reduce__/__getstate__ or keep the type "
-                            "out of shard payloads")
+                            "out of pool tasks and specs.pkl")
 
     def _check_exception_init(self, context: ModuleContext,
                               class_node: ast.ClassDef) -> Iterator[Finding]:

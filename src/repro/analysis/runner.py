@@ -4,7 +4,7 @@ The runner walks the target tree in sorted order (the linter obeys its
 own DET rules), parses each ``.py`` file once, feeds it to every
 interested per-file checker, then builds the
 :class:`~repro.analysis.graph.ProjectGraph` over every file's summary
-and runs the project checkers (RPC/CFG/KRN/LCK002+) against it.  Two
+and runs the project checkers (CFG/KRN/LCK) against it.  Two
 acceptance layers follow:
 
 1. inline suppressions (``# repro: allow-... -- reason``) — a

@@ -304,8 +304,8 @@ class ShardBackend:
         return candidates
 
     def metrics(self) -> dict:
-        """Cumulative per-shard timing counters (registry pull): the
-        index's own entry, labelled, plus this shard's WAL."""
+        """Cumulative per-shard counters (registry pull): the index's
+        own entry, labelled, plus this shard's WAL."""
         (entry,) = self.index.shard_metrics()
         entry["shard"] = self.shard_id
         if self.wal is not None:
@@ -580,7 +580,7 @@ class ClusterIndex:
         ).observe(seconds)
 
     def shard_metrics(self) -> List[dict]:
-        """Per-shard timing counters (the registry's collector pull).
+        """Per-shard counters (the registry's collector pull).
 
         Callers must hold whatever lock serializes matching on this
         cluster: the shards' indexes are not thread-safe.

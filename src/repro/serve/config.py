@@ -9,7 +9,7 @@ serve`` all build from one validated instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.engine.request import AttributeSpec
@@ -86,9 +86,6 @@ class ServeConfig:
     metrics: bool = False
     trace_sample_rate: float = 0.0
     slow_query_ms: float = 0.0
-    #: metadata, not a knob: set by validate() so downstream code can
-    #: tell an explicit shards=0 from "data_dir implied one shard"
-    _implied_shard: bool = field(default=False, repr=False, compare=False)
 
     def validate(self) -> "ServeConfig":
         """Return a validated (possibly adjusted) copy of this config.
@@ -137,20 +134,10 @@ class ServeConfig:
                                  "combiner")
         config = self
         if config.data_dir is not None and config.shards == 0:
-            config = replace(config, shards=1, _implied_shard=True)
+            config = replace(config, shards=1)
         return config
 
     @property
     def clustered(self) -> bool:
         """Whether this config runs the partitioned serving tier."""
         return self.shards > 0
-
-    def merged(self, **overrides: object) -> "ServeConfig":
-        """A copy with the given non-``None`` fields replaced."""
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise InvalidRequest(f"unknown config fields: {sorted(unknown)}")
-        changes = {key: value for key, value in overrides.items()
-                   if value is not None}
-        return replace(self, **changes) if changes else self

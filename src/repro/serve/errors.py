@@ -24,10 +24,6 @@ class ServeError(Exception):
     code: str = "serve_error"
     http_status: int = 500
 
-    def to_payload(self) -> dict[str, dict[str, str]]:
-        """The v1 error envelope body for this error."""
-        return {"error": {"code": self.code, "message": str(self)}}
-
 
 class InvalidRequest(ServeError, ValueError):
     """A client-supplied request or configuration value is malformed."""

@@ -38,7 +38,6 @@ the next compaction.
 
 from __future__ import annotations
 
-import time
 from typing import (Callable, Dict, Iterable, KeysView, List, Optional,
                     Sequence, Tuple)
 
@@ -144,11 +143,6 @@ class IncrementalIndex:
             "queries": 0, "pruned_queries": 0,
             "postings_touched": 0, "postings_skipped": 0,
             "prefilter_skipped": 0,
-        }
-        #: cumulative scoring-call timings (repro.obs pulls these at
-        #: scrape time; pure observation, results are unaffected)
-        self._timing_counters: Dict[str, float] = {
-            "match_calls": 0, "match_seconds": 0.0,
         }
         self._physical = reference.physical
         self._object_type = reference.object_type
@@ -376,21 +370,12 @@ class IncrementalIndex:
         """
         return dict(self._candidate_counters)
 
-    def timing_counters(self) -> Dict[str, float]:
-        """Cumulative scoring-call timings for the metrics registry.
-
-        Kept out of :meth:`stats` deliberately: stats snapshots must
-        be byte-stable across snapshot/restore, and wall-clock totals
-        are not.
-        """
-        return dict(self._timing_counters)
-
     def shard_metrics(self) -> List[dict]:
         """The registry collector's pull, one entry per shard — here
         one, with no shard label and no WAL; a cluster answers with the
         same entry shape per shard."""
-        return [{"shard": None, "index": self.timing_counters(),
-                 "pruning": self.candidate_counters(), "wal": None}]
+        return [{"shard": None, "pruning": self.candidate_counters(),
+                 "wal": None}]
 
     # -- snapshot export / import --------------------------------------
 
@@ -671,7 +656,6 @@ class IncrementalIndex:
         threshold filter all stay in slot space; id strings are
         materialized only for surviving correspondences.
         """
-        begun = time.perf_counter()
         attribute = self.specs[0].attribute
         all_slots = None
         if max_candidates is None:
@@ -694,9 +678,6 @@ class IncrementalIndex:
             results[position].append((reference_id, score))
         for result in results:
             result.sort(key=lambda item: (-item[1], item[0]))
-        self._timing_counters["match_calls"] += 1
-        self._timing_counters["match_seconds"] += \
-            time.perf_counter() - begun
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

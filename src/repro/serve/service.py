@@ -199,7 +199,7 @@ class MatchService:
                        "Largest kernel call so far.").set(self.max_batch)
 
     def _collect_index_metrics(self) -> None:
-        """Pull candidate / timing / WAL counters from the backend.
+        """Pull candidate / WAL counters from the backend.
 
         Both backends answer ``shard_metrics()`` with the same entry
         shape (``shard`` is ``None`` for the single in-heap index).
@@ -217,14 +217,6 @@ class MatchService:
                     f"repro_index_pruning_{key}_total",
                     "Candidate-generation counter (see docs/serving.md).",
                     labels=labels).set_total(value)
-            registry.counter(
-                "repro_index_match_calls_total",
-                "match_records invocations on the index.",
-                labels=labels).set_total(entry["index"]["match_calls"])
-            registry.counter(
-                "repro_index_match_seconds_total",
-                "Cumulative seconds inside index scoring calls.",
-                labels=labels).set_total(entry["index"]["match_seconds"])
             for key, value in sorted((entry["wal"] or {}).items()):
                 registry.counter(
                     f"repro_wal_{key}_total",
@@ -265,10 +257,6 @@ class MatchService:
             close()
 
     # -- cache ---------------------------------------------------------
-
-    @property
-    def _primary_attribute(self) -> str:
-        return self.index.specs[0].attribute
 
     def _cache_key(self, record: ObjectInstance) -> Optional[tuple]:
         values = tuple(

@@ -123,41 +123,6 @@ def test_lock_spans_with_block_and_acquire_release():
     assert not span.covers(12)     # self.after() runs post-release
 
 
-PROTOCOL = '''\
-class Backend:
-    def handle(self, op, payload):
-        if op == "match":
-            return payload["records"]
-        if op == "stats":
-            return payload.get("verbose")
-        raise ValueError(op)
-
-
-class Router:
-    def run(self, records):
-        payload = {"records": records}
-        self.shard.send("match", payload)
-        self.shard.call("stats", {"verbose": True})
-'''
-
-
-def test_op_branches_key_reads_and_send_calls():
-    summary = _summarize("src/repro/serve/cluster.py", PROTOCOL)
-    handle = next(f for f in summary.functions if f.name == "handle")
-    assert [(b.op, b.name) for b in handle.op_branches] == \
-        [("match", "op"), ("stats", "op")]
-    reads = {(r.key, r.required) for r in handle.key_reads}
-    assert reads == {("records", True), ("verbose", False)}
-
-    run = next(f for f in summary.functions if f.name == "run")
-    assert run.dict_assigns == [(12, "payload", ["records"])]
-    send = next(c for c in run.calls if c.tail == "send")
-    assert send.str_arg0 == "match" and send.arg1_name == "payload"
-    call = next(c for c in run.calls if c.tail == "call")
-    assert call.str_arg0 == "stats"
-    assert call.arg1_dict_keys == ["verbose"]
-
-
 CLI = '''\
 import argparse
 
@@ -182,7 +147,7 @@ def test_cli_flags_with_derived_and_explicit_dest():
 # ----------------------------------------------------------------------
 
 def test_summary_round_trips_through_json():
-    for source in (IMPORTS, CLASSY, LOCKED, PROTOCOL, CLI):
+    for source in (IMPORTS, CLASSY, LOCKED, CLI):
         summary = _summarize("src/repro/serve/m.py", source)
         payload = json.loads(json.dumps(summary.to_dict()))
         assert FileSummary.from_dict(payload) == summary

@@ -3,7 +3,11 @@
 import textwrap
 
 from repro.analysis import run_paths
-from repro.analysis.core import parse_suppressions
+from repro.analysis.core import (
+    FAMILY_ALIASES,
+    all_checkers,
+    parse_suppressions,
+)
 from repro.analysis.runner import check_file
 
 LOOP_TEMPLATE = """\
@@ -23,6 +27,11 @@ def write_module(tmp_path, source):
 def check(tmp_path, source):
     target = write_module(tmp_path, source)
     return check_file(str(target), str(tmp_path))
+
+
+def test_every_family_alias_names_a_registered_checker():
+    codes = {checker.CODE for checker in all_checkers()}
+    assert sorted(set(FAMILY_ALIASES.values()) - codes) == []
 
 
 def test_suppression_with_reason_silences_finding(tmp_path):

@@ -1,4 +1,4 @@
-"""ServeConfig validation/merging and the typed error vocabulary."""
+"""ServeConfig validation and the typed error vocabulary."""
 
 import pytest
 
@@ -52,39 +52,10 @@ class TestValidation:
         config = ServeConfig(data_dir=str(tmp_path)).validate()
         assert config.shards == 1
         assert config.clustered
-        assert config._implied_shard
 
     def test_explicit_shards_kept_with_data_dir(self, tmp_path):
         config = ServeConfig(shards=3, data_dir=str(tmp_path)).validate()
         assert config.shards == 3
-        assert not config._implied_shard
-
-
-class TestMerged:
-    def test_merged_overrides_non_none(self):
-        config = ServeConfig(threshold=0.5).merged(
-            threshold=0.9, max_candidates=None)
-        assert config.threshold == 0.9
-        assert config.max_candidates == 50  # None means "keep"
-
-    def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(InvalidRequest):
-            ServeConfig().merged(throughput=9000)
-
-    def test_merged_rejects_the_removed_pruning_field(self):
-        with pytest.raises(InvalidRequest,
-                           match=r"unknown config fields: \['pruning'\]"):
-            ServeConfig().merged(pruning="auto")
-
-    def test_merged_rejects_the_removed_shard_processes_field(self):
-        with pytest.raises(
-                InvalidRequest,
-                match=r"unknown config fields: \['shard_processes'\]"):
-            ServeConfig().merged(shard_processes=False)
-
-    def test_merged_returns_self_when_empty(self):
-        config = ServeConfig()
-        assert config.merged(threshold=None) is config
 
 
 class TestErrorVocabulary:
@@ -92,10 +63,6 @@ class TestErrorVocabulary:
         assert issubclass(InvalidRequest, (ServeError, ValueError))
         assert issubclass(ConflictError, ServeError)
         assert issubclass(SnapshotUnavailable, ServeError)
-
-    def test_to_payload_is_the_envelope(self):
-        assert InvalidRequest("bad body").to_payload() == {
-            "error": {"code": "invalid_request", "message": "bad body"}}
 
     @pytest.mark.parametrize("error,expected", [
         (InvalidRequest("x"), (400, "invalid_request")),

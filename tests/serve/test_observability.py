@@ -154,8 +154,10 @@ class TestMetricsContent:
             summary = service.metrics.summary()
             assert summary["repro_service_queries_total"] \
                 == service.queries
-            assert summary["repro_index_match_calls_total"] \
-                == service.index.timing_counters()["match_calls"]
+            # one scoring call is one match-latency observation
+            assert summary["repro_service_match_seconds"]["count"] \
+                == summary["repro_service_batches_total"] \
+                == service.batches > 0
             assert summary["repro_index_pruning_queries_total"] \
                 == service.index.candidate_counters()["queries"]
         finally:
