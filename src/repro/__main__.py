@@ -105,14 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repository mapping name for persisted "
                             "correspondences (default: serve.same)")
     serve.add_argument("--shards", type=int, default=0,
-                       help="partition the reference across N "
-                            "in-process shards behind a scatter-gather "
-                            "router (default: 0 = single in-heap index)")
+                       help="validated (>= 0) and ignored: the index is "
+                            "one partition (default: 0)")
     serve.add_argument("--data-dir", default=None, metavar="PATH",
-                       help="back shards with on-disk packed columns + "
-                            "mutation WALs; restores warm from an "
+                       help="back the index with on-disk packed columns "
+                            "+ a mutation WAL; restores warm from an "
                             "existing snapshot, enables POST "
-                            "/v1/snapshot (implies at least 1 shard)")
+                            "/v1/snapshot")
     serve.add_argument("--compact-ratio", type=float, default=0.25,
                        help="index compaction triggers when dead rows "
                             "exceed this fraction of live rows "
@@ -269,7 +268,7 @@ def _command_serve(args) -> int:
               file=sys.stderr)
         return 2
     if args.shards < 0:
-        print("--shards must be >= 0 (0 = single index)", file=sys.stderr)
+        print("--shards must be >= 0", file=sys.stderr)
         return 2
     from repro.datagen import build_dataset
     from repro.model.repository import MappingRepository
@@ -298,7 +297,7 @@ def _command_serve(args) -> int:
                  partition_layout.read_manifest(args.data_dir) is not None)
     if restoring:
         # an existing snapshot wins over regenerating the reference:
-        # shards restart warm from their packed bases + WALs
+        # the index restarts warm from its packed base + WAL
         reference = None
     else:
         dataset = build_dataset(args.scale, seed=args.seed)
@@ -310,8 +309,8 @@ def _command_serve(args) -> int:
         host, port = server.server_address[:2]
         origin = ("restored from " + args.data_dir if restoring
                   else f"{reference.name}")
-        topology = (f"{config.validate().shards} in-process shard(s)"
-                    if config.validate().clustered else "single index")
+        topology = ("durable index" if config.clustered
+                    else "single index")
         print(f"serving {origin} ({len(service.index)} records, "
               f"{args.similarity} @ {args.threshold}, {topology}) "
               f"on http://{host}:{port}")

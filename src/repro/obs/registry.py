@@ -127,7 +127,7 @@ class Counter(_Instrument):
         The external source is authoritative and itself monotonic, so
         the set never moves the sample backwards in practice; a
         defensive clamp keeps the exposition monotone even if a
-        source resets (e.g. a restored shard).
+        source resets (e.g. a restored index).
         """
         with self._lock:
             self._value = max(self._value, float(value))
@@ -277,7 +277,7 @@ class MetricsRegistry:
     call sites need no bookkeeping.  ``register_collector`` adds a
     zero-argument callable invoked before every render/summary —
     the pull half of the registry, where existing counter sources
-    (index candidate counters, WAL totals, cluster shard stats)
+    (index candidate counters, WAL totals)
     synchronize their state in without instrumenting their own hot
     paths.
     """

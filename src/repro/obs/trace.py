@@ -3,10 +3,8 @@
 One trace per sampled request.  The id is minted at the HTTP/service
 boundary (or taken from a client ``X-Request-Id`` header); the active
 :class:`TraceContext` rides a :mod:`contextvars` variable so the
-service, the cluster router and the index never pass it explicitly —
-they just open spans.  The router opens one ``cluster.<op>`` span per
-scatter-gather round and, inside it, one ``shard.<op>`` span per
-shard call, labelled with the shard id.
+service and the index never pass it explicitly — they just open
+spans.
 
 Sampling is **deterministic**: a fractional accumulator admits
 exactly ``sample_rate`` of requests (every request at 1.0, none at
@@ -16,11 +14,9 @@ traces land in a bounded ring buffer surfaced by ``/v1/stats``.
 
 Span records are plain dicts so they serialize to JSON unchanged:
 
-``{"name", "trace_id", "span_id", "parent_id", "start", "duration",
-"shard"}``
+``{"name", "trace_id", "span_id", "parent_id", "start", "duration"}``
 
-with ``start`` in Unix seconds, ``duration`` in seconds and
-``shard`` ``None`` outside shard calls.
+with ``start`` in Unix seconds and ``duration`` in seconds.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ _current: "ContextVar[Optional[TraceContext]]" = ContextVar(
 
 def make_span(name: str, trace_id: str, span_id: str,
               parent_id: Optional[str], start: float,
-              duration: float, shard: Optional[int] = None) -> Span:
+              duration: float) -> Span:
     """One span record; a plain dict so it serializes to JSON."""
     return {
         "name": name,
@@ -50,7 +46,6 @@ def make_span(name: str, trace_id: str, span_id: str,
         "parent_id": parent_id,
         "start": start,
         "duration": duration,
-        "shard": shard,
     }
 
 
@@ -79,12 +74,10 @@ class TraceContext:
         return self._stack[-1] if self._stack else None
 
     @contextlib.contextmanager
-    def span(self, name: str,
-             shard: Optional[int] = None) -> Iterator[Span]:
+    def span(self, name: str) -> Iterator[Span]:
         """Open a child span of the innermost active span."""
         record = make_span(name, self.trace_id, self._mint_id(),
-                           self.active_span_id, time.time(), 0.0,
-                           shard=shard)
+                           self.active_span_id, time.time(), 0.0)
         self._stack.append(str(record["span_id"]))
         begun = time.perf_counter()
         try:
@@ -130,14 +123,13 @@ def current_trace() -> Optional[TraceContext]:
 
 
 @contextlib.contextmanager
-def span(name: str, shard: Optional[int] = None) -> Iterator[
-        Optional[Span]]:
+def span(name: str) -> Iterator[Optional[Span]]:
     """Open a span on the ambient trace; no-op when unsampled."""
     context = _current.get()
     if context is None:
         yield None
         return
-    with context.span(name, shard=shard) as record:
+    with context.span(name) as record:
         yield record
 
 

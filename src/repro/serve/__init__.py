@@ -12,11 +12,10 @@ scenarios)" (§2.1), as a long-lived service:
   updates and deletes cost O(record) via an append buffer and
   tombstones, with threshold-triggered compaction rebuilding the
   packed base and refreshing corpus statistics;
-* :class:`~repro.serve.cluster.ClusterIndex` — the same surface
-  partitioned across in-process shards behind a scatter-gather router whose top-k merge is bit-identical to the
-  single index; with a data dir every shard persists memmapped packed
-  columns plus a mutation WAL, so snapshots are fsync-and-manifest
-  writes and restarts are warm;
+* :class:`~repro.serve.cluster.ClusterIndex` — the same index made
+  durable: with a data dir it persists memmapped packed columns plus
+  a mutation WAL, so snapshots are fsync-and-manifest writes and
+  restarts are warm;
 * :class:`~repro.serve.service.MatchService` — one read path
   (``match_batch``; ``match_record`` is its one-record form): answers
   from a mutation-aware reuse cache, scores a request's cache misses
@@ -29,7 +28,7 @@ scenarios)" (§2.1), as a long-lived service:
   with a typed error envelope (:mod:`repro.serve.errors`), exposed as
   the ``repro serve`` CLI subcommand.
 
-See ``docs/serving.md`` for architecture, cluster topology,
+See ``docs/serving.md`` for architecture, the data-dir layout,
 snapshot/restore semantics and the v1 API reference.
 """
 

@@ -3,13 +3,13 @@
 PR 5 grew its knobs organically: :class:`MatchService` took nine
 keyword arguments, :class:`IncrementalIndex` another four, and the
 CLI duplicated both lists.  :class:`ServeConfig` is the single place
-those knobs live now — the service, the cluster router and ``repro
+those knobs live now — the service, the durable index and ``repro
 serve`` all build from one validated instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.engine.request import AttributeSpec
@@ -37,12 +37,13 @@ class ServeConfig:
     Index
         ``compact_ratio`` / ``compact_min`` trigger compaction.
 
-    Cluster
-        ``shards`` > 0 partitions the reference across that many
-        in-process shards behind a scatter-gather router (0 = classic
-        in-heap single index); ``data_dir`` backs every shard with
-        on-disk packed columns + a mutation WAL and enables
-        ``snapshot()`` / restore (implies at least 1 shard).
+    Durability
+        ``data_dir`` backs the index with on-disk packed columns + a
+        mutation WAL (:class:`~repro.serve.cluster.ClusterIndex`) and
+        enables ``snapshot()`` / restore; ``None`` keeps the index in
+        the heap only.  ``shards`` selects nothing: it is validated
+        (``>= 0``) and kept only for the benchmark harness
+        (benchmarks/moma_bench/serve.py), which still passes it.
 
     HTTP
         ``host`` / ``port`` for ``repro serve``.
@@ -80,6 +81,8 @@ class ServeConfig:
     compact_ratio: float = 0.25
     compact_min: int = 64
     shards: int = 0
+    # repro: allow-cfg001 -- a deployment path; any path (or None = the
+    # in-heap index only) is valid, and the build creates it
     data_dir: Optional[str] = None
     host: str = "127.0.0.1"
     port: int = 8765
@@ -88,11 +91,10 @@ class ServeConfig:
     slow_query_ms: float = 0.0
 
     def validate(self) -> "ServeConfig":
-        """Return a validated (possibly adjusted) copy of this config.
+        """Return this config once its values are validated.
 
         Raises :class:`InvalidRequest` (a ``ValueError``) on bad
-        values.  ``data_dir`` without ``shards`` implies a one-shard
-        cluster, since persistence lives in the partition stores.
+        values.
         """
         if not self.attribute:
             raise InvalidRequest("attribute must be a non-empty string")
@@ -132,12 +134,9 @@ class ServeConfig:
                 and self.combiner is None:
             raise InvalidRequest("multiple attribute specs require a "
                                  "combiner")
-        config = self
-        if config.data_dir is not None and config.shards == 0:
-            config = replace(config, shards=1)
-        return config
+        return self
 
     @property
     def clustered(self) -> bool:
-        """Whether this config runs the partitioned serving tier."""
-        return self.shards > 0
+        """Whether this config runs the durable index (has a data dir)."""
+        return self.data_dir is not None

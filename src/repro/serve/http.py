@@ -14,8 +14,8 @@ path          method  body / response
 /v1/ingest    POST    ``{"records": [...]}`` → ``{"added",
                       "updated"}``
 /v1/delete    POST    ``{"ids": [...]}`` → ``{"deleted", "missing"}``
-/v1/snapshot  POST    persist a point-in-time image (clustered
-                      backends with a data dir) → the manifest
+/v1/snapshot  POST    persist a point-in-time image (a service
+                      with a data dir) → the manifest
 /v1/stats     GET     full service statistics
 /v1/healthz   GET     liveness probe with the live record count
 /v1/metrics   GET     Prometheus text exposition (404 when the

@@ -38,8 +38,9 @@ the next compaction.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, KeysView, List, Optional,
-                    Sequence, Tuple)
+import copy
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as _np
 
@@ -74,8 +75,7 @@ def resolve_specs(attribute: str, similarity: object,
 
 def posting_tokens(value: object) -> Tuple[str, ...]:
     """Distinct word tokens of a value in *sorted* order — the keys of
-    the candidate postings, the router's document frequencies and the
-    service's cache invalidation.
+    the candidate postings and of the service's cache invalidation.
 
     Sorted, not set, order: candidate weights accumulate one float per
     token, and set iteration order depends on the process's string
@@ -102,6 +102,12 @@ class IncrementalIndex:
     :class:`~repro.engine.request.MatchRequest`.  Candidate generation
     runs over an inverted word-token index of the *first* spec's
     reference attribute.
+
+    The index prepares its own copy of the specs (``index.specs``): a
+    corpus-aware similarity (TF/IDF) holds the document frequencies of
+    the reference it was prepared on, so two indexes sharing the
+    caller's similarity object would score with whichever prepared it
+    last.
     """
 
     def __init__(self, reference: LogicalSource,
@@ -132,7 +138,7 @@ class IncrementalIndex:
         if pruning not in ("auto", "always", "never"):
             raise ValueError(
                 f"pruning must be 'auto', 'always' or 'never', got {pruning!r}")
-        self.specs = list(specs)
+        self.specs = copy.deepcopy(list(specs))
         self.combiner = combiner
         self.missing = missing
         self.compact_ratio = compact_ratio
@@ -283,9 +289,8 @@ class IncrementalIndex:
         # old version lived in the base or the buffer.  Insertion
         # order is the candidate-ranking tie-break, and "where does
         # this record rank after an update" must not depend on
-        # compaction timing — the partitioned cluster's shards compact
-        # on their own schedules and still have to order records
-        # exactly like the single index (and a rebuilt one) would.
+        # compaction timing: an index rebuilt from the live records in
+        # insertion order has to order them exactly like this one.
         if instance.id in self._base:
             self._tombstones.add(instance.id)
         slot = len(self._slot_ids)
@@ -370,13 +375,6 @@ class IncrementalIndex:
         """
         return dict(self._candidate_counters)
 
-    def shard_metrics(self) -> List[dict]:
-        """The registry collector's pull, one entry per shard — here
-        one, with no shard label and no WAL; a cluster answers with the
-        same entry shape per shard."""
-        return [{"shard": None, "pruning": self.candidate_counters(),
-                 "wal": None}]
-
     # -- snapshot export / import --------------------------------------
 
     def export_columns(self) -> List[Tuple[dict, Dict[str, object]]]:
@@ -384,42 +382,13 @@ class IncrementalIndex:
 
         Each entry is the column's ``(meta, arrays)`` export; the
         partition store writes the arrays as raw files a restoring
-        shard memory-maps straight back in.
+        index memory-maps straight back in.
         """
         return [column.export() for column in self._columns]
 
     def base_instances(self) -> List[ObjectInstance]:
         """The packed base's records in slot order (excludes buffer)."""
         return list(self._base)
-
-    @classmethod
-    def from_snapshot(cls, reference: LogicalSource, *,
-                      specs: List[AttributeSpec],
-                      combiner=None,
-                      missing: str = "skip",
-                      compact_ratio: float = 0.25,
-                      compact_min: int = 64,
-                      column_states: List[Tuple[dict, Dict[str, object]]],
-                      version: int = 0,
-                      compactions: int = 0) -> "IncrementalIndex":
-        """Rebuild an index around previously exported column state.
-
-        ``reference`` must hold exactly the base records the columns
-        were exported from, in the same order.  Packed columns are
-        re-assembled from ``column_states`` (memmap arrays welcome)
-        instead of repacked, and corpus-independent similarities skip
-        ``prepare`` — so the heavy O(n · tokens) work left is only the
-        inverted token index.  ``version`` / ``compactions`` restore
-        the counters the index carried when the base was written; WAL
-        replay on top reproduces the exact state trajectory.
-        """
-        index = cls(reference, specs=specs, combiner=combiner,
-                    missing=missing, compact_ratio=compact_ratio,
-                    compact_min=compact_min,
-                    _column_states=column_states)
-        index.version = version
-        index.compactions = compactions
-        return index
 
     # -- candidate generation ------------------------------------------
 
@@ -444,54 +413,16 @@ class IncrementalIndex:
         slots, _ = self._candidate_slots(value, max_candidates)
         return [slot_ids[slot] for slot in slots]
 
-    def _posting_weights(self, value: object, weights=None):
-        """Live posting (token → slots) arrays and rarity weights.
-
-        ``weights`` (token → weight) overrides the local ``1/df``
-        rarity: the cluster router passes *global* document
-        frequencies so every shard ranks its local postings with the
-        same weights the single-index service would use.  Tokens
-        absent from ``weights`` are skipped — they have no live
-        posting anywhere, so they could never contribute.
-        """
-        postings = []
-        for token in posting_tokens(value):
-            posting = self._token_index.get(token)
-            if not posting:
-                continue
-            if weights is None:
-                weight = 1.0 / len(posting)
-            else:
-                weight = weights.get(token)
-                if weight is None:
-                    continue
-            postings.append((token, posting, weight))
-        return postings
-
-    def document_frequency(self, token: str) -> int:
-        """Live records whose first-spec value holds ``token``."""
-        return len(self._token_index.get(token, ()))
-
-    def tokens(self) -> KeysView[str]:
-        """Every token with a live posting."""
-        return self._token_index.keys()
-
-    def ranked_candidates(self, value: object, max_candidates: int, *,
-                          weights=None) -> List[Tuple[int, float]]:
-        """Ranked ``(slot, summed weight)`` candidates for ``value``.
-
-        :meth:`_candidate_slots` as a list of pairs — the cluster
-        router merges per-shard rankings into a global top-k on
-        exactly these ``(weight, insertion order)`` keys.
-        """
-        slots, scores = self._candidate_slots(value, max_candidates,
-                                              weights=weights)
+    def ranked_candidates(self, value: object, max_candidates: int) \
+            -> List[Tuple[int, float]]:
+        """Ranked ``(slot, summed weight)`` candidates for ``value``:
+        :meth:`_candidate_slots` as a list of pairs."""
+        slots, scores = self._candidate_slots(value, max_candidates)
         return list(zip(
             slots if isinstance(slots, list) else slots.tolist(),
             scores if isinstance(scores, list) else scores.tolist()))
 
-    def _candidate_slots(self, value: object, max_candidates: int, *,
-                         weights=None):
+    def _candidate_slots(self, value: object, max_candidates: int):
         """Candidate ``(slots, summed token rarities)``, best first.
 
         One ``bincount`` over the concatenated posting arrays replaces
@@ -502,20 +433,24 @@ class IncrementalIndex:
         """
         if value is None:
             return [], []
-        postings = self._posting_weights(value, weights)
+        postings = []
+        for token in posting_tokens(value):
+            posting = self._token_index.get(token)
+            if posting:
+                postings.append((token, posting))
         if not postings:
             return [], []
         counters = self._candidate_counters
         counters["queries"] += 1
         counters["postings_touched"] += sum(
-            len(posting) for _, posting, _ in postings)
+            len(posting) for _, posting in postings)
         arrays = [self._posting_array(token, posting)
-                  for token, posting, _ in postings]
+                  for token, posting in postings]
         totals = _np.bincount(
             _np.concatenate(arrays),
             weights=_np.concatenate(
-                [_np.full(len(array), weight, dtype=_np.float64)
-                 for array, (_, _, weight) in zip(arrays, postings)]),
+                [_np.full(len(array), 1.0 / len(array), dtype=_np.float64)
+                 for array in arrays]),
             minlength=len(self._slot_ids))
         candidates = _np.nonzero(totals)[0]
         return self._top_slots(candidates, totals[candidates],

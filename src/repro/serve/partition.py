@@ -1,28 +1,23 @@
-"""On-disk shard partitions for the clustered serving tier.
+"""The on-disk partition behind a serving data dir.
 
-The cluster splits the reference across shards two ways, both reusing
-:func:`repro.blocking.pair_generator.partition_spans` semantics:
-
-* the **initial bulk load** carves the reference's slot space into
-  contiguous cost-balanced tiles — exactly how the pair generator
-  shards an index block across engine workers;
-* **subsequent ingests** route by a stable FNV-1a hash of the record
-  id (:func:`shard_for_id`), which keeps placement deterministic
-  across processes and restarts (Python's own ``hash`` is salted per
-  process and would scatter records differently every run).
-
-Each shard owns one directory under the cluster data dir::
+One directory holds the durable index's (:mod:`repro.serve.cluster`)
+state::
 
     data_dir/
-      manifest.json        router state: seq counter, shard bases
+      manifest.json        the committed base and its WAL frame count
       specs.pkl            pickled AttributeSpecs + combiner + knobs
       shard-00/
         base-3/            packed base, versioned by write count
           meta.json        counters, record/column metadata
-          records.jsonl    base records in slot order, with gseq
+          records.jsonl    base records in slot order
           col0.range_bits.bin   raw arrays, memmapped on restore
           ...
         wal-3.log          mutations on top of base-3 (serve.wal frames)
+
+The manifest keeps a one-entry ``"shards"`` list, and the partition
+keeps its ``shard-00/`` name: data dirs written while the index could
+be split across N shards (``shard-00/`` … ``shard-<N-1>/``, one
+manifest entry each) share this layout.
 
 A base write goes to a temp directory first and is renamed into
 place, so a crash mid-write leaves the previous base intact; the
@@ -43,34 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.blocking.pair_generator import partition_spans
 from repro.model.entity import ObjectInstance
 
 MANIFEST_FILE = "manifest.json"
 SPECS_FILE = "specs.pkl"
-
-# FNV-1a, 64-bit
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_FNV_MASK = (1 << 64) - 1
-
-
-def shard_for_id(id: str, n_shards: int) -> int:
-    """Owning shard of a record id — stable FNV-1a hash placement."""
-    value = _FNV_OFFSET
-    for byte in id.encode("utf-8"):
-        value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
-    return value % n_shards
-
-
-def initial_partition(n_records: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Contiguous slot tiles for the initial bulk load.
-
-    Uses the pair generator's :func:`partition_spans` with unit costs,
-    so the reference splits exactly like an index block splits across
-    engine shard workers: ``n_shards`` contiguous, balanced spans.
-    """
-    return partition_spans([1] * n_records, n_shards)
 
 
 def shard_dir(data_dir: str, shard: int) -> str:
@@ -96,7 +67,7 @@ def _atomic_write_json(path: str, payload: dict) -> None:
 
 
 class PartitionStore:
-    """Versioned packed-base storage for one shard directory."""
+    """Versioned packed-base storage for one partition directory."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -122,16 +93,16 @@ class PartitionStore:
         return os.path.join(self.path, f"wal-{base_id}.log")
 
     def write_base(self,
-                   records: Sequence[Tuple[ObjectInstance, int]],
+                   records: Sequence[ObjectInstance],
                    column_states: Sequence[Tuple[dict, Dict[str, object]]],
                    counters: dict) -> int:
         """Write a new packed base; returns its base id.
 
-        ``records`` are ``(instance, gseq)`` pairs in slot order;
+        ``records`` are the base's instances in slot order;
         ``column_states`` come from
         :meth:`~repro.serve.index.IncrementalIndex.export_columns`;
-        ``counters`` carries the index/shard counters the restore path
-        resumes from (``version``, ``compactions``, ``seq`` floor).
+        ``counters`` carries the index counters the restore path
+        resumes from (``version``, ``compactions``).
         The write is atomic: temp directory, fsync, rename.  Older
         bases stay until :meth:`prune`.
         """
@@ -144,9 +115,9 @@ class PartitionStore:
 
         with open(os.path.join(tmp, "records.jsonl"), "w",
                   encoding="utf-8") as handle:
-            for instance, gseq in records:
+            for instance in records:
                 handle.write(json.dumps(
-                    {"id": instance.id, "gseq": gseq,
+                    {"id": instance.id,
                      "attributes": dict(instance.attributes)},
                     separators=(",", ":")) + "\n")
             handle.flush()
@@ -193,9 +164,9 @@ class PartitionStore:
     def adopt_wal(self, base_id: int) -> str:
         """Path of base ``base_id``'s WAL for a restore.
 
-        A shard dir written before WALs were named by their base holds
-        a single ``wal.log`` on top of its one base; it is renamed to
-        that base's WAL.
+        A partition dir written before WALs were named by their base
+        holds a single ``wal.log`` on top of its one base; it is renamed
+        to that base's WAL.
         """
         path = self.wal_path(base_id)
         legacy = os.path.join(self.path, "wal.log")
@@ -208,38 +179,36 @@ class PartitionStore:
         """Load a packed base written by :meth:`write_base`.
 
         Returns ``(records, column_states, counters)`` where
-        ``records`` is ``[(ObjectInstance, gseq), ...]`` in slot order
-        and the column-state arrays are read-only ``np.memmap`` views
-        of the base files — restoring costs page-table setup, not a
-        repack.
+        ``records`` are the ``records.jsonl`` entries (``{"id",
+        "attributes"}`` dicts) in slot order and the column-state
+        arrays are read-only ``np.memmap`` views of the base files —
+        restoring costs page-table setup, not a repack.  A zero-size
+        array (an emptied base, a TF/IDF column without entries) is a
+        plain empty array: an empty file cannot be memmapped.
         """
         base = self.base_path(base_id)
         with open(os.path.join(base, "meta.json"), encoding="utf-8") as handle:
             meta = json.load(handle)
-        records: List[Tuple[ObjectInstance, int]] = []
         with open(os.path.join(base, "records.jsonl"),
                   encoding="utf-8") as handle:
-            for line in handle:
-                entry = json.loads(line)
-                records.append((ObjectInstance(entry["id"],
-                                               entry["attributes"]),
-                                entry["gseq"]))
+            records = [json.loads(line) for line in handle]
         column_states = []
         for column in meta["columns"]:
             arrays: Dict[str, object] = {}
             for spec in column["arrays"]:
-                arrays[spec["name"]] = _np.memmap(
-                    os.path.join(base, spec["file"]),
-                    dtype=_np.dtype(spec["dtype"]), mode="r",
-                    shape=tuple(spec["shape"]))
+                dtype, shape = _np.dtype(spec["dtype"]), tuple(spec["shape"])
+                arrays[spec["name"]] = (
+                    _np.memmap(os.path.join(base, spec["file"]),
+                               dtype=dtype, mode="r", shape=shape)
+                    if all(shape) else _np.empty(shape, dtype=dtype))
             column_states.append((column["meta"], arrays))
         return records, column_states, meta["counters"]
 
 
-# -- cluster-level manifest / specs ------------------------------------
+# -- data-dir manifest / specs -----------------------------------------
 
 def write_manifest(data_dir: str, manifest: dict) -> None:
-    """Atomically replace the cluster manifest (fsync'd)."""
+    """Atomically replace the data dir's manifest (fsync'd)."""
     _atomic_write_json(os.path.join(data_dir, MANIFEST_FILE), manifest)
 
 

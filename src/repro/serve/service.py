@@ -130,27 +130,23 @@ class MatchService:
                      config: ServeConfig):
         """Pick the backend the config describes.
 
-        ``shards > 0`` (or a data dir) builds the partitioned
-        :class:`~repro.serve.cluster.ClusterIndex`; with a data dir
-        and *no* reference, the cluster restores warm from its last
+        A data dir builds the durable
+        :class:`~repro.serve.cluster.ClusterIndex` there; with *no*
+        reference, it restores warm from the data dir's last
         checkpoint instead of building fresh.
         """
+        if config.clustered and reference is None:
+            return ClusterIndex.restore(config.data_dir)
+        if reference is None:
+            raise InvalidRequest("pass a reference source or an index")
         if config.clustered:
-            if reference is None:
-                if config.data_dir is None:
-                    raise InvalidRequest(
-                        "pass a reference source or an index")
-                return ClusterIndex.restore(config.data_dir)
             return ClusterIndex.build(
                 reference,
                 specs=resolve_specs(config.attribute, config.similarity,
                                     config.specs),
                 combiner=config.combiner, missing=config.missing,
                 compact_ratio=config.compact_ratio,
-                compact_min=config.compact_min, shards=config.shards,
-                data_dir=config.data_dir)
-        if reference is None:
-            raise InvalidRequest("pass a reference source or an index")
+                compact_min=config.compact_min, data_dir=config.data_dir)
         return IncrementalIndex(reference, config.attribute,
                                 config.similarity, specs=config.specs,
                                 combiner=config.combiner,
@@ -180,9 +176,6 @@ class MatchService:
         self._match_seconds = registry.histogram(
             "repro_service_match_seconds",
             "Service-side scoring latency per kernel call (seconds).")
-        set_metrics = getattr(self.index, "set_metrics", None)
-        if set_metrics is not None:
-            set_metrics(registry)
         registry.register_collector(self._collect_service_metrics)
         registry.register_collector(self._collect_index_metrics)
 
@@ -199,29 +192,26 @@ class MatchService:
                        "Largest kernel call so far.").set(self.max_batch)
 
     def _collect_index_metrics(self) -> None:
-        """Pull candidate / WAL counters from the backend.
+        """Pull candidate / WAL counters from the backend (WAL ones
+        only from a durable index with a data dir).
 
-        Both backends answer ``shard_metrics()`` with the same entry
-        shape (``shard`` is ``None`` for the single in-heap index).
-        Takes the service lock: the indexes are not thread-safe, so
-        the pull must not overlap a scoring call.
+        Takes the service lock: the index is not thread-safe, so the
+        pull must not overlap a scoring call.
         """
         registry = self.metrics
         with self._lock:
-            entries = self.index.shard_metrics()
-        for entry in entries:
-            labels = (None if entry["shard"] is None
-                      else {"shard": entry["shard"]})
-            for key, value in sorted(entry["pruning"].items()):
-                registry.counter(
-                    f"repro_index_pruning_{key}_total",
-                    "Candidate-generation counter (see docs/serving.md).",
-                    labels=labels).set_total(value)
-            for key, value in sorted((entry["wal"] or {}).items()):
-                registry.counter(
-                    f"repro_wal_{key}_total",
-                    "Write-ahead-log durability counter.",
-                    labels=labels).set_total(value)
+            pruning = self.index.candidate_counters()
+            wal = getattr(self.index, "wal", None)
+            durability = {} if wal is None else wal.timing_counters()
+        for key, value in sorted(pruning.items()):
+            registry.counter(
+                f"repro_index_pruning_{key}_total",
+                "Candidate-generation counter (see docs/serving.md).",
+            ).set_total(value)
+        for key, value in sorted(durability.items()):
+            registry.counter(
+                f"repro_wal_{key}_total",
+                "Write-ahead-log durability counter.").set_total(value)
 
     def _observe_batch(self, size: int, elapsed: float) -> None:
         """Record one kernel call (no-op with metrics off)."""
@@ -240,18 +230,17 @@ class MatchService:
     # -- persistence ---------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Persist a point-in-time image of the reference (cluster
-        backends with a data dir only); returns the written manifest."""
+        """Persist a point-in-time image of the reference (a durable
+        index with a data dir only); returns the written manifest."""
         checkpoint = getattr(self.index, "checkpoint", None)
         if checkpoint is None:
             raise SnapshotUnavailable(
-                "snapshotting needs a clustered backend with a data "
-                "dir (ServeConfig.data_dir)")
+                "snapshotting needs a data dir (ServeConfig.data_dir)")
         with self._lock:
             return checkpoint()
 
     def close(self) -> None:
-        """Release backend resources (cluster shard WALs)."""
+        """Release backend resources (the durable index's WAL)."""
         close = getattr(self.index, "close", None)
         if close is not None:
             close()

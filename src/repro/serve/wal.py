@@ -1,9 +1,9 @@
-"""Length-prefixed mutation write-ahead log for shard partitions.
+"""Length-prefixed mutation write-ahead log for the serving partition.
 
-Each shard of the partitioned serving tier persists its packed base
-columns rarely (initial build and snapshot-after-compaction) and logs
-every mutation in between to an append-only WAL.  A cold shard then
-restarts warm: memory-map the packed base, replay the WAL tail.
+The durable serving index persists its packed base columns rarely
+(initial build and snapshot-after-compaction) and logs every mutation
+in between to an append-only WAL.  A cold index then restarts warm:
+memory-map the packed base, replay the WAL tail.
 
 This extends the repository's WAL precedent
 (:class:`~repro.model.repository.MappingRepository` runs SQLite in
@@ -12,8 +12,9 @@ WAL mode) down to the serving tier's own file format:
 * one frame per mutation: a 4-byte big-endian payload length, a
   4-byte CRC32 of the payload, then the UTF-8 JSON payload;
 * appends are buffered; :meth:`sync` flushes and ``fsync``\\ s — the
-  cluster's ``snapshot()`` is exactly "sync every shard WAL, then
-  write the manifest", so a snapshot is cheap and crash-consistent;
+  index's ``checkpoint()`` is "sync the WAL, then write the
+  manifest" (plus a base write after a compaction), so a snapshot is
+  cheap and crash-consistent;
 * reads tolerate a torn tail: a truncated or checksum-failing frame
   ends the replay (everything before it is intact by construction),
   so a crash mid-append never poisons a restart.
@@ -55,7 +56,7 @@ class WriteAheadLog:
 
     def _open(self):
         if self._handle is None:
-            self._handle = open(self.path, "ab")  # repro: allow-unpicklable -- a WAL belongs to one in-process shard and is never serialized
+            self._handle = open(self.path, "ab")  # repro: allow-unpicklable -- a WAL belongs to one in-process index and is never serialized
         return self._handle
 
     def append(self, entry: dict) -> None:

@@ -122,17 +122,14 @@ def index_scores(index, records: Sequence, pairs: Iterable[Tuple[int, str]],
 
 
 def reference_ranking(live: Iterable[Tuple[int, object]], value: object,
-                      max_candidates: int,
-                      weights: Optional[Dict[str, float]] = None) \
-        -> List[Tuple[int, float]]:
+                      max_candidates: int) -> List[Tuple[int, float]]:
     """The best ``max_candidates`` ``(slot, summed weight)`` of ``live``
     ``(slot, match value)`` records for a query ``value``.
 
     A record's weight adds, in sorted-token order starting from 0.0,
     the weight of every token it shares with ``value``: ``1 / df`` over
-    ``live`` or, given a ``weights`` map, that map's entry (a token
-    without one adds nothing).  Records summing to 0.0 are no
-    candidates; ties rank by slot.
+    ``live``.  Records summing to 0.0 are no candidates; ties rank by
+    slot.
     """
     postings: Dict[str, List[int]] = {}
     for slot, match_value in live:
@@ -143,9 +140,7 @@ def reference_ranking(live: Iterable[Tuple[int, object]], value: object,
         slots = postings.get(token)
         if not slots:
             continue
-        weight = 1.0 / len(slots) if weights is None else weights.get(token)
-        if weight is None:
-            continue
+        weight = 1.0 / len(slots)
         for slot in slots:
             totals[slot] = totals.get(slot, 0.0) + weight
     ranked = sorted(((slot, total) for slot, total in totals.items()
@@ -153,12 +148,11 @@ def reference_ranking(live: Iterable[Tuple[int, object]], value: object,
     return ranked[:max_candidates]
 
 
-def index_ranking(index, value: object, max_candidates: int,
-                  weights: Optional[Dict[str, float]] = None) \
+def index_ranking(index, value: object, max_candidates: int) \
         -> List[Tuple[int, float]]:
-    """What ``index.ranked_candidates(value, max_candidates,
-    weights=weights)`` must answer, over the index's live records."""
+    """What ``index.ranked_candidates(value, max_candidates)`` must
+    answer, over the index's live records."""
     attribute = index.specs[0].range_attribute
     live = [(index._id_slots[id], index.get(id).get(attribute))
             for id in index.ids()]
-    return reference_ranking(live, value, max_candidates, weights)
+    return reference_ranking(live, value, max_candidates)

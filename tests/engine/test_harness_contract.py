@@ -5,16 +5,24 @@ depends on surfaces only when the benchmark gate runs it.  This suite
 fails in tier-1 instead: every name, keyword and attribute below is
 one ``benchmarks/moma_bench/batch.py`` (``_install_core_wrappers``,
 ``_blocking_layer``, ``_sim_layer``, ``_sharded_engine``,
-``run_workflows``, ``_runners``, ``_named_mappings``) or
+``run_workflows``, ``_runners``, ``_named_mappings``),
 ``benchmarks/moma_bench/layers.py`` (``index_read_layer``,
-``cluster_layer``) reads.  If a test here has
+``cluster_layer``) or ``benchmarks/moma_bench/serve.py``
+(``run_cluster_mixed``, ``_load_metrics``) reads.  If a test here has
 to change, the harness has to change with it — which takes a
 ``benchmark``-labelled PR.
 """
 
 from __future__ import annotations
 
+import http.client
 import inspect
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -172,8 +180,8 @@ def test_cluster_layer_calls(dataset, tmp_path):
         cluster.checkpoint()
     finally:
         cluster.close()
-    # the harness restores with the default (process) topology; one
-    # restore here keeps that spelling alive without a second pool
+    # the harness restores without the keyword; the spelling with it
+    # stays valid too
     restore = inspect.signature(ClusterIndex.restore).parameters
     assert list(restore)[0] == "data_dir"
     restored = ClusterIndex.restore(data_dir, processes=False)
@@ -182,6 +190,95 @@ def test_cluster_layer_calls(dataset, tmp_path):
                                       max_candidates=20) == answer
     finally:
         restored.close()
+
+
+#: ``run_cluster_mixed``'s server arguments (besides the data dir)
+CLUSTER_MIXED = ["--shards", "2", "--compact-ratio", "0.05",
+                 "--compact-min", "32"]
+
+
+def _spawn(data_dir):
+    """``repro serve`` as the harness's ``Fleet.spawn`` starts it, in
+    its own session; returns ``(process, banner line)``."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--scale", "tiny", "serve",
+         "--port", "0", "--data-dir", data_dir] + CLUSTER_MIXED,
+        stdout=subprocess.PIPE, text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    # a server that never prints its banner is killed, which ends the
+    # read loop below
+    watchdog = threading.Timer(60.0, os.killpg, (server.pid, signal.SIGKILL))
+    watchdog.start()
+    banner = ""
+    for line in server.stdout:
+        if line.startswith("serving "):
+            banner = line.strip()
+            break
+    watchdog.cancel()
+    return server, banner
+
+
+def _kill(server) -> None:
+    """What ``Server.kill`` does: SIGKILL the whole session."""
+    os.killpg(server.pid, signal.SIGKILL)
+    server.wait(timeout=5)
+    server.stdout.close()
+
+
+def _session_members(session: int) -> list:
+    """Live (not zombie) processes of ``session``, by pid."""
+    members = []
+    for entry in sorted(os.listdir("/proc")):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != "Z" and int(fields[3]) == session:
+            members.append(int(entry))
+    return members
+
+
+def test_cluster_mixed_server_builds_then_restores(tmp_path):
+    """``repro serve --shards 2 --data-dir D --compact-ratio 0.05
+    --compact-min 32`` parses, builds and serves from one process;
+    ``/v1/stats`` carries the counters ``_load_metrics`` reads; a second
+    start on ``D`` after a SIGKILL says ``restored from``."""
+    data_dir = str(tmp_path / "data")
+    server, banner = _spawn(data_dir)
+    try:
+        assert banner.startswith("serving ") and "restored from" not in banner
+        assert _session_members(server.pid) == [server.pid]
+        host, port = banner.rsplit("http://", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        connection.request("GET", "/v1/stats")
+        stats = json.loads(connection.getresponse().read())
+        connection.close()
+    finally:
+        _kill(server)
+    assert type(stats["index"]["compactions"]) is int
+    assert {"hits", "misses"} <= set(stats["cache"])
+    server, banner = _spawn(data_dir)
+    _kill(server)
+    assert "restored from" in banner
+
+
+def test_cluster_mixed_service_layer_config(dataset, tmp_path):
+    """``run_cluster_mixed``'s ``service_layer`` builds a service from
+    ``ServeConfig(shards=2, data_dir=...)`` and the reference; its
+    ``snapshot()`` writes a manifest."""
+    from repro.serve import MatchService, ServeConfig
+
+    service = MatchService(dataset.dblp.publications, config=ServeConfig(
+        shards=2, data_dir=str(tmp_path / "svc")))
+    try:
+        assert service.match_batch(
+            list(dataset.gs.publications)[:4]) is not None
+        assert service.snapshot()["shards"]
+    finally:
+        service.close()
 
 
 def _f1_values(node):

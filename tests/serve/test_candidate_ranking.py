@@ -3,12 +3,11 @@
 ``IncrementalIndex.ranked_candidates`` must equal
 ``reference_scorer.reference_ranking`` — the same slots in the same
 order with the same float bits — on any corpus (hub tokens included),
-with local ``1/df`` or caller-supplied weights, through every
-add / update / delete / compact interleaving.  A cluster of 1, 2 or 3
-in-process shards must rank (and answer) exactly like the single
-index.  Also here: the ``pruning`` keyword the index keeps for the
-benchmark harness, and data dirs written while the cluster persisted a
-pruning mode.
+through every add / update / delete / compact interleaving.  The
+durable ``ClusterIndex`` (built with any ``shards=``) must rank (and
+answer) exactly like the single index.  Also here: the ``pruning``
+keyword the index keeps for the benchmark harness, and data dirs
+written while the index persisted a pruning mode.
 """
 
 import itertools
@@ -63,11 +62,6 @@ def _scenarios(draw):
             draw(st.sampled_from([1, 2, 3, 7, 50])))
 
 
-_WEIGHTS = st.none() | st.dictionaries(
-    st.sampled_from(WORDS + [HUB]),
-    st.floats(min_value=1e-3, max_value=1.0))
-
-
 def _reference(titles):
     source = LogicalSource(PhysicalSource("REF"), ObjectType("Publication"))
     for i, title in enumerate(titles):
@@ -101,17 +95,17 @@ def _bits(weights):
     return np.asarray(weights, dtype=np.float64).view(np.int64).tolist()
 
 
-def _assert_ranks_like_the_reference(index, value, k, weights=None):
-    ranked = index.ranked_candidates(value, k, weights=weights)
-    expected = index_ranking(index, value, k, weights)
+def _assert_ranks_like_the_reference(index, value, k):
+    ranked = index.ranked_candidates(value, k)
+    expected = index_ranking(index, value, k)
     assert [slot for slot, _ in ranked] == [slot for slot, _ in expected]
     assert _bits([weight for _, weight in ranked]) \
         == _bits([weight for _, weight in expected])
 
 
 @settings(max_examples=80, deadline=None)
-@given(_scenarios(), _WEIGHTS)
-def test_single_index_ranks_like_the_reference(scenario, weights):
+@given(_scenarios())
+def test_single_index_ranks_like_the_reference(scenario):
     titles, operations, queries, k = scenario
     index = IncrementalIndex(_reference(titles), specs=SPECS, compact_min=4)
     counter = itertools.count()
@@ -120,20 +114,6 @@ def test_single_index_ranks_like_the_reference(scenario, weights):
             _apply([index], operation, counter)
         for value in queries:
             _assert_ranks_like_the_reference(index, value, k)
-            _assert_ranks_like_the_reference(index, value, k, weights)
-
-
-def _merged_ranking(cluster, value, k):
-    """The router's global top-k for ``value``: the shards' own
-    rankings under the global weights, merged by (weight desc, gseq)."""
-    if value is None:
-        return []
-    records = [ObjectInstance("q", {"title": value})]
-    weights = [cluster._weight_map(value)]
-    merged = sorted((-weight, gseq, id) for shard in cluster._shards
-                    for id, gseq, weight
-                    in shard.candidates(records, k, weights)[0])
-    return [(id, -weight) for weight, _, id in merged[:k]]
 
 
 def _answer_bits(answers):
@@ -157,18 +137,12 @@ def test_cluster_ranks_and_answers_like_the_single_index(scenario, shards):
                 _apply([single, cluster], operation, counter)
             assert cluster.ids() == single.ids()
             for value in queries:
-                weights = (None if value is None
-                           else cluster._weight_map(value))
-                for shard in cluster._shards:
-                    if weights is not None:
-                        _assert_ranks_like_the_reference(
-                            shard.index, value, k, weights)
-                expected = [(single._slot_ids[slot], weight)
-                            for slot, weight in
-                            single.ranked_candidates(value, k)]
-                merged = _merged_ranking(cluster, value, k)
-                assert [id for id, _ in merged] == [id for id, _ in expected]
-                assert _bits([weight for _, weight in merged]) \
+                _assert_ranks_like_the_reference(cluster, value, k)
+                ranked = cluster.ranked_candidates(value, k)
+                expected = single.ranked_candidates(value, k)
+                assert [slot for slot, _ in ranked] \
+                    == [slot for slot, _ in expected]
+                assert _bits([weight for _, weight in ranked]) \
                     == _bits([weight for _, weight in expected])
             assert _answer_bits(cluster.match_records(
                 records, threshold=0.2, max_candidates=k)) \
@@ -209,22 +183,21 @@ def test_pruning_keyword_selects_nothing():
     assert answers[0] == answers[1] == answers[2]
 
 
-def test_cluster_aggregates_candidate_counters():
+def test_cluster_counts_candidates_like_the_single_index():
     cluster = ClusterIndex.build(_hub_reference(60), specs=SPECS, shards=3)
+    single = IncrementalIndex(_hub_reference(60), specs=SPECS)
     try:
-        cluster.match_records(_hub_queries(), threshold=0.2,
-                              max_candidates=10)
-        stats = cluster.stats()
-        per_shard = [shard["pruning"] for shard in stats["shard_stats"]]
-        assert stats["pruning"]["queries"] > 0
-        for key, total in stats["pruning"].items():
-            assert total == sum(counters[key] for counters in per_shard)
+        for index in (cluster, single):
+            index.match_records(_hub_queries(), threshold=0.2,
+                                max_candidates=10)
+        assert cluster.stats()["pruning"]["queries"] > 0
+        assert cluster.stats() == single.stats()
     finally:
         cluster.close()
 
 
 def test_data_dir_with_a_persisted_pruning_mode_restores(tmp_path):
-    """Data dirs written while the cluster persisted its pruning mode
+    """Data dirs written while the index persisted its pruning mode
     carry a ``"pruning"`` key in their specs payload; they restore and
     answer bit for bit as before."""
     data_dir = str(tmp_path)

@@ -1,21 +1,21 @@
-"""Partitioned serving tier: scatter-gather equivalence + snapshot/restore.
+"""The durable serving index: one partition behind a data dir.
 
-The contract under test is *bit-identity*: a cluster of N shards must
-return exactly the results of the single in-heap
-:class:`~repro.serve.index.IncrementalIndex` — same ids, same float
-scores, same order — on a frozen reference and across arbitrary
-mutation interleavings (shards compact on their own schedules, so
-this exercises the compaction-independent ordering contract).
+The contract under test is *bit-identity*: :class:`ClusterIndex` must
+return exactly the results of a single in-heap
+:class:`~repro.serve.index.IncrementalIndex` over the same live
+records in the same insertion order — same ids, same float scores,
+same order — fresh, across arbitrary mutation interleavings, and
+after checkpoint → restore, TF/IDF included.  Also here: data dirs
+written when the index could be split across shards, interrupted
+checkpoints and torn WALs.
 """
 
 import json
 import os
 import random
-import signal
+import shutil
 import struct
-import subprocess
-import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +23,8 @@ import pytest
 from repro.engine.request import AttributeSpec
 from repro.model.entity import ObjectInstance
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
-from repro.obs import MetricsRegistry
 from repro.serve import ClusterIndex, IncrementalIndex, SnapshotUnavailable
 from repro.serve import partition as partition_layout
-from repro.serve.index import posting_tokens
 from repro.sim.ngram import TrigramSimilarity
 from repro.sim.registry import get_similarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
@@ -34,6 +32,10 @@ from repro.sim.tfidf import TfIdfCosineSimilarity
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
          "graph", "join", "view", "cube", "match", "entity", "fusion",
          "warehouse", "cleaning", "lineage"]
+
+#: data dirs written by the ClusterIndex of commit a4d1e80, one with one
+#: shard and one with two, plus that commit's answers on them
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _title(rng):
@@ -56,12 +58,16 @@ def _queries(rng, count=6):
 SPECS = [AttributeSpec("title", "title", TrigramSimilarity())]
 
 
-def _single(reference, **kwargs):
-    return IncrementalIndex(reference, specs=SPECS, **kwargs)
+def _tfidf():
+    return [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
 
 
-def _cluster(reference, shards, **kwargs):
-    return ClusterIndex.build(reference, specs=SPECS, shards=shards,
+def _single(reference, specs=SPECS, **kwargs):
+    return IncrementalIndex(reference, specs=specs, **kwargs)
+
+
+def _cluster(reference, shards=1, specs=SPECS, **kwargs):
+    return ClusterIndex.build(reference, specs=specs, shards=shards,
                               **kwargs)
 
 
@@ -72,7 +78,7 @@ def _bits(answers):
 
 
 def _add_parent_keys(shard_dir) -> None:
-    """Rewrite a shard's latest base in the layout that stored each
+    """Rewrite a partition's latest base in the layout that stored each
     TF/IDF column's sorted ``row * max(1, V) + token`` keys beside its
     arrays, as the lookup by binary search needed them."""
     base = max(shard_dir.glob("base-*"), key=lambda path: int(path.name[5:]))
@@ -100,11 +106,18 @@ def _assert_matches_equal(single, cluster, records, *,
                                     max_candidates=max_candidates)
     actual = cluster.match_records(records, threshold=threshold,
                                    max_candidates=max_candidates)
-    assert actual == expected  # bit-identical: ids, floats, order
+    assert _bits(actual) == _bits(expected)  # ids, float bits, order
+
+
+def _partition_files(data_dir):
+    """``data_dir``'s entries, and those of its one partition dir."""
+    return (sorted(path.name for path in Path(data_dir).iterdir()),
+            sorted(path.name for path in (Path(data_dir) / "shard-00")
+                   .iterdir()))
 
 
 class TestFrozenReferenceEquivalence:
-    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_pruned_matches_single_index(self, shards):
         reference = _reference()
         single = _single(_reference())
@@ -117,7 +130,7 @@ class TestFrozenReferenceEquivalence:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_exhaustive_matches_single_index(self, shards):
         single = _single(_reference())
         cluster = _cluster(_reference(), shards)
@@ -138,16 +151,39 @@ class TestFrozenReferenceEquivalence:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("mode", ["build", "restore"])
+    def test_tfidf_matches_single_index(self, tmp_path, mode):
+        """TF/IDF over a data dir scores with the whole reference's
+        document frequencies: bit for bit the single index's."""
+        cluster = _cluster(_reference(), 2, specs=_tfidf(),
+                           data_dir=str(tmp_path))
+        if mode == "restore":
+            cluster.close()
+            cluster = ClusterIndex.restore(str(tmp_path))
+        single = _single(_reference(), specs=_tfidf())
+        queries = _queries(random.Random(17), count=12)
+        try:
+            for max_candidates in (50, None):
+                _assert_matches_equal(single, cluster, queries,
+                                      threshold=0.1,
+                                      max_candidates=max_candidates)
+            assert any(single.match_records(queries, threshold=0.1))
+        finally:
+            cluster.close()
+
 
 class TestMutationInterleavings:
-    def test_random_interleaving_stays_bit_identical(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_random_interleaving_stays_bit_identical(self, tmp_path,
+                                                     shards):
         """~200 random add/update/delete steps; every few steps the
-        cluster must answer exactly like the single index (small
-        ``compact_min`` keeps shard compactions firing at different
-        times than the single index's)."""
+        durable index must answer exactly like the single index (small
+        ``compact_min`` keeps compactions firing), and so must its
+        restore from the checkpoint taken at the end."""
         rng = random.Random(2024)
         single = _single(_reference(), compact_min=8)
-        cluster = _cluster(_reference(), 3, compact_min=8)
+        cluster = _cluster(_reference(), shards, compact_min=8,
+                           data_dir=str(tmp_path))
         next_id = 1000
         try:
             for step in range(200):
@@ -171,14 +207,22 @@ class TestMutationInterleavings:
                     assert cluster.ids() == single.ids()
                     _assert_matches_equal(single, cluster,
                                           _queries(rng, 3))
-            assert len(cluster) == len(single)
-            stats = cluster.stats()
-            assert stats["records"] == len(single)
-            assert stats["shards"] == 3
+            assert cluster.stats() == single.stats()
+            assert cluster.compactions > 0
+            cluster.checkpoint()
         finally:
             cluster.close()
+        restored = ClusterIndex.restore(str(tmp_path))
+        try:
+            assert restored.ids() == single.ids()
+            queries = _queries(rng, 6)
+            _assert_matches_equal(single, restored, queries)
+            _assert_matches_equal(single, restored, queries,
+                                  max_candidates=None)
+        finally:
+            restored.close()
 
-    def test_router_mutation_errors_match_single_index(self):
+    def test_mutation_errors_match_single_index(self):
         single = _single(_reference(8))
         cluster = _cluster(_reference(8), 2)
         try:
@@ -199,89 +243,23 @@ class TestMutationInterleavings:
         finally:
             cluster.close()
 
-
-class TestDocumentFrequencies:
-    def test_weight_maps_follow_the_live_records(self):
-        """The router reads document frequencies off the shards'
-        postings: after mixed add / update / delete / compact steps its
-        weight map for a value is ``1 / df`` over the live records, and
-        answers stay the single index's."""
-        rng = random.Random(77)
-        single = _single(_reference(), compact_min=4)
-        cluster = _cluster(_reference(), 3, compact_min=4)
-        next_id = 0
+    def test_rejected_mutations_are_not_logged(self, tmp_path):
+        cluster = _cluster(_reference(8), data_dir=str(tmp_path))
         try:
-            for step in range(120):
-                op = rng.random()
-                live = single.ids()
-                if op < 0.45 or not live:
-                    instance = ObjectInstance(f"n{next_id}",
-                                              {"title": _title(rng)})
-                    next_id += 1
-                    single.add(instance)
-                    cluster.add(instance)
-                elif op < 0.7:
-                    instance = ObjectInstance(rng.choice(live),
-                                              {"title": _title(rng)})
-                    single.update(instance)
-                    cluster.update(instance)
-                else:
-                    id = rng.choice(live)
-                    assert single.delete(id) == cluster.delete(id)
-                if step % 40 == 39:
-                    single.compact()
-                    cluster.compact()
-                if step % 10 == 0:
-                    df = {}
-                    for instance in single.instances():
-                        for token in posting_tokens(instance.get("title")):
-                            df[token] = df.get(token, 0) + 1
-                    for value in WORDS + [_title(rng) + " unseen"]:
-                        expected = {token: 1.0 / df[token]
-                                    for token in posting_tokens(value)
-                                    if token in df}
-                        assert cluster._weight_map(value) == (expected or None)
-                    assert cluster.stats()["tokens"] == len(df)
-                    _assert_matches_equal(single, cluster, _queries(rng, 3))
+            with pytest.raises(ValueError):
+                cluster.add(ObjectInstance("p1", {"title": "dup"}))
+            with pytest.raises(KeyError):
+                cluster.update(ObjectInstance("ghost", {"title": "x"}))
+            cluster.delete("ghost")
+            manifest = cluster.checkpoint()
         finally:
             cluster.close()
+        assert manifest["shards"][0]["wal_entries"] == 0
 
 
-class TestInProcessShards:
-    @pytest.mark.parametrize("mode", ["build", "restore"])
-    def test_tfidf_shards_score_with_their_own_slice(self, tmp_path, mode):
-        """Each shard prepares its own similarity: no two shards share
-        one, and every TF/IDF shard answers exactly like a single index
-        built over its own slice of the reference."""
-        def specs():
-            return [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
-
-        cluster = ClusterIndex.build(_reference(), specs=specs(), shards=2,
-                                     data_dir=str(tmp_path))
-        if mode == "restore":
-            cluster.close()
-            cluster = ClusterIndex.restore(str(tmp_path))
-        queries = _queries(random.Random(17), count=12)
-        instances = list(_reference())
-        try:
-            similarities = [shard.index.specs[0].similarity
-                            for shard in cluster._shards]
-            assert similarities[0] is not similarities[1]
-            spans = partition_layout.initial_partition(len(instances), 2)
-            for shard, (start, end) in zip(cluster._shards, spans):
-                part = LogicalSource(PhysicalSource("DBLP"),
-                                     ObjectType("Publication"))
-                for instance in instances[start:end]:
-                    part.add(instance)
-                alone = IncrementalIndex(part, specs=specs())
-                expected = alone.match_records(queries, threshold=0.1,
-                                               max_candidates=None)
-                assert _bits(shard.index.match_records(
-                    queries, threshold=0.1, max_candidates=None)) \
-                    == _bits(expected)
-                assert any(expected)
-        finally:
-            cluster.close()
+class TestTopologyKeywords:
+    """``shards=`` and ``processes=`` are validated and select
+    nothing."""
 
     @pytest.mark.parametrize("mode", ["build", "restore"])
     def test_processes_keyword_must_be_a_bool(self, tmp_path, mode):
@@ -294,9 +272,13 @@ class TestInProcessShards:
             else:
                 ClusterIndex.restore(str(tmp_path), processes=1)
 
+    def test_shards_keyword_must_be_positive(self):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            _cluster(_reference(8), 0)
+
     def test_processes_keyword_selects_nothing(self, tmp_path):
         """``processes=True`` and ``processes=False`` build and restore
-        the same in-process cluster, answering bit for bit alike."""
+        the same index, answering bit for bit alike."""
         queries = _queries(random.Random(19))
         answers = []
         for processes in (True, False):
@@ -318,73 +300,19 @@ class TestInProcessShards:
         assert any(answers[0])
         assert answers[1:] == answers[:1] * 3
 
-    def test_round_histogram_observes_each_shard_call(self):
-        """One ``repro_cluster_round_seconds`` observation per shard
-        call: every shard in the candidates round, only the shards
-        holding a surviving pair in the score round."""
-        registry = MetricsRegistry()
-        cluster = _cluster(_reference(), 2)
-        cluster.set_metrics(registry)
-        try:
-            query = ObjectInstance("q", {"title": "stream schema 3"})
-            cluster.match_records([query], threshold=0.2, max_candidates=1)
-
-            def count(round_name, shard):
-                return registry.histogram(
-                    "repro_cluster_round_seconds",
-                    labels={"round": round_name, "shard": shard}).count
-
-            assert [count("candidates", shard) for shard in (0, 1)] \
-                == [1, 1]
-            assert sorted(count("score", shard) for shard in (0, 1)) \
-                == [0, 1]
-        finally:
-            cluster.close()
-
-    def test_served_cluster_is_one_process(self, tmp_path):
-        """``repro serve --shards 2 --data-dir D`` runs its shards in
-        the router's process: once it prints ``serving``, its session
-        holds exactly one live process."""
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "--scale", "tiny", "serve",
-             "--port", "0", "--shards", "2",
-             "--data-dir", str(tmp_path / "data")],
-            stdout=subprocess.PIPE, text=True, start_new_session=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        # a server that never prints its banner is killed, which ends
-        # the read loop below
-        watchdog = threading.Timer(60.0, os.killpg,
-                                   (server.pid, signal.SIGKILL))
-        watchdog.start()
-        try:
-            banner = ""
-            for line in server.stdout:
-                if line.startswith("serving "):
-                    banner = line
-                    break
-            assert "2 in-process shard(s)" in banner
-            assert _session_members(server.pid) == [server.pid]
-        finally:
-            watchdog.cancel()
-            os.killpg(server.pid, signal.SIGKILL)
-            server.wait(timeout=5)
-            server.stdout.close()
-
-
-def _session_members(session: int) -> list:
-    """Live (not zombie) processes of ``session``, by pid."""
-    members = []
-    for entry in sorted(os.listdir("/proc")):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as handle:
-                fields = handle.read().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):
-            continue
-        if fields[0] != "Z" and int(fields[3]) == session:
-            members.append(int(entry))
-    return members
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_every_data_dir_is_one_partition(self, tmp_path, shards):
+        cluster = _cluster(_reference(12), shards, data_dir=str(tmp_path))
+        manifest = cluster.checkpoint()
+        cluster.close()
+        assert manifest == {"shards": [{"base": 0, "wal_entries": 0}],
+                            "source": "DBLP.Publication"}
+        assert _partition_files(tmp_path) == (
+            ["manifest.json", "shard-00", "specs.pkl"],
+            ["base-0", "wal-0.log"])
+        records = (tmp_path / "shard-00" / "base-0" / "records.jsonl")
+        assert all(set(json.loads(line)) == {"id", "attributes"}
+                   for line in records.read_text().splitlines())
 
 
 class TestSnapshotRestore:
@@ -400,7 +328,8 @@ class TestSnapshotRestore:
                            compact_min=8)
         self._mutate(cluster, rng)
         manifest = cluster.checkpoint()
-        assert manifest["seq"] == cluster._seq
+        assert [entry["base"] for entry in manifest["shards"]] \
+            == [cluster.base_id]
         queries = _queries(random.Random(9))
         before = {
             "ids": cluster.ids(),
@@ -432,7 +361,7 @@ class TestSnapshotRestore:
 
     def test_restored_cluster_keeps_bit_identity(self, tmp_path):
         """Mutations *after* a restore still track the single index —
-        the restart replays the exact state trajectory (same gseqs,
+        the restart replays the exact state trajectory (same slots,
         same compaction points), not just the same record set."""
         rng = random.Random(13)
         single = _single(_reference(), compact_min=8)
@@ -465,16 +394,14 @@ class TestSnapshotRestore:
         were read by direct address, which stores each TF/IDF column's
         ``keys`` (``col<i>.keys.bin``): a restore ignores them and
         rebuilds the bit rows from the CSR arrays."""
-        specs = [AttributeSpec("title", "title", TfIdfCosineSimilarity())]
-        cluster = ClusterIndex.build(_reference(), specs=specs, shards=2,
-                                     data_dir=str(tmp_path))
+        cluster = _cluster(_reference(), 2, specs=_tfidf(),
+                           data_dir=str(tmp_path))
         queries = _queries(random.Random(9))
         before = cluster.match_records(queries, threshold=0.1)
         cluster.checkpoint()
         cluster.close()
         if layout == "with-keys":
-            for shard in range(2):
-                _add_parent_keys(tmp_path / f"shard-{shard:02d}")
+            _add_parent_keys(tmp_path / "shard-00")
         restored = ClusterIndex.restore(str(tmp_path))
         try:
             after = restored.match_records(queries, threshold=0.1)
@@ -497,14 +424,13 @@ class TestSnapshotRestore:
         self._mutate(cluster, random.Random(5), rounds=6)
         cluster.checkpoint()
         cluster.close()
-        for shard in range(2):
-            base = max((tmp_path / f"shard-{shard:02d}").glob("base-*"),
-                       key=lambda path: int(path.name[5:]))
-            meta = json.loads((base / "meta.json").read_text())
-            assert [column["meta"] for column in meta["columns"]] \
-                == [{"kind": "scalar"}]
-            meta["columns"][0]["meta"] = {"kind": "none"}
-            (base / "meta.json").write_text(json.dumps(meta))
+        base = max((tmp_path / "shard-00").glob("base-*"),
+                   key=lambda path: int(path.name[5:]))
+        meta = json.loads((base / "meta.json").read_text())
+        assert [column["meta"] for column in meta["columns"]] \
+            == [{"kind": "scalar"}]
+        meta["columns"][0]["meta"] = {"kind": "none"}
+        (base / "meta.json").write_text(json.dumps(meta))
         restored = ClusterIndex.restore(str(tmp_path))
         try:
             assert restored.ids() == single.ids()
@@ -514,8 +440,9 @@ class TestSnapshotRestore:
 
     def test_data_dir_with_one_wal_log_restores(self, tmp_path):
         """Data dirs written before WALs were named by their base hold
-        one ``wal.log`` beside each shard's single base; they restore,
-        answer unchanged and checkpoint on into the current layout."""
+        one ``wal.log`` beside the partition's single base; they
+        restore, answer unchanged and checkpoint on into the current
+        layout."""
         cluster = _cluster(_reference(), 2, data_dir=str(tmp_path),
                            compact_min=8)
         self._mutate(cluster, random.Random(23), rounds=12)
@@ -524,11 +451,11 @@ class TestSnapshotRestore:
         before = _bits(cluster.match_records(queries, threshold=0.2))
         ids = cluster.ids()
         cluster.close()
-        for shard, entry in enumerate(manifest["shards"]):
-            shard_dir = tmp_path / f"shard-{shard:02d}"
-            # repro: allow-durability -- stages a closed test data dir in the older layout
-            os.replace(shard_dir / f"wal-{entry['base']}.log",
-                       shard_dir / "wal.log")
+        (entry,) = manifest["shards"]
+        shard_dir = tmp_path / "shard-00"
+        # repro: allow-durability -- stages a closed test data dir in the older layout
+        os.replace(shard_dir / f"wal-{entry['base']}.log",
+                   shard_dir / "wal.log")
         restored = ClusterIndex.restore(str(tmp_path))
         try:
             assert restored.ids() == ids
@@ -547,6 +474,58 @@ class TestSnapshotRestore:
         finally:
             again.close()
 
+    @pytest.mark.parametrize("specs", [SPECS, _tfidf()],
+                             ids=["trigram", "tfidf"])
+    def test_emptied_base_restores_and_accepts_an_add(self, tmp_path,
+                                                      specs):
+        """Every record deleted, compacted and checkpointed: the base's
+        column arrays are empty files, which restore as empty arrays;
+        the restored index then takes an add and answers like a single
+        index over that one record."""
+        cluster = _cluster(_reference(6), specs=specs,
+                           data_dir=str(tmp_path))
+        for id in cluster.ids():
+            cluster.delete(id)
+        cluster.compact()
+        cluster.checkpoint()
+        cluster.close()
+        restored = ClusterIndex.restore(str(tmp_path))
+        added = ObjectInstance("n0", {"title": "adaptive stream schema"})
+        try:
+            assert len(restored) == 0
+            restored.add(added)
+            single = _single(LogicalSource(PhysicalSource("DBLP"),
+                                           ObjectType("Publication")),
+                             specs=specs)
+            single.add(added)
+            queries = [ObjectInstance("q", {"title": "adaptive stream"})]
+            _assert_matches_equal(single, restored, queries, threshold=0.1)
+            assert any(single.match_records(queries, threshold=0.1))
+        finally:
+            restored.close()
+
+    def test_tfidf_column_without_entries_restores_bitwise(self, tmp_path):
+        """A base whose TF/IDF column holds no entry (every title is
+        ``None``) restores, and answers bit for bit as before."""
+        source = LogicalSource(PhysicalSource("DBLP"),
+                               ObjectType("Publication"))
+        for i in range(4):
+            source.add_record(f"p{i}", title=None)
+        cluster = _cluster(source, specs=_tfidf(), missing="zero",
+                           data_dir=str(tmp_path))
+        queries = [ObjectInstance("q", {"title": "schema"})]
+        before = cluster.match_records(queries, threshold=0.0,
+                                       max_candidates=None)
+        cluster.close()
+        restored = ClusterIndex.restore(str(tmp_path))
+        try:
+            assert _bits(restored.match_records(
+                queries, threshold=0.0, max_candidates=None)) \
+                == _bits(before)
+        finally:
+            restored.close()
+        assert len(before[0]) == 4
+
     def test_checkpoint_without_data_dir_raises(self):
         cluster = _cluster(_reference(6), 2)
         try:
@@ -560,27 +539,102 @@ class TestSnapshotRestore:
             ClusterIndex.restore(str(tmp_path / "nowhere"))
 
 
+class TestDataDirsOfEarlierShardCounts:
+    """Data dirs written when the index could be split across shards
+    (``FIXTURES``): a one-shard dir restores as it is; a two-shard dir
+    is merged into one partition on restore.  Both answer exactly what
+    the writing commit answered on them."""
+
+    @staticmethod
+    def _copy(tmp_path, name):
+        data_dir = tmp_path / name
+        shutil.copytree(FIXTURES / name, data_dir)
+        expected = json.loads((FIXTURES / f"{name}.json").read_text())
+        return str(data_dir), expected
+
+    @staticmethod
+    def _assert_answers(index, expected):
+        records = [ObjectInstance(query["id"], {"title": query["title"]})
+                   for query in expected["queries"]]
+        assert index.ids() == expected["ids"]
+        for k, answers in expected["answers"].items():
+            got = index.match_records(
+                records, threshold=0.2,
+                max_candidates=None if k == "None" else int(k))
+            assert [[[id, score.hex()] for id, score in answer]
+                    for answer in got] == answers
+        assert any(expected["answers"]["50"])
+
+    @pytest.mark.parametrize("name", ["1-shard", "2-shard"])
+    def test_restores_with_the_writers_answers(self, tmp_path, name):
+        data_dir, expected = self._copy(tmp_path, name)
+        restored = ClusterIndex.restore(data_dir)
+        try:
+            self._assert_answers(restored, expected)
+            restored.checkpoint()
+        finally:
+            restored.close()
+        manifest = partition_layout.read_manifest(data_dir)
+        base = manifest["shards"][0]["base"]
+        assert len(manifest["shards"]) == 1
+        assert _partition_files(data_dir) == (
+            ["manifest.json", "shard-00", "specs.pkl"],
+            [f"base-{base}", f"wal-{base}.log"])
+        again = ClusterIndex.restore(data_dir)
+        try:
+            self._assert_answers(again, expected)
+        finally:
+            again.close()
+
+    def test_one_shard_dir_restores_memmapped(self, tmp_path):
+        data_dir, _ = self._copy(tmp_path, "1-shard")
+        restored = ClusterIndex.restore(data_dir)
+        try:
+            arrays = restored.export_columns()[0][1]
+            assert all(isinstance(array, np.memmap)
+                       for array in arrays.values())
+        finally:
+            restored.close()
+
+    def test_merge_interrupted_before_its_manifest(self, tmp_path,
+                                                   monkeypatch):
+        """A crash before the merged manifest lands leaves the two-shard
+        dir restorable; the next restore merges it."""
+        data_dir, expected = self._copy(tmp_path, "2-shard")
+
+        def crash(*args, **kwargs):
+            raise OSError("injected crash")
+
+        monkeypatch.setattr(partition_layout, "write_manifest", crash)
+        with pytest.raises(OSError, match="injected crash"):
+            ClusterIndex.restore(data_dir)
+        monkeypatch.undo()
+        assert len(partition_layout.read_manifest(data_dir)["shards"]) == 2
+        restored = ClusterIndex.restore(data_dir)
+        try:
+            self._assert_answers(restored, expected)
+        finally:
+            restored.close()
+        assert _partition_files(data_dir)[0] == [
+            "manifest.json", "shard-00", "specs.pkl"]
+
+
 class TestInterruptedCheckpoint:
     """A checkpoint that fails before its manifest lands must leave the
     last acknowledged snapshot restorable, bit for bit."""
 
     QUERIES = _queries(random.Random(41), count=8)
 
-    def _image(self, cluster):
-        ranked = []
-        for shard in cluster._shards:
-            for query in self.QUERIES:
-                weights = cluster._weight_map(query.get("title"))
-                ranked.append([
-                    (slot, struct.pack("<d", weight)) for slot, weight
-                    in shard.index.ranked_candidates(
-                        query.get("title"), 10, weights=weights)])
-        return {"ids": cluster.ids(),
-                "answers": _bits(cluster.match_records(self.QUERIES,
-                                                       threshold=0.2)),
+    def _image(self, index):
+        ranked = [[(slot, struct.pack("<d", weight)) for slot, weight
+                   in index.ranked_candidates(query.get("title"), 10)]
+                  for query in self.QUERIES]
+        return {"ids": index.ids(),
+                "answers": _bits(index.match_records(self.QUERIES,
+                                                     threshold=0.2)),
                 "ranked": ranked}
 
-    @pytest.mark.parametrize("fault", ["manifest", "shard-0", "shard-1"])
+    @pytest.mark.parametrize("fault", ["manifest", "partition"])
     def test_restore_yields_the_last_acknowledged_snapshot(
             self, tmp_path, monkeypatch, fault):
         rng = random.Random(5)
@@ -588,14 +642,13 @@ class TestInterruptedCheckpoint:
                            compact_min=4)
         cluster.checkpoint()
         acknowledged = self._image(cluster)
-        compactions = [shard.index.compactions for shard in cluster._shards]
+        compactions = cluster.compactions
         for i in range(17):
             cluster.add(ObjectInstance(f"a{i}", {"title": _title(rng)}))
         for id in rng.sample(cluster.ids(), 10):
             cluster.delete(id)
-        # every shard compacted, so every checkpoint writes a new base
-        assert all(shard.index.compactions > before for shard, before
-                   in zip(cluster._shards, compactions))
+        # the index compacted, so the checkpoint writes a new base
+        assert cluster.compactions > compactions
 
         def crash(*args, **kwargs):
             raise OSError("injected crash")
@@ -603,14 +656,13 @@ class TestInterruptedCheckpoint:
         if fault == "manifest":
             monkeypatch.setattr(partition_layout, "write_manifest", crash)
         else:
-            shard = cluster._shards[int(fault[-1])]
+            write_base = cluster.write_base
 
-            def checkpoint_then_crash():
-                shard_checkpoint()
+            def write_base_then_crash():
+                write_base()
                 crash()
 
-            shard_checkpoint = shard.checkpoint
-            monkeypatch.setattr(shard, "checkpoint", checkpoint_then_crash)
+            monkeypatch.setattr(cluster, "write_base", write_base_then_crash)
         with pytest.raises(OSError, match="injected crash"):
             cluster.checkpoint()
         cluster.close()
@@ -623,9 +675,82 @@ class TestInterruptedCheckpoint:
         finally:
             restored.close()
         # the next manifest prunes every base and WAL it does not name
-        for shard in range(2):
-            names = sorted(path.name for path
-                           in (tmp_path / f"shard-{shard:02d}").iterdir())
-            assert len(names) == 2
-            base = [name for name in names if name.startswith("base-")][0]
-            assert names == [base, f"wal-{base[5:]}.log"]
+        names = _partition_files(tmp_path)[1]
+        assert len(names) == 2
+        base = [name for name in names if name.startswith("base-")][0]
+        assert names == [base, f"wal-{base[5:]}.log"]
+
+
+class TestTornWal:
+    """The WAL of one partition under truncation and bit flips: frames
+    past the manifest's count are not part of the image, whatever is
+    left of them; a damaged acknowledged frame fails the restore."""
+
+    ACKNOWLEDGED = 4
+
+    @pytest.fixture
+    def image(self, tmp_path):
+        """``(data dir, WAL path, WAL bytes, frame ends, image)``: a
+        checkpoint covering four WAL frames, then three more mutations
+        appended and synced past it."""
+        rng = random.Random(61)
+        cluster = _cluster(_reference(12), data_dir=str(tmp_path),
+                           compact_min=1000)
+        for i in range(self.ACKNOWLEDGED - 1):
+            cluster.add(ObjectInstance(f"a{i}", {"title": _title(rng)}))
+        cluster.update(ObjectInstance("p2", {"title": _title(rng)}))
+        manifest = cluster.checkpoint()
+        assert manifest["shards"][0]["wal_entries"] == self.ACKNOWLEDGED
+        image = (cluster.ids(), _bits(cluster.match_records(
+            _queries(random.Random(62)), threshold=0.2)))
+        cluster.add(ObjectInstance("late", {"title": _title(rng)}))
+        cluster.update(ObjectInstance("a0", {"title": _title(rng)}))
+        cluster.delete("p3")
+        cluster.wal.sync()
+        path = Path(cluster.wal.path)
+        cluster.close()
+        data = path.read_bytes()
+        ends, offset = [], 0
+        while offset < len(data):
+            length, _ = struct.unpack(">II", data[offset:offset + 8])
+            offset += 8 + length
+            ends.append(offset)
+        assert len(ends) == self.ACKNOWLEDGED + 3
+        return str(tmp_path), path, data, ends, image
+
+    def _restore(self, data_dir):
+        restored = ClusterIndex.restore(data_dir)
+        try:
+            return (restored.ids(), _bits(restored.match_records(
+                _queries(random.Random(62)), threshold=0.2)))
+        finally:
+            restored.close()
+
+    def test_truncation_past_the_acknowledged_frames(self, image):
+        data_dir, path, data, ends, expected = image
+        for offset in range(ends[self.ACKNOWLEDGED - 1], len(data) + 1):
+            path.write_bytes(data[:offset])
+            assert self._restore(data_dir) == expected, offset
+            assert path.stat().st_size == ends[self.ACKNOWLEDGED - 1]
+
+    def test_truncation_inside_an_acknowledged_frame(self, image):
+        data_dir, path, data, ends, _ = image
+        for offset in range(ends[self.ACKNOWLEDGED - 1]):
+            intact = sum(end <= offset for end in ends)
+            path.write_bytes(data[:offset])
+            with pytest.raises(ValueError, match=(
+                    f"holds {intact} intact frames, manifest expects "
+                    f"{self.ACKNOWLEDGED}")):
+                ClusterIndex.restore(data_dir)
+
+    def test_crc_flip_in_an_acknowledged_frame(self, image):
+        data_dir, path, data, ends, _ = image
+        for frame in range(self.ACKNOWLEDGED):
+            start = ends[frame - 1] if frame else 0
+            damaged = bytearray(data)
+            damaged[start + 4] ^= 0xFF  # first byte of the frame's CRC
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(ValueError, match=(
+                    f"holds {frame} intact frames, manifest expects "
+                    f"{self.ACKNOWLEDGED}")):
+                ClusterIndex.restore(data_dir)

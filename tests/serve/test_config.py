@@ -48,10 +48,15 @@ class TestValidation:
         with pytest.raises(InvalidRequest):
             ServeConfig(specs=specs).validate()
 
-    def test_data_dir_implies_one_shard(self, tmp_path):
+    def test_data_dir_selects_the_durable_index(self, tmp_path):
         config = ServeConfig(data_dir=str(tmp_path)).validate()
-        assert config.shards == 1
+        assert config.shards == 0
         assert config.clustered
+
+    def test_shards_alone_select_nothing(self):
+        config = ServeConfig(shards=2).validate()
+        assert config.shards == 2
+        assert not config.clustered
 
     def test_explicit_shards_kept_with_data_dir(self, tmp_path):
         config = ServeConfig(shards=3, data_dir=str(tmp_path)).validate()

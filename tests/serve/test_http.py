@@ -246,9 +246,9 @@ class TestErrorEnvelope:
         assert str(excinfo.value) == "shard 1: gone"
 
 class TestClusteredService:
-    """The full stack over a partitioned backend: HTTP -> service ->
-    cluster router -> shards, including /v1/snapshot and a warm
-    restart from the written image."""
+    """The full stack over the durable index: HTTP -> service ->
+    index with a data dir, including /v1/snapshot and a warm restart
+    from the written image."""
 
     def _serve(self, service):
         server = build_server(service, "127.0.0.1", 0)
@@ -276,10 +276,11 @@ class TestClusteredService:
         try:
             client.ingest([_record("extra", "entity fusion survey")])
             manifest = client.snapshot()
-            assert manifest["seq"] == 13
+            assert [sorted(entry) for entry in manifest["shards"]] \
+                == [["base", "wal_entries"]]
             before_matches = client.match_record(probe)
             before_index = client.stats()["index"]
-            assert before_index["shards"] == 2
+            assert before_index["records"] == 13
         finally:
             self._stop(server, thread, service)
 

@@ -260,6 +260,22 @@ class TestScoringEquivalence:
         assert sorted(index.score_pairs(records, pairs, threshold=0.0)) \
             == sorted(index_scores(index, records, pairs, 0.0))
 
+    def test_indexes_sharing_a_spec_keep_their_own_statistics(self):
+        """Two indexes built from one TF/IDF spec object: building the
+        second (over another corpus) leaves the first's document
+        frequencies, and so its scores, as they were."""
+        spec = AttributeSpec("title", "title", TfIdfCosineSimilarity())
+        records = _queries(["Adaptive Query Processing for Streams v0"])
+        first = IncrementalIndex(_source(), specs=[spec])
+        before = first.match_records(records, threshold=0.1)
+        other = _source(3, name="ACM")
+        for i in range(12):
+            other.add_record(f"x{i}", title=f"adaptive processing {i}")
+        IncrementalIndex(other, specs=[spec])
+        assert first.match_records(records, threshold=0.1) == before
+        assert before[0][0] == ("p0", 1.0)
+        assert first.specs[0].similarity is not spec.similarity
+
     def test_missing_zero_policy_at_threshold_zero(self):
         source = _source(4)
         source.add_record("hole", title=None)

@@ -5,13 +5,12 @@ Three contracts from docs/observability.md are pinned here:
 1. **Bit-identity** — a service with ``metrics=True`` and
    ``trace_sample_rate=1.0`` answers byte-for-byte what the same
    service answers with observability off, for the single in-heap
-   index and for the sharded cluster.
+   index and for the durable index over a data dir.
 2. **Trace propagation** — a trace begun at the boundary collects
-   spans from the service's kernel call, the cluster rounds and each
-   shard call within them.
+   spans from the service's kernel call.
 3. **Exposition** — ``/v1/metrics`` serves parseable Prometheus text
-   covering the service, index, cluster and WAL counters, and every
-   response carries a correlatable ``X-Request-Id``.
+   covering the service, index and WAL counters, and every response
+   carries a correlatable ``X-Request-Id``.
 """
 
 import http.client
@@ -74,9 +73,9 @@ def _transcript(service):
 
 
 class TestBitIdentity:
-    def _assert_equivalent(self, **topology):
-        plain = _service(False, **topology)
-        observed = _service(True, **topology)
+    def _assert_equivalent(self, data_dirs=(None, None)):
+        plain = _service(False, data_dir=data_dirs[0])
+        observed = _service(True, data_dir=data_dirs[1])
         try:
             assert _transcript(observed) == _transcript(plain)
             # the observed run really did record something
@@ -88,38 +87,30 @@ class TestBitIdentity:
     def test_single_index(self):
         self._assert_equivalent()
 
-    def test_in_process_cluster(self):
-        self._assert_equivalent(shards=2)
+    def test_durable_index(self, tmp_path):
+        self._assert_equivalent((str(tmp_path / "plain"),
+                                 str(tmp_path / "observed")))
 
 
 class TestTracePropagation:
-    def test_spans_cover_every_shard_call(self):
-        service = _service(True, shards=2)
+    def test_spans_cover_the_kernel_call(self, tmp_path):
+        service = _service(True, data_dir=str(tmp_path))
         try:
-            context = service.tracer.begin("t-cluster")
+            context = service.tracer.begin("t-durable")
             assert context is not None
             with obs_trace.activate(context):
                 service.match_record(_queries(count=1)[0])
             service.tracer.finish(context)
-            names = [span["name"] for span in context.spans]
-            assert "service.batch" in names
-            assert any(name.startswith("cluster.") for name in names)
-            shard_spans = [span for span in context.spans
-                           if span["name"].startswith("shard.")]
-            rounds = {span["span_id"] for span in context.spans
-                      if span["name"].startswith("cluster.")}
-            assert {span["shard"] for span in shard_spans} == {0, 1}
-            for span in shard_spans:
-                assert span["trace_id"] == "t-cluster"
-                assert span["parent_id"] is not None
-                assert span["parent_id"] in rounds
-                assert span["duration"] >= 0.0
-            assert service.tracer.recent()[-1]["trace_id"] == "t-cluster"
+            (span,) = context.spans
+            assert span["name"] == "service.batch"
+            assert span["trace_id"] == "t-durable"
+            assert span["duration"] >= 0.0
+            assert service.tracer.recent()[-1]["trace_id"] == "t-durable"
         finally:
             service.close()
 
-    def test_untraced_requests_produce_no_spans(self):
-        service = _service(True, shards=2)
+    def test_untraced_requests_produce_no_spans(self, tmp_path):
+        service = _service(True, data_dir=str(tmp_path))
         try:
             service.config.trace_sample_rate = 0.0
             service.match_record(_queries(count=1)[0])
@@ -129,18 +120,15 @@ class TestTracePropagation:
 
 
 class TestMetricsContent:
-    def test_cluster_rounds_and_wal_are_exposed(self, tmp_path):
-        service = _service(True, shards=2,
-                           data_dir=str(tmp_path))
+    def test_index_and_wal_counters_are_exposed(self, tmp_path):
+        service = _service(True, data_dir=str(tmp_path))
         try:
             _transcript(service)
             service.snapshot()
             text = service.metrics.render()
-            assert 'repro_cluster_round_seconds_bucket{' in text
-            assert 'round="candidates"' in text
-            assert 'shard="1"' in text
-            assert 'repro_index_pruning_queries_total{shard="0"}' in text
-            assert 'repro_wal_syncs_total{shard="0"}' in text
+            assert "shard=" not in text
+            assert "\nrepro_index_pruning_queries_total " in text
+            assert "\nrepro_wal_syncs_total " in text
             assert "repro_service_cache_hits_total" in text
             assert "repro_service_cache_misses_total" in text
             assert "repro_service_batch_size_bucket" in text
@@ -163,14 +151,15 @@ class TestMetricsContent:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("topology", [
-        {}, {"shards": 2}],
-        ids=["single-index", "two-shard-cluster"])
-    def test_every_stats_counter_equals_its_metrics_sample(self, topology):
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["single-index", "durable-index"])
+    def test_every_stats_counter_equals_its_metrics_sample(self, tmp_path,
+                                                           durable):
         """One counter, one definition: what /v1/stats reports is what
         /v1/metrics samples, for every row of the service's counter
         table and every pruning counter the backend reports."""
-        service = _service(True, **topology)
+        service = _service(True,
+                           data_dir=str(tmp_path) if durable else None)
         try:
             _transcript(service)
             service.match_batch(_queries(seed=9))   # repeats: cache hits
@@ -189,8 +178,7 @@ class TestMetricsContent:
                 prefix = f"repro_index_pruning_{key}_total"
                 samples = [value for name, value in summary.items()
                            if name == prefix or name.startswith(prefix + "{")]
-                assert len(samples) == (topology.get("shards") or 1)
-                assert sum(samples) == reported, key
+                assert samples == [reported], key
         finally:
             service.close()
 

@@ -94,9 +94,11 @@ class TestOfflineEquivalence:
         """With document frequencies pinned to the service's reference
         corpus, the sparse serving kernel reproduces the engine's CSR
         kernel bit-for-bit."""
-        sim = TfIdfCosineSimilarity()
-        service = _service(_reference(), attribute="title", similarity=sim,
+        service = _service(_reference(), attribute="title",
+                           similarity=TfIdfCosineSimilarity(),
                            threshold=0.1, max_candidates=None)
+        # the index scores with its own prepared copy of the similarity
+        sim = service.index.specs[0].similarity
         queries = _query_source(QUERY_TITLES)
         served = service.match_batch(list(queries))
         # freeze the service's reference-corpus IDF for the engine run
