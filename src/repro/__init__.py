@@ -67,7 +67,6 @@ from repro.engine import (
     get_default_engine,
     set_default_engine,
 )
-from repro.serve import IncrementalIndex, MatchService
 from repro.sim import SimilarityFunction, get_similarity
 
 __version__ = "1.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "ConstraintSelection",
     "Correspondence",
     "GridSearchTuner",
-    "IncrementalIndex",
     "LogicalSource",
     "Mapping",
     "MappingCache",
@@ -91,7 +89,6 @@ __all__ = [
     "MappingRepository",
     "MappingType",
     "MatchContext",
-    "MatchService",
     "MatchWorkflow",
     "Matcher",
     "MatcherLibrary",

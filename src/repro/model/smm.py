@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.mapping import Mapping, MappingKind
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 
@@ -180,16 +178,21 @@ class SourceMappingModel:
 
     # -- structural queries ------------------------------------------------
 
-    def same_mapping_graph(self) -> "nx.DiGraph":
-        """Directed graph of registered same-mappings between LDS."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._sources)
+    def same_mapping_graph(self) -> Dict[str, Dict[str, str]]:
+        """Registered same-mappings between LDS as an adjacency dict.
+
+        ``graph[lds]`` maps each neighbour to the name of the mapping
+        leading there, in registration order; every registered LDS is
+        a key.  A later mapping between the same pair renames the edge
+        but keeps its place.
+        """
+        graph: Dict[str, Dict[str, str]] = {name: {} for name in self._sources}
         for name, (mapping, _) in self._mappings.items():
             if mapping.kind == MappingKind.SAME and not mapping.is_self_mapping():
-                graph.add_edge(mapping.domain, mapping.range, name=name)
+                graph[mapping.domain][mapping.range] = name
                 # same-mappings are semantically symmetric; the inverse
                 # is always derivable
-                graph.add_edge(mapping.range, mapping.domain, name=f"{name}~inv")
+                graph[mapping.range][mapping.domain] = f"{name}~inv"
         return graph
 
     def find_compose_paths(self, source: str, target: str,
@@ -199,18 +202,27 @@ class SourceMappingModel:
         Each path is a list of mapping names (``~inv`` suffix marks
         that the registered mapping must be inverted).  Used to
         enumerate the §4.1.2 compose alternatives, e.g. DBLP->GS->ACM.
+        Paths visit no LDS twice and have at most ``max_length`` steps;
+        shorter paths come first, equal lengths in depth-first order
+        over the neighbours.  ``source == target`` is the empty path.
         """
         graph = self.same_mapping_graph()
-        if source not in graph or target not in graph:
+        if source not in graph or target not in graph or max_length < 0:
             return []
+        if source == target:
+            return [[]]
         paths: List[List[str]] = []
-        for node_path in nx.all_simple_paths(graph, source, target,
-                                             cutoff=max_length):
-            names = [
-                graph.edges[first, second]["name"]
-                for first, second in zip(node_path, node_path[1:])
-            ]
-            paths.append(names)
+
+        def extend(node: str, visited: List[str], names: List[str]) -> None:
+            if len(names) >= max_length:
+                return
+            for neighbour, name in graph[node].items():
+                if neighbour == target:
+                    paths.append(names + [name])
+                elif neighbour not in visited:
+                    extend(neighbour, visited + [neighbour], names + [name])
+
+        extend(source, [source], [])
         paths.sort(key=len)
         return paths
 

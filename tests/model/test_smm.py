@@ -103,3 +103,109 @@ class TestStructuralQueries:
 
     def test_paths_missing_node(self, smm):
         assert smm.find_compose_paths("X", "Y") == []
+
+
+@pytest.fixture
+def mesh():
+    """Four publication LDS; ``gs-cs`` is registered before ``acm-cs``
+    so insertion order and name order disagree at CS."""
+    model = SourceMappingModel()
+    for physical in ("DBLP", "ACM", "GS", "CS"):
+        model.create_source(physical, "Publication")
+    model.create_source("DBLP", "Venue")
+    for name, domain, range in (
+        ("dblp-acm", "DBLP", "ACM"),
+        ("dblp-gs", "DBLP", "GS"),
+        ("gs-acm", "GS", "ACM"),
+        ("gs-cs", "GS", "CS"),
+        ("acm-cs", "ACM", "CS"),
+    ):
+        model.register_mapping(name, Mapping(f"{domain}.Publication",
+                                             f"{range}.Publication"))
+    return model
+
+
+class TestComposePaths:
+    """The compose-path query's answers, order included (§4.1.2)."""
+
+    def test_equal_length_paths_follow_registration_order(self, mesh):
+        assert mesh.find_compose_paths("DBLP.Publication", "CS.Publication") == [
+            ["dblp-acm", "acm-cs"],
+            ["dblp-gs", "gs-cs"],
+        ]
+        # CS met GS before ACM, although "ACM" sorts first
+        assert mesh.find_compose_paths("CS.Publication", "DBLP.Publication") == [
+            ["gs-cs~inv", "dblp-gs~inv"],
+            ["acm-cs~inv", "dblp-acm~inv"],
+        ]
+
+    def test_shorter_paths_first(self, mesh):
+        assert mesh.find_compose_paths("DBLP.Publication", "ACM.Publication") == [
+            ["dblp-acm"],
+            ["dblp-gs", "gs-acm"],
+        ]
+
+    def test_max_length_one(self, mesh):
+        assert mesh.find_compose_paths("DBLP.Publication", "ACM.Publication",
+                                       max_length=1) == [["dblp-acm"]]
+        assert mesh.find_compose_paths("DBLP.Publication", "CS.Publication",
+                                       max_length=1) == []
+
+    def test_max_length_three(self, mesh):
+        assert mesh.find_compose_paths("DBLP.Publication", "CS.Publication",
+                                       max_length=3) == [
+            ["dblp-acm", "acm-cs"],
+            ["dblp-gs", "gs-cs"],
+            ["dblp-acm", "gs-acm~inv", "gs-cs"],
+            ["dblp-gs", "gs-acm", "acm-cs"],
+        ]
+
+    def test_pair_registered_twice_keeps_last_name(self, mesh):
+        mesh.register_mapping("dblp-acm-2", Mapping("DBLP.Publication",
+                                                    "ACM.Publication"))
+        assert mesh.find_compose_paths("DBLP.Publication", "ACM.Publication",
+                                       max_length=1) == [["dblp-acm-2"]]
+        assert mesh.find_compose_paths("ACM.Publication", "DBLP.Publication",
+                                       max_length=1) == [["dblp-acm-2~inv"]]
+
+    def test_reverse_registration_overwrites_inverse_edge(self, mesh):
+        # ACM->DBLP names both directions: its own edge replaces
+        # dblp-acm~inv, its ~inv edge replaces dblp-acm
+        mesh.register_mapping("acm-dblp", Mapping("ACM.Publication",
+                                                  "DBLP.Publication"))
+        assert mesh.find_compose_paths("ACM.Publication", "DBLP.Publication") == [
+            ["acm-dblp"],
+            ["gs-acm~inv", "dblp-gs~inv"],
+        ]
+        assert mesh.find_compose_paths("DBLP.Publication", "ACM.Publication") == [
+            ["acm-dblp~inv"],
+            ["dblp-gs", "gs-acm"],
+        ]
+        # the edge keeps its place among ACM's neighbours
+        assert mesh.find_compose_paths("CS.Publication", "DBLP.Publication") == [
+            ["gs-cs~inv", "dblp-gs~inv"],
+            ["acm-cs~inv", "acm-dblp"],
+        ]
+
+    def test_self_and_association_mappings_excluded(self, mesh):
+        mesh.register_mapping("dblp-self", Mapping("DBLP.Publication",
+                                                   "DBLP.Publication"))
+        mesh.register_mapping("pub-venue", Mapping(
+            "DBLP.Publication", "DBLP.Venue", kind=MappingKind.ASSOCIATION))
+        assert mesh.find_compose_paths("DBLP.Publication", "DBLP.Publication") == [[]]
+        assert mesh.find_compose_paths("DBLP.Publication", "ACM.Publication") == [
+            ["dblp-acm"],
+            ["dblp-gs", "gs-acm"],
+        ]
+        assert mesh.find_compose_paths("DBLP.Publication", "DBLP.Venue") == []
+
+    def test_unknown_nodes(self, mesh):
+        assert mesh.find_compose_paths("X.Publication", "ACM.Publication") == []
+        assert mesh.find_compose_paths("DBLP.Publication", "X.Publication") == []
+
+    def test_isolated_lds_has_no_paths(self, mesh):
+        assert mesh.find_compose_paths("DBLP.Venue", "ACM.Publication") == []
+
+    def test_source_is_target(self, mesh):
+        # the one-node path: nothing to compose
+        assert mesh.find_compose_paths("ACM.Publication", "ACM.Publication") == [[]]
