@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7,
                         help="world generator seed (default: 7)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the batch match engine "
+                        help="N processes score in the batch match engine: "
+                             "the parent and N - 1 forked children "
                              "(default: 1 = serial)")
     parser.add_argument("--chunk-size", type=int, default=2048,
                         help="candidate pairs per engine chunk "

@@ -16,17 +16,18 @@ runs the same four steps (:meth:`BatchMatchEngine.execute`):
    ``score_batch`` otherwise, answering from a score table where the
    plan's rows outnumber the column's distinct value pairs) — inline
    for ``workers=1``, or across the engine's one process pool
-   (:func:`repro.engine.pool.run_ordered`), whose tasks are slices cut
-   in the parent or, under ``shard_blocking``, whole shards cut where
-   they are scored;
+   (:func:`repro.engine.pool.run_ordered`: the parent and
+   ``workers − 1`` forked children), whose tasks are slices cut in the
+   parent or, under ``shard_blocking``, whole shards cut where they
+   are scored;
 4. **load**: the survivors are loaded into one :class:`Mapping` in
    submission order (:meth:`BatchMatchEngine._load` — row arrays
    straight into the mapping's columns), so serial and parallel
    execution produce *identical* mappings.
 
-Workers are forked after ``_prepare`` has run, so corpus-level state
-(packed columns, TF/IDF document frequencies) is built once and shared
-copy-on-write.  What is a pure function of the sources — the packed
+The children are forked after ``_prepare`` has run, so corpus-level
+state (packed columns, TF/IDF document frequencies) is built once and
+shared copy-on-write.  What is a pure function of the sources — the packed
 columns here, the blocking strategies' posting lists — is kept *by*
 the sources (:meth:`repro.model.source.LogicalSource.derived`), so the
 next request over the same sources, from any engine, finds it built.
@@ -60,7 +61,11 @@ from repro.obs.registry import percentile as obs_percentile
 class EngineConfig:
     """Tuning knobs for batch execution.
 
-    ``workers=1`` is the serial fallback (no processes, no IPC).
+    ``workers=N`` means N processes score: the parent and N − 1 forked
+    children, each child holding one task at most (a second would sit
+    in the executor's call queue, where the parent cannot take it back;
+    :mod:`repro.engine.pool`).  ``workers=1`` is the serial fallback
+    (no processes, no IPC), and so is any run of fewer than two tasks.
     ``chunk_size`` is the number of candidate row pairs in one slice —
     one kernel call, and one pool task when the parent cuts (a block
     slice then holds more, up to

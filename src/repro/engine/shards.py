@@ -39,8 +39,9 @@ arrays for the request's kernel
 :meth:`ShardRunner.slices` and every slice is a pool task.  On, every
 *shard* is (:meth:`ShardRunner.run`): the runner — shard list, request,
 scoring state — is built in the parent *before* the pool forks
-(:func:`repro.engine.pool.run_ordered`), so workers inherit everything
-copy-on-write; each task carries one int **shard index in** and
+(:func:`repro.engine.pool.run_ordered`), so the children inherit
+everything copy-on-write and the parent, one of the workers, scores
+on the originals; each task carries one int **shard index in** and
 returns only the **survivors out** — ``(rows_a, rows_b, scores)``
 arrays.  Nothing per-pair crosses a process boundary, which
 removes the parent-side generation bottleneck (Amdahl) of blocked
@@ -145,7 +146,7 @@ class ShardRunner:
     """Cuts shards into slices and scores them; lives in the parent,
     runs anywhere.
 
-    Built before the pool forks, so workers inherit the shard list,
+    Built before the pool forks, so children inherit the shard list,
     sources, similarity state and packed columns copy-on-write and
     tasks carry a shard index (:meth:`run`) or one slice
     (:attr:`score`).  ``kernel`` is the request's
