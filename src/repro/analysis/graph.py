@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.core import ordered_iterables, parent_map, sorted_wrapped
+from repro.analysis.core import ordered_iterables, sorted_wrapped
 
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
@@ -307,11 +307,25 @@ def annotation_head(annotation: Optional[ast.expr]) -> Optional[str]:
     return _dotted_name(annotation) if annotation is not None else None
 
 
-def _method_iterations(node: ast.AST) -> List[MethodIteration]:
-    """Every :class:`MethodIteration` under the function ``node`` whose
-    receiver is bound exactly once: an annotated parameter never
-    assigned to, or a local assigned the result of one named call."""
-    stores = Counter(child.id for child in ast.walk(node)
+def _walk(node: ast.AST) -> Tuple[List[ast.AST], Dict[int, ast.AST]]:
+    """One walk under ``node``: every node in :func:`ast.walk`'s order,
+    and ``id(node)`` -> parent (:func:`~repro.analysis.core.parent_map`)."""
+    nodes: List[ast.AST] = [node]
+    parents: Dict[int, ast.AST] = {}
+    for parent in nodes:  # grows as it goes: breadth first, as ast.walk
+        for child in ast.iter_child_nodes(parent):
+            parents[id(child)] = parent
+            nodes.append(child)
+    return nodes, parents
+
+
+def _method_iterations(node: ast.AST, nodes: List[ast.AST],
+                       parents: Dict[int, ast.AST]) -> List[MethodIteration]:
+    """Every :class:`MethodIteration` under the function ``node`` (its
+    :func:`_walk`) whose receiver is bound exactly once: an annotated
+    parameter never assigned to, or a local assigned the result of one
+    named call."""
+    stores = Counter(child.id for child in nodes
                      if isinstance(child, ast.Name)
                      and isinstance(child.ctx, ast.Store))
     parameters = {arg.arg: annotation_head(arg.annotation) for arg in
@@ -319,7 +333,7 @@ def _method_iterations(node: ast.AST) -> List[MethodIteration]:
                   + node.args.kwonlyargs}
     bound = {name: head for name, head in parameters.items()
              if head is not None and not stores[name]}
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, ast.Assign) and len(child.targets) == 1 \
                 and isinstance(child.targets[0], ast.Name) \
                 and isinstance(child.value, ast.Call):
@@ -327,10 +341,9 @@ def _method_iterations(node: ast.AST) -> List[MethodIteration]:
             if callee is not None and stores[name] == 1 \
                     and name not in parameters:
                 bound[name] = callee
-    parents = parent_map(node)
     return [MethodIteration(iterable.lineno, iterable.func.attr,
                             bound[iterable.func.value.id])
-            for child in ast.walk(node)
+            for child in nodes
             for iterable in ordered_iterables(child)
             if isinstance(iterable, ast.Call)
             and isinstance(iterable.func, ast.Attribute)
@@ -340,7 +353,9 @@ def _method_iterations(node: ast.AST) -> List[MethodIteration]:
 
 
 def _summarize_function(node: ast.AST, qualname: str,
-                        classname: Optional[str]) -> FunctionSummary:
+                        classname: Optional[str], nodes: List[ast.AST],
+                        parents: Dict[int, ast.AST]) -> FunctionSummary:
+    """The summary of one function from its :func:`_walk`."""
     params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
     summary = FunctionSummary(
         name=node.name, qualname=qualname, classname=classname,
@@ -348,10 +363,10 @@ def _summarize_function(node: ast.AST, qualname: str,
         params=params, decorators=_decorator_names(node),
         required_lock=_required_lock(node),
         returns=annotation_head(node.returns),
-        method_iterations=_method_iterations(node))
+        method_iterations=_method_iterations(node, nodes, parents))
     aliases: Set[str] = {"self"}
     # alias pass first: ``config = self`` style rebindings
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, ast.Assign) \
                 and isinstance(child.value, ast.Name) \
                 and child.value.id in aliases:
@@ -359,14 +374,14 @@ def _summarize_function(node: ast.AST, qualname: str,
                 if isinstance(target, ast.Name):
                     aliases.add(target.id)
     release_lines: Dict[str, List[int]] = {}
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, ast.Call) \
                 and _tail_name(child.func) in ("release",) \
                 and isinstance(child.func, ast.Attribute):
             lock = _is_self_attr(child.func.value, aliases)
             if lock is not None:
                 release_lines.setdefault(lock, []).append(child.lineno)
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, ast.Call):
             dotted = _dotted_name(child.func)
             tail = _tail_name(child.func)
@@ -438,10 +453,11 @@ def _summarize_class(node: ast.ClassDef, qualprefix: str,
         elif isinstance(statement,
                         (ast.FunctionDef, ast.AsyncFunctionDef)):
             summary.methods.append(statement.name)
-            method = _summarize_function(
-                statement, f"{qualname}.{statement.name}", node.name)
-            functions.append(method)
-            for child in ast.walk(statement):
+            nodes, parents = _walk(statement)
+            functions.append(_summarize_function(
+                statement, f"{qualname}.{statement.name}", node.name,
+                nodes, parents))
+            for child in nodes:
                 if isinstance(child, ast.Assign):
                     attr = None
                     for target in child.targets:
@@ -471,7 +487,8 @@ def summarize_module(display_path: str, tree: ast.Module) -> FileSummary:
     summary = FileSummary(path=display_path, module=module)
     package = module if display_path.replace("\\", "/").endswith(
         "__init__.py") else module.rsplit(".", 1)[0]
-    for node in ast.walk(tree):
+    nodes = list(ast.walk(tree))
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -495,18 +512,19 @@ def summarize_module(display_path: str, tree: ast.Module) -> FileSummary:
                     if base else alias.name
     for statement in tree.body:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary.functions.append(
-                _summarize_function(statement, statement.name, None))
+            summary.functions.append(_summarize_function(
+                statement, statement.name, None, *_walk(statement)))
         elif isinstance(statement, ast.ClassDef):
             summary.classes.append(
                 _summarize_class(statement, "", summary.functions))
-    summary.cli_flags = _extract_cli_flags(tree)
+    summary.cli_flags = _cli_flags(nodes)
     return summary
 
 
-def _extract_cli_flags(tree: ast.Module) -> List[CliFlag]:
+def _cli_flags(nodes: List[ast.AST]) -> List[CliFlag]:
+    """The ``add_argument`` registrations among a module's nodes."""
     flags: List[CliFlag] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call) \
                 or _tail_name(node.func) != "add_argument":
             continue

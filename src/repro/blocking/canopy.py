@@ -16,12 +16,14 @@ import random
 from typing import List, Tuple
 
 from repro.blocking.pair_generator import (
+    BlockBatch,
     PairGenerator,
     PairShard,
     Postings,
     block_shards,
     is_self_match,
     join_postings,
+    keep_first,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
@@ -99,28 +101,38 @@ class CanopyBlocking(PairGenerator):
         Canopy *formation* stays sequential (each seed's tight removals
         gate later seed choices), but it is a linear number of cheap
         Jaccard scans; the quadratic part — expanding every canopy
-        into pairs — is what the shards distribute.  Canopies overlap,
-        so shards deduplicate (one shard, the serial stream, globally)
-        and the same pair can still leave two shards; consumers resolve
-        that idempotently.  Self-matching pairs are canonical
-        ``(min, max)``.
+        into pairs — is what the shards distribute.  Canopies overlap:
+        a pair comes from the first canopy holding it only
+        (:func:`keep_first`), whichever shard that went to.  The
+        canopies and that choice are kept by the sources
+        (:meth:`LogicalSource.derived`) for every later request on the
+        same sources, attributes and parameters.  Self-matching pairs
+        are canonical ``(min, max)``.
         """
         is_self = is_self_match(domain, range)
-        records = self._tokenized(domain, domain_attribute, 0)
-        if not is_self:
-            records += self._tokenized(range, range_attribute, 1)
-        # a canopy's rows by side: a block where both sides have some
-        # (self-matching: a triangle of two rows or more)
-        numbers: Tuple[list, list] = ([], [])
-        rows: Tuple[list, list] = ([], [])
-        for number, canopy in enumerate(self._canopies(records)):
-            for index in canopy:
-                row, side, _ = records[index]
-                numbers[side].append(number)
-                rows[side].append(row)
-        blocks = join_postings(
-            Postings.of(numbers[0], rows[0]),
-            None if is_self else Postings.of(numbers[1], rows[1]),
-            lambda a, b: a >= (2 if is_self else 1))
+
+        def build() -> BlockBatch:
+            records = self._tokenized(domain, domain_attribute, 0)
+            if not is_self:
+                records += self._tokenized(range, range_attribute, 1)
+            # a canopy's rows by side: a block where both sides have
+            # some (self-matching: a triangle of two rows or more)
+            numbers: Tuple[list, list] = ([], [])
+            rows: Tuple[list, list] = ([], [])
+            for number, canopy in enumerate(self._canopies(records)):
+                for index in canopy:
+                    row, side, _ = records[index]
+                    numbers[side].append(number)
+                    rows[side].append(row)
+            return keep_first(join_postings(
+                Postings.of(numbers[0], rows[0]),
+                None if is_self else Postings.of(numbers[1], rows[1]),
+                lambda a, b: a >= (2 if is_self else 1)))
+
+        blocks = domain.derived(
+            ("canopy-blocks", domain_attribute,
+             None if is_self else range_attribute,
+             self.loose, self.tight, self.seed),
+            build, partner=None if is_self else range)
         return block_shards(blocks, domain, range, n_shards,
-                            dedup=True, canonical=is_self)
+                            canonical=is_self)

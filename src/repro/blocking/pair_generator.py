@@ -47,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.mapping import Mapping, distinct_keys
+from repro.core.mapping import Mapping
 from repro.model.source import LogicalSource
 
 Pair = Tuple[str, str]
@@ -74,12 +74,16 @@ class BlockBatch(NamedTuple):
     ``rows_b[start_b:][:count_b]`` — every one with every other, or,
     for a triangle, each with the later ones of the same span, which
     the b side repeats.  Blocks share the row arrays: a run of them
-    (:meth:`take`) or a piece of one costs five integers.
+    (:meth:`take`) or a piece of one costs five integers.  Where blocks
+    overlap, ``first`` says which copy of a repeated pair
+    :meth:`expand` keeps (:class:`FirstBlocks`); ``None``, they never
+    repeat one.
     """
 
     rows_a: Array  # int32 domain rows
     rows_b: Array  # int32 range rows
     blocks: Array  # int64, shape (n, 5)
+    first: Optional["FirstBlocks"] = None
 
     def take(self, start: int, end: int) -> "BlockBatch":
         return self._replace(blocks=self.blocks[start:end])
@@ -90,30 +94,257 @@ class BlockBatch(NamedTuple):
         return np.where(triangle, count_a * (count_a - 1) // 2,
                         count_a * count_b)
 
-    def expand(self) -> Iterator[Tuple[Array, Array]]:
-        """The blocks' pairs as ``(rows_a, rows_b)`` arrays, block
-        after block and row-major within: one ragged cross product,
-        cut every :data:`EXPAND_ROWS` rows wherever that falls."""
-        start_a, count_a, start_b, count_b, triangle = self.blocks.T
-        # one entry per a-side row of a block: its run of b-side rows
+    def runs(self) -> Tuple[Array, Array, Array, Array]:
+        """One run of pairs per a-side row of a block, in expansion
+        order: its block (a row of ``blocks``), the row's place on
+        that block's a side, how many of the block's b-side rows it
+        passes over (a triangle's row pairs with the later ones only)
+        and how many pairs it has."""
+        _, count_a, _, count_b, triangle = self.blocks.T
         block = np.repeat(np.arange(len(count_a)), count_a)
         nth = np.arange(len(block)) - (np.cumsum(count_a) - count_a)[block]
         skipped = np.where(triangle[block], nth + 1, 0)
-        lens = count_b[block] - skipped
-        ends = np.cumsum(lens)
-        shift = start_b[block] + skipped - (ends - lens)
+        return block, nth, skipped, count_b[block] - skipped
+
+    def size(self) -> int:
+        """How many pairs :meth:`expand` yields: the raw count less
+        the repeats ``first`` drops."""
+        if self.first is None:
+            return int(self.costs().sum())
+        block, nth, skipped, lens = self.runs()
+        at = self.first.positions(self.blocks, block, nth, skipped)
+        return self.first.count(at, at + lens)
+
+    def expand(self) -> Iterator[Tuple[Array, Array]]:
+        """The blocks' pairs as ``(rows_a, rows_b)`` arrays, block
+        after block and row-major within: one ragged cross product,
+        cut every :data:`EXPAND_ROWS` rows wherever that falls, each
+        step less the repeats ``first`` drops."""
+        start_a, _, start_b, _, _ = self.blocks.T
+        block, nth, skipped, lens = self.runs()
+        begins = np.cumsum(lens) - lens
+        shift = start_b[block] + skipped - begins
         left = self.rows_a[start_a[block] + nth]
-        total = int(ends[-1]) if len(ends) else 0
-        for p in _range(0, total, EXPAND_ROWS):
-            q = min(p + EXPAND_ROWS, total)
-            lo = np.searchsorted(ends, p, side="right")
-            hi = np.searchsorted(ends, q, side="left") + 1
-            part = lens[lo:hi].copy()
-            part[0] = ends[lo] - p
-            part[-1] -= ends[hi - 1] - q
-            yield (np.repeat(left[lo:hi], part),
-                   self.rows_b[np.arange(p, q)
-                               + np.repeat(shift[lo:hi], part)])
+        first = self.first
+        if first is not None:
+            # per run, from its place here to its place in the whole
+            at = first.positions(self.blocks, block, nth, skipped) - begins
+        for p, q, lo, hi, part in _steps(lens, EXPAND_ROWS):
+            step = np.arange(p, q)
+            rows_a = np.repeat(left[lo:hi], part)
+            rows_b = step + np.repeat(shift[lo:hi], part)
+            if first is not None:
+                kept = first.kept(step, at[lo:hi], part)
+                rows_a, rows_b = rows_a[kept], rows_b[kept]
+            yield rows_a, self.rows_b[rows_b]
+
+
+def _steps(lens: Array, size: int) -> Iterator[Tuple[int, int, int, int,
+                                                        Array]]:
+    """Runs of ``lens`` rows laid end to end, cut every ``size`` rows:
+    per step its rows ``[p, q)``, the runs ``[lo, hi)`` they fall in
+    and how many rows each of those runs gives the step."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    for p in _range(0, total, size):
+        q = min(p + size, total)
+        lo = np.searchsorted(ends, p, side="right")
+        hi = np.searchsorted(ends, q, side="left") + 1
+        part = lens[lo:hi].copy()
+        part[0] = ends[lo] - p
+        part[-1] -= ends[hi - 1] - q
+        yield p, q, lo, hi, part
+
+
+class FirstBlocks(NamedTuple):
+    """Which copy of a pair that several blocks hold is kept: the one
+    in the first block holding both of its rows — Papadakis et al.'s
+    comparison propagation ("least common block index", JCDL 2011),
+    and the copy a first-seen pass over the whole batch keeps, in the
+    same place.
+
+    One bit per pair of a whole batch's expansion (:meth:`of`).  A
+    batch cut from that one — a run of its blocks, pieces of one
+    (:func:`repro.engine.shards.explode`) — reads the bits of its own
+    pairs: a piece's block is the one whose a-side span holds the
+    piece's first a-side row, so the whole batch's a-side spans must
+    ascend without overlapping, which :func:`join_postings` gives.
+    """
+
+    blocks: Array   # the whole batch's blocks
+    offsets: Array  # int64: where each block's pairs start
+    words: Array    # uint64: the keep bits, 64 a word, a spare word last
+
+    @classmethod
+    def of(cls, batch: BlockBatch) -> "FirstBlocks":
+        """``batch``'s keep bits: all set but the repeats', which
+        :func:`_repeats` finds a step of the expansion at a time."""
+        costs = batch.costs()
+        total = int(costs.sum())
+        words = np.full(total // 64 + 1, ~np.uint64(0))
+        words[-1] = _bit(total) - np.uint64(1)
+        for first, repeats in _repeats(batch,
+                                       max(64, EXPAND_ROWS // 64 * 64)):
+            head = first // 64
+            cleared = np.packbits(repeats, bitorder="little").view(
+                np.uint64)[:len(words) - head]
+            words[head:head + len(cleared)] &= ~cleared
+        return cls(batch.blocks, np.cumsum(costs) - costs, words)
+
+    def positions(self, blocks: Array, block: Array, nth: Array,
+                  skipped: Array) -> Array:
+        """Where the first pair of each run of ``blocks``
+        (:meth:`BlockBatch.runs`) sits in the whole batch's
+        expansion."""
+        whole = np.searchsorted(self.blocks[:, 0], blocks[:, 0],
+                                side="right")[block] - 1
+        start_a, count_a, start_b, count_b, triangle = self.blocks[whole].T
+        i = blocks[block, 0] + nth - start_a
+        j = blocks[block, 2] + skipped - start_b
+        return self.offsets[whole] + j + np.where(
+            triangle, _triangle_row(i, count_a), i * count_b)
+
+    def kept(self, step: Array, at: Array, part: Array) -> Array:
+        """Whether each pair of an expansion step is kept: ``step``
+        numbers the pairs, ``part`` counts them per run and ``at``
+        moves each run's numbers to the whole batch's."""
+        if (at == at[0]).all():  # one stretch of the whole batch's pairs
+            start = int(step[0] + at[0])
+            return np.unpackbits(
+                self.words.view(np.uint8)[start >> 3:],
+                count=(start & 7) + len(step),
+                bitorder="little")[start & 7:].view(bool)
+        positions = step + np.repeat(at, part)
+        return (self.words[positions >> 6] >> _bit_index(positions)
+                & np.uint64(1)).astype(bool)
+
+    def count(self, starts: Array, ends: Array) -> int:
+        """Kept pairs in the position ranges ``[starts, ends)``."""
+        counts = _popcount(self.words)
+        before = np.cumsum(counts) - counts
+
+        def upto(positions: Array) -> Array:
+            word = positions >> 6
+            return before[word] + _popcount(
+                self.words[word] & (_bit(positions) - np.uint64(1)))
+
+        return int((upto(ends) - upto(starts)).sum())
+
+
+def _repeats(batch: BlockBatch, step: int) -> Iterator[Tuple[int, Array]]:
+    """Where ``batch``'s expansion repeats a pair: per ``step`` pairs
+    that hold a repeat, the first one's place and a flag per pair from
+    there (a block's worth past the step, where its rows' pairs end).
+
+    Two blocks that hold the same rows on both sides both hold those
+    rows' pairs, and the later block repeats them; every repeat is
+    such a pair.  So per side, every row and every two of its blocks
+    give the row's place in the later block (:func:`_shared_places`),
+    and joining the sides on the two blocks gives every repeat, once
+    per earlier block holding it: the work follows the repeats and
+    the rows' block counts, not the raw pairs.  The blocks are all
+    triangles over one side or all rectangles, as
+    :func:`join_postings` makes them.
+    """
+    start_a, count_a, start_b, count_b, triangle = batch.blocks.T
+    costs = batch.costs()
+    total = int(costs.sum())
+    if not total:
+        return
+    widest = int(max(count_a.max(), count_b.max()))
+    shift = widest.bit_length()
+    if len(costs) ** 2 << shift >= 1 << 63:
+        raise OverflowError(f"{len(costs)} blocks of up to {widest} rows "
+                            "do not fit a 64-bit block-pair key")
+    low = (1 << shift) - 1
+    a = _shared_places(batch.rows_a, start_a, count_a, shift)
+    later, place = (a >> shift) % len(costs), a & low
+    if triangle.any():  # a row pairs with the later places of its block
+        b = a
+        lo = np.searchsorted(b, a, side="right")
+        start = _triangle_row(place, count_a[later])
+    else:
+        b = _shared_places(batch.rows_b, start_b, count_b, shift)
+        lo = np.searchsorted(b, a & ~low)
+        start = place * count_b[later]
+    lens = np.searchsorted(b, (a | low) + 1) - lo
+    start += (np.cumsum(costs) - costs)[later]
+    stepped = total > step
+    if stepped:  # a step's rows by where their pairs start
+        order = np.argsort(start)
+        start, lo, lens = start[order], lo[order], lens[order]
+    else:
+        step = -(-total // 64) * 64
+    for first in _range(0, total, step):
+        s, e = (np.searchsorted(start, (first, first + step)) if stepped
+                else (0, len(start)))
+        part = lens[s:e]
+        if not part.any():
+            continue
+        places = np.arange(int(part.sum())) + np.repeat(
+            lo[s:e] - (np.cumsum(part) - part), part)
+        repeats = np.zeros(step + -(-widest // 64) * 64, dtype=bool)
+        repeats[np.repeat(start[s:e] - first, part)
+                + (b[places] & low)] = True
+        yield first, repeats
+
+
+def _shared_places(rows: Array, starts: Array, counts: Array,
+                   shift: int) -> Array:
+    """For every row and every two blocks ``k' < k`` holding it,
+    ``(k' * blocks + k) << shift | its place in block k``, sorted."""
+    block = np.repeat(np.arange(len(counts)), counts)
+    place = np.arange(len(block)) - (np.cumsum(counts) - counts)[block]
+    row = rows[starts[block] + place]
+    # a row's blocks, ascending, as a run (a stable sort, by packing
+    # each membership's index under its row)
+    order = np.sort(row.astype(np.int64) << 32
+                    | np.arange(len(row))) & 0xFFFFFFFF
+    row, block, place = row[order], block[order], place[order]
+    index = np.arange(len(row))
+    opens = np.maximum.accumulate(
+        np.where(np.diff(row, prepend=-1) != 0, index, 0))
+    # each membership pairs with the ones before it in its row's run
+    rank = index - opens
+    later = np.repeat(index, rank)
+    earlier = opens[later] + np.arange(len(later)) - np.repeat(
+        np.cumsum(rank) - rank, rank)
+    return np.sort((block[earlier] * len(counts) + block[later]) << shift
+                   | place[later])
+
+
+def _triangle_row(i: Array, count: Array) -> Array:
+    """Where row ``i`` of a ``count``-row triangle would put its pair
+    with row 0: its pair with row ``j > i`` is ``j`` further on."""
+    # rows before i hold i * (count - 1) - i * (i - 1) / 2 pairs
+    return i * (2 * count - i - 3) // 2 - 1
+
+
+_M1, _M2, _M4, _H01 = (np.uint64(mask) for mask in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x0101010101010101))
+
+
+def _popcount(words: Array) -> Array:
+    """Set bits per ``uint64`` word, as int64."""
+    words = words - (words >> np.uint64(1) & _M1)
+    words = (words & _M2) + (words >> np.uint64(2) & _M2)
+    words = (words + (words >> np.uint64(4))) & _M4
+    return ((words * _H01) >> np.uint64(56)).astype(np.int64)
+
+
+def _bit_index(positions: Array) -> Array:
+    return (np.asarray(positions) & 63).astype(np.uint64)
+
+
+def _bit(positions: Array) -> Array:
+    """Each position's bit in its word."""
+    return np.left_shift(np.uint64(1), _bit_index(positions))
+
+
+def keep_first(batch: BlockBatch) -> BlockBatch:
+    """``batch``, each pair expanded in the first block holding it."""
+    return batch._replace(first=FirstBlocks.of(batch))
 
 
 class PairShard(ABC):
@@ -121,10 +352,12 @@ class PairShard(ABC):
 
     The contract is set-level: the union of ``pairs()`` over all
     shards of one ``shards()`` call equals the distinct pair set of
-    ``candidates()`` on the same inputs.  A pair may appear in more
-    than one shard (e.g. two tokens of the same pair assigned to
-    different shards); downstream consumers must treat duplicate pairs
-    idempotently, exactly as they must for ``candidates`` streams.
+    ``candidates()`` on the same inputs.  A stream's pair may appear
+    more than once, in one shard or several (sorted-neighborhood
+    windows, a strategy's own ``candidates``); downstream consumers
+    must treat duplicate pairs idempotently, exactly as they must for
+    ``candidates`` streams.  A :class:`BlockShard`'s pairs are each in
+    one shard, once.
     """
 
     @abstractmethod
@@ -178,22 +411,21 @@ class BlockShard(PairShard):
     strategy emits; the engine expands the batch as rows, and ids are
     read by :meth:`pairs` alone.
 
-    ``dedup`` applies a shard-local first-seen filter so strategies
-    whose serial ``candidates`` deduplicate (token blocking, canopies)
-    keep that behavior per shard; cross-shard duplicates remain
-    possible and allowed.  ``canonical`` orients self-matching pairs
-    as ``(min id, max id)`` to match the serial emission of those
-    strategies — for triangle blocks and also for rectangular blocks
-    (which rebalancing produces by splitting oversized triangles);
-    block-order orientation is kept otherwise (key blocking, full
-    cross).
+    A pair that overlapping blocks repeat (token blocking, canopies)
+    comes once, from the first block holding it, whichever shard or
+    piece that block went to (:class:`FirstBlocks`).  ``canonical``
+    orients self-matching pairs as ``(min id, max id)`` to match the
+    serial emission of those strategies — for triangle blocks and
+    also for rectangular blocks (which rebalancing produces by
+    splitting oversized triangles); block-order orientation is kept
+    otherwise (key blocking, full cross).
     """
 
     def __init__(self, batch: BlockBatch,
                  sources: Tuple[LogicalSource, LogicalSource], *,
-                 dedup: bool = False, canonical: bool = False) -> None:
+                 canonical: bool = False) -> None:
         self._batch, self.sources = batch, tuple(sources)
-        self.dedup, self.canonical = dedup, canonical
+        self.canonical = canonical
 
     def batch(self) -> BlockBatch:
         return self._batch
@@ -201,30 +433,12 @@ class BlockShard(PairShard):
     def over(self, batch: BlockBatch) -> "BlockShard":
         """This shard with other blocks over :meth:`batch`'s rows (a
         run of them, pieces of them: what rebalancing makes)."""
-        return BlockShard(batch, self.sources, dedup=self.dedup,
-                          canonical=self.canonical)
-
-    def rows(self, distinct: bool) -> Iterator[Tuple[Array, Array]]:
-        """:meth:`batch` expanded; ``distinct`` keeps a pair's first
-        occurrence only (either orientation of a canonical one)."""
-        seen = np.zeros(0, dtype=np.int64)
-        for rows_a, rows_b in self.batch().expand():
-            if distinct:
-                keys = (rows_a.astype(np.int64) << 32) | rows_b
-                if self.canonical:  # the smaller key: (min, max)
-                    keys = np.minimum(
-                        keys, (rows_b.astype(np.int64) << 32) | rows_a)
-                first = distinct_keys(keys)[0]
-                first = first[~np.isin(keys[first], seen,
-                                       assume_unique=True)]
-                seen = np.concatenate((seen, keys[first]))
-                rows_a, rows_b = rows_a[first], rows_b[first]
-            yield rows_a, rows_b
+        return BlockShard(batch, self.sources, canonical=self.canonical)
 
     def pairs(self) -> Iterator[Pair]:
         ids_a, ids_b = (np.asarray(source.ids(), dtype=object)
                         for source in self.sources)
-        for rows_a, rows_b in self.rows(self.dedup):
+        for rows_a, rows_b in self.batch().expand():
             pairs = zip(ids_a[rows_a].tolist(), ids_b[rows_b].tolist())
             if self.canonical:
                 pairs = ((b, a) if b < a else (a, b) for a, b in pairs)
@@ -235,12 +449,8 @@ class BlockShard(PairShard):
         return int(self.batch().costs().sum())
 
     def distinct_pairs(self, limit: Optional[int] = None) -> int:
-        counted = 0
-        for rows_a, _ in self.rows(True):
-            counted += len(rows_a)
-            if limit is not None and counted >= limit:
-                return limit
-        return counted
+        size = self.batch().size()
+        return size if limit is None else min(size, limit)
 
 
 def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]]:
@@ -281,19 +491,18 @@ def partition_spans(costs: Sequence[int], n_shards: int) -> List[Tuple[int, int]
 
 def block_shards(batch: BlockBatch, domain: LogicalSource,
                  range: LogicalSource, n_shards: int, *,
-                 dedup: bool = False,
                  canonical: bool = False) -> List[PairShard]:
     """``batch`` as at most ``n_shards`` shards of contiguous runs.
 
     Its rows are ``domain``'s and ``range``'s — a self-match's
     ``domain``'s on both sides, whichever object ``range`` is.  Runs
     are balanced by block pair counts, not block counts, so one huge
-    block does not serialize the whole run.  ``dedup`` / ``canonical``
-    are every shard's :class:`BlockShard` flags.
+    block does not serialize the whole run.  ``canonical`` is every
+    shard's :class:`BlockShard` flag.
     """
     sources = (domain, domain if is_self_match(domain, range) else range)
     return [BlockShard(batch.take(start, end), sources,
-                       dedup=dedup, canonical=canonical)
+                       canonical=canonical)
             for start, end in partition_spans(batch.costs(), n_shards)]
 
 
@@ -368,8 +577,7 @@ class PairGenerator:
         """Yield candidate pairs; duplicates are allowed (matchers dedup).
 
         The serial stream *is* the one-shard partition: a single shard
-        spans every block, so its dedup is global and its order the
-        strategy's own.
+        spans every block, in the strategy's own order.
         """
         if type(self).shards is PairGenerator.shards:
             # the two defaults would only call each other
@@ -409,12 +617,11 @@ class PairGenerator:
         """Number of *distinct* candidate pairs (diagnostics).
 
         Counted by the one-shard partition
-        (:meth:`PairShard.distinct_pairs`): on the pair keys of expanded
-        rows for blocks, in a seen-set of id pairs for a stream.  Either
+        (:meth:`PairShard.distinct_pairs`): from the block arrays for
+        blocks, in a seen-set of id pairs for a stream.  The seen-set
         grows with the pairs counted, so for large sources pass
         ``limit`` to stop at the first ``limit`` — diagnostics rarely
-        need more than "at least N".  :class:`FullCross` overrides this
-        with its closed form.
+        need more than "at least N".
         """
         # an overridden candidates() is the pair set, whatever shards()
         # says: count the default shard, which delegates to it
@@ -456,22 +663,6 @@ class FullCross(PairGenerator):
             dtype=np.int64).reshape(-1, 5))
         return [BlockShard(tiles.take(k, k + 1), (domain, range))
                 for k in _range(len(tiles.blocks))]
-
-    def count(self, domain: LogicalSource, range: LogicalSource, *,
-              domain_attribute: str, range_attribute: str,
-              limit: Optional[int] = None) -> int:
-        """Closed-form count — the cross product is never materialized.
-
-        The generic implementation would expand a quadratic number of
-        pair keys here (the full cross product *is* distinct), which
-        is exactly the memory blow-up this override avoids.
-        """
-        if is_self_match(domain, range):
-            n = len(domain)
-            total = n * (n - 1) // 2
-        else:
-            total = len(domain) * len(range)
-        return total if limit is None else min(total, limit)
 
 
 def dedup_self_pairs(pairs: Iterable[Pair]) -> Iterator[Pair]:

@@ -12,12 +12,14 @@ from __future__ import annotations
 from typing import List
 
 from repro.blocking.pair_generator import (
+    BlockBatch,
     PairGenerator,
     PairShard,
     Postings,
     block_shards,
     is_self_match,
     join_postings,
+    keep_first,
 )
 from repro.model.source import LogicalSource
 from repro.sim.tokenize import word_tokens
@@ -62,7 +64,7 @@ class TokenBlocking(PairGenerator):
         Owned by the source (:meth:`LogicalSource.derived`): every
         matcher that blocks the same attribute reads the same arrays,
         so they are never mutated; ``max_df`` and ``max_block_size``
-        filter per request, downstream.
+        filter in the join, downstream.
         """
         min_length = self.min_token_length
 
@@ -96,20 +98,29 @@ class TokenBlocking(PairGenerator):
         matching.  Comparing that df against ``max_df * population``
         gives the same effective cutoff in both modes.
 
-        A pair sharing several tokens may surface in more than one
-        shard (its tokens can land in different ranges); shards
-        deduplicate locally — one shard spanning every block, the
-        serial stream, globally — and downstream consumers resolve
-        cross-shard duplicates idempotently.  Self-matching pairs are
-        canonical ``(min, max)``.
+        A pair sharing several tokens is in several blocks and comes
+        from the first of them only (:func:`keep_first`), whichever
+        shard that went to.  The blocks and that choice are kept by
+        the sources (:meth:`LogicalSource.derived`): every later
+        request on the same sources, attributes and parameters finds
+        them built.  Self-matching pairs are canonical ``(min, max)``.
         """
         is_self = is_self_match(domain, range)
         population = len(domain) + (0 if is_self else len(range))
         df_cutoff = max(2, int(self.max_df * max(population, 1)))
-        blocks = join_postings(
-            self._index(domain, domain_attribute),
-            None if is_self else self._index(range, range_attribute),
-            lambda a, b: ((a if is_self else a + b) <= df_cutoff)
-            & (a <= self.max_block_size) & (b <= self.max_block_size))
+        cap = self.max_block_size
+
+        def build() -> BlockBatch:
+            return keep_first(join_postings(
+                self._index(domain, domain_attribute),
+                None if is_self else self._index(range, range_attribute),
+                lambda a, b: ((a if is_self else a + b) <= df_cutoff)
+                & (a <= cap) & (b <= cap)))
+
+        blocks = domain.derived(
+            ("token-blocks", domain_attribute,
+             None if is_self else range_attribute,
+             self.min_token_length, df_cutoff, cap),
+            build, partner=None if is_self else range)
         return block_shards(blocks, domain, range, n_shards,
-                            dedup=True, canonical=is_self)
+                            canonical=is_self)

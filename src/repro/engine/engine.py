@@ -41,7 +41,12 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.blocking.pair_generator import FullCross, IterableShard, PairShard
+from repro.blocking.pair_generator import (
+    BlockShard,
+    FullCross,
+    IterableShard,
+    PairShard,
+)
 from repro.core.mapping import Mapping
 from repro.engine import vectorized
 from repro.engine.pool import run_ordered
@@ -136,6 +141,7 @@ class BatchMatchEngine:
                                  "index_cached": False,
                                  "columns": [],
                                  "chunks": 0, "candidate_rows": 0,
+                                 "duplicate_rows": 0,
                                  "chunk_items": [],
                                  "chunk_seconds": [],
                                  "shard_seconds": [],
@@ -168,7 +174,9 @@ class BatchMatchEngine:
         outputs = []
         for items, seconds, output in run_ordered(
                 target, work, workers=workers, inflight=inflight):
-            self._profile_task(items, seconds)
+            if sharded:  # a whole shard: its rows came back with it
+                items, output = output
+            self._profile_task(items, seconds, sharded)
             outputs.append(output)
         scored = time.perf_counter()
         result = self._load(request, runner, outputs)
@@ -236,17 +244,18 @@ class BatchMatchEngine:
             asked, built = profile.pop("memo_counts")
             profile["index_cached"] = hits > asked and builds == built
 
-    def _profile_task(self, items: Optional[int], seconds: float) -> None:
-        """One pool task's duration: a whole shard's (``items is
-        None``) or a slice's, with its size."""
+    def _profile_task(self, items: int, seconds: float,
+                      shard: bool) -> None:
+        """One pool task's duration and rows: a whole shard's or a
+        slice's."""
         profile = self.last_profile
         if profile is None:
             return
-        if items is None:
+        profile["candidate_rows"] += items
+        if shard:
             profile["shard_seconds"].append(seconds)
         else:
             profile["chunks"] += 1
-            profile["candidate_rows"] += items
             profile["chunk_items"].append(items)
             profile["chunk_seconds"].append(seconds)
 
@@ -264,6 +273,7 @@ class BatchMatchEngine:
             "prepare_seconds": profile["prepare_seconds"],
             "load_seconds": profile["load_seconds"],
             "candidate_rows": profile["candidate_rows"],
+            "duplicate_rows": profile["duplicate_rows"],
             "kernel_cached": profile["kernel_cached"],
             "index_cached": profile["index_cached"],
             "columns": profile["columns"],
@@ -315,6 +325,11 @@ class BatchMatchEngine:
                  "distinct": [len(side.rows) for side in columns[j].codes],
                  "table": columns[j].table is not None}
                 for j in getattr(kernel, "order", (0,))]
+            profile["duplicate_rows"] = sum(
+                member.cost() - member.distinct_pairs()
+                for shard in shards
+                for member in getattr(shard, "members", (shard,))
+                if isinstance(member, BlockShard))
             # the runner's two bridge lookups are this step's own too
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],
@@ -333,11 +348,13 @@ class BatchMatchEngine:
         position and its largest score, and self-matching rows are
         mirrored.
 
-        A pair sharing several tokens (keys, windows) survives once per
-        shard — and, block-expanded, once per block — that generated
-        it; every copy has the same score, so the first in submission
-        order is the row a keyed merge would have kept.  That costs one
-        sort of the *survivors*' pair codes, not of the candidates'.
+        A pair stream may repeat a pair (an explicit list, overlapping
+        windows), and then it survives once per copy; every copy has
+        the same score, so the first in submission order is the row a
+        keyed merge would have kept.  That costs one sort of the
+        *survivors*' pair codes, not of the candidates'.  Blocks never
+        repeat one: a pair several blocks hold is expanded in the first
+        of them only.
         """
         rows_a, rows_b, scores = runner.gather(outputs)
         survivors = len(scores)

@@ -20,11 +20,10 @@ arrays for the request's kernel
   kernel calls, no Python step per block or pair.  Rows of other
   source objects than the request's (a subset matched against its
   source) are mapped through the sources' code bridges once per shard.
-  Duplicate pairs across blocks/shards are scored again, not dropped
-  first (whether that would pay depends on the kernel:
-  ``docs/benchmarks.md``, PR 24); their *survivors* — orders of
-  magnitude fewer — collapse when the parent loads them
-  (:meth:`BatchMatchEngine._load`).
+  A pair that overlapping blocks repeat is expanded once, in the first
+  block holding it (:class:`~repro.blocking.pair_generator.FirstBlocks`:
+  a bit per pair, kept by the sources), so no repeat reaches the
+  kernel and no pair is in two shards.
 * **converted id-pair chunks** — any other shard, and a self-match
   whose kernel is not orientation-symmetric: ``shard.pairs()``
   in ``chunk_size`` chunks, each converted to row arrays
@@ -62,10 +61,11 @@ mean load.
 Correctness contract: for every blocking strategy the result mapping
 is the same whoever cuts the slices and however the shards were
 balanced.  Shard pair sets union to the candidate set (splitting
-partitions blocks pair-exactly; packing only concatenates), scores
-depend only on the value pair, and loading is idempotent for
-duplicates, so shard order, splitting and duplication cannot change
-the outcome.
+partitions blocks pair-exactly and keeps each pair in its first
+block; packing only concatenates), scores depend only on the value
+pair, and loading is idempotent for the duplicates a pair stream may
+carry, so shard order, splitting and duplication cannot change the
+outcome.
 """
 
 from __future__ import annotations
@@ -271,9 +271,13 @@ class ShardRunner:
         return _concatenated([(no_rows, no_rows, _np.zeros(0)), *outputs])
 
     def run(self, shard_index: int) -> tuple:
-        """Score one whole shard where it is called; its survivors."""
-        return self.gather(self.score(*item) for item in
-                           self.slices(self.shards[shard_index]))
+        """Score one whole shard where it is called: how many rows it
+        scored, and its survivors."""
+        rows, outputs = 0, []
+        for item in self.slices(self.shards[shard_index]):
+            rows += len(item[0])
+            outputs.append(self.score(*item))
+        return rows, self.gather(outputs)
 
     def _block_slices(self, shards: List[BlockShard]) -> Iterator[tuple]:
         """The blocks' pairs: views of the one expansion, shard after
@@ -309,7 +313,7 @@ class CompositeShard(PairShard):
     """Several shards executed as one unit (an LPT bin).
 
     ``pairs()`` chains the members' streams, preserving each member's
-    own dedup/canonicalization.  :meth:`ShardRunner.slices` expands
+    own canonicalization.  :meth:`ShardRunner.slices` expands
     the members' blocks one after another when *every* member is a
     :class:`BlockShard` (mixing would silently drop the others from
     the vectorized mode) and reads ``pairs()`` otherwise.
@@ -378,10 +382,9 @@ def _split_shard(shard: PairShard, cost: int,
     """Split one oversized shard into ~``target``-cost pieces.
 
     Only :class:`BlockShard`\\ s can split (their pair sets partition
-    cleanly); anything else is returned whole.  Pieces inherit the
-    shard's dedup/canonical behavior — shard-local dedup weakens to
-    piece-local, so duplicate pairs may now span pieces, which the
-    idempotent merge already absorbs.
+    cleanly); anything else is returned whole.  Pieces keep the
+    shard's batch — a repeated pair still comes from its first block
+    only — and its canonical orientation.
     """
     if not isinstance(shard, BlockShard):
         return [(shard, cost)]

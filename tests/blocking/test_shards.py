@@ -133,7 +133,9 @@ class TestShardUnionEqualsCandidates:
 
 
 class TestShardBlocks:
-    """A block shard's blocks, read as ids, agree with its pair stream."""
+    """A block shard's blocks, read as ids, agree with its pair stream:
+    the shards' pairs are their blocks' pairs, each pair in one shard
+    (a pair several blocks hold comes from the first of them)."""
 
     @pytest.mark.parametrize("blocking", STRATEGIES, ids=IDS)
     @pytest.mark.parametrize("self_match", [False, True])
@@ -143,6 +145,7 @@ class TestShardBlocks:
         shards = blocking.shards(domain, range_, n_shards=3,
                                  domain_attribute="title",
                                  range_attribute="title")
+        covered, emitted = set(), []
         for shard in shards:
             if not isinstance(shard, BlockShard):
                 continue
@@ -161,10 +164,15 @@ class TestShardBlocks:
                             expanded.add(tuple(sorted((id_a, id_b))))
                 else:
                     expanded.update((a, b) for a in side_a for b in side_b)
-            pairs = {tuple(sorted(pair)) if self_match else pair
-                     for pair in shard.pairs()}
-            assert pairs == {tuple(sorted(pair)) if self_match else pair
-                             for pair in expanded}
+            pairs = [tuple(sorted(pair)) if self_match else pair
+                     for pair in shard.pairs()]
+            assert set(pairs) <= {tuple(sorted(pair)) if self_match
+                                  else pair for pair in expanded}
+            covered |= expanded
+            emitted += pairs
+        assert len(emitted) == len(set(emitted))
+        assert set(emitted) == {tuple(sorted(pair)) if self_match else pair
+                                for pair in covered}
 
     def test_block_pair_counts(self):
         assert BlockBatch(None, None, np.array(

@@ -7,9 +7,11 @@ and an ``np.repeat`` / ``np.tile``, per pair a Python tuple through a
 first-seen set, and the splitter slicing id lists.  They only touch
 :class:`IdBlock`\\ s — a block as two id lists, which is how
 :func:`id_blocks` reads a shard — and plain ``id -> row`` dicts, so
-the row arrays, their order and their repeats *define* what the block
-batch (:class:`repro.blocking.pair_generator.BlockBatch`) must expand
-to.
+the row arrays and their order *define* what the block batch
+(:class:`repro.blocking.pair_generator.BlockBatch`) must expand to:
+every pair of its blocks, or, where blocks overlap (token blocking,
+canopies), the copy a first-seen walk over the whole batch keeps
+(:func:`first_seen`).
 """
 
 from __future__ import annotations
@@ -126,32 +128,41 @@ def expanded(blocks: Iterable[IdBlock], domain_index: Dict[str, int],
         if pieces else [] for side in (0, 1))
 
 
-def pair_rows(blocks: Iterable[IdBlock], domain_index: Dict[str, int],
+def pair_rows(pairs: Iterable[Pair], domain_index: Dict[str, int],
               range_index: Dict[str, int]) -> Tuple[list, list]:
-    """What ``ShardRunner.convert`` makes of the blocks' id pairs: a
-    pair is a row pair where the domain knows its first id and the
-    range its second.  :func:`expanded` wherever a triangle's ids have
-    the same rows on both sides; the definition where they do not (a
-    self-match of two source objects of one name)."""
+    """What ``ShardRunner.convert`` makes of id pairs: a pair is a row
+    pair where the domain knows its first id and the range its second.
+    For :func:`block_pairs`, :func:`expanded` wherever a triangle's
+    ids have the same rows on both sides; the definition where they do
+    not (a self-match of two source objects of one name)."""
     rows = [(domain_index[id_a], range_index[id_b])
-            for id_a, id_b in block_pairs(blocks)
+            for id_a, id_b in pairs
             if id_a in domain_index and id_b in range_index]
     return tuple(list(side) for side in zip(*rows)) if rows else ([], [])
 
 
+def raw_pairs(block: IdBlock) -> Iterator[Pair]:
+    """A block's id pairs in block order, repeats of other blocks
+    included."""
+    if block.triangle:
+        ids = block.domain_ids
+        return ((id_a, id_b) for i, id_a in enumerate(ids)
+                for id_b in ids[i + 1:])
+    return ((id_a, id_b) for id_a in block.domain_ids
+            for id_b in block.range_ids)
+
+
+def _key(pair: Pair, unordered: bool) -> Pair:
+    return tuple(sorted(pair)) if unordered else pair
+
+
 def block_pairs(blocks: Iterable[IdBlock], *, dedup: bool = False,
                 canonical: bool = False) -> Iterator[Pair]:
-    """The id pairs of ``blocks``, as ``BlockShard.pairs`` walked them."""
+    """The id pairs of ``blocks`` in order, ``dedup``: the first-seen
+    copy of each only, ``canonical``: as ``(min id, max id)``."""
     emitted: Optional[Set[Pair]] = set() if dedup else None
     for block in blocks:
-        if block.triangle:
-            ids = block.domain_ids
-            sides = ((id_a, id_b) for i, id_a in enumerate(ids)
-                     for id_b in ids[i + 1:])
-        else:
-            sides = ((id_a, id_b) for id_a in block.domain_ids
-                     for id_b in block.range_ids)
-        for id_a, id_b in sides:
+        for id_a, id_b in raw_pairs(block):
             pair = (id_b, id_a) if canonical and id_b < id_a \
                 else (id_a, id_b)
             if emitted is not None:
@@ -159,6 +170,40 @@ def block_pairs(blocks: Iterable[IdBlock], *, dedup: bool = False,
                     continue
                 emitted.add(pair)
             yield pair
+
+
+def first_blocks(blocks: Iterable[IdBlock], *,
+                 unordered: bool) -> Dict[Pair, int]:
+    """Per pair, the first of ``blocks`` that holds it (``unordered``:
+    either way round) — where a first-seen walk meets it."""
+    first: Dict[Pair, int] = {}
+    for index, block in enumerate(blocks):
+        for pair in raw_pairs(block):
+            first.setdefault(_key(pair, unordered), index)
+    return first
+
+
+def origins(shard: BlockShard, whole: BlockShard) -> List[Optional[int]]:
+    """Per block of ``shard`` — cut from ``whole``'s blocks: a run of
+    them, pieces of one — the block of ``whole`` it came from: the one
+    whose a-side span holds its first a-side row."""
+    spans = [(start, start + count)
+             for start, count, *_ in whole.batch().blocks.tolist()]
+    return [next((index for index, (lo, hi) in enumerate(spans)
+                  if lo <= start < hi), None)
+            for start, *_ in shard.batch().blocks.tolist()]
+
+
+def first_seen(blocks: Iterable[IdBlock], came_from: Iterable[Optional[int]],
+               first: Dict[Pair, int], *, unordered: bool) -> Iterator[Pair]:
+    """The raw pairs of ``blocks`` whose copy here is the first-seen
+    one: each block came from the whole batch's block ``came_from``,
+    and ``first`` (:func:`first_blocks` of the whole batch) says where
+    a pair is first seen."""
+    for block, origin in zip(blocks, came_from):
+        for pair in raw_pairs(block):
+            if first[_key(pair, unordered)] == origin:
+                yield pair
 
 
 def token_postings(source, attribute: str,

@@ -6,10 +6,14 @@ arrays into two row arrays — and
 :meth:`~repro.engine.shards.ShardRunner.slices` expands it in one
 ragged cross product.  What that must produce is pinned against the
 per-block loops it replaced (``reference_blocks``): the same rows in
-the same order, repeats included, for every strategy, both matching
-modes, any shard count, planned or rebalanced, read as id blocks by
-the reference (``reference_blocks.id_blocks``); ``pairs()`` and
-``cost()`` read the same batch.
+the same order for every strategy, both matching modes, any shard
+count, planned or rebalanced, read as id blocks by the reference
+(``reference_blocks.id_blocks``); ``pairs()``, ``cost()`` and
+``distinct_pairs()`` read the same batch.  Where blocks overlap
+(token blocking, canopies) a pair comes from the first block holding
+it only: the rows are the reference loops' first-seen filter, in the
+same order, and no pair is in two shards; other strategies' blocks
+never repeat a pair.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ from repro.blocking import (
     KeyBlocking,
     TokenBlocking,
 )
-from repro.blocking.pair_generator import EXPAND_ROWS, BlockBatch
+from repro.blocking.pair_generator import (
+    EXPAND_ROWS,
+    BlockBatch,
+    keep_first,
+    partition_spans,
+)
+from repro.core.mapping import distinct_keys
 from repro.engine import (
     AttributeSpec,
     BatchMatchEngine,
@@ -98,24 +108,47 @@ def _check(blocking, domain, range_, n_shards, balanced):
         shards = rebalance_shards(shards, 5)
     runner = _runner(domain, range_, shards)
     indexes = runner.domain.index, runner.range.index
+    # the serial stream's one shard: the blocks every shard is cut from
+    whole = blocking.shards(domain, range_, n_shards=1, **ATTRIBUTES)
+    whole_blocks = [block for shard in whole
+                    for block in reference.id_blocks(shard)]
+    repeats = isinstance(blocking, (TokenBlocking, CanopyBlocking))
+    canonical = repeats and runner.is_self
+    first = reference.first_blocks(whole_blocks, unordered=canonical)
+    streamed = []
     for shard in shards:
         slices = list(runner.slices(shard))
         assert all(0 < len(rows_a) == len(rows_b) <= ROWS_PER_CALL
                    for rows_a, rows_b in slices)
         rows = [np.concatenate([piece[side] for piece in slices]).tolist()
                 if slices else [] for side in (0, 1)]
-        blocks = [block for member in _members(shard)
-                  for block in reference.id_blocks(member)]
-        assert tuple(rows) == reference.pair_rows(blocks, *indexes)
+        blocks, pairs = [], []
+        for member in _members(shard):
+            assert (member.batch().first is not None) == repeats
+            assert member.canonical == canonical
+            own = list(reference.id_blocks(member))
+            blocks += own
+            pairs += (reference.first_seen(
+                own, reference.origins(member, whole[0]), first,
+                unordered=canonical) if repeats else
+                [pair for block in own for pair in reference.raw_pairs(block)])
+        assert tuple(rows) == reference.pair_rows(pairs, *indexes)
         assert shard.cost() == sum(block.pair_count() for block in blocks)
-        if runner.domain is runner.range or not runner.is_self:
+        assert shard.distinct_pairs() == len(pairs)
+        if not repeats and (runner.domain is runner.range
+                            or not runner.is_self):
             assert tuple(rows) == reference.expanded(blocks, *indexes)
             assert shard.cost() == len(rows[0])
-        assert list(shard.pairs()) == [
-            pair for member in _members(shard)
-            for pair in reference.block_pairs(
-                reference.id_blocks(member), dedup=member.dedup,
-                canonical=member.canonical)]
+        shard_pairs = list(shard.pairs())
+        assert shard_pairs == [(b, a) if canonical and b < a else (a, b)
+                               for a, b in pairs]
+        streamed += shard_pairs
+    # each pair once, the serial stream's first-seen copy: in its
+    # order where the shards are its runs
+    serial = list(reference.block_pairs(whole_blocks, dedup=repeats,
+                                        canonical=canonical))
+    assert (streamed if not balanced else sorted(streamed)) == \
+        (serial if not balanced else sorted(serial))
     return shards
 
 
@@ -183,6 +216,99 @@ class TestRowsEqualTheReference:
         for side in (0, 1):
             assert np.array_equal(
                 np.concatenate([step[side] for step in steps]), whole[side])
+
+
+def _rows(batch):
+    """:meth:`BlockBatch.expand`, concatenated."""
+    steps = list(batch.expand())
+    return [np.concatenate([step[side] for step in steps])
+            if steps else np.zeros(0, dtype=np.int32) for side in (0, 1)]
+
+
+class TestFirstBlocks:
+    """The rule — a pair comes from the first block holding both its
+    rows — against a first-seen sort of the raw expansion, on up to
+    80 generated blocks over the rows of two sides (or one, as
+    triangles), and on their exploded pieces, as rebalancing cuts
+    them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), triangle=st.booleans(),
+           n_rows=st.integers(1, 12), target=st.integers(1, 30),
+           step=st.sampled_from([64, 128, EXPAND_ROWS]))
+    def test_equals_a_first_seen_sort(self, data, triangle, n_rows,
+                                      target, step):
+        """``step`` stands in for ``EXPAND_ROWS``: the repeats are
+        found, and the pairs expanded, that many at a time."""
+        from repro.blocking import pair_generator
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pair_generator, "EXPAND_ROWS", step)
+            self._check(data, triangle, n_rows, target)
+
+    @staticmethod
+    def _check(data, triangle, n_rows, target):
+        side = st.lists(st.integers(0, n_rows - 1), min_size=1,
+                        unique=True).map(sorted)
+        most = data.draw(st.sampled_from([8, 80]), label="most blocks")
+        blocks = data.draw(st.lists(
+            st.tuples(side, side), min_size=most // 4, max_size=most),
+            label="blocks")
+        spans_a = [a for a, _ in blocks]
+        spans_b = spans_a if triangle else [b for _, b in blocks]
+        rows_a, rows_b = (np.array([row for span in spans for row in span],
+                                   dtype=np.int32) for spans in
+                          (spans_a, spans_b))
+        count_a, count_b = ([len(span) for span in spans]
+                            for spans in (spans_a, spans_b))
+        raw = BlockBatch(rows_a, rows_b, np.array(
+            [(start_a, n_a, start_b, n_b, int(triangle)) for
+             start_a, n_a, start_b, n_b in zip(
+                 np.cumsum(count_a) - count_a, count_a,
+                 np.cumsum(count_b) - count_b, count_b)],
+            dtype=np.int64).reshape(-1, 5))
+        batch = keep_first(raw)
+        # the first-seen sort, and the block each first copy is in
+        whole_a, whole_b = _rows(raw)
+        keys = (whole_a.astype(np.int64) << 32) | whole_b
+        if triangle:
+            keys = np.minimum(keys, (whole_b.astype(np.int64) << 32)
+                              | whole_a)
+        first = distinct_keys(keys)[0]
+        kept = _rows(batch)
+        assert np.array_equal(kept[0], whole_a[first])
+        assert np.array_equal(kept[1], whole_b[first])
+        assert batch.size() == len(first)
+        homes = set(zip(keys[first].tolist(), np.repeat(
+            np.arange(len(raw.blocks)), raw.costs())[first].tolist()))
+        # pieces of each block, in runs of several as rebalancing
+        # packs them: each keeps exactly its first copies, in order
+        pieces, origins = [], []
+        for index, block in enumerate(raw.blocks.tolist()):
+            for piece in explode(block, target):
+                pieces.append(piece)
+                origins.append(index)
+        pieces = np.array(pieces, dtype=np.int64).reshape(-1, 5)
+        scattered = []
+        for start, end in partition_spans(
+                BlockBatch(None, None, pieces).costs(),
+                data.draw(st.integers(1, 6), label="runs")):
+            cut = batch._replace(blocks=pieces[start:end])
+            piece_a, piece_b = _rows(cut._replace(first=None))
+            piece_keys = (np.minimum(piece_a, piece_b) if triangle
+                          else piece_a).astype(np.int64) << 32 | (
+                np.maximum(piece_a, piece_b) if triangle else piece_b)
+            home = np.repeat(origins[start:end], cut.costs())
+            expected = np.array([(key, origin) in homes for key, origin
+                                 in zip(piece_keys.tolist(),
+                                        home.tolist())], dtype=bool)
+            got = _rows(cut)
+            assert np.array_equal(got[0], piece_a[expected])
+            assert np.array_equal(got[1], piece_b[expected])
+            assert cut.size() == int(expected.sum())
+            scattered += zip(*(side.tolist() for side in got))
+        assert sorted(scattered) == sorted(zip(whole_a[first].tolist(),
+                                               whole_b[first].tolist()))
 
 
 class TestExplode:
@@ -272,7 +398,7 @@ def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
         assert len(pieces) > 1
         composite = CompositeShard(pieces)
         runner = engine._prepare(request(domain, range_), [composite])
-        outputs = ([runner.run(0)] if config else
+        outputs = ([runner.run(0)[1]] if config else
                    (runner.score(*item) for item in runner.slices(composite)))
         return (list(engine.execute(request(domain, range_))),
                 [column.tolist() for column in runner.gather(outputs)])

@@ -567,25 +567,26 @@ class TestSerialShardedEquivalence:
             assert list(matcher.match(dblp, acm)) == list(mapping)
 
     def test_duplicate_survivors_reach_the_merge_once(self):
-        """Titles sharing many tokens surface once per shared token;
-        the merge must see each surviving pair exactly once."""
+        """A candidate list may repeat a pair (blocking's repeats never
+        reach the kernel, a list's do); every copy survives scoring,
+        and the merge must see each surviving pair exactly once."""
         words = "adaptive query processing over streaming sensor data"
         domain = _source("L", [f"{words} part{i}" for i in range(12)])
         range_ = _source("R", [f"{words} vol{i}" for i in range(12)])
+        candidates = [(id_a, id_b) for id_a in domain.ids()
+                      for id_b in range_.ids()] * 5
         engine = BatchMatchEngine(EngineConfig(
             workers=2, chunk_size=64, shard_blocking=True, profile=True))
         mapping = AttributeMatcher(
-            "title", similarity="trigram", threshold=0.5,
-            blocking=TokenBlocking(max_df=1.0), engine=engine,
-        ).match(domain, range_)
+            "title", similarity="trigram", threshold=0.5, engine=engine,
+        ).match(domain, range_, candidates=candidates)
         profile = engine.profile_summary()
         assert len(mapping) == 12 * 12
         assert profile["merged_rows"] == len(mapping)
-        assert profile["survivor_rows"] >= 5 * len(mapping)
+        assert profile["survivor_rows"] == 5 * len(mapping)
         serial = AttributeMatcher(
-            "title", similarity="trigram", threshold=0.5,
-            blocking=TokenBlocking(max_df=1.0), engine=SERIAL,
-        ).match(domain, range_)
+            "title", similarity="trigram", threshold=0.5, engine=SERIAL,
+        ).match(domain, range_, candidates=candidates)
         # same rows in the same insertion order, not just the same set
         assert list(mapping) == list(serial)
 

@@ -142,10 +142,32 @@ class TestProfileRecords:
         if blocking is None:
             assert summary["candidate_rows"] == len(TITLES_A) * len(TITLES_B)
 
-    def test_candidate_rows_is_the_parent_cut_paths(self):
-        engine, _ = _run(True, blocking=TokenBlocking(), workers=2,
-                         chunk_size=64, shard_blocking=True)
-        assert engine.profile_summary()["candidate_rows"] == 0
+    @pytest.mark.parametrize("path", sorted(CONFIGS))
+    def test_candidate_and_duplicate_rows_on_every_path(self, path):
+        """``candidate_rows`` counts the rows scored on every path (a
+        whole shard's come back with its survivors) and
+        ``duplicate_rows`` the repeats of overlapping blocks dropped
+        before: 12 x 12 pairs, each in the blocks of 7 shared tokens."""
+        words = "adaptive query processing over streaming sensor data"
+        engine = BatchMatchEngine(EngineConfig(profile=True,
+                                               **CONFIGS[path]))
+        engine.execute(MatchRequest(
+            domain=_source("L", [f"{words} part{i}" for i in range(12)]),
+            range=_source("R", [f"{words} vol{i}" for i in range(12)]),
+            specs=[AttributeSpec("title", "title", TrigramSimilarity())],
+            threshold=0.3, blocking=TokenBlocking(max_df=1.0)))
+        summary = engine.profile_summary()
+        assert summary["path"] == ("sharded" if path == "sharded"
+                                   else "indexed")
+        assert summary["candidate_rows"] == 12 * 12
+        assert summary["duplicate_rows"] == 6 * 12 * 12
+
+    def test_disjoint_blocks_report_no_duplicate_rows(self):
+        """The cross product's row tiles never overlap."""
+        engine, _ = _run(True, workers=1, chunk_size=64)
+        summary = engine.profile_summary()
+        assert summary["duplicate_rows"] == 0
+        assert summary["candidate_rows"] == len(TITLES_A) * len(TITLES_B)
 
     @pytest.mark.parametrize("path", ["serial", "sharded"])
     def test_warm_run_shows_as_warm(self, path):
