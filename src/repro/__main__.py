@@ -21,6 +21,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.engine import EngineConfig
+
 EXPERIMENT_NAMES = [f"table{i}" for i in range(1, 11)] + [
     "self-mapping",
 ]
@@ -40,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="N processes score in the batch match engine: "
                              "the parent and N - 1 forked children "
                              "(default: 1 = serial)")
-    parser.add_argument("--chunk-size", type=int, default=2048,
-                        help="candidate pairs per engine chunk "
-                             "(default: 2048)")
+    parser.add_argument("--chunk-size", type=int,
+                        default=EngineConfig.chunk_size,
+                        help="candidate row pairs per kernel call "
+                             "(default: %(default)s)")
     parser.add_argument("--shard-blocking", action="store_true",
                         help="generate candidate pairs inside the workers "
                              "(sharded blocking) instead of streaming them "

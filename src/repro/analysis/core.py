@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from io import StringIO
 from typing import (
@@ -158,32 +159,30 @@ class ProjectChecker(Checker):
                    for prefix in self.SCOPES)
 
 
-def _code_bearing_lines(source: str) -> List[int]:
-    """Line numbers that carry actual code tokens (not comments/blank)."""
-    try:
-        tokens = list(tokenize.generate_tokens(StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return []
-    seen: set[int] = set()
-    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
-            tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
-            tokenize.ENDMARKER}
-    for token in tokens:
-        if token.type in skip:
-            continue
-        seen.update(range(token.start[0], token.end[0] + 1))
-    return sorted(seen)
+#: tokens that carry no code: a line holding only these is no target
+_NON_CODE = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                       tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+                       tokenize.ENDMARKER})
 
 
-def _comment_lines(source: str) -> Optional[List[Tuple[int, str]]]:
-    """``(line, text)`` of every real COMMENT token, or ``None`` when
-    the file does not tokenize (caller falls back to a line scan)."""
+def _scan(source: str) -> Tuple[List[int], List[Tuple[int, str]]]:
+    """The sorted line numbers that carry code tokens, and ``(line,
+    text)`` of every real COMMENT token, from one tokenize pass.
+
+    A file that does not tokenize has no code lines, and every line
+    of it is a comment candidate (a line scan).
+    """
+    code: set[int] = set()
+    comments: List[Tuple[int, str]] = []
     try:
-        tokens = list(tokenize.generate_tokens(StringIO(source).readline))
+        for token in tokenize.generate_tokens(StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                comments.append((token.start[0], token.string))
+            elif token.type not in _NON_CODE:
+                code.update(range(token.start[0], token.end[0] + 1))
     except (tokenize.TokenError, SyntaxError, IndentationError):
-        return None
-    return [(token.start[0], token.string) for token in tokens
-            if token.type == tokenize.COMMENT]
+        return [], list(enumerate(source.splitlines(), start=1))
+    return sorted(code), comments
 
 
 def parse_suppressions(source: str) -> List[Suppression]:
@@ -191,23 +190,20 @@ def parse_suppressions(source: str) -> List[Suppression]:
 
     Only genuine comment tokens count: an ``allow-`` example inside a
     docstring is documentation, not a suppression (which matters now
-    that an unused suppression is itself a finding, ``SUP002``).
+    that an unused suppression is itself a finding, ``SUP002``).  A
+    source without ``allow-`` is not tokenized at all.
     """
-    code_lines = _code_bearing_lines(source)
-    comments = _comment_lines(source)
-    if comments is None:
-        comments = [(number, text) for number, text
-                    in enumerate(source.splitlines(), start=1)]
+    if "allow-" not in source:
+        return []
+    code_lines, comments = _scan(source)
     suppressions: List[Suppression] = []
     for number, text in comments:
         match = _SUPPRESSION_RE.search(text)
         if match is None:
             continue
-        if number in code_lines:
-            target = number
-        else:
-            following = [line for line in code_lines if line > number]
-            target = following[0] if following else number
+        # its own line where that holds code, else the next code line
+        at = bisect_left(code_lines, number)
+        target = code_lines[at] if at < len(code_lines) else number
         suppressions.append(Suppression(
             line=number, token=match.group("token"),
             reason=match.group("reason"), target_line=target))

@@ -96,9 +96,14 @@ MAX_INDEX_BYTES = 512 * 1024 * 1024
 #: exact for every integer below 2**24; :func:`build_column` then falls
 #: back to the scalar column
 MAX_GRAMS = 1 << 24
+#: bytes of one side's gathered bit rows in a
+#: :meth:`NGramColumn.kernel_rows` block: a longer call is scored
+#: ``GATHER_BYTES // (8 * width)`` rows at a time, so both gathered
+#: blocks stay in a core's cache whatever the call's length
+GATHER_BYTES = 1 << 18
 #: pairs a :meth:`_Column.tabulate` block scores in one ``kernel_rows``
-#: call: a slice of the default engine, so filling a table holds no
-#: more gathered rows at once than scoring a slice does
+#: call: at most a slice of the default engine, so filling a table
+#: holds no more gathered rows at once than scoring a slice does
 TABLE_BLOCK_ROWS = 2048
 
 #: bytes per packed TF/IDF entry: insertion-order indices (8) + data
@@ -409,13 +414,20 @@ class NGramColumn(_Column):
         at 2048 rows), exact because every partial sum is an integer
         below :data:`MAX_GRAMS`; against the int64 sizes each
         expression is then evaluated in float64, as before.
+
+        The bit rows are gathered in blocks of :data:`GATHER_BYTES` a
+        side, so a call of any length touches cache-sized blocks; each
+        row's overlap is its own, so the blocking cannot change a bit.
         """
         domain_bits, domain_sizes = self.domain
         range_bits, range_sizes = self.range
-        both = domain_bits.take(domain_rows, axis=0)
-        both &= range_bits.take(range_rows, axis=0)
-        overlap = _np.einsum(
-            "ij->i", _np.bitwise_count(both).astype(_np.float32))
+        overlap = _np.empty(len(domain_rows), dtype=_np.float32)
+        step = max(1, GATHER_BYTES // (8 * self._width))
+        for start in range(0, len(domain_rows), step):
+            both = domain_bits.take(domain_rows[start:start + step], axis=0)
+            both &= range_bits.take(range_rows[start:start + step], axis=0)
+            _np.einsum("ij->i", _np.bitwise_count(both).astype(_np.float32),
+                       out=overlap[start:start + step])
         size_a = domain_sizes[domain_rows]
         size_b = range_sizes[range_rows]
         if self.method == "dice":

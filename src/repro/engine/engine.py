@@ -75,13 +75,19 @@ class EngineConfig:
     one kernel call, and one pool task when the parent cuts (a block
     slice then holds more, up to
     :data:`~repro.engine.shards.POOL_SLICE_ROWS` rows).  Every
-    request runs on a kernel, whose call costs a fixed ~8 µs of array
-    set-up plus the gathered rows: measured on a 900-title trigram
-    column (19 packed words a row; 2-core Xeon, numpy 2.4.6), 0.17 µs a
-    pair at 64 rows, 0.045 µs at the default, 0.06 µs at 16k and
-    0.12 µs at 128k rows, where the gathered bit rows (rows × packed
-    width) outgrow the cache.  The table-workflow pass takes 0.31 /
-    0.20 / 0.25 / 0.36 s at 256 / 2048 / 16k / 128k.  Everything else
+    request runs on a kernel, and every kernel call pays a fixed cost
+    of array set-up beside its rows, so the default is where the
+    kernels stop gaining from longer calls: on ``batch-engine``'s
+    858 281 DBLP × ACM title pairs (2-core Xeon, numpy 2.4.6), TF/IDF
+    took 157 / 132 / 135 ms in 2 048 / 8 192 / 16 384-row calls and
+    the multi-attribute kernel 71 / 39 / 34 ms.  The q-gram kernel
+    gathers a call in cache-sized blocks
+    (:data:`~repro.engine.columns.GATHER_BYTES`), so a long call keeps
+    its gathered bit rows in cache: on a 900-title trigram
+    column (17 packed words a row), 0.27 µs a pair at 64 rows, 0.056
+    µs at 2 048, 0.048 µs at the default, 0.047 µs at 16k and 0.062
+    µs at 128k.  The table-workflow pass takes 0.32 / 0.30 / 0.25 /
+    0.29 / 0.27 s at 256 / 2 048 / 8 192 / 16k / 128k.  Everything else
     about a run's plan — shard count, skew rebalancing, how many
     chunks queue ahead of the merge cursor — the engine derives from
     ``workers`` and the shard cost estimates
@@ -89,7 +95,7 @@ class EngineConfig:
     """
 
     workers: int = 1
-    chunk_size: int = 2048
+    chunk_size: int = 8192
     #: run candidate generation inside the workers (pool tasks are
     #: whole shards, :mod:`repro.engine.shards`) instead of cutting
     #: every slice in the parent.  Results are identical; on blocked
@@ -140,7 +146,8 @@ class BatchMatchEngine:
                                  "kernel_cached": False,
                                  "index_cached": False,
                                  "columns": [],
-                                 "chunks": 0, "candidate_rows": 0,
+                                 "chunks": 0, "kernel_calls": 0,
+                                 "candidate_rows": 0,
                                  "duplicate_rows": 0,
                                  "chunk_items": [],
                                  "chunk_seconds": [],
@@ -174,9 +181,10 @@ class BatchMatchEngine:
         outputs = []
         for items, seconds, output in run_ordered(
                 target, work, workers=workers, inflight=inflight):
-            if sharded:  # a whole shard: its rows came back with it
-                items, output = output
-            self._profile_task(items, seconds, sharded)
+            calls = 1
+            if sharded:  # a whole shard: its rows and calls came back
+                items, output, calls = output
+            self._profile_task(items, calls, seconds, sharded)
             outputs.append(output)
         scored = time.perf_counter()
         result = self._load(request, runner, outputs)
@@ -244,14 +252,15 @@ class BatchMatchEngine:
             asked, built = profile.pop("memo_counts")
             profile["index_cached"] = hits > asked and builds == built
 
-    def _profile_task(self, items: int, seconds: float,
+    def _profile_task(self, items: int, calls: int, seconds: float,
                       shard: bool) -> None:
-        """One pool task's duration and rows: a whole shard's or a
-        slice's."""
+        """One pool task's duration, rows and kernel calls: a whole
+        shard's or a slice's."""
         profile = self.last_profile
         if profile is None:
             return
         profile["candidate_rows"] += items
+        profile["kernel_calls"] += calls
         if shard:
             profile["shard_seconds"].append(seconds)
         else:
@@ -280,6 +289,7 @@ class BatchMatchEngine:
             "survivor_rows": profile["survivor_rows"],
             "merged_rows": profile["merged_rows"],
             "chunks": profile["chunks"],
+            "kernel_calls": profile["kernel_calls"],
             "score_seconds": sum(chunk_seconds) + sum(shard_seconds),
             "chunk_p50_seconds": obs_percentile(chunk_seconds, 0.50),
             "chunk_p99_seconds": obs_percentile(chunk_seconds, 0.99),

@@ -272,12 +272,12 @@ class ShardRunner:
 
     def run(self, shard_index: int) -> tuple:
         """Score one whole shard where it is called: how many rows it
-        scored, and its survivors."""
+        scored, its survivors, and in how many :attr:`score` calls."""
         rows, outputs = 0, []
         for item in self.slices(self.shards[shard_index]):
             rows += len(item[0])
             outputs.append(self.score(*item))
-        return rows, self.gather(outputs)
+        return rows, self.gather(outputs), len(outputs)
 
     def _block_slices(self, shards: List[BlockShard]) -> Iterator[tuple]:
         """The blocks' pairs: views of the one expansion, shard after

@@ -627,7 +627,7 @@ class TestEngineConfig:
     def test_defaults_are_serial(self):
         config = EngineConfig()
         assert config.workers == 1
-        assert config.chunk_size == 2048
+        assert config.chunk_size == 8192
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0}, {"chunk_size": 0},

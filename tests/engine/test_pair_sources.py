@@ -420,11 +420,12 @@ class TestSlices:
         runner, source = self._runner(chunk_size=16)
         runner.shards = [self._shard(
             source, [(i, 6, i, 6, 1) for i in range(0, 36, 3)])]
-        rows, whole = runner.run(0)
+        rows, whole, calls = runner.run(0)
         items = list(runner.slices(runner.shards[0]))
         parts = [runner.score(*item) for item in items]
         assert len(parts) > 1
         assert rows == sum(len(rows_a) for rows_a, _ in items)
+        assert calls == len(parts)
         for got, expected in zip(whole, runner.gather(parts)):
             assert got.tolist() == expected.tolist()
         assert len(whole[2]) > 0

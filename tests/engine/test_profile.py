@@ -162,6 +162,27 @@ class TestProfileRecords:
         assert summary["candidate_rows"] == 12 * 12
         assert summary["duplicate_rows"] == 6 * 12 * 12
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS))
+    def test_kernel_calls_on_every_path(self, path):
+        """``kernel_calls`` counts the slices scored, whoever cut them:
+        the parent's chunks, or the calls each shard task returns."""
+        engine = BatchMatchEngine(EngineConfig(profile=True,
+                                               **CONFIGS[path]))
+        request = _request(blocking=TokenBlocking(max_df=1.0))
+        engine.execute(request)
+        summary = engine.profile_summary()
+        planner = BatchMatchEngine(EngineConfig(**CONFIGS[path]))
+        shards, _ = planner._plan(request)
+        runner = planner._prepare(request, shards)
+        if path == "parallel":
+            runner.cut_for_pool(planner.config.workers)
+        slices = [item for shard in shards for item in runner.slices(shard)]
+        assert summary["kernel_calls"] == len(slices) > 1
+        assert summary["candidate_rows"] == sum(
+            len(rows_a) for rows_a, _ in slices)
+        if path != "sharded":
+            assert summary["kernel_calls"] == summary["chunks"]
+
     def test_disjoint_blocks_report_no_duplicate_rows(self):
         """The cross product's row tiles never overlap."""
         engine, _ = _run(True, workers=1, chunk_size=64)
