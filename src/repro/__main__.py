@@ -10,7 +10,8 @@ Commands:
 * ``serve``       — run the incremental match service as a JSON HTTP
   server over a generated reference source;
 * ``lint``        — run the invariant-aware static analysis pass
-  (DET/LCK/PKL/DUR/API rule families) over the source tree.
+  (DET/LCK/PKL/DUR/API rule families) over the source tree; what
+  follows ``lint`` goes to ``repro.analysis.cli`` unchanged.
 """
 
 from __future__ import annotations
@@ -137,30 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "scoring batches slower than this many "
                             "milliseconds (default: 0 = disabled)")
 
-    lint = subparsers.add_parser(
-        "lint", help="run the repo-specific static analysis checkers")
-    lint.add_argument("lint_paths", nargs="*", metavar="PATH",
-                      help="files or directories to check "
-                           "(default: src/repro)")
-    lint.add_argument("--root", dest="lint_root", default=None,
-                      help="repo root (default: nearest pyproject.toml)")
-    lint.add_argument("--baseline", dest="lint_baseline", default=None,
-                      help="baseline file relative to the root "
-                           "(default: lint-baseline.json)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline; report every finding")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from current findings")
-    lint.add_argument("--json", action="store_true", dest="lint_json",
-                      help="emit a JSON report instead of text")
-    lint.add_argument("--no-cache", action="store_true",
-                      dest="lint_no_cache",
-                      help="analyze every file from scratch and write "
-                           "no cache")
-    lint.add_argument("--cache", dest="lint_cache", default=None,
-                      metavar="PATH",
-                      help="per-file result cache location relative to "
-                           "the root (default: .repro-lint-cache.json)")
+    # its options are repro.analysis.cli's: main() hands them over
+    subparsers.add_parser(
+        "lint", add_help=False,
+        help="run the repo-specific static analysis checkers "
+             "(repro lint -h lists their options)")
     return parser
 
 
@@ -332,31 +314,14 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _command_lint(args) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    forwarded: List[str] = list(args.lint_paths)
-    if args.lint_root is not None:
-        forwarded += ["--root", args.lint_root]
-    if args.lint_baseline is not None:
-        forwarded += ["--baseline", args.lint_baseline]
-    if args.no_baseline:
-        forwarded.append("--no-baseline")
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.lint_json:
-        forwarded.append("--json")
-    if args.lint_no_cache:
-        forwarded.append("--no-cache")
-    if args.lint_cache is not None:
-        forwarded += ["--cache", args.lint_cache]
-    return lint_main(forwarded)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, rest = parser.parse_known_args(argv)
     if args.command == "lint":
-        return _command_lint(args)
+        from repro.analysis.cli import main as lint_main
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2

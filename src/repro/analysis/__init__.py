@@ -10,7 +10,7 @@ rule-based construction argument applied to the system's own
 contracts: check the rules mechanically instead of rediscovering each
 violation in a flaky bench).
 
-Seven checker families ship today:
+Five checker families ship today:
 
 =====  ==============================================================
 code   contract
@@ -31,15 +31,15 @@ PKL    cross-process safety: classes holding unpicklable state (or
 DUR    durability ordering: ``os.replace`` must be dominated by an
        ``fsync`` in the same function; no bare ``os.rename``
 API    HTTP handlers raise only ``repro.serve.errors`` types
-CFG    config dataclasses: every public field is validated, settable
-       from the CLI and listed in the docs knob table
-KRN    every column the kernel registry builds has the full kernel
-       surface
 =====  ==============================================================
 
-CFG, KRN, LCK and DET's cross-module set-method rule run over the
-whole-program :class:`~repro.analysis.graph.ProjectGraph`; the rest
-check one file at a time.
+LCK and DET's cross-module set-method rule run over the whole-program
+:class:`~repro.analysis.graph.ProjectGraph`; the rest check one file
+at a time.  A contract a runtime test checks directly is tested, not
+linted: the kernel surface of every column kind
+(``tests/engine/test_kernel_surface.py``) and the config fields'
+validation, CLI flags and docs rows (``tests/serve/test_config.py``,
+``tests/engine/test_engine.py::TestEngineConfig``).
 
 Run ``repro lint`` (or ``python -m repro.analysis``); findings print
 as ``file:line CODE message``.  Suppress a finding inline with

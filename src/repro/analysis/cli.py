@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="invariant-aware static analysis (per-file "
                     "DET/PKL/DUR/API families plus whole-program "
-                    "CFG/KRN/LCK contract checks)")
+                    "LCK and DET set-method checks)")
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to check "

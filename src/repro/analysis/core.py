@@ -15,15 +15,14 @@ Suppression syntax, one comment per line::
 
 ``allow-<token>`` accepts either a family alias (``unordered`` for
 DET, ``unlocked`` for LCK, ``unpicklable`` for PKL, ``durability`` for
-DUR, ``api-error`` for API, ``config`` for CFG, ``kernel`` for KRN) or
-an exact lower-cased finding code (``allow-det004``).  Everything
-after ``--`` is the mandatory reason.  A suppression covers findings
-on its own line; a comment-only line covers the first following line
-that holds code.  A suppression that matches nothing is itself
-reported (``SUP002``) so allow-comments cannot outlive the finding
-they excused.
+DUR, ``api-error`` for API) or an exact lower-cased finding code
+(``allow-det004``).  Everything after ``--`` is the mandatory reason.
+A suppression covers findings on its own line; a comment-only line
+covers the first following line that holds code.  A suppression that
+matches nothing is itself reported (``SUP002``) so allow-comments
+cannot outlive the finding they excused.
 
-Cross-module rules (CFG/KRN/LCK) subclass
+Cross-module rules (LCK, DET's set-method rule) subclass
 :class:`ProjectChecker` and run against the
 :class:`repro.analysis.graph.ProjectGraph` built once per run.
 """
@@ -58,8 +57,6 @@ FAMILY_ALIASES: Dict[str, str] = {
     "unpicklable": "PKL",
     "durability": "DUR",
     "api-error": "API",
-    "config": "CFG",
-    "kernel": "KRN",
 }
 
 _SUPPRESSION_RE = re.compile(
@@ -224,10 +221,8 @@ def parse_module(path: str, source: str,
 def all_checkers() -> List[Checker]:
     """One fresh instance of every registered checker, in code order."""
     from repro.analysis.api import ApiErrorChecker
-    from repro.analysis.cfg import ConfigContractChecker
     from repro.analysis.det import DeterminismChecker, SetMethodChecker
     from repro.analysis.dur import DurabilityChecker
-    from repro.analysis.krn import KernelSurfaceChecker
     from repro.analysis.lck import (
         InterproceduralLockChecker,
         LockOrderChecker,
@@ -235,9 +230,9 @@ def all_checkers() -> List[Checker]:
     from repro.analysis.pkl import PickleSafetyChecker
 
     classes: List[Type[Checker]] = [
-        ApiErrorChecker, ConfigContractChecker, DeterminismChecker,
-        DurabilityChecker, InterproceduralLockChecker, KernelSurfaceChecker,
-        LockOrderChecker, PickleSafetyChecker, SetMethodChecker,
+        ApiErrorChecker, DeterminismChecker, DurabilityChecker,
+        InterproceduralLockChecker, LockOrderChecker, PickleSafetyChecker,
+        SetMethodChecker,
     ]
     return [cls() for cls in sorted(classes, key=lambda cls: cls.CODE)]
 

@@ -1,18 +1,19 @@
 """Whole-program project model for cross-module contract checking.
 
 A per-file checker sees one ``ast.Module`` at a time, which is exactly
-as far as it can reason: a rule like "every config field must be
-documented" or "no lock is taken while a caller holds another" spans
-files.  This module builds the project model those rules need, **once
-per run**:
+as far as it can reason: a rule like "no lock is taken while a caller
+holds another" or "no set-returning method of another class is
+iterated in order" spans files.  This module builds the project model
+those rules (LCK, DET's :class:`~repro.analysis.det.SetMethodChecker`)
+need, **once per run**:
 
-* a :class:`FileSummary` per source file — imports, classes (fields,
-  class/instance attributes, attribute types), functions (call sites,
-  lock spans, ordered method iterations, CLI flag registrations);
+* a :class:`FileSummary` per source file — imports, classes (methods,
+  inferred attribute types), functions (call sites, lock spans, the
+  ``@requires_lock`` contract, return annotations, ordered method
+  iterations);
 * a :class:`ProjectGraph` over all summaries — module table, symbol
-  table (``repro.engine.columns.TfIdfColumn`` → class summary), name
-  resolution through imports, and an approximate call graph
-  (:meth:`ProjectGraph.callees`).
+  table (``repro.engine.columns.TfIdfColumn`` → class summary) and
+  name resolution through imports and inferred attribute types.
 
 Summaries are deliberately *plain data* (JSON round-trippable via
 ``to_dict``/``from_dict``): the runner caches them per file keyed by
@@ -22,9 +23,8 @@ project.
 
 Everything here is approximate in the usual static-analysis ways —
 dynamic dispatch, ``getattr`` and monkey-patching are invisible — but
-the contracts the checkers pin (dataclass knobs, kernel registry
-surfaces, lock nesting, iteration order) are all expressed through the
-syntactic shapes captured below.
+the contracts the checkers pin (lock nesting, iteration order) are
+expressed through the syntactic shapes captured below.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.analysis.core import ordered_iterables, sorted_wrapped
 
 #: bump to invalidate every cache entry when extraction or rule
 #: semantics change (cache entries also key on the content hash)
-ANALYSIS_VERSION = 6
+ANALYSIS_VERSION = 7
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +56,6 @@ class CallSite:
     #: dotted target (``self._index.add``, ``os.replace``) or ``None``
     #: when the chain crosses a subscript/call and cannot be named
     dotted: Optional[str]
-    #: last attribute segment (``add`` for ``self._index.add(...)``)
-    tail: Optional[str]
 
 
 @dataclass
@@ -74,15 +72,6 @@ class LockSpan:
 
     def covers(self, line: int) -> bool:
         return self.start <= line <= self.end
-
-
-@dataclass
-class CliFlag:
-    """One ``add_argument`` registration."""
-
-    line: int
-    flags: List[str]
-    dest: Optional[str]
 
 
 @dataclass
@@ -106,51 +95,20 @@ class FunctionSummary:
     name: str
     qualname: str
     classname: Optional[str]
-    line: int
-    end: int
-    params: List[str]
-    decorators: List[str]
     required_lock: Optional[str]
     calls: List[CallSite] = field(default_factory=list)
     lock_spans: List[LockSpan] = field(default_factory=list)
-    #: attributes referenced on ``self`` (or an alias of ``self``)
-    attr_refs: List[str] = field(default_factory=list)
     #: :func:`annotation_head` of the return annotation
     returns: Optional[str] = None
     method_iterations: List[MethodIteration] = field(default_factory=list)
 
 
 @dataclass
-class FieldDef:
-    """One annotated class-body assignment (a dataclass field)."""
-
-    name: str
-    line: int
-    annotation: str
-
-    @property
-    def is_bool(self) -> bool:
-        return self.annotation == "bool"
-
-    @property
-    def is_private(self) -> bool:
-        return self.name.startswith("_")
-
-
-@dataclass
 class ClassSummary:
-    """One class: fields, attributes, methods, inferred attr types."""
+    """One class: its methods and inferred attribute types."""
 
     name: str
     qualname: str
-    line: int
-    bases: List[str]
-    decorators: List[str]
-    fields: List[FieldDef] = field(default_factory=list)
-    #: plain class-body assignments: name -> line
-    class_attrs: Dict[str, int] = field(default_factory=dict)
-    #: attributes ever assigned on ``self`` inside a method
-    instance_attrs: List[str] = field(default_factory=list)
     #: ``self.<attr> = ClassName(...)`` / ``self.<attr>: ClassName``
     #: inferred instance-attribute types (dotted, unresolved)
     attr_types: Dict[str, str] = field(default_factory=dict)
@@ -166,7 +124,6 @@ class FileSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     classes: List[ClassSummary] = field(default_factory=list)
     functions: List[FunctionSummary] = field(default_factory=list)
-    cli_flags: List[CliFlag] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -178,14 +135,11 @@ class FileSummary:
             for item in raw:
                 out.append(FunctionSummary(
                     name=item["name"], qualname=item["qualname"],
-                    classname=item["classname"], line=item["line"],
-                    end=item["end"], params=list(item["params"]),
-                    decorators=list(item["decorators"]),
+                    classname=item["classname"],
                     required_lock=item["required_lock"],
                     calls=[CallSite(**c) for c in item["calls"]],
                     lock_spans=[LockSpan(**s)
                                 for s in item["lock_spans"]],
-                    attr_refs=list(item["attr_refs"]),
                     returns=item["returns"],
                     method_iterations=[MethodIteration(**use) for use
                                        in item["method_iterations"]]))
@@ -196,11 +150,6 @@ class FileSummary:
             for item in raw:
                 out.append(ClassSummary(
                     name=item["name"], qualname=item["qualname"],
-                    line=item["line"], bases=list(item["bases"]),
-                    decorators=list(item["decorators"]),
-                    fields=[FieldDef(**f) for f in item["fields"]],
-                    class_attrs=dict(item["class_attrs"]),
-                    instance_attrs=list(item["instance_attrs"]),
                     attr_types=dict(item["attr_types"]),
                     methods=list(item["methods"])))
             return out
@@ -208,11 +157,7 @@ class FileSummary:
         return cls(path=payload["path"], module=payload["module"],
                    imports=dict(payload["imports"]),
                    classes=_classes(payload["classes"]),
-                   functions=_functions(payload["functions"]),
-                   cli_flags=[CliFlag(line=f["line"],
-                                      flags=list(f["flags"]),
-                                      dest=f["dest"])
-                              for f in payload["cli_flags"]])
+                   functions=_functions(payload["functions"]))
 
 
 # ----------------------------------------------------------------------
@@ -255,17 +200,6 @@ def _tail_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _decorator_names(node: ast.AST) -> List[str]:
-    names = []
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        dotted = _dotted_name(target)
-        if dotted is not None:
-            names.append(dotted)
-    return names
 
 
 def _required_lock(node: ast.AST) -> Optional[str]:
@@ -356,16 +290,13 @@ def _summarize_function(node: ast.AST, qualname: str,
                         classname: Optional[str], nodes: List[ast.AST],
                         parents: Dict[int, ast.AST]) -> FunctionSummary:
     """The summary of one function from its :func:`_walk`."""
-    params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
     summary = FunctionSummary(
         name=node.name, qualname=qualname, classname=classname,
-        line=node.lineno, end=node.end_lineno or node.lineno,
-        params=params, decorators=_decorator_names(node),
         required_lock=_required_lock(node),
         returns=annotation_head(node.returns),
         method_iterations=_method_iterations(node, nodes, parents))
     aliases: Set[str] = {"self"}
-    # alias pass first: ``config = self`` style rebindings
+    # alias pass first: a lock taken through ``service = self`` counts
     for child in nodes:
         if isinstance(child, ast.Assign) \
                 and isinstance(child.value, ast.Name) \
@@ -376,21 +307,19 @@ def _summarize_function(node: ast.AST, qualname: str,
     release_lines: Dict[str, List[int]] = {}
     for child in nodes:
         if isinstance(child, ast.Call) \
-                and _tail_name(child.func) in ("release",) \
-                and isinstance(child.func, ast.Attribute):
+                and isinstance(child.func, ast.Attribute) \
+                and child.func.attr == "release":
             lock = _is_self_attr(child.func.value, aliases)
             if lock is not None:
                 release_lines.setdefault(lock, []).append(child.lineno)
     for child in nodes:
         if isinstance(child, ast.Call):
-            dotted = _dotted_name(child.func)
-            tail = _tail_name(child.func)
-            summary.calls.append(CallSite(
-                line=child.lineno, dotted=dotted, tail=tail))
+            summary.calls.append(CallSite(line=child.lineno,
+                                          dotted=_dotted_name(child.func)))
             # ``self.<lock>.acquire(...)`` opens a span to the matching
             # release (or the function end)
-            if tail in ("acquire", "acquire_lock") \
-                    and isinstance(child.func, ast.Attribute):
+            if isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in ("acquire", "acquire_lock"):
                 lock = _is_self_attr(child.func.value, aliases)
                 if lock is not None:
                     after = [line for line
@@ -398,16 +327,9 @@ def _summarize_function(node: ast.AST, qualname: str,
                              if line >= child.lineno]
                     summary.lock_spans.append(LockSpan(
                         lock=lock, start=child.lineno,
-                        end=min(after) if after else summary.end,
+                        end=min(after) if after
+                        else node.end_lineno or node.lineno,
                         via="acquire"))
-            # ``object.__setattr__(self, "field", ...)`` counts as an
-            # attribute reference (frozen-dataclass validators)
-            if dotted == "object.__setattr__" and len(child.args) >= 2 \
-                    and isinstance(child.args[0], ast.Name) \
-                    and child.args[0].id in aliases \
-                    and isinstance(child.args[1], ast.Constant) \
-                    and isinstance(child.args[1].value, str):
-                summary.attr_refs.append(child.args[1].value)
         elif isinstance(child, (ast.With, ast.AsyncWith)):
             for item in child.items:
                 expr: ast.expr = item.context_expr
@@ -422,12 +344,6 @@ def _summarize_function(node: ast.AST, qualname: str,
                         lock=lock, start=child.lineno,
                         end=child.end_lineno or child.lineno,
                         via="with"))
-        elif isinstance(child, ast.Attribute):
-            if isinstance(child.value, ast.Name) \
-                    and child.value.id in aliases \
-                    and isinstance(child.ctx, ast.Load):
-                summary.attr_refs.append(child.attr)
-    summary.attr_refs = sorted(set(summary.attr_refs))
     summary.lock_spans.sort(key=lambda span: (span.start, span.lock))
     return summary
 
@@ -435,49 +351,28 @@ def _summarize_function(node: ast.AST, qualname: str,
 def _summarize_class(node: ast.ClassDef, qualprefix: str,
                      functions: List[FunctionSummary]) -> ClassSummary:
     qualname = f"{qualprefix}{node.name}" if qualprefix else node.name
-    summary = ClassSummary(
-        name=node.name, qualname=qualname, line=node.lineno,
-        bases=[_dotted_name(base) or "" for base in node.bases],
-        decorators=_decorator_names(node))
-    instance_attrs: Set[str] = set()
+    summary = ClassSummary(name=node.name, qualname=qualname)
     for statement in node.body:
-        if isinstance(statement, ast.AnnAssign) \
-                and isinstance(statement.target, ast.Name):
-            summary.fields.append(FieldDef(
-                name=statement.target.id, line=statement.lineno,
-                annotation=ast.unparse(statement.annotation)))
-        elif isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    summary.class_attrs[target.id] = statement.lineno
-        elif isinstance(statement,
-                        (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             summary.methods.append(statement.name)
             nodes, parents = _walk(statement)
             functions.append(_summarize_function(
                 statement, f"{qualname}.{statement.name}", node.name,
                 nodes, parents))
             for child in nodes:
-                if isinstance(child, ast.Assign):
+                if isinstance(child, ast.Assign) \
+                        and isinstance(child.value, ast.Call):
                     attr = None
                     for target in child.targets:
-                        name = _is_self_attr(target, {"self"})
-                        if name is not None:
-                            attr = name
-                            instance_attrs.add(name)
-                    if attr is not None \
-                            and isinstance(child.value, ast.Call):
-                        dotted = _dotted_name(child.value.func)
-                        if dotted is not None:
-                            summary.attr_types.setdefault(attr, dotted)
+                        attr = _is_self_attr(target, {"self"}) or attr
+                    dotted = _dotted_name(child.value.func)
+                    if attr is not None and dotted is not None:
+                        summary.attr_types.setdefault(attr, dotted)
                 elif isinstance(child, ast.AnnAssign):
                     name = _is_self_attr(child.target, {"self"})
                     if name is not None:
-                        instance_attrs.add(name)
-                        dotted = ast.unparse(child.annotation)
-                        summary.attr_types.setdefault(attr := name,
-                                                      dotted)
-    summary.instance_attrs = sorted(instance_attrs)
+                        summary.attr_types.setdefault(
+                            name, ast.unparse(child.annotation))
     return summary
 
 
@@ -517,37 +412,7 @@ def summarize_module(display_path: str, tree: ast.Module) -> FileSummary:
         elif isinstance(statement, ast.ClassDef):
             summary.classes.append(
                 _summarize_class(statement, "", summary.functions))
-    summary.cli_flags = _cli_flags(nodes)
     return summary
-
-
-def _cli_flags(nodes: List[ast.AST]) -> List[CliFlag]:
-    """The ``add_argument`` registrations among a module's nodes."""
-    flags: List[CliFlag] = []
-    for node in nodes:
-        if not isinstance(node, ast.Call) \
-                or _tail_name(node.func) != "add_argument":
-            continue
-        names = [argument.value for argument in node.args
-                 if isinstance(argument, ast.Constant)
-                 and isinstance(argument.value, str)]
-        option_flags = [name for name in names if name.startswith("-")]
-        dest = None
-        for keyword in node.keywords:
-            if keyword.arg == "dest" \
-                    and isinstance(keyword.value, ast.Constant) \
-                    and isinstance(keyword.value.value, str):
-                dest = keyword.value.value
-        if not dest:
-            positional = [name for name in names
-                          if not name.startswith("-")]
-            source = (option_flags or positional)
-            if source:
-                dest = source[0].lstrip("-").replace("-", "_")
-        if option_flags or dest:
-            flags.append(CliFlag(line=node.lineno, flags=option_flags,
-                                 dest=dest))
-    return flags
 
 
 # ----------------------------------------------------------------------
@@ -566,11 +431,9 @@ class Symbol:
 
 
 class ProjectGraph:
-    """Symbol table + name resolution + call graph over summaries."""
+    """Symbol table + name resolution over summaries."""
 
-    def __init__(self, root: str,
-                 summaries: Sequence[FileSummary]) -> None:
-        self.root = root
+    def __init__(self, summaries: Sequence[FileSummary]) -> None:
         self.files: Dict[str, FileSummary] = {
             summary.path: summary for summary in summaries}
         self.modules: Dict[str, FileSummary] = {}
@@ -600,22 +463,12 @@ class ProjectGraph:
             -> Optional[Tuple[FunctionSummary, FileSummary]]:
         return self.functions.get(qualname)
 
-    def module_named(self, module: str) -> Optional[FileSummary]:
-        return self.modules.get(module)
-
     def methods_of(self, cls: ClassSummary,
                    file: FileSummary) -> List[FunctionSummary]:
         prefix = f"{cls.qualname}."
         return [function for function in file.functions
                 if function.qualname.startswith(prefix)
                 and function.classname == cls.name]
-
-    def read_text(self, relpath: str) -> Optional[str]:
-        absolute = os.path.join(self.root, relpath)
-        if not os.path.exists(absolute):
-            return None
-        with open(absolute, "r", encoding="utf-8") as handle:
-            return handle.read()
 
     # -- resolution ----------------------------------------------------
 
@@ -669,39 +522,6 @@ class ProjectGraph:
         if target is None or target.kind != "class":
             return None
         return self._lookup(f"{target.qualname}.{method}")
-
-    def callees(self, function: FunctionSummary, file: FileSummary,
-                cls: Optional[ClassSummary] = None) -> List[Symbol]:
-        """Resolved project symbols this function calls (approximate)."""
-        resolved: List[Symbol] = []
-        seen: Set[str] = set()
-        for call in function.calls:
-            if call.dotted is None:
-                continue
-            symbol: Optional[Symbol] = None
-            if call.dotted.startswith("self."):
-                parts = call.dotted.split(".")
-                if cls is not None and len(parts) == 2 \
-                        and parts[1] in cls.methods:
-                    symbol = self._lookup(
-                        f"{file.module}.{cls.qualname}.{parts[1]}")
-                elif cls is not None and len(parts) == 3:
-                    symbol = self.resolve_attr_call(cls, file,
-                                                    call.dotted)
-            else:
-                symbol = self.resolve(call.dotted, file)
-            if symbol is not None and symbol.qualname not in seen:
-                seen.add(symbol.qualname)
-                resolved.append(symbol)
-        return resolved
-
-
-def build_graph(root: str, paths_and_trees: Sequence[Tuple[str,
-                                                           ast.Module]]
-                ) -> ProjectGraph:
-    """Build a graph straight from parsed trees (tests, tooling)."""
-    return ProjectGraph(root, [summarize_module(path, tree)
-                               for path, tree in paths_and_trees])
 
 
 # ----------------------------------------------------------------------

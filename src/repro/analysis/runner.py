@@ -4,8 +4,8 @@ The runner walks the target tree in sorted order (the linter obeys its
 own DET rules), parses each ``.py`` file once, feeds it to every
 interested per-file checker, then builds the
 :class:`~repro.analysis.graph.ProjectGraph` over every file's summary
-and runs the project checkers (CFG/KRN/LCK) against it.  Two
-acceptance layers follow:
+and runs the project checkers (LCK, DET's set-method rule) against
+it.  Two acceptance layers follow:
 
 1. inline suppressions (``# repro: allow-... -- reason``) — a
    suppression that matches a finding removes it; a suppression with
@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.core import (
     Checker,
     Finding,
-    ModuleContext,
     ProjectChecker,
     Suppression,
     all_checkers,
@@ -305,7 +304,7 @@ def run_paths(paths: Sequence[str], root: str,
         summary = entry.get("summary")
         if summary is not None:
             summaries.append(FileSummary.from_dict(summary))
-    graph = ProjectGraph(root, summaries)
+    graph = ProjectGraph(summaries)
     project_findings: List[Finding] = []
     for checker in checkers:
         if isinstance(checker, ProjectChecker):

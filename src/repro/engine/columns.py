@@ -28,8 +28,9 @@ binds every page of queries.
 function of the coerced value pair, so a bound column that carries
 both sides' :func:`value_codes` can answer from a *table* — one score
 per pair of distinct values, filled by the column's own per-kind
-kernel (``kernel_rows``, what KRN001 pins beside ``score_bound_rows``)
-over one representative row per value — and does so once the engine
+kernel (``kernel_rows``, which ``tests/engine/test_kernel_surface.py``
+requires of every kind beside ``score_bound_rows``) over one
+representative row per value — and does so once the engine
 found the grid smaller than the request (:meth:`_Column.tabulate`).
 Without a table ``score_rows`` *is* ``kernel_rows``.
 
@@ -101,10 +102,11 @@ MAX_GRAMS = 1 << 24
 #: ``GATHER_BYTES // (8 * width)`` rows at a time, so both gathered
 #: blocks stay in a core's cache whatever the call's length
 GATHER_BYTES = 1 << 18
-#: pairs a :meth:`_Column.tabulate` block scores in one ``kernel_rows``
-#: call: at most a slice of the default engine, so filling a table
-#: holds no more gathered rows at once than scoring a slice does
-TABLE_BLOCK_ROWS = 2048
+#: row pairs of one kernel call: the default engine slice
+#: (:class:`~repro.engine.engine.EngineConfig` ``chunk_size``) and a
+#: :meth:`_Column.tabulate` block, so filling a table holds no more
+#: gathered rows at once than scoring a slice does
+SLICE_ROWS = 8192
 
 #: bytes per packed TF/IDF entry: insertion-order indices (8) + data
 #: (8) plus the ``(row, token)``-ordered data (8); per ``(row, word)``
@@ -302,11 +304,11 @@ class _Column:
         height, width = len(rows_a) + 1, len(rows_b) + 1
         grid = _np.zeros(height * width)
         cells = (height - 1) * (width - 1)
-        # in blocks of TABLE_BLOCK_ROWS pairs: one call over the whole
-        # grid gathers every cell's packed rows at once
-        for start in range(0, cells, TABLE_BLOCK_ROWS):
+        # in blocks of SLICE_ROWS pairs: one call over the whole grid
+        # gathers every cell's packed rows at once
+        for start in range(0, cells, SLICE_ROWS):
             a, b = _np.divmod(_np.arange(
-                start, min(start + TABLE_BLOCK_ROWS, cells)), width - 1)
+                start, min(start + SLICE_ROWS, cells)), width - 1)
             grid[a * width + b] = self.kernel_rows(rows_a[a], rows_b[b])
         self.table = (codes_a % height * width, codes_b % width, grid)
 

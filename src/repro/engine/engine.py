@@ -49,6 +49,7 @@ from repro.blocking.pair_generator import (
 )
 from repro.core.mapping import Mapping
 from repro.engine import vectorized
+from repro.engine.columns import SLICE_ROWS
 from repro.engine.pool import run_ordered
 from repro.engine.request import MatchRequest
 from repro.engine.shards import (
@@ -76,11 +77,12 @@ class EngineConfig:
     slice then holds more, up to
     :data:`~repro.engine.shards.POOL_SLICE_ROWS` rows).  Every
     request runs on a kernel, and every kernel call pays a fixed cost
-    of array set-up beside its rows, so the default is where the
-    kernels stop gaining from longer calls: on ``batch-engine``'s
-    858 281 DBLP × ACM title pairs (2-core Xeon, numpy 2.4.6), TF/IDF
-    took 157 / 132 / 135 ms in 2 048 / 8 192 / 16 384-row calls and
-    the multi-attribute kernel 71 / 39 / 34 ms.  The q-gram kernel
+    of array set-up beside its rows, so the default,
+    :data:`~repro.engine.columns.SLICE_ROWS` (a table fill's block
+    too), is where the kernels stop gaining from longer calls: on
+    ``batch-engine``'s 858 281 DBLP × ACM title pairs (2-core Xeon,
+    numpy 2.4.6), TF/IDF took 157 / 132 / 135 ms in 2 048 / 8 192 /
+    16 384-row calls and the multi-attribute kernel 71 / 39 / 34 ms.  The q-gram kernel
     gathers a call in cache-sized blocks
     (:data:`~repro.engine.columns.GATHER_BYTES`), so a long call keeps
     its gathered bit rows in cache: on a 900-title trigram
@@ -95,7 +97,7 @@ class EngineConfig:
     """
 
     workers: int = 1
-    chunk_size: int = 8192
+    chunk_size: int = SLICE_ROWS
     #: run candidate generation inside the workers (pool tasks are
     #: whole shards, :mod:`repro.engine.shards`) instead of cutting
     #: every slice in the parent.  Results are identical; on blocked

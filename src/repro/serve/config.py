@@ -56,33 +56,26 @@ class ServeConfig:
         per-request tracing (deterministic accumulator, no
         randomness); ``slow_query_ms`` > 0 logs a ``slow_query``
         event for scoring batches slower than the threshold.
+
+    Every field has a value ``validate()`` rejects, unless it is a
+    bool or free-form; ``repro serve`` sets it, unless its docs row
+    says the CLI cannot; and docs/serving.md's knob table lists it.
+    ``tests/serve/test_config.py`` holds each field to all three.
     """
 
     attribute: str = "title"
-    # repro: allow-cfg001 -- resolved through the sim registry at build
-    # time; an unknown name raises InvalidRequest there
     similarity: object = "trigram"
-    # repro: allow-cfg002 -- programmatic multi-attribute surface (JSON
-    # request specs); no single CLI flag can express it
     specs: Optional[List[AttributeSpec]] = None
-    # repro: allow-cfg002 -- programmatic companion of specs
     combiner: object = None
     missing: str = "skip"
     threshold: float = 0.7
     max_candidates: Optional[int] = 50
     cache_size: int = 1024
-    # repro: allow-config -- free-form label recorded on persisted
-    # mappings; any string is valid and the CLI derives it from
-    # --reference
     source_name: str = "query.Results"
-    # repro: allow-cfg001 -- free-form repository key; any string (or
-    # None = no persistence) is valid
     mapping_name: Optional[str] = None
     compact_ratio: float = 0.25
     compact_min: int = 64
     shards: int = 0
-    # repro: allow-cfg001 -- a deployment path; any path (or None = the
-    # in-heap index only) is valid, and the build creates it
     data_dir: Optional[str] = None
     host: str = "127.0.0.1"
     port: int = 8765

@@ -79,12 +79,26 @@ def test_cli_json_output_parses(capsys):
     assert payload["baseline_errors"] == []
 
 
-def test_repro_lint_subcommand_end_to_end():
+def _run_module(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro", "lint"],
+    return subprocess.run(
+        [sys.executable, "-m", *args],
         cwd=str(REPO_ROOT), env=env, capture_output=True, text=True,
         timeout=120)
+
+
+def test_repro_lint_subcommand_end_to_end():
+    completed = _run_module("repro", "lint")
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert "0 finding(s)" in completed.stdout
+
+
+def test_repro_lint_hands_its_arguments_to_the_analysis_cli():
+    lint = ["--json", "--no-cache", "src/repro"]
+    subcommand = _run_module("repro", "lint", *lint)
+    alias = _run_module("repro.analysis", *lint)
+    assert subcommand.returncode == alias.returncode == 0, \
+        subcommand.stderr + alias.stderr
+    assert json.loads(subcommand.stdout)["files_checked"] > 50
+    assert subcommand.stdout == alias.stdout

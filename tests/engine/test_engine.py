@@ -11,6 +11,7 @@ world the rest of the suite uses.
 from __future__ import annotations
 
 import pytest
+from config_contract import contract_faults
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_scorer import ChunkScorer
@@ -623,18 +624,25 @@ class TestSerialShardedEquivalence:
 # engine internals
 # ----------------------------------------------------------------------
 
+#: keyword sets ``EngineConfig`` rejects
+BAD_ENGINE_VALUES = [{"workers": 0}, {"chunk_size": 0}]
+
+
 class TestEngineConfig:
     def test_defaults_are_serial(self):
         config = EngineConfig()
         assert config.workers == 1
         assert config.chunk_size == 8192
 
-    @pytest.mark.parametrize("kwargs", [
-        {"workers": 0}, {"chunk_size": 0},
-    ])
+    @pytest.mark.parametrize("kwargs", BAD_ENGINE_VALUES)
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+    def test_every_field_is_checked_settable_and_documented(self):
+        # the engine flags are global: any subcommand's parse sets them
+        assert contract_faults(EngineConfig, "stats", "docs/engine.md",
+                               BAD_ENGINE_VALUES, free_form={}) == []
 
 
 class TestMatchRequest:

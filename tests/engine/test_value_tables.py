@@ -160,14 +160,14 @@ class TestTableEqualsKernel:
     def test_a_table_fills_in_kernel_sized_blocks(self, name, block,
                                                   monkeypatch):
         """No ``kernel_rows`` call over the grid gathers more than
-        :data:`TABLE_BLOCK_ROWS` pairs — a block may end mid-row — and
+        :data:`SLICE_ROWS` pairs — a block may end mid-row — and
         the table is bitwise the one a single call over the grid
         fills."""
         if block is not None:
-            monkeypatch.setattr(columns, "TABLE_BLOCK_ROWS", block)
-        reference = [f"stream join {index:03d}" for index in range(60)] \
+            monkeypatch.setattr(columns, "SLICE_ROWS", block)
+        reference = [f"stream join {index:03d}" for index in range(150)] \
             + REFERENCE
-        queries = [f"streams joined {index:03d}" for index in range(40)] \
+        queries = [f"streams joined {index:03d}" for index in range(60)] \
             + QUERIES
         column = _bound(get_similarity(name), reference, queries)
         kernel_rows = column.kernel_rows
@@ -181,9 +181,9 @@ class TestTableEqualsKernel:
         column.tabulate()
         (codes_a, rows_a, _), (codes_b, rows_b, _) = column.codes
         cells = len(rows_a) * len(rows_b)
-        assert cells > columns.TABLE_BLOCK_ROWS
+        assert cells > columns.SLICE_ROWS
         assert sum(calls) == cells
-        assert max(calls) == columns.TABLE_BLOCK_ROWS
+        assert max(calls) == columns.SLICE_ROWS
         one_call = np.zeros((len(rows_a) + 1, len(rows_b) + 1))
         one_call[:-1, :-1] = kernel_rows(
             np.repeat(rows_a, len(rows_b)), np.tile(rows_b, len(rows_a))

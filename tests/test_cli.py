@@ -152,13 +152,14 @@ class TestServeKnobFlags:
         assert "unrecognized arguments: --pruning never" \
             in capsys.readouterr().err
 
-    def test_lint_subcommand_accepts_cache_flags(self):
-        from repro.__main__ import _build_parser
+    def test_lint_subcommand_accepts_cache_flags(self, monkeypatch):
+        from repro.analysis import cli
 
-        args = _build_parser().parse_args(
-            ["lint", "--cache", "scratch.json", "--no-cache"])
-        assert args.lint_cache == "scratch.json"
-        assert args.lint_no_cache is True
+        handed = []
+        monkeypatch.setattr(cli, "main", lambda argv: handed.append(argv))
+        main(["--scale", "tiny", "lint", "src", "--cache", "scratch.json",
+              "--no-cache"])
+        assert handed == [["src", "--cache", "scratch.json", "--no-cache"]]
 
 
 class TestEngineFlags:
