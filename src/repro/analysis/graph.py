@@ -540,7 +540,8 @@ class LintCache:
     parsed suppressions — everything the runner needs to skip parsing
     an unchanged file entirely.  The whole file is dropped when the
     recorded ``ANALYSIS_VERSION`` differs, so rule changes can never
-    be masked by stale cached findings.
+    be masked by stale cached findings; an entry whose summary
+    :meth:`FileSummary.from_dict` cannot load is a miss.
     """
 
     def __init__(self, path: Optional[str]) -> None:
@@ -561,9 +562,18 @@ class LintCache:
 
     def lookup(self, display: str,
                sha: str) -> Optional[Dict[str, object]]:
+        """The entry of ``display`` at content ``sha``, or ``None``: a
+        miss also where the entry's summary does not load, whatever
+        its version stamp says."""
         entry = self.entries.get(display)
         if entry is None or entry.get("sha") != sha:
             return None
+        summary = entry.get("summary")
+        if summary is not None:
+            try:
+                FileSummary.from_dict(summary)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                return None
         self.hits += 1
         self._touched.add(display)
         return entry

@@ -190,6 +190,14 @@ def _display_path(path: str, root: str) -> str:
     return relative.replace(os.sep, "/")
 
 
+def _inside(display: str, scopes: Sequence[str]) -> bool:
+    """Whether the file ``display`` lies in one of the checked trees
+    ``scopes`` (display paths too), whether it exists or not."""
+    return any(scope == "." or display == scope
+               or display.startswith(scope.rstrip("/") + "/")
+               for scope in scopes)
+
+
 def check_file(path: str, root: str,
                checkers: Optional[Sequence[Checker]] = None
                ) -> Tuple[List[Finding], List[Finding]]:
@@ -370,8 +378,13 @@ def run_paths(paths: Sequence[str], root: str,
             matched.add(key)
         else:
             report.unbaselined.append(finding)
+    # a restricted tree cannot tell whether an entry for a file
+    # outside it still matches
+    scopes = [_display_path(path if os.path.isabs(path)
+                            else os.path.join(root, path), root)
+              for path in paths]
     for key, entry in sorted(accepted.items()):
-        if key not in matched:
+        if key not in matched and _inside(entry.file, scopes):
             report.baseline_errors.append(
                 f"{entry.file}: stale baseline entry {entry.code} "
                 f"({entry.message[:60]}...) no longer matches any finding")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from functools import partial
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -135,7 +136,7 @@ class BlockBatch(NamedTuple):
             rows_b = step + np.repeat(shift[lo:hi], part)
             if first is not None:
                 kept = first.kept(step, at[lo:hi], part)
-                rows_a, rows_b = rows_a[kept], rows_b[kept]
+                rows_a, rows_b = rows_a.compress(kept), rows_b.compress(kept)
             yield rows_a, self.rows_b[rows_b]
 
 
@@ -296,10 +297,8 @@ def _shared_places(rows: Array, starts: Array, counts: Array,
     block = np.repeat(np.arange(len(counts)), counts)
     place = np.arange(len(block)) - (np.cumsum(counts) - counts)[block]
     row = rows[starts[block] + place]
-    # a row's blocks, ascending, as a run (a stable sort, by packing
-    # each membership's index under its row)
-    order = np.sort(row.astype(np.int64) << 32
-                    | np.arange(len(row))) & 0xFFFFFFFF
+    # a row's blocks, ascending, as a run
+    order = stable_order(row)
     row, block, place = row[order], block[order], place[order]
     index = np.arange(len(row))
     opens = np.maximum.accumulate(
@@ -519,12 +518,29 @@ class Postings(NamedTuple):
     def of(cls, keys: Sequence[Any], rows: Sequence[int]) -> "Postings":
         """From parallel ``keys`` / ``rows``, the rows ascending."""
         codes = {key: code for code, key in enumerate(dict.fromkeys(keys))}
-        owner = np.fromiter(map(codes.__getitem__, keys), dtype=np.int64,
-                            count=len(keys))
+        return cls.grouped(codes, np.fromiter(
+            map(codes.__getitem__, keys), dtype=np.int64, count=len(keys)),
+            rows)
+
+    @classmethod
+    def grouped(cls, codes: dict, owner: Array,
+                rows: Sequence[int]) -> "Postings":
+        """From the code of each row's key (``owner``, parallel to
+        ``rows``), ``codes`` numbering the keys in order of first
+        occurrence, the rows ascending."""
         indptr = np.zeros(len(codes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=len(codes)), out=indptr[1:])
-        return cls(codes, indptr, np.asarray(rows, dtype=np.int32)[
-            np.argsort(owner, kind="stable")])
+        return cls(codes, indptr, np.asarray(rows, dtype=np.int32).take(
+            stable_order(owner)))
+
+
+def stable_order(keys: Array) -> Array:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer
+    ``keys``, as one plain sort: each key's index packed beneath it
+    (every key times ``len(keys)`` fits an int64)."""
+    count = len(keys)
+    return np.sort(np.asarray(keys, dtype=np.int64) * count
+                   + np.arange(count)) % max(count, 1)
 
 
 def join_postings(domain: Postings, range: Optional[Postings],
@@ -536,8 +552,8 @@ def join_postings(domain: Postings, range: Optional[Postings],
     if range is None:
         range, partner, counts_b = domain, np.arange(len(counts_a)), counts_a
     else:
-        partner = np.fromiter((range.codes.get(key, -1)
-                               for key in domain.codes),
+        partner = np.fromiter(map(range.codes.get, domain.codes,
+                                  repeat(-1)),
                               dtype=np.int64, count=len(counts_a))
         # a key the range lacks reads the appended 0
         counts_b = np.append(np.diff(range.indptr), 0)[partner]

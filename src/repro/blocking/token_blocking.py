@@ -9,7 +9,11 @@ keep blocks small.
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain, compress, repeat
+from operator import is_not
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.blocking.pair_generator import (
     BlockBatch,
@@ -20,9 +24,53 @@ from repro.blocking.pair_generator import (
     is_self_match,
     join_postings,
     keep_first,
+    stable_order,
 )
 from repro.model.source import LogicalSource
-from repro.sim.tokenize import word_tokens
+from repro.sim.tokenize import token_tuple
+
+
+def token_postings(values: Sequence[object], min_length: int) -> Postings:
+    """The rows of every word token of ``values`` at least
+    ``min_length`` long; ``None`` holds none.
+
+    A row's tokens are its distinct ones in code-point order — token
+    codes, the order of every block list, must not follow the string
+    hash seed — and codes count the tokens in that row-major order of
+    first occurrence.  One pass over the memoized token lists
+    (:func:`~repro.sim.tokenize.token_tuple`) flattens them and ranks
+    each token in the sorted vocabulary; one sort of ``(row, rank)``
+    keys then drops repeats and orders each row.
+    """
+    present = np.fromiter(map(is_not, values, repeat(None)),
+                          dtype=np.bool_, count=len(values))
+    found = list(map(token_tuple,
+                     map(str, compress(values, present.tolist()))))
+    flat = list(chain.from_iterable(found))
+    vocabulary = sorted(token for token in set(flat)
+                        if len(token) >= min_length)
+    rank = dict(zip(vocabulary, range(len(vocabulary))))
+    tokens = np.fromiter(map(rank.get, flat, repeat(-1)), dtype=np.int64,
+                         count=len(flat))
+    rows = np.repeat(np.flatnonzero(present), np.fromiter(
+        map(len, found), dtype=np.int64, count=len(found)))
+    kept = tokens >= 0
+    width = max(len(vocabulary), 1)
+    entries = np.sort(rows.compress(kept) * width + tokens.compress(kept))
+    rows, tokens = np.divmod(
+        entries.compress(np.diff(entries, prepend=-1) != 0), width)
+    # the codes: ranks in order of first occurrence — where each
+    # rank's run of a stable sort opens
+    order = stable_order(tokens)
+    grouped = tokens.take(order)
+    seen = tokens.take(np.sort(order.compress(
+        np.diff(grouped, prepend=-1) != 0)))
+    code = np.empty(len(vocabulary), dtype=np.int64)
+    code[seen] = np.arange(len(seen))
+    return Postings.grouped(
+        dict(zip(map(vocabulary.__getitem__, seen.tolist()),
+                 range(len(seen)))),
+        code.take(tokens), rows)
 
 
 class TokenBlocking(PairGenerator):
@@ -67,24 +115,10 @@ class TokenBlocking(PairGenerator):
         filter in the join, downstream.
         """
         min_length = self.min_token_length
-
-        def build() -> Postings:
-            tokens: List[str] = []
-            rows: List[int] = []
-            for row, instance in enumerate(source):
-                value = instance.get(attribute)
-                if value is not None:
-                    # sorted: token codes — the order of every block
-                    # list — must not follow the string hash seed
-                    found = [token for token
-                             in sorted(set(word_tokens(str(value))))
-                             if len(token) >= min_length]
-                    tokens += found
-                    rows += [row] * len(found)
-            return Postings.of(tokens, rows)
-
-        return source.derived(("token-postings", attribute, min_length),
-                              build)
+        return source.derived(
+            ("token-postings", attribute, min_length),
+            lambda: token_postings(source.attribute_column(attribute),
+                                   min_length))
 
     def shards(self, domain: LogicalSource, range: LogicalSource, *,
                n_shards: int, domain_attribute: str,

@@ -347,7 +347,7 @@ class NGramColumn(_Column):
     """
 
     sim: NGramSimilarity
-    _PACKING_STATE = _Column._PACKING_STATE + ("_vocabulary",)
+    _PACKING_STATE = _Column._PACKING_STATE + ("_vocabulary", "_lookup")
 
     def __init__(self, sim: NGramSimilarity,
                  reference_values: Sequence[object],
@@ -357,7 +357,7 @@ class NGramColumn(_Column):
         self.method = sim.method
         if restored is not None:
             meta, arrays = restored
-            self._set_vocabulary(meta["vocabulary"])
+            self._set_vocabulary(list(meta["vocabulary"]))
             self.range = (arrays["range_bits"], arrays["range_sizes"])
             return
         if features is None:
@@ -367,10 +367,21 @@ class NGramColumn(_Column):
         self._set_vocabulary(features.grams)
         self.range = self._pack(reference_values, features)
 
-    def _set_vocabulary(self, grams: Sequence[str]) -> None:
-        self._vocabulary = {gram: position
-                            for position, gram in enumerate(grams)}
-        self._width = max(1, (len(self._vocabulary) + 63) // 64)
+    def _set_vocabulary(self, grams: List[str]) -> None:
+        self._vocabulary = grams
+        self._width = max(1, (len(grams) + 63) // 64)
+        #: gram -> vocabulary position, built by the first query side
+        #: to bind: the reference side needs none
+        self._lookup: Optional[Dict[str, int]] = None
+
+    def _positions(self, grams: List[str]) -> Any:
+        """Each of ``grams``' position in the vocabulary, -1 where it
+        has none."""
+        if self._lookup is None:
+            self._lookup = dict(zip(self._vocabulary,
+                                    range(len(self._vocabulary))))
+        return _np.fromiter(map(self._lookup.get, grams, repeat(-1)),
+                            dtype=_np.int64, count=len(grams))
 
     def _pack(self, values: Sequence[object],
               features: Optional[GramArrays] = None) -> Tuple[Any, Any]:
@@ -378,12 +389,13 @@ class NGramColumn(_Column):
 
         ``features`` are ``values``' gram arrays
         (:func:`repro.sim.ngram.gram_arrays`, extracted here when the
-        caller keeps none); their distinct grams are looked up in the
-        vocabulary once each and the ``(row, gram)`` entries scattered
-        in one ``bitwise_or.at``.  Grams outside the vocabulary
-        (possible only on the query side) set no bit but still count
-        toward the row size, so overlap stays exact while dice/jaccard
-        denominators see the full set size.
+        caller keeps none).  The reference's own codes are vocabulary
+        positions already; a query side's distinct grams are looked up
+        in the vocabulary once each (:meth:`_positions`).  The
+        ``(row, gram)`` entries are scattered in one ``bitwise_or.at``.
+        Grams outside the vocabulary (possible only on the query side)
+        set no bit but still count toward the row size, so overlap stays
+        exact while dice/jaccard denominators see the full set size.
         """
         width = self._width
         if len(values) * width * 8 > MAX_INDEX_BYTES:
@@ -393,14 +405,15 @@ class NGramColumn(_Column):
         if features is None:
             features = gram_arrays(values, self.sim.q, self.sim.pad)
         bits = _np.zeros((len(values), width), dtype=_np.uint64)
-        lookup = self._vocabulary.get
-        positions = _np.fromiter(
-            (lookup(gram, -1) for gram in features.grams),
-            dtype=_np.int64, count=len(features.grams))[features.codes]
-        known = positions >= 0
-        positions = positions[known]
-        cells = features.rows[known].astype(_np.int64) * width \
-            + (positions >> 6)
+        rows = features.rows
+        if features.grams is self._vocabulary:
+            positions = features.codes.astype(_np.int64)
+        else:
+            positions = self._positions(features.grams).take(
+                features.codes)
+            known = positions >= 0
+            positions, rows = positions.compress(known), rows.compress(known)
+        cells = rows.astype(_np.int64) * width + (positions >> 6)
         masks = _np.left_shift(
             _np.uint64(1), (positions & 63).astype(_np.uint64))
         _np.bitwise_or.at(bits.reshape(-1), cells, masks)

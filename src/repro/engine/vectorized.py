@@ -36,6 +36,8 @@ rows_b, scores)`` arrays out* (see :mod:`repro.engine.shards`).
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_not
 from typing import Optional, Sequence
 
 import numpy as _np
@@ -57,20 +59,6 @@ from repro.engine.columns import (
 from repro.engine.request import AttributeSpec
 from repro.model.source import LogicalSource
 from repro.sim.ngram import gram_arrays
-
-
-def source_values(domain: LogicalSource, range_: LogicalSource,
-                  attribute: str, range_attribute: str):
-    """Attribute values of both sides in ``source.ids()`` row order.
-
-    Self-matching on the same attribute shares one list, which is what
-    lets ``bind`` alias the packed reference side.
-    """
-    domain_values = [instance.get(attribute) for instance in domain]
-    if range_ is domain and range_attribute == attribute:
-        return domain_values, domain_values
-    return domain_values, [instance.get(range_attribute)
-                           for instance in range_]
 
 
 class MultiSpecKernel:
@@ -312,12 +300,13 @@ def bind_columns(built, query_values: Sequence[Sequence[object]],
 
 
 def _corpus(request, spec: AttributeSpec):
-    """What ``spec``'s similarity is prepared on: both sides' values."""
-    corpus = request.domain.attribute_values(spec.attribute)
+    """What ``spec``'s similarity is prepared on: both sides' values
+    but ``None``."""
+    corpus = request.domain.attribute_column(spec.attribute)
     if request.range is not request.domain:
-        corpus = corpus + request.range.attribute_values(
+        corpus = corpus + request.range.attribute_column(
             spec.range_attribute)
-    return corpus
+    return list(compress(corpus, map(is_not, corpus, repeat(None))))
 
 
 def prepare_similarities(request) -> None:
@@ -355,15 +344,16 @@ def _kept_features(source: LogicalSource, attribute: str,
 
 def _bound_column(request, spec: AttributeSpec):
     """``spec``'s column: range side packed, domain side bound, each
-    from the features its source keeps, carrying both sides' value
-    codes.
+    from the value list and the features its source keeps, carrying
+    both sides' value codes.  Self-matching on one attribute binds the
+    very list it packed, which aliases the packed side.
 
     A domain side over the memory budget sends both sides to the
     scalar column, where :func:`~repro.engine.columns.build_column`
     sends an oversized range side.
     """
-    domain_values, range_values = source_values(
-        request.domain, request.range, spec.attribute, spec.range_attribute)
+    domain_values = request.domain.attribute_column(spec.attribute)
+    range_values = request.range.attribute_column(spec.range_attribute)
     similarity = spec.similarity
     domain_features, domain_codes = _kept_features(
         request.domain, spec.attribute, domain_values, similarity)

@@ -179,6 +179,17 @@ class LogicalSource:
         """Return the list of instances (insertion order)."""
         return list(self._instances.values())
 
+    def attribute_column(self, attribute: str) -> List[Any]:
+        """Every instance's ``attribute`` value in :meth:`ids` order,
+        ``None`` where it has none.
+
+        Kept (:meth:`derived`): the one value list of this attribute
+        that blocking, similarity preparation and column packing all
+        read, so it is shared and must not be mutated.
+        """
+        return self.derived(("values", attribute), lambda: [
+            instance.get(attribute) for instance in self._instances.values()])
+
     def attribute_values(self, attribute: str) -> List[Any]:
         """All non-``None`` values of ``attribute`` across instances."""
         values = (instance.get(attribute)

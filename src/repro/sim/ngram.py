@@ -14,7 +14,7 @@ built from.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, List, NamedTuple, Sequence
+from typing import Any, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -113,7 +113,34 @@ def _distinct(ordered: Array) -> Array:
     """The distinct values of a sorted array."""
     keep = np.ones(len(ordered), dtype=np.bool_)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    return ordered.compress(keep)
+
+
+#: a rank table spans at most this many entries plus
+#: :data:`TABLE_SLACK` per key ranked: keys spread wider than that are
+#: sorted instead
+TABLE_FLOOR = 1 << 16
+TABLE_SLACK = 8
+
+
+def _ranks(keys: Array, span: int) -> Tuple[Array, int]:
+    """Each of ``keys``' rank among the distinct keys, in order, and
+    how many distinct keys there are; every key is below ``span``.
+
+    Through a presence table of ``span`` entries and its running count
+    where the keys fill enough of it — its size follows the data, not
+    the key type — and through a sort of the keys where they are too
+    sparse for that (a short page with a character high in the code
+    space, such as U+3134A).
+    """
+    if span > TABLE_FLOOR + TABLE_SLACK * len(keys):
+        distinct = _distinct(np.sort(keys))
+        return np.searchsorted(distinct, keys), len(distinct)
+    seen = np.zeros(span, dtype=np.bool_)
+    seen[keys] = True
+    rank = np.cumsum(seen, dtype=np.int32 if span < 1 << 31 else np.int64)
+    rank -= 1
+    return rank.take(keys), int(rank[-1]) + 1 if span else 0
 
 
 def gram_arrays(values: Sequence[object], q: int, pad: bool) -> GramArrays:
@@ -123,21 +150,20 @@ def gram_arrays(values: Sequence[object], q: int, pad: bool) -> GramArrays:
     grams.  The normalized texts are joined into one code-point buffer;
     every window of ``q`` characters inside one text is a gram, coded as
     a base-``|alphabet|`` number over the buffer's own alphabet (any
-    character ``normalize`` keeps; re-ranked before a digit would
-    overflow 63 bits), and two sorts reduce the windows to the distinct
-    grams and to the row-unique entries.  An unpadded text shorter than
-    ``q`` is its own single gram, as in
+    character ``normalize`` keeps, ranked by :func:`_ranks`; the codes
+    so far are re-ranked before a digit would take them past a rank
+    table's reach), and a rank and a sort reduce the windows to the
+    distinct grams and to the row-unique entries.  An unpadded text
+    shorter than ``q`` is its own single gram, as in
     :func:`~repro.sim.tokenize.qgrams`.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     boundary = "#" * (q - 1) if pad else ""
-    texts: List[str] = []
-    for value in values:
-        text = "" if value is None else normalize(str(value))
-        if text:
-            text = f"{boundary}{text}{boundary}".ljust(q, _FILL)
-        texts.append(text)
+    texts = ["" if value is None else normalize(str(value))
+             for value in values]
+    texts = [f"{boundary}{text}{boundary}".ljust(q, _FILL) if text else ""
+             for text in texts]
     lengths: Array = np.fromiter(map(len, texts), dtype=np.int64,
                                  count=len(texts))
     counts: Array = np.maximum(lengths - (q - 1), 0)  # windows per text
@@ -150,28 +176,32 @@ def gram_arrays(values: Sequence[object], q: int, pad: bool) -> GramArrays:
     joined = "".join(texts)
     points: Array = np.frombuffer(joined.encode("utf-32-le"),
                                   dtype=np.uint32)
-    alphabet = _distinct(np.sort(points))
-    letters: Array = np.searchsorted(alphabet, points)
-    base = max(len(alphabet), 1)
-    keys: Array = letters[starts]
+    low = int(points.min()) if len(points) else 0
+    letters, base = _ranks(points - np.uint32(low),
+                           int(points.max()) + 1 - low if len(points) else 0)
+    # the window at every position of the buffer, those across two
+    # texts included: slices, not gathers; only ``starts`` are ranked
+    windows = max(len(points) - (q - 1), 0)
+    keys: Array = letters[:windows]
     span = base  # keys < span
+    reach = TABLE_FLOOR + TABLE_SLACK * windows
     for offset in range(1, q):
-        if span > (1 << 62) // base:
-            ranked = _distinct(np.sort(keys))
-            keys = np.searchsorted(ranked, keys)
-            span = len(ranked)
-        keys = keys * base + letters[starts + offset]
+        if span * base > reach:
+            keys, span = _ranks(keys, span)
+        keys = keys * np.int64(base) + letters[offset:offset + windows]
         span *= base
-    distinct = _distinct(np.sort(keys))
-    codes: Array = np.searchsorted(distinct, keys)
-    # any occurrence of a gram spells it
-    spelled: Array = np.empty(len(distinct), dtype=np.int64)
+    codes, count = _ranks(keys.take(starts), span)
+    # any occurrence of a gram spells it: its q code points as one
+    # fixed-width text, which drops the fill (code point 0) on the way
+    # out as ``rstrip`` would
+    spelled: Array = np.empty(count, dtype=np.int64)
     spelled[codes] = starts
-    grams = [joined[start:start + q].rstrip(_FILL)
-             for start in spelled.tolist()]
-    width = max(len(grams), 1)
-    entries = _distinct(np.sort(rows * width + codes))
-    entry_rows = entries // width
+    grams: List[str] = np.ascontiguousarray(
+        points[spelled[:, None] + np.arange(q)]).view(f"<U{q}").ravel(
+        ).tolist()
+    width = max(count, 1)
+    entry_rows, entry_codes = np.divmod(
+        _distinct(np.sort(rows * width + codes)), width)
     return GramArrays(entry_rows.astype(np.int32),
-                      (entries % width).astype(np.int32),
+                      entry_codes.astype(np.int32),
                       np.bincount(entry_rows, minlength=len(texts)), grams)

@@ -8,11 +8,11 @@ tokenizer.
 Every text feature is a function of the value alone, and a workflow
 asks for the same value's features many times — blocking, each
 similarity instance, every pair a name takes part in.  So
-:func:`normalize`, :func:`word_tokens`, :func:`gram_set` and
-:func:`name_features` share one process-wide memo: LRU tables
-(``functools.lru_cache``: callable from any thread) bounded by
-:data:`MEMO_ENTRIES`, holding immutable results, able to change speed
-only; :func:`clear_memo` empties them.
+:func:`normalize`, :func:`word_tokens` (:func:`token_tuple`),
+:func:`gram_set` and :func:`name_features` share one process-wide
+memo: LRU tables (``functools.lru_cache``: callable from any thread)
+bounded by :data:`MEMO_ENTRIES`, holding immutable results, able to
+change speed only; :func:`clear_memo` empties them.
 """
 
 from __future__ import annotations
@@ -64,14 +64,16 @@ def normalize(text: str) -> str:
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _tokens(text: str) -> Tuple[str, ...]:
+def token_tuple(text: str) -> Tuple[str, ...]:
+    """:func:`word_tokens` as the memo holds it: an immutable tuple,
+    for callers that only read it."""
     # interned, like the grams below: values share their vocabulary
     return tuple(map(sys.intern, _TOKEN_RE.findall(normalize(text))))
 
 
 def word_tokens(text: str) -> List[str]:
     """Split normalized text into lowercase alphanumeric tokens."""
-    return list(_tokens(text))
+    return list(token_tuple(text))
 
 
 def qgrams(text: str, q: int = 3, *, pad: bool = True) -> List[str]:
@@ -135,7 +137,7 @@ def name_parts(name: str) -> tuple[str, str]:
 
 def initials(first_part: str) -> str:
     """Reduce a first-name part to its initials, e.g. ``"John B."`` -> ``"jb"``."""
-    return "".join(tok[0] for tok in _tokens(first_part) if tok)
+    return "".join(tok[0] for tok in token_tuple(first_part) if tok)
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -147,12 +149,12 @@ def name_features(name: str) -> Tuple[str, str, str, bool]:
     first_part, last_name = name_parts(name)
     return (normalize(last_name), normalize(first_part),
             initials(first_part),
-            all(len(token) == 1 for token in _tokens(first_part)))
+            all(len(token) == 1 for token in token_tuple(first_part)))
 
 
 def clear_memo() -> None:
     """Forget every memoized feature (cold-path tests and timings)."""
     normalize.cache_clear()
-    _tokens.cache_clear()
+    token_tuple.cache_clear()
     gram_set.cache_clear()
     name_features.cache_clear()

@@ -113,3 +113,33 @@ def test_deleted_files_are_pruned_from_the_cache(tmp_path):
     payload = json.loads(cache.read_text(encoding="utf-8"))
     assert "src/repro/serve/a.py" in payload["files"]
     assert "src/repro/serve/b.py" not in payload["files"]
+
+
+def test_a_summary_of_another_shape_is_a_miss(tmp_path):
+    """An entry stamped with the current version whose summary no
+    longer loads (a field the graph dropped) is re-analysed, not a
+    ``TypeError`` out of ``repro lint``."""
+    _write(tmp_path, "src/repro/serve/snap.py", DIRTY)
+    cache = tmp_path / "cache.json"
+    cold = run_paths(["src"], str(tmp_path), baseline=[],
+                     cache_path=str(cache))
+
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    assert payload["version"] == ANALYSIS_VERSION
+    summary = payload["files"]["src/repro/serve/snap.py"]["summary"]
+    calls = [call for function in summary["functions"]
+             for call in function["calls"]]
+    assert calls
+    for call in calls:
+        call["tail"] = "rename"  # a CallSite field of an older graph
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+
+    warm = run_paths(["src"], str(tmp_path), baseline=[],
+                     cache_path=str(cache))
+    assert warm.files_cached == 0
+    assert [(f.code, f.line) for f in warm.findings] == \
+        [(f.code, f.line) for f in cold.findings]
+    # the re-analysed entry replaced the broken one
+    again = run_paths(["src"], str(tmp_path), baseline=[],
+                      cache_path=str(cache))
+    assert again.files_cached == again.files_checked == 1

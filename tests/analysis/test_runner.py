@@ -69,6 +69,36 @@ def test_stale_baseline_entry_is_config_error(bad_tree):
                for error in report.baseline_errors)
 
 
+def test_a_restricted_tree_judges_only_its_own_entries(bad_tree):
+    """``repro lint src/repro/serve`` cannot tell whether an entry for
+    a file outside that tree still matches: not stale.  An entry for
+    a file inside it that matches nothing — deleted or not — is."""
+    finding = run_paths(["src"], str(bad_tree)).unbaselined[0]
+    kept = BaselineEntry(code=finding.code, file=finding.file,
+                         message=finding.message, reason="legacy loop")
+    outside = BaselineEntry(code="PKL001",
+                            file="src/repro/model/repository.py",
+                            message="lambda in a pickled field",
+                            reason="checked with the whole tree")
+    report = run_paths(["src/repro/serve"], str(bad_tree),
+                       baseline=[kept, outside])
+    assert report.baseline_errors == []
+    assert report.exit_code() == 0
+    for stale in (
+            BaselineEntry(code="DET001", file="src/repro/serve/gone.py",
+                          message="no longer exists", reason="was real"),
+            BaselineEntry(code="DET001", file=finding.file,
+                          message="another message", reason="was real")):
+        report = run_paths(["src/repro/serve"], str(bad_tree),
+                           baseline=[kept, outside, stale])
+        assert report.exit_code() == 2
+        assert [error for error in report.baseline_errors
+                if "stale baseline entry" in error] \
+            == [error for error in report.baseline_errors
+                if error.startswith(stale.file)]
+        assert len(report.baseline_errors) == 1
+
+
 def test_write_and_load_baseline_round_trip(bad_tree, tmp_path):
     finding = run_paths(["src"], str(bad_tree)).unbaselined[0]
     previous = [BaselineEntry(code=finding.code, file=finding.file,

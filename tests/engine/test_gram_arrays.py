@@ -233,6 +233,68 @@ def test_an_alphabet_too_wide_for_one_code_is_reranked():
     assert _row_sets(arrays, len(values)) == _expected_sets(values, 4, False)
 
 
+#: the last code point, which ``normalize`` drops (it is no word
+#: character), and the highest one it keeps: beside ASCII, a letter
+#: table spanning the code points present would run to 200 k entries
+TOP, HIGH = "\U0010FFFF", "\U0003134A"
+
+
+@pytest.mark.parametrize("pad", [True, False], ids=["pad", "nopad"])
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("values", [
+    [TOP, TOP * 4, f"ab{TOP}c {TOP}", None, "abc"],
+    [HIGH, HIGH * 4, f"ab{HIGH}c {HIGH}", f"{TOP}{HIGH}", None, "abc"],
+    # one letter, and one the fill (code point 0) joins when unpadded
+    ["aaaaaa", "aaa", "a a", None, ""],
+    ["aaaaaa"],
+    # one value: the shape of a serve page that binds one query
+    ["Adaptive query processing for 数据"],
+], ids=["top-code-point", "high-code-point", "one-letter", "one-letter-one-value",
+        "one-value-page"])
+def test_edge_alphabets_are_the_qgram_sets(values, q, pad):
+    arrays = gram_arrays(values, q, pad)
+    expected = _expected_sets(values, q, pad)
+    assert _row_sets(arrays, len(values)) == expected
+    assert arrays.sizes.tolist() == [len(grams) for grams in expected]
+    assert arrays.grams == sorted(set().union(*expected))
+    for name, dtype in (("rows", np.int32), ("codes", np.int32),
+                        ("sizes", np.int64)):
+        assert getattr(arrays, name).dtype == dtype, name
+
+
+@pytest.mark.parametrize("page", [
+    ["数据 integration"], [f"{HIGH} abc"], [f"{TOP} abc"]],
+    ids=["cjk", "high-code-point", "top-code-point"])
+def test_a_one_value_page_allocates_by_its_size(page):
+    """The rank tables follow the data: a page with one CJK character
+    does not allocate a table over every code point, nor a page with
+    the highest one ``normalize`` keeps a table up to it."""
+    import tracemalloc
+
+    gram_arrays(page, 3, True)  # numpy's one-time setup
+    tracemalloc.start()
+    try:
+        arrays = gram_arrays(page, 3, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _row_sets(arrays, 1) == _expected_sets(page, 3, True)
+    assert peak < 1 << 19, peak
+
+
+def test_a_one_value_page_scores_like_the_similarity():
+    """What the serve index binds per query: one value, packed over a
+    reference vocabulary it shares a few grams with."""
+    sim = NGramSimilarity(3)
+    for page in (["adaptive query procesing"], ["数据库"], [HIGH], [TOP],
+                 [None]):
+        kernel = build_column(sim, REFERENCE).bind(page)
+        rows_a, rows_b = _every_pair(page, REFERENCE)
+        assert np.array_equal(
+            kernel.score_rows(rows_a, rows_b).view(np.int64),
+            _scalar_bits(sim, page, REFERENCE, rows_a, rows_b))
+
+
 def test_the_memo_does_not_enter_the_arrays():
     first = gram_arrays(REFERENCE, 3, True)
     clear_memo()

@@ -281,9 +281,10 @@ class TestProfileRecords:
         cold, summary, counts = run()
         assert (summary["kernel_cached"], summary["index_cached"]) \
             == (False, False)
-        # domain: value codes + gram arrays + bound column + bridge;
+        # domain: value list (built for the corpus, found again for
+        # packing) + value codes + gram arrays + bound column + bridge;
         # range: the same minus the column, which the domain side keeps
-        assert counts == [(0, 4), (0, 3)]
+        assert counts == [(1, 5), (1, 4)]
         _, summary, counts = run()
         # column + bridge; bridge — the kept column carries its value
         # codes, so a warm request looks none up
@@ -303,18 +304,20 @@ class TestProfileRecords:
 
     def test_a_scalar_columns_code_lookups_are_the_prepare_steps_own(self):
         """A scalar column is rebuilt every run and finds both sides'
-        value codes on the sources: two more hits inside ``_prepare``,
-        which must not read as a cached kernel or a cached index."""
+        value lists and value codes on the sources: more hits inside
+        ``_prepare``, which must not read as a cached kernel or a
+        cached index."""
         domain, range_ = _source("A", TITLES_A), _source("B", TITLES_B)
         engine = BatchMatchEngine(EngineConfig(profile=True, chunk_size=64))
-        for counts in ([(0, 2), (0, 2)], [(2, 0), (2, 0)]):
+        for counts in ([(1, 3), (1, 3)], [(4, 0), (4, 0)]):
             before = [(s.derived_hits, s.derived_builds)
                       for s in (domain, range_)]
             engine.execute(MatchRequest(
                 domain=domain, range=range_, threshold=0.3,
                 specs=[AttributeSpec("title", "title",
                                      LevenshteinSimilarity())]))
-            # value codes + bridge on either side
+            # value list (for the corpus, then for packing) + value
+            # codes + bridge on either side
             assert [(s.derived_hits - hits, s.derived_builds - builds)
                     for s, (hits, builds)
                     in zip((domain, range_), before)] == counts

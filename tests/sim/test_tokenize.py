@@ -164,7 +164,7 @@ def _uncached_features(text):
 
 class TestFeatureMemo:
     TABLES = {"normalize": (normalize, MEMO_ENTRIES),
-              "tokens": (tokenize._tokens, MEMO_ENTRIES),
+              "tokens": (tokenize.token_tuple, MEMO_ENTRIES),
               "gram_set": (gram_set, MEMO_ENTRIES // 8),
               "name_features": (name_features, MEMO_ENTRIES)}
 
