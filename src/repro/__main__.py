@@ -47,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=EngineConfig.chunk_size,
                         help="candidate row pairs per kernel call "
                              "(default: %(default)s)")
-    parser.add_argument("--shard-blocking", action="store_true",
-                        help="generate candidate pairs inside the workers "
-                             "(sharded blocking) instead of streaming them "
-                             "from the parent, rebalancing skewed shards "
-                             "from their cost estimates; identical "
-                             "results, faster blocked multi-worker runs")
     parser.add_argument("--profile", action="store_true",
                         help="record per-stage engine timings (prepare, "
                              "chunk scoring, shard durations) into "
@@ -330,7 +324,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     from repro.engine import configure_default_engine
     configure_default_engine(workers=args.workers, chunk_size=args.chunk_size,
-                             shard_blocking=args.shard_blocking,
                              profile=args.profile)
     if args.command == "stats":
         return _command_stats(args)

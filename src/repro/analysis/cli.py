@@ -10,6 +10,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.runner import (
     DEFAULT_BASELINE,
     DEFAULT_CACHE,
+    checked_trees,
     load_baseline,
     run_paths,
     write_baseline,
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="rewrite the baseline from current findings, keeping "
-             "existing reasons (new entries get an empty reason you "
+             "existing reasons and the entries for files outside the "
+             "checked paths (new entries get an empty reason you "
              "must fill in)")
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -84,7 +86,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else os.path.join(root, options.cache)
     report = run_paths(paths, root, baseline, cache_path=cache_path)
     if options.write_baseline:
-        write_baseline(baseline_path, report.findings, baseline)
+        write_baseline(baseline_path, report.findings, baseline,
+                       checked_trees(paths, root))
         print(f"wrote {len(set(report.findings))} finding(s) to "
               f"{baseline_path}")
         return 0

@@ -142,20 +142,22 @@ def load_baseline(path: str) -> List[BaselineEntry]:
 
 
 def write_baseline(path: str, findings: Sequence[Finding],
-                   previous: Sequence[BaselineEntry]) -> None:
-    """Serialise ``findings`` as a baseline, keeping known reasons."""
+                   previous: Sequence[BaselineEntry],
+                   scopes: Sequence[str] = (".",)) -> None:
+    """Serialise ``findings`` as a baseline, keeping known reasons and
+    every ``previous`` entry for a file outside the checked trees
+    ``scopes`` (display paths), which the run did not look at."""
     reasons: Dict[_BaselineKey, str] = {
         entry.key(): entry.reason for entry in previous}
-    serialised = []
-    for finding in sorted(set(findings),
-                          key=lambda f: (f.file, f.code, f.line)):
-        key = (finding.code, finding.file, finding.message)
-        serialised.append({
-            "code": finding.code,
-            "file": finding.file,
-            "message": finding.message,
-            "reason": reasons.get(key, ""),
-        })
+    rows = sorted({(finding.file, finding.code, finding.line,
+                    finding.message) for finding in findings})
+    # the kept entries in their previous order
+    rows += [(entry.file, entry.code, 0, entry.message)
+             for entry in previous if not _inside(entry.file, scopes)]
+    serialised = [{"code": code, "file": file, "message": message,
+                   "reason": reasons.get((code, file, message), "")}
+                  for file, code, _, message in sorted(
+                      rows, key=lambda row: row[:3])]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"version": BASELINE_VERSION, "findings": serialised},
                   handle, indent=2, sort_keys=True)
@@ -188,6 +190,13 @@ def discover_files(paths: Sequence[str], root: str) -> List[str]:
 def _display_path(path: str, root: str) -> str:
     relative = os.path.relpath(path, root)
     return relative.replace(os.sep, "/")
+
+
+def checked_trees(paths: Sequence[str], root: str) -> List[str]:
+    """The display paths of the trees a run over ``paths`` checks."""
+    return [_display_path(path if os.path.isabs(path)
+                          else os.path.join(root, path), root)
+            for path in paths]
 
 
 def _inside(display: str, scopes: Sequence[str]) -> bool:
@@ -380,9 +389,7 @@ def run_paths(paths: Sequence[str], root: str,
             report.unbaselined.append(finding)
     # a restricted tree cannot tell whether an entry for a file
     # outside it still matches
-    scopes = [_display_path(path if os.path.isabs(path)
-                            else os.path.join(root, path), root)
-              for path in paths]
+    scopes = checked_trees(paths, root)
     for key, entry in sorted(accepted.items()):
         if key not in matched and _inside(entry.file, scopes):
             report.baseline_errors.append(

@@ -25,7 +25,6 @@ pairs surviving blocking) and :func:`reduction_ratio` (fraction of the
 cross product avoided) — the standard blocking metrics.
 """
 
-from repro.blocking.canopy import CanopyBlocking
 from repro.blocking.pair_generator import (
     BlockShard,
     FullCross,
@@ -39,19 +38,16 @@ from repro.blocking.pair_generator import (
     partition_spans,
     reduction_ratio,
 )
-from repro.blocking.sorted_neighborhood import SortedNeighborhood
 from repro.blocking.standard import KeyBlocking
 from repro.blocking.token_blocking import TokenBlocking
 
 __all__ = [
     "BlockShard",
-    "CanopyBlocking",
     "FullCross",
     "IterableShard",
     "KeyBlocking",
     "PairGenerator",
     "PairShard",
-    "SortedNeighborhood",
     "TokenBlocking",
     "block_shards",
     "dedup_self_pairs",

@@ -20,11 +20,7 @@ process boundary, which removes the parent-side Amdahl bottleneck of
 blocked parallel runs.
 
 Shards additionally expose a :meth:`PairShard.cost` estimate (raw
-pair count, pre-dedup) so the engine can rebalance skewed shard
-distributions — splitting oversized block groups and bin-packing the
-pieces — before any worker starts
-(:func:`repro.engine.shards.autotune_plan` decides,
-:func:`repro.engine.shards.rebalance_shards` does it).
+pair count, pre-dedup), by which the engine sizes its score tables.
 """
 
 from __future__ import annotations
@@ -75,10 +71,9 @@ class BlockBatch(NamedTuple):
     ``rows_b[start_b:][:count_b]`` — every one with every other, or,
     for a triangle, each with the later ones of the same span, which
     the b side repeats.  Blocks share the row arrays: a run of them
-    (:meth:`take`) or a piece of one costs five integers.  Where blocks
-    overlap, ``first`` says which copy of a repeated pair
-    :meth:`expand` keeps (:class:`FirstBlocks`); ``None``, they never
-    repeat one.
+    (:meth:`take`) costs five integers.  Where blocks overlap,
+    ``first`` says which copy of a repeated pair :meth:`expand` keeps
+    (:class:`FirstBlocks`); ``None``, they never repeat one.
     """
 
     rows_a: Array  # int32 domain rows
@@ -165,11 +160,11 @@ class FirstBlocks(NamedTuple):
     same place.
 
     One bit per pair of a whole batch's expansion (:meth:`of`).  A
-    batch cut from that one — a run of its blocks, pieces of one
-    (:func:`repro.engine.shards.explode`) — reads the bits of its own
-    pairs: a piece's block is the one whose a-side span holds the
-    piece's first a-side row, so the whole batch's a-side spans must
-    ascend without overlapping, which :func:`join_postings` gives.
+    batch cut from that one — a run of its blocks
+    (:meth:`BlockBatch.take`) — reads the bits of its own pairs: a
+    block is found by its first a-side row, so the whole batch's
+    a-side spans must ascend without overlapping, which
+    :func:`join_postings` gives.
     """
 
     blocks: Array   # the whole batch's blocks
@@ -199,11 +194,9 @@ class FirstBlocks(NamedTuple):
         expansion."""
         whole = np.searchsorted(self.blocks[:, 0], blocks[:, 0],
                                 side="right")[block] - 1
-        start_a, count_a, start_b, count_b, triangle = self.blocks[whole].T
-        i = blocks[block, 0] + nth - start_a
-        j = blocks[block, 2] + skipped - start_b
-        return self.offsets[whole] + j + np.where(
-            triangle, _triangle_row(i, count_a), i * count_b)
+        _, count_a, _, count_b, triangle = self.blocks[whole].T
+        return self.offsets[whole] + skipped + np.where(
+            triangle, _triangle_row(nth, count_a), nth * count_b)
 
     def kept(self, step: Array, at: Array, part: Array) -> Array:
         """Whether each pair of an expansion step is kept: ``step``
@@ -352,10 +345,9 @@ class PairShard(ABC):
     The contract is set-level: the union of ``pairs()`` over all
     shards of one ``shards()`` call equals the distinct pair set of
     ``candidates()`` on the same inputs.  A stream's pair may appear
-    more than once, in one shard or several (sorted-neighborhood
-    windows, a strategy's own ``candidates``); downstream consumers
-    must treat duplicate pairs idempotently, exactly as they must for
-    ``candidates`` streams.  A :class:`BlockShard`'s pairs are each in
+    more than once, in one shard or several (a strategy's own
+    ``candidates``); downstream consumers must treat duplicate pairs
+    idempotently, exactly as they must for ``candidates`` streams.  A :class:`BlockShard`'s pairs are each in
     one shard, once.
     """
 
@@ -366,10 +358,10 @@ class PairShard(ABC):
     def cost(self) -> Optional[int]:
         """Estimated raw (pre-dedup) pair count of this shard.
 
-        The engine's skew-aware rebalancing uses this to spot long-tail
-        shards before any worker starts.  ``None`` (the default) means
-        unknown; such shards are never split, only bin-packed with an
-        assumed average cost.
+        The engine sizes its score tables by the plan's total
+        (:meth:`repro.engine.engine.BatchMatchEngine._prepare`).
+        ``None`` (the default) means unknown, and then no table is
+        built.
         """
         return None
 
@@ -386,9 +378,8 @@ class PairShard(ABC):
 class IterableShard(PairShard):
     """A shard wrapping an arbitrary pair-producing callable.
 
-    ``cost`` is an optional raw pair-count estimate for the stream;
-    strategies that can size their segments (e.g. sorted-neighborhood
-    windows) pass it so rebalancing can weigh them.
+    ``cost`` is an optional raw pair-count estimate for the stream
+    (an explicit list's length).
     """
 
     def __init__(self, factory: Callable[[], Iterable[Pair]], *,
@@ -410,14 +401,12 @@ class BlockShard(PairShard):
     strategy emits; the engine expands the batch as rows, and ids are
     read by :meth:`pairs` alone.
 
-    A pair that overlapping blocks repeat (token blocking, canopies)
-    comes once, from the first block holding it, whichever shard or
-    piece that block went to (:class:`FirstBlocks`).  ``canonical``
-    orients self-matching pairs as ``(min id, max id)`` to match the
-    serial emission of those strategies — for triangle blocks and
-    also for rectangular blocks (which rebalancing produces by
-    splitting oversized triangles); block-order orientation is kept
-    otherwise (key blocking, full cross).
+    A pair that overlapping blocks repeat (token blocking) comes once,
+    from the first block holding it, whichever shard that block went
+    to (:class:`FirstBlocks`).  ``canonical`` orients self-matching
+    pairs as ``(min id, max id)`` to match the serial emission of
+    those strategies; block-order orientation is kept otherwise (key
+    blocking, full cross).
     """
 
     def __init__(self, batch: BlockBatch,
@@ -428,11 +417,6 @@ class BlockShard(PairShard):
 
     def batch(self) -> BlockBatch:
         return self._batch
-
-    def over(self, batch: BlockBatch) -> "BlockShard":
-        """This shard with other blocks over :meth:`batch`'s rows (a
-        run of them, pieces of them: what rebalancing makes)."""
-        return BlockShard(batch, self.sources, canonical=self.canonical)
 
     def pairs(self) -> Iterator[Pair]:
         ids_a, ids_b = (np.asarray(source.ids(), dtype=object)

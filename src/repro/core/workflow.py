@@ -171,8 +171,8 @@ class MatcherStep(_Step):
     step; otherwise the context's engine (if any) applies.  Either may
     be a ``repro.engine.BatchMatchEngine`` or a bare
     ``repro.engine.EngineConfig`` (wrapped into an engine on use, so
-    workflow definitions can ask for e.g. sharded four-worker execution
-    — ``EngineConfig(workers=4, shard_blocking=True)`` — without
+    workflow definitions can ask for e.g. four-worker execution —
+    ``EngineConfig(workers=4)`` — without
     importing the engine class).  Matchers that don't expose an
     ``engine`` attribute run unchanged.
 

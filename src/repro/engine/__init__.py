@@ -21,13 +21,11 @@ Typical use::
 or process-wide via :func:`configure_default_engine` (what the CLI's
 ``--workers`` / ``--chunk-size`` flags call).
 
-``EngineConfig(shard_blocking=True)`` changes who cuts the slices
+With ``workers > 1`` a blocked request is sharded
 (:mod:`repro.engine.shards`): the blocking strategy is partitioned
-into shards, each worker generates and scores its shards' pairs
-locally, and the parent only loads the survivors — same results, no
-parent-side generation bottleneck.  The planner reads the shards' cost
-estimates and, when they are skewed, splits and LPT-packs them so one
-dominant block cannot leave a worker with a long tail.
+into ``4 * workers`` shards, each worker generates and scores its
+shards' pairs locally, and the parent only loads the survivors — same
+results, no parent-side generation bottleneck.
 
 One scoring core backs every request (:mod:`repro.engine.columns`): a
 *column* packs one attribute's reference side —

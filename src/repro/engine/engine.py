@@ -5,8 +5,8 @@ runs the same four steps (:meth:`BatchMatchEngine.execute`):
 
 1. **plan**: the candidates become a list of shards
    (:meth:`BatchMatchEngine._plan`) — one shard holding the whole
-   request, or the blocking strategy's partition under
-   ``shard_blocking``;
+   request, or, when there are workers to share it, the blocking
+   strategy's partition (an explicit pair list's ``chunk_size`` runs);
 2. **slices**: a :class:`~repro.engine.shards.ShardRunner` cuts every
    shard into work items — pairs of row arrays, with self-matching
    dedup applied on the fly;
@@ -15,11 +15,10 @@ runs the same four steps (:meth:`BatchMatchEngine.execute`):
    spec, packed where the similarity packs, the memoized
    ``score_batch`` otherwise, answering from a score table where the
    plan's rows outnumber the column's distinct value pairs) — inline
-   for ``workers=1``, or across the engine's one process pool
-   (:func:`repro.engine.pool.run_ordered`: the parent and
-   ``workers − 1`` forked children), whose tasks are slices cut in the
-   parent or, under ``shard_blocking``, whole shards cut where they
-   are scored;
+   for a one-shard plan, or, shard by shard, across the engine's one
+   process pool (:func:`repro.engine.pool.run_ordered`: the parent and
+   ``workers − 1`` forked children), each shard cut where it is
+   scored;
 4. **load**: the survivors are loaded into one :class:`Mapping` in
    submission order (:meth:`BatchMatchEngine._load` — row arrays
    straight into the mapping's columns), so serial and parallel
@@ -35,10 +34,10 @@ next request over the same sources, from any engine, finds it built.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Sized
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.blocking.pair_generator import (
@@ -46,6 +45,7 @@ from repro.blocking.pair_generator import (
     FullCross,
     IterableShard,
     PairShard,
+    dedup_self_pairs,
 )
 from repro.core.mapping import Mapping
 from repro.engine import vectorized
@@ -56,8 +56,7 @@ from repro.engine.shards import (
     ROWS_PER_CALL,
     MappingShard,
     ShardRunner,
-    autotune_plan,
-    rebalance_shards,
+    iter_chunks,
     shards_authoritative,
 )
 from repro.obs.registry import percentile as obs_percentile
@@ -73,9 +72,7 @@ class EngineConfig:
     :mod:`repro.engine.pool`).  ``workers=1`` is the serial fallback
     (no processes, no IPC), and so is any run of fewer than two tasks.
     ``chunk_size`` is the number of candidate row pairs in one slice —
-    one kernel call, and one pool task when the parent cuts (a block
-    slice then holds more, up to
-    :data:`~repro.engine.shards.POOL_SLICE_ROWS` rows).  Every
+    one kernel call.  Every
     request runs on a kernel, and every kernel call pays a fixed cost
     of array set-up beside its rows, so the default,
     :data:`~repro.engine.columns.SLICE_ROWS` (a table fill's block
@@ -90,21 +87,15 @@ class EngineConfig:
     µs at 2 048, 0.048 µs at the default, 0.047 µs at 16k and 0.062
     µs at 128k.  The table-workflow pass takes 0.32 / 0.30 / 0.25 /
     0.29 / 0.27 s at 256 / 2 048 / 8 192 / 16k / 128k.  Everything else
-    about a run's plan — shard count, skew rebalancing, how many
-    chunks queue ahead of the merge cursor — the engine derives from
-    ``workers`` and the shard cost estimates
-    (:func:`repro.engine.shards.autotune_plan`).
+    about a run's plan — whether it shards, into how many shards — the
+    engine derives from ``workers`` and the candidate source
+    (:meth:`BatchMatchEngine._plan`).
     """
 
     workers: int = 1
     chunk_size: int = SLICE_ROWS
-    #: run candidate generation inside the workers (pool tasks are
-    #: whole shards, :mod:`repro.engine.shards`) instead of cutting
-    #: every slice in the parent.  Results are identical; on blocked
-    #: workloads this removes the parent-side generation bottleneck.
-    #: Ignored (the parent cuts) for explicit candidate lists, blocking
-    #: objects without an authoritative ``shards`` protocol, and
-    #: multi-worker runs on platforms without ``fork``.
+    #: accepted and ignored: the plan shards whenever there are
+    #: workers and the candidates can shard (:meth:`BatchMatchEngine._plan`)
     shard_blocking: bool = False
     #: record per-stage timings (prepare / chunk scoring / shard
     #: durations) into ``engine.last_profile`` (CLI ``--profile``).
@@ -170,16 +161,12 @@ class BatchMatchEngine:
             workers = min(config.workers, len(shards)) or 1
             inflight = len(shards)
         else:
-            # two slices queued per worker keep the pool busy and bound
-            # what sits in memory
             path = ("rows" if isinstance(request.candidates, Mapping)
                     else "indexed")
             target = runner.score
-            if config.workers > 1:
-                runner.cut_for_pool(config.workers)
             work = ((len(item[0]), item) for shard in shards
                     for item in runner.slices(shard))
-            workers, inflight = config.workers, 2 * config.workers
+            workers = inflight = 1
         outputs = []
         for items, seconds, output in run_ordered(
                 target, work, workers=workers, inflight=inflight):
@@ -198,18 +185,17 @@ class BatchMatchEngine:
         """The request's shards, and whether each is one pool task.
 
         A function of the request and the config alone; nothing
-        carries over between runs.  By default the whole request is
-        one shard whose slices the parent cuts: the blocking strategy's
-        own (the cross product is :class:`FullCross`) when its
-        ``shards`` protocol is authoritative
-        (:func:`~repro.engine.shards.shards_authoritative`), else a
-        pair stream over the explicit candidates or the foreign
-        ``candidates()``.  ``shard_blocking`` asks the strategy for four
-        shards per worker instead, rebalanced when the cost model
-        (:func:`~repro.engine.shards.autotune_plan`) reads them as
-        skewed; it steps aside where the candidate source cannot shard
-        and for multi-worker runs without ``fork`` — parent-cut slices
-        still parallelize there, by pickling the scorer.
+        carries over between runs.  One rule: with one worker, or
+        candidates that cannot shard, the whole request is one shard
+        scored inline — a :class:`Mapping`'s rows, a pair stream over
+        a foreign blocking's ``candidates()`` (one whose ``shards`` is
+        not authoritative, :func:`~repro.engine.shards.shards_authoritative`),
+        or the blocking strategy's own one-shard partition (the cross
+        product is :class:`FullCross`).  With ``workers > 1`` every
+        shard is a pool task: an authoritative blocking's ``4 *
+        workers`` shards, or an explicit pair list's ``chunk_size``
+        runs, deduplicated first where the request is a self-match so
+        that the runs hold the pairs the one stream would.
         """
         config = self.config
         spec = request.specs[0]
@@ -217,29 +203,28 @@ class BatchMatchEngine:
                           range_attribute=spec.range_attribute)
         blocking = (request.blocking if request.blocking is not None
                     else FullCross())
-        if isinstance(request.candidates, Mapping):
-            return [MappingShard(request.candidates)], False
-        if request.candidates is not None:
+        sharded = config.workers > 1
+        candidates = request.candidates
+        if isinstance(candidates, Mapping):
+            return [MappingShard(candidates)], False
+        if candidates is not None and sharded:
+            if request.is_self:
+                candidates = dedup_self_pairs(candidates)
+            return [IterableShard(partial(iter, run), cost=len(run))
+                    for run in iter_chunks(candidates, config.chunk_size)
+                    ], True
+        if candidates is not None:
             return [IterableShard(
-                lambda: request.candidates,
-                cost=(len(request.candidates)
-                      if isinstance(request.candidates, Sized)
+                lambda: candidates,
+                cost=(len(candidates) if isinstance(candidates, Sized)
                       else None))], False
         if not shards_authoritative(blocking):
             return [IterableShard(lambda: blocking.candidates(
                 request.domain, request.range, **attributes))], False
-        sharded = config.shard_blocking and (
-            config.workers == 1
-            or "fork" in multiprocessing.get_all_start_methods())
-        shards = blocking.shards(
+        return blocking.shards(
             request.domain, request.range,
-            n_shards=4 * config.workers if sharded else 1, **attributes)
-        if sharded:
-            balance, bins = autotune_plan(
-                [shard.cost() for shard in shards], config.workers)
-            if balance:
-                shards = rebalance_shards(shards, bins)
-        return shards, sharded
+            n_shards=4 * config.workers if sharded else 1,
+            **attributes), sharded
 
     # -- profiling -----------------------------------------------------
 
@@ -338,10 +323,8 @@ class BatchMatchEngine:
                  "table": columns[j].table is not None}
                 for j in getattr(kernel, "order", (0,))]
             profile["duplicate_rows"] = sum(
-                member.cost() - member.distinct_pairs()
-                for shard in shards
-                for member in getattr(shard, "members", (shard,))
-                if isinstance(member, BlockShard))
+                shard.cost() - shard.distinct_pairs()
+                for shard in shards if isinstance(shard, BlockShard))
             # the runner's two bridge lookups are this step's own too
             asked, built = profile["memo_counts"]
             profile["memo_counts"] = (asked + hits - before[0],
@@ -360,11 +343,11 @@ class BatchMatchEngine:
         position and its largest score, and self-matching rows are
         mirrored.
 
-        A pair stream may repeat a pair (an explicit list, overlapping
-        windows), and then it survives once per copy; every copy has
-        the same score, so the first in submission order is the row a
-        keyed merge would have kept.  That costs one sort of the
-        *survivors*' pair codes, not of the candidates'.  Blocks never
+        A pair stream may repeat a pair (an explicit list, a foreign
+        blocking's stream), and then it survives once per copy; every
+        copy has the same score, so the first in submission order is
+        the row a keyed merge would have kept.  That costs one sort of
+        the *survivors*' pair codes, not of the candidates'.  Blocks never
         repeat one: a pair several blocks hold is expanded in the first
         of them only.
         """

@@ -1,8 +1,8 @@
 """The engine's one worker pool: ordered submit/drain over a task slot.
 
-Every parallel run — row-array slices through the request's kernel,
-or whole shards through a
-:class:`~repro.engine.shards.ShardRunner` — runs the same loop: the
+Every run — whole shards through a
+:class:`~repro.engine.shards.ShardRunner` on the pool, or row-array
+slices through the request's kernel inline — runs the same loop: the
 callable that does the work is installed in the module-level slot
 *before* the pool forks, so the children inherit it (and everything it
 closes over: sources, prepared similarity state, packed columns)

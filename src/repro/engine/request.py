@@ -67,9 +67,9 @@ class MatchRequest:
     by one kernel (:func:`repro.engine.vectorized.request_kernel`: one
     column per spec — q-gram bitmaps, sparse TF/IDF or the scalar
     fallback — plus, for multi-attribute requests, a vectorized
-    combiner).  Running whole shards inside the workers
-    (``shard_blocking``) additionally requires a ``blocking`` object
-    with an authoritative ``shards`` protocol.
+    combiner).  Running whole shards inside the workers additionally
+    requires explicit pairs or a ``blocking`` object with an
+    authoritative ``shards`` protocol.
     """
 
     domain: LogicalSource

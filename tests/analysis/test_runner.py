@@ -1,6 +1,7 @@
 """Runner/baseline mechanics: exit codes, staleness, round-trips."""
 
 import json
+import shutil
 import textwrap
 
 import pytest
@@ -109,6 +110,29 @@ def test_write_and_load_baseline_round_trip(bad_tree, tmp_path):
     assert len(entries) == 1
     assert entries[0].key() == (finding.code, finding.file, finding.message)
     assert entries[0].reason == "kept reason"
+
+
+def test_writing_a_restricted_trees_baseline_keeps_the_other_entries(
+        tmp_path):
+    """``repro lint src/repro/serve --write-baseline`` on a copy of the
+    live tree: the entries for files outside ``src/repro/serve`` stay,
+    reasons and all, and the tree still lints clean against them."""
+    from pathlib import Path
+
+    from repro.analysis.cli import main
+
+    live = Path(__file__).resolve().parents[2]
+    shutil.copytree(live / "src" / "repro" / "serve",
+                    tmp_path / "src" / "repro" / "serve")
+    shutil.copy(live / "lint-baseline.json", tmp_path)
+    before = load_baseline(str(tmp_path / "lint-baseline.json"))
+    outside = [entry for entry in before
+               if entry.file == "src/repro/model/repository.py"]
+    assert len(outside) == 2
+    argv = ["--root", str(tmp_path), "--no-cache", "src/repro/serve"]
+    assert main(argv + ["--write-baseline"]) == 0
+    assert load_baseline(str(tmp_path / "lint-baseline.json")) == before
+    assert main(argv) == 0
 
 
 def test_load_baseline_missing_file_is_empty(tmp_path):

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.blocking import (
-    CanopyBlocking,
     FullCross,
     KeyBlocking,
-    SortedNeighborhood,
     TokenBlocking,
     pair_completeness,
     reduction_ratio,
@@ -152,67 +150,6 @@ class TestKeyBlocking:
             range_.add_record(f"b{index}", title="same first")
         pairs = collect(KeyBlocking(max_block_size=5), domain, range_)
         assert pairs == set()
-
-
-class TestSortedNeighborhood:
-    def test_adjacent_strings_are_candidates(self, sources, gold):
-        domain, range_ = sources
-        pairs = collect(SortedNeighborhood(window=3), domain, range_)
-        # identical strings sort adjacently -> all gold pairs survive
-        assert pair_completeness(pairs, gold) == 1.0
-
-    def test_window_bounds_pair_count(self, sources):
-        domain, range_ = sources
-        small = collect(SortedNeighborhood(window=2), domain, range_)
-        large = collect(SortedNeighborhood(window=6), domain, range_)
-        assert len(small) <= len(large)
-
-    def test_orientation_normalized(self, sources):
-        domain, range_ = sources
-        pairs = collect(SortedNeighborhood(window=4), domain, range_)
-        assert all(a.startswith("a") and b.startswith("b")
-                   for a, b in pairs)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SortedNeighborhood(window=1)
-
-
-class TestCanopy:
-    def test_identical_titles_share_canopy(self, sources, gold):
-        domain, range_ = sources
-        pairs = collect(CanopyBlocking(loose=0.2, tight=0.8, seed=1),
-                        domain, range_)
-        assert pair_completeness(pairs, gold) == 1.0
-
-    def test_deterministic_given_seed(self, sources):
-        domain, range_ = sources
-        first = collect(CanopyBlocking(seed=5), domain, range_)
-        second = collect(CanopyBlocking(seed=5), domain, range_)
-        assert first == second
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CanopyBlocking(loose=0.9, tight=0.5)
-
-    def test_tight_removed_records_join_later_canopies(self):
-        """Regression: tight removal must only stop a record from
-        *seeding* future canopies — McCallum canopies overlap, so the
-        record stays assignable.  Here ``s1`` is tightly bound to
-        ``s0``'s canopy but loosely similar to ``s2``; dropping it
-        from ``s2``'s canopy silently loses the (s1, s2) candidate."""
-        source = LogicalSource(PhysicalSource("S"), ObjectType("P"))
-        source.add_record("s0", title="alpha beta gamma")
-        # jaccard(s0, s1) = 3/4 >= tight: s1 never seeds again
-        source.add_record("s1", title="alpha beta gamma delta")
-        # jaccard(s1, s2) = 1/6 >= loose, jaccard(s0, s2) = 0
-        source.add_record("s2", title="delta epsilon zeta")
-        # shuffle seed 5 orders the seeds s0, s1, s2: s0's canopy
-        # removes s1, then s2 opens the canopy that must reclaim it
-        blocking = CanopyBlocking(loose=0.15, tight=0.6, seed=5)
-        pairs = collect(blocking, source, source)
-        assert ("s0", "s1") in pairs
-        assert ("s1", "s2") in pairs
 
 
 class TestMetrics:

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_blocks import dominant_key
 
 from repro.blocking import (
     BlockShard,
-    CanopyBlocking,
     FullCross,
     KeyBlocking,
     PairGenerator,
-    SortedNeighborhood,
     TokenBlocking,
     partition_spans,
 )
@@ -34,13 +33,13 @@ STRATEGIES = [
     KeyBlocking(max_block_size=3),
     TokenBlocking(max_df=1.0),
     TokenBlocking(max_df=0.4),
-    SortedNeighborhood(window=3),
-    CanopyBlocking(loose=0.15, tight=0.5, seed=3),
+    TokenBlocking(max_df=0.5),  # overlapping blocks
+    KeyBlocking(key=dominant_key),  # one dominant block
 ]
 
 IDS = [
     "FullCross", "KeyBlocking", "KeyBlocking-capped", "TokenBlocking",
-    "TokenBlocking-df", "SortedNeighborhood", "CanopyBlocking",
+    "TokenBlocking-df", "TokenBlocking-overlap", "KeyBlocking-dominant",
 ]
 
 
@@ -180,7 +179,8 @@ class TestShardBlocks:
 
 
 class TestShardCosts:
-    """Shards expose raw pair-count estimates for skew rebalancing."""
+    """Shards expose raw pair-count estimates, which size the
+    engine's score tables."""
 
     @pytest.mark.parametrize("blocking", STRATEGIES, ids=IDS)
     @pytest.mark.parametrize("self_match", [False, True])
@@ -228,8 +228,8 @@ class TestShardCosts:
 
 
 class TestCanonicalRectBlocks:
-    """Rebalancing splits canonical triangles into rectangles; the
-    rect branch must then keep the (min id, max id) orientation."""
+    """A canonical shard keeps the (min id, max id) orientation on a
+    rectangle too, not only on a triangle."""
 
     def test_rect_pairs_canonicalized(self):
         shard = _rectangle(["s2"], ["s10", "s3"], canonical=True)
@@ -269,13 +269,13 @@ class TestCandidatesIsTheOneShardStream:
     ``candidates()`` is its one-shard partition read out."""
 
     BUILT_INS = [FullCross(), KeyBlocking(), TokenBlocking(max_df=1.0),
-                 SortedNeighborhood(window=3),
-                 CanopyBlocking(loose=0.15, tight=0.5, seed=3)]
+                 TokenBlocking(max_df=0.5), KeyBlocking(key=dominant_key)]
 
     @pytest.mark.parametrize("self_matching", [False, True],
                              ids=["two-source", "self"])
-    @pytest.mark.parametrize("blocking", BUILT_INS,
-                             ids=lambda blocking: type(blocking).__name__)
+    @pytest.mark.parametrize("blocking", BUILT_INS, ids=[
+        "FullCross", "KeyBlocking", "TokenBlocking", "TokenBlocking-overlap",
+        "KeyBlocking-dominant"])
     def test_same_pairs_in_the_same_order(self, sources, blocking,
                                           self_matching):
         domain, range_ = sources

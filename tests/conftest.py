@@ -44,27 +44,6 @@ def gs(dataset):
     return dataset.gs
 
 
-@pytest.fixture
-def force_rebalance(monkeypatch):
-    """Returns a callable that makes the shard planner rebalance every
-    plan from then on, skewed or not.
-
-    The cost model only rebalances skewed multi-worker plans; suites
-    pinning "a rebalanced plan scores like the serial engine" for every
-    blocking strategy, and for inline ``workers=1`` runs, call it
-    before executing.
-    """
-    from repro.engine import engine
-
-    def engage() -> None:
-        # the planner's own reference: patching the defining module
-        # alone would leave it asking the real cost model
-        monkeypatch.setattr(engine, "autotune_plan",
-                            lambda costs, workers: (True, 6))
-
-    return engage
-
-
 @pytest.fixture(scope="session")
 def under_hash_seeds():
     """Returns ``run(snippet, *argv)``: what ``python -c snippet

@@ -4,13 +4,13 @@ These are the loops ``repro.blocking`` and ``repro.engine.shards`` ran
 while candidates were id strings: a ``token -> [id, ...]`` posting
 dict filtered token by token, per block a ``dict.get`` for every id
 and an ``np.repeat`` / ``np.tile``, per pair a Python tuple through a
-first-seen set, and the splitter slicing id lists.  They only touch
+first-seen set.  They only touch
 :class:`IdBlock`\\ s — a block as two id lists, which is how
 :func:`id_blocks` reads a shard — and plain ``id -> row`` dicts, so
 the row arrays and their order *define* what the block batch
 (:class:`repro.blocking.pair_generator.BlockBatch`) must expand to:
-every pair of its blocks, or, where blocks overlap (token blocking,
-canopies), the copy a first-seen walk over the whole batch keeps
+every pair of its blocks, or, where blocks overlap (token blocking),
+the copy a first-seen walk over the whole batch keeps
 (:func:`first_seen`).
 """
 
@@ -250,39 +250,14 @@ def eligible_postings(blocking, domain, range_, domain_attribute: str,
     return eligible
 
 
-def explode_block(block: IdBlock, target: int) -> Iterator[IdBlock]:
-    """Split one block into pieces of at most ~``target`` pairs, by
-    slicing its id lists."""
-    if block.pair_count() <= target:
-        yield block
-        return
-    if block.triangle:
-        ids = list(block.domain_ids)
-        n = len(ids)
-        start = 0
-        while start < n - 1:
-            end = start
-            budget = 0
-            while end < n - 1 and (end == start
-                                   or budget + (n - 1 - end) <= target):
-                budget += n - 1 - end
-                end += 1
-            band = ids[start:end]
-            if len(band) > 1:
-                yield IdBlock(band, band, triangle=True)
-            tail = ids[end:]
-            if tail:
-                yield from explode_block(IdBlock(band, tail), target)
-            start = end
-        return
-    domain_ids = list(block.domain_ids)
-    range_ids = list(block.range_ids)
-    if len(domain_ids) > 1:
-        step = max(1, target // max(1, len(range_ids)))
-        for start in range(0, len(domain_ids), step):
-            yield from explode_block(
-                IdBlock(domain_ids[start:start + step], range_ids), target)
-        return
-    step = max(1, target)
-    for start in range(0, len(range_ids), step):
-        yield IdBlock(domain_ids, range_ids[start:start + step])
+def dominant_key(value: object) -> Optional[str]:
+    """A ``KeyBlocking`` key under which one block dominates: every
+    title of even length shares one key, the rest key on their first
+    word — the one-stop-word-key skew."""
+    if value is None:
+        return None
+    text = str(value)
+    if len(text) % 2 == 0:
+        return "dominant"
+    words = text.lower().split()
+    return words[0] if words else None

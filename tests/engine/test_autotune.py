@@ -1,13 +1,15 @@
-"""Tests for the shard planner's cost model.
+"""Tests for the shard planner's one rule.
 
 The planner (:meth:`repro.engine.BatchMatchEngine._plan`, the first
-step of ``execute``) always
-asks :func:`~repro.engine.shards.autotune_plan` whether the naive
-shard list is skewed enough to rebalance — there is no switch for it.
-Every decision it makes only moves work between shards, so the
-load-bearing property is unchanged results; the decision logic itself
-is pinned through the pure ``autotune_plan`` kernel, and the config
-surface through the field set of :class:`EngineConfig`.
+step of ``execute``) shards a request when there are workers and its
+candidates can shard — an authoritative blocking's ``4 * workers``
+shards, an explicit list's ``chunk_size`` runs — and scores anything
+else as one shard, inline; there is no switch for it
+(``shard_blocking`` is accepted and ignored).  Every decision only
+moves work between processes, so the load-bearing property is
+unchanged results; the rule itself is pinned through the plan and the
+pools a run builds, and the config surface through the field set of
+:class:`EngineConfig`.
 """
 
 from __future__ import annotations
@@ -18,16 +20,13 @@ import pytest
 
 from repro import AttributeMatcher
 from repro.blocking import KeyBlocking, TokenBlocking
-from repro.engine import BatchMatchEngine, EngineConfig
+from repro.engine import BatchMatchEngine, EngineConfig, pool
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.shards import AUTO_SKEW_FACTOR, autotune_plan
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.ngram import TrigramSimilarity
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
-SHARDED = BatchMatchEngine(EngineConfig(workers=4, shard_blocking=True))
-SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1,
-                                               shard_blocking=True))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4))
 
 
 def _skewed_source(name: str, count: int, hot: bool = True):
@@ -46,11 +45,11 @@ def _skewed_source(name: str, count: int, hot: bool = True):
     return source
 
 
-def _request(domain, range_, blocking, threshold=0.7):
+def _request(domain, range_, blocking=None, threshold=0.7, **candidates):
     return MatchRequest(
         domain=domain, range=range_,
         specs=[AttributeSpec("title", "title", TrigramSimilarity())],
-        threshold=threshold, blocking=blocking)
+        threshold=threshold, blocking=blocking, **candidates)
 
 
 def _plan_costs(engine, request):
@@ -59,51 +58,74 @@ def _plan_costs(engine, request):
     return [shard.cost() for shard in shards]
 
 
-class TestAutotunePlan:
-    def test_dominant_shard_triggers_balancing(self):
-        balance, _ = autotune_plan([525_000, 105_000], workers=4)
-        assert balance
+def _counting_pools(monkeypatch) -> list:
+    """The ``max_workers`` of every pool a run builds (one entry per
+    pool; none for a run that forks nothing)."""
+    built = []
 
-    def test_flat_distribution_stays_naive(self):
-        balance, _ = autotune_plan([100] * 16, workers=4)
-        assert not balance
+    class Counted(pool.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
 
-    def test_single_oversized_shard_is_worst_skew(self):
-        balance, _ = autotune_plan([1_000_000], workers=4)
-        assert balance
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Counted)
+    return built
 
-    def test_serial_run_never_balances(self):
-        # with one worker there is no makespan to cut
-        balance, _ = autotune_plan([1_000_000, 10], workers=1)
-        assert not balance
 
-    def test_unknown_costs_disable_balancing(self):
-        balance, bins = autotune_plan([None, None, None], workers=4)
-        assert not balance
-        assert bins == 16
+def _title_request(dataset, **candidates) -> MatchRequest:
+    return _request(dataset.dblp.publications, dataset.acm.publications,
+                    threshold=0.4, **candidates)
 
-    def test_unknown_costs_assumed_average(self):
-        # unknowns fill in at the known mean, so a shard dominating
-        # the known costs still reads as skew
-        balance, _ = autotune_plan([1_000_000, 10, 10, None], workers=4)
-        assert balance
-        # ...while a lone known cost among unknowns reads as flat
-        balance, _ = autotune_plan([1_000_000, None, None, None],
-                                   workers=4)
-        assert not balance
 
-    def test_bin_count_scales_with_total_cost(self):
-        _, small = autotune_plan([1_000] * 8, workers=4)
-        _, large = autotune_plan([10_000_000] * 8, workers=4)
-        assert small == 16          # floor: 4 per worker
-        assert large == 64          # ceiling: 16 per worker
+class TestPlanRule:
+    def test_shard_blocking_is_ignored(self, dataset):
+        """At two workers a blocked request takes the sharded path
+        whatever ``shard_blocking`` says: the same path, shard count
+        and rows."""
+        seen = []
+        for shard_blocking in (False, True):
+            engine = BatchMatchEngine(EngineConfig(
+                workers=2, chunk_size=64, shard_blocking=shard_blocking,
+                profile=True))
+            rows = engine.execute(_title_request(
+                dataset, blocking=TokenBlocking(max_df=0.5))).to_rows()
+            summary = engine.profile_summary()
+            seen.append((summary["path"], summary["shards"], rows))
+        assert seen[0] == seen[1]
+        path, shards, rows = seen[0]
+        assert path == "sharded" and shards > 1 and rows
 
-    def test_threshold_boundary(self):
-        # exactly at the factor: max * workers == factor * total
-        total = 1000
-        hot = int(AUTO_SKEW_FACTOR * total / 4)
-        balance, _ = autotune_plan([hot, total - hot], workers=4)
-        assert balance
+    def test_candidates_that_cannot_shard_fork_nothing(self, dataset,
+                                                       monkeypatch):
+        """A candidate mapping and a foreign blocking's stream are one
+        shard, scored inline, however many workers there are."""
+
+        class Foreign:
+            def candidates(self, domain, range, *, domain_attribute,
+                           range_attribute):
+                for id_a in domain.ids():
+                    for id_b in range.ids()[:20]:
+                        yield id_a, id_b
+
+        mapping = SERIAL.execute(_title_request(
+            dataset, blocking=TokenBlocking(max_df=0.5)))
+        assert len(mapping) > 64
+        engine = BatchMatchEngine(EngineConfig(workers=4, chunk_size=16,
+                                               profile=True))
+        built = _counting_pools(monkeypatch)
+        for candidates in (dict(candidates=mapping),
+                           dict(blocking=Foreign())):
+            rows = engine.execute(_title_request(dataset, **candidates))
+            assert engine.profile_summary()["shards"] == 0
+            assert engine.profile_summary()["chunks"] > 1
+            assert rows.to_rows() == SERIAL.execute(
+                _title_request(dataset, **candidates)).to_rows()
+        assert built == []
+
+    def test_one_worker_is_one_shard_inline(self, dataset):
+        shards, sharded = SERIAL._plan(_title_request(
+            dataset, blocking=TokenBlocking(max_df=0.5)))
+        assert len(shards) == 1 and not sharded
 
 
 class TestConfigSurface:
@@ -152,35 +174,18 @@ class TestAutoExecution:
         assert rows == sharded.match(dblp, acm).to_rows()
         assert rows
 
-    def test_auto_inline_matches_serial_results(self, dataset):
-        dblp, acm = dataset.dblp.publications, dataset.acm.publications
-        serial = AttributeMatcher("title", similarity="levenshtein",
-                                  threshold=0.3, engine=SERIAL)
-        inline = AttributeMatcher("title", similarity="levenshtein",
-                                  threshold=0.3, engine=SHARDED_INLINE)
-        assert serial.match(dblp, acm).to_rows() \
-            == inline.match(dblp, acm).to_rows()
-
     def test_auto_rebalances_the_skewed_plan(self):
-        """On a dominant-key workload ``shard_blocking=True`` alone
-        must yield a rebalanced plan: no bin beyond 2x the mean, and
-        the same mapping as the serial engine."""
+        """A dominant-key workload — one shard holding most pairs —
+        scores like the serial engine on the pool."""
         domain = _skewed_source("SKL", 700)
         range_ = _skewed_source("SKR", 660)
         blocking = KeyBlocking()
-        naive = [shard.cost() for shard in blocking.shards(
-            domain, range_, n_shards=16,
-            domain_attribute="title", range_attribute="title")]
-        assert max(naive) > 2 * sum(naive) / 4  # twice a worker's share
-        planned = _plan_costs(SHARDED, _request(domain, range_, blocking))
-        assert sum(planned) == sum(naive)
-        assert max(planned) <= 2 * sum(planned) / len(planned)
         assert SHARDED.execute(_request(domain, range_, blocking)).to_rows() \
             == SERIAL.execute(_request(domain, range_, blocking)).to_rows()
 
     def test_auto_leaves_flat_plans_naive(self):
-        """An unskewed plan must not pay the splitting pass: the
-        planned shard list is the naive shard list."""
+        """The planned shard list is the strategy's own ``4 *
+        workers`` shards."""
         domain = _skewed_source("FLL", 700, hot=False)
         range_ = _skewed_source("FLR", 660, hot=False)
         blocking = KeyBlocking()
@@ -197,8 +202,7 @@ class TestAutoExecution:
         """Nothing carries over between runs: the plan is a function
         of the request and ``workers`` alone."""
         domain = _skewed_source("ADP", 120)
-        engine = BatchMatchEngine(EngineConfig(workers=2,
-                                               shard_blocking=True))
+        engine = BatchMatchEngine(EngineConfig(workers=2))
 
         def run():
             rows = engine.execute(
@@ -215,8 +219,10 @@ class TestAutoExecution:
 
 class TestCliRemovedFlags:
     @pytest.mark.parametrize("flags", [["--auto"], ["--balance-shards"],
-                                       ["--n-shards", "3"]],
-                             ids=["auto", "balance-shards", "n-shards"])
+                                       ["--n-shards", "3"],
+                                       ["--shard-blocking"]],
+                             ids=["auto", "balance-shards", "n-shards",
+                                  "shard-blocking"])
     def test_removed_flag_is_a_usage_error(self, flags, capsys):
         from repro.__main__ import main
 

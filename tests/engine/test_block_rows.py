@@ -7,13 +7,13 @@ arrays into two row arrays — and
 ragged cross product.  What that must produce is pinned against the
 per-block loops it replaced (``reference_blocks``): the same rows in
 the same order for every strategy, both matching modes, any shard
-count, planned or rebalanced, read as id blocks by the reference
+count and any slice size, read as id blocks by the reference
 (``reference_blocks.id_blocks``); ``pairs()``, ``cost()`` and
 ``distinct_pairs()`` read the same batch.  Where blocks overlap
-(token blocking, canopies) a pair comes from the first block holding
-it only: the rows are the reference loops' first-seen filter, in the
-same order, and no pair is in two shards; other strategies' blocks
-never repeat a pair.
+(token blocking) a pair comes from the first block holding it only:
+the rows are the reference loops' first-seen filter, in the same
+order, and no pair is in two shards; other strategies' blocks never
+repeat a pair.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import reference_blocks as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import (
-    CanopyBlocking,
-    FullCross,
-    KeyBlocking,
-    TokenBlocking,
-)
+from repro.blocking import FullCross, KeyBlocking, TokenBlocking
 from repro.blocking.pair_generator import (
     EXPAND_ROWS,
     BlockBatch,
@@ -45,24 +40,19 @@ from repro.engine import (
     EngineConfig,
     MatchRequest,
 )
-from repro.engine.shards import (
-    ROWS_PER_CALL,
-    CompositeShard,
-    explode,
-    rebalance_shards,
-)
+from repro.engine.shards import ROWS_PER_CALL
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.ngram import TrigramSimilarity
 
-#: every strategy whose shards are blocks (``SortedNeighborhood``
-#: streams window pairs: no block view, nothing to expand)
+#: every built-in strategy (their shards are all blocks)
 STRATEGIES = {
     "FullCross": FullCross(),
     "KeyBlocking": KeyBlocking(),
     "KeyBlocking-capped": KeyBlocking(max_block_size=3),
     "TokenBlocking": TokenBlocking(max_df=1.0),
     "TokenBlocking-df": TokenBlocking(max_df=0.3, max_block_size=6),
-    "CanopyBlocking": CanopyBlocking(loose=0.15, tight=0.5, seed=3),
+    "TokenBlocking-overlap": TokenBlocking(max_df=0.5),
+    "KeyBlocking-dominant": KeyBlocking(key=reference.dominant_key),
 }
 ATTRIBUTES = dict(domain_attribute="title", range_attribute="title")
 
@@ -82,10 +72,6 @@ def _runner(domain, range_, shards, chunk_size=64):
         EngineConfig(chunk_size=chunk_size))._prepare(request, shards)
 
 
-def _members(shard):
-    return shard.members if isinstance(shard, CompositeShard) else [shard]
-
-
 def _ranges(domain, other, k=40):
     """What ``domain`` is matched against, by mode.  ``self-subset`` /
     ``self-superset`` are self-matches of two source *objects*: the
@@ -101,37 +87,32 @@ def _ranges(domain, other, k=40):
 MODES = sorted(_ranges(_source("L", []), None))
 
 
-def _check(blocking, domain, range_, n_shards, balanced):
+def _check(blocking, domain, range_, n_shards, chunk_size=64):
     shards = blocking.shards(domain, range_, n_shards=n_shards, **ATTRIBUTES)
     assert len(shards) <= n_shards
-    if balanced:
-        shards = rebalance_shards(shards, 5)
-    runner = _runner(domain, range_, shards)
+    runner = _runner(domain, range_, shards, chunk_size)
     indexes = runner.domain.index, runner.range.index
     # the serial stream's one shard: the blocks every shard is cut from
     whole = blocking.shards(domain, range_, n_shards=1, **ATTRIBUTES)
     whole_blocks = [block for shard in whole
                     for block in reference.id_blocks(shard)]
-    repeats = isinstance(blocking, (TokenBlocking, CanopyBlocking))
+    repeats = isinstance(blocking, TokenBlocking)
     canonical = repeats and runner.is_self
     first = reference.first_blocks(whole_blocks, unordered=canonical)
     streamed = []
     for shard in shards:
         slices = list(runner.slices(shard))
-        assert all(0 < len(rows_a) == len(rows_b) <= ROWS_PER_CALL
+        assert all(0 < len(rows_a) == len(rows_b) <= chunk_size
                    for rows_a, rows_b in slices)
         rows = [np.concatenate([piece[side] for piece in slices]).tolist()
                 if slices else [] for side in (0, 1)]
-        blocks, pairs = [], []
-        for member in _members(shard):
-            assert (member.batch().first is not None) == repeats
-            assert member.canonical == canonical
-            own = list(reference.id_blocks(member))
-            blocks += own
-            pairs += (reference.first_seen(
-                own, reference.origins(member, whole[0]), first,
-                unordered=canonical) if repeats else
-                [pair for block in own for pair in reference.raw_pairs(block)])
+        assert (shard.batch().first is not None) == repeats
+        assert shard.canonical == canonical
+        blocks = list(reference.id_blocks(shard))
+        pairs = (list(reference.first_seen(
+            blocks, reference.origins(shard, whole[0]), first,
+            unordered=canonical)) if repeats else
+            [pair for block in blocks for pair in reference.raw_pairs(block)])
         assert tuple(rows) == reference.pair_rows(pairs, *indexes)
         assert shard.cost() == sum(block.pair_count() for block in blocks)
         assert shard.distinct_pairs() == len(pairs)
@@ -143,24 +124,24 @@ def _check(blocking, domain, range_, n_shards, balanced):
         assert shard_pairs == [(b, a) if canonical and b < a else (a, b)
                                for a, b in pairs]
         streamed += shard_pairs
-    # each pair once, the serial stream's first-seen copy: in its
-    # order where the shards are its runs
-    serial = list(reference.block_pairs(whole_blocks, dedup=repeats,
-                                        canonical=canonical))
-    assert (streamed if not balanced else sorted(streamed)) == \
-        (serial if not balanced else sorted(serial))
+    # each pair once, the serial stream's first-seen copy, in its order
+    assert streamed == list(reference.block_pairs(
+        whole_blocks, dedup=repeats, canonical=canonical))
     return shards
 
 
 class TestRowsEqualTheReference:
-    @pytest.mark.parametrize("balanced", [False, True],
-                             ids=["planned", "rebalanced"])
+    #: a slice of 7 rows cuts most blocks mid-row; one of
+    #: ``ROWS_PER_CALL`` takes each expansion step whole
+    @pytest.mark.parametrize("chunk_size", [7, ROWS_PER_CALL],
+                             ids=["sliced", "whole"])
     @pytest.mark.parametrize("n_shards", [1, 3, 8])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_on_tiny(self, dblp, acm, name, mode, n_shards, balanced):
+    def test_on_tiny(self, dblp, acm, name, mode, n_shards, chunk_size):
         domain, range_ = _ranges(dblp.publications, acm.publications)[mode]
-        shards = _check(STRATEGIES[name], domain, range_, n_shards, balanced)
+        shards = _check(STRATEGIES[name], domain, range_, n_shards,
+                        chunk_size)
         assert sum(shard.cost() for shard in shards) > 0
 
     #: repeated values, ``None``s, tokens under ``min_token_length``
@@ -183,10 +164,11 @@ class TestRowsEqualTheReference:
             mode = data.draw(st.sampled_from(MODES), label=f"{name} mode")
             _check(STRATEGIES[name], *modes[mode],
                    data.draw(st.sampled_from([1, 3, 8])),
-                   data.draw(st.booleans(), label="rebalanced"))
+                   data.draw(st.sampled_from([1, 7, 64]), label="chunk"))
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", ["TokenBlocking", "TokenBlocking-df"])
+    @pytest.mark.parametrize("name", ["TokenBlocking", "TokenBlocking-df",
+                                      "TokenBlocking-overlap"])
     def test_token_blocks_are_the_filtered_posting_lists(
             self, dblp, acm, name, mode):
         """The CSR join against the token-by-token filter: the same
@@ -229,25 +211,23 @@ class TestFirstBlocks:
     """The rule — a pair comes from the first block holding both its
     rows — against a first-seen sort of the raw expansion, on up to
     80 generated blocks over the rows of two sides (or one, as
-    triangles), and on their exploded pieces, as rebalancing cuts
-    them."""
+    triangles), and on runs of them, as ``block_shards`` cuts them."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), triangle=st.booleans(),
-           n_rows=st.integers(1, 12), target=st.integers(1, 30),
+           n_rows=st.integers(1, 12),
            step=st.sampled_from([64, 128, EXPAND_ROWS]))
-    def test_equals_a_first_seen_sort(self, data, triangle, n_rows,
-                                      target, step):
+    def test_equals_a_first_seen_sort(self, data, triangle, n_rows, step):
         """``step`` stands in for ``EXPAND_ROWS``: the repeats are
         found, and the pairs expanded, that many at a time."""
         from repro.blocking import pair_generator
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pair_generator, "EXPAND_ROWS", step)
-            self._check(data, triangle, n_rows, target)
+            self._check(data, triangle, n_rows)
 
     @staticmethod
-    def _check(data, triangle, n_rows, target):
+    def _check(data, triangle, n_rows):
         side = st.lists(st.integers(0, n_rows - 1), min_size=1,
                         unique=True).map(sorted)
         most = data.draw(st.sampled_from([8, 80]), label="most blocks")
@@ -281,19 +261,13 @@ class TestFirstBlocks:
         assert batch.size() == len(first)
         homes = set(zip(keys[first].tolist(), np.repeat(
             np.arange(len(raw.blocks)), raw.costs())[first].tolist()))
-        # pieces of each block, in runs of several as rebalancing
-        # packs them: each keeps exactly its first copies, in order
-        pieces, origins = [], []
-        for index, block in enumerate(raw.blocks.tolist()):
-            for piece in explode(block, target):
-                pieces.append(piece)
-                origins.append(index)
-        pieces = np.array(pieces, dtype=np.int64).reshape(-1, 5)
+        # runs of blocks, as shards hold them: each keeps exactly its
+        # first copies, in order
+        origins = np.arange(len(raw.blocks))
         scattered = []
         for start, end in partition_spans(
-                BlockBatch(None, None, pieces).costs(),
-                data.draw(st.integers(1, 6), label="runs")):
-            cut = batch._replace(blocks=pieces[start:end])
+                raw.costs(), data.draw(st.integers(1, 6), label="runs")):
+            cut = batch.take(start, end)
             piece_a, piece_b = _rows(cut._replace(first=None))
             piece_keys = (np.minimum(piece_a, piece_b) if triangle
                           else piece_a).astype(np.int64) << 32 | (
@@ -309,47 +283,6 @@ class TestFirstBlocks:
             scattered += zip(*(side.tolist() for side in got))
         assert sorted(scattered) == sorted(zip(whole_a[first].tolist(),
                                                whole_b[first].tolist()))
-
-
-class TestExplode:
-    @settings(max_examples=200, deadline=None)
-    @given(count_a=st.integers(0, 40), count_b=st.integers(0, 40),
-           triangle=st.booleans(), target=st.integers(1, 300))
-    def test_equals_the_id_list_splitter(self, count_a, count_b, triangle,
-                                         target):
-        ids_a = [f"a{i}" for i in range(count_a)]
-        ids_b = ids_a if triangle else [f"b{i}" for i in range(count_b)]
-        block = reference.IdBlock(ids_a, ids_b, triangle=triangle)
-        pieces = [
-            reference.IdBlock(ids_a[start_a:start_a + n_a],
-                              ids_b[start_b:start_b + n_b],
-                              triangle=bool(flag))
-            for start_a, n_a, start_b, n_b, flag in explode(
-                (0, count_a, 0, len(ids_b), int(triangle)), target)]
-        assert pieces == list(reference.explode_block(block, target))
-
-
-def test_a_block_slice_that_is_a_pool_task_is_larger(dblp, acm, monkeypatch):
-    """Cut in the parent for several workers, every slice travels to a
-    worker and back, so block slices take ``POOL_SLICE_ROWS`` rows
-    (while that leaves each worker four tasks), not ``chunk_size`` —
-    same rows, same order, same mapping."""
-    from repro.engine import shards as shards_module
-
-    monkeypatch.setattr(shards_module, "POOL_SLICE_ROWS", 1000)
-    request = MatchRequest(
-        domain=dblp.publications, range=acm.publications, threshold=0.4,
-        specs=[AttributeSpec("title", "title", TrigramSimilarity())])
-    rows = len(dblp.publications) * len(acm.publications)
-    results = []
-    assert rows // 8 > 1000 > rows // 16
-    for workers, size in ((1, 64), (2, 1000), (4, rows // 16)):
-        engine = BatchMatchEngine(EngineConfig(
-            workers=workers, chunk_size=64, profile=True))
-        results.append(list(engine.execute(request)))
-        items = engine.last_profile["chunk_items"]
-        assert sum(items) == rows and set(items[:-1]) == {size}
-    assert results[0] == results[1] != []
 
 
 class _Untouchable(dict):
@@ -368,15 +301,16 @@ class _Untouchable(dict):
     (TokenBlocking(max_df=0.5), "title"),
     (KeyBlocking(key=lambda value: None if value is None else str(value)),
      "year"),
-], ids=["TokenBlocking", "KeyBlocking"])
+    (KeyBlocking(key=reference.dominant_key), "title"),
+], ids=["TokenBlocking", "KeyBlocking", "KeyBlocking-dominant"])
 @pytest.mark.parametrize("config", [
-    dict(), dict(shard_blocking=True)], ids=["parent-cut", "worker-cut"])
+    dict(), dict(workers=2)], ids=["inline", "sharded"])
 def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
                                                 attribute, config, mode):
     """Between ``shards()`` and the survivors a warm request touches
-    arrays only — a subset matched against its source and a rebalanced
-    plan's LPT bins included: with both bridges' ``id -> row`` dicts
-    booby-trapped it runs, and loads the mapping of an untouched run."""
+    arrays only — a subset matched against its source included: with
+    both bridges' ``id -> row`` dicts booby-trapped it runs, and loads
+    the mapping of an untouched run."""
     def request(domain, range_):
         return MatchRequest(
             domain=domain, range=range_, threshold=0.4, blocking=blocking,
@@ -389,17 +323,16 @@ def test_no_id_string_is_read_on_the_block_path(dblp, acm, blocking,
     engine = BatchMatchEngine(EngineConfig(**config))
 
     def run():
-        """The request's mapping, then the survivors of one LPT bin of
-        a rebalanced plan's pieces, cut the same way: in the parent or
-        where the shard is scored."""
-        pieces = [piece for shard in rebalance_shards(blocking.shards(
+        """The request's mapping, then the survivors of an eight-shard
+        plan, cut the same way: inline or where each shard is scored."""
+        shards = blocking.shards(
             domain, range_, n_shards=8, domain_attribute=attribute,
-            range_attribute=attribute), 3) for piece in _members(shard)]
-        assert len(pieces) > 1
-        composite = CompositeShard(pieces)
-        runner = engine._prepare(request(domain, range_), [composite])
-        outputs = ([runner.run(0)[1]] if config else
-                   (runner.score(*item) for item in runner.slices(composite)))
+            range_attribute=attribute)
+        runner = engine._prepare(request(domain, range_), shards)
+        outputs = ([runner.run(index)[1] for index in range(len(shards))]
+                   if config else
+                   [runner.score(*item) for shard in shards
+                    for item in runner.slices(shard)])
         return (list(engine.execute(request(domain, range_))),
                 [column.tolist() for column in runner.gather(outputs)])
 
@@ -458,7 +391,7 @@ def test_token_rows_do_not_follow_the_hash_seed(under_hash_seeds):
 
 
 @pytest.mark.parametrize("config", [
-    dict(), dict(shard_blocking=True)], ids=["parent-cut", "worker-cut"])
+    dict(), dict(workers=2)], ids=["inline", "sharded"])
 @pytest.mark.parametrize("mode", ["self-subset", "self-superset"])
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_a_self_match_of_two_source_objects(dblp, acm, name, mode, config):

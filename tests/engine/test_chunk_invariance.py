@@ -6,10 +6,10 @@ own (:data:`repro.engine.columns.GATHER_BYTES`).  Two statements hold
 both to that:
 
 * ``execute(...).to_rows()`` is equal at ``chunk_size`` 64, 2 048, the
-  default and :data:`~repro.engine.shards.POOL_SLICE_ROWS`, for
-  trigram, TF/IDF and a weighted multi-attribute request, token and
-  canopy blocking, two-source and self-match, one worker and two,
-  ``shard_blocking`` off and on;
+  default and 32 768, for trigram, TF/IDF and a weighted
+  multi-attribute request, token blocking (overlapping blocks) and
+  key blocking with one dominant block, two-source and self-match,
+  one, two and four workers, ``shard_blocking`` off and on;
 * :meth:`NGramColumn.kernel_rows` over a call that spans several
   blocks is bitwise the per-block calls, rows wider than one block
   (long values) and the empty call included.
@@ -21,8 +21,9 @@ import random
 
 import numpy as np
 import pytest
+from reference_blocks import dominant_key
 
-from repro.blocking import CanopyBlocking, TokenBlocking
+from repro.blocking import KeyBlocking, TokenBlocking
 from repro.core.matchers.attribute import AttributeMatcher
 from repro.core.matchers.multi_attribute import (
     AttributePair,
@@ -30,11 +31,10 @@ from repro.core.matchers.multi_attribute import (
 )
 from repro.engine import BatchMatchEngine, EngineConfig, columns
 from repro.engine.columns import NGramColumn, build_column
-from repro.engine.shards import POOL_SLICE_ROWS
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.ngram import TrigramSimilarity
 
-CHUNK_SIZES = [64, 2048, EngineConfig().chunk_size, POOL_SLICE_ROWS]
+CHUNK_SIZES = [64, 2048, EngineConfig().chunk_size, 32768]
 
 #: 300 made-up words: titles of five share one with ~8 % of the others
 WORDS = sorted({"".join(random.Random(seed).choices("bcdfghklmnprstvz", k=3))
@@ -84,8 +84,12 @@ MATCHERS = {
 }
 BLOCKINGS = {
     "token": lambda: TokenBlocking(max_df=0.5),
-    "canopy": lambda: CanopyBlocking(loose=0.12, tight=0.5, seed=3),
+    "dominant-key": lambda: KeyBlocking(key=dominant_key),
 }
+
+
+#: ``(workers, shard_blocking)``: every worker count, each knob value
+WORKERS = [(1, False), (2, False), (2, True), (4, True)]
 
 
 @pytest.mark.parametrize("mode", ["two-source", "self"])
@@ -112,12 +116,10 @@ def test_rows_do_not_follow_the_chunk_size(sources, matcher, blocking,
     # ... scored by the title column's kernel, not a score table
     assert not all(column["table"] for column in summary["columns"])
     for chunk_size in CHUNK_SIZES:
-        for workers in (1, 2):
-            for shard_blocking in (False, True):
-                got, _ = rows(chunk_size=chunk_size, workers=workers,
-                              shard_blocking=shard_blocking)
-                assert got == expected, (chunk_size, workers,
-                                         shard_blocking)
+        for workers, shard_blocking in WORKERS:
+            got, _ = rows(chunk_size=chunk_size, workers=workers,
+                          shard_blocking=shard_blocking)
+            assert got == expected, (chunk_size, workers, shard_blocking)
 
 
 LONG = ["".join(random.Random(seed).choices("abcdefghijklmnop ", k=400))

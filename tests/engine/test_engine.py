@@ -14,16 +14,11 @@ import pytest
 from config_contract import contract_faults
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_blocks import dominant_key
 from reference_scorer import ChunkScorer
 
 from repro import AttributeMatcher, AttributePair, MultiAttributeMatcher
-from repro.blocking import (
-    CanopyBlocking,
-    FullCross,
-    KeyBlocking,
-    SortedNeighborhood,
-    TokenBlocking,
-)
+from repro.blocking import FullCross, KeyBlocking, TokenBlocking
 from repro.core.workflow import MatchContext, MatchWorkflow
 from repro.engine import (
     AttributeSpec,
@@ -42,10 +37,9 @@ from repro.sim.tfidf import SoftTfIdfSimilarity, TfIdfCosineSimilarity
 
 PARALLEL = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
-SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
-                                        shard_blocking=True))
-SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
-                                               shard_blocking=True))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
+#: inline, in slices that cut across the serial engine's
+SLICED = BatchMatchEngine(EngineConfig(workers=1, chunk_size=7))
 
 
 def _source(name: str, titles, years=None) -> LogicalSource:
@@ -94,9 +88,10 @@ class TestIterChunks:
         FullCross(),
         KeyBlocking(),
         TokenBlocking(max_df=1.0),
-        SortedNeighborhood(window=3),
-        CanopyBlocking(loose=0.1, tight=0.5),
-    ], ids=lambda b: type(b).__name__)
+        TokenBlocking(max_df=0.5),
+        KeyBlocking(key=dominant_key),
+    ], ids=["FullCross", "KeyBlocking", "TokenBlocking",
+            "TokenBlocking-overlap", "KeyBlocking-dominant"])
     def test_chunked_stream_covers_each_blocking_strategy(self, blocking):
         domain = _source("L", [f"alpha beta {i}xx" for i in range(12)])
         range_ = _source("R", [f"alpha beta {i}xx" for i in range(12)])
@@ -200,12 +195,12 @@ ALL_BLOCKINGS = [
     None,  # full cross product
     FullCross(),
     KeyBlocking(),
-    TokenBlocking(max_df=0.5),
-    SortedNeighborhood(window=3),
-    CanopyBlocking(loose=0.1, tight=0.5),
+    TokenBlocking(max_df=0.5),  # overlapping blocks
+    KeyBlocking(key=dominant_key),  # one dominant block
+    TokenBlocking(max_df=0.3, max_block_size=6),  # blocks dropped
 ]
 BLOCKING_IDS = ["cross-default", "FullCross", "KeyBlocking",
-                "TokenBlocking", "SortedNeighborhood", "CanopyBlocking"]
+                "TokenBlocking", "KeyBlocking-dominant", "TokenBlocking-df"]
 
 
 def _weighted(blocking, engine):
@@ -229,9 +224,8 @@ PREPARED_MATCHERS = {
 }
 PREPARED_ENGINES = {
     "streamed": SERIAL,
-    "sharded-1": SHARDED_INLINE,
-    "sharded-2": BatchMatchEngine(EngineConfig(workers=2, chunk_size=64,
-                                               shard_blocking=True)),
+    "sharded-2": BatchMatchEngine(EngineConfig(workers=2, chunk_size=64)),
+    "sharded-4": BatchMatchEngine(EngineConfig(workers=4, chunk_size=64)),
 }
 
 
@@ -285,8 +279,8 @@ class TestSerialShardedEquivalence:
     the generic chunk scorer)."""
 
     @pytest.mark.parametrize("blocking", ALL_BLOCKINGS, ids=BLOCKING_IDS)
-    @pytest.mark.parametrize("engine", [SHARDED, SHARDED_INLINE],
-                             ids=["pool", "inline"])
+    @pytest.mark.parametrize("engine", [SHARDED, SLICED],
+                             ids=["pool", "sliced"])
     def test_vectorized_kernel_path(self, dataset, blocking, engine):
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         serial = AttributeMatcher("title", similarity="trigram",
@@ -344,21 +338,22 @@ class TestSerialShardedEquivalence:
         assert serial.match(dblp, acm).to_rows() == \
             sharded.match(dblp, acm).to_rows()
 
-    def test_explicit_candidates_fall_back_to_streaming(self, dataset):
-        """Explicit candidate lists cannot shard; the parent must cut
-        their slices and still honor the list."""
+    def test_explicit_candidates_shard_by_the_chunk(self, dataset):
+        """With workers, an explicit candidate list is planned as its
+        ``chunk_size`` runs, each a pool task, and still honored."""
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         candidates = [(a, b) for a in dblp.ids()[:15] for b in acm.ids()[:15]]
         engine = BatchMatchEngine(EngineConfig(
-            workers=4, chunk_size=64, shard_blocking=True, profile=True))
+            workers=4, chunk_size=64, profile=True))
         matcher = AttributeMatcher("title", similarity="trigram",
                                    engine=engine)
         mapping = matcher.match(dblp, acm, candidates=candidates)
         allowed = set(candidates)
         assert all((a, b) in allowed for a, b, _ in mapping.to_rows())
-        assert engine.last_profile["path"] == "indexed"
-        assert engine.last_profile["chunks"] == 4  # 225 pairs by 64
-        assert engine.last_profile["shard_seconds"] == []
+        profile = engine.profile_summary()
+        assert profile["path"] == "sharded"
+        assert profile["shards"] == 4  # 225 pairs by 64
+        assert profile["kernel_calls"] == 4 and profile["chunks"] == 0
         assert list(mapping) == list(AttributeMatcher(
             "title", similarity="trigram", engine=SERIAL,
         ).match(dblp, acm, candidates=candidates))
@@ -383,12 +378,11 @@ class TestSerialShardedEquivalence:
         assert serial.match(dblp, acm).to_rows() == \
             sharded.match(dblp, acm).to_rows()
 
-    def test_subclass_without_shards_override_uses_streamed_pool(
+    def test_subclass_without_shards_override_is_scored_inline(
             self, dataset, monkeypatch):
         """A PairGenerator subclass that only overrides candidates()
-        must fall through to the streamed pool — running the default
-        single delegating shard would serialize the request into one
-        worker."""
+        cannot shard: its stream is one shard, cut and scored inline,
+        not a pool task."""
         from repro.blocking.pair_generator import PairGenerator
         from repro.engine import shards as shards_module
 
@@ -409,14 +403,13 @@ class TestSerialShardedEquivalence:
                                   threshold=0.4, blocking=CandidatesOnly(),
                                   engine=SERIAL)
         pooled = BatchMatchEngine(EngineConfig(
-            workers=4, chunk_size=16, shard_blocking=True, profile=True))
+            workers=4, chunk_size=16, profile=True))
         sharded = AttributeMatcher("title", similarity="tfidf",
                                    threshold=0.4, blocking=CandidatesOnly(),
                                    engine=pooled)
         assert serial.match(dblp, acm).to_rows() == \
             sharded.match(dblp, acm).to_rows()
         assert not installed  # the sharded orchestration never engaged
-        # and the pool still had work to spread: slices cut in the parent
         profile = pooled.profile_summary()
         assert profile["path"] == "indexed" and profile["shards"] == 0
         assert profile["chunks"] == -(-100 // 16)
@@ -446,17 +439,16 @@ class TestSerialShardedEquivalence:
         assert serial.match(dblp, acm).to_rows() == \
             sharded.match(dblp, acm).to_rows()
 
-    def test_spawn_only_platform_falls_back_to_streamed_pool(
+    def test_spawn_only_platform_plans_the_same_shards(
             self, dataset, monkeypatch, recwarn):
-        """Without fork, slices cut in the parent still parallelize
-        (spawn + pickle); whole-shard tasks, whose shard list cannot
-        be pickled, must step aside rather than run everything inline."""
+        """The plan does not ask for ``fork``: without it the shards
+        are still the pool tasks, and the pool pickles the runner to
+        its workers or, where it cannot, runs inline with a warning —
+        the rows are the serial engine's either way."""
         import multiprocessing
 
         from repro.engine.request import AttributeSpec as Spec
 
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
 
         def request():
@@ -465,18 +457,17 @@ class TestSerialShardedEquivalence:
                 specs=[Spec("title", "title", TrigramSimilarity())],
                 threshold=0.4, blocking=TokenBlocking(max_df=0.5))
 
+        forked = [shard.cost() for shard in SHARDED._plan(request())[0]]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
         shards, sharded = SHARDED._plan(request())
-        assert not sharded and len(shards) == 1
-        # a serial engine has no pool to lose: its tasks stay whole shards
-        assert SHARDED_INLINE._plan(request())[1]
+        assert sharded and [shard.cost() for shard in shards] == forked
         engine = BatchMatchEngine(EngineConfig(
-            workers=2, chunk_size=64, shard_blocking=True, profile=True))
+            workers=2, chunk_size=64, profile=True))
         rows = engine.execute(request()).to_rows()
         assert rows == SERIAL.execute(request()).to_rows()
-        assert engine.last_profile["path"] == "indexed"
-        assert engine.last_profile["chunks"] > 1
-        # the pool took the pickled scorer: no fallback-to-serial warning
-        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert engine.last_profile["path"] == "sharded"
+        assert all(w.category is RuntimeWarning for w in recwarn)
 
     @settings(max_examples=10, deadline=None)
     @given(domain_titles=_titles, range_titles=_titles,
@@ -491,13 +482,13 @@ class TestSerialShardedEquivalence:
                                   engine=SERIAL)
         sharded = AttributeMatcher("title", similarity="trigram",
                                    threshold=threshold, blocking=blocking,
-                                   engine=SHARDED_INLINE)
+                                   engine=SHARDED)
         assert serial.match(domain, range_).to_rows() == \
             sharded.match(domain, range_).to_rows()
 
     # -- prepared state on the sources: cold == warm == grown == fresh --
 
-    @pytest.mark.parametrize("engine", ["streamed", "sharded-1", "sharded-2"])
+    @pytest.mark.parametrize("engine", sorted(PREPARED_ENGINES))
     @pytest.mark.parametrize("self_matching", [False, True],
                              ids=["two-source", "self"])
     @pytest.mark.parametrize("flavor", sorted(PREPARED_MATCHERS))
@@ -545,7 +536,7 @@ class TestSerialShardedEquivalence:
         memo key describes that."""
         dblp, acm = (source.subset(source.ids()) for source in
                      (dataset.dblp.publications, dataset.acm.publications))
-        for config in (dict(), dict(shard_blocking=True)):
+        for config in (dict(), dict(workers=2)):
             engine = BatchMatchEngine(EngineConfig(
                 chunk_size=64, profile=True, **config))
             shared = TfIdfCosineSimilarity()
@@ -577,7 +568,7 @@ class TestSerialShardedEquivalence:
         candidates = [(id_a, id_b) for id_a in domain.ids()
                       for id_b in range_.ids()] * 5
         engine = BatchMatchEngine(EngineConfig(
-            workers=2, chunk_size=64, shard_blocking=True, profile=True))
+            workers=2, chunk_size=64, profile=True))
         mapping = AttributeMatcher(
             "title", similarity="trigram", threshold=0.5, engine=engine,
         ).match(domain, range_, candidates=candidates)
@@ -599,7 +590,7 @@ class TestSerialShardedEquivalence:
         dblp, acm = (source.subset(source.ids()) for source in
                      (dataset.dblp.publications, dataset.acm.publications))
         matcher = PREPARED_MATCHERS[flavor](TokenBlocking(max_df=0.5),
-                                            SHARDED_INLINE)
+                                            SERIAL)
         assert matcher.match(dblp, acm).to_rows()
         assert any(key[0] == "bound-column" for key in _derived_keys(dblp))
         kept = list(_reachable(dblp._derived))
@@ -723,7 +714,7 @@ class TestWorkflowEngineInjection:
         assert matcher.engine is None
 
     def test_engine_config_injected_as_config(self, dataset):
-        """A bare EngineConfig (e.g. asking for sharded execution) is
+        """A bare EngineConfig (e.g. asking for two workers) is
         accepted wherever an engine instance is."""
         dblp, acm = dataset.dblp.publications, dataset.acm.publications
         matcher = AttributeMatcher("title", similarity="trigram",
@@ -731,8 +722,7 @@ class TestWorkflowEngineInjection:
                                    blocking=TokenBlocking(max_df=0.5))
         workflow = MatchWorkflow("wired").add_matcher(
             "out", matcher, dblp.name, acm.name,
-            engine=EngineConfig(workers=2, chunk_size=64,
-                                shard_blocking=True))
+            engine=EngineConfig(workers=2, chunk_size=64))
         serial_context = MatchContext(
             sources={dblp.name: dblp, acm.name: acm})
         sharded_rows = workflow.run(serial_context).to_rows()

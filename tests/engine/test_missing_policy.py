@@ -7,7 +7,7 @@ anyway.  These tests pin the fixed contract:
 
 * ``"zero"`` emits 0.0-score correspondences for missing-value pairs
   at ``threshold == 0`` — on the scalar path, the vectorized kernel
-  path, the parallel streamed path and the sharded path, identically;
+  path (in one slice or in many) and the sharded path, identically;
 * ``"skip"`` stays byte-identical to the pre-fix behavior (missing
   pairs simply produce nothing);
 * any positive threshold filters the zeros, so results there are
@@ -25,11 +25,12 @@ from repro.engine.request import AttributeSpec, MatchRequest
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=16))
-PARALLEL = BatchMatchEngine(EngineConfig(workers=4, chunk_size=16))
-SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=16,
-                                        shard_blocking=True))
-ENGINES = [SERIAL, PARALLEL, SHARDED]
-ENGINE_IDS = ["serial", "parallel", "sharded"]
+#: inline, each slice two of the nine pairs: missing and scored
+#: pairs share slices, and the slices cut across both
+SLICED = BatchMatchEngine(EngineConfig(workers=1, chunk_size=2))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=16))
+ENGINES = [SERIAL, SLICED, SHARDED]
+ENGINE_IDS = ["serial", "sliced", "sharded"]
 
 
 def _sources():

@@ -33,14 +33,8 @@ from repro.sim.ngram import TrigramSimilarity
 from repro.sim.tfidf import TfIdfCosineSimilarity
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
-PARALLEL = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
-SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
-                                        shard_blocking=True))
-#: (engine, rebalanced): the last mode reruns the sharded engine after
-#: ``force_rebalance`` made the planner split and LPT-pack the shards
-#: whatever the cost model would have said
-EXECUTION_MODES = ((SERIAL, False), (PARALLEL, False), (SHARDED, False),
-                   (SHARDED, True))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
+EXECUTION_MODES = (SERIAL, SHARDED)
 
 COMBINERS = ["avg", "avg0", "min", "min0", "max", "weighted", "weighted0"]
 
@@ -105,16 +99,13 @@ class TestComposedKernelEquivalence:
     @pytest.mark.parametrize("combine", COMBINERS)
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_all_execution_modes_match_scalar(self, combine, threshold,
-                                              scalar_engine,
-                                              force_rebalance):
+                                              scalar_engine):
         domain, range_ = _sources()
         blocking = TokenBlocking(max_df=0.8)
         reference = _scalar_reference(_pairs(), combine, threshold,
                                       blocking, domain, range_,
                                       scalar_engine)
-        for engine, rebalanced in EXECUTION_MODES:
-            if rebalanced:
-                force_rebalance()
+        for engine in EXECUTION_MODES:
             matcher = MultiAttributeMatcher(_pairs(), combine=combine,
                                             threshold=threshold,
                                             blocking=blocking,
@@ -124,8 +115,7 @@ class TestComposedKernelEquivalence:
 
     @pytest.mark.parametrize("combine", ["avg", "min0", "weighted"])
     def test_asymmetric_similarity_scalar_column(self, combine,
-                                                 scalar_engine,
-                                                 force_rebalance):
+                                                 scalar_engine):
         """An asymmetric, kernel-less similarity rides a scalar-fallback
         column; every mode (incl. self-matching below) must agree."""
         domain, range_ = _sources()
@@ -133,9 +123,7 @@ class TestComposedKernelEquivalence:
                  AttributePair("venue", similarity="tfidf", weight=2.0)]
         reference = _scalar_reference(pairs, combine, 0.2, KeyBlocking(),
                                       domain, range_, scalar_engine)
-        for engine, rebalanced in EXECUTION_MODES:
-            if rebalanced:
-                force_rebalance()
+        for engine in EXECUTION_MODES:
             matcher = MultiAttributeMatcher(pairs, combine=combine,
                                             threshold=0.2,
                                             blocking=KeyBlocking(),
@@ -143,8 +131,7 @@ class TestComposedKernelEquivalence:
             assert matcher.match(domain, range_).to_rows() == reference
 
     @pytest.mark.parametrize("combine", ["avg", "min", "weighted0"])
-    def test_self_matching_with_scalar_column(self, combine,
-                                              force_rebalance):
+    def test_self_matching_with_scalar_column(self, combine):
         """Self-matching forces the orientation question: a composed
         kernel with a scalar column must leave the block-vectorized
         expansion for the orientation-faithful pair stream."""
@@ -152,9 +139,7 @@ class TestComposedKernelEquivalence:
         pairs = [AttributePair("title", similarity=AsymmetricOverlap()),
                  AttributePair("title", similarity="trigram")]
         reference = None
-        for engine, rebalanced in EXECUTION_MODES:
-            if rebalanced:
-                force_rebalance()
+        for engine in EXECUTION_MODES:
             matcher = MultiAttributeMatcher(pairs, combine=combine,
                                             threshold=0.2,
                                             blocking=KeyBlocking(),

@@ -3,10 +3,10 @@
 An explicit ``candidates=`` list, a blocking strategy and the cross
 product all reach the engine as shards that one
 :class:`~repro.engine.shards.ShardRunner` cuts into slices — so they
-share the kernels, and who cuts the slices (the parent, per slice, or
+share the kernels, and who cuts the slices (the parent, inline, or
 the workers, per shard) never shows in the mapping.  These suites pin
-both: explicit lists against the scalar reference, and parent-cut ==
-worker-cut == serial, row list for row list.
+both: explicit lists against the scalar reference, and sharded ==
+serial, row list for row list.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import pytest
 import reference_blocks
 
 from repro import AttributeMatcher, AttributePair, MultiAttributeMatcher
-from repro.blocking import (
-    BlockShard,
-    CanopyBlocking,
-    FullCross,
-    KeyBlocking,
-    SortedNeighborhood,
-    TokenBlocking,
-)
+from repro.blocking import BlockShard, FullCross, KeyBlocking, TokenBlocking
 from repro.blocking import pair_generator
 from repro.core.mapping import Mapping, MappingKind
 from repro.core.matchers.neighborhood import NeighborhoodMatcher
@@ -36,6 +29,7 @@ from repro.engine import (
     MatchRequest,
 )
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
+from repro.sim.base import SimilarityFunction
 from repro.sim.registry import get_similarity
 
 WORDS = ["adaptive", "stream", "schema", "query", "index", "cache",
@@ -87,11 +81,20 @@ def _candidates(domain, range_, self_matching: bool) -> list:
     return pairs
 
 
+class _Containment(SimilarityFunction):
+    """Asymmetric: the share of ``a``'s words that ``b`` holds."""
+
+    name = "containment"
+
+    def _score(self, a: str, b: str) -> float:
+        words, others = a.split(), set(b.split())
+        return sum(word in others for word in words) / len(words)
+
+
 EXPLICIT_ENGINES = {
     "serial": BatchMatchEngine(EngineConfig(workers=1, chunk_size=16,
                                             profile=True)),
     "pool": BatchMatchEngine(EngineConfig(workers=2, chunk_size=16,
-                                          shard_blocking=True,
                                           profile=True)),
 }
 
@@ -116,9 +119,37 @@ class TestExplicitCandidates:
         mapping = EXPLICIT_ENGINES[engine].execute(
             _request(flavor, domain, range_, missing, candidates=pairs))
         assert list(mapping) == expected
-        # scored by the kernel, in chunk_size slices cut in the parent
-        profile = EXPLICIT_ENGINES[engine].last_profile
-        assert profile["path"] == "indexed" and profile["chunks"] > 4
+        # scored by the kernel, in chunk_size slices: inline, or each
+        # a pool task of its own
+        summary = EXPLICIT_ENGINES[engine].profile_summary()
+        if engine == "pool":
+            assert summary["path"] == "sharded" and summary["shards"] > 4
+        else:
+            assert summary["path"] == "indexed" and summary["chunks"] > 4
+
+    def test_a_self_match_list_keeps_its_first_orientation(
+            self, scalar_reference):
+        """A self-match list holding pairs both ways round, the second
+        orientation in a later run of the list: every engine scores
+        the first orientation only, as the one pair stream does — an
+        asymmetric similarity shows which one was scored."""
+        domain = LogicalSource(PhysicalSource("L"), ObjectType("Publication"))
+        for i in range(30):  # two to six words: containment differs
+            domain.add_record(f"l{i}", title=" ".join(
+                WORDS[(i * 3 + j) % len(WORDS)] for j in range(2 + i % 5)))
+        pairs = _candidates(domain, domain, True)
+
+        def request():
+            return MatchRequest(
+                domain=domain, range=domain, candidates=pairs,
+                specs=[AttributeSpec("title", "title", _Containment())])
+
+        expected = list(scalar_reference(request()))
+        assert any(score != _Containment().similarity(
+            domain.get(b).get("title"), domain.get(a).get("title"))
+            for a, b, score in expected)
+        for engine in EXPLICIT_ENGINES.values():
+            assert list(engine.execute(request())) == expected
 
     def test_a_one_shot_iterator_is_a_candidate_source(self):
         domain, range_ = _pubs("L", 12), _pubs("R", 12, step=2)
@@ -285,22 +316,22 @@ class TestMappingCandidates:
 
 
 # ----------------------------------------------------------------------
-# (c) parent-cut == worker-cut == serial, as lists
+# (c) sharded == serial, as lists
 # ----------------------------------------------------------------------
 
 ALL_BLOCKINGS = {
     "cross-default": None,
     "FullCross": FullCross(),
     "KeyBlocking": KeyBlocking(),
-    "TokenBlocking": TokenBlocking(max_df=0.5),
-    "SortedNeighborhood": SortedNeighborhood(window=3),
-    "CanopyBlocking": CanopyBlocking(loose=0.1, tight=0.5),
+    "TokenBlocking": TokenBlocking(max_df=0.5),  # overlapping blocks
+    # one dominant block
+    "KeyBlocking-dominant": KeyBlocking(key=reference_blocks.dominant_key),
+    # blocks over the caps dropped
+    "TokenBlocking-df": TokenBlocking(max_df=0.3, max_block_size=6),
 }
 CUTS = {
     "serial": dict(workers=1),
-    "parent-cut": dict(workers=2),
-    "worker-cut": dict(workers=2, shard_blocking=True),
-    "worker-cut-inline": dict(workers=1, shard_blocking=True),
+    "sharded": dict(workers=2),
 }
 MATCHERS = {
     "trigram": lambda blocking, engine: AttributeMatcher(
@@ -342,7 +373,7 @@ class TestWhoCutsNeverShows:
             lists[name] = list(MATCHERS[flavor](
                 ALL_BLOCKINGS[blocking], engine).match(domain, range_))
             whole_shards = bool(engine.last_profile["shard_seconds"])
-            assert whole_shards == name.startswith("worker-cut")
+            assert whole_shards == (name == "sharded")
         assert lists["serial"]
         for name in CUTS:
             assert lists[name] == lists["serial"], name

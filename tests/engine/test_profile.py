@@ -1,10 +1,9 @@
 """Engine profiling observes without steering.
 
-``EngineConfig(profile=True)`` reuses the timed task variants the
-adaptive tuner already ships, so a profiled run must produce the
-byte-identical mapping of an unprofiled one on every execution path —
-slices cut in the parent (inline or pooled) and whole shards in the
-workers — while filling ``engine.last_profile`` with per-stage
+``EngineConfig(profile=True)`` reads the timings every pool task
+records anyway, so a profiled run must produce the byte-identical
+mapping of an unprofiled one on every execution path — slices cut
+inline and whole shards in the workers — while filling ``engine.last_profile`` with per-stage
 wall-clock timings.
 """
 
@@ -48,8 +47,9 @@ def _request(**kwargs):
 
 CONFIGS = {
     "serial": dict(workers=1, chunk_size=64),
-    "parallel": dict(workers=2, chunk_size=64),
-    "sharded": dict(workers=2, chunk_size=64, shard_blocking=True),
+    # inline too, in slices that cut across the serial engine's
+    "sliced": dict(workers=1, chunk_size=7),
+    "sharded": dict(workers=2, chunk_size=64),
 }
 
 
@@ -100,7 +100,7 @@ class TestProfileRecords:
 
     def test_sharded_profile_records_shard_durations(self):
         engine, _ = _run(True, blocking=TokenBlocking(), workers=2,
-                         chunk_size=64, shard_blocking=True)
+                         chunk_size=64)
         profile = engine.last_profile
         assert profile["path"] == "sharded"
         assert profile["shard_seconds"]
@@ -174,8 +174,6 @@ class TestProfileRecords:
         planner = BatchMatchEngine(EngineConfig(**CONFIGS[path]))
         shards, _ = planner._plan(request)
         runner = planner._prepare(request, shards)
-        if path == "parallel":
-            runner.cut_for_pool(planner.config.workers)
         slices = [item for shard in shards for item in runner.slices(shard)]
         assert summary["kernel_calls"] == len(slices) > 1
         assert summary["candidate_rows"] == sum(

@@ -1,4 +1,4 @@
-"""Tests for the sparse TF/IDF column and skew-aware shard rebalancing.
+"""Tests for the sparse TF/IDF column and sharding under skew.
 
 Two load-bearing guarantees ride on this module:
 
@@ -6,10 +6,9 @@ Two load-bearing guarantees ride on this module:
   function to the right column (bit column / sparse TF/IDF column /
   scalar fallback), and in particular must *never* hand SoftTFIDF's
   fuzzy math to the plain-cosine sparse column;
-* **execution equivalence under skew** — serial, sharded and
-  balanced-sharded execution must produce byte-identical mappings on
-  skewed block-size distributions, where rebalancing splits oversized
-  block groups into pieces serial execution never saw.
+* **execution equivalence under skew** — serial and sharded
+  execution must produce byte-identical mappings on skewed block-size
+  distributions, where one shard holds most of the pairs.
 """
 
 from __future__ import annotations
@@ -18,18 +17,7 @@ import numpy as np
 import pytest
 
 from repro import AttributeMatcher
-from repro.blocking import (
-    CanopyBlocking,
-    FullCross,
-    KeyBlocking,
-    SortedNeighborhood,
-    TokenBlocking,
-)
-from repro.blocking.pair_generator import (
-    BlockBatch,
-    BlockShard,
-    IterableShard,
-)
+from repro.blocking import FullCross, KeyBlocking, TokenBlocking
 from repro.engine import BatchMatchEngine, EngineConfig, columns, vectorized
 from repro.engine.columns import (
     NGramColumn,
@@ -38,21 +26,13 @@ from repro.engine.columns import (
     build_column,
 )
 from repro.engine.request import AttributeSpec, MatchRequest
-from repro.engine.shards import (
-    CompositeShard,
-    explode,
-    rebalance_shards,
-)
 from repro.model.source import LogicalSource, ObjectType, PhysicalSource
 from repro.sim.edit import LevenshteinSimilarity
 from repro.sim.ngram import JaccardNGram, NGramSimilarity, TrigramSimilarity
 from repro.sim.tfidf import SoftTfIdfSimilarity, TfIdfCosineSimilarity
 
 SERIAL = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64))
-SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64,
-                                        shard_blocking=True))
-SHARDED_INLINE = BatchMatchEngine(EngineConfig(workers=1, chunk_size=64,
-                                               shard_blocking=True))
+SHARDED = BatchMatchEngine(EngineConfig(workers=4, chunk_size=64))
 
 
 def _source(name: str, titles) -> LogicalSource:
@@ -67,8 +47,8 @@ def _skewed_titles(count: int, skew_every: int = 2):
 
     Every ``skew_every``-th record starts with the same word, so
     first-token key blocking produces one block holding roughly
-    ``(count / skew_every) ** 2`` of the pairs — the long-tail shape
-    rebalancing exists for.
+    ``(count / skew_every) ** 2`` of the pairs: one shard holds most
+    of the request.
     """
     words = ["alpha", "beta", "gamma", "delta", "epsilon",
              "zeta", "eta", "theta"]
@@ -493,30 +473,28 @@ class TestColumnBinding:
 
 
 # ----------------------------------------------------------------------
-# serial == sharded == balanced-sharded on a skewed dataset
+# serial == sharded on a skewed dataset
 # ----------------------------------------------------------------------
 
 SKEW_BLOCKINGS = [
-    KeyBlocking(),
+    KeyBlocking(),  # one dominant key block
     TokenBlocking(max_df=0.9),
-    SortedNeighborhood(window=4),
-    CanopyBlocking(loose=0.1, tight=0.5),
+    TokenBlocking(max_df=0.5),  # overlapping blocks
     FullCross(),
+    KeyBlocking(max_block_size=40),  # the dominant block dropped
 ]
-SKEW_IDS = ["KeyBlocking", "TokenBlocking", "SortedNeighborhood",
-            "CanopyBlocking", "FullCross"]
+SKEW_IDS = ["KeyBlocking", "TokenBlocking", "TokenBlocking-overlap",
+            "FullCross", "KeyBlocking-capped"]
 
 
-class TestBalancedShardingEquivalence:
-    """Rebalancing splits block groups serial execution never saw;
-    results must stay byte-identical anyway — for the kernel paths
-    (trigram, tfidf) and the generic scorer path (softtfidf, whose
-    asymmetric scores also pin pair *orientation* through splits)."""
+class TestSkewedShardingEquivalence:
+    """One shard holding most pairs leaves results byte-identical —
+    for the kernel paths (trigram, tfidf) and the generic scorer path
+    (softtfidf, whose asymmetric scores also pin pair *orientation*)."""
 
     @pytest.mark.parametrize("blocking", SKEW_BLOCKINGS, ids=SKEW_IDS)
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
-    def test_two_source(self, skewed_sources, blocking, similarity,
-                        force_rebalance):
+    def test_two_source(self, skewed_sources, blocking, similarity):
         domain, range_ = skewed_sources
 
         def rows(engine):
@@ -528,14 +506,10 @@ class TestBalancedShardingEquivalence:
         serial = rows(SERIAL)
         assert serial  # the skewed scenario is non-trivial
         assert rows(SHARDED) == serial
-        force_rebalance()
-        assert rows(SHARDED) == serial
-        assert rows(SHARDED_INLINE) == serial
 
     @pytest.mark.parametrize("blocking", SKEW_BLOCKINGS, ids=SKEW_IDS)
     @pytest.mark.parametrize("similarity", ["trigram", "tfidf"])
-    def test_self_matching(self, skewed_sources, blocking, similarity,
-                           force_rebalance):
+    def test_self_matching(self, skewed_sources, blocking, similarity):
         domain, _ = skewed_sources
 
         def rows(engine):
@@ -544,184 +518,18 @@ class TestBalancedShardingEquivalence:
                 blocking=blocking, engine=engine
             ).match(domain, domain).to_rows()
 
-        serial = rows(SERIAL)
-        assert rows(SHARDED) == serial
-        force_rebalance()
-        assert rows(SHARDED) == serial
-        assert rows(SHARDED_INLINE) == serial
+        assert rows(SHARDED) == rows(SERIAL)
 
-    def test_generic_scorer_path_with_balancing(self, skewed_sources,
-                                                force_rebalance):
-        """softtfidf has no kernel *and* asymmetric scores: splitting a
-        canonical triangle block must preserve serial orientation."""
+    def test_generic_scorer_path_on_the_pool(self, skewed_sources):
+        """softtfidf has no kernel *and* asymmetric scores: a sharded
+        self-match keeps the serial orientation."""
         domain, _ = skewed_sources
         blocking = TokenBlocking(max_df=0.9)
         serial_rows = AttributeMatcher(
             "title", similarity="softtfidf", threshold=0.5,
             blocking=blocking, engine=SERIAL).match(domain, domain).to_rows()
-        force_rebalance()
-        balanced_rows = AttributeMatcher(
+        sharded_rows = AttributeMatcher(
             "title", similarity="softtfidf", threshold=0.5,
             blocking=blocking,
-            engine=SHARDED_INLINE).match(domain, domain).to_rows()
-        assert serial_rows == balanced_rows
-
-
-# ----------------------------------------------------------------------
-# rebalancing mechanics
-# ----------------------------------------------------------------------
-
-def _pair_union(shards):
-    union = set()
-    for shard in shards:
-        union |= set(shard.pairs())
-    return union
-
-
-def _id_source(name: str, ids) -> LogicalSource:
-    source = LogicalSource(PhysicalSource(name), ObjectType("Publication"))
-    for id in ids:
-        source.add_record(id, title=id)
-    return source
-
-
-def _block_shard(ids_a, ids_b=None, **flags) -> BlockShard:
-    """One block over sources holding exactly these ids: ``ids_a x
-    ids_b`` or — ``ids_b=None`` — the triangle of ``ids_a``."""
-    domain = _id_source("L", ids_a)
-    range_ = domain if ids_b is None else _id_source("R", ids_b)
-    rows_a, rows_b = (np.arange(len(side), dtype=np.int32)
-                      for side in (domain, range_))
-    return BlockShard(BlockBatch(rows_a, rows_b, np.array(
-        [(0, len(domain), 0, len(range_), int(ids_b is None))],
-        dtype=np.int64)), (domain, range_), **flags)
-
-
-class TestRebalanceShards:
-    def test_splits_the_long_tail(self, skewed_sources):
-        domain, range_ = skewed_sources
-        blocking = KeyBlocking()
-        shards = blocking.shards(domain, range_, n_shards=8,
-                                 domain_attribute="title",
-                                 range_attribute="title")
-        naive_costs = [shard.cost() for shard in shards]
-        balanced = rebalance_shards(shards, 8)
-        balanced_costs = [shard.cost() for shard in balanced]
-        assert len(balanced) <= 8
-        assert sum(balanced_costs) == sum(naive_costs)  # splits, exactly
-        assert max(balanced_costs) < max(naive_costs)
-        # the tail is bounded: no bin above ~2x the ideal share
-        assert max(balanced_costs) <= 2 * (sum(naive_costs) // 8 + 1)
-        assert _pair_union(balanced) == _pair_union(shards)
-
-    def test_deterministic(self, skewed_sources):
-        domain, range_ = skewed_sources
-        blocking = TokenBlocking(max_df=0.9)
-
-        def run():
-            shards = blocking.shards(domain, range_, n_shards=6,
-                                     domain_attribute="title",
-                                     range_attribute="title")
-            return [sorted(shard.pairs())
-                    for shard in rebalance_shards(shards, 6)]
-
-        assert run() == run()
-
-    def test_unsplittable_shards_pass_through(self):
-        shards = [IterableShard(lambda: [("a", "b")]),
-                  IterableShard(lambda: [("c", "d")])]
-        assert rebalance_shards(shards, 4) == shards  # all costs unknown
-
-    def test_single_bin_is_identity(self):
-        shards = [_block_shard(["a"], ["x", "y"])]
-        assert rebalance_shards(shards, 1) == shards
-
-    def test_rejects_non_positive_bin_count(self):
-        with pytest.raises(ValueError):
-            rebalance_shards([], 0)
-
-    def test_giant_rectangle_splits_pair_exactly(self):
-        domain_ids = [f"d{i}" for i in range(40)]
-        range_ids = [f"r{i}" for i in range(35)]
-        shard = _block_shard(domain_ids, range_ids)
-        tiny = _block_shard(["z"], ["w"])
-        balanced = rebalance_shards([shard, tiny], 5)
-        assert len(balanced) == 5
-        assert _pair_union(balanced) == _pair_union([shard, tiny])
-        costs = [s.cost() for s in balanced]
-        assert max(costs) <= 2 * ((40 * 35 + 1) // 5 + 1)
-
-    def test_giant_triangle_splits_pair_exactly(self):
-        ids = [f"s{i}" for i in range(30)]
-        shard = _block_shard(ids, canonical=True)
-        balanced = rebalance_shards(
-            [shard, _block_shard(["z"], ["w"], canonical=True)], 4)
-        union = {tuple(sorted(pair)) for pair in _pair_union(balanced)}
-        expected = {tuple(sorted((a, b)))
-                    for i, a in enumerate(ids) for b in ids[i + 1:]}
-        expected.add(("w", "z"))
-        assert union == expected
-        # canonical orientation survives the triangle -> rect split
-        for shard in balanced:
-            for pair in shard.pairs():
-                assert pair == tuple(sorted(pair))
-
-    def test_explode_block_bounds_piece_size(self):
-        # 50 x 60 rows: (start_a, count_a, start_b, count_b, triangle)
-        pieces = list(explode((0, 50, 0, 60, 0), 100))
-        costs = [count_a * count_b for _, count_a, _, count_b, _ in pieces]
-        assert sum(costs) == 3000
-        assert max(costs) <= 100
-
-    def test_single_dominant_shard_still_splits(self):
-        """Regression: a workload where one key dominates *everything*
-        yields exactly one shard; balancing must still split it rather
-        than serializing the whole run onto one worker."""
-        ids = [f"s{i}" for i in range(200)]
-        shard = _block_shard(ids)
-        balanced = rebalance_shards([shard], 8)
-        assert 4 <= len(balanced) <= 8  # split into several real bins
-        costs = [s.cost() for s in balanced]
-        total = 200 * 199 // 2
-        assert sum(costs) == total
-        assert max(costs) <= 2 * (total // 8 + 1)
-        union = {tuple(sorted(pair)) for pair in _pair_union(balanced)}
-        assert union == {tuple(sorted((a, b)))
-                         for i, a in enumerate(ids) for b in ids[i + 1:]}
-
-    def test_explode_triangle_uses_row_bands_not_per_row_rects(self):
-        """Regression: triangle decomposition must stay
-        O(pair_count / target) pieces, not one sliced-tail rectangle
-        per row."""
-        n = 400
-        total = n * (n - 1) // 2
-        target = total // 8
-        pieces = np.array(list(explode((0, n, 0, n, 1), target)))
-        costs = BlockBatch(None, None, pieces).costs()
-        assert costs.sum() == total
-        assert costs.max() <= target
-        # ~2 pieces per band (triangle + rectangle), nowhere near n
-        assert len(pieces) <= 3 * 8 + 2
-
-    def test_composite_shard_is_sliced_member_by_member(self):
-        """An LPT bin of block shards only expands each member's blocks
-        in turn; one with any other member takes the pair path."""
-        domain = _id_source("L", ["a", "b"])
-        range_ = _id_source("R", ["x", "y"])
-        rows = np.arange(2, dtype=np.int32)
-        left, right = (BlockShard(BlockBatch(rows, rows, np.array(
-            [(row, 1, row, 1, 0)], dtype=np.int64)), (domain, range_))
-            for row in (0, 1))
-        composite = CompositeShard([left, right])
-        assert list(composite.pairs()) == [("a", "x"), ("b", "y")]
-        assert composite.cost() == 2
-        mixed = CompositeShard([left, IterableShard(lambda: [("b", "y")],
-                                                    cost=1)])
-        assert set(mixed.pairs()) == {("a", "x"), ("b", "y")}
-        runner = SERIAL._prepare(MatchRequest(
-            domain, range_, specs=[AttributeSpec(
-                "title", "title", TrigramSimilarity())]), [composite, mixed])
-        for shard, slices in ((composite, [([0], [0]), ([1], [1])]),
-                              (mixed, [([0, 1], [0, 1])])):
-            assert [tuple(side.tolist() for side in item)
-                    for item in runner.slices(shard)] == slices
+            engine=SHARDED).match(domain, domain).to_rows()
+        assert serial_rows == sharded_rows

@@ -289,13 +289,11 @@ class TestThePlanDecides:
         assert tabled is True  # found on the kept column
         assert set(confined) <= set(full)
 
-    def test_mixed_request_serial_pooled_and_sharded_agree(self,
-                                                           scalar_reference):
+    def test_mixed_request_serial_and_sharded_agree(self, scalar_reference):
         domain, range_ = _publications(96, 80)
         rows = {}
         for label, config in [
-                ("serial", dict(workers=1)), ("pooled", dict(workers=2)),
-                ("sharded", dict(workers=2, shard_blocking=True))]:
+                ("serial", dict(workers=1)), ("sharded", dict(workers=2))]:
             engine = BatchMatchEngine(EngineConfig(
                 chunk_size=256, profile=True, **config))
             fresh = (domain.subset(domain.ids()),
@@ -307,7 +305,7 @@ class TestThePlanDecides:
             assert [(column["kind"], column["table"]) for column in columns] \
                 == [("TfIdfColumn", True), ("ScalarColumn", True),
                     ("NGramColumn", False)]
-        assert rows["serial"] == rows["pooled"] == rows["sharded"]
+        assert rows["serial"] == rows["sharded"]
         assert rows["serial"] == scalar_reference(_multi_request(
             domain, range_, blocking=TokenBlocking(max_df=0.9))).to_rows()
         assert rows["serial"]

@@ -163,15 +163,14 @@ class TestServeKnobFlags:
 
 
 class TestEngineFlags:
-    def test_shard_blocking_flag_configures_default_engine(self, capsys):
+    def test_workers_flag_configures_default_engine(self, capsys):
         from repro.engine import get_default_engine, set_default_engine
 
         try:
             assert main(["--scale", "tiny", "--workers", "2",
-                         "--shard-blocking", "experiments", "table2"]) == 0
+                         "experiments", "table2"]) == 0
             engine = get_default_engine()
             assert engine.config.workers == 2
-            assert engine.config.shard_blocking is True
             assert "Table 2" in capsys.readouterr().out
         finally:
             set_default_engine(None)
@@ -187,7 +186,7 @@ class TestEngineFlags:
         try:
             main(["--scale", "tiny", "experiments", "table2"])
             streamed = capsys.readouterr().out
-            main(["--scale", "tiny", "--workers", "2", "--shard-blocking",
+            main(["--scale", "tiny", "--workers", "2",
                   "experiments", "table2"])
             sharded = capsys.readouterr().out
             assert trim(streamed) == trim(sharded)
